@@ -24,14 +24,13 @@ use minedig_primitives::fault::{Fault, FaultPlan};
 use minedig_primitives::health::{
     EndpointHealth, HealthConfig, HealthStats, ProbeOutcome, ProbePlan,
 };
-use minedig_primitives::par::{ExecStats, ParallelExecutor, ShardedTask};
 use minedig_primitives::retry::{retry, Clock, ErrorClass, RetryPolicy, Retryable, VirtualClock};
 use minedig_primitives::rng::DetRng;
 use minedig_primitives::supervise::{Backend, Campaign};
 use minedig_primitives::Hash32;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::ops::{ControlFlow, Range};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::task::Poll;
 use std::time::Duration;
@@ -125,7 +124,7 @@ impl JobSource for Pool {
 ///
 /// Faults are keyed by `(endpoint, now)`, so a schedule is a pure
 /// function of the plan seed and the sweep times — invariant under the
-/// shard count and under interleaving with other endpoints. A
+/// backend and under interleaving with other endpoints. A
 /// [`Fault::Disconnect`] marks the endpoint's connection down; every
 /// subsequent fetch fails with [`FetchError::Closed`] until
 /// [`JobSource::reconnect`] is called.
@@ -197,7 +196,7 @@ impl<S: JobSource> JobSource for FaultyJobSource<S> {
 /// `poll_fetch(e, now, a)` to `Ready` must produce the same result (and
 /// consume the same fault/randomness draws) as one synchronous
 /// `fetch_job(e, now, a)` call — that is what keeps the async sweep
-/// bit-identical to the sequential and sharded ones. An error from
+/// bit-identical to the in-line one. An error from
 /// `begin_fetch` is the attempt's result; `poll_fetch` is never called
 /// for it.
 pub trait AsyncJobSource: JobSource {
@@ -577,32 +576,24 @@ impl<S: JobSource> Observer<S> {
         &self.source
     }
 
-    /// Polls every endpoint once at virtual time `now` (sequentially).
+    /// Polls every endpoint once at virtual time `now`, in-line and in
+    /// endpoint order.
     pub fn poll_all(&mut self, now: u64) {
-        self.poll_all_sharded(now, &ParallelExecutor::sequential());
-    }
-
-    /// Polls every endpoint once at virtual time `now`, fanning the
-    /// endpoint range across `executor`'s shards.
-    ///
-    /// Polling and parsing happen in parallel; the parsed observations
-    /// are then applied to the cluster state **in endpoint order** (the
-    /// merge concatenates contiguous shards in shard-index order), so the
-    /// resulting clusters, prev pointer, and [`PollStats`] are identical
-    /// to the sequential [`poll_all`](Observer::poll_all) for any shard
-    /// count. Returns the executor stats (`items` counts endpoint polls).
-    pub fn poll_all_sharded(&mut self, now: u64, executor: &ParallelExecutor) -> ExecStats {
         let plans = self.sweep_plans(now);
-        let run = executor.execute(&PollTask {
-            source: &self.source,
-            now,
-            deobfuscate: self.deobfuscate,
-            policy: &self.policy,
-            plans: &plans,
-        });
-        let outcomes = self.absorb_delta(run.outcome);
+        let mut delta = PollDelta::default();
+        for (endpoint, plan) in plans.iter().enumerate() {
+            poll_endpoint(
+                &self.source,
+                &self.policy,
+                self.deobfuscate,
+                endpoint,
+                now,
+                *plan,
+                &mut delta,
+            );
+        }
+        let outcomes = self.absorb_delta(delta);
         self.record_health(now, &plans, &outcomes);
-        run.stats
     }
 
     /// Applies one sweep's merged delta: counters add, observations run
@@ -773,18 +764,34 @@ impl<S: AsyncJobSource> IoPoll for FetchReady<'_, S> {
 }
 
 impl<S: AsyncJobSource> Observer<S> {
+    /// Polls every endpoint once at virtual time `now` on `backend`:
+    /// in-line for the sequential and sharded backends (a 32-endpoint
+    /// sweep is too short to pay for threads), with every fetch in
+    /// flight at once on [`Backend::Async`], whose executor counters are
+    /// returned. Clusters and [`PollStats`] are identical either way.
+    pub fn sweep(&mut self, now: u64, backend: &Backend) -> Option<AsyncStats> {
+        match *backend {
+            Backend::Sequential | Backend::Sharded(_) => {
+                self.poll_all(now);
+                None
+            }
+            Backend::Async { concurrency } => {
+                Some(self.poll_all_async(now, &AsyncExecutor::new(concurrency)))
+            }
+        }
+    }
+
     /// Polls every endpoint once at virtual time `now` with all fetches
     /// in flight at once on the cooperative executor — one thread,
     /// `in_flight_high_water == min(endpoints, concurrency)`.
     ///
-    /// Each endpoint's task replicates the sharded sweep's per-endpoint
+    /// Each endpoint's task replicates the in-line sweep's per-endpoint
     /// body step for step — same retry/backoff/deadline decisions on a
     /// private virtual clock, same jitter stream, same reconnect and
     /// accounting rules — and completions fold in endpoint order, so
     /// clusters and [`PollStats`] are bit-identical to
-    /// [`poll_all`](Observer::poll_all) and
-    /// [`poll_all_sharded`](Observer::poll_all_sharded) for any
-    /// concurrency, including under fault schedules.
+    /// [`poll_all`](Observer::poll_all) for any concurrency, including
+    /// under fault schedules.
     pub fn poll_all_async(&mut self, now: u64, executor: &AsyncExecutor) -> AsyncStats {
         self.poll_all_async_idle(now, executor, &mut YieldBackoff)
     }
@@ -813,7 +820,7 @@ impl<S: AsyncJobSource> Observer<S> {
                 let plan = plans_ref[endpoint];
                 if !plan.admit {
                     // Quarantined: no request, no rng draws, no retry
-                    // budget — identical to the sharded sweep's skip.
+                    // budget — identical to the in-line sweep's skip.
                     delta.quarantined += 1;
                     delta.probe_outcomes.push(ProbeOutcome::default());
                     return delta;
@@ -823,7 +830,7 @@ impl<S: AsyncJobSource> Observer<S> {
                     None => policy.retry.clone(),
                 };
                 // Async mirror of `retry()` over the same per-endpoint
-                // virtual clock and jitter stream as `run_shard`: the
+                // virtual clock and jitter stream as `poll_endpoint`: the
                 // only difference is that the wire wait between request
                 // and reply suspends the task instead of the thread.
                 let mut clock = VirtualClock::new();
@@ -899,19 +906,8 @@ impl<S: AsyncJobSource> Observer<S> {
                 delta
             },
             PollDelta::default(),
-            |acc: &mut PollDelta, mut next: PollDelta| {
-                acc.polls += next.polls;
-                acc.answered += next.answered;
-                acc.offline += next.offline;
-                acc.other_errors += next.other_errors;
-                acc.parse_failures += next.parse_failures;
-                acc.endpoints_down += next.endpoints_down;
-                acc.retries += next.retries;
-                acc.reconnects += next.reconnects;
-                acc.quarantined += next.quarantined;
-                acc.sheds += next.sheds;
-                acc.observations.append(&mut next.observations);
-                acc.probe_outcomes.append(&mut next.probe_outcomes);
+            |acc: &mut PollDelta, next: PollDelta| {
+                acc.absorb(next);
                 ControlFlow::Continue(())
             },
             idle,
@@ -922,8 +918,8 @@ impl<S: AsyncJobSource> Observer<S> {
     }
 }
 
-/// Partial outcome of polling one contiguous endpoint range: additive
-/// counters plus the parsed observations in endpoint order.
+/// Outcome of polling some endpoints: additive counters plus the parsed
+/// observations in endpoint order.
 #[derive(Default)]
 struct PollDelta {
     polls: u64,
@@ -937,118 +933,102 @@ struct PollDelta {
     quarantined: u64,
     sheds: u64,
     observations: Vec<(Vec<u8>, HashingBlob)>,
-    /// One outcome per polled endpoint, in endpoint order (the merge
-    /// concatenates contiguous shards), fed to the health layer's
-    /// record phase after the merge.
+    /// One outcome per polled endpoint, in endpoint order, fed to the
+    /// health layer's record phase after the sweep.
     probe_outcomes: Vec<ProbeOutcome>,
 }
 
-/// One poll sweep as a [`ShardedTask`] over the endpoint index space.
-/// Cluster state is *not* touched here — `record` has order-dependent
-/// reset semantics, so the driver applies observations after the merge.
-struct PollTask<'a, S: JobSource> {
-    source: &'a S,
-    now: u64,
-    deobfuscate: bool,
-    policy: &'a PollPolicy,
-    /// Per-endpoint health plans, computed before the fan-out.
-    plans: &'a [ProbePlan],
+impl PollDelta {
+    /// Appends the next endpoints' outcome: counters add, observations
+    /// and probe outcomes concatenate in endpoint order.
+    fn absorb(&mut self, mut next: PollDelta) {
+        self.polls += next.polls;
+        self.answered += next.answered;
+        self.offline += next.offline;
+        self.other_errors += next.other_errors;
+        self.parse_failures += next.parse_failures;
+        self.endpoints_down += next.endpoints_down;
+        self.retries += next.retries;
+        self.reconnects += next.reconnects;
+        self.quarantined += next.quarantined;
+        self.sheds += next.sheds;
+        self.observations.append(&mut next.observations);
+        self.probe_outcomes.append(&mut next.probe_outcomes);
+    }
 }
 
-impl<S: JobSource> ShardedTask for PollTask<'_, S> {
-    type Output = PollDelta;
-
-    fn len(&self) -> usize {
-        self.source.endpoint_count()
+/// Polls one endpoint at virtual time `now` under its health `plan`,
+/// retrying per `policy`, and appends the outcome to `delta`. Cluster
+/// state is *not* touched here — `record` has order-dependent reset
+/// semantics, so the sweep applies observations afterwards, in endpoint
+/// order.
+fn poll_endpoint<S: JobSource>(
+    source: &S,
+    policy: &PollPolicy,
+    deobfuscate: bool,
+    endpoint: usize,
+    now: u64,
+    plan: ProbePlan,
+    delta: &mut PollDelta,
+) {
+    delta.polls += 1;
+    if !plan.admit {
+        // Quarantined by the circuit breaker: no request, no rng draws,
+        // no retry budget — a counted gap.
+        delta.quarantined += 1;
+        delta.probe_outcomes.push(ProbeOutcome::default());
+        return;
     }
-
-    fn run_shard(&self, range: Range<usize>, progress: &AtomicU64) -> PollDelta {
-        let mut delta = PollDelta::default();
-        for endpoint in range {
-            progress.fetch_add(1, Ordering::Relaxed);
-            delta.polls += 1;
-            let plan = self.plans[endpoint];
-            if !plan.admit {
-                // Quarantined by the circuit breaker: no request, no
-                // rng draws, no retry budget — a counted gap.
-                delta.quarantined += 1;
-                delta.probe_outcomes.push(ProbeOutcome::default());
-                continue;
+    let retry_policy = match plan.deadline_ms {
+        Some(d) => policy.retry.tightened(d),
+        None => policy.retry.clone(),
+    };
+    let mut clock = VirtualClock::new();
+    let mut rng = DetRng::seed(policy.jitter_seed).derive(&format!("poll.jitter.{endpoint}.{now}"));
+    let outcome = retry(&retry_policy, &mut clock, &mut rng, |attempt| {
+        let r = source.fetch_job(endpoint, now, attempt);
+        // Reconnect eagerly on every teardown, even a final one, so the
+        // next sweep starts on a fresh connection.
+        if matches!(r, Err(FetchError::Closed)) && source.reconnect(endpoint) {
+            delta.reconnects += 1;
+        }
+        if matches!(r, Err(FetchError::Shed)) {
+            delta.sheds += 1;
+        }
+        r
+    });
+    delta.retries += u64::from(outcome.retries());
+    delta.probe_outcomes.push(ProbeOutcome {
+        attempted: true,
+        success: outcome.result.is_ok(),
+        waited_ms: outcome.waited_ms,
+    });
+    match outcome.result {
+        Err(e) => match e.error {
+            FetchError::Offline => delta.offline += 1,
+            // A final shed is a server-side refusal, not an endpoint
+            // death: the endpoint is up, just loaded.
+            FetchError::Refused | FetchError::Shed => delta.other_errors += 1,
+            // The transport never recovered within the policy: the
+            // endpoint is down for this sweep.
+            FetchError::Timeout | FetchError::Closed | FetchError::Garbled => {
+                delta.endpoints_down += 1
             }
-            let retry_policy = match plan.deadline_ms {
-                Some(d) => self.policy.retry.tightened(d),
-                None => self.policy.retry.clone(),
+        },
+        Ok(job) => {
+            delta.answered += 1;
+            let Ok(mut bytes) = job.blob_bytes() else {
+                delta.parse_failures += 1;
+                return;
             };
-            let mut clock = VirtualClock::new();
-            let mut rng = DetRng::seed(self.policy.jitter_seed)
-                .derive(&format!("poll.jitter.{endpoint}.{}", self.now));
-            let mut reconnects = 0u64;
-            let mut sheds = 0u64;
-            let outcome = retry(&retry_policy, &mut clock, &mut rng, |attempt| {
-                let r = self.source.fetch_job(endpoint, self.now, attempt);
-                // Reconnect eagerly on every teardown, even a final one,
-                // so the next sweep starts on a fresh connection.
-                if matches!(r, Err(FetchError::Closed)) && self.source.reconnect(endpoint) {
-                    reconnects += 1;
-                }
-                if matches!(r, Err(FetchError::Shed)) {
-                    sheds += 1;
-                }
-                r
-            });
-            delta.retries += u64::from(outcome.retries());
-            delta.reconnects += reconnects;
-            delta.sheds += sheds;
-            delta.probe_outcomes.push(ProbeOutcome {
-                attempted: true,
-                success: outcome.result.is_ok(),
-                waited_ms: outcome.waited_ms,
-            });
-            match outcome.result {
-                Err(e) => match e.error {
-                    FetchError::Offline => delta.offline += 1,
-                    // A final shed is a server-side refusal, not an
-                    // endpoint death: the endpoint is up, just loaded.
-                    FetchError::Refused | FetchError::Shed => delta.other_errors += 1,
-                    // The transport never recovered within the policy:
-                    // the endpoint is down for this sweep.
-                    FetchError::Timeout | FetchError::Closed | FetchError::Garbled => {
-                        delta.endpoints_down += 1
-                    }
-                },
-                Ok(job) => {
-                    delta.answered += 1;
-                    let Ok(mut bytes) = job.blob_bytes() else {
-                        delta.parse_failures += 1;
-                        continue;
-                    };
-                    if self.deobfuscate {
-                        obfuscation::xor_blob(&mut bytes);
-                    }
-                    let Ok(blob) = HashingBlob::parse(&bytes) else {
-                        delta.parse_failures += 1;
-                        continue;
-                    };
-                    delta.observations.push((bytes, blob));
-                }
+            if deobfuscate {
+                obfuscation::xor_blob(&mut bytes);
+            }
+            match HashingBlob::parse(&bytes) {
+                Err(_) => delta.parse_failures += 1,
+                Ok(blob) => delta.observations.push((bytes, blob)),
             }
         }
-        delta
-    }
-
-    fn merge(&self, acc: &mut PollDelta, mut next: PollDelta) {
-        acc.polls += next.polls;
-        acc.answered += next.answered;
-        acc.offline += next.offline;
-        acc.other_errors += next.other_errors;
-        acc.parse_failures += next.parse_failures;
-        acc.endpoints_down += next.endpoints_down;
-        acc.retries += next.retries;
-        acc.reconnects += next.reconnects;
-        acc.quarantined += next.quarantined;
-        acc.sheds += next.sheds;
-        acc.observations.append(&mut next.observations);
-        acc.probe_outcomes.append(&mut next.probe_outcomes);
     }
 }
 
@@ -1065,10 +1045,6 @@ impl<S: JobSource> ShardedTask for PollTask<'_, S> {
 /// retry jitter are keyed by `(endpoint, now)` and sweeps fold in
 /// endpoint order, a killed-and-resumed run reproduces the
 /// uninterrupted observer bit for bit on every backend.
-///
-/// The poller has no streaming pipeline backend;
-/// [`Backend::Streaming`] maps to the sharded sweep with the same
-/// worker count.
 pub struct PollCampaign<S: AsyncJobSource> {
     observer: Observer<S>,
     start_ms: u64,
@@ -1142,23 +1118,7 @@ impl<S: AsyncJobSource> Campaign for PollCampaign<S> {
                 return;
             }
             let now = self.start_ms + self.next_tick * self.interval_ms;
-            match self.backend {
-                Backend::Sequential => self.observer.poll_all(now),
-                Backend::Sharded(shards) => {
-                    self.observer
-                        .poll_all_sharded(now, &ParallelExecutor::new(shards));
-                }
-                // No streaming sweep exists; the sharded one is the
-                // closest parallel shape (documented above).
-                Backend::Streaming { workers, .. } => {
-                    self.observer
-                        .poll_all_sharded(now, &ParallelExecutor::new(workers));
-                }
-                Backend::Async { concurrency } => {
-                    self.observer
-                        .poll_all_async(now, &AsyncExecutor::new(concurrency));
-                }
-            }
+            self.observer.sweep(now, &self.backend);
             heartbeat.fetch_add(1, Ordering::Relaxed);
             self.next_tick += 1;
         }
@@ -1264,43 +1224,29 @@ mod tests {
     }
 
     #[test]
-    fn sharded_poll_matches_sequential() {
-        for shards in [1, 2, 3, 5, 16, 64] {
+    fn sweeps_match_poll_all_on_every_backend() {
+        for backend in CAMPAIGN_BACKENDS {
             let pool = pool_with_tip();
             let mut seq = Observer::new(pool.clone(), true);
-            let mut par = Observer::new(pool, true);
-            let executor = ParallelExecutor::new(shards);
+            let mut swept = Observer::new(pool, true);
             for t in (1_000..1_150).step_by(5) {
                 seq.poll_all(t);
-                let stats = par.poll_all_sharded(t, &executor);
-                assert_eq!(stats.shards, shards);
-                assert_eq!(stats.items, 32);
+                let stats = swept.sweep(t, &backend);
+                assert_eq!(stats.is_some(), matches!(backend, Backend::Async { .. }));
             }
-            assert_eq!(par.current_prev(), seq.current_prev(), "shards={shards}");
-            assert_eq!(par.current_roots, seq.current_roots, "shards={shards}");
-            assert_eq!(par.current_blobs, seq.current_blobs, "shards={shards}");
-            let (ss, ps) = (seq.stats(), par.stats());
-            assert_eq!(ps.polls, ss.polls, "shards={shards}");
-            assert_eq!(ps.answered, ss.answered, "shards={shards}");
-            assert_eq!(ps.offline, ss.offline, "shards={shards}");
-            assert_eq!(ps.other_errors, ss.other_errors, "shards={shards}");
-            assert_eq!(ps.parse_failures, ss.parse_failures, "shards={shards}");
-            assert_eq!(
-                ps.max_blobs_per_prev, ss.max_blobs_per_prev,
-                "shards={shards}"
-            );
+            assert_observer_eq(&swept, &seq, &backend.to_string());
         }
     }
 
     #[test]
-    fn sharded_poll_counts_outages_identically() {
+    fn sweeps_count_outages() {
         let pool = pool_with_tip();
         pool.set_online(false);
         let mut obs = Observer::new(pool.clone(), true);
-        obs.poll_all_sharded(1_000, &ParallelExecutor::new(4));
+        obs.sweep(1_000, &Backend::Sharded(4));
         assert_eq!(obs.stats().offline, 32);
         pool.set_online(true);
-        obs.poll_all_sharded(1_020, &ParallelExecutor::new(4));
+        obs.sweep(1_020, &Backend::Sharded(4));
         assert_eq!(obs.stats().answered, 32);
     }
 
@@ -1376,46 +1322,6 @@ mod tests {
         assert_eq!(s.answered, 32, "faults clear within the budget");
         assert!(s.reconnects > 0, "teardowns must have forced reconnects");
         assert!(s.balanced());
-    }
-
-    #[test]
-    fn sharded_poll_matches_sequential_under_faults() {
-        let plan = FaultPlan::with_config(
-            13,
-            FaultConfig {
-                fault_prob: 0.5,
-                permanent_prob: 0.3,
-                ..FaultConfig::default()
-            },
-        );
-        for shards in [1, 2, 3, 5, 16] {
-            let pool = pool_with_tip();
-            let mut seq = Observer::with_source(
-                FaultyJobSource::new(pool.clone(), plan.clone()),
-                true,
-                PollPolicy::default(),
-            );
-            let mut par = Observer::with_source(
-                FaultyJobSource::new(pool, plan.clone()),
-                true,
-                PollPolicy::default(),
-            );
-            let executor = ParallelExecutor::new(shards);
-            for t in (1_000..1_100).step_by(5) {
-                seq.poll_all(t);
-                par.poll_all_sharded(t, &executor);
-            }
-            assert_eq!(par.current_prev(), seq.current_prev(), "shards={shards}");
-            assert_eq!(par.current_roots, seq.current_roots, "shards={shards}");
-            assert_eq!(par.current_blobs, seq.current_blobs, "shards={shards}");
-            let (ss, ps) = (seq.stats(), par.stats());
-            assert_eq!(ps.polls, ss.polls, "shards={shards}");
-            assert_eq!(ps.answered, ss.answered, "shards={shards}");
-            assert_eq!(ps.endpoints_down, ss.endpoints_down, "shards={shards}");
-            assert_eq!(ps.retries, ss.retries, "shards={shards}");
-            assert_eq!(ps.reconnects, ss.reconnects, "shards={shards}");
-            assert!(ps.balanced(), "shards={shards}");
-        }
     }
 
     #[test]
@@ -1595,13 +1501,9 @@ mod tests {
         assert_eq!(a.current_blobs, b.current_blobs, "{ctx}");
     }
 
-    const CAMPAIGN_BACKENDS: [Backend; 4] = [
+    const CAMPAIGN_BACKENDS: [Backend; 3] = [
         Backend::Sequential,
         Backend::Sharded(3),
-        Backend::Streaming {
-            workers: 2,
-            capacity: 8,
-        },
         Backend::Async { concurrency: 8 },
     ];
 
@@ -1615,7 +1517,7 @@ mod tests {
             reference.poll_all(1_000 + tick * 5);
         }
         for backend in CAMPAIGN_BACKENDS {
-            let dir = ckpt_dir(&format!("clean-{}", backend.label()));
+            let dir = ckpt_dir(&format!("clean-{backend}"));
             let store = SnapshotStore::open(&dir).unwrap();
             let sup = Supervisor::new(CrashPolicy {
                 ckpt_every_items: 4,
@@ -1630,9 +1532,9 @@ mod tests {
                     false,
                 )
                 .unwrap();
-            assert_observer_eq(&run.output, &reference, backend.label());
+            assert_observer_eq(&run.output, &reference, &backend.to_string());
             assert!(run.report.balanced(), "{:?}", run.report);
-            assert_eq!(run.report.crashes, 3, "backend={}", backend.label());
+            assert_eq!(run.report.crashes, 3, "backend={}", backend);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -1668,7 +1570,7 @@ mod tests {
         }
         assert!(reference.stats.reconnects > 0, "plan must tear connections");
         for backend in CAMPAIGN_BACKENDS {
-            let dir = ckpt_dir(&format!("faulty-{}", backend.label()));
+            let dir = ckpt_dir(&format!("faulty-{backend}"));
             let store = SnapshotStore::open(&dir).unwrap();
             let sup = Supervisor::new(CrashPolicy {
                 ckpt_every_items: 4,
@@ -1695,7 +1597,7 @@ mod tests {
                     false,
                 )
                 .unwrap();
-            assert_observer_eq(&run.output, &reference, backend.label());
+            assert_observer_eq(&run.output, &reference, &backend.to_string());
             assert!(run.output.stats.balanced(), "{:?}", run.output.stats);
             assert!(run.report.balanced(), "{:?}", run.report);
             let _ = std::fs::remove_dir_all(&dir);
@@ -1772,11 +1674,11 @@ mod tests {
         let mut seq = Observer::new(pool.clone(), true).with_health(cfg.clone());
         let mut par = Observer::new(pool.clone(), true).with_health(cfg.clone());
         let mut asy = Observer::new(pool, true).with_health(cfg);
-        let sharded = ParallelExecutor::new(4);
+        let sharded = Backend::Sharded(4);
         let aexec = AsyncExecutor::new(8);
         for &t in &times {
             seq.poll_all(t);
-            par.poll_all_sharded(t, &sharded);
+            par.sweep(t, &sharded);
             asy.poll_all_async(t, &aexec);
         }
         for (on, label) in [(&seq, "seq"), (&par, "sharded"), (&asy, "async")] {
@@ -1817,11 +1719,11 @@ mod tests {
             Observer::with_source(make(), true, PollPolicy::default()).with_health(cfg.clone());
         let mut asy =
             Observer::with_source(make(), true, PollPolicy::default()).with_health(cfg.clone());
-        let sharded = ParallelExecutor::new(3);
+        let sharded = Backend::Sharded(3);
         let aexec = AsyncExecutor::new(16);
         for &t in &times {
             seq.poll_all(t);
-            par.poll_all_sharded(t, &sharded);
+            par.sweep(t, &sharded);
             asy.poll_all_async(t, &aexec);
         }
         // The acceptance bound: the window fill to trip, then at most
@@ -1884,11 +1786,11 @@ mod tests {
         let mut seq = make();
         let mut par = make();
         let mut asy = make();
-        let sharded = ParallelExecutor::new(5);
+        let sharded = Backend::Sharded(5);
         let aexec = AsyncExecutor::new(8);
         for t in (1_000..1_400).step_by(5) {
             seq.poll_all(t);
-            par.poll_all_sharded(t, &sharded);
+            par.sweep(t, &sharded);
             asy.poll_all_async(t, &aexec);
         }
         assert!(seq.stats.quarantined > 0, "faults must trip breakers");
@@ -1947,7 +1849,7 @@ mod tests {
             reference.stats
         );
         for backend in CAMPAIGN_BACKENDS {
-            let dir = ckpt_dir(&format!("health-{}", backend.label()));
+            let dir = ckpt_dir(&format!("health-{backend}"));
             let store = SnapshotStore::open(&dir).unwrap();
             let sup = Supervisor::new(CrashPolicy {
                 ckpt_every_items: 4,
@@ -1962,12 +1864,12 @@ mod tests {
                     false,
                 )
                 .unwrap();
-            assert_observer_eq(&run.output, &reference, backend.label());
+            assert_observer_eq(&run.output, &reference, &backend.to_string());
             assert_eq!(
                 run.output.health_stats(),
                 reference.health_stats(),
                 "backend={}",
-                backend.label()
+                backend
             );
             assert!(run.output.stats.balanced(), "{:?}", run.output.stats);
             assert!(run.report.balanced(), "{:?}", run.report);

@@ -6,15 +6,16 @@ use crate::estimate::{network_estimate, NetworkEstimate};
 use crate::poller::{AsyncJobSource, FaultyJobSource, Observer, PollPolicy, PollStats};
 use minedig_chain::netsim::{Actor, MinedEvent, NetSim, NetSimConfig, SoloSource};
 use minedig_pool::pool::{Pool, PoolConfig};
-use minedig_primitives::aexec::{AsyncExecutor, AsyncStats};
+use minedig_primitives::aexec::AsyncStats;
 use minedig_primitives::ckpt::{
     Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot, SnapshotStore,
 };
 use minedig_primitives::fault::FaultPlan;
 use minedig_primitives::health::{HealthConfig, HealthStats};
-use minedig_primitives::par::ParallelExecutor;
 use minedig_primitives::retry::RetryPolicy;
-use minedig_primitives::supervise::{Campaign, SuperviseError, SupervisedRun, Supervisor};
+use minedig_primitives::supervise::{
+    run_to_end, Backend, Campaign, SuperviseError, SupervisedRun, Supervisor,
+};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,15 +53,10 @@ pub struct ScenarioConfig {
     /// Observer poll interval (blobs change at the pool's template
     /// refresh cadence, so polling faster than that is redundant).
     pub poll_interval_secs: u64,
-    /// Shards each poll sweep fans across (1 = sequential; results are
-    /// identical for any value — see `Observer::poll_all_sharded`).
-    pub poll_shards: usize,
-    /// When set, poll sweeps run on the cooperative async executor with
-    /// this in-flight budget instead of sharding: every endpoint's fetch
-    /// in flight at once on one thread, results identical to the
-    /// sequential and sharded sweeps for any value — see
-    /// `Observer::poll_all_async`.
-    pub poll_async: Option<usize>,
+    /// Backend of the poll sweeps (see `Observer::sweep`): in-line
+    /// unless async, where every endpoint's fetch is in flight at once
+    /// on one thread. Results are identical on every backend.
+    pub backend: Backend,
     /// Optional transport fault schedule on the poll path (chaos
     /// testing). `None` polls the pool directly.
     pub poll_faults: Option<FaultPlan>,
@@ -106,8 +102,7 @@ impl Default for ScenarioConfig {
             diurnal_amplitude: 0.08,
             outages: vec![FIG5_OUTAGE],
             poll_interval_secs: 15,
-            poll_shards: 1,
-            poll_async: None,
+            backend: Backend::Sequential,
             poll_faults: None,
             poll_retry: RetryPolicy::default(),
             poll_health: None,
@@ -169,7 +164,7 @@ pub struct ScenarioResult {
     /// Observer poll statistics.
     pub poll_stats: PollStats,
     /// Aggregate async-executor statistics across all poll sweeps, when
-    /// `poll_async` was set.
+    /// the backend was async.
     pub poll_async_stats: Option<AsyncStats>,
     /// Endpoint-health counters (breaker trips, quarantines, hedges),
     /// when `poll_health` was set.
@@ -229,19 +224,14 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
 
 /// The scenario body, generic over the observer's job source so the
 /// fault-injected and direct paths share every line of driver logic.
-/// The source must be async-capable so `poll_async` can route sweeps
-/// through the cooperative executor.
+/// The source must be async-capable so an async backend can route
+/// sweeps through the cooperative executor.
 fn run_scenario_with<S: AsyncJobSource + Send + 'static>(
     config: ScenarioConfig,
     pool: Pool,
     observer: Observer<S>,
 ) -> ScenarioResult {
-    let mut campaign = ScenarioCampaign::new(config, pool, observer);
-    let heartbeat = AtomicU64::new(0);
-    while !campaign.is_done() {
-        campaign.run_items(u64::MAX, &heartbeat);
-    }
-    campaign.finish()
+    run_to_end(ScenarioCampaign::new(config, pool, observer))
 }
 
 /// The §4.2 scenario as a killable, resumable [`Campaign`]: one item =
@@ -327,22 +317,16 @@ impl<S: AsyncJobSource + Send + 'static> ScenarioCampaign<S> {
             let config = config.clone();
             let replaying = replaying.clone();
             let interval = config.poll_interval_secs.max(1);
-            let executor = ParallelExecutor::new(config.poll_shards);
-            let async_exec = config.poll_async.map(AsyncExecutor::new);
             let async_stats = async_stats.clone();
             sim.set_interval_hook(Box::new(move |from, to| {
                 let replay = replaying.load(Ordering::Relaxed);
                 let mut obs = observer.lock();
-                // Sharded and async sweeps are bit-identical; the async
-                // path additionally aggregates its executor stats for
-                // the report.
-                let sweep = |obs: &mut Observer<S>, t: u64| match &async_exec {
-                    Some(aexec) => {
-                        let s = obs.poll_all_async(t, aexec);
+                // Every backend's sweep is bit-identical; an async one
+                // additionally aggregates its executor stats for the
+                // report.
+                let sweep = |obs: &mut Observer<S>, t: u64| {
+                    if let Some(s) = obs.sweep(t, &config.backend) {
                         async_stats.lock().absorb(&s);
-                    }
-                    None => {
-                        obs.poll_all_sharded(t, &executor);
                     }
                 };
                 let mut t = from - from % interval + interval;
@@ -555,10 +539,8 @@ impl<S: AsyncJobSource + Send + 'static> Campaign for ScenarioCampaign<S> {
             network,
             poll_stats,
             poll_health_stats,
-            poll_async_stats: self
-                .config
-                .poll_async
-                .map(|_| self.async_stats.lock().clone()),
+            poll_async_stats: matches!(self.config.backend, Backend::Async { .. })
+                .then(|| self.async_stats.lock().clone()),
             window: (self.config.start_time, self.end_time),
         }
     }
@@ -725,7 +707,7 @@ mod tests {
         let asy = run_scenario(ScenarioConfig {
             duration_days: 2,
             seed: 9,
-            poll_async: Some(64),
+            backend: Backend::Async { concurrency: 64 },
             ..ScenarioConfig::default()
         });
         assert_eq!(asy.attributed, seq.attributed);
@@ -763,7 +745,7 @@ mod tests {
             seed: 9,
             poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
             poll_faults: Some(plan),
-            poll_async: Some(256),
+            backend: Backend::Async { concurrency: 256 },
             ..ScenarioConfig::default()
         });
         assert!(asy.poll_stats.retries > 0, "p=0.4 must force retries");
@@ -864,7 +846,7 @@ mod tests {
             seed: 9,
             poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
             poll_faults: Some(plan),
-            poll_async: Some(64),
+            backend: Backend::Async { concurrency: 64 },
             ..ScenarioConfig::default()
         };
         let reference = run_scenario(config.clone());
@@ -947,7 +929,7 @@ mod tests {
         let par = run_scenario(ScenarioConfig {
             duration_days: 2,
             seed: 9,
-            poll_shards: 4,
+            backend: Backend::Sharded(4),
             ..ScenarioConfig::default()
         });
         assert_eq!(par.attributed, seq.attributed);

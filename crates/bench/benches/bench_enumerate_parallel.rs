@@ -1,15 +1,16 @@
-//! Shortlink-enumeration scaling: the same ID-space walk at 1/2/4/8
-//! shards.
+//! Shortlink-enumeration scaling: the same ID-space walk campaign at
+//! 1/2/4/8 shards.
 //!
 //! Results are identical to the sequential walk at every shard count
-//! (enforced by `tests/parallel_enumerate.rs`), so this bench isolates
-//! the windowed executor's scaling on the probe workload. The final
+//! (enforced by `tests/backend_matrix.rs`), so this bench isolates the
+//! sharded backend's scaling on the probe workload. The final probe
 //! window's overshoot is part of the cost being measured.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use minedig_primitives::par::ParallelExecutor;
-use minedig_shortlink::enumerate::enumerate_links_sharded;
+use minedig_primitives::supervise::{run_to_end, Backend};
+use minedig_shortlink::campaign::EnumCampaign;
 use minedig_shortlink::model::{LinkPopulation, ModelConfig};
+use minedig_shortlink::probe::ProbePolicy;
 use minedig_shortlink::service::ShortlinkService;
 use std::hint::black_box;
 
@@ -24,14 +25,21 @@ fn bench_enumerate_shards(c: &mut Criterion) {
         users: 5_000,
         seed: SEED,
     }));
+    let policy = ProbePolicy::default();
     let mut group = c.benchmark_group("enumerate_100k");
     group.sample_size(10);
     // Probes the sequential walk performs: the live prefix + the dead run.
     group.throughput(Throughput::Elements(LINKS + DEAD_RUN_LIMIT));
     for shards in SHARD_COUNTS {
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &s| {
-            let executor = ParallelExecutor::new(s);
-            b.iter(|| black_box(enumerate_links_sharded(&service, DEAD_RUN_LIMIT, &executor)))
+            b.iter(|| {
+                black_box(run_to_end(EnumCampaign::new(
+                    &service,
+                    &policy,
+                    DEAD_RUN_LIMIT,
+                    Backend::Sharded(s),
+                )))
+            })
         });
     }
     group.finish();

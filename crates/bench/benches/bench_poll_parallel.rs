@@ -1,20 +1,17 @@
-//! Endpoint-polling scaling: a full observation sweep (30 polls of every
-//! endpoint across one template window) at 1/2/4/8 shards.
-//!
-//! Cluster state and stats are identical to sequential polling at every
-//! shard count (enforced by `tests/parallel_poll.rs`); this bench
-//! measures the fan-out of the poll/de-obfuscate/parse work.
+//! Endpoint polling: a full observation campaign (30 sweeps of every
+//! endpoint across one template window), measuring the in-line
+//! poll/de-obfuscate/parse work every non-async backend runs. Sweeps are
+//! not sharded: at 32 endpoints a thread spawn per sweep cost more than
+//! it saved.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use minedig_analysis::poller::Observer;
+use minedig_analysis::poller::{Observer, PollCampaign};
 use minedig_chain::netsim::TipInfo;
 use minedig_chain::tx::Transaction;
 use minedig_pool::pool::{Pool, PoolConfig};
-use minedig_primitives::par::ParallelExecutor;
+use minedig_primitives::supervise::{run_to_end, Backend};
 use minedig_primitives::Hash32;
 use std::hint::black_box;
-
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn pool_with_tip() -> Pool {
     let pool = Pool::new(PoolConfig::default());
@@ -29,27 +26,22 @@ fn pool_with_tip() -> Pool {
     pool
 }
 
-fn bench_poll_shards(c: &mut Criterion) {
+fn bench_poll_sweeps(c: &mut Criterion) {
     let pool = pool_with_tip();
-    let sweep: Vec<u64> = (1_000..1_150).step_by(5).collect();
-    let polls = sweep.len() as u64 * pool.endpoint_count() as u64;
+    let sweeps = 30u64;
+    let polls = sweeps * pool.endpoint_count() as u64;
     let mut group = c.benchmark_group("poll_sweep");
     group.sample_size(10);
     group.throughput(Throughput::Elements(polls));
-    for shards in SHARD_COUNTS {
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &s| {
-            let executor = ParallelExecutor::new(s);
-            b.iter(|| {
-                let mut obs = Observer::new(pool.clone(), true);
-                for &t in &sweep {
-                    obs.poll_all_sharded(t, &executor);
-                }
-                black_box(obs.stats().answered)
-            })
-        });
-    }
+    group.bench_function(BenchmarkId::new("backend", "sequential"), |b| {
+        b.iter(|| {
+            let observer = Observer::new(pool.clone(), true);
+            let campaign = PollCampaign::new(observer, 1_000, 5, sweeps, Backend::Sequential);
+            black_box(run_to_end(campaign).stats().answered)
+        })
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_poll_shards);
+criterion_group!(benches, bench_poll_sweeps);
 criterion_main!(benches);

@@ -1,14 +1,15 @@
-//! Scan-executor scaling: the same zone scan at 1/2/4/8 shards.
+//! Scan scaling: the same zone-scan campaign at 1/2/4/8 shards.
 //!
 //! Outcomes are bit-identical at every shard count (enforced by the
-//! proptests in `tests/parallel_scan.rs`), so this bench isolates pure
-//! executor scaling. Expect near-linear throughput up to the physical
+//! proptests in `tests/backend_matrix.rs`), so this bench isolates pure
+//! backend scaling. Expect near-linear throughput up to the physical
 //! core count — on a single-core host every shard count measures the
 //! same, which is itself worth seeing (sharding overhead ≈ 0).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use minedig_core::exec::ScanExecutor;
-use minedig_core::scan::build_reference_db;
+use minedig_core::campaign::{ChromeCampaign, ZgrabCampaign};
+use minedig_core::scan::{build_reference_db, scan_len, FetchModel};
+use minedig_primitives::supervise::{run_to_end, Backend};
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
 use std::hint::black_box;
@@ -20,14 +21,20 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// clean sample — the shape of a real zone file walk).
 fn bench_zgrab_shards(c: &mut Criterion) {
     let population = Population::generate(Zone::Org, SEED, 100_000);
-    let domains = (population.artifacts.len() + population.clean_sample.len()) as u64;
+    let model = FetchModel::default();
     let mut group = c.benchmark_group("zgrab_scan_100k");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(domains));
+    group.throughput(Throughput::Elements(scan_len(&population) as u64));
     for shards in SHARD_COUNTS {
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &s| {
-            let executor = ScanExecutor::new(s);
-            b.iter(|| black_box(executor.zgrab(&population, SEED)))
+            b.iter(|| {
+                black_box(run_to_end(ZgrabCampaign::new(
+                    &population,
+                    SEED,
+                    &model,
+                    Backend::Sharded(s),
+                )))
+            })
         });
     }
     group.finish();
@@ -38,14 +45,22 @@ fn bench_zgrab_shards(c: &mut Criterion) {
 fn bench_chrome_shards(c: &mut Criterion) {
     let population = Population::generate(Zone::Org, SEED, 1_000);
     let db = build_reference_db(0.7);
-    let domains = (population.artifacts.len() + population.clean_sample.len()) as u64;
+    let model = FetchModel::default();
     let mut group = c.benchmark_group("chrome_scan_org");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(domains));
+    group.throughput(Throughput::Elements(scan_len(&population) as u64));
     for shards in SHARD_COUNTS {
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &s| {
-            let executor = ScanExecutor::new(s);
-            b.iter(|| black_box(executor.chrome(&population, &db, SEED)))
+            b.iter(|| {
+                black_box(run_to_end(ChromeCampaign::new(
+                    &population,
+                    &db,
+                    SEED,
+                    &model,
+                    None,
+                    Backend::Sharded(s),
+                )))
+            })
         });
     }
     group.finish();

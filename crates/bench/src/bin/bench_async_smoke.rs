@@ -1,50 +1,46 @@
-//! Smoke-sized concurrency sweep of the cooperative async backend,
-//! writing concurrency→wall-time plus executor counters to
+//! Smoke-sized concurrency sweep of the cooperative async backend: each
+//! workload's campaign runs to the end on `Backend::Async` at several
+//! in-flight budgets, writing concurrency→wall-time to
 //! `BENCH_async.json` (override with `MINEDIG_BENCH_OUT`).
 //!
 //! Outcomes are identical across concurrency levels by construction —
 //! every workload folds through the executor's reorder buffer — so only
-//! the timings and the scheduling counters vary. The headline column is
-//! `virtual_ms`: simulated network latency the timer wheel skips over
-//! instead of sleeping through, which is why the budget can be hundreds
-//! of tasks on a single thread.
+//! the timings vary. Simulated network latency is virtual: the timer
+//! wheel skips over it instead of sleeping through, which is why the
+//! budget can be hundreds of tasks on a single thread.
 
 use minedig_bench::env_u64;
-use minedig_core::exec::{chrome_scan_async, zgrab_scan_async};
-use minedig_core::scan::{build_reference_db, FetchModel};
-use minedig_core::shortlink_study::{run_study_async, StudyConfig};
-use minedig_primitives::aexec::{AsyncExecutor, AsyncStats};
-use minedig_shortlink::model::ModelConfig;
+use minedig_core::campaign::{ChromeCampaign, ZgrabCampaign};
+use minedig_core::scan::{build_reference_db, scan_len, FetchModel};
+use minedig_primitives::supervise::{run_to_end, Backend};
+use minedig_shortlink::campaign::EnumCampaign;
+use minedig_shortlink::model::{LinkPopulation, ModelConfig};
+use minedig_shortlink::probe::ProbePolicy;
+use minedig_shortlink::service::ShortlinkService;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
 use std::hint::black_box;
+use std::time::Instant;
 
 const CONCURRENCY_LEVELS: [usize; 4] = [1, 16, 64, 256];
-
-struct AsyncRunRow {
-    concurrency: usize,
-    secs: f64,
-    high_water: u64,
-    polls: u64,
-    timer_fires: u64,
-    virtual_ms: u64,
-}
 
 struct Workload {
     name: &'static str,
     items: u64,
-    runs: Vec<AsyncRunRow>,
+    /// (concurrency, wall seconds), one entry per level.
+    runs: Vec<(usize, f64)>,
 }
 
-fn row(stats: &AsyncStats) -> AsyncRunRow {
-    AsyncRunRow {
-        concurrency: stats.concurrency,
-        secs: stats.elapsed.as_secs_f64(),
-        high_water: stats.in_flight_high_water,
-        polls: stats.polls,
-        timer_fires: stats.timer_fires,
-        virtual_ms: stats.virtual_ms,
-    }
+/// Times `run` once per concurrency level on [`Backend::Async`].
+fn sweep<T>(mut run: impl FnMut(Backend) -> T) -> Vec<(usize, f64)> {
+    CONCURRENCY_LEVELS
+        .iter()
+        .map(|&concurrency| {
+            let t0 = Instant::now();
+            black_box(run(Backend::Async { concurrency }));
+            (concurrency, t0.elapsed().as_secs_f64())
+        })
+        .collect()
 }
 
 fn main() {
@@ -53,58 +49,46 @@ fn main() {
 
     // §3.1: zgrab fetch → NoCoin match as cooperative tasks.
     let population = Population::generate(Zone::Org, seed, 20_000);
-    let domains = (population.artifacts.len() + population.clean_sample.len()) as u64;
+    let domains = scan_len(&population) as u64;
     let model = FetchModel::default();
-    let mut runs = Vec::new();
-    for concurrency in CONCURRENCY_LEVELS {
-        let run = zgrab_scan_async(&population, seed, &model, &AsyncExecutor::new(concurrency));
-        black_box(&run.outcome);
-        runs.push(row(&run.stats));
-    }
     workloads.push(Workload {
         name: "zgrab_scan",
         items: domains,
-        runs,
+        runs: sweep(|backend| run_to_end(ZgrabCampaign::new(&population, seed, &model, backend))),
     });
 
     // §3.2: chrome load → Wasm fingerprint on the same fan-out.
     let db = build_reference_db(0.7);
-    let mut runs = Vec::new();
-    for concurrency in CONCURRENCY_LEVELS {
-        let run = chrome_scan_async(
-            &population,
-            &db,
-            seed,
-            &model,
-            None,
-            &AsyncExecutor::new(concurrency),
-        );
-        black_box(&run.outcome);
-        runs.push(row(&run.stats));
-    }
     workloads.push(Workload {
         name: "chrome_scan",
         items: domains,
-        runs,
+        runs: sweep(|backend| {
+            run_to_end(ChromeCampaign::new(
+                &population,
+                &db,
+                seed,
+                &model,
+                None,
+                backend,
+            ))
+        }),
     });
 
-    // §4.1: the enumerate→resolve study over the async walk.
-    let config = StudyConfig {
-        model: ModelConfig {
-            total_links: 120_000,
-            users: 8_000,
-            seed,
-        },
-        ..StudyConfig::default()
-    };
+    // §4.1: the walk with the unbiased tail resolved as it goes.
+    let service = ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
+        total_links: 120_000,
+        users: 8_000,
+        seed,
+    }));
+    let policy = ProbePolicy::default();
     let mut items = 0u64;
-    let mut runs = Vec::new();
-    for concurrency in CONCURRENCY_LEVELS {
-        let run = run_study_async(&config, seed, &AsyncExecutor::new(concurrency));
-        items = run.result.enumeration.probed;
-        black_box(&run.result);
-        runs.push(row(&run.enum_stats));
-    }
+    let runs = sweep(|backend| {
+        let walk = run_to_end(
+            EnumCampaign::new(&service, &policy, 256, backend).with_tail_resolver(&service, 10_000),
+        );
+        items = walk.enumeration.probed;
+        walk
+    });
     workloads.push(Workload {
         name: "enumerate_resolve",
         items,
@@ -114,18 +98,11 @@ fn main() {
     // Human summary…
     for w in &workloads {
         println!("{} ({} items):", w.name, w.items);
-        let base = w.runs[0].secs;
-        for r in &w.runs {
+        let base = w.runs[0].1;
+        for &(concurrency, secs) in &w.runs {
             println!(
-                "  {} in flight: {:.3}s (vs sequential {:.2}x), high water {}, \
-                 {} polls, {} timer fires, {}ms virtual",
-                r.concurrency,
-                r.secs,
-                base / r.secs.max(1e-9),
-                r.high_water,
-                r.polls,
-                r.timer_fires,
-                r.virtual_ms,
+                "  {concurrency} in flight: {secs:.3}s (vs one in flight {:.2}x)",
+                base / secs.max(1e-9),
             );
         }
     }
@@ -137,16 +114,9 @@ fn main() {
             "    {{\"name\": \"{}\", \"items\": {}, \"runs\": [",
             w.name, w.items
         ));
-        for (j, r) in w.runs.iter().enumerate() {
+        for (j, &(concurrency, secs)) in w.runs.iter().enumerate() {
             json.push_str(&format!(
-                "{{\"concurrency\": {}, \"secs\": {:.6}, \"high_water\": {}, \
-                 \"polls\": {}, \"timer_fires\": {}, \"virtual_ms\": {}}}{}",
-                r.concurrency,
-                r.secs,
-                r.high_water,
-                r.polls,
-                r.timer_fires,
-                r.virtual_ms,
+                "{{\"concurrency\": {concurrency}, \"secs\": {secs:.6}}}{}",
                 if j + 1 == w.runs.len() { "" } else { ", " }
             ));
         }

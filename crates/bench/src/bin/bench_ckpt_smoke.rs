@@ -142,16 +142,8 @@ fn main() {
         })
         .with_kills(study_kills.clone());
         let start = Instant::now();
-        let run = run_study_supervised(
-            &config,
-            seed,
-            &store,
-            "enum",
-            &sup,
-            Backend::Sequential,
-            false,
-        )
-        .expect("supervised study");
+        let run = run_study_supervised(&config, seed, &store, "enum", &sup, false)
+            .expect("supervised study");
         let secs = start.elapsed().as_secs_f64();
         assert_eq!(
             run.result.enumeration.probed, reference.enumeration.probed,

@@ -1,6 +1,8 @@
-//! Smoke-sized scaling run of the three sharded workloads (zone scan,
-//! shortlink enumeration, endpoint polling), writing a shards→wall-time
-//! map to `BENCH_parallel.json` (override with `MINEDIG_BENCH_OUT`).
+//! Smoke-sized scaling run of the sharded backend: the zone-scan and
+//! shortlink-enumeration campaigns run to the end at several shard
+//! counts, writing a shards→wall-time map to `BENCH_parallel.json`
+//! (override with `MINEDIG_BENCH_OUT`). Poll sweeps run in-line on
+//! every non-async backend, so they get one row, labelled 1 shard.
 //!
 //! This is the CI-friendly complement to the criterion benches: one
 //! timed pass per shard count, small populations, machine-readable
@@ -11,12 +13,14 @@ use minedig_analysis::poller::Observer;
 use minedig_bench::env_u64;
 use minedig_chain::netsim::TipInfo;
 use minedig_chain::tx::Transaction;
-use minedig_core::exec::ScanExecutor;
+use minedig_core::campaign::ZgrabCampaign;
+use minedig_core::scan::{scan_len, FetchModel};
 use minedig_pool::pool::{Pool, PoolConfig};
-use minedig_primitives::par::ParallelExecutor;
+use minedig_primitives::supervise::{run_to_end, Backend};
 use minedig_primitives::Hash32;
-use minedig_shortlink::enumerate::enumerate_links_sharded;
+use minedig_shortlink::campaign::EnumCampaign;
 use minedig_shortlink::model::{LinkPopulation, ModelConfig};
+use minedig_shortlink::probe::ProbePolicy;
 use minedig_shortlink::service::ShortlinkService;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
@@ -32,10 +36,16 @@ struct Workload {
     runs: Vec<(usize, f64)>,
 }
 
-fn time<F: FnMut()>(mut f: F) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
+/// Times `run` once per shard count on [`Backend::Sharded`].
+fn sweep<T>(mut run: impl FnMut(Backend) -> T) -> Vec<(usize, f64)> {
+    SHARD_COUNTS
+        .iter()
+        .map(|&shards| {
+            let t0 = Instant::now();
+            black_box(run(Backend::Sharded(shards)));
+            (shards, t0.elapsed().as_secs_f64())
+        })
+        .collect()
 }
 
 fn main() {
@@ -44,21 +54,11 @@ fn main() {
 
     // §3: zgrab + NoCoin over a .org-shaped population.
     let population = Population::generate(Zone::Org, seed, 20_000);
-    let domains = (population.artifacts.len() + population.clean_sample.len()) as u64;
-    let mut runs = Vec::new();
-    for shards in SHARD_COUNTS {
-        let executor = ScanExecutor::new(shards);
-        runs.push((
-            shards,
-            time(|| {
-                black_box(executor.zgrab(&population, seed));
-            }),
-        ));
-    }
+    let model = FetchModel::default();
     workloads.push(Workload {
         name: "zgrab_scan",
-        items: domains,
-        runs,
+        items: scan_len(&population) as u64,
+        runs: sweep(|backend| run_to_end(ZgrabCampaign::new(&population, seed, &model, backend))),
     });
 
     // §4.1: shortlink ID-space enumeration.
@@ -69,23 +69,21 @@ fn main() {
         users: 4_000,
         seed,
     }));
-    let mut runs = Vec::new();
-    for shards in SHARD_COUNTS {
-        let executor = ParallelExecutor::new(shards);
-        runs.push((
-            shards,
-            time(|| {
-                black_box(enumerate_links_sharded(&service, dead_run_limit, &executor));
-            }),
-        ));
-    }
+    let policy = ProbePolicy::default();
     workloads.push(Workload {
         name: "enumerate_links",
         items: links + dead_run_limit,
-        runs,
+        runs: sweep(|backend| {
+            run_to_end(EnumCampaign::new(
+                &service,
+                &policy,
+                dead_run_limit,
+                backend,
+            ))
+        }),
     });
 
-    // §4.2: endpoint polling across a template window.
+    // §4.2: in-line endpoint sweeps across a template window.
     let pool = Pool::new(PoolConfig::default());
     pool.announce_tip(&TipInfo {
         height: 10,
@@ -95,28 +93,19 @@ fn main() {
         difficulty: 100,
         mempool: vec![Transaction::transfer(Hash32::keccak(b"smoke-tx"))],
     });
-    let sweep: Vec<u64> = (1_000..1_150).step_by(5).collect();
-    let polls = 20 * sweep.len() as u64 * pool.endpoint_count() as u64;
-    let mut runs = Vec::new();
-    for shards in SHARD_COUNTS {
-        let executor = ParallelExecutor::new(shards);
-        runs.push((
-            shards,
-            time(|| {
-                for _ in 0..20 {
-                    let mut obs = Observer::new(pool.clone(), true);
-                    for &t in &sweep {
-                        obs.poll_all_sharded(t, &executor);
-                    }
-                    black_box(obs.stats().answered);
-                }
-            }),
-        ));
+    let times: Vec<u64> = (1_000..1_150).step_by(5).collect();
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        let mut obs = Observer::new(pool.clone(), true);
+        for &t in &times {
+            obs.sweep(t, &Backend::Sequential);
+        }
+        black_box(obs.stats().answered);
     }
     workloads.push(Workload {
         name: "poll_all",
-        items: polls,
-        runs,
+        items: 20 * times.len() as u64 * pool.endpoint_count() as u64,
+        runs: vec![(1, t0.elapsed().as_secs_f64())],
     });
 
     // Human summary…

@@ -19,6 +19,7 @@ fn main() {
                 users: 12_000,
                 seed,
             },
+            backend: minedig_bench::backend(),
             ..StudyConfig::default()
         },
         seed,

@@ -15,6 +15,7 @@ fn main() {
     );
 
     let mut config = fig5_config(seed);
+    config.backend = minedig_bench::backend();
     config.duration_days = days;
     let result = run_scenario(config);
 

@@ -19,6 +19,7 @@ fn main() {
                 seed,
             },
             per_user_sample: 1_000,
+            backend: minedig_bench::backend(),
             ..StudyConfig::default()
         },
         seed,

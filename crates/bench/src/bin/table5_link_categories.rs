@@ -31,6 +31,7 @@ fn main() {
                 seed,
             },
             resolve_budget: 10_000,
+            backend: minedig_bench::backend(),
             ..StudyConfig::default()
         },
         seed,

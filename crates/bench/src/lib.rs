@@ -5,15 +5,18 @@
 //! next to the paper's. Common knobs come from the environment:
 //!
 //! * `MINEDIG_SEED` — experiment seed (default 2018),
-//! * `MINEDIG_SHARDS` — scan worker threads (default: all cores),
+//! * `MINEDIG_SHARDS` / `MINEDIG_ASYNC` / `MINEDIG_CONCURRENCY` — the
+//!   execution backend (default: one worker thread per core),
 //! * `MINEDIG_LINK_SCALE` — divisor on the 1.7 M link population
 //!   (default 10),
 //! * `MINEDIG_DAYS` — override for the Fig 5 window length.
 
-use minedig_core::exec::ScanExecutor;
-use minedig_core::report::scan_stats;
-use minedig_core::scan::{build_reference_db, ChromeScanOutcome};
+use minedig_core::campaign::ChromeCampaign;
+use minedig_core::report::campaign_line;
+use minedig_core::scan::{build_reference_db, scan_len, ChromeScanOutcome, FetchModel};
+use minedig_primitives::supervise::{run_to_end, Backend};
 use minedig_wasm::sigdb::SignatureDb;
+use minedig_wasm::FingerprintCache;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
 
@@ -30,6 +33,15 @@ pub fn seed() -> u64 {
     env_u64("MINEDIG_SEED", 2018)
 }
 
+/// The execution backend named by the environment; exits with status 2
+/// on a malformed value.
+pub fn backend() -> Backend {
+    Backend::from_env().unwrap_or_else(|e| {
+        eprintln!("bad backend configuration: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// Clean-sample size scanned per zone for FP honesty.
 pub const CLEAN_SAMPLE: usize = 1_000;
 
@@ -42,21 +54,37 @@ pub fn chrome_populations(seed: u64) -> Vec<Population> {
 }
 
 /// Runs the Chrome scan on Alexa + .org with the reference DB (shared by
-/// the Table 1/2/3 binaries). Sharded across `MINEDIG_SHARDS` workers
-/// (default: all cores); results are bit-identical regardless of the
-/// shard count.
+/// the Table 1/2/3 binaries) on the environment's [`backend`], with an
+/// in-memory fingerprint memo; results are bit-identical on every
+/// backend.
 pub fn run_chrome_scans(seed: u64) -> (SignatureDb, Vec<(Population, ChromeScanOutcome)>) {
     let db = build_reference_db(0.7);
-    let executor = ScanExecutor::from_env();
+    let backend = backend();
+    let model = FetchModel::default();
+    let cache = FingerprintCache::new();
     let out = chrome_populations(seed)
         .into_iter()
         .map(|p| {
-            let run = executor.chrome(&p, &db, seed);
+            let started = std::time::Instant::now();
+            let outcome = run_to_end(ChromeCampaign::new(
+                &p,
+                &db,
+                seed,
+                &model,
+                Some(&cache),
+                backend,
+            ));
             eprint!(
                 "{}",
-                scan_stats(&format!("chrome scan {}", p.zone.label()), &run.stats)
+                campaign_line(
+                    &format!("chrome scan {}", p.zone.label()),
+                    &backend,
+                    scan_len(&p) as u64,
+                    "domains",
+                    started.elapsed()
+                )
             );
-            (p, run.outcome)
+            (p, outcome)
         })
         .collect();
     (db, out)

@@ -1,13 +1,18 @@
-//! Checkpointable scan campaigns for crash-safe supervision.
+//! The §3 scans as campaigns: the one way the CLI and the benches run
+//! them, on any [`Backend`].
 //!
-//! Wraps the §3 scan pipelines as [`Campaign`]s the
-//! [`Supervisor`](minedig_primitives::supervise::Supervisor) can kill
-//! and resume: the snapshot is the folded outcome so far plus the
-//! domain cursor into the population's scan order. Because per-domain
-//! verdicts are pure functions of `(seed, domain name, model)` and
-//! every backend folds in population order, a resumed campaign is bit
-//! for bit identical to an uninterrupted one — the property pinned by
-//! `tests/checkpoint_resume.rs`.
+//! Each campaign maps the population's scan order through a per-domain
+//! kernel with [`Backend::map_fold`] and folds the verdicts in that
+//! order. It runs straight through with
+//! [`run_to_end`](minedig_primitives::supervise::run_to_end), or under
+//! the [`Supervisor`](minedig_primitives::supervise::Supervisor), which
+//! can kill and resume it: the snapshot is the folded outcome so far
+//! plus the domain cursor into the scan order. Because per-domain
+//! verdicts are pure functions of `(seed, domain name, model)`, a
+//! campaign on any backend, resumed or not, is bit for bit identical to
+//! the sequential [`zgrab_scan_with`](crate::scan::zgrab_scan_with) and
+//! [`chrome_scan_with`](crate::scan::chrome_scan_with) — the property
+//! pinned by `tests/backend_matrix.rs` and `tests/checkpoint_resume.rs`.
 //!
 //! The snapshot codec below is hand-rolled over
 //! [`SnapWriter`]/[`SnapReader`] (no serde in the workspace): enums are
@@ -16,12 +21,18 @@
 //! are length-prefixed, and decoding rejects unknown tags rather than
 //! guessing.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::exec::{chrome_scan_range, zgrab_scan_range};
-use crate::scan::{ChromeScanOutcome, DomainRef, FetchModel, FetchStats, ZgrabScanOutcome};
+use crate::scan::{
+    chrome_fold, chrome_probe_domain, crawl_latency_ms, scan_item, scan_len, zgrab_fold,
+    zgrab_probe_domain, ChromeProbeCtx, ChromeScanOutcome, DomainRef, FetchModel, FetchStats,
+    ZgrabProbeCtx, ZgrabScanOutcome,
+};
 use minedig_nocoin::list::ServiceLabel;
+use minedig_nocoin::NoCoinEngine;
 use minedig_primitives::ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot};
 use minedig_primitives::supervise::{Backend, Campaign};
 use minedig_wasm::{FingerprintCache, SignatureDb};
@@ -294,7 +305,7 @@ impl<'a> ZgrabCampaign<'a> {
     }
 
     fn total_items(&self) -> u64 {
-        (self.population.artifacts.len() + self.population.clean_sample.len()) as u64
+        scan_len(self.population) as u64
     }
 }
 
@@ -335,18 +346,32 @@ impl Campaign for ZgrabCampaign<'_> {
     }
 
     fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
-        let end = (self.cursor + budget).min(self.total_items());
+        let end = self.cursor.saturating_add(budget).min(self.total_items());
         if end == self.cursor {
             return;
         }
-        let partial = zgrab_scan_range(
-            self.population,
-            self.cursor as usize..end as usize,
-            self.seed,
-            self.model,
-            &self.backend,
+        let (population, model) = (self.population, self.model);
+        let engine = NoCoinEngine::new();
+        let ctx = ZgrabProbeCtx {
+            seed: self.seed,
+            model,
+            engine: &engine,
+        };
+        let outcome =
+            std::mem::replace(&mut self.outcome, ZgrabScanOutcome::empty(population.zone));
+        self.outcome = self.backend.map_fold(
+            self.cursor..end,
+            |i| {
+                let (d, clean) = scan_item(population, i as usize);
+                (zgrab_probe_domain(&ctx, d), clean)
+            },
+            |i| crawl_latency_ms(model, &scan_item(population, i as usize).0.name),
+            outcome,
+            |acc, (verdict, clean)| {
+                zgrab_fold(acc, verdict, clean);
+                ControlFlow::Continue(())
+            },
         );
-        self.outcome.merge(partial);
         heartbeat.fetch_add(end - self.cursor, Ordering::Relaxed);
         self.cursor = end;
     }
@@ -372,8 +397,10 @@ pub struct ChromeCampaign<'a> {
 }
 
 impl<'a> ChromeCampaign<'a> {
-    /// A fresh campaign at cursor 0. `cache` is used by the streaming
-    /// and async backends (the sharded kernel keeps its own path).
+    /// A fresh campaign at cursor 0. `cache`, when given, memoizes Wasm
+    /// fingerprints across domains on every backend; it stores pure
+    /// per-module fingerprints only, so outcomes are identical without
+    /// it.
     pub fn new(
         population: &'a Population,
         db: &'a SignatureDb,
@@ -395,7 +422,7 @@ impl<'a> ChromeCampaign<'a> {
     }
 
     fn total_items(&self) -> u64 {
-        (self.population.artifacts.len() + self.population.clean_sample.len()) as u64
+        scan_len(self.population) as u64
     }
 }
 
@@ -436,20 +463,34 @@ impl Campaign for ChromeCampaign<'_> {
     }
 
     fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
-        let end = (self.cursor + budget).min(self.total_items());
+        thread_local! {
+            /// Each thread's reusable Wasm encode buffer.
+            static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        }
+        let end = self.cursor.saturating_add(budget).min(self.total_items());
         if end == self.cursor {
             return;
         }
-        let partial = chrome_scan_range(
-            self.population,
-            self.cursor as usize..end as usize,
-            self.db,
-            self.seed,
-            self.model,
-            self.cache,
-            &self.backend,
+        let (population, model) = (self.population, self.model);
+        let engine = NoCoinEngine::new();
+        let ctx = ChromeProbeCtx::new(self.seed, model, &engine, self.db, self.cache);
+        let outcome =
+            std::mem::replace(&mut self.outcome, ChromeScanOutcome::empty(population.zone));
+        self.outcome = self.backend.map_fold(
+            self.cursor..end,
+            |i| {
+                let (d, clean) = scan_item(population, i as usize);
+                let verdict =
+                    SCRATCH.with_borrow_mut(|scratch| chrome_probe_domain(&ctx, d, scratch));
+                (verdict, clean)
+            },
+            |i| crawl_latency_ms(model, &scan_item(population, i as usize).0.name),
+            outcome,
+            |acc, (verdict, clean)| {
+                chrome_fold(acc, verdict, clean);
+                ControlFlow::Continue(())
+            },
         );
-        self.outcome.merge(partial);
         heartbeat.fetch_add(end - self.cursor, Ordering::Relaxed);
         self.cursor = end;
     }
@@ -535,13 +576,9 @@ mod tests {
         for backend in [
             Backend::Sequential,
             Backend::Sharded(3),
-            Backend::Streaming {
-                workers: 2,
-                capacity: 8,
-            },
             Backend::Async { concurrency: 16 },
         ] {
-            let dir = tmpdir(&format!("chrome-{}", backend.label()));
+            let dir = tmpdir(&format!("chrome-{backend}"));
             let store = SnapshotStore::open(&dir).unwrap();
             let sup = Supervisor::new(CrashPolicy {
                 ckpt_every_items: 8,
@@ -556,9 +593,41 @@ mod tests {
                     false,
                 )
                 .unwrap();
-            assert_eq!(run.output, expected, "backend={}", backend.label());
+            assert_eq!(run.output, expected, "backend={backend}");
             assert!(run.report.balanced(), "{:?}", run.report);
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn unbounded_budget_after_a_restore_finishes_the_scan() {
+        // A restored cursor plus `u64::MAX` must saturate at the end of
+        // the population, not wrap back and rescan into the restored
+        // outcome.
+        let pop = Population::generate(Zone::Org, 42, 40);
+        let db = build_reference_db(0.7);
+        let model = FetchModel::default();
+        let heartbeat = AtomicU64::new(0);
+        for backend in [Backend::Sequential, Backend::Sharded(2)] {
+            let mut zg = ZgrabCampaign::new(&pop, 1, &model, backend);
+            zg.run_items(17, &heartbeat);
+            let snap = zg.snapshot();
+            let mut zg = ZgrabCampaign::new(&pop, 1, &model, backend);
+            zg.restore(&snap).unwrap();
+            while !zg.is_done() {
+                zg.run_items(u64::MAX, &heartbeat);
+            }
+            assert_eq!(zg.finish(), zgrab_scan(&pop, 1), "backend={backend}");
+
+            let mut ch = ChromeCampaign::new(&pop, &db, 1, &model, None, backend);
+            ch.run_items(23, &heartbeat);
+            let snap = ch.snapshot();
+            let mut ch = ChromeCampaign::new(&pop, &db, 1, &model, None, backend);
+            ch.restore(&snap).unwrap();
+            while !ch.is_done() {
+                ch.run_items(u64::MAX, &heartbeat);
+            }
+            assert_eq!(ch.finish(), chrome_scan(&pop, &db, 1), "backend={backend}");
         }
     }
 

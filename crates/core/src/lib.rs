@@ -9,9 +9,8 @@
 //!   scan over whole zones and the instrumented-browser scan with Wasm
 //!   fingerprinting, plus the cross-tabulation showing how much the block
 //!   list misses (Fig 2, Tables 1–3),
-//! * [`exec`] — the scan execution backends: the parallel sharded
-//!   executor, the streaming pipeline, and the cooperative async
-//!   fan-out — all bit-identical to the sequential pass,
+//! * [`campaign`] — the two scans as checkpointable campaigns, runnable
+//!   on any execution backend and bit-identical to the sequential pass,
 //! * [`attribute`] — §4.2's blockchain attribution with paper-calibrated
 //!   scenario presets (Fig 5, Table 6),
 //! * [`shortlink_study`] — §4.1's enumeration/resolution study of the
@@ -36,22 +35,14 @@
 
 pub mod attribute;
 pub mod campaign;
-pub mod exec;
 pub mod report;
 pub mod scan;
 pub mod shortlink_study;
 
 pub use campaign::{ChromeCampaign, ZgrabCampaign};
-pub use exec::{
-    chrome_scan_async, chrome_scan_range, chrome_scan_streaming, zgrab_scan_async,
-    zgrab_scan_range, zgrab_scan_streaming, ScanExecutor, ScanRun, ScanStats,
-};
 pub use report::Comparison;
 pub use scan::{
     build_reference_db, chrome_scan, chrome_scan_with, zgrab_scan, zgrab_scan_with,
     ChromeScanOutcome, FetchModel, FetchStats, ZgrabScanOutcome,
 };
-pub use shortlink_study::{
-    run_study, run_study_async, run_study_streaming, run_study_supervised, AsyncStudy,
-    StreamingStudy, StudyConfig, SupervisedStudy,
-};
+pub use shortlink_study::{run_study, run_study_supervised, StudyConfig, SupervisedStudy};

@@ -1,13 +1,12 @@
 //! Paper-vs-measured reporting used by the reproduction binaries.
 
-use crate::exec::ScanStats;
 use crate::scan::FetchStats;
 use minedig_analysis::poller::PollStats;
 use minedig_primitives::aexec::AsyncStats;
 use minedig_primitives::health::{HealthStats, ShedStats};
-use minedig_primitives::pipeline::PipelineStats;
-use minedig_primitives::supervise::SuperviseReport;
+use minedig_primitives::supervise::{Backend, SuperviseReport};
 use minedig_shortlink::enumerate::Enumeration;
+use std::time::Duration;
 
 /// One compared quantity.
 #[derive(Clone, Debug)]
@@ -109,33 +108,23 @@ pub fn bar_chart(title: &str, series: &[(String, f64)], max_width: usize) -> Str
     out
 }
 
-/// Renders one executed scan's [`ScanStats`] as a compact summary line
-/// plus a per-shard breakdown, e.g.
+/// Renders one campaign's run as a single line: the backend it ran on,
+/// the items it processed and its wall time, e.g.
 ///
 /// ```text
-/// scan: 4 shards, 1250 domains in 0.42s (2976 domains/s)
-///   shard 0: 313 domains in 0.40s
+/// chrome: sharded(4), 2217 domains in 0.42s
 /// ```
-pub fn scan_stats(label: &str, stats: &ScanStats) -> String {
-    let mut out = format!(
-        "{label}: {} shard{}, {} domains in {:.2}s ({:.0} domains/s)\n",
-        stats.shards,
-        if stats.shards == 1 { "" } else { "s" },
-        stats.items,
-        stats.elapsed.as_secs_f64(),
-        stats.items_per_sec(),
-    );
-    if stats.shards > 1 {
-        for s in &stats.per_shard {
-            out.push_str(&format!(
-                "  shard {}: {} domains in {:.2}s\n",
-                s.shard,
-                s.items,
-                s.elapsed.as_secs_f64()
-            ));
-        }
-    }
-    out
+pub fn campaign_line(
+    label: &str,
+    backend: &Backend,
+    items: u64,
+    unit: &str,
+    wall: Duration,
+) -> String {
+    format!(
+        "{label}: {backend}, {items} {unit} in {:.2}s\n",
+        wall.as_secs_f64()
+    )
 }
 
 /// Renders one scan's [`FetchStats`] as a Table 1-style response-rate
@@ -282,79 +271,6 @@ pub fn degradation_summary(rows: &[CampaignHealth]) -> String {
     out
 }
 
-/// Renders a streaming run's [`PipelineStats`] as a summary line plus a
-/// per-stage breakdown with occupancy, steals and backpressure, and the
-/// hop/batch accounting, e.g.
-///
-/// ```text
-/// enumerate: 4 workers ×1 stage, 50256 items in 0.42s (119657 items/s), overlapped
-///   batch 16: 6303 messages, 16.0 items/msg, ~14.2ms hop time saved
-///   stage 0: 50412 items, occupancy 63%, 118 steals, 2 backpressure waits
-///   sink:    50256 items, occupancy 22%
-/// ```
-pub fn pipeline_stats(label: &str, stats: &PipelineStats) -> String {
-    let mut out = format!(
-        "{label}: {} worker{} ×{} stage{}, {} items in {:.2}s ({:.0} items/s), {}\n",
-        stats.workers,
-        if stats.workers == 1 { "" } else { "s" },
-        stats.stages.len(),
-        if stats.stages.len() == 1 { "" } else { "s" },
-        stats.items,
-        stats.elapsed.as_secs_f64(),
-        stats.items_per_sec(),
-        if stats.strictly_overlapped() {
-            "overlapped"
-        } else {
-            "serialized"
-        },
-    );
-    out.push_str(&format!(
-        "  batch {}: {} messages, {:.1} items/msg, ~{:.1}ms hop time saved\n",
-        stats.batch,
-        stats.messages,
-        stats.items_per_message(),
-        stats.hop_ns_saved() as f64 / 1e6,
-    ));
-    for s in &stats.stages {
-        out.push_str(&format!(
-            "  stage {}: {} items, occupancy {:.0}%, {} steals, {} backpressure waits\n",
-            s.stage,
-            s.items,
-            s.occupancy(stats.elapsed) * 100.0,
-            s.steals,
-            s.backpressure_waits,
-        ));
-    }
-    out.push_str(&format!(
-        "  sink:    {} items, occupancy {:.0}%\n",
-        stats.sink.items,
-        stats.sink.occupancy(stats.elapsed) * 100.0,
-    ));
-    out
-}
-
-/// Renders one async run's [`AsyncStats`], e.g.
-///
-/// ```text
-/// zgrab .org async: 256 in flight budget (high water 256), 1250 tasks in 0.31s (4032 tasks/s)
-///   12890 polls, 11640 wakeups, 1250 timer fires, 0 io repolls, 81250ms virtual latency
-/// ```
-pub fn async_stats(label: &str, stats: &AsyncStats) -> String {
-    let mut out = format!(
-        "{label}: {} in flight budget (high water {}), {} tasks in {:.2}s ({:.0} tasks/s)\n",
-        stats.concurrency,
-        stats.in_flight_high_water,
-        stats.completed,
-        stats.elapsed.as_secs_f64(),
-        stats.tasks_per_sec(),
-    );
-    out.push_str(&format!(
-        "  {} polls, {} wakeups, {} timer fires, {} io repolls, {}ms virtual latency\n",
-        stats.polls, stats.wakeups, stats.timer_fires, stats.io_repolls, stats.virtual_ms,
-    ));
-    out
-}
-
 /// Renders the aggregate of many async poll sweeps (one per scenario
 /// interval), e.g.
 ///
@@ -461,8 +377,6 @@ pub fn shed_summary(label: &str, stats: &ShedStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ShardStats;
-    use std::time::Duration;
 
     #[test]
     fn delta_computation() {
@@ -535,40 +449,15 @@ mod tests {
     }
 
     #[test]
-    fn scan_stats_renders_summary_and_shards() {
-        let stats = ScanStats {
-            shards: 2,
-            items: 100,
-            elapsed: Duration::from_millis(500),
-            per_shard: vec![
-                ShardStats {
-                    shard: 0,
-                    items: 50,
-                    elapsed: Duration::from_millis(480),
-                },
-                ShardStats {
-                    shard: 1,
-                    items: 50,
-                    elapsed: Duration::from_millis(460),
-                },
-            ],
-        };
-        let text = scan_stats("chrome .org", &stats);
-        assert!(text.contains("2 shards, 100 domains"));
-        assert!(text.contains("(200 domains/s)"));
-        assert!(text.contains("shard 1: 50 domains"));
-        // Single-shard runs stay to one line.
-        let single = ScanStats {
-            shards: 1,
-            items: 10,
-            elapsed: Duration::from_millis(100),
-            per_shard: vec![ShardStats {
-                shard: 0,
-                items: 10,
-                elapsed: Duration::from_millis(100),
-            }],
-        };
-        assert_eq!(scan_stats("zgrab", &single).lines().count(), 1);
+    fn campaign_line_names_backend_items_and_wall() {
+        let line = campaign_line(
+            "chrome",
+            &Backend::Sharded(4),
+            2217,
+            "domains",
+            Duration::from_millis(420),
+        );
+        assert_eq!(line, "chrome: sharded(4), 2217 domains in 0.42s\n");
     }
 
     #[test]
@@ -701,51 +590,6 @@ mod tests {
     fn empty_campaign_has_zero_loss() {
         let row = CampaignHealth::from_fetch("empty", &FetchStats::default());
         assert_eq!(row.loss_rate(), 0.0);
-    }
-
-    #[test]
-    fn pipeline_stats_render_stages_and_sink() {
-        use minedig_primitives::pipeline::{PipelineStats, StageStats};
-        let stats = PipelineStats {
-            workers: 4,
-            capacity: 64,
-            batch: 16,
-            items: 1_000,
-            elapsed: Duration::from_millis(500),
-            messages: 128,
-            stages: vec![StageStats {
-                stage: 0,
-                workers: 4,
-                items: 1_010,
-                messages: 64,
-                steals: 7,
-                backpressure_waits: 2,
-                busy: Duration::from_millis(900),
-                first_input: Some(Duration::from_millis(1)),
-                last_output: Some(Duration::from_millis(480)),
-                per_worker: vec![253, 252, 253, 252],
-            }],
-            sink: StageStats {
-                stage: 1,
-                workers: 1,
-                items: 1_000,
-                messages: 64,
-                steals: 0,
-                backpressure_waits: 0,
-                busy: Duration::from_millis(100),
-                first_input: Some(Duration::from_millis(2)),
-                last_output: Some(Duration::from_millis(490)),
-                per_worker: vec![1_000],
-            },
-            feed_waits: 0,
-        };
-        let text = pipeline_stats("enumerate", &stats);
-        assert!(text.contains("4 workers ×1 stage"));
-        assert!(text.contains("overlapped"));
-        assert!(text.contains("batch 16: 128 messages"));
-        assert!(text.contains("stage 0: 1010 items"));
-        assert!(text.contains("7 steals"));
-        assert!(text.contains("sink:    1000 items"));
     }
 
     #[test]

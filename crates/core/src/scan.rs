@@ -1,6 +1,5 @@
 //! The §3 measurement pipelines.
 
-use minedig_browser::devtools::Capture;
 use minedig_browser::loader::{load_page, LoadPolicy};
 use minedig_nocoin::list::ServiceLabel;
 use minedig_nocoin::NoCoinEngine;
@@ -19,7 +18,6 @@ use minedig_web::page::{synthesize_page, zgrab_fetch, CORPUS_SEED};
 use minedig_web::universe::{Domain, Population};
 use minedig_web::zone::Zone;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A transport-level fetch failure (the only thing [`FetchModel`]
 /// injects). Always transient-capable: a permanent outage is a fault
@@ -139,15 +137,6 @@ impl FetchStats {
     pub fn balanced(&self) -> bool {
         self.attempted == self.responded + self.unreachable + self.silent
     }
-
-    /// Adds another shard's counters into this one.
-    pub fn absorb(&mut self, other: &FetchStats) {
-        self.attempted += other.attempted;
-        self.responded += other.responded;
-        self.unreachable += other.unreachable;
-        self.silent += other.silent;
-        self.retries += other.retries;
-    }
 }
 
 /// Builds the reference signature database the way the paper did: a
@@ -228,9 +217,8 @@ pub struct ZgrabScanOutcome {
 /// Per-domain verdict of the zgrab probe stage.
 ///
 /// A pure function of `(domain, seed, model)` — never of scan order — so
-/// any execution strategy (sequential loop, sharded executor, streaming
-/// pipeline) that folds verdicts in population order reproduces the same
-/// [`ZgrabScanOutcome`] bit for bit.
+/// any backend that folds verdicts in population order reproduces the
+/// same [`ZgrabScanOutcome`] bit for bit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ZgrabVerdict {
     /// Transport retries spent reaching the domain.
@@ -339,97 +327,49 @@ impl ZgrabScanOutcome {
             fetch: FetchStats::default(),
         }
     }
+}
 
-    /// Folds another shard's partial outcome into this one. Counters and
-    /// label counts are additive; refs concatenate, so merging shards in
-    /// shard-index order reproduces the sequential scan's ref order
-    /// exactly (shards are contiguous population slices).
-    pub fn merge(&mut self, other: ZgrabScanOutcome) {
-        assert_eq!(self.zone, other.zone, "cannot merge outcomes across zones");
-        self.total_domains += other.total_domains;
-        self.hit_domains += other.hit_domains;
-        for (label, count) in other.label_counts {
-            *self.label_counts.entry(label).or_insert(0) += count;
-        }
-        self.clean_sample_hits += other.clean_sample_hits;
-        self.clean_sample_size += other.clean_sample_size;
-        self.hit_refs.extend(other.hit_refs);
-        self.fetch.absorb(&other.fetch);
+/// The `index`-th domain of `population`'s scan order — artifact
+/// domains first, then the clean sample — with its clean flag. Every
+/// scan folds verdicts in this order.
+pub fn scan_item(population: &Population, index: usize) -> (&Domain, bool) {
+    let split = population.artifacts.len();
+    if index < split {
+        (&population.artifacts[index], false)
+    } else {
+        (&population.clean_sample[index - split], true)
     }
 }
 
-/// Shard-local kernel of the zgrab scan: processes one contiguous slice
-/// of a zone's artifact and clean-sample domains. The returned outcome is
-/// *partial* — `total_domains` is zero until the caller fills in the
-/// zone-wide figure — and `progress` advances by one per scanned domain.
-///
-/// Every domain draws its randomness from `(seed, domain name)` (see
-/// `minedig_web::page`), never from scan order, so any partition of the
-/// population scans bit-identically to the sequential pass.
-pub fn zgrab_scan_shard(
-    zone: Zone,
-    artifacts: &[Domain],
-    clean_sample: &[Domain],
-    seed: u64,
-    progress: &AtomicU64,
-) -> ZgrabScanOutcome {
-    zgrab_scan_shard_with(
-        zone,
-        artifacts,
-        clean_sample,
-        seed,
-        &FetchModel::default(),
-        progress,
-    )
+/// Number of domains in `population`'s scan order.
+pub fn scan_len(population: &Population) -> usize {
+    population.artifacts.len() + population.clean_sample.len()
 }
 
-/// [`zgrab_scan_shard`] with an explicit transport [`FetchModel`]:
-/// domains whose fetch exhausts the retry budget are counted
-/// unreachable and excluded from analysis — degraded, never corrupted.
-pub fn zgrab_scan_shard_with(
-    zone: Zone,
-    artifacts: &[Domain],
-    clean_sample: &[Domain],
-    seed: u64,
-    model: &FetchModel,
-    progress: &AtomicU64,
-) -> ZgrabScanOutcome {
+/// Runs the TLS-only static scan over a population (§3.1) sequentially.
+/// Every domain draws its randomness from `(seed, domain name)` (see
+/// `minedig_web::page`), never from scan order, so
+/// [`ZgrabCampaign`](crate::campaign::ZgrabCampaign) reproduces this
+/// outcome bit for bit on any backend.
+pub fn zgrab_scan(population: &Population, seed: u64) -> ZgrabScanOutcome {
+    zgrab_scan_with(population, seed, &FetchModel::default())
+}
+
+/// [`zgrab_scan`] with an explicit transport [`FetchModel`]: domains
+/// whose fetch exhausts the retry budget are counted unreachable and
+/// excluded from analysis — degraded, never corrupted.
+pub fn zgrab_scan_with(population: &Population, seed: u64, model: &FetchModel) -> ZgrabScanOutcome {
     let engine = NoCoinEngine::new();
     let ctx = ZgrabProbeCtx {
         seed,
         model,
         engine: &engine,
     };
-    let mut outcome = ZgrabScanOutcome::empty(zone);
-    for d in artifacts {
-        progress.fetch_add(1, Ordering::Relaxed);
-        zgrab_fold(&mut outcome, zgrab_probe_domain(&ctx, d), false);
+    let mut outcome = ZgrabScanOutcome::empty(population.zone);
+    for i in 0..scan_len(population) {
+        let (d, clean) = scan_item(population, i);
+        zgrab_fold(&mut outcome, zgrab_probe_domain(&ctx, d), clean);
     }
-    for d in clean_sample {
-        progress.fetch_add(1, Ordering::Relaxed);
-        zgrab_fold(&mut outcome, zgrab_probe_domain(&ctx, d), true);
-    }
-    outcome
-}
-
-/// Runs the TLS-only static scan over a population (§3.1). Thin
-/// single-shard wrapper over [`zgrab_scan_shard`]; use
-/// [`crate::exec::ScanExecutor`] to spread the same scan across threads.
-pub fn zgrab_scan(population: &Population, seed: u64) -> ZgrabScanOutcome {
-    zgrab_scan_with(population, seed, &FetchModel::default())
-}
-
-/// [`zgrab_scan`] with an explicit transport [`FetchModel`].
-pub fn zgrab_scan_with(population: &Population, seed: u64, model: &FetchModel) -> ZgrabScanOutcome {
-    let progress = AtomicU64::new(0);
-    let mut outcome = zgrab_scan_shard_with(
-        population.zone,
-        &population.artifacts,
-        &population.clean_sample,
-        seed,
-        model,
-        &progress,
-    );
     outcome.total_domains = population.total;
     outcome
 }
@@ -644,50 +584,25 @@ impl<'a> ChromeProbeCtx<'a> {
     }
 }
 
-/// The fetch half of the Chrome probe: transport reach plus the
-/// instrumented browser load. Split from classification so the two can
-/// run as overlapped pipeline stages.
-#[derive(Debug)]
-pub struct ChromeFetched {
-    /// Transport retries spent reaching the domain.
-    pub retries: u64,
-    /// The browser capture; `None` when the retry budget was exhausted.
-    pub capture: Option<Capture>,
-}
-
-/// Fetches one domain through the instrumented-browser path: transport
-/// reach, page synthesis, full load with devtools capture.
-pub fn chrome_fetch_domain(ctx: &ChromeProbeCtx<'_>, d: &Domain) -> ChromeFetched {
-    let (reachable, retries) = ctx.model.reach(&d.name);
-    if !reachable {
-        return ChromeFetched {
-            retries,
-            capture: None,
-        };
-    }
-    let page = synthesize_page(d, ctx.seed);
-    ChromeFetched {
-        retries,
-        capture: Some(load_page(&page, &ctx.policy)),
-    }
-}
-
-/// The classification half of the Chrome probe: NoCoin labeling plus
-/// Wasm fingerprinting of the capture's dumps. `scratch` is a per-worker
-/// reusable encode buffer (allocated once per worker, not per dump).
-pub fn chrome_classify_domain(
+/// Loads and classifies one domain through the instrumented-browser
+/// path: transport reach, page synthesis, full load with devtools
+/// capture, NoCoin labeling of the final HTML and Wasm fingerprinting
+/// of the capture's dumps. This is the per-item kernel every Chrome scan
+/// shares. `scratch` is a reusable encode buffer (allocated once per
+/// thread, not per dump).
+pub fn chrome_probe_domain(
     ctx: &ChromeProbeCtx<'_>,
     d: &Domain,
-    fetched: ChromeFetched,
     scratch: &mut Vec<u8>,
 ) -> ChromeVerdict {
-    let retries = fetched.retries;
-    let Some(capture) = fetched.capture else {
+    let (reachable, retries) = ctx.model.reach(&d.name);
+    if !reachable {
         return ChromeVerdict {
             retries,
             analysis: None,
         };
-    };
+    }
+    let capture = load_page(&synthesize_page(d, ctx.seed), &ctx.policy);
     let nocoin_hit = !ctx
         .engine
         .page_labels(&d.name, &capture.final_html)
@@ -759,18 +674,6 @@ pub fn chrome_classify_domain(
     }
 }
 
-/// Loads and classifies one domain through the instrumented-browser
-/// path: [`chrome_fetch_domain`] composed with
-/// [`chrome_classify_domain`]. This is the per-item kernel every Chrome
-/// execution strategy shares.
-pub fn chrome_probe_domain(
-    ctx: &ChromeProbeCtx<'_>,
-    d: &Domain,
-    scratch: &mut Vec<u8>,
-) -> ChromeVerdict {
-    chrome_classify_domain(ctx, d, chrome_fetch_domain(ctx, d), scratch)
-}
-
 /// Folds one domain's Chrome verdict into the running outcome; the
 /// Chrome counterpart of [`zgrab_fold`].
 pub fn chrome_fold(outcome: &mut ChromeScanOutcome, verdict: ChromeVerdict, clean: bool) {
@@ -836,140 +739,40 @@ impl ChromeScanOutcome {
             fetch: FetchStats::default(),
         }
     }
-
-    /// Folds another shard's partial outcome into this one (same
-    /// order-independent counter addition as [`ZgrabScanOutcome::merge`];
-    /// ref vectors concatenate in shard-index order).
-    pub fn merge(&mut self, other: ChromeScanOutcome) {
-        assert_eq!(self.zone, other.zone, "cannot merge outcomes across zones");
-        self.nocoin_domains += other.nocoin_domains;
-        self.wasm_domains += other.wasm_domains;
-        self.miner_wasm_domains += other.miner_wasm_domains;
-        self.blocked_by_nocoin += other.blocked_by_nocoin;
-        self.missed_by_nocoin += other.missed_by_nocoin;
-        self.nocoin_without_wasm += other.nocoin_without_wasm;
-        for (class, count) in other.class_counts {
-            *self.class_counts.entry(class).or_insert(0) += count;
-        }
-        self.unclassified_wasm += other.unclassified_wasm;
-        self.clean_sample_miner_hits += other.clean_sample_miner_hits;
-        self.nocoin_refs.extend(other.nocoin_refs);
-        self.miner_refs.extend(other.miner_refs);
-        self.fetch.absorb(&other.fetch);
-    }
 }
 
-/// Shard-local kernel of the Chrome scan: loads and classifies one
-/// contiguous slice of a zone's artifact and clean-sample domains.
-/// `progress` advances by one per scanned domain. Determinism works the
-/// same way as in [`zgrab_scan_shard`]: page synthesis and load behavior
-/// derive from `(seed, domain name)`, so sharding cannot change results.
-pub fn chrome_scan_shard(
-    zone: Zone,
-    artifacts: &[Domain],
-    clean_sample: &[Domain],
-    db: &SignatureDb,
-    seed: u64,
-    progress: &AtomicU64,
-) -> ChromeScanOutcome {
-    chrome_scan_shard_with(
-        zone,
-        artifacts,
-        clean_sample,
-        db,
-        seed,
-        &FetchModel::default(),
-        progress,
-    )
-}
-
-/// [`chrome_scan_shard`] with an explicit transport [`FetchModel`]:
-/// domains whose load exhausts the retry budget are counted
-/// unreachable and never loaded.
-pub fn chrome_scan_shard_with(
-    zone: Zone,
-    artifacts: &[Domain],
-    clean_sample: &[Domain],
-    db: &SignatureDb,
-    seed: u64,
-    model: &FetchModel,
-    progress: &AtomicU64,
-) -> ChromeScanOutcome {
-    chrome_scan_shard_cached(
-        zone,
-        artifacts,
-        clean_sample,
-        db,
-        seed,
-        model,
-        None,
-        progress,
-    )
-}
-
-/// [`chrome_scan_shard_with`] sharing a [`FingerprintCache`] memo, as
-/// the streaming and async backends do. The memo stores pure
-/// per-module fingerprints only, so outcomes are identical with or
-/// without it.
-#[allow(clippy::too_many_arguments)]
-pub fn chrome_scan_shard_cached(
-    zone: Zone,
-    artifacts: &[Domain],
-    clean_sample: &[Domain],
-    db: &SignatureDb,
-    seed: u64,
-    model: &FetchModel,
-    cache: Option<&FingerprintCache>,
-    progress: &AtomicU64,
-) -> ChromeScanOutcome {
-    let engine = NoCoinEngine::new();
-    let ctx = ChromeProbeCtx::new(seed, model, &engine, db, cache);
-    let mut scratch = Vec::new();
-    let mut outcome = ChromeScanOutcome::empty(zone);
-    for d in artifacts {
-        progress.fetch_add(1, Ordering::Relaxed);
-        chrome_fold(
-            &mut outcome,
-            chrome_probe_domain(&ctx, d, &mut scratch),
-            false,
-        );
-    }
-    for d in clean_sample {
-        progress.fetch_add(1, Ordering::Relaxed);
-        chrome_fold(
-            &mut outcome,
-            chrome_probe_domain(&ctx, d, &mut scratch),
-            true,
-        );
-    }
-    outcome
-}
-
-/// Runs the executing scan over a population (§3.2). Uses http *and*
-/// https (no TLS gate) and applies NoCoin to the final 65 kB HTML. Thin
-/// single-shard wrapper over [`chrome_scan_shard`]; use
-/// [`crate::exec::ScanExecutor`] to spread the same scan across threads.
+/// Runs the executing scan over a population (§3.2) sequentially. Uses
+/// http *and* https (no TLS gate) and applies NoCoin to the final 65 kB
+/// HTML. Page synthesis and load behavior derive from
+/// `(seed, domain name)`, so
+/// [`ChromeCampaign`](crate::campaign::ChromeCampaign) reproduces this
+/// outcome bit for bit on any backend.
 pub fn chrome_scan(population: &Population, db: &SignatureDb, seed: u64) -> ChromeScanOutcome {
     chrome_scan_with(population, db, seed, &FetchModel::default())
 }
 
-/// [`chrome_scan`] with an explicit transport [`FetchModel`].
+/// [`chrome_scan`] with an explicit transport [`FetchModel`]: domains
+/// whose load exhausts the retry budget are counted unreachable and
+/// never loaded.
 pub fn chrome_scan_with(
     population: &Population,
     db: &SignatureDb,
     seed: u64,
     model: &FetchModel,
 ) -> ChromeScanOutcome {
-    let progress = AtomicU64::new(0);
-    chrome_scan_shard_with(
-        population.zone,
-        &population.artifacts,
-        &population.clean_sample,
-        db,
-        seed,
-        model,
-        &progress,
-    )
+    let engine = NoCoinEngine::new();
+    let ctx = ChromeProbeCtx::new(seed, model, &engine, db, None);
+    let mut scratch = Vec::new();
+    let mut outcome = ChromeScanOutcome::empty(population.zone);
+    for i in 0..scan_len(population) {
+        let (d, clean) = scan_item(population, i);
+        chrome_fold(
+            &mut outcome,
+            chrome_probe_domain(&ctx, d, &mut scratch),
+            clean,
+        );
+    }
+    outcome
 }
 
 /// A first-date Chrome scan that retains every per-domain verdict, so a

@@ -1,19 +1,18 @@
-//! §4.1 as a pipeline: enumerate the link space, compute the Fig 3/4
-//! distributions, resolve the cheap links and categorize destinations.
+//! §4.1 as one campaign: enumerate the link space while resolving the
+//! cheap unbiased tail, then compute the Fig 3/4 distributions, resolve
+//! the top users' samples and categorize destinations.
 
-use minedig_primitives::aexec::{AsyncExecutor, AsyncStats};
 use minedig_primitives::ckpt::SnapshotStore;
-use minedig_primitives::par::ParallelExecutor;
-use minedig_primitives::pipeline::{PipelineExecutor, PipelineStage, PipelineStats, StageStats};
 use minedig_primitives::stats::{top1_share, top_k_for_share, Ecdf, Pow2Histogram};
-use minedig_primitives::supervise::{Backend, SuperviseError, SuperviseReport, Supervisor};
-use minedig_primitives::DetRng;
-use minedig_shortlink::enumerate::{
-    enumerate_links_async_with, enumerate_links_sharded, Enumeration, ProbeOut, ProbeStage,
+use minedig_primitives::supervise::{
+    run_to_end, Backend, SuperviseError, SuperviseReport, Supervisor,
 };
+use minedig_primitives::DetRng;
+use minedig_shortlink::campaign::{EnumCampaign, EnumCampaignOutput};
+use minedig_shortlink::enumerate::Enumeration;
 use minedig_shortlink::model::{LinkPopulation, ModelConfig};
 use minedig_shortlink::probe::ProbePolicy;
-use minedig_shortlink::resolve::{resolve_accounted, ResolveReport};
+use minedig_shortlink::resolve::resolve_accounted;
 use minedig_shortlink::service::ShortlinkService;
 use minedig_web::category::Category;
 use std::collections::BTreeMap;
@@ -28,9 +27,9 @@ pub struct StudyConfig {
     pub resolve_budget: u64,
     /// Sample size per top-10 user for Table 4 (paper: 1000).
     pub per_user_sample: usize,
-    /// Shards the ID-space enumeration fans across (1 = sequential;
-    /// results are identical for any value).
-    pub enum_shards: usize,
+    /// Backend the ID-space walk runs on (results are identical on
+    /// every backend).
+    pub backend: Backend,
 }
 
 impl Default for StudyConfig {
@@ -39,7 +38,7 @@ impl Default for StudyConfig {
             model: ModelConfig::default(),
             resolve_budget: 10_000,
             per_user_sample: 1_000,
-            enum_shards: 1,
+            backend: Backend::Sequential,
         }
     }
 }
@@ -77,16 +76,25 @@ pub struct StudyResult {
 /// Dead-run limit of the study's enumeration walk.
 const STUDY_DEAD_RUN_LIMIT: u64 = 256;
 
-/// True when `doc` belongs to the unbiased-below-budget resolve set:
-/// first sighting of its `(token, requirement)` pair, and affordable.
-/// Both [`run_study`] and [`run_study_streaming`] filter through this,
-/// in enumeration (= ID) order, so they resolve the same code sequence.
-fn tail_filter(
-    seen: &mut std::collections::HashSet<(u64, u64)>,
-    doc: &minedig_shortlink::service::VisitDoc,
-    budget: u64,
-) -> bool {
-    seen.insert((doc.token_id, doc.required_hashes)) && doc.required_hashes < budget
+/// The study's walk: enumeration with the unbiased-below-budget tail
+/// resolved as the fold reaches each first sighting, on
+/// `config.backend`.
+fn study_campaign<'a>(
+    service: &'a ShortlinkService,
+    policy: &'a ProbePolicy,
+    config: &StudyConfig,
+) -> EnumCampaign<'a, ShortlinkService> {
+    EnumCampaign::new(service, policy, STUDY_DEAD_RUN_LIMIT, config.backend)
+        .with_tail_resolver(service, config.resolve_budget)
+}
+
+/// Runs the full §4.1 study: the walk straight through, then the
+/// analysis.
+pub fn run_study(config: &StudyConfig, seed: u64) -> StudyResult {
+    let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
+    let policy = ProbePolicy::default();
+    let walk = run_to_end(study_campaign(&service, &policy, config));
+    finish_study(&service, walk, config, seed)
 }
 
 /// A [`StudyResult`] produced under supervision, plus the
@@ -102,271 +110,47 @@ pub struct SupervisedStudy {
 /// Runs the §4.1 study with the enumeration walk *and* the unbiased-tail
 /// resolve stage — the long-running, crash-exposed phases — under
 /// `supervisor`, checkpointing into `store` as snapshot `name`. The
-/// resolve stage rides on the walk (the campaign resolves each tail doc
-/// as the fold reaches it), so its ledger is part of every snapshot and
-/// a killed study resumes resolution too instead of re-resolving from
-/// scratch. With `resume` the study continues from the latest on-disk
-/// snapshot instead of index 0. The analysis runs after the walk
-/// completes, as in [`run_study`], so the outputs are bit-identical to
-/// an uninterrupted batch study.
+/// resolve stage rides on the walk, so its ledger is part of every
+/// snapshot and a killed study resumes resolution too instead of
+/// re-resolving from scratch. With `resume` the study continues from
+/// the latest on-disk snapshot instead of index 0. The analysis runs
+/// after the walk completes, as in [`run_study`], so the outputs are
+/// bit-identical to an uninterrupted study.
 pub fn run_study_supervised(
     config: &StudyConfig,
     seed: u64,
     store: &SnapshotStore,
     name: &str,
     supervisor: &Supervisor,
-    backend: Backend,
     resume: bool,
 ) -> Result<SupervisedStudy, SuperviseError> {
-    let population = LinkPopulation::generate(&config.model);
-    let service = ShortlinkService::new(population);
+    let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
     let policy = ProbePolicy::default();
     let run = supervisor.run(
         store,
         name,
-        || {
-            minedig_shortlink::campaign::EnumCampaign::new(
-                &service,
-                &policy,
-                STUDY_DEAD_RUN_LIMIT,
-                backend,
-            )
-            .with_tail_resolver(&service, config.resolve_budget)
-        },
+        || study_campaign(&service, &policy, config),
         resume,
     )?;
     Ok(SupervisedStudy {
-        result: finish_study(
-            &service,
-            run.output.enumeration,
-            run.output.resolve_report,
-            config,
-            seed,
-        ),
+        result: finish_study(&service, run.output, config, seed),
         report: run.report,
     })
 }
 
-/// Runs the full §4.1 study.
-pub fn run_study(config: &StudyConfig, seed: u64) -> StudyResult {
-    let population = LinkPopulation::generate(&config.model);
-    let service = ShortlinkService::new(population);
-    let executor = ParallelExecutor::new(config.enum_shards);
-    let enumeration =
-        enumerate_links_sharded(&service, STUDY_DEAD_RUN_LIMIT, &executor).enumeration;
-
-    // Resolve the unbiased < budget dataset…
-    let mut seen = std::collections::HashSet::new();
-    let unbiased_codes: Vec<String> = enumeration
-        .docs
-        .iter()
-        .filter(|d| tail_filter(&mut seen, d, config.resolve_budget))
-        .map(|d| d.code.clone())
-        .collect();
-    let tail_report = resolve_accounted(&service, &unbiased_codes, config.resolve_budget);
-    finish_study(&service, enumeration, tail_report, config, seed)
-}
-
-/// A [`StudyResult`] produced by [`run_study_streaming`], plus the
-/// evidence that resolution overlapped enumeration: the two-stage
-/// probe→resolve pipeline's stats.
-pub struct StreamingStudy {
-    /// The study outputs — bit-identical to [`run_study`].
-    pub result: StudyResult,
-    /// The probe→resolve pipeline's stats: stage 0 probes IDs, stage 1
-    /// prefetches resolutions across the same worker pool, the sink
-    /// replays the dead-run walk and folds the resolve report.
-    pub enum_stats: PipelineStats,
-    /// The resolve stage (a clone of `enum_stats.stages[1]`): a true
-    /// pipeline stage fanned across the worker pool, no longer a single
-    /// out-of-pipeline thread.
-    pub resolver: StageStats,
-}
-
-impl StreamingStudy {
-    /// True when resolution demonstrably began before the probe stage
-    /// finished its last probe — both offsets come from the same
-    /// pipeline clock, so this is a direct read of stage overlap.
-    pub fn overlapped(&self) -> bool {
-        match (
-            self.resolver.first_input,
-            self.enum_stats.stages[0].last_output,
-        ) {
-            (Some(first_resolve), Some(last_probe)) => first_resolve < last_probe,
-            _ => false,
-        }
-    }
-}
-
-/// The study's resolver as a true [`PipelineStage`]: prefetches the
-/// destination of every under-budget live document — the pure half of a
-/// redeem ([`ShortlinkService::peek_target`]) — on the pipeline's worker
-/// pool, while the dead-run sink decides, in strict ID order, which of
-/// those prefetches actually enter the report. Prefetching past the stop
-/// point or for duplicate `(token, requirement)` pairs is harmless
-/// speculation: the sink simply discards it, so no observable result can
-/// depend on worker count, capacity, or batch size.
-struct ResolveStage<'a> {
-    service: &'a ShortlinkService,
-    budget: u64,
-}
-
-impl PipelineStage for ResolveStage<'_> {
-    type In = ProbeOut;
-    type Out = (ProbeOut, Option<String>);
-    type Scratch = ();
-
-    fn scratch(&self) {}
-
-    fn process(&self, probe: ProbeOut, _scratch: &mut ()) -> Self::Out {
-        let target = match &probe.0 {
-            Ok(Some(doc)) if doc.required_hashes < self.budget => {
-                self.service.peek_target(&doc.code)
-            }
-            _ => None,
-        };
-        (probe, target)
-    }
-}
-
-/// [`run_study`] with the enumerate→resolve edge streamed as a two-stage
-/// pipeline: link probes fan across `pipe`'s workers (stage 0), every
-/// probe's resolution is prefetched across the same pool (stage 1,
-/// [`ResolveStage`]) *while enumeration is still probing*, and the sink
-/// replays the sequential dead-run walk in strict ID order — applying
-/// the unbiased-tail filter and folding the prefetched resolutions into
-/// the report exactly as [`resolve_accounted`] would have. The resolve
-/// sequence — every ledger write, budget cut-off and study statistic —
-/// therefore matches the batch run bit-identically for any worker
-/// count, channel capacity, and batch size.
-pub fn run_study_streaming(
-    config: &StudyConfig,
-    seed: u64,
-    pipe: &PipelineExecutor,
-) -> StreamingStudy {
-    let population = LinkPopulation::generate(&config.model);
-    let service = ShortlinkService::new(population);
-    let budget = config.resolve_budget;
-    let policy = ProbePolicy::default();
-    let probe = ProbeStage {
-        prober: &service,
-        policy: &policy,
-    };
-    let resolve = ResolveStage {
-        service: &service,
-        budget,
-    };
-
-    let empty = Enumeration {
-        docs: Vec::new(),
-        probed: 0,
-        failed_probes: 0,
-        probe_retries: 0,
-    };
-    let mut seen = std::collections::HashSet::new();
-    let run = pipe.run2(
-        0u64..,
-        &probe,
-        &resolve,
-        (empty, 0u64, ResolveReport::default()),
-        |(e, dead_run, report), ((result, retries), target)| {
-            // Mirrors the sequential `while dead_run < limit` guard: the
-            // walk ends before consuming the probe that follows a full
-            // dead run. Workers overshoot past the stop; the overshoot
-            // (and its prefetched resolutions) is discarded.
-            if *dead_run >= STUDY_DEAD_RUN_LIMIT {
-                return std::ops::ControlFlow::Break(());
-            }
-            e.probed += 1;
-            e.probe_retries += u64::from(retries);
-            match result {
-                Ok(Some(doc)) => {
-                    *dead_run = 0;
-                    if tail_filter(&mut seen, &doc, budget) {
-                        // The fold half of `resolve_step`, consuming the
-                        // stage's prefetch: tail docs are live and under
-                        // budget, so the visit cannot fail and the budget
-                        // cut-off cannot trigger.
-                        let url = target.expect("stage 1 prefetches every under-budget live doc");
-                        report.hashes_spent =
-                            report.hashes_spent.saturating_add(doc.required_hashes);
-                        service.credit_creator(doc.token_id, doc.required_hashes);
-                        report.resolved.push((doc.code.clone(), url));
-                    }
-                    e.docs.push(doc);
-                }
-                Ok(None) => *dead_run += 1,
-                // Neutral: not evidence of a dead ID, not a live link.
-                Err(_) => e.failed_probes += 1,
-            }
-            std::ops::ControlFlow::Continue(())
-        },
-    );
-
-    let (enumeration, _, tail_report) = run.outcome;
-    let result = finish_study(&service, enumeration, tail_report, config, seed);
-    let resolver = run.stats.stages[1].clone();
-    StreamingStudy {
-        result,
-        enum_stats: run.stats,
-        resolver,
-    }
-}
-
-/// A [`StudyResult`] produced by [`run_study_async`], plus the async
-/// executor's stats for the enumeration walk.
-pub struct AsyncStudy {
-    /// The study outputs — bit-identical to [`run_study`].
-    pub result: StudyResult,
-    /// The cooperative executor's stats: in-flight high water, polls,
-    /// virtual milliseconds of simulated probe latency, and so on.
-    pub enum_stats: AsyncStats,
-}
-
-/// [`run_study`] with the ID-space enumeration fanned across the
-/// cooperative async executor: up to the executor's concurrency budget
-/// of probes await their virtual round-trips at once on a single
-/// thread — the paper's crawl posture (§4.1: 1.7 M IDs walked by a
-/// handful of machines holding many connections each). The dead-run
-/// sink folds in strict ID order and the unbiased-tail filter sees
-/// documents in that order, so every downstream statistic is
-/// bit-identical to [`run_study`] for any concurrency.
-pub fn run_study_async(config: &StudyConfig, seed: u64, aexec: &AsyncExecutor) -> AsyncStudy {
-    let population = LinkPopulation::generate(&config.model);
-    let service = ShortlinkService::new(population);
-    let budget = config.resolve_budget;
-
-    let mut seen = std::collections::HashSet::new();
-    let mut unbiased_codes: Vec<String> = Vec::new();
-    let enum_run = enumerate_links_async_with(
-        &service,
-        STUDY_DEAD_RUN_LIMIT,
-        aexec,
-        &ProbePolicy::default(),
-        |doc| {
-            if tail_filter(&mut seen, doc, budget) {
-                unbiased_codes.push(doc.code.clone());
-            }
-        },
-    );
-    let tail_report = resolve_accounted(&service, &unbiased_codes, budget);
-    let result = finish_study(&service, enum_run.outcome, tail_report, config, seed);
-    AsyncStudy {
-        result,
-        enum_stats: enum_run.stats,
-    }
-}
-
-/// The analysis common to batch and streaming studies: Fig 3/4 statistics
-/// from the enumeration, the Table 4 top-10 sampling (resolved here), and
-/// the Table 5 categorization of the already-resolved tail.
+/// The analysis after the walk: Fig 3/4 statistics from the
+/// enumeration, the Table 4 top-10 sampling (resolved here), and the
+/// Table 5 categorization of the already-resolved tail.
 fn finish_study(
     service: &ShortlinkService,
-    enumeration: Enumeration,
-    tail_report: ResolveReport,
+    walk: EnumCampaignOutput,
     config: &StudyConfig,
     seed: u64,
 ) -> StudyResult {
+    let EnumCampaignOutput {
+        enumeration,
+        resolve_report: tail_report,
+    } = walk;
     let links_per_token = enumeration.links_per_token();
     let top1 = top1_share(&links_per_token);
     let users85 = top_k_for_share(links_per_token.clone(), 0.85);
@@ -460,233 +244,117 @@ fn finish_study(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minedig_primitives::supervise::CrashPolicy;
+    use minedig_shortlink::enumerate::enumerate_links_with;
 
-    fn small_study() -> StudyResult {
-        run_study(
-            &StudyConfig {
-                model: ModelConfig {
-                    total_links: 30_000,
-                    users: 2_500,
-                    seed: 9,
-                },
-                resolve_budget: 10_000,
-                per_user_sample: 300,
-                enum_shards: 1,
-            },
-            9,
-        )
-    }
-
-    #[test]
-    fn sharded_enumeration_yields_the_same_study() {
-        let config = StudyConfig {
+    fn config(total_links: u64, users: usize, per_user_sample: usize) -> StudyConfig {
+        StudyConfig {
             model: ModelConfig {
-                total_links: 10_000,
-                users: 800,
+                total_links,
+                users,
                 seed: 9,
             },
             resolve_budget: 10_000,
-            per_user_sample: 100,
-            enum_shards: 1,
+            per_user_sample,
+            backend: Backend::Sequential,
+        }
+    }
+
+    fn small_study() -> StudyResult {
+        run_study(&config(30_000, 2_500, 300), 9)
+    }
+
+    /// The study the campaign must reproduce: the sequential walk, then
+    /// the unbiased-below-budget tail resolved as one batch.
+    fn batch_study(config: &StudyConfig, seed: u64) -> StudyResult {
+        let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
+        let enumeration =
+            enumerate_links_with(&service, STUDY_DEAD_RUN_LIMIT, &ProbePolicy::default());
+        let mut seen = std::collections::HashSet::new();
+        let tail: Vec<String> = enumeration
+            .docs
+            .iter()
+            .filter(|d| {
+                seen.insert((d.token_id, d.required_hashes))
+                    && d.required_hashes < config.resolve_budget
+            })
+            .map(|d| d.code.clone())
+            .collect();
+        let resolve_report = resolve_accounted(&service, &tail, config.resolve_budget);
+        let walk = EnumCampaignOutput {
+            enumeration,
+            resolve_report,
         };
-        let seq = run_study(&config, 9);
-        let par = run_study(
-            &StudyConfig {
-                enum_shards: 8,
-                ..config
-            },
-            9,
+        finish_study(&service, walk, config, seed)
+    }
+
+    fn assert_study_eq(a: &StudyResult, b: &StudyResult, ctx: &str) {
+        assert_eq!(a.enumeration.probed, b.enumeration.probed, "{ctx}");
+        assert_eq!(a.enumeration.docs, b.enumeration.docs, "{ctx}");
+        assert_eq!(a.links_per_token, b.links_per_token, "{ctx}");
+        assert_eq!(a.hashes_spent, b.hashes_spent, "{ctx}");
+        assert_eq!(a.top10_domains, b.top10_domains, "{ctx}");
+        assert_eq!(a.tail_categories, b.tail_categories, "{ctx}");
+        assert_eq!(
+            a.tail_classified_fraction, b.tail_classified_fraction,
+            "{ctx}"
         );
-        assert_eq!(par.enumeration.probed, seq.enumeration.probed);
-        assert_eq!(par.enumeration.docs, seq.enumeration.docs);
-        assert_eq!(par.links_per_token, seq.links_per_token);
-        assert_eq!(par.hashes_spent, seq.hashes_spent);
-        assert_eq!(par.top10_domains, seq.top10_domains);
+    }
+
+    #[test]
+    fn every_backend_yields_the_batch_study() {
+        let base = config(10_000, 800, 100);
+        let batch = batch_study(&base, 9);
+        for backend in [
+            Backend::Sequential,
+            Backend::Sharded(8),
+            Backend::Async { concurrency: 16 },
+        ] {
+            let study = run_study(
+                &StudyConfig {
+                    backend,
+                    ..base.clone()
+                },
+                9,
+            );
+            assert_study_eq(&study, &batch, &backend.to_string());
+        }
     }
 
     #[test]
     fn supervised_study_with_kills_equals_batch_study() {
-        use minedig_primitives::supervise::CrashPolicy;
-        let config = StudyConfig {
-            model: ModelConfig {
-                total_links: 10_000,
-                users: 800,
-                seed: 9,
-            },
-            resolve_budget: 10_000,
-            per_user_sample: 100,
-            enum_shards: 1,
-        };
-        let batch = run_study(&config, 9);
-        let dir = std::env::temp_dir().join(format!("minedig-study-sup-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open(&dir).expect("open store");
-        let supervisor = Supervisor::new(CrashPolicy {
-            ckpt_every_items: 128,
-            ..CrashPolicy::default()
-        })
-        .with_kills(vec![500, 2_000]);
-        let run = run_study_supervised(
-            &config,
-            9,
-            &store,
-            "study",
-            &supervisor,
-            Backend::Sharded(4),
-            false,
-        )
-        .expect("supervised study");
-        assert_eq!(run.report.crashes, 2);
-        assert!(run.report.balanced(), "{:?}", run.report);
-        let s = &run.result;
-        assert_eq!(s.enumeration.probed, batch.enumeration.probed);
-        assert_eq!(s.enumeration.docs, batch.enumeration.docs);
-        assert_eq!(s.links_per_token, batch.links_per_token);
-        assert_eq!(s.hashes_spent, batch.hashes_spent);
-        assert_eq!(s.top10_domains, batch.top10_domains);
-        assert_eq!(s.tail_categories, batch.tail_categories);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn supervised_streaming_study_resumes_the_resolve_stage() {
-        use minedig_primitives::supervise::CrashPolicy;
-        // The ROADMAP open item: the resolve stage is checkpointed with
-        // the walk, so kills landing mid-resolve resume resolution from
-        // the snapshot — outputs stay bit-identical to the batch study
-        // on the streaming backend.
-        let config = StudyConfig {
-            model: ModelConfig {
-                total_links: 10_000,
-                users: 800,
-                seed: 9,
-            },
-            resolve_budget: 10_000,
-            per_user_sample: 100,
-            enum_shards: 1,
-        };
-        let batch = run_study(&config, 9);
-        let dir = std::env::temp_dir().join(format!("minedig-study-tail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open(&dir).expect("open store");
         // Kills spread across the walk: early (resolve set still
-        // growing), mid, and late (most of the tail already resolved).
-        let supervisor = Supervisor::new(CrashPolicy {
-            ckpt_every_items: 64,
-            ..CrashPolicy::default()
-        })
-        .with_kills(vec![200, 1_500, 4_000]);
-        let run = run_study_supervised(
-            &config,
-            9,
-            &store,
-            "study-tail",
-            &supervisor,
-            Backend::Streaming {
-                workers: 3,
-                capacity: 16,
-            },
-            false,
-        )
-        .expect("supervised streaming study");
-        assert_eq!(run.report.crashes, 3);
-        assert!(run.report.balanced(), "{:?}", run.report);
-        let s = &run.result;
-        assert_eq!(s.enumeration.docs, batch.enumeration.docs);
-        assert_eq!(s.hashes_spent, batch.hashes_spent);
-        assert_eq!(s.top10_domains, batch.top10_domains);
-        assert_eq!(s.tail_categories, batch.tail_categories);
-        assert_eq!(s.tail_classified_fraction, batch.tail_classified_fraction);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn streaming_study_equals_batch_study() {
-        let config = StudyConfig {
-            model: ModelConfig {
-                total_links: 10_000,
-                users: 800,
-                seed: 9,
-            },
-            resolve_budget: 10_000,
-            per_user_sample: 100,
-            enum_shards: 1,
-        };
-        let batch = run_study(&config, 9);
-        for workers in [1usize, 2, 6] {
-            let streamed = run_study_streaming(&config, 9, &PipelineExecutor::new(workers, 64));
-            let s = &streamed.result;
-            assert_eq!(
-                s.enumeration.probed, batch.enumeration.probed,
-                "w={workers}"
-            );
-            assert_eq!(s.enumeration.docs, batch.enumeration.docs, "w={workers}");
-            assert_eq!(s.links_per_token, batch.links_per_token, "w={workers}");
-            assert_eq!(s.hashes_spent, batch.hashes_spent, "w={workers}");
-            assert_eq!(s.top10_domains, batch.top10_domains, "w={workers}");
-            assert_eq!(s.tail_categories, batch.tail_categories, "w={workers}");
-            assert_eq!(
-                s.tail_classified_fraction, batch.tail_classified_fraction,
-                "w={workers}"
-            );
+        // growing), mid, and late (most of the tail already resolved),
+        // so resolution resumes from the snapshot too.
+        for (backend, kills) in [
+            (Backend::Sharded(4), vec![500, 2_000]),
+            (Backend::Async { concurrency: 16 }, vec![200, 1_500, 4_000]),
+        ] {
+            let config = StudyConfig {
+                backend,
+                ..config(10_000, 800, 100)
+            };
+            let batch = batch_study(&config, 9);
+            let dir = std::env::temp_dir().join(format!(
+                "minedig-study-sup-{}-{}",
+                kills.len(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = SnapshotStore::open(&dir).expect("open store");
+            let crashes = kills.len() as u32;
+            let supervisor = Supervisor::new(CrashPolicy {
+                ckpt_every_items: 64,
+                ..CrashPolicy::default()
+            })
+            .with_kills(kills);
+            let run = run_study_supervised(&config, 9, &store, "study", &supervisor, false)
+                .expect("supervised study");
+            assert_eq!(run.report.crashes, crashes, "backend={backend}");
+            assert!(run.report.balanced(), "{:?}", run.report);
+            assert_study_eq(&run.result, &batch, &backend.to_string());
+            let _ = std::fs::remove_dir_all(&dir);
         }
-    }
-
-    #[test]
-    fn async_study_equals_batch_study() {
-        let config = StudyConfig {
-            model: ModelConfig {
-                total_links: 10_000,
-                users: 800,
-                seed: 9,
-            },
-            resolve_budget: 10_000,
-            per_user_sample: 100,
-            enum_shards: 1,
-        };
-        let batch = run_study(&config, 9);
-        for concurrency in [1usize, 16, 256] {
-            let run = run_study_async(&config, 9, &AsyncExecutor::new(concurrency));
-            let s = &run.result;
-            assert_eq!(
-                s.enumeration.probed, batch.enumeration.probed,
-                "c={concurrency}"
-            );
-            assert_eq!(
-                s.enumeration.docs, batch.enumeration.docs,
-                "c={concurrency}"
-            );
-            assert_eq!(s.links_per_token, batch.links_per_token, "c={concurrency}");
-            assert_eq!(s.hashes_spent, batch.hashes_spent, "c={concurrency}");
-            assert_eq!(s.top10_domains, batch.top10_domains, "c={concurrency}");
-            assert_eq!(s.tail_categories, batch.tail_categories, "c={concurrency}");
-            assert_eq!(
-                run.enum_stats.in_flight_high_water, concurrency as u64,
-                "the walk saturates the budget, c={concurrency}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_study_overlaps_resolution_with_enumeration() {
-        let config = StudyConfig {
-            model: ModelConfig {
-                total_links: 20_000,
-                users: 1_500,
-                seed: 9,
-            },
-            resolve_budget: 10_000,
-            per_user_sample: 100,
-            enum_shards: 1,
-        };
-        let streamed = run_study_streaming(&config, 9, &PipelineExecutor::new(4, 64));
-        assert!(streamed.resolver.items > 0, "the tail set is non-empty");
-        assert!(
-            streamed.overlapped(),
-            "resolution must begin before the last probe: resolver first_input={:?}, probe last_output={:?}",
-            streamed.resolver.first_input,
-            streamed.enum_stats.stages[0].last_output,
-        );
     }
 
     #[test]

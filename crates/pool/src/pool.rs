@@ -86,8 +86,8 @@ struct TipState {
 }
 
 /// One backend plus its own blob cache — the per-backend lock that lets
-/// `poll_all_sharded` shards overlap peek work instead of serializing
-/// on a single pool-wide mutex.
+/// concurrent pollers overlap peek work instead of serializing on a
+/// single pool-wide mutex.
 struct BackendSlot {
     backend: Backend,
     cache: Mutex<BackendCache>,

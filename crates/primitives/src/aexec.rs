@@ -54,7 +54,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 /// Environment variable selecting the in-flight task budget of
-/// [`AsyncExecutor::from_env`].
+/// [`Backend::Async`](crate::supervise::Backend::Async).
 pub const CONCURRENCY_ENV: &str = "MINEDIG_CONCURRENCY";
 
 /// Default in-flight task budget: the paper-scale crawl fan-out, far
@@ -300,8 +300,7 @@ impl<F: FnMut(Duration) -> bool> IdleWait for ParkWait<F> {
     }
 }
 
-/// Observability counters of one async run, the cooperative counterpart
-/// of [`ExecStats`](crate::par::ExecStats).
+/// Observability counters of one async run.
 #[derive(Clone, Debug, Default)]
 pub struct AsyncStats {
     /// Configured in-flight task budget.
@@ -573,17 +572,6 @@ impl AsyncExecutor {
         AsyncExecutor::new(1)
     }
 
-    /// Budget from `MINEDIG_CONCURRENCY`, defaulting to
-    /// [`DEFAULT_CONCURRENCY`] — deliberately decoupled from core
-    /// count: blocked-on-I/O tasks cost no core.
-    pub fn from_env() -> AsyncExecutor {
-        let concurrency = std::env::var(CONCURRENCY_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(DEFAULT_CONCURRENCY);
-        AsyncExecutor::new(concurrency)
-    }
-
     /// Configured in-flight budget.
     pub fn concurrency(&self) -> usize {
         self.concurrency
@@ -593,9 +581,9 @@ impl AsyncExecutor {
     /// tasks built by `make`, folding each task's output into `acc`
     /// strictly in item order (a reorder buffer holds early finishers).
     ///
-    /// A `ControlFlow::Break` from `fold` stops the run exactly like the
-    /// streaming pipeline's sink: no further items are spawned, in-flight
-    /// overshoot is cancelled (dropped) and discarded. `source` may be
+    /// A `ControlFlow::Break` from `fold` stops the run: no further
+    /// items are spawned, in-flight overshoot is cancelled (dropped) and
+    /// discarded. `source` may be
     /// infinite when the fold is guaranteed to break.
     pub fn run_ordered<'a, T, Out, A, I, F, Fut, Fold>(
         &self,
@@ -878,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn from_env_defaults_and_clamps() {
+    fn concurrency_defaults_and_clamps() {
         assert_eq!(AsyncExecutor::new(0).concurrency(), 1);
         assert_eq!(AsyncExecutor::sequential().concurrency(), 1);
         assert_eq!(DEFAULT_CONCURRENCY, 256);

@@ -5,9 +5,9 @@
 //! relies on: hash functions (Keccak/SHA-3 family and SHA-256), hex and
 //! variable-length integer codecs, a deterministic seedable RNG with named
 //! sub-stream derivation, the statistics helpers used by the measurement
-//! analyses (CDFs, percentiles, Zipf/power-law sampling), and the generic
-//! sharded [`par::ParallelExecutor`] every parallel measurement loop
-//! (zone scans, shortlink enumeration, endpoint polling) is built on.
+//! analyses (CDFs, percentiles, Zipf/power-law sampling), and the
+//! execution [`Backend`] every measurement loop (zone scans, shortlink
+//! enumeration, endpoint polling) maps its items through.
 //!
 //! Everything here is implemented from scratch on top of `std` so that the
 //! rest of the workspace stays dependency-light and fully deterministic.
@@ -19,7 +19,6 @@ pub mod health;
 pub mod hex;
 pub mod keccak;
 pub mod par;
-pub mod pipeline;
 pub mod retry;
 pub mod rng;
 pub mod sha256;
@@ -37,12 +36,13 @@ pub use health::{
 };
 pub use hex::{from_hex, to_hex};
 pub use keccak::{keccak1600, keccak256, sha3_256};
-pub use par::{ExecRun, ExecStats, ParallelExecutor, ShardStats, ShardedTask};
-pub use pipeline::{PipelineExecutor, PipelineRun, PipelineStage, PipelineStats, StageStats};
+pub use par::ParallelExecutor;
 pub use retry::{retry, Clock, ErrorClass, GiveUp, RetryPolicy, Retryable, VirtualClock};
 pub use rng::DetRng;
 pub use sha256::sha256;
-pub use supervise::{Backend, Campaign, CrashPolicy, SuperviseReport, SupervisedRun, Supervisor};
+pub use supervise::{
+    run_to_end, Backend, Campaign, CrashPolicy, SuperviseReport, SupervisedRun, Supervisor,
+};
 
 /// A 256-bit hash digest used throughout the workspace.
 ///

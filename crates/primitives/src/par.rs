@@ -1,336 +1,172 @@
-//! Generic sharded parallel execution with deterministic merge.
+//! Thread-parallel map with an in-order fold.
 //!
-//! PR 1 introduced the pattern for zone scans (`minedig-core`'s
-//! `ScanExecutor`): split an index space into contiguous chunks, run each
-//! chunk on its own scoped thread, and fold the partial outputs back
-//! together **in shard-index order** so the merged result is bit-identical
-//! to a sequential pass. The paper's other two measurement loops — the
-//! §4.1 shortlink ID-space walk (1.7 M probes) and the §4.2 endpoint
-//! poller (32 WebSocket endpoints every 500 ms) — are embarrassingly
-//! parallel over exactly such index spaces, so the machinery now lives
-//! here, at the bottom of the workspace, as [`ParallelExecutor`] over the
-//! [`ShardedTask`] trait.
+//! The paper's three measurement loops — zone scans, the §4.1 walk over
+//! short-link IDs and the §4.2 endpoint sweeps — are each a pure
+//! per-item kernel keyed by item identity, folded in item order.
+//! [`ParallelExecutor::map_fold`] runs such a kernel on scoped worker
+//! threads and folds the outputs back in index order, so the result is
+//! bit-identical to the sequential loop for any worker count. The fold
+//! may stop the run early by returning `ControlFlow::Break`, as the
+//! walk does at its dead-run stop.
 //!
-//! ## Determinism contract
+//! ## Round-robin, in blocks
 //!
-//! A task is safe to shard when:
-//!
-//! 1. `run_shard` is a pure function of the item range (no shared mutable
-//!    state, no per-run RNG draws that depend on *which* shard processes
-//!    an item), and
-//! 2. `merge` folded left-to-right over shard outputs in shard-index
-//!    order reproduces the sequential output (additive counters are
-//!    order-independent; ordered collections concatenate, and contiguous
-//!    chunks make concatenation equal the sequential order).
-//!
-//! The workloads built on top each carry equivalence proptests (shards
-//! 1–16) enforcing this contract end to end.
+//! Workers take items round-robin (worker `w` of `n` maps items
+//! `w, w + n, w + 2n, …`) rather than contiguous chunks. Expensive items
+//! cluster: a zone's artifact domains sit at the front of its scan order
+//! and every Chrome load of one costs far more than a clean page, so a
+//! contiguous split hands nearly all of the work to the first worker.
+//! Round-robin spreads any such front evenly. The range is processed in
+//! blocks of `BLOCK_PER_WORKER` items per worker, so the outputs held
+//! for the in-order fold stay bounded however long the range is, and a
+//! stop wastes at most the rest of one block.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::ops::{ControlFlow, Range};
 
-/// Per-shard progress and timing, read back after a run completes.
-#[derive(Clone, Debug)]
-pub struct ShardStats {
-    /// Shard index (0-based; shard 0 processes the front of the range).
-    pub shard: usize,
-    /// Items this shard processed.
-    pub items: u64,
-    /// Wall time the shard's worker spent in `run_shard`.
-    pub elapsed: Duration,
-}
+/// Items each worker maps per block. Blocks much smaller than this spend
+/// their time on spawn overhead; larger ones only hold more outputs for
+/// the fold.
+const BLOCK_PER_WORKER: u64 = 4_096;
 
-/// Observability for one executed run.
-#[derive(Clone, Debug)]
-pub struct ExecStats {
-    /// Shard count the executor ran with.
-    pub shards: usize,
-    /// Total items processed across all shards.
-    pub items: u64,
-    /// End-to-end wall time (spawn through final merge).
-    pub elapsed: Duration,
-    /// Per-shard breakdown, in shard-index order.
-    pub per_shard: Vec<ShardStats>,
-}
-
-impl ExecStats {
-    /// Aggregate rate in items per second of wall time.
-    pub fn items_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.items as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Folds another run's stats into this one (same shard count),
-    /// summing items and wall time shard by shard. Used by workloads that
-    /// issue several executor rounds per logical run (e.g. the windowed
-    /// shortlink enumeration).
-    pub fn absorb(&mut self, other: &ExecStats) {
-        assert_eq!(self.shards, other.shards, "cannot absorb across widths");
-        self.items += other.items;
-        self.elapsed += other.elapsed;
-        for (mine, theirs) in self.per_shard.iter_mut().zip(&other.per_shard) {
-            mine.items += theirs.items;
-            mine.elapsed += theirs.elapsed;
-        }
-    }
-
-    /// An all-zero stats block for `shards` workers, ready to `absorb`.
-    pub fn zero(shards: usize) -> ExecStats {
-        ExecStats {
-            shards,
-            items: 0,
-            elapsed: Duration::ZERO,
-            per_shard: (0..shards)
-                .map(|shard| ShardStats {
-                    shard,
-                    items: 0,
-                    elapsed: Duration::ZERO,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A merged task output plus the [`ExecStats`] of producing it.
-#[derive(Clone, Debug)]
-pub struct ExecRun<T> {
-    /// The merged output, bit-identical to a sequential run.
-    pub outcome: T,
-    /// How the work was spread and how fast it went.
-    pub stats: ExecStats,
-}
-
-/// A workload the executor can spread across contiguous index chunks.
-pub trait ShardedTask: Sync {
-    /// Partial output of one shard; merged in shard-index order.
-    type Output: Send;
-
-    /// Size of the index space to chunk.
-    fn len(&self) -> usize;
-
-    /// Whether the index space is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Processes one contiguous chunk of the index space. Bump `progress`
-    /// once per processed item; it feeds the per-shard stats.
-    fn run_shard(&self, range: Range<usize>, progress: &AtomicU64) -> Self::Output;
-
-    /// Folds the next shard's output (in shard-index order) into the
-    /// accumulator.
-    fn merge(&self, acc: &mut Self::Output, next: Self::Output);
-}
-
-/// Runs [`ShardedTask`]s across a fixed number of shards.
+/// Maps index ranges across a fixed number of worker threads.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelExecutor {
-    shards: usize,
+    workers: usize,
 }
 
 impl ParallelExecutor {
-    /// Executor with `shards` workers (clamped to at least 1).
-    pub fn new(shards: usize) -> ParallelExecutor {
+    /// Executor with `workers` threads (clamped to at least 1).
+    pub fn new(workers: usize) -> ParallelExecutor {
         ParallelExecutor {
-            shards: shards.max(1),
+            workers: workers.max(1),
         }
     }
 
-    /// Single-shard executor: the sequential run, with stats.
-    pub fn sequential() -> ParallelExecutor {
-        ParallelExecutor::new(1)
+    /// Configured worker count.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
-    /// Shard count from `MINEDIG_SHARDS`, defaulting to the machine's
-    /// available parallelism.
-    pub fn from_env() -> ParallelExecutor {
-        let shards = std::env::var("MINEDIG_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        ParallelExecutor::new(shards)
-    }
-
-    /// Configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Chunks the task's index space, runs each chunk on a scoped thread,
-    /// and folds partial outputs in shard-index order.
-    pub fn execute<T: ShardedTask>(&self, task: &T) -> ExecRun<T::Output> {
-        let chunks = chunk_ranges(task.len(), self.shards);
-        let counters: Vec<AtomicU64> = (0..self.shards).map(|_| AtomicU64::new(0)).collect();
-
-        let start = Instant::now();
-        let parts: Vec<(T::Output, Duration)> = if self.shards == 1 {
-            // Run on the calling thread: keeps sequential wrappers and
-            // shards=1 baselines free of spawn overhead.
-            let t0 = Instant::now();
-            let out = task.run_shard(chunks[0].clone(), &counters[0]);
-            vec![(out, t0.elapsed())]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..self.shards)
-                    .map(|i| {
-                        let task = &task;
-                        let counter = &counters[i];
-                        let range = chunks[i].clone();
+    /// Maps every index of `range` through `kernel` and folds the outputs
+    /// into `acc` in index order, until `fold` breaks. One worker runs on
+    /// the calling thread; more take the items of each block round-robin
+    /// on scoped threads, and a break discards the rest of its block.
+    pub fn map_fold<T: Send, A>(
+        &self,
+        range: Range<u64>,
+        kernel: impl Fn(u64) -> T + Sync,
+        mut acc: A,
+        mut fold: impl FnMut(&mut A, T) -> ControlFlow<()>,
+    ) -> A {
+        if self.workers == 1 {
+            for i in range {
+                if fold(&mut acc, kernel(i)).is_break() {
+                    break;
+                }
+            }
+            return acc;
+        }
+        let workers = self.workers as u64;
+        let mut start = range.start;
+        while start < range.end {
+            let end = start
+                .saturating_add(BLOCK_PER_WORKER * workers)
+                .min(range.end);
+            let parts: Vec<Vec<T>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let kernel = &kernel;
                         s.spawn(move || {
-                            let t0 = Instant::now();
-                            let out = task.run_shard(range, counter);
-                            (out, t0.elapsed())
+                            (start + w..end)
+                                .step_by(workers as usize)
+                                .map(kernel)
+                                .collect()
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("task shard panicked"))
+                    .map(|h| h.join().expect("worker panicked"))
                     .collect()
-            })
-        };
-
-        let mut merged: Option<T::Output> = None;
-        let mut per_shard = Vec::with_capacity(self.shards);
-        for (i, (part, shard_elapsed)) in parts.into_iter().enumerate() {
-            per_shard.push(ShardStats {
-                shard: i,
-                items: counters[i].load(Ordering::Relaxed),
-                elapsed: shard_elapsed,
             });
-            match &mut merged {
-                None => merged = Some(part),
-                Some(m) => task.merge(m, part),
+            let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+            for i in 0..end - start {
+                let out = parts[(i % workers) as usize]
+                    .next()
+                    .expect("every worker maps its round-robin share");
+                if fold(&mut acc, out).is_break() {
+                    return acc;
+                }
             }
+            start = end;
         }
-        let elapsed = start.elapsed();
-        let stats = ExecStats {
-            shards: self.shards,
-            items: per_shard.iter().map(|s| s.items).sum(),
-            elapsed,
-            per_shard,
-        };
-        ExecRun {
-            outcome: merged.expect("at least one shard"),
-            stats,
-        }
+        acc
     }
-}
-
-/// Splits `len` items into `shards` contiguous balanced ranges (the first
-/// `len % shards` ranges carry one extra item). Empty ranges are fine —
-/// a shard with nothing to do still reports stats.
-pub fn chunk_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
-    let base = len / shards;
-    let extra = len % shards;
-    let mut start = 0;
-    (0..shards)
-        .map(|i| {
-            let size = base + usize::from(i < extra);
-            let range = start..start + size;
-            start += size;
-            range
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn squares(workers: usize, range: Range<u64>) -> (u64, Vec<u64>) {
+        ParallelExecutor::new(workers).map_fold(
+            range,
+            |i| (i, i * i),
+            (0u64, Vec::new()),
+            |acc, (i, sq)| {
+                acc.0 += sq;
+                acc.1.push(i);
+                ControlFlow::Continue(())
+            },
+        )
+    }
+
     #[test]
-    fn chunks_cover_everything_contiguously() {
-        for len in [0usize, 1, 7, 16, 100, 101] {
-            for shards in [1usize, 2, 3, 8, 16] {
-                let ranges = chunk_ranges(len, shards);
-                assert_eq!(ranges.len(), shards);
-                assert_eq!(ranges[0].start, 0);
-                assert_eq!(ranges[shards - 1].end, len);
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start);
-                }
-                let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "unbalanced: {sizes:?}");
-            }
-        }
-    }
-
-    /// Summing squares of 0..n: counters are additive, vectors of
-    /// (index, square) concatenate — the canonical shardable shape.
-    struct SquareTask {
-        n: usize,
-    }
-
-    impl ShardedTask for SquareTask {
-        type Output = (u64, Vec<usize>);
-
-        fn len(&self) -> usize {
-            self.n
-        }
-
-        fn run_shard(&self, range: Range<usize>, progress: &AtomicU64) -> (u64, Vec<usize>) {
-            let mut sum = 0u64;
-            let mut seen = Vec::new();
-            for i in range {
-                progress.fetch_add(1, Ordering::Relaxed);
-                sum += (i * i) as u64;
-                seen.push(i);
-            }
-            (sum, seen)
-        }
-
-        fn merge(&self, acc: &mut (u64, Vec<usize>), next: (u64, Vec<usize>)) {
-            acc.0 += next.0;
-            acc.1.extend(next.1);
+    fn folds_in_index_order_for_any_width() {
+        let sequential = squares(1, 3..104);
+        for workers in [1, 2, 3, 7, 16, 32] {
+            let run = squares(workers, 3..104);
+            assert_eq!(run, sequential, "workers={workers}");
+            assert_eq!(run.1, (3..104).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn sharded_run_matches_sequential_for_any_width() {
-        let task = SquareTask { n: 101 };
-        let sequential = ParallelExecutor::sequential().execute(&task);
-        for shards in [1, 2, 3, 7, 16, 32] {
-            let run = ParallelExecutor::new(shards).execute(&task);
-            assert_eq!(run.outcome, sequential.outcome, "shards={shards}");
-            assert_eq!(run.stats.shards, shards);
-            assert_eq!(run.stats.items, 101);
-            let order: Vec<usize> = (0..101).collect();
-            assert_eq!(run.outcome.1, order, "merge must preserve index order");
+    fn ranges_longer_than_a_block_fold_in_order() {
+        let len = BLOCK_PER_WORKER * 3 + 17;
+        let run = squares(2, 0..len);
+        assert_eq!(run.1, (0..len).collect::<Vec<_>>());
+        assert_eq!(run, squares(1, 0..len));
+    }
+
+    #[test]
+    fn break_stops_the_fold_at_the_same_item_for_any_width() {
+        let stop = BLOCK_PER_WORKER * 2 + 5;
+        for workers in [1, 2, 3] {
+            let folded = ParallelExecutor::new(workers).map_fold(
+                0..u64::MAX,
+                |i| i,
+                Vec::new(),
+                |acc, i| {
+                    acc.push(i);
+                    if i == stop {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(folded, (0..=stop).collect::<Vec<_>>(), "workers={workers}");
         }
     }
 
     #[test]
-    fn executor_clamps_zero_shards() {
-        assert_eq!(ParallelExecutor::new(0).shards(), 1);
+    fn empty_ranges_fold_nothing() {
+        assert_eq!(squares(4, 5..5), (0, Vec::new()));
     }
 
     #[test]
-    fn empty_task_still_reports_stats() {
-        let run = ParallelExecutor::new(4).execute(&SquareTask { n: 0 });
-        assert_eq!(run.outcome.0, 0);
-        assert_eq!(run.stats.items, 0);
-        assert_eq!(run.stats.per_shard.len(), 4);
-    }
-
-    #[test]
-    fn stats_absorb_accumulates_rounds() {
-        let task = SquareTask { n: 10 };
-        let mut total = ExecStats::zero(3);
-        for _ in 0..4 {
-            total.absorb(&ParallelExecutor::new(3).execute(&task).stats);
-        }
-        assert_eq!(total.items, 40);
-        assert_eq!(total.per_shard.iter().map(|s| s.items).sum::<u64>(), 40);
-        assert!(total.items_per_sec() > 0.0);
+    fn executor_clamps_zero_workers() {
+        assert_eq!(ParallelExecutor::new(0).workers(), 1);
     }
 }

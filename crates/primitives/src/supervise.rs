@@ -21,91 +21,156 @@
 use crate::aexec::{AsyncExecutor, CONCURRENCY_ENV, DEFAULT_CONCURRENCY};
 use crate::ckpt::{Checkpointable, CkptError, SnapshotStore};
 use crate::fault::FaultPlan;
+use crate::par::ParallelExecutor;
 use std::fmt;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Which executor a campaign runs its item chunks on.
+/// Environment variable naming the worker-thread count of
+/// [`Backend::Sharded`].
+pub const SHARDS_ENV: &str = "MINEDIG_SHARDS";
+
+/// Environment variable selecting [`Backend::Async`] when set to `1`.
+pub const ASYNC_ENV: &str = "MINEDIG_ASYNC";
+
+/// Which executor a campaign maps its items on.
 ///
-/// This is plain data — each campaign interprets it by constructing
-/// its own executor — so supervision code stays independent of the
-/// concrete drivers. The §4.2 poller has no streaming pipeline
-/// backend; it maps [`Backend::Streaming`] to the sharded sweep.
+/// Every backend folds per-item outputs in item order, so the choice
+/// changes wall clock and nothing else: outcomes are bit-identical to
+/// the sequential loop on all three.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Single-threaded, in item order.
     Sequential,
-    /// [`ParallelExecutor`](crate::par::ParallelExecutor) with this
-    /// many shards.
+    /// [`ParallelExecutor`] with this many worker threads, taking items
+    /// round-robin.
     Sharded(usize),
-    /// [`PipelineExecutor`](crate::pipeline::PipelineExecutor) with
-    /// this worker count and channel capacity.
-    Streaming {
-        /// Stage worker threads.
-        workers: usize,
-        /// Per-stage channel capacity.
-        capacity: usize,
-    },
-    /// [`AsyncExecutor`](crate::aexec::AsyncExecutor) with this
-    /// in-flight budget.
+    /// [`AsyncExecutor`] with this in-flight budget: each item is a
+    /// cooperative task that first sleeps its virtual latency.
     Async {
         /// Maximum tasks in flight at once.
         concurrency: usize,
     },
 }
 
+impl Default for Backend {
+    /// One worker thread per available core.
+    fn default() -> Backend {
+        Backend::Sharded(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
+    }
+}
+
+impl fmt::Display for Backend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Backend::Sequential => f.write_str("sequential"),
+            Backend::Sharded(n) => write!(f, "sharded({n})"),
+            Backend::Async { concurrency } => write!(f, "async({concurrency})"),
+        }
+    }
+}
+
 impl Backend {
-    /// Selects a backend the way the CLI does: `MINEDIG_ASYNC=1` wins,
-    /// then `MINEDIG_STREAM=1`, then `MINEDIG_SHARDS`, defaulting to
-    /// sequential.
-    pub fn from_env() -> Backend {
-        fn flag(name: &str) -> bool {
-            std::env::var(name).is_ok_and(|v| v.trim() == "1")
-        }
-        fn num(name: &str, default: usize) -> usize {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(default)
-        }
-        if flag("MINEDIG_ASYNC") {
-            Backend::Async {
-                concurrency: num(CONCURRENCY_ENV, DEFAULT_CONCURRENCY),
+    /// Selects the backend named by `MINEDIG_ASYNC`, `MINEDIG_SHARDS`
+    /// and `MINEDIG_CONCURRENCY` — see [`parse`](Backend::parse).
+    pub fn from_env() -> Result<Backend, String> {
+        Backend::parse(|name| std::env::var(name).ok())
+    }
+
+    /// Selects a backend from the variables `lookup` returns:
+    /// `MINEDIG_ASYNC=1` picks [`Backend::Async`] with
+    /// `MINEDIG_CONCURRENCY` tasks in flight (default
+    /// [`DEFAULT_CONCURRENCY`]); otherwise `MINEDIG_SHARDS=n` picks
+    /// `n` worker threads (`1` is [`Backend::Sequential`]); with neither
+    /// set, [`Backend::default`]. A count that is not a positive
+    /// integer, or an `MINEDIG_ASYNC` other than `0`/`1`, is an error.
+    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Backend, String> {
+        let count = |name: &str| -> Result<Option<usize>, String> {
+            let Some(raw) = lookup(name) else {
+                return Ok(None);
+            };
+            match raw.trim().parse::<usize>() {
+                Ok(n) if n > 0 => Ok(Some(n)),
+                _ => Err(format!("{name}={raw:?}: expected a positive integer")),
             }
-        } else if flag("MINEDIG_STREAM") {
-            Backend::Streaming {
-                workers: num("MINEDIG_SHARDS", 1),
-                capacity: num("MINEDIG_PIPE_CAP", 64),
+        };
+        let asynchronous = match lookup(ASYNC_ENV).as_deref().map(str::trim) {
+            None | Some("0") => false,
+            Some("1") => true,
+            Some(other) => return Err(format!("{ASYNC_ENV}={other:?}: expected 0 or 1")),
+        };
+        let shards = count(SHARDS_ENV)?;
+        let concurrency = count(CONCURRENCY_ENV)?;
+        Ok(if asynchronous {
+            Backend::Async {
+                concurrency: concurrency.unwrap_or(DEFAULT_CONCURRENCY),
             }
         } else {
-            match std::env::var("MINEDIG_SHARDS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-            {
-                Some(n) if n > 1 => Backend::Sharded(n),
-                _ => Backend::Sequential,
+            match shards {
+                Some(1) => Backend::Sequential,
+                Some(n) => Backend::Sharded(n),
+                None => Backend::default(),
+            }
+        })
+    }
+
+    /// Maps every index of `range` through the pure per-item `kernel`
+    /// and folds the outputs into `acc` in index order — the one
+    /// dispatcher every campaign runs its items through. A
+    /// `ControlFlow::Break` from `fold` ends the run after that item;
+    /// outputs mapped ahead of it are discarded.
+    ///
+    /// Sequentially the items run in-line; sharded, worker threads take
+    /// them round-robin ([`ParallelExecutor::map_fold`]); async, each
+    /// item is a task that sleeps `latency_ms(index)` of virtual time
+    /// before running the kernel, and a reorder buffer restores index
+    /// order. Because `kernel` may depend only on the index, the folded
+    /// result is the same on every backend.
+    pub fn map_fold<T: Send, A>(
+        &self,
+        range: Range<u64>,
+        kernel: impl Fn(u64) -> T + Sync,
+        latency_ms: impl Fn(u64) -> u64,
+        acc: A,
+        fold: impl FnMut(&mut A, T) -> ControlFlow<()>,
+    ) -> A {
+        match *self {
+            Backend::Sequential => ParallelExecutor::new(1).map_fold(range, kernel, acc, fold),
+            Backend::Sharded(n) => ParallelExecutor::new(n).map_fold(range, kernel, acc, fold),
+            Backend::Async { concurrency } => {
+                let kernel = &kernel;
+                AsyncExecutor::new(concurrency)
+                    .run_ordered(
+                        range,
+                        |ctx, i| {
+                            let delay = latency_ms(i);
+                            async move {
+                                ctx.sleep_ms(delay).await;
+                                kernel(i)
+                            }
+                        },
+                        acc,
+                        fold,
+                    )
+                    .outcome
             }
         }
     }
+}
 
-    /// Short human label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Backend::Sequential => "sequential",
-            Backend::Sharded(_) => "sharded",
-            Backend::Streaming { .. } => "streaming",
-            Backend::Async { .. } => "async",
-        }
+/// Runs `campaign` straight through to completion, without checkpoints:
+/// the unsupervised counterpart of [`Supervisor::run`], driving the same
+/// [`Campaign::run_items`] calls.
+pub fn run_to_end<C: Campaign>(mut campaign: C) -> C::Output {
+    let heartbeat = AtomicU64::new(0);
+    while !campaign.is_done() {
+        campaign.run_items(u64::MAX, &heartbeat);
     }
-
-    /// Builds the async executor this backend names (async backends
-    /// only) — a helper so campaigns don't duplicate the mapping.
-    pub fn async_executor(&self) -> Option<AsyncExecutor> {
-        match self {
-            Backend::Async { concurrency } => Some(AsyncExecutor::new(*concurrency)),
-            _ => None,
-        }
-    }
+    campaign.finish()
 }
 
 /// Environment variable naming the snapshot directory; when set, the
@@ -255,7 +320,8 @@ pub trait Campaign: Checkpointable {
 
     /// Runs at most `budget` further items (fewer only if the campaign
     /// finishes), bumping `heartbeat` at least once per item processed
-    /// so the stall watchdog can see liveness.
+    /// so the stall watchdog can see liveness. Any budget up to
+    /// `u64::MAX` is valid.
     fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64);
 
     /// The campaign's virtual clock, for time-triggered checkpoints.
@@ -708,19 +774,82 @@ mod tests {
     }
 
     #[test]
-    fn backend_labels() {
-        assert_eq!(Backend::Sequential.label(), "sequential");
-        assert_eq!(Backend::Sharded(4).label(), "sharded");
+    fn run_to_end_matches_direct_execution() {
+        assert_eq!(run_to_end(HashFold::new(300)), uninterrupted(300));
+    }
+
+    fn parse(vars: &[(&str, &str)]) -> Result<Backend, String> {
+        Backend::parse(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn backend_parse_defaults_and_normalizes() {
+        assert_eq!(parse(&[]), Ok(Backend::default()));
+        assert_eq!(parse(&[("MINEDIG_ASYNC", "0")]), Ok(Backend::default()));
+        assert_eq!(parse(&[("MINEDIG_SHARDS", " 3 ")]), Ok(Backend::Sharded(3)));
+        assert_eq!(parse(&[("MINEDIG_SHARDS", "1")]), Ok(Backend::Sequential));
         assert_eq!(
-            Backend::Streaming {
-                workers: 2,
-                capacity: 8
-            }
-            .label(),
-            "streaming"
+            parse(&[("MINEDIG_ASYNC", "1"), ("MINEDIG_SHARDS", "4")]),
+            Ok(Backend::Async {
+                concurrency: DEFAULT_CONCURRENCY
+            })
         );
-        assert_eq!(Backend::Async { concurrency: 16 }.label(), "async");
-        assert!(Backend::Async { concurrency: 1 }.async_executor().is_some());
-        assert!(Backend::Sequential.async_executor().is_none());
+        assert_eq!(
+            parse(&[("MINEDIG_ASYNC", "1"), ("MINEDIG_CONCURRENCY", "16")]),
+            Ok(Backend::Async { concurrency: 16 })
+        );
+    }
+
+    #[test]
+    fn backend_parse_rejects_nonsense() {
+        for bad in ["abc", "0", "-2", ""] {
+            assert!(parse(&[("MINEDIG_SHARDS", bad)]).is_err(), "shards {bad:?}");
+            assert!(
+                parse(&[("MINEDIG_CONCURRENCY", bad)]).is_err(),
+                "concurrency {bad:?}"
+            );
+        }
+        for bad in ["yes", "2", "true"] {
+            assert!(parse(&[("MINEDIG_ASYNC", bad)]).is_err(), "async {bad:?}");
+        }
+    }
+
+    #[test]
+    fn backend_display_names_the_width() {
+        assert_eq!(Backend::Sequential.to_string(), "sequential");
+        assert_eq!(Backend::Sharded(4).to_string(), "sharded(4)");
+        assert_eq!(Backend::Async { concurrency: 16 }.to_string(), "async(16)");
+    }
+
+    #[test]
+    fn every_backend_folds_in_index_order_until_a_break() {
+        let reference: Vec<u64> = (5..=250).map(|i| i * 7).collect();
+        for backend in [
+            Backend::Sequential,
+            Backend::Sharded(1),
+            Backend::Sharded(3),
+            Backend::Async { concurrency: 1 },
+            Backend::Async { concurrency: 64 },
+        ] {
+            let got = backend.map_fold(
+                5..300,
+                |i| i * 7,
+                |i| 300 - i,
+                Vec::new(),
+                |acc, x| {
+                    acc.push(x);
+                    if x == 7 * 250 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(got, reference, "backend={backend}");
+        }
     }
 }

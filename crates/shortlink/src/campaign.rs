@@ -20,16 +20,13 @@ use crate::probe::{probe_with_retry, LinkProber, ProbeError, ProbePolicy};
 use crate::resolve::{resolve_step, ResolveReport};
 use crate::service::{ShortlinkService, VisitDoc};
 use minedig_primitives::ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot};
-use minedig_primitives::par::{ParallelExecutor, ShardedTask};
-use minedig_primitives::pipeline::{PipelineExecutor, PipelineStage};
 use minedig_primitives::rng::DetRng;
 use minedig_primitives::supervise::{Backend, Campaign};
-use std::ops::{ControlFlow, Range};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Simulated probe round-trip, keyed by link code exactly like
-/// `enumerate::probe_latency_ms` (same seed, same distribution) so the
-/// campaign's async backend observes the same schedule.
+/// Simulated probe round-trip, keyed by link code (never by probing
+/// order) so the async backend's schedule cannot perturb results.
 fn probe_latency_ms(code: &str) -> u64 {
     1 + DetRng::seed(0x5C0DE).derive(code).gen_range(48)
 }
@@ -105,118 +102,6 @@ pub fn take_resolve_report(r: &mut SnapReader) -> Result<ResolveReport, CkptErro
         visit_failures: r.u64()?,
         hashes_spent: r.u64()?,
     })
-}
-
-// ---------------------------------------------------------------------
-// Probing one contiguous index range on any backend.
-// ---------------------------------------------------------------------
-
-type Probed = (Result<Option<VisitDoc>, ProbeError>, u32);
-
-/// Sharded sub-task: probe a chunk of the range, results in index
-/// order (the executor merges chunks in shard = index order).
-struct RangeProbeTask<'a, P: LinkProber> {
-    prober: &'a P,
-    policy: &'a ProbePolicy,
-    base: u64,
-    len: usize,
-}
-
-impl<P: LinkProber> ShardedTask for RangeProbeTask<'_, P> {
-    type Output = Vec<Probed>;
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn run_shard(&self, range: Range<usize>, progress: &AtomicU64) -> Vec<Probed> {
-        let mut out = Vec::with_capacity(range.len());
-        for offset in range {
-            progress.fetch_add(1, Ordering::Relaxed);
-            let code = index_to_code(self.base + offset as u64);
-            out.push(probe_with_retry(self.prober, &code, self.policy));
-        }
-        out
-    }
-
-    fn merge(&self, acc: &mut Vec<Probed>, mut next: Vec<Probed>) {
-        acc.append(&mut next);
-    }
-}
-
-struct RangeProbeStage<'a, P: LinkProber> {
-    prober: &'a P,
-    policy: &'a ProbePolicy,
-}
-
-impl<P: LinkProber + Sync> PipelineStage for RangeProbeStage<'_, P> {
-    type In = u64;
-    type Out = Probed;
-    type Scratch = ();
-
-    fn scratch(&self) {}
-
-    fn process(&self, index: u64, _scratch: &mut ()) -> Probed {
-        probe_with_retry(self.prober, &index_to_code(index), self.policy)
-    }
-}
-
-/// Probes `[base, base + len)` on `backend`, returning results in
-/// strict index order. Every backend issues exactly `len` probes; the
-/// caller's fold decides how many of them the sequential walk would
-/// have consumed.
-fn probe_range<P: LinkProber + Sync>(
-    prober: &P,
-    policy: &ProbePolicy,
-    base: u64,
-    len: u64,
-    backend: &Backend,
-) -> Vec<Probed> {
-    let range = base..base + len;
-    match *backend {
-        Backend::Sequential => range
-            .map(|i| probe_with_retry(prober, &index_to_code(i), policy))
-            .collect(),
-        Backend::Sharded(shards) => {
-            ParallelExecutor::new(shards)
-                .execute(&RangeProbeTask {
-                    prober,
-                    policy,
-                    base,
-                    len: len as usize,
-                })
-                .outcome
-        }
-        Backend::Streaming { workers, capacity } => {
-            let stage = RangeProbeStage { prober, policy };
-            PipelineExecutor::new(workers, capacity)
-                .with_env_batch()
-                .run(range, &stage, Vec::new(), |acc: &mut Vec<Probed>, out| {
-                    acc.push(out);
-                    ControlFlow::Continue(())
-                })
-                .outcome
-        }
-        Backend::Async { concurrency } => {
-            minedig_primitives::aexec::AsyncExecutor::new(concurrency)
-                .run_ordered(
-                    range,
-                    |actx, index| {
-                        let code = index_to_code(index);
-                        async move {
-                            actx.sleep_ms(probe_latency_ms(&code)).await;
-                            probe_with_retry(prober, &code, policy)
-                        }
-                    },
-                    Vec::new(),
-                    |acc: &mut Vec<Probed>, out| {
-                        acc.push(out);
-                        ControlFlow::Continue(())
-                    },
-                )
-                .outcome
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -310,6 +195,51 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
         self.tail_only = true;
         self
     }
+
+    /// Folds the next probe of the walk, in index order: the sequential
+    /// dead-run fold. Breaks once the dead run reaches the limit, so
+    /// probes mapped past the stop are discarded.
+    fn fold_probe(
+        &mut self,
+        result: Result<Option<VisitDoc>, ProbeError>,
+        retries: u32,
+        heartbeat: &AtomicU64,
+    ) -> ControlFlow<()> {
+        let e = &mut self.enumeration;
+        e.probed += 1;
+        e.probe_retries += u64::from(retries);
+        match result {
+            Ok(Some(doc)) => {
+                self.dead_run = 0;
+                if let Some((service, budget_per_link)) = self.resolver {
+                    // In tail mode, only the first sighting of a
+                    // (token, requirement) pair under budget joins the
+                    // resolve set — the §4.1 unbiased filter.
+                    let wanted = !self.tail_only
+                        || (self.seen.insert((doc.token_id, doc.required_hashes))
+                            && doc.required_hashes < budget_per_link);
+                    if wanted {
+                        resolve_step(
+                            service,
+                            &mut self.resolve_report,
+                            &doc.code,
+                            budget_per_link,
+                        );
+                    }
+                }
+                e.docs.push(doc);
+            }
+            Ok(None) => self.dead_run += 1,
+            // Neutral: not evidence of a dead ID, not a live link.
+            Err(_) => e.failed_probes += 1,
+        }
+        heartbeat.fetch_add(1, Ordering::Relaxed);
+        if self.is_done() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
 }
 
 impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
@@ -375,53 +305,19 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
     }
 
     fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
-        if budget == 0 || self.is_done() {
+        if self.is_done() {
             return;
         }
-        let results = probe_range(
-            self.prober,
-            self.policy,
-            self.enumeration.probed,
-            budget,
-            &self.backend,
+        let base = self.enumeration.probed;
+        let (prober, policy) = (self.prober, self.policy);
+        let backend = self.backend;
+        backend.map_fold(
+            base..base.saturating_add(budget),
+            |i| probe_with_retry(prober, &index_to_code(i), policy),
+            |i| probe_latency_ms(&index_to_code(i)),
+            (),
+            |_, (result, retries)| self.fold_probe(result, retries, heartbeat),
         );
-        // The sequential dead-run fold, in index order; probes past the
-        // stop are overshoot and discarded, exactly like the windowed
-        // walk's final window.
-        let e = &mut self.enumeration;
-        for (result, retries) in results {
-            if self.dead_run >= self.dead_run_limit {
-                break;
-            }
-            e.probed += 1;
-            e.probe_retries += u64::from(retries);
-            match result {
-                Ok(Some(doc)) => {
-                    self.dead_run = 0;
-                    if let Some((service, budget_per_link)) = self.resolver {
-                        // In tail mode, only the first sighting of a
-                        // (token, requirement) pair under budget joins
-                        // the resolve set — the §4.1 unbiased filter.
-                        let wanted = !self.tail_only
-                            || (self.seen.insert((doc.token_id, doc.required_hashes))
-                                && doc.required_hashes < budget_per_link);
-                        if wanted {
-                            resolve_step(
-                                service,
-                                &mut self.resolve_report,
-                                &doc.code,
-                                budget_per_link,
-                            );
-                        }
-                    }
-                    e.docs.push(doc);
-                }
-                Ok(None) => self.dead_run += 1,
-                // Neutral: not evidence of a dead ID, not a live link.
-                Err(_) => e.failed_probes += 1,
-            }
-            heartbeat.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     fn finish(self) -> EnumCampaignOutput {
@@ -470,13 +366,9 @@ mod tests {
         for backend in [
             Backend::Sequential,
             Backend::Sharded(3),
-            Backend::Streaming {
-                workers: 2,
-                capacity: 8,
-            },
             Backend::Async { concurrency: 16 },
         ] {
-            let dir = tmpdir(&format!("walk-{}", backend.label()));
+            let dir = tmpdir(&format!("walk-{backend}"));
             let store = SnapshotStore::open(&dir).unwrap();
             let sup = Supervisor::new(CrashPolicy {
                 ckpt_every_items: 64,
@@ -493,7 +385,7 @@ mod tests {
                 .unwrap();
             assert_enum_eq(&run.output.enumeration, &expected);
             assert!(run.report.balanced(), "{:?}", run.report);
-            assert_eq!(run.report.crashes, 3, "backend={}", backend.label());
+            assert_eq!(run.report.crashes, 3, "backend={}", backend);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -558,14 +450,8 @@ mod tests {
             .collect();
         let expected = resolve_accounted(&service, &tail_codes, budget);
         assert!(!expected.resolved.is_empty(), "tail set must be non-empty");
-        for backend in [
-            Backend::Sequential,
-            Backend::Streaming {
-                workers: 3,
-                capacity: 16,
-            },
-        ] {
-            let dir = tmpdir(&format!("tail-{}", backend.label()));
+        for backend in [Backend::Sequential, Backend::Sharded(3)] {
+            let dir = tmpdir(&format!("tail-{backend}"));
             let store = SnapshotStore::open(&dir).unwrap();
             let sup = Supervisor::new(CrashPolicy {
                 ckpt_every_items: 32,
@@ -583,13 +469,12 @@ mod tests {
                     false,
                 )
                 .unwrap();
-            assert_eq!(run.report.crashes, 2, "backend={}", backend.label());
+            assert_eq!(run.report.crashes, 2, "backend={}", backend);
             assert_enum_eq(&run.output.enumeration, &clean);
             assert_eq!(
-                run.output.resolve_report.resolved,
-                expected.resolved,
+                run.output.resolve_report.resolved, expected.resolved,
                 "backend={}",
-                backend.label()
+                backend
             );
             assert_eq!(
                 run.output.resolve_report.hashes_spent,
@@ -597,6 +482,28 @@ mod tests {
             );
             assert_eq!(run.output.resolve_report.skipped_over_budget, 0);
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn unbounded_budget_after_a_restore_finishes_the_walk() {
+        // `run_items(u64::MAX)` walks to the dead-run stop in one call,
+        // so a restored walk driven with the largest budget still matches
+        // the uninterrupted run.
+        let service = service();
+        let policy = ProbePolicy::default();
+        let expected = enumerate_links_with(&service, 32, &policy);
+        for backend in [Backend::Sequential, Backend::Sharded(2)] {
+            let mut first = EnumCampaign::new(&service, &policy, 32, backend);
+            first.run_items(250, &AtomicU64::new(0));
+            let snap = first.snapshot();
+            let mut resumed = EnumCampaign::new(&service, &policy, 32, backend);
+            resumed.restore(&snap).unwrap();
+            let heartbeat = AtomicU64::new(0);
+            while !resumed.is_done() {
+                resumed.run_items(u64::MAX, &heartbeat);
+            }
+            assert_enum_eq(&resumed.finish().enumeration, &expected);
         }
     }
 

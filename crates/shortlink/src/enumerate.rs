@@ -5,15 +5,10 @@
 //! of hash computations required." The walk stops after a configurable
 //! run of dead codes (the live space is a prefix because IDs increase).
 //!
-//! The paper's crawl covered 1.7 M IDs; [`enumerate_links_sharded`]
-//! spreads the probing across a [`ParallelExecutor`] while reproducing
-//! the sequential walk's stopping semantics *exactly*: IDs are probed in
-//! fixed-size windows, each window is chunked across shards, and the
-//! per-chunk dead-run summaries are folded in index order with a
-//! cross-chunk carry until some chunk completes a run of
-//! `dead_run_limit` consecutive dead codes. Everything probed past that
-//! point is discarded, so `docs` and `probed` are identical to
-//! [`enumerate_links`] for any shard count and any window size.
+//! [`enumerate_links_with`] is the sequential reference walk; the
+//! paper-scale crawl runs the same walk as an
+//! [`EnumCampaign`](crate::campaign::EnumCampaign) on any execution
+//! backend, bit-identical to this one.
 //!
 //! Probes can also *fail* at the transport level (see
 //! [`crate::probe`]). Failures are retried under a [`ProbePolicy`];
@@ -21,20 +16,11 @@
 //! heuristic — it neither resets the run (failures in dead space must
 //! not keep the walk alive forever) nor advances it (an outage must
 //! not truncate the live ID space) — and is tallied in
-//! [`Enumeration::failed_probes`]. The windowed-sharded walk preserves
-//! bit-identical equivalence with the sequential walk under *any*
-//! fault schedule, because faults are keyed by link code, not by
-//! probing order.
+//! [`Enumeration::failed_probes`].
 
 use crate::ids::index_to_code;
-use crate::probe::{probe_with_retry, LinkProber, ProbeError, ProbePolicy};
+use crate::probe::{probe_with_retry, LinkProber, ProbePolicy};
 use crate::service::{ShortlinkService, VisitDoc};
-use minedig_primitives::aexec::{AsyncExecutor, AsyncRun};
-use minedig_primitives::par::{ExecStats, ParallelExecutor, ShardedTask};
-use minedig_primitives::pipeline::{PipelineExecutor, PipelineRun, PipelineStage};
-use minedig_primitives::rng::DetRng;
-use std::ops::{ControlFlow, Range};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Result of enumerating the address space.
 #[derive(Clone, Debug)]
@@ -136,457 +122,6 @@ pub fn enumerate_links_with<P: LinkProber>(
     e
 }
 
-/// An [`Enumeration`] plus the executor stats of producing it.
-///
-/// `stats.items` counts probes actually issued, which can exceed
-/// `enumeration.probed`: parallel shards overshoot the stopping point
-/// within the final window, and the overshoot is discarded during the
-/// merge (the sequential walk would never have issued those probes).
-#[derive(Clone, Debug)]
-pub struct EnumerationRun {
-    /// The merged enumeration, identical to the sequential walk.
-    pub enumeration: Enumeration,
-    /// How the probing was spread and how fast it went.
-    pub stats: ExecStats,
-}
-
-/// Partial outcome of probing one contiguous ID range: the live docs
-/// plus a dead-run summary that composes across chunk boundaries.
-/// Failed probes are listed by index so the driver can discard the
-/// ones past the stopping point exactly like overshoot docs.
-struct ProbeSegment {
-    /// Probes issued (the full range, unless the segment stopped early).
-    len: u64,
-    /// Live finds in index order.
-    docs: Vec<(u64, VisitDoc)>,
-    /// Probes that exhausted their retries, in index order (neutral to
-    /// the dead run).
-    failed: Vec<u64>,
-    /// `(index, retries)` of probes that needed retries (sparse).
-    retried: Vec<(u64, u32)>,
-    /// Global indices of the dead codes before the first live probe,
-    /// capped at the dead-run limit (a longer prefix stops the walk
-    /// regardless of the incoming carry, so probing further is
-    /// pointless). With failures interleaved the stop index is the
-    /// `(limit − carry)`-th entry here, not simple arithmetic.
-    prefix_dead: Vec<u64>,
-    /// Consecutive dead codes since the last live probe (failures do
-    /// not reset this count; they are invisible to it).
-    suffix_dead: u64,
-    /// No live probe in this segment (failures allowed).
-    all_dead: bool,
-    /// Earliest global index completing a dead run of the limit that
-    /// began *after* a live probe in this segment — i.e. a stop the
-    /// incoming carry cannot influence.
-    internal_stop: Option<u64>,
-}
-
-/// Probes `range`, recording live docs and the dead-run summary. Stops
-/// early once a stop is certain: either a post-live dead run reaches the
-/// limit (`internal_stop`), or the leading dead prefix alone reaches it
-/// (any carry ≥ 0 completes there).
-fn probe_segment<P: LinkProber>(
-    prober: &P,
-    range: Range<u64>,
-    limit: u64,
-    policy: &ProbePolicy,
-    progress: &AtomicU64,
-) -> ProbeSegment {
-    let mut seg = ProbeSegment {
-        len: 0,
-        docs: Vec::new(),
-        failed: Vec::new(),
-        retried: Vec::new(),
-        prefix_dead: Vec::new(),
-        suffix_dead: 0,
-        all_dead: true,
-        internal_stop: None,
-    };
-    let mut run = 0u64;
-    for index in range {
-        progress.fetch_add(1, Ordering::Relaxed);
-        seg.len += 1;
-        let (result, retries) = probe_with_retry(prober, &index_to_code(index), policy);
-        if retries > 0 {
-            seg.retried.push((index, retries));
-        }
-        match result {
-            Ok(Some(doc)) => {
-                seg.all_dead = false;
-                run = 0;
-                seg.docs.push((index, doc));
-            }
-            Ok(None) => {
-                run += 1;
-                if seg.all_dead && (seg.prefix_dead.len() as u64) < limit {
-                    seg.prefix_dead.push(index);
-                }
-                if run == limit {
-                    if !seg.all_dead {
-                        seg.internal_stop = Some(index);
-                    }
-                    break;
-                }
-            }
-            // Neutral: neither resets nor advances the dead run.
-            Err(_) => seg.failed.push(index),
-        }
-    }
-    seg.suffix_dead = run;
-    seg
-}
-
-/// One window of the sharded walk: `window` consecutive IDs starting at
-/// `base`, chunked contiguously across shards. Merge concatenates the
-/// per-shard segments in shard-index (= ID) order; the carry fold
-/// happens in the driver.
-struct WindowTask<'a, P: LinkProber> {
-    prober: &'a P,
-    policy: &'a ProbePolicy,
-    base: u64,
-    window: usize,
-    limit: u64,
-}
-
-impl<P: LinkProber> ShardedTask for WindowTask<'_, P> {
-    type Output = Vec<ProbeSegment>;
-
-    fn len(&self) -> usize {
-        self.window
-    }
-
-    fn run_shard(&self, range: Range<usize>, progress: &AtomicU64) -> Vec<ProbeSegment> {
-        let range = self.base + range.start as u64..self.base + range.end as u64;
-        vec![probe_segment(
-            self.prober,
-            range,
-            self.limit,
-            self.policy,
-            progress,
-        )]
-    }
-
-    fn merge(&self, acc: &mut Vec<ProbeSegment>, mut next: Vec<ProbeSegment>) {
-        acc.append(&mut next);
-    }
-}
-
-/// Default per-shard probes per window. Windows much smaller than this
-/// spend their time on spawn/merge overhead; the final window overshoots
-/// the stopping point by at most `shards × chunk` discarded probes.
-const DEFAULT_CHUNK: usize = 4_096;
-
-/// Walks the ID space across `executor`'s shards, stopping after
-/// `dead_run_limit` consecutive dead codes exactly like
-/// [`enumerate_links`] — same `docs` (and order), same `probed` — for
-/// any shard count.
-pub fn enumerate_links_sharded(
-    service: &ShortlinkService,
-    dead_run_limit: u64,
-    executor: &ParallelExecutor,
-) -> EnumerationRun {
-    enumerate_links_sharded_with(service, dead_run_limit, executor, &ProbePolicy::default())
-}
-
-/// [`enumerate_links_sharded`] over an arbitrary prober and retry
-/// policy — same bit-identical-to-sequential guarantee under any fault
-/// schedule, because fault schedules and retry jitter are keyed by link
-/// code rather than probing order.
-pub fn enumerate_links_sharded_with<P: LinkProber>(
-    prober: &P,
-    dead_run_limit: u64,
-    executor: &ParallelExecutor,
-    policy: &ProbePolicy,
-) -> EnumerationRun {
-    let chunk = (dead_run_limit as usize).max(DEFAULT_CHUNK);
-    enumerate_links_windowed_with(prober, dead_run_limit, executor, chunk, policy)
-}
-
-/// [`enumerate_links_sharded`] with an explicit per-shard window size.
-/// Exposed so equivalence tests can force many tiny windows and exercise
-/// the cross-chunk carry; results are window-size-invariant.
-pub fn enumerate_links_windowed(
-    service: &ShortlinkService,
-    dead_run_limit: u64,
-    executor: &ParallelExecutor,
-    chunk_per_shard: usize,
-) -> EnumerationRun {
-    enumerate_links_windowed_with(
-        service,
-        dead_run_limit,
-        executor,
-        chunk_per_shard,
-        &ProbePolicy::default(),
-    )
-}
-
-/// The general windowed walk: any prober, any retry policy, any window
-/// size — always identical to [`enumerate_links_with`].
-pub fn enumerate_links_windowed_with<P: LinkProber>(
-    prober: &P,
-    dead_run_limit: u64,
-    executor: &ParallelExecutor,
-    chunk_per_shard: usize,
-    policy: &ProbePolicy,
-) -> EnumerationRun {
-    let shards = executor.shards();
-    let mut stats = ExecStats::zero(shards);
-    let mut enumeration = Enumeration {
-        docs: Vec::new(),
-        probed: 0,
-        failed_probes: 0,
-        probe_retries: 0,
-    };
-    if dead_run_limit == 0 {
-        // The sequential walk never probes anything.
-        return EnumerationRun { enumeration, stats };
-    }
-    let window = chunk_per_shard.max(1) * shards;
-    let mut base = 0u64;
-    // Dead run carried into the next segment (always < dead_run_limit).
-    let mut carry = 0u64;
-    loop {
-        let run = executor.execute(&WindowTask {
-            prober,
-            policy,
-            base,
-            window,
-            limit: dead_run_limit,
-        });
-        stats.absorb(&run.stats);
-        for seg in run.outcome {
-            // A dead prefix completing the carried run stops the walk
-            // before anything else in this segment can. With failures
-            // interleaved the stop is the index of the
-            // `(limit − carry)`-th leading dead probe.
-            let stop = if carry + seg.prefix_dead.len() as u64 >= dead_run_limit {
-                Some(seg.prefix_dead[(dead_run_limit - carry - 1) as usize])
-            } else {
-                seg.internal_stop
-            };
-            if let Some(stop) = stop {
-                // Discard overshoot: the sequential walk ends here.
-                enumeration.docs.extend(
-                    seg.docs
-                        .into_iter()
-                        .filter(|(index, _)| *index <= stop)
-                        .map(|(_, doc)| doc),
-                );
-                enumeration.failed_probes +=
-                    seg.failed.iter().filter(|&&i| i <= stop).count() as u64;
-                enumeration.probe_retries += seg
-                    .retried
-                    .iter()
-                    .filter(|(i, _)| *i <= stop)
-                    .map(|(_, r)| u64::from(*r))
-                    .sum::<u64>();
-                enumeration.probed = stop + 1;
-                return EnumerationRun { enumeration, stats };
-            }
-            carry = if seg.all_dead {
-                carry + seg.suffix_dead
-            } else {
-                seg.suffix_dead
-            };
-            enumeration.failed_probes += seg.failed.len() as u64;
-            enumeration.probe_retries +=
-                seg.retried.iter().map(|(_, r)| u64::from(*r)).sum::<u64>();
-            enumeration
-                .docs
-                .extend(seg.docs.into_iter().map(|(_, doc)| doc));
-        }
-        base += window as u64;
-    }
-}
-
-/// One probe's outcome as it travels between pipeline stages: the probe
-/// result plus the retries it took.
-pub type ProbeOut = (Result<Option<VisitDoc>, ProbeError>, u32);
-
-/// The ID-space probe as a [`PipelineStage`]: items are global indices,
-/// outputs carry the probe result plus the retries it took. Public so
-/// drivers can chain their own downstream stage behind it with
-/// [`PipelineExecutor::run2`] — the streaming study hangs its resolver
-/// stage here.
-pub struct ProbeStage<'a, P: LinkProber> {
-    /// The prober each worker probes through.
-    pub prober: &'a P,
-    /// Retry policy applied per probe.
-    pub policy: &'a ProbePolicy,
-}
-
-impl<P: LinkProber + Sync> PipelineStage for ProbeStage<'_, P> {
-    type In = u64;
-    type Out = ProbeOut;
-    type Scratch = ();
-
-    fn scratch(&self) {}
-
-    fn process(&self, index: u64, _scratch: &mut ()) -> Self::Out {
-        probe_with_retry(self.prober, &index_to_code(index), self.policy)
-    }
-}
-
-/// Streams the ID-space walk through a [`PipelineExecutor`]: probes run
-/// on the pipeline's workers over the *infinite* index source while the
-/// sink replays the sequential dead-run fold in strict ID order,
-/// stopping the pipeline exactly where [`enumerate_links_with`] stops.
-/// Bit-identical to the sequential walk for any worker count and channel
-/// capacity, under any fault schedule (faults and retry jitter are keyed
-/// by link code, not probing order).
-///
-/// `on_doc` is invoked for every live document, in ID order, as the sink
-/// folds it — the streaming hook that lets resolution begin before
-/// enumeration completes.
-pub fn enumerate_links_streaming_with<P: LinkProber + Sync>(
-    prober: &P,
-    dead_run_limit: u64,
-    pipe: &PipelineExecutor,
-    policy: &ProbePolicy,
-    mut on_doc: impl FnMut(&VisitDoc),
-) -> PipelineRun<Enumeration> {
-    let stage = ProbeStage { prober, policy };
-    let empty = Enumeration {
-        docs: Vec::new(),
-        probed: 0,
-        failed_probes: 0,
-        probe_retries: 0,
-    };
-    let run = pipe.run(
-        0u64..,
-        &stage,
-        (empty, 0u64),
-        |(e, dead_run), (result, retries)| {
-            // Mirrors the sequential `while dead_run < limit` guard: the
-            // walk ends before consuming the probe that follows a full
-            // dead run (and immediately when the limit is zero). Workers
-            // overshoot past the stop; the overshoot is discarded.
-            if *dead_run >= dead_run_limit {
-                return ControlFlow::Break(());
-            }
-            e.probed += 1;
-            e.probe_retries += u64::from(retries);
-            match result {
-                Ok(Some(doc)) => {
-                    *dead_run = 0;
-                    on_doc(&doc);
-                    e.docs.push(doc);
-                }
-                Ok(None) => *dead_run += 1,
-                // Neutral: not evidence of a dead ID, not a live link.
-                Err(_) => e.failed_probes += 1,
-            }
-            ControlFlow::Continue(())
-        },
-    );
-    PipelineRun {
-        outcome: run.outcome.0,
-        stats: run.stats,
-    }
-}
-
-/// [`enumerate_links_streaming_with`] over the service itself with the
-/// default (infallible) probe policy.
-pub fn enumerate_links_streaming(
-    service: &ShortlinkService,
-    dead_run_limit: u64,
-    pipe: &PipelineExecutor,
-) -> PipelineRun<Enumeration> {
-    enumerate_links_streaming_with(
-        service,
-        dead_run_limit,
-        pipe,
-        &ProbePolicy::default(),
-        |_| {},
-    )
-}
-
-/// Simulated round-trip for one shortlink probe, keyed by the link code
-/// (never by probing order) so the latency schedule cannot perturb
-/// results across concurrency levels.
-fn probe_latency_ms(code: &str) -> u64 {
-    1 + DetRng::seed(0x5C0DE).derive(code).gen_range(48)
-}
-
-/// Async ID-space walk: probes fan out across up to the executor's
-/// concurrency budget as cooperative tasks on one thread, each awaiting
-/// its virtual round-trip ([`probe_latency_ms`]) while the sink replays
-/// the sequential dead-run fold in strict ID order over the *infinite*
-/// index source, stopping exactly where [`enumerate_links_with`] stops
-/// (in-flight overshoot past the stop is cancelled and discarded).
-/// Bit-identical to the sequential walk for any concurrency, under any
-/// fault schedule — faults, retry jitter, and latency are all keyed by
-/// link code, not probing order.
-///
-/// `on_doc` fires for every live document, in ID order, as the sink
-/// folds it.
-pub fn enumerate_links_async_with<P: LinkProber>(
-    prober: &P,
-    dead_run_limit: u64,
-    aexec: &AsyncExecutor,
-    policy: &ProbePolicy,
-    mut on_doc: impl FnMut(&VisitDoc),
-) -> AsyncRun<Enumeration> {
-    let empty = Enumeration {
-        docs: Vec::new(),
-        probed: 0,
-        failed_probes: 0,
-        probe_retries: 0,
-    };
-    let run = aexec.run_ordered(
-        0u64..,
-        |actx, index| {
-            let code = index_to_code(index);
-            async move {
-                actx.sleep_ms(probe_latency_ms(&code)).await;
-                probe_with_retry(prober, &code, policy)
-            }
-        },
-        (empty, 0u64),
-        |(e, dead_run), (result, retries)| {
-            // Mirrors the sequential `while dead_run < limit` guard: the
-            // walk ends before consuming the probe that follows a full
-            // dead run (and immediately when the limit is zero).
-            if *dead_run >= dead_run_limit {
-                return ControlFlow::Break(());
-            }
-            e.probed += 1;
-            e.probe_retries += u64::from(retries);
-            match result {
-                Ok(Some(doc)) => {
-                    *dead_run = 0;
-                    on_doc(&doc);
-                    e.docs.push(doc);
-                }
-                Ok(None) => *dead_run += 1,
-                // Neutral: not evidence of a dead ID, not a live link.
-                Err(_) => e.failed_probes += 1,
-            }
-            ControlFlow::Continue(())
-        },
-    );
-    AsyncRun {
-        outcome: run.outcome.0,
-        stats: run.stats,
-    }
-}
-
-/// [`enumerate_links_async_with`] over the service itself with the
-/// default (infallible) probe policy.
-pub fn enumerate_links_async(
-    service: &ShortlinkService,
-    dead_run_limit: u64,
-    aexec: &AsyncExecutor,
-) -> AsyncRun<Enumeration> {
-    enumerate_links_async_with(
-        service,
-        dead_run_limit,
-        aexec,
-        &ProbePolicy::default(),
-        |_| {},
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,103 +205,6 @@ mod tests {
         ShortlinkService::new(LinkPopulation { links, users: 8 })
     }
 
-    fn assert_equivalent(service: &ShortlinkService, limit: u64, shards: usize, chunk: usize) {
-        assert_equivalent_with(service, &ProbePolicy::default(), limit, shards, chunk);
-    }
-
-    fn assert_equivalent_with<P: LinkProber>(
-        prober: &P,
-        policy: &ProbePolicy,
-        limit: u64,
-        shards: usize,
-        chunk: usize,
-    ) {
-        let sequential = enumerate_links_with(prober, limit, policy);
-        let run = enumerate_links_windowed_with(
-            prober,
-            limit,
-            &ParallelExecutor::new(shards),
-            chunk,
-            policy,
-        );
-        assert_eq!(
-            run.enumeration.probed, sequential.probed,
-            "probed, shards={shards} chunk={chunk} limit={limit}"
-        );
-        assert_eq!(
-            run.enumeration.docs, sequential.docs,
-            "docs, shards={shards} chunk={chunk} limit={limit}"
-        );
-        assert_eq!(
-            run.enumeration.failed_probes, sequential.failed_probes,
-            "failed_probes, shards={shards} chunk={chunk} limit={limit}"
-        );
-        assert_eq!(
-            run.enumeration.probe_retries, sequential.probe_retries,
-            "probe_retries, shards={shards} chunk={chunk} limit={limit}"
-        );
-        assert_eq!(run.stats.shards, shards);
-        // Shards may overshoot the stop within the last window, never
-        // undershoot it.
-        assert!(run.stats.items >= sequential.probed);
-    }
-
-    #[test]
-    fn sharded_equals_sequential_on_fixture() {
-        let service = ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
-            total_links: 5_000,
-            users: 400,
-            seed: 11,
-        }));
-        for shards in [1, 2, 3, 8, 16] {
-            let sequential = enumerate_links(&service, 64);
-            let run = enumerate_links_sharded(&service, 64, &ParallelExecutor::new(shards));
-            assert_eq!(run.enumeration.probed, sequential.probed, "shards={shards}");
-            assert_eq!(run.enumeration.docs, sequential.docs, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn tiny_windows_exercise_the_carry() {
-        // Dead gaps shorter than the limit must be bridged across chunk
-        // and window boundaries; a gap reaching the limit must stop the
-        // walk at exactly the sequential index.
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        for shards in 1..=6 {
-            for chunk in [1, 2, 3, 7, 64] {
-                for limit in [1, 2, 3, 5, 10, 26] {
-                    assert_equivalent(&service, limit, shards, chunk);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn all_dead_space_stops_at_limit() {
-        let service = gap_service(&[]);
-        for shards in [1, 3, 16] {
-            assert_equivalent(&service, 16, shards, 4);
-        }
-    }
-
-    #[test]
-    fn zero_limit_probes_nothing() {
-        let service = gap_service(&[0, 1, 2]);
-        let run = enumerate_links_sharded(&service, 0, &ParallelExecutor::new(4));
-        assert_eq!(run.enumeration.probed, 0);
-        assert!(run.enumeration.docs.is_empty());
-        assert_eq!(run.stats.items, 0);
-    }
-
-    #[test]
-    fn sequential_executor_matches_exactly_with_no_overshoot_waste() {
-        let service = gap_service(&[0, 3, 4]);
-        let run = enumerate_links_windowed(&service, 4, &ParallelExecutor::sequential(), 2);
-        let sequential = enumerate_links(&service, 4);
-        assert_eq!(run.enumeration.probed, sequential.probed);
-        assert_eq!(run.enumeration.docs, sequential.docs);
-    }
-
     /// Prober that fails permanently on a fixed set of indices and
     /// otherwise answers from the service.
     struct FlakyIndices<'a> {
@@ -846,178 +284,5 @@ mod tests {
         assert_eq!(faulty.probed, clean.probed);
         assert_eq!(faulty.failed_probes, 0);
         assert!(faulty.probe_retries > 0, "p=0.5 must force retries");
-    }
-
-    fn assert_streaming_equivalent_with<P: LinkProber + Sync>(
-        prober: &P,
-        policy: &ProbePolicy,
-        limit: u64,
-        workers: usize,
-        capacity: usize,
-    ) {
-        let sequential = enumerate_links_with(prober, limit, policy);
-        let mut streamed_docs = Vec::new();
-        let run = enumerate_links_streaming_with(
-            prober,
-            limit,
-            &PipelineExecutor::new(workers, capacity),
-            policy,
-            |doc| streamed_docs.push(doc.clone()),
-        );
-        assert_eq!(
-            run.outcome.probed, sequential.probed,
-            "probed, workers={workers} cap={capacity} limit={limit}"
-        );
-        assert_eq!(
-            run.outcome.docs, sequential.docs,
-            "docs, workers={workers} cap={capacity} limit={limit}"
-        );
-        assert_eq!(run.outcome.failed_probes, sequential.failed_probes);
-        assert_eq!(run.outcome.probe_retries, sequential.probe_retries);
-        assert_eq!(streamed_docs, sequential.docs, "on_doc sees the ID order");
-        // The sink folds one extra item: the probe at which it observes
-        // the dead-run guard and stops without consuming it.
-        assert_eq!(run.stats.items, sequential.probed + 1);
-    }
-
-    #[test]
-    fn streaming_walk_equals_sequential() {
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        let policy = ProbePolicy::default();
-        for workers in [1, 2, 3, 8] {
-            for capacity in [1, 2, 64] {
-                for limit in [1, 3, 10, 26] {
-                    assert_streaming_equivalent_with(&service, &policy, limit, workers, capacity);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_walk_zero_limit_probes_nothing() {
-        let service = gap_service(&[0, 1, 2]);
-        let run = enumerate_links_streaming(&service, 0, &PipelineExecutor::new(4, 8));
-        assert_eq!(run.outcome.probed, 0);
-        assert!(run.outcome.docs.is_empty());
-        assert_eq!(run.stats.items, 1, "only the guard item reaches the sink");
-    }
-
-    #[test]
-    fn streaming_walk_is_identical_under_fault_schedules() {
-        use crate::probe::FaultyProber;
-        use minedig_primitives::fault::{FaultConfig, FaultPlan};
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        let plan = FaultPlan::with_config(
-            7,
-            FaultConfig {
-                fault_prob: 0.5,
-                permanent_prob: 0.4,
-                ..FaultConfig::default()
-            },
-        );
-        let prober = FaultyProber::new(&service, plan.clone());
-        let policy = ProbePolicy::outlasting(&plan);
-        for workers in [1, 3, 8] {
-            for limit in [1, 5, 26] {
-                assert_streaming_equivalent_with(&prober, &policy, limit, workers, 4);
-            }
-        }
-    }
-
-    fn assert_async_equivalent_with<P: LinkProber>(
-        prober: &P,
-        policy: &ProbePolicy,
-        limit: u64,
-        concurrency: usize,
-    ) {
-        let sequential = enumerate_links_with(prober, limit, policy);
-        let mut streamed_docs = Vec::new();
-        let run = enumerate_links_async_with(
-            prober,
-            limit,
-            &AsyncExecutor::new(concurrency),
-            policy,
-            |doc| streamed_docs.push(doc.clone()),
-        );
-        assert_eq!(
-            run.outcome.probed, sequential.probed,
-            "probed, concurrency={concurrency} limit={limit}"
-        );
-        assert_eq!(
-            run.outcome.docs, sequential.docs,
-            "docs, concurrency={concurrency} limit={limit}"
-        );
-        assert_eq!(run.outcome.failed_probes, sequential.failed_probes);
-        assert_eq!(run.outcome.probe_retries, sequential.probe_retries);
-        assert_eq!(streamed_docs, sequential.docs, "on_doc sees the ID order");
-        // Tasks may overshoot the stop in flight, never undershoot: the
-        // fold consumes the sequential walk's probes plus the guard item.
-        assert!(run.stats.completed > sequential.probed);
-    }
-
-    #[test]
-    fn async_walk_equals_sequential() {
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        let policy = ProbePolicy::default();
-        for concurrency in [1, 2, 16, 256] {
-            for limit in [1, 3, 10, 26] {
-                assert_async_equivalent_with(&service, &policy, limit, concurrency);
-            }
-        }
-    }
-
-    #[test]
-    fn async_walk_zero_limit_probes_nothing() {
-        let service = gap_service(&[0, 1, 2]);
-        let run = enumerate_links_async(&service, 0, &AsyncExecutor::new(8));
-        assert_eq!(run.outcome.probed, 0);
-        assert!(run.outcome.docs.is_empty());
-    }
-
-    #[test]
-    fn async_walk_is_identical_under_fault_schedules() {
-        use crate::probe::FaultyProber;
-        use minedig_primitives::fault::{FaultConfig, FaultPlan};
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        let plan = FaultPlan::with_config(
-            7,
-            FaultConfig {
-                fault_prob: 0.5,
-                permanent_prob: 0.4,
-                ..FaultConfig::default()
-            },
-        );
-        let prober = FaultyProber::new(&service, plan.clone());
-        let policy = ProbePolicy::outlasting(&plan);
-        for concurrency in [1, 16, 64] {
-            for limit in [1, 5, 26] {
-                assert_async_equivalent_with(&prober, &policy, limit, concurrency);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_walk_is_identical_under_fault_schedules() {
-        use crate::probe::FaultyProber;
-        use minedig_primitives::fault::{FaultConfig, FaultPlan};
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        // Mixed plan: some faults clear, some are permanent.
-        let plan = FaultPlan::with_config(
-            7,
-            FaultConfig {
-                fault_prob: 0.5,
-                permanent_prob: 0.4,
-                ..FaultConfig::default()
-            },
-        );
-        let prober = FaultyProber::new(&service, plan.clone());
-        let policy = ProbePolicy::outlasting(&plan);
-        for shards in 1..=6 {
-            for chunk in [1, 2, 3, 7, 64] {
-                for limit in [1, 3, 5, 10, 26] {
-                    assert_equivalent_with(&prober, &policy, limit, shards, chunk);
-                }
-            }
-        }
     }
 }

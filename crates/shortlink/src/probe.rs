@@ -1,7 +1,7 @@
 //! Probing abstraction for the enumeration campaign, with fault
 //! injection and retries.
 //!
-//! The sequential and sharded enumerators are written against
+//! The sequential walk and the enumeration campaign are written against
 //! [`LinkProber`], which makes the transport explicit: a probe can find
 //! a live link, find a dead ID, or *fail* — and a failure is a
 //! transport artifact, not evidence about the ID space. Keeping those

@@ -40,8 +40,8 @@ pub struct ResolveReport {
 }
 
 /// Resolves one code in accounted mode into `report` — the per-item step
-/// [`resolve_accounted`] folds over its input, exposed so streaming
-/// drivers can resolve links as enumeration emits them.
+/// [`resolve_accounted`] folds over its input, exposed so the
+/// enumeration campaign can resolve links as its fold reaches them.
 pub fn resolve_step(
     service: &ShortlinkService,
     report: &mut ResolveReport,

@@ -103,26 +103,12 @@ impl ShortlinkService {
                 missing: link.required_hashes - credited_hashes,
             });
         }
-        self.credit_creator(link.token_id, link.required_hashes);
-        Ok(link.target_url.clone())
-    }
-
-    /// Reads a link's destination URL without touching the ledger — the
-    /// pure half of a redeem, usable from any thread in any order. The
-    /// streaming study's resolve stage prefetches destinations with this
-    /// while the dead-run sink decides which links actually count.
-    pub fn peek_target(&self, code: &str) -> Option<String> {
-        let link = self.by_index.get(*self.by_code.get(code)?)?;
-        Some(link.target_url.clone())
-    }
-
-    /// Credits `hashes` to a creator's volume ledger — the mutating half
-    /// of a redeem. Saturating: a creator with several ~1e19-hash links
-    /// redeemed under an unlimited budget would wrap a plain sum.
-    pub fn credit_creator(&self, token_id: u64, hashes: u64) {
+        // Saturating: a creator with several ~1e19-hash links redeemed
+        // under an unlimited budget would wrap a plain sum.
         let mut ledger = self.creator_hashes.lock();
-        let credited = ledger.entry(token_id).or_insert(0);
-        *credited = credited.saturating_add(hashes);
+        let credited = ledger.entry(link.token_id).or_insert(0);
+        *credited = credited.saturating_add(link.required_hashes);
+        Ok(link.target_url.clone())
     }
 
     /// Total hashes credited to a creator through redeemed links.

@@ -85,10 +85,70 @@ const PAGE: usize = 65_536;
 const MAX_PAGES: u32 = 256;
 const MAX_CALL_DEPTH: usize = 128;
 
+/// Bytes per lazily materialized chunk of linear memory.
+const CHUNK: usize = 4_096;
+
+/// Linear memory that materializes one [`CHUNK`] at a time, on first
+/// write. Untouched memory reads as zero and costs nothing: a miner
+/// declares a multi-megabyte scratchpad but a fuel-bounded run writes a
+/// few dozen kilobytes of it, and a scan runs such modules on several
+/// threads at once.
+struct Memory {
+    len: usize,
+    chunks: Vec<Option<Box<[u8]>>>,
+}
+
+impl Memory {
+    fn new(len: usize) -> Memory {
+        Memory {
+            len,
+            chunks: vec![None; len.div_ceil(CHUNK)],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn grow(&mut self, len: usize) {
+        self.len = len;
+        self.chunks.resize(len.div_ceil(CHUNK), None);
+    }
+
+    /// Reads `out.len()` bytes at `addr`; the caller has bounds-checked.
+    fn read(&self, addr: usize, out: &mut [u8]) {
+        let (ci, off) = (addr / CHUNK, addr % CHUNK);
+        if off + out.len() <= CHUNK {
+            match &self.chunks[ci] {
+                Some(chunk) => out.copy_from_slice(&chunk[off..off + out.len()]),
+                None => out.fill(0),
+            }
+        } else {
+            for (i, b) in out.iter_mut().enumerate() {
+                let a = addr + i;
+                *b = self.chunks[a / CHUNK].as_ref().map_or(0, |c| c[a % CHUNK]);
+            }
+        }
+    }
+
+    /// Writes `data` at `addr`; the caller has bounds-checked.
+    fn write(&mut self, addr: usize, data: &[u8]) {
+        let (mut a, mut rest) = (addr, data);
+        while !rest.is_empty() {
+            let off = a % CHUNK;
+            let n = rest.len().min(CHUNK - off);
+            let chunk = self.chunks[a / CHUNK].get_or_insert_with(|| vec![0; CHUNK].into());
+            chunk[off..off + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            a += n;
+        }
+    }
+}
+
 /// An instantiated module: code plus a linear memory.
 pub struct Instance {
     module: Module,
-    memory: Vec<u8>,
+    memory: Memory,
     max_pages: u32,
 }
 
@@ -100,7 +160,7 @@ impl Instance {
         let min = min.min(max_pages);
         Instance {
             module,
-            memory: vec![0; min as usize * PAGE],
+            memory: Memory::new(min as usize * PAGE),
             max_pages,
         }
     }
@@ -110,18 +170,13 @@ impl Instance {
         &self.module
     }
 
-    /// Read access to linear memory (for tests/inspection).
-    pub fn memory(&self) -> &[u8] {
-        &self.memory
-    }
-
     /// Writes bytes into linear memory (host → guest).
     pub fn write_memory(&mut self, offset: usize, data: &[u8]) -> Result<(), Trap> {
         let end = offset.checked_add(data.len()).ok_or(Trap::OobMemory)?;
         if end > self.memory.len() {
             return Err(Trap::OobMemory);
         }
-        self.memory[offset..end].copy_from_slice(data);
+        self.memory.write(offset, data);
         Ok(())
     }
 
@@ -287,32 +342,36 @@ impl Instance {
                 }
                 Instr::I32Load(m) => {
                     let addr = self.effective(pop!().as_i32(), m, 4)?;
-                    let v = u32::from_le_bytes(self.memory[addr..addr + 4].try_into().unwrap());
-                    stack.push(Val::I32(v));
+                    let mut bytes = [0; 4];
+                    self.memory.read(addr, &mut bytes);
+                    stack.push(Val::I32(u32::from_le_bytes(bytes)));
                 }
                 Instr::I64Load(m) => {
                     let addr = self.effective(pop!().as_i32(), m, 8)?;
-                    let v = u64::from_le_bytes(self.memory[addr..addr + 8].try_into().unwrap());
-                    stack.push(Val::I64(v));
+                    let mut bytes = [0; 8];
+                    self.memory.read(addr, &mut bytes);
+                    stack.push(Val::I64(u64::from_le_bytes(bytes)));
                 }
                 Instr::I32Load8U(m) => {
                     let addr = self.effective(pop!().as_i32(), m, 1)?;
-                    stack.push(Val::I32(self.memory[addr] as u32));
+                    let mut byte = [0; 1];
+                    self.memory.read(addr, &mut byte);
+                    stack.push(Val::I32(byte[0] as u32));
                 }
                 Instr::I32Store(m) => {
                     let v = pop!().as_i32();
                     let addr = self.effective(pop!().as_i32(), m, 4)?;
-                    self.memory[addr..addr + 4].copy_from_slice(&v.to_le_bytes());
+                    self.memory.write(addr, &v.to_le_bytes());
                 }
                 Instr::I64Store(m) => {
                     let v = pop!().as_i64();
                     let addr = self.effective(pop!().as_i32(), m, 8)?;
-                    self.memory[addr..addr + 8].copy_from_slice(&v.to_le_bytes());
+                    self.memory.write(addr, &v.to_le_bytes());
                 }
                 Instr::I32Store8(m) => {
                     let v = pop!().as_i32();
                     let addr = self.effective(pop!().as_i32(), m, 1)?;
-                    self.memory[addr] = v as u8;
+                    self.memory.write(addr, &[v as u8]);
                 }
                 Instr::MemorySize => stack.push(Val::I32((self.memory.len() / PAGE) as u32)),
                 Instr::MemoryGrow => {
@@ -322,7 +381,7 @@ impl Instance {
                     if target > self.max_pages {
                         stack.push(Val::I32(u32::MAX)); // -1: grow failed
                     } else {
-                        self.memory.resize(target as usize * PAGE, 0);
+                        self.memory.grow(target as usize * PAGE);
                         stack.push(Val::I32(current));
                     }
                 }
@@ -699,6 +758,32 @@ mod tests {
             1,
         );
         assert_eq!(run(&mut i, &[]).unwrap(), Some(Val::I32(2)));
+    }
+
+    #[test]
+    fn lazy_memory_reads_zero_and_spans_chunks() {
+        let mut m = Memory::new(3 * CHUNK);
+        let mut out = [9u8; 8];
+        m.read(CHUNK - 4, &mut out);
+        assert_eq!(out, [0; 8], "untouched memory reads as zero");
+        assert!(
+            m.chunks.iter().all(Option::is_none),
+            "reads materialize nothing"
+        );
+        m.write(CHUNK - 4, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        m.read(CHUNK - 4, &mut out);
+        assert_eq!(out, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(m.chunks.iter().filter(|c| c.is_some()).count(), 2);
+        let big: Vec<u8> = (0..CHUNK as u32 + 10).map(|i| i as u8).collect();
+        m.write(5, &big);
+        let mut back = vec![0u8; big.len()];
+        m.read(5, &mut back);
+        assert_eq!(back, big);
+        m.grow(4 * CHUNK);
+        assert_eq!(m.len(), 4 * CHUNK);
+        let mut tail = [9u8; CHUNK];
+        m.read(3 * CHUNK, &mut tail);
+        assert_eq!(tail, [0; CHUNK]);
     }
 
     #[test]

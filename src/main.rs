@@ -8,15 +8,13 @@
 //! minedig hashrate                          local CryptoNight throughput
 //! ```
 //!
-//! `MINEDIG_STREAM=1 minedig shortlink …` runs the study through the
-//! streaming pipeline (probes fan across `MINEDIG_SHARDS` workers while
-//! a resolver thread consumes the unbiased tail as it is discovered) —
-//! same outputs, overlapped wall-clock, plus pipeline stats.
-//!
-//! `MINEDIG_ASYNC=1` switches `scan` and `shortlink` to the cooperative
-//! async backend instead: up to `MINEDIG_CONCURRENCY` fetches (default
-//! 256) await their simulated network latency at once on a single
-//! thread — same outputs for any concurrency, plus executor stats.
+//! Every command runs its measurement as a campaign on one execution
+//! backend: `MINEDIG_SHARDS=<n>` worker threads (default: one per core;
+//! `1` runs sequentially), or `MINEDIG_ASYNC=1` for the cooperative
+//! async backend with up to `MINEDIG_CONCURRENCY` tasks in flight
+//! (default 256) on one thread. Result lines are identical on every
+//! backend; each campaign prints one line naming its backend, items and
+//! wall time. A malformed value is rejected with exit status 2.
 //!
 //! `MINEDIG_CKPT_DIR=<dir>` runs `scan`, `attribute` and `shortlink`
 //! supervised: progress checkpoints land in `<dir>` every
@@ -35,40 +33,43 @@
 use minedig::analysis::economics::{pool_revenue, ExchangeRate};
 use minedig::analysis::scenario::{run_scenario, run_scenario_supervised, ScenarioConfig};
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
-use minedig::core::exec::{chrome_scan_async, zgrab_scan_async, ScanExecutor};
 use minedig::core::report::{
-    async_poll_summary, async_stats, checkpoint_summary, comparison_table, degradation_summary,
-    fetch_stats, health_summary, pipeline_stats, scan_stats, CampaignHealth, Comparison,
+    async_poll_summary, campaign_line, checkpoint_summary, comparison_table, degradation_summary,
+    fetch_stats, health_summary, CampaignHealth, Comparison,
 };
-use minedig::core::scan::{build_reference_db, FetchModel};
-use minedig::core::shortlink_study::{
-    run_study, run_study_async, run_study_streaming, run_study_supervised, StudyConfig, StudyResult,
-};
+use minedig::core::scan::{build_reference_db, scan_len, FetchModel};
+use minedig::core::shortlink_study::{run_study, run_study_supervised, StudyConfig};
 use minedig::pow::hashrate::measure_hashrate;
 use minedig::pow::Variant;
-use minedig::primitives::aexec::AsyncExecutor;
 use minedig::primitives::ckpt::SnapshotStore;
 use minedig::primitives::fault::FaultPlan;
 use minedig::primitives::health::{health_from_env, HealthConfig};
-use minedig::primitives::par::ParallelExecutor;
-use minedig::primitives::pipeline::PipelineExecutor;
-use minedig::primitives::supervise::{Backend, CrashPolicy, Supervisor, CKPT_DIR_ENV};
+use minedig::primitives::supervise::{
+    run_to_end, Backend, Campaign, CrashPolicy, Supervisor, CKPT_DIR_ENV,
+};
 use minedig::shortlink::model::ModelConfig;
 use minedig::wasm::corpus::generate_corpus;
 use minedig::wasm::{corpus_content_key, CacheWarmth, FingerprintCache};
 use minedig::web::page::CORPUS_SEED;
 use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
+use std::time::Instant;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let resume = args.iter().any(|a| a == "--resume");
     args.retain(|a| a != "--resume");
     let cmd = args.first().map(String::as_str).unwrap_or("help");
+    let backend = || {
+        Backend::from_env().unwrap_or_else(|e| {
+            eprintln!("bad backend configuration: {e}");
+            std::process::exit(2);
+        })
+    };
     match cmd {
-        "scan" => cmd_scan(&args[1..], resume),
-        "attribute" => cmd_attribute(&args[1..], resume),
-        "shortlink" => cmd_shortlink(&args[1..], resume),
+        "scan" => cmd_scan(&args[1..], backend(), resume),
+        "attribute" => cmd_attribute(&args[1..], backend(), resume),
+        "shortlink" => cmd_shortlink(&args[1..], backend(), resume),
         "hashrate" => cmd_hashrate(),
         _ => {
             eprintln!(
@@ -78,6 +79,10 @@ fn main() {
                  minedig attribute [days] [seed] [--resume]\n  \
                  minedig shortlink [links] [seed] [--resume]\n  \
                  minedig hashrate\n\n\
+                 MINEDIG_SHARDS=<n> runs campaigns on n worker threads (default: one per\n\
+                 core; 1 runs sequentially); MINEDIG_ASYNC=1 runs them as cooperative\n\
+                 tasks on one thread, up to MINEDIG_CONCURRENCY in flight (default 256).\n\
+                 Results are identical on every backend.\n\
                  MINEDIG_CKPT_DIR=<dir> checkpoints scan/attribute/shortlink campaigns\n\
                  every MINEDIG_CKPT_EVERY items (default 64), retaining the last\n\
                  MINEDIG_CKPT_KEEP snapshots (default 2); --resume continues from the\n\
@@ -96,29 +101,83 @@ fn arg_u64(args: &[String], idx: usize, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// The snapshot store named by `MINEDIG_CKPT_DIR`, when set.
-fn ckpt_store() -> Option<SnapshotStore> {
-    let dir = std::env::var(CKPT_DIR_ENV).ok()?;
-    match SnapshotStore::open(&dir) {
-        Ok(store) => Some(store),
-        Err(e) => {
+/// A checkpointed run: the snapshot store named by `MINEDIG_CKPT_DIR`,
+/// the supervisor that writes into it, and whether to resume.
+struct Ckpt {
+    store: SnapshotStore,
+    supervisor: Supervisor,
+    resume: bool,
+}
+
+impl Ckpt {
+    /// The checkpoint configuration from the environment, when
+    /// `MINEDIG_CKPT_DIR` is set: the env checkpoint cadence, with
+    /// simulated kills drawn from the fault plan's crash stream when one
+    /// is configured.
+    fn from_env(resume: bool) -> Option<Ckpt> {
+        let dir = std::env::var(CKPT_DIR_ENV).ok()?;
+        let store = SnapshotStore::open(&dir).unwrap_or_else(|e| {
             eprintln!("cannot open checkpoint dir '{dir}': {e}");
             std::process::exit(2);
+        });
+        let supervisor = Supervisor::new(CrashPolicy::from_env());
+        let supervisor = match FaultPlan::from_env() {
+            Some(plan) => supervisor.with_fault_plan(plan),
+            None => supervisor,
+        };
+        Some(Ckpt {
+            store,
+            supervisor,
+            resume,
+        })
+    }
+
+    /// The run header's checkpointing note.
+    fn header(&self, unit: &str) -> String {
+        format!(
+            "checkpointing to {} every {} {unit}{}",
+            self.store.dir().display(),
+            self.supervisor.policy().ckpt_every_items,
+            if self.resume { ", resuming" } else { "" },
+        )
+    }
+}
+
+/// Runs `init`'s scan campaign over `items` domains to completion —
+/// under the supervisor when checkpointing (printing its checkpoint
+/// summary), otherwise straight through — and prints its one-line run
+/// summary.
+fn run_campaign<C: Campaign>(
+    label: &str,
+    backend: &Backend,
+    ckpt: Option<&Ckpt>,
+    name: &str,
+    items: u64,
+    mut init: impl FnMut() -> C,
+) -> C::Output {
+    let started = Instant::now();
+    let output = match ckpt {
+        Some(ck) => {
+            let run = ck
+                .supervisor
+                .run(&ck.store, name, init, ck.resume)
+                .unwrap_or_else(|e| {
+                    eprintln!("{label} campaign failed: {e}");
+                    std::process::exit(1);
+                });
+            print!("{}", checkpoint_summary(label, &run.report));
+            run.output
         }
-    }
+        None => run_to_end(init()),
+    };
+    print!(
+        "{}",
+        campaign_line(label, backend, items, "domains", started.elapsed())
+    );
+    output
 }
 
-/// A supervisor with the env checkpoint cadence, drawing simulated
-/// kills from the fault plan's crash stream when one is configured.
-fn supervisor_from_env() -> Supervisor {
-    let supervisor = Supervisor::new(CrashPolicy::from_env());
-    match FaultPlan::from_env() {
-        Some(plan) => supervisor.with_fault_plan(plan),
-        None => supervisor,
-    }
-}
-
-fn cmd_scan(args: &[String], resume: bool) {
+fn cmd_scan(args: &[String], backend: Backend, resume: bool) {
     let zone = match args.first().map(String::as_str) {
         Some("alexa") => Zone::Alexa,
         Some("com") => Zone::Com,
@@ -158,61 +217,91 @@ fn cmd_scan(args: &[String], resume: bool) {
         None => FetchModel::default(),
     };
 
-    // MINEDIG_CKPT_DIR runs the scan supervised: checkpointed, resumable
-    // with --resume, and with a persistent fingerprint memo. Results are
-    // bit-identical to the unsupervised path on every backend.
-    if let Some(store) = ckpt_store() {
-        supervised_scan(&store, zone, zone_tag, seed, &population, &model, resume);
-        return;
+    // MINEDIG_CKPT_DIR runs both scans supervised: checkpointed,
+    // resumable with --resume, and with a fingerprint memo persisted
+    // across runs. Results are bit-identical either way.
+    let ckpt = Ckpt::from_env(resume);
+    if let Some(ck) = &ckpt {
+        println!("{} ({backend} backend)", ck.header("items"));
     }
+    let items = scan_len(&population) as u64;
 
-    // MINEDIG_ASYNC=1 fans fetches out as cooperative tasks on one
-    // thread; otherwise the scan shards across MINEDIG_SHARDS workers
-    // (default: all cores). Either way, outcomes are bit-identical to a
-    // sequential scan.
-    let async_exec = std::env::var("MINEDIG_ASYNC")
-        .is_ok()
-        .then(AsyncExecutor::from_env);
-    let executor = ScanExecutor::from_env();
-    let (zg, zg_stats) = match &async_exec {
-        Some(aexec) => {
-            let run = zgrab_scan_async(&population, seed, &model, aexec);
-            (run.outcome, async_stats("zgrab", &run.stats))
-        }
-        None => {
-            let run = executor.zgrab_with(&population, seed, &model);
-            (run.outcome, scan_stats("zgrab", &run.stats))
-        }
-    };
+    let zg = run_campaign(
+        "zgrab",
+        &backend,
+        ckpt.as_ref(),
+        &format!("scan-zgrab-{zone_tag}-{seed}"),
+        items,
+        || ZgrabCampaign::new(&population, seed, &model, backend),
+    );
     println!(
         "zgrab + NoCoin (TLS-only, 256 kB): {} domains flagged, 0 FPs on {} clean samples",
         zg.hit_domains, zg.clean_sample_size
     );
-    print!("{zg_stats}");
     print!("{}", fetch_stats("zgrab fetches", &zg.fetch));
-
     let mut health = vec![CampaignHealth::from_fetch("zgrab", &zg.fetch)];
 
     if zone.chrome_scanned() {
         let db = build_reference_db(0.7);
-        let (ch, ch_stats) = match &async_exec {
-            Some(aexec) => {
-                let run = chrome_scan_async(&population, &db, seed, &model, None, aexec);
-                (run.outcome, async_stats("chrome", &run.stats))
-            }
-            None => {
-                let run = executor.chrome_with(&population, &db, seed, &model);
-                (run.outcome, scan_stats("chrome", &run.stats))
-            }
+        // The fingerprint memo is content-addressed: in memory for a
+        // plain run, persisted across checkpointed runs keyed by the
+        // module universe it was built over.
+        let corpus_key = ckpt
+            .as_ref()
+            .map(|_| corpus_content_key(&generate_corpus(CORPUS_SEED)));
+        let cache = match (&ckpt, corpus_key) {
+            (Some(ck), Some(key)) => load_memo(&ck.store, key),
+            _ => FingerprintCache::new(),
         };
-        print!("{ch_stats}");
+        let ch = run_campaign(
+            "chrome",
+            &backend,
+            ckpt.as_ref(),
+            &format!("scan-chrome-{zone_tag}-{seed}"),
+            items,
+            || ChromeCampaign::new(&population, &db, seed, &model, Some(&cache), backend),
+        );
         print!("{}", fetch_stats("chrome fetches", &ch.fetch));
         health.push(CampaignHealth::from_fetch("chrome", &ch.fetch));
         print_chrome_findings(&ch);
+
+        if let (Some(ck), Some(key)) = (&ckpt, corpus_key) {
+            println!(
+                "fingerprint memo: {} entries, hit rate {:.1}% ({:.1}% warm, {:.1}% cold)",
+                cache.entries(),
+                cache.hit_rate() * 100.0,
+                cache.warm_hit_rate() * 100.0,
+                (cache.hit_rate() - cache.warm_hit_rate()) * 100.0,
+            );
+            match cache.save(&ck.store, "fingerprints", key) {
+                Ok(bytes) => println!("fingerprint memo persisted ({bytes} bytes)"),
+                Err(e) => eprintln!("could not persist fingerprint memo: {e}"),
+            }
+        }
     } else {
         println!("(zone not part of the paper's Chrome measurement — §3.2 covers Alexa and .org)");
     }
     print!("{}", degradation_summary(&health));
+}
+
+/// Loads the fingerprint memo persisted in `store` for the module
+/// universe `corpus_key`, reporting how warm it starts.
+fn load_memo(store: &SnapshotStore, corpus_key: u64) -> FingerprintCache {
+    let (cache, warmth) =
+        FingerprintCache::load(store, "fingerprints", corpus_key).unwrap_or_else(|e| {
+            eprintln!("discarding unreadable fingerprint memo: {e}");
+            (FingerprintCache::new(), CacheWarmth::Cold)
+        });
+    match warmth {
+        CacheWarmth::Cold => println!("fingerprint memo: cold start"),
+        CacheWarmth::Stale { found_key } => println!(
+            "fingerprint memo: stale (corpus key {found_key:#x} ≠ {corpus_key:#x}), cold start"
+        ),
+        CacheWarmth::Warm { entries } => {
+            println!("fingerprint memo: warm start, {entries} entries preloaded")
+        }
+    }
+    cache
 }
 
 fn print_chrome_findings(ch: &minedig::core::scan::ChromeScanOutcome) {
@@ -240,131 +329,17 @@ fn print_chrome_findings(ch: &minedig::core::scan::ChromeScanOutcome) {
     );
 }
 
-/// The checkpointed scan: both pipelines run as supervised campaigns,
-/// the Chrome pass reuses a fingerprint memo persisted across runs, and
-/// outcomes match the unsupervised path bit for bit.
-fn supervised_scan(
-    store: &SnapshotStore,
-    zone: Zone,
-    zone_tag: &str,
-    seed: u64,
-    population: &Population,
-    model: &FetchModel,
-    resume: bool,
-) {
-    let backend = Backend::from_env();
-    let supervisor = supervisor_from_env();
-    println!(
-        "checkpointing to {} every {} items ({} backend){}",
-        store.dir().display(),
-        supervisor.policy().ckpt_every_items,
-        backend.label(),
-        if resume { ", resuming" } else { "" },
-    );
-
-    let name = format!("scan-zgrab-{zone_tag}-{seed}");
-    let run = supervisor
-        .run(
-            store,
-            &name,
-            || ZgrabCampaign::new(population, seed, model, backend),
-            resume,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("zgrab campaign failed: {e}");
-            std::process::exit(1);
-        });
-    let zg = run.output;
-    print!("{}", checkpoint_summary("zgrab", &run.report));
-    println!(
-        "zgrab + NoCoin (TLS-only, 256 kB): {} domains flagged, 0 FPs on {} clean samples",
-        zg.hit_domains, zg.clean_sample_size
-    );
-    print!("{}", fetch_stats("zgrab fetches", &zg.fetch));
-    let mut health = vec![CampaignHealth::from_fetch("zgrab", &zg.fetch)];
-
-    if zone.chrome_scanned() {
-        let db = build_reference_db(0.7);
-        // The fingerprint memo is content-addressed, so it persists
-        // across runs keyed by the module universe it was built over.
-        let corpus_key = corpus_content_key(&generate_corpus(CORPUS_SEED));
-        let (cache, warmth) = FingerprintCache::load(store, "fingerprints", corpus_key)
-            .unwrap_or_else(|e| {
-                eprintln!("discarding unreadable fingerprint memo: {e}");
-                (FingerprintCache::new(), CacheWarmth::Cold)
-            });
-        match warmth {
-            CacheWarmth::Cold => println!("fingerprint memo: cold start"),
-            CacheWarmth::Stale { found_key } => println!(
-                "fingerprint memo: stale (corpus key {found_key:#x} ≠ {corpus_key:#x}), cold start"
-            ),
-            CacheWarmth::Warm { entries } => {
-                println!("fingerprint memo: warm start, {entries} entries preloaded")
-            }
-        }
-
-        let name = format!("scan-chrome-{zone_tag}-{seed}");
-        let run = supervisor
-            .run(
-                store,
-                &name,
-                || ChromeCampaign::new(population, &db, seed, model, Some(&cache), backend),
-                resume,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("chrome campaign failed: {e}");
-                std::process::exit(1);
-            });
-        let ch = run.output;
-        print!("{}", checkpoint_summary("chrome", &run.report));
-        print!("{}", fetch_stats("chrome fetches", &ch.fetch));
-        health.push(CampaignHealth::from_fetch("chrome", &ch.fetch));
-        print_chrome_findings(&ch);
-
-        println!(
-            "fingerprint memo: {} entries, hit rate {:.1}% ({:.1}% warm, {:.1}% cold)",
-            cache.entries(),
-            cache.hit_rate() * 100.0,
-            cache.warm_hit_rate() * 100.0,
-            (cache.hit_rate() - cache.warm_hit_rate()) * 100.0,
-        );
-        match cache.save(store, "fingerprints", corpus_key) {
-            Ok(bytes) => println!("fingerprint memo persisted ({bytes} bytes)"),
-            Err(e) => eprintln!("could not persist fingerprint memo: {e}"),
-        }
-    } else {
-        println!("(zone not part of the paper's Chrome measurement — §3.2 covers Alexa and .org)");
-    }
-    print!("{}", degradation_summary(&health));
-}
-
-fn cmd_attribute(args: &[String], resume: bool) {
+fn cmd_attribute(args: &[String], backend: Backend, resume: bool) {
     let days = arg_u64(args, 0, 7);
     let seed = arg_u64(args, 1, 2018);
-    // MINEDIG_SHARDS fans each poll sweep across endpoints;
-    // MINEDIG_ASYNC=1 instead holds every endpoint's fetch in flight at
-    // once on one thread. Results are identical to sequential polling
-    // either way.
-    let poll_shards = ParallelExecutor::from_env().shards();
-    let async_exec = std::env::var("MINEDIG_ASYNC")
-        .is_ok()
-        .then(AsyncExecutor::from_env);
-    match &async_exec {
-        Some(aexec) => println!(
-            "simulating {days} days of Monero with an instrumented Coinhive-style pool \
-             (async polling, {} in flight)…",
-            aexec.concurrency()
-        ),
-        None => println!(
-            "simulating {days} days of Monero with an instrumented Coinhive-style pool \
-             ({poll_shards}-shard polling)…"
-        ),
-    }
+    println!(
+        "simulating {days} days of Monero with an instrumented Coinhive-style pool \
+         ({backend} polling)…"
+    );
     let mut config = ScenarioConfig {
         duration_days: days,
         seed,
-        poll_shards,
-        poll_async: async_exec.as_ref().map(|a| a.concurrency()),
+        backend,
         ..ScenarioConfig::default()
     };
     if let Some(plan) = FaultPlan::from_env() {
@@ -389,25 +364,31 @@ fn cmd_attribute(args: &[String], resume: bool) {
     // one block event, checkpoints every MINEDIG_CKPT_EVERY events,
     // --resume continues from the latest snapshot — bit-identical to
     // the unsupervised scenario.
-    let result = if let Some(store) = ckpt_store() {
-        let supervisor = supervisor_from_env();
-        println!(
-            "checkpointing to {} every {} block events{}",
-            store.dir().display(),
-            supervisor.policy().ckpt_every_items,
-            if resume { ", resuming" } else { "" },
-        );
-        let name = format!("attribute-{days}-{seed}");
-        let run = run_scenario_supervised(&config, &store, &name, &supervisor, resume)
-            .unwrap_or_else(|e| {
-                eprintln!("attribution campaign failed: {e}");
-                std::process::exit(1);
-            });
-        print!("{}", checkpoint_summary("attribute", &run.report));
-        run.output
-    } else {
-        run_scenario(config)
+    let started = Instant::now();
+    let result = match Ckpt::from_env(resume) {
+        Some(ck) => {
+            println!("{}", ck.header("block events"));
+            let name = format!("attribute-{days}-{seed}");
+            let run = run_scenario_supervised(&config, &ck.store, &name, &ck.supervisor, ck.resume)
+                .unwrap_or_else(|e| {
+                    eprintln!("attribution campaign failed: {e}");
+                    std::process::exit(1);
+                });
+            print!("{}", checkpoint_summary("attribute", &run.report));
+            run.output
+        }
+        None => run_scenario(config),
     };
+    print!(
+        "{}",
+        campaign_line(
+            "attribute",
+            &backend,
+            result.total_blocks,
+            "blocks",
+            started.elapsed()
+        )
+    );
     let ps = &result.poll_stats;
     println!(
         "polls: {} issued, {} answered, {} offline, {} retries, {} endpoint-sweeps down, \
@@ -447,91 +428,54 @@ fn cmd_attribute(args: &[String], resume: bool) {
     );
 }
 
-fn cmd_shortlink(args: &[String], resume: bool) {
+fn cmd_shortlink(args: &[String], backend: Backend, resume: bool) {
     let links = arg_u64(args, 0, 50_000);
     let seed = arg_u64(args, 1, 2018);
-    let enum_shards = ParallelExecutor::from_env().shards();
     let config = StudyConfig {
         model: ModelConfig {
             total_links: links,
             users: 12_000.min(links as usize / 4).max(100),
             seed,
         },
-        enum_shards,
+        backend,
         ..StudyConfig::default()
     };
-    let study: StudyResult = if let Some(store) = ckpt_store() {
-        let backend = Backend::from_env();
-        let supervisor = supervisor_from_env();
-        println!(
-            "generating {links} short links; supervised enumeration ({} backend), \
-             checkpointing to {} every {} items{}…",
-            backend.label(),
-            store.dir().display(),
-            supervisor.policy().ckpt_every_items,
-            if resume { ", resuming" } else { "" },
-        );
-        let name = format!("shortlink-{links}-{seed}");
-        let run = run_study_supervised(&config, seed, &store, &name, &supervisor, backend, resume)
-            .unwrap_or_else(|e| {
-                eprintln!("shortlink campaign failed: {e}");
-                std::process::exit(1);
-            });
-        print!("{}", checkpoint_summary("shortlink enum", &run.report));
-        print!(
-            "{}",
-            degradation_summary(&[CampaignHealth::from_enumeration(
-                "shortlink enum",
-                &run.result.enumeration,
-            )])
-        );
-        run.result
-    } else if std::env::var("MINEDIG_ASYNC").is_ok() {
-        let aexec = AsyncExecutor::from_env();
-        println!(
-            "generating {links} short links; async enumeration with up to \
-             {} probes in flight…",
-            aexec.concurrency()
-        );
-        let run = run_study_async(&config, seed, &aexec);
-        print!("{}", async_stats("enumerate", &run.enum_stats));
-        print!(
-            "{}",
-            degradation_summary(&[CampaignHealth::from_enumeration(
-                "shortlink enum",
-                &run.result.enumeration,
-            )])
-        );
-        run.result
-    } else if std::env::var("MINEDIG_STREAM").is_ok() {
-        let pipe = PipelineExecutor::from_env();
-        println!(
-            "generating {links} short links; streaming enumerate→resolve \
-             across {} pipeline workers…",
-            pipe.workers()
-        );
-        let streamed = run_study_streaming(&config, seed, &pipe);
-        print!("{}", pipeline_stats("enumerate", &streamed.enum_stats));
-        println!(
-            "resolver: {} links resolved concurrently, overlap with enumeration: {}",
-            streamed.resolver.items,
-            if streamed.overlapped() { "yes" } else { "no" }
-        );
-        print!(
-            "{}",
-            degradation_summary(&[CampaignHealth::from_enumeration(
-                "shortlink enum",
-                &streamed.result.enumeration,
-            )])
-        );
-        streamed.result
-    } else {
-        println!(
-            "generating {links} short links and enumerating the ID space \
-             ({enum_shards}-shard probing)…"
-        );
-        run_study(&config, seed)
+    println!("generating {links} short links and enumerating the ID space ({backend} backend)…");
+    // MINEDIG_CKPT_DIR runs the walk, with the unbiased tail resolved as
+    // it goes, supervised and resumable — bit-identical either way.
+    let started = Instant::now();
+    let study = match Ckpt::from_env(resume) {
+        Some(ck) => {
+            println!("{}", ck.header("items"));
+            let name = format!("shortlink-{links}-{seed}");
+            let run =
+                run_study_supervised(&config, seed, &ck.store, &name, &ck.supervisor, ck.resume)
+                    .unwrap_or_else(|e| {
+                        eprintln!("shortlink campaign failed: {e}");
+                        std::process::exit(1);
+                    });
+            print!("{}", checkpoint_summary("shortlink enum", &run.report));
+            run.result
+        }
+        None => run_study(&config, seed),
     };
+    print!(
+        "{}",
+        campaign_line(
+            "shortlink enum",
+            &backend,
+            study.enumeration.probed,
+            "probes",
+            started.elapsed()
+        )
+    );
+    print!(
+        "{}",
+        degradation_summary(&[CampaignHealth::from_enumeration(
+            "shortlink enum",
+            &study.enumeration,
+        )])
+    );
     println!(
         "top-1 user owns {:.1}% of links; {} users own 85% (paper: 1/3 and 10)",
         study.top1_share * 100.0,

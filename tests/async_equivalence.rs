@@ -1,30 +1,29 @@
 //! Equivalence properties of the cooperative async backend.
 //!
-//! Headline invariant: the async executor produces **bit-identical**
-//! outcomes to the sequential kernels — and therefore to the sharded
-//! and streaming backends, which carry the same guarantee — for any
+//! Headline invariant: a campaign on `Async{concurrency}` produces
+//! **bit-identical** outcomes to the sequential kernels — and therefore
+//! to the sharded backend, which carries the same guarantee — for any
 //! concurrency, fault schedule, or poll order. Probes derive all
 //! randomness (including their virtual latency) from stable keys, and
-//! the fold consumes completions through a reorder buffer in item
-//! order, so scheduling cannot leak into results.
+//! the fold consumes completions in item order, so scheduling cannot
+//! leak into results.
 //!
 //! `MINEDIG_CONCURRENCY` and `MINEDIG_FAULT_SEED` are the CI matrix
 //! axes: every job re-proves the invariant at a different in-flight
 //! budget against a different fault schedule.
 
-use minedig::core::exec::{
-    chrome_scan_async, zgrab_scan_async, zgrab_scan_streaming, ScanExecutor,
-};
+use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{
-    build_reference_db, chrome_scan, chrome_scan_with, zgrab_scan_with, FetchModel,
+    build_reference_db, chrome_scan, chrome_scan_with, crawl_latency_ms, scan_item, scan_len,
+    zgrab_probe_domain, zgrab_scan_with, FetchModel, ZgrabProbeCtx, STALL_LATENCY_MS,
 };
-use minedig::core::shortlink_study::{run_study, run_study_async, StudyConfig};
-use minedig::primitives::aexec::{AsyncExecutor, DEFAULT_CONCURRENCY};
+use minedig::core::shortlink_study::{run_study, StudyConfig};
+use minedig::nocoin::NoCoinEngine;
+use minedig::primitives::aexec::DEFAULT_CONCURRENCY;
 use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
-use minedig::primitives::pipeline::PipelineExecutor;
-use minedig::shortlink::enumerate::{
-    enumerate_links_async_with, enumerate_links_sharded_with, enumerate_links_with,
-};
+use minedig::primitives::supervise::{run_to_end, Backend};
+use minedig::shortlink::campaign::EnumCampaign;
+use minedig::shortlink::enumerate::enumerate_links_with;
 use minedig::shortlink::model::ModelConfig;
 use minedig::shortlink::probe::{FaultyProber, ProbePolicy};
 use minedig::shortlink::service::ShortlinkService;
@@ -33,7 +32,8 @@ use minedig::wasm::sigdb::SignatureDb;
 use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::ops::ControlFlow;
+use std::sync::{Mutex, OnceLock};
 
 /// Base fault seed from the environment (the CI matrix axis).
 fn base_seed() -> u64 {
@@ -72,8 +72,8 @@ fn mixed_plan(fault_off: u64, permanent: f64) -> FaultPlan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Async ≡ sequential ≡ sharded ≡ streaming for the zgrab scan,
-    // under mixed (clearing + permanent) chaos, at any concurrency.
+    // Async ≡ sequential ≡ sharded for the zgrab scan, under mixed
+    // (clearing + permanent) chaos, at any concurrency.
     #[test]
     fn async_zgrab_equals_every_other_backend(
         seed in 0u64..1_000_000,
@@ -86,21 +86,19 @@ proptest! {
         let pop = Population::generate(zone(zone_ix), seed, clean);
         let model = FetchModel::outlasting(mixed_plan(fault_off, permanent));
         let sequential = zgrab_scan_with(&pop, seed, &model);
-        let run = zgrab_scan_async(&pop, seed, &model, &AsyncExecutor::new(concurrency));
-        prop_assert_eq!(&run.outcome, &sequential, "concurrency={}", concurrency);
+        let run = run_to_end(ZgrabCampaign::new(&pop, seed, &model, Backend::Async { concurrency }));
+        prop_assert_eq!(&run, &sequential, "concurrency={}", concurrency);
         prop_assert_eq!(
-            run.stats.completed,
+            run.fetch.attempted,
             (pop.artifacts.len() + pop.clean_sample.len()) as u64
         );
-        let sharded = ScanExecutor::new(1 + concurrency % 8).zgrab_with(&pop, seed, &model);
-        prop_assert_eq!(&sharded.outcome, &sequential);
-        let pipe = PipelineExecutor::new(1 + concurrency % 4, 16);
-        let streamed = zgrab_scan_streaming(&pop, seed, &model, &pipe);
-        prop_assert_eq!(&streamed.outcome, &sequential);
+        let sharded = Backend::Sharded(1 + concurrency % 8);
+        let sharded = run_to_end(ZgrabCampaign::new(&pop, seed, &model, sharded));
+        prop_assert_eq!(&sharded, &sequential);
     }
 
-    // The same four-way equivalence for the enumerate walk, with
-    // transport faults keyed by link code.
+    // The same equivalence for the enumerate walk, with transport
+    // faults keyed by link code.
     #[test]
     fn async_enumerate_equals_every_other_backend(
         links in 100u64..2_000,
@@ -119,27 +117,21 @@ proptest! {
         let prober = FaultyProber::new(&service, plan.clone());
         let policy = ProbePolicy::outlasting(&plan);
         let sequential = enumerate_links_with(&prober, limit, &policy);
-        let mut streamed_docs = Vec::new();
-        let run = enumerate_links_async_with(
+        let run = run_to_end(EnumCampaign::new(
             &prober,
-            limit,
-            &AsyncExecutor::new(concurrency),
             &policy,
-            |doc| streamed_docs.push(doc.clone()),
-        );
-        prop_assert_eq!(&run.outcome.docs, &sequential.docs, "concurrency={}", concurrency);
-        prop_assert_eq!(run.outcome.probed, sequential.probed);
-        prop_assert_eq!(run.outcome.failed_probes, sequential.failed_probes);
-        prop_assert_eq!(run.outcome.probe_retries, sequential.probe_retries);
-        prop_assert_eq!(&streamed_docs, &sequential.docs, "on_doc sees ID order");
-        let sharded = enumerate_links_sharded_with(
-            &prober,
             limit,
-            &minedig::primitives::par::ParallelExecutor::new(1 + concurrency % 8),
-            &policy,
-        );
-        prop_assert_eq!(&sharded.enumeration.docs, &sequential.docs);
-        prop_assert_eq!(sharded.enumeration.probed, sequential.probed);
+            Backend::Async { concurrency },
+        ))
+        .enumeration;
+        prop_assert_eq!(&run.docs, &sequential.docs, "concurrency={}", concurrency);
+        prop_assert_eq!(run.probed, sequential.probed);
+        prop_assert_eq!(run.failed_probes, sequential.failed_probes);
+        prop_assert_eq!(run.probe_retries, sequential.probe_retries);
+        let sharded = Backend::Sharded(1 + concurrency % 8);
+        let sharded = run_to_end(EnumCampaign::new(&prober, &policy, limit, sharded)).enumeration;
+        prop_assert_eq!(&sharded.docs, &sequential.docs);
+        prop_assert_eq!(sharded.probed, sequential.probed);
     }
 }
 
@@ -147,7 +139,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     // The chrome pipeline (Alexa/.org only, matching §3.2's coverage):
-    // async ≡ sequential under transient chaos.
+    // async ≡ sequential under transient chaos, and the chaos costs
+    // nothing but retries.
     #[test]
     fn async_chrome_equals_sequential_under_faults(
         seed in 0u64..1_000_000,
@@ -166,24 +159,18 @@ proptest! {
         let mut normalized = faulty.clone();
         normalized.fetch.retries = 0;
         prop_assert_eq!(&normalized, &reference);
-        let run = chrome_scan_async(
-            &pop,
-            db(),
-            seed,
-            &model,
-            None,
-            &AsyncExecutor::new(concurrency),
-        );
-        prop_assert_eq!(&run.outcome, &faulty, "concurrency={}", concurrency);
+        let backend = Backend::Async { concurrency };
+        let run = run_to_end(ChromeCampaign::new(&pop, db(), seed, &model, None, backend));
+        prop_assert_eq!(&run, &faulty, "concurrency={}", concurrency);
     }
 }
 
-// The full §4.1 study through the async walk matches the batch study at
-// the CI matrix's configured concurrency (MINEDIG_CONCURRENCY, default
-// 256) and fault seed.
+// The full §4.1 study with its walk on the async backend matches the
+// sequential study at the CI matrix's configured concurrency
+// (MINEDIG_CONCURRENCY, default 256) and fault seed.
 #[test]
 fn async_study_matches_batch_at_env_concurrency() {
-    let config = StudyConfig {
+    let config = |backend| StudyConfig {
         model: ModelConfig {
             total_links: 8_000,
             users: 600,
@@ -191,24 +178,28 @@ fn async_study_matches_batch_at_env_concurrency() {
         },
         resolve_budget: 10_000,
         per_user_sample: 100,
-        enum_shards: 1,
+        backend,
     };
-    let batch = run_study(&config, 9);
-    let aexec = AsyncExecutor::from_env();
-    let run = run_study_async(&config, 9, &aexec);
-    assert_eq!(run.result.enumeration.probed, batch.enumeration.probed);
-    assert_eq!(run.result.enumeration.docs, batch.enumeration.docs);
-    assert_eq!(run.result.links_per_token, batch.links_per_token);
-    assert_eq!(run.result.hashes_spent, batch.hashes_spent);
-    assert_eq!(run.result.top10_domains, batch.top10_domains);
-    assert_eq!(run.result.tail_categories, batch.tail_categories);
-    assert_eq!(run.enum_stats.concurrency, aexec.concurrency());
+    let batch = run_study(&config(Backend::Sequential), 9);
+    let backend = Backend::parse(|name| match name {
+        "MINEDIG_ASYNC" => Some("1".to_string()),
+        _ => std::env::var(name).ok(),
+    })
+    .expect("MINEDIG_CONCURRENCY must be a positive integer");
+    assert!(matches!(backend, Backend::Async { .. }), "{backend}");
+    let run = run_study(&config(backend), 9);
+    assert_eq!(run.enumeration.probed, batch.enumeration.probed);
+    assert_eq!(run.enumeration.docs, batch.enumeration.docs);
+    assert_eq!(run.links_per_token, batch.links_per_token);
+    assert_eq!(run.hashes_spent, batch.hashes_spent);
+    assert_eq!(run.top10_domains, batch.top10_domains);
+    assert_eq!(run.tail_categories, batch.tail_categories);
 }
 
-// A stalling fault schedule must starve no task: every spawned fetch
-// completes (stalls surface as virtual latency the timer wheel skips
-// over, costing no wall time), and the outcome still matches the
-// sequential run bit for bit.
+// A stalling fault schedule must starve no task: every fetch completes
+// (stalls surface as virtual latency the timer wheel skips over,
+// costing no wall time), and the async campaign still matches the
+// sequential scan bit for bit.
 #[test]
 fn stalling_faults_starve_no_task() {
     let pop = Population::generate(Zone::Org, 7, 100);
@@ -227,36 +218,86 @@ fn stalling_faults_starve_no_task() {
     );
     let model = FetchModel::outlasting(plan);
     let sequential = zgrab_scan_with(&pop, 7, &model);
-    let run = zgrab_scan_async(&pop, 7, &model, &AsyncExecutor::new(64));
-    assert_eq!(run.outcome, sequential);
-    let total = (pop.artifacts.len() + pop.clean_sample.len()) as u64;
-    assert_eq!(run.stats.completed, total, "no task may starve");
-    assert_eq!(run.stats.tasks, total);
-    assert!(
-        run.stats.timer_fires >= total,
-        "every fetch slept at least once"
+    let backend = Backend::Async { concurrency: 64 };
+    let run = run_to_end(ZgrabCampaign::new(&pop, 7, &model, backend));
+    assert_eq!(run, sequential);
+
+    // The campaign's kernel and latency on the dispatcher itself, with
+    // each kernel call logged. The first 64 fetches are in flight from
+    // virtual time 0, so every unstalled one among them (≤ 64 ms) must
+    // run before every stalled one (≥ STALL_LATENCY_MS).
+    let engine = NoCoinEngine::new();
+    let ctx = ZgrabProbeCtx {
+        seed: 7,
+        model: &model,
+        engine: &engine,
+    };
+    let total = scan_len(&pop) as u64;
+    let latency = |i: u64| crawl_latency_ms(&model, &scan_item(&pop, i as usize).0.name);
+    let calls = Mutex::new(Vec::new());
+    let folded = backend.map_fold(
+        0..total,
+        |i| {
+            calls.lock().unwrap().push(i);
+            zgrab_probe_domain(&ctx, scan_item(&pop, i as usize).0)
+        },
+        latency,
+        0u64,
+        |n, _| {
+            *n += 1;
+            ControlFlow::Continue(())
+        },
     );
+    assert_eq!(folded, total, "no task may starve");
+    let calls = calls.into_inner().unwrap();
+    assert_eq!(calls.len() as u64, total, "each fetch runs once");
+    let first_wave: Vec<u64> = calls.iter().copied().filter(|&i| i < 64).collect();
+    let stalled = |i: &u64| latency(*i) >= STALL_LATENCY_MS;
+    let split = first_wave
+        .iter()
+        .position(stalled)
+        .expect("some fetch stalls");
+    assert!(split > 0, "some fetch of the first wave is unstalled");
     assert!(
-        run.stats.virtual_ms >= minedig::core::scan::STALL_LATENCY_MS,
-        "stalls must surface as virtual latency"
+        first_wave[split..].iter().all(stalled),
+        "stalls must surface as virtual latency: {first_wave:?}"
     );
 }
 
-// The in-flight high water at the default budget exceeds the machine's
+// The async backend's default in-flight budget exceeds the machine's
 // core count: concurrency is an I/O property, not a CPU property.
 #[test]
 fn default_concurrency_outstrips_core_count() {
-    let pop = Population::generate(Zone::Org, 42, 400);
-    let aexec = AsyncExecutor::new(DEFAULT_CONCURRENCY);
-    let run = zgrab_scan_async(&pop, 42, &FetchModel::default(), &aexec);
+    let backend = Backend::parse(|name| (name == "MINEDIG_ASYNC").then(|| "1".to_string()));
+    assert_eq!(
+        backend,
+        Ok(Backend::Async {
+            concurrency: DEFAULT_CONCURRENCY
+        })
+    );
+    // Item i sleeps (n - i) ms, so of the tasks in flight the one
+    // spawned last wakes first: the first kernel call names the
+    // dispatcher's fan-out width.
+    let n = 4 * DEFAULT_CONCURRENCY as u64;
+    let calls = Mutex::new(Vec::new());
+    let folded = backend.unwrap().map_fold(
+        0..n,
+        |i| calls.lock().unwrap().push(i),
+        |i| n - i,
+        0u64,
+        |count, ()| {
+            *count += 1;
+            ControlFlow::Continue(())
+        },
+    );
+    assert_eq!(folded, n);
+    let in_flight = calls.into_inner().unwrap()[0] + 1;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(1);
     assert!(
-        run.stats.in_flight_high_water > cores,
-        "high water {} must exceed {} cores",
-        run.stats.in_flight_high_water,
-        cores
+        in_flight > cores,
+        "{in_flight} tasks in flight must exceed {cores} cores"
     );
-    assert_eq!(run.stats.in_flight_high_water, DEFAULT_CONCURRENCY as u64);
+    assert_eq!(in_flight, DEFAULT_CONCURRENCY as u64);
 }

@@ -11,7 +11,7 @@
 //! `InvalidInput` as a hard I/O error.
 //!
 //! `MINEDIG_CONCURRENCY` and `MINEDIG_FAULT_SEED` are the CI matrix
-//! axes, as in `async_equivalence.rs`.
+//! axes, as in `backend_matrix.rs`.
 
 use minedig::analysis::poller::{FaultyJobSource, Observer, PollPolicy, WireJobSource};
 use minedig::chain::netsim::TipInfo;
@@ -23,7 +23,7 @@ use minedig::pool::pool::{Pool, PoolConfig};
 use minedig::pool::protocol::Token;
 use minedig::primitives::aexec::{block_on, AsyncExecutor, ParkWait};
 use minedig::primitives::fault::{FaultPlan, FAULT_SEED_ENV};
-use minedig::primitives::par::ParallelExecutor;
+use minedig::primitives::supervise::Backend;
 use minedig::primitives::Hash32;
 use minedig::shortlink::model::{LinkPopulation, LinkRecord};
 use minedig::shortlink::resolve::{resolve_with_pool, resolve_with_pool_async};
@@ -138,9 +138,10 @@ fn recv_ready_suspends_then_resolves_over_real_tcp() {
 // Observer equivalence over real sockets
 // ---------------------------------------------------------------------
 
-/// Async over real TCP ≡ blocking over real TCP ≡ sharded over real TCP
-/// ≡ the in-process pool: same clusters, same counters, with every
-/// endpoint's fetch in flight at once on one thread.
+/// Async over real TCP ≡ blocking over real TCP ≡ the sharded backend's
+/// (in-line) sweep over real TCP ≡ the in-process pool: same clusters,
+/// same counters, with every endpoint's fetch in flight at once on one
+/// thread.
 #[test]
 fn async_wire_sweeps_match_every_blocking_backend() {
     let pool = pool_with_tip();
@@ -152,13 +153,12 @@ fn async_wire_sweeps_match_every_blocking_backend() {
     let mut sharded = Observer::with_source(wire_source(&pool, addr), true, PollPolicy::default());
     let mut asynced = Observer::with_source(wire_source(&pool, addr), true, PollPolicy::default());
 
-    let executor = ParallelExecutor::new(4);
     let aexec = AsyncExecutor::new(64);
     let endpoints = pool.endpoint_count() as u64;
     for t in sweep_times() {
         reference.poll_all(t);
         seq.poll_all(t);
-        sharded.poll_all_sharded(t, &executor);
+        assert!(sharded.sweep(t, &Backend::Sharded(4)).is_none());
         let stats = asynced.poll_all_async(t, &aexec);
         assert_eq!(stats.tasks, endpoints, "one task per endpoint");
         assert_eq!(

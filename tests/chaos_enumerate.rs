@@ -3,22 +3,22 @@
 //! A transient probe failure must never truncate the dead-run stop
 //! heuristic (the paper's walk survived `cnhv.co` throttling): with an
 //! outlasting retry budget the walk is bit-identical to the fault-free
-//! one, and the windowed-sharded walk stays bit-identical to the
-//! sequential walk under *any* fault schedule, permanent faults
-//! included.
+//! one, and the walk campaign stays bit-identical to the sequential walk
+//! on every backend and for any per-call budget under *any* fault
+//! schedule, permanent faults included.
 //!
 //! `MINEDIG_FAULT_SEED` offsets every fault-plan seed (the CI chaos
 //! matrix axis).
 
 use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
-use minedig::primitives::par::ParallelExecutor;
-use minedig::shortlink::enumerate::{
-    enumerate_links, enumerate_links_windowed_with, enumerate_links_with,
-};
+use minedig::primitives::supervise::{Backend, Campaign};
+use minedig::shortlink::campaign::EnumCampaign;
+use minedig::shortlink::enumerate::{enumerate_links, enumerate_links_with, Enumeration};
 use minedig::shortlink::model::{LinkPopulation, ModelConfig};
-use minedig::shortlink::probe::{FaultyProber, ProbePolicy};
+use minedig::shortlink::probe::{FaultyProber, LinkProber, ProbePolicy};
 use minedig::shortlink::service::ShortlinkService;
 use proptest::prelude::*;
+use std::sync::atomic::AtomicU64;
 
 fn base_seed() -> u64 {
     std::env::var(FAULT_SEED_ENV)
@@ -36,12 +36,40 @@ fn service(links: u64, seed: u64) -> ShortlinkService {
     }))
 }
 
+/// The backend a property replays on: drawn kind, shard count and
+/// in-flight budget.
+fn backend(kind: u8, width: usize) -> Backend {
+    match kind % 3 {
+        0 => Backend::Sequential,
+        1 => Backend::Sharded(width),
+        _ => Backend::Async {
+            concurrency: width * 16,
+        },
+    }
+}
+
+/// Drives the walk campaign to the end in calls of `budget` probes.
+fn walk<P: LinkProber + Sync>(
+    prober: &P,
+    policy: &ProbePolicy,
+    limit: u64,
+    backend: Backend,
+    budget: u64,
+) -> Enumeration {
+    let mut campaign = EnumCampaign::new(prober, policy, limit, backend);
+    let heartbeat = AtomicU64::new(0);
+    while !campaign.is_done() {
+        campaign.run_items(budget, &heartbeat);
+    }
+    campaign.finish().enumeration
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // Clearing faults + an outlasting retry budget reproduce the
-    // fault-free walk bit-identically, and the windowed-sharded walk
-    // matches the faulty sequential walk exactly.
+    // fault-free walk bit-identically, and the walk campaign matches the
+    // faulty sequential walk exactly.
     #[test]
     fn clearing_faults_cost_nothing(
         links in 1u64..400,
@@ -49,8 +77,9 @@ proptest! {
         limit in 1u64..30,
         fault_off in 0u64..1_000,
         prob in 0.1f64..0.9,
-        shards in 1usize..=16,
-        chunk in 1usize..64,
+        kind in 0u8..3,
+        width in 1usize..=16,
+        budget in 1u64..64,
     ) {
         let svc = service(links, seed);
         let reference = enumerate_links(&svc, limit);
@@ -61,22 +90,18 @@ proptest! {
         prop_assert_eq!(&faulty.docs, &reference.docs);
         prop_assert_eq!(faulty.probed, reference.probed);
         prop_assert_eq!(faulty.failed_probes, 0, "clearing faults never exhaust");
-        let run = enumerate_links_windowed_with(
-            &prober,
-            limit,
-            &ParallelExecutor::new(shards),
-            chunk,
-            &policy,
-        );
-        prop_assert_eq!(&run.enumeration.docs, &faulty.docs, "shards={}", shards);
-        prop_assert_eq!(run.enumeration.probed, faulty.probed);
-        prop_assert_eq!(run.enumeration.probe_retries, faulty.probe_retries);
-        prop_assert_eq!(run.enumeration.failed_probes, 0);
+        let backend = backend(kind, width);
+        let run = walk(&prober, &policy, limit, backend, budget);
+        prop_assert_eq!(&run.docs, &faulty.docs, "backend={}", backend);
+        prop_assert_eq!(run.probed, faulty.probed);
+        prop_assert_eq!(run.probe_retries, faulty.probe_retries);
+        prop_assert_eq!(run.failed_probes, 0);
     }
 
-    // Under mixed (partially permanent) faults the sharded walk still
-    // matches the sequential walk bit-for-bit, and every lost probe is
-    // accounted in `failed_probes` exactly once.
+    // Under mixed (partially permanent) faults the walk campaign — on
+    // the sharded backend and the others — still matches the sequential
+    // walk bit-for-bit, and every lost probe is accounted in
+    // `failed_probes` exactly once.
     #[test]
     fn sharded_walk_survives_permanent_faults(
         links in 1u64..300,
@@ -84,8 +109,9 @@ proptest! {
         limit in 1u64..20,
         fault_off in 0u64..1_000,
         permanent in 0.1f64..0.8,
-        shards in 1usize..=16,
-        chunk in 1usize..48,
+        kind in 0u8..3,
+        width in 1usize..=16,
+        budget in 1u64..48,
     ) {
         let svc = service(links, seed);
         let plan = FaultPlan::with_config(
@@ -105,16 +131,11 @@ proptest! {
             - sequential.docs.len() as u64
             - sequential.failed_probes;
         prop_assert!(dead >= limit);
-        let run = enumerate_links_windowed_with(
-            &prober,
-            limit,
-            &ParallelExecutor::new(shards),
-            chunk,
-            &policy,
-        );
-        prop_assert_eq!(&run.enumeration.docs, &sequential.docs, "shards={}", shards);
-        prop_assert_eq!(run.enumeration.probed, sequential.probed);
-        prop_assert_eq!(run.enumeration.failed_probes, sequential.failed_probes);
-        prop_assert_eq!(run.enumeration.probe_retries, sequential.probe_retries);
+        let backend = backend(kind, width);
+        let run = walk(&prober, &policy, limit, backend, budget);
+        prop_assert_eq!(&run.docs, &sequential.docs, "backend={}", backend);
+        prop_assert_eq!(run.probed, sequential.probed);
+        prop_assert_eq!(run.failed_probes, sequential.failed_probes);
+        prop_assert_eq!(run.probe_retries, sequential.probe_retries);
     }
 }

@@ -5,7 +5,7 @@
 //! a faulty transport yields the exact clusters, attribution, and
 //! counters of the fault-free run; endpoints that exhaust the budget
 //! are accounted as per-sweep observation gaps (`endpoints_down`), and
-//! the sharded sweep stays identical to the sequential one under any
+//! every backend's sweep stays identical to the sequential one under any
 //! schedule.
 //!
 //! `MINEDIG_FAULT_SEED` offsets every fault-plan seed (the CI chaos
@@ -18,8 +18,8 @@ use minedig::chain::tx::Transaction;
 use minedig::pool::pool::{Pool, PoolConfig};
 use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
 use minedig::primitives::health::{health_from_env, HealthConfig};
-use minedig::primitives::par::ParallelExecutor;
 use minedig::primitives::retry::RetryPolicy;
+use minedig::primitives::supervise::Backend;
 use minedig::primitives::Hash32;
 
 fn base_seed() -> u64 {
@@ -74,9 +74,9 @@ fn clearing_faults_reproduce_the_clean_observation() {
     }
 }
 
-/// Under mixed (partially permanent) faults the sharded sweep matches
-/// the sequential sweep for shards 1–16, and the degradation counters
-/// balance.
+/// Under mixed (partially permanent) faults the sweep on the sharded
+/// backend (shards 1–16, swept in-line) and on the async backend matches
+/// the sequential sweep, and the degradation counters balance.
 #[test]
 fn sharded_sweeps_survive_permanent_faults() {
     let plan = FaultPlan::with_config(
@@ -87,7 +87,10 @@ fn sharded_sweeps_survive_permanent_faults() {
             ..FaultConfig::default()
         },
     );
-    for shards in 1..=16usize {
+    let backends = (1..=16usize)
+        .map(Backend::Sharded)
+        .chain([1, 32].map(|concurrency| Backend::Async { concurrency }));
+    for backend in backends {
         let pool = pool_with_tip();
         let mut seq = Observer::with_source(
             FaultyJobSource::new(pool.clone(), plan.clone()),
@@ -99,18 +102,17 @@ fn sharded_sweeps_survive_permanent_faults() {
             true,
             PollPolicy::default(),
         );
-        let executor = ParallelExecutor::new(shards);
         for t in (1_000..1_100).step_by(5) {
             seq.poll_all(t);
-            par.poll_all_sharded(t, &executor);
+            par.sweep(t, &backend);
         }
-        assert_eq!(par.current_prev(), seq.current_prev(), "shards={shards}");
+        assert_eq!(par.current_prev(), seq.current_prev(), "{backend}");
         let (ss, ps) = (seq.stats(), par.stats());
-        assert_eq!(ps.answered, ss.answered, "shards={shards}");
-        assert_eq!(ps.endpoints_down, ss.endpoints_down, "shards={shards}");
-        assert_eq!(ps.retries, ss.retries, "shards={shards}");
-        assert_eq!(ps.reconnects, ss.reconnects, "shards={shards}");
-        assert!(ps.balanced(), "shards={shards}");
+        assert_eq!(ps.answered, ss.answered, "{backend}");
+        assert_eq!(ps.endpoints_down, ss.endpoints_down, "{backend}");
+        assert_eq!(ps.retries, ss.retries, "{backend}");
+        assert_eq!(ps.reconnects, ss.reconnects, "{backend}");
+        assert!(ps.balanced(), "{backend}");
     }
 }
 

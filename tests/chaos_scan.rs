@@ -4,19 +4,19 @@
 //! clear, the scan outcome is **bit-identical** to the fault-free run
 //! (only the retry counter moves); under permanent faults every lost
 //! domain is accounted in exactly one degradation counter
-//! (`FetchStats::unreachable`), for any shard count.
+//! (`FetchStats::unreachable`), and the scan campaigns reproduce the
+//! sequential outcome on every backend.
 //!
 //! `MINEDIG_FAULT_SEED` offsets every fault-plan seed, so the CI chaos
 //! matrix exercises a different schedule per job without touching the
-//! test code. `MINEDIG_STREAM=1` additionally replays every property
-//! through the streaming pipeline backend.
+//! test code.
 
-use minedig::core::exec::{chrome_scan_streaming, zgrab_scan_streaming, ScanExecutor};
+use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{
     build_reference_db, chrome_scan, chrome_scan_with, zgrab_scan, zgrab_scan_with, FetchModel,
 };
 use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
-use minedig::primitives::pipeline::PipelineExecutor;
+use minedig::primitives::supervise::{run_to_end, Backend};
 use minedig::wasm::sigdb::SignatureDb;
 use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
@@ -31,14 +31,16 @@ fn base_seed() -> u64 {
         .unwrap_or(0)
 }
 
-/// When `MINEDIG_STREAM` is set (the chaos job's streaming axis), a
-/// pipeline to replay each property through the streaming backend —
-/// honoring `MINEDIG_PIPE_BATCH` so the CI matrix also varies the
-/// channel-message framing.
-fn stream_pipe(workers: usize) -> Option<PipelineExecutor> {
-    std::env::var("MINEDIG_STREAM")
-        .is_ok()
-        .then(|| PipelineExecutor::new(workers, 16).with_env_batch())
+/// The backend a property replays on: drawn kind, shard count and
+/// in-flight budget.
+fn backend(kind: u8, width: usize) -> Backend {
+    match kind % 3 {
+        0 => Backend::Sequential,
+        1 => Backend::Sharded(width),
+        _ => Backend::Async {
+            concurrency: width * 16,
+        },
+    }
 }
 
 fn zone(ix: u8) -> Zone {
@@ -59,7 +61,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // Clearing faults + an outlasting retry budget reproduce the
-    // fault-free zgrab scan bit-identically, sequentially and sharded.
+    // fault-free zgrab scan bit-identically, on every backend.
     #[test]
     fn zgrab_clearing_faults_cost_nothing(
         seed in 0u64..1_000_000,
@@ -67,7 +69,8 @@ proptest! {
         clean in 0usize..150,
         fault_off in 0u64..1_000,
         prob in 0.1f64..0.9,
-        shards in 1usize..=16,
+        kind in 0u8..3,
+        width in 1usize..=16,
     ) {
         let pop = Population::generate(zone(zone_ix), seed, clean);
         let plan = FaultPlan::transient_only(base_seed().wrapping_add(fault_off), prob);
@@ -77,12 +80,9 @@ proptest! {
         let mut normalized = faulty.clone();
         normalized.fetch.retries = 0;
         prop_assert_eq!(&normalized, &reference);
-        let run = ScanExecutor::new(shards).zgrab_with(&pop, seed, &model);
-        prop_assert_eq!(&run.outcome, &faulty, "shards={}", shards);
-        if let Some(pipe) = stream_pipe(1 + shards % 4) {
-            let streamed = zgrab_scan_streaming(&pop, seed, &model, &pipe);
-            prop_assert_eq!(&streamed.outcome, &faulty, "streaming");
-        }
+        let backend = backend(kind, width);
+        let run = run_to_end(ZgrabCampaign::new(&pop, seed, &model, backend));
+        prop_assert_eq!(&run, &faulty, "backend={}", backend);
     }
 
     // Permanent faults lose exactly the domains whose fault schedule
@@ -94,7 +94,8 @@ proptest! {
         clean in 0usize..150,
         fault_off in 0u64..1_000,
         permanent in 0.1f64..0.9,
-        shards in 1usize..=16,
+        kind in 0u8..3,
+        width in 1usize..=16,
     ) {
         let pop = Population::generate(Zone::Org, seed, clean);
         let plan = FaultPlan::with_config(
@@ -121,12 +122,9 @@ proptest! {
             out.fetch.attempted,
             (pop.artifacts.len() + pop.clean_sample.len()) as u64
         );
-        let run = ScanExecutor::new(shards).zgrab_with(&pop, seed, &model);
-        prop_assert_eq!(&run.outcome, &out, "shards={}", shards);
-        if let Some(pipe) = stream_pipe(1 + shards % 4) {
-            let streamed = zgrab_scan_streaming(&pop, seed, &model, &pipe);
-            prop_assert_eq!(&streamed.outcome, &out, "streaming");
-        }
+        let backend = backend(kind, width);
+        let run = run_to_end(ZgrabCampaign::new(&pop, seed, &model, backend));
+        prop_assert_eq!(&run, &out, "backend={}", backend);
     }
 }
 
@@ -142,7 +140,8 @@ proptest! {
         clean in 0usize..80,
         fault_off in 0u64..1_000,
         prob in 0.1f64..0.9,
-        shards in 1usize..=16,
+        kind in 0u8..3,
+        width in 1usize..=16,
     ) {
         let z = if alexa { Zone::Alexa } else { Zone::Org };
         let pop = Population::generate(z, seed, clean);
@@ -153,11 +152,8 @@ proptest! {
         let mut normalized = faulty.clone();
         normalized.fetch.retries = 0;
         prop_assert_eq!(&normalized, &reference);
-        let run = ScanExecutor::new(shards).chrome_with(&pop, db(), seed, &model);
-        prop_assert_eq!(&run.outcome, &faulty, "shards={}", shards);
-        if let Some(pipe) = stream_pipe(1 + shards % 4) {
-            let streamed = chrome_scan_streaming(&pop, db(), seed, &model, None, &pipe);
-            prop_assert_eq!(&streamed.outcome, &faulty, "streaming");
-        }
+        let backend = backend(kind, width);
+        let run = run_to_end(ChromeCampaign::new(&pop, db(), seed, &model, None, backend));
+        prop_assert_eq!(&run, &faulty, "backend={}", backend);
     }
 }

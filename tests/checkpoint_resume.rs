@@ -56,15 +56,10 @@ fn kill_at(frac: u64, horizon: u64) -> u64 {
     (lo + frac * (hi - lo) / 100).max(1)
 }
 
-/// Every campaign backend, including the poller's streaming→sharded
-/// mapping.
-const BACKENDS: [Backend; 4] = [
+/// Every campaign backend.
+const BACKENDS: [Backend; 3] = [
     Backend::Sequential,
     Backend::Sharded(3),
-    Backend::Streaming {
-        workers: 2,
-        capacity: 8,
-    },
     Backend::Async { concurrency: 16 },
 ];
 

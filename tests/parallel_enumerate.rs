@@ -1,37 +1,18 @@
 //! Sharded-enumeration equivalence properties.
 //!
-//! `enumerate_links_sharded` must return **exactly** the sequential
-//! walk's result — same docs in the same order, same probed count — for
-//! any shard count from 1 through 16, any window size, any dead-run
-//! limit, and any live/dead layout of the ID space (including internal
-//! dead gaps shorter and longer than the limit). The windowed probing
-//! with a cross-chunk dead-run carry is what these properties pin down.
+//! The walk campaign on `Sharded(n)` must return **exactly** the
+//! sequential walk's result — same docs in the same order, same probed
+//! count — for any shard count from 1 through 16, any dead-run limit
+//! and any generated population. Dead gaps spanning `run_items` calls
+//! are checked in `tests/backend_matrix.rs`.
 
-use minedig::primitives::par::ParallelExecutor;
-use minedig::shortlink::enumerate::{
-    enumerate_links, enumerate_links_sharded, enumerate_links_windowed,
-};
-use minedig::shortlink::ids::index_to_code;
-use minedig::shortlink::model::{LinkPopulation, LinkRecord, ModelConfig};
+use minedig::primitives::supervise::{run_to_end, Backend};
+use minedig::shortlink::campaign::EnumCampaign;
+use minedig::shortlink::enumerate::enumerate_links;
+use minedig::shortlink::model::{LinkPopulation, ModelConfig};
+use minedig::shortlink::probe::ProbePolicy;
 use minedig::shortlink::service::ShortlinkService;
 use proptest::prelude::*;
-
-/// Service with live links at exactly the given indices.
-fn gap_service(live: &[u64]) -> ShortlinkService {
-    let links = live
-        .iter()
-        .map(|&i| LinkRecord {
-            index: i,
-            code: index_to_code(i),
-            token_id: i % 5,
-            required_hashes: 1024,
-            target_url: format!("https://dest.example/{i}"),
-            target_domain: "dest.example".to_string(),
-            target_categories: vec![],
-        })
-        .collect();
-    ShortlinkService::new(LinkPopulation { links, users: 5 })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -49,46 +30,10 @@ proptest! {
             seed,
         }));
         let sequential = enumerate_links(&service, limit);
-        let run = enumerate_links_sharded(&service, limit, &ParallelExecutor::new(shards));
-        prop_assert_eq!(run.enumeration.probed, sequential.probed, "shards={}", shards);
-        prop_assert_eq!(run.enumeration.docs, sequential.docs, "shards={}", shards);
-        prop_assert_eq!(run.stats.shards, shards);
-        prop_assert!(run.stats.items >= sequential.probed);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn gapped_id_spaces_stop_identically(
-        live in prop::collection::vec(0u64..400, 0..48),
-        limit in 1u64..64,
-        shards in 1usize..=16,
-        chunk in 1usize..24,
-    ) {
-        // Scattered live indices produce internal dead gaps of arbitrary
-        // length relative to the limit — the adversarial case for the
-        // cross-chunk carry, with windows small enough that gaps span
-        // many chunk and window boundaries.
-        let mut live = live;
-        live.sort_unstable();
-        live.dedup();
-        let service = gap_service(&live);
-        let sequential = enumerate_links(&service, limit);
-        let run = enumerate_links_windowed(
-            &service,
-            limit,
-            &ParallelExecutor::new(shards),
-            chunk,
-        );
-        prop_assert_eq!(
-            run.enumeration.probed, sequential.probed,
-            "shards={} chunk={} limit={}", shards, chunk, limit
-        );
-        prop_assert_eq!(
-            run.enumeration.docs, sequential.docs,
-            "shards={} chunk={} limit={}", shards, chunk, limit
-        );
+        let policy = ProbePolicy::default();
+        let backend = Backend::Sharded(shards);
+        let run = run_to_end(EnumCampaign::new(&service, &policy, limit, backend)).enumeration;
+        prop_assert_eq!(run.probed, sequential.probed, "shards={}", shards);
+        prop_assert_eq!(run.docs, sequential.docs, "shards={}", shards);
     }
 }

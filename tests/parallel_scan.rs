@@ -1,14 +1,16 @@
-//! Executor equivalence properties.
+//! Sharded-backend equivalence properties of the scan campaigns.
 //!
-//! The parallel sharded executor must be **bit-identical** to the
+//! A scan campaign on `Sharded(n)` must be **bit-identical** to the
 //! sequential scans for any seed, zone, clean-sample size, and shard
 //! count from 1 through 16 — counters, label/class maps, and the order
-//! of the domain refs. `ScanExecutor` relies on per-domain RNG
-//! derivation plus an order-preserving merge; these properties are what
-//! make that reliance safe to refactor against.
+//! of the domain refs. Workers take items round-robin and the fold
+//! consumes verdicts in population order, relying on per-domain RNG
+//! derivation; these properties are what make that reliance safe to
+//! refactor against.
 
-use minedig::core::exec::ScanExecutor;
-use minedig::core::scan::{build_reference_db, chrome_scan, zgrab_scan};
+use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
+use minedig::core::scan::{build_reference_db, chrome_scan, zgrab_scan, FetchModel};
+use minedig::primitives::supervise::{run_to_end, Backend};
 use minedig::wasm::sigdb::SignatureDb;
 use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
@@ -42,11 +44,11 @@ proptest! {
     ) {
         let pop = Population::generate(zone(zone_ix), seed, clean);
         let sequential = zgrab_scan(&pop, seed);
-        let run = ScanExecutor::new(shards).zgrab(&pop, seed);
-        prop_assert_eq!(&run.outcome, &sequential, "shards={}", shards);
-        prop_assert_eq!(run.stats.shards, shards);
+        let model = FetchModel::default();
+        let run = run_to_end(ZgrabCampaign::new(&pop, seed, &model, Backend::Sharded(shards)));
+        prop_assert_eq!(&run, &sequential, "shards={}", shards);
         prop_assert_eq!(
-            run.stats.items,
+            run.fetch.attempted,
             (pop.artifacts.len() + pop.clean_sample.len()) as u64
         );
     }
@@ -66,7 +68,9 @@ proptest! {
         let z = if alexa { Zone::Alexa } else { Zone::Org };
         let pop = Population::generate(z, seed, clean);
         let sequential = chrome_scan(&pop, db(), seed);
-        let run = ScanExecutor::new(shards).chrome(&pop, db(), seed);
-        prop_assert_eq!(&run.outcome, &sequential, "shards={}", shards);
+        let model = FetchModel::default();
+        let backend = Backend::Sharded(shards);
+        let run = run_to_end(ChromeCampaign::new(&pop, db(), seed, &model, None, backend));
+        prop_assert_eq!(&run, &sequential, "shards={}", shards);
     }
 }
