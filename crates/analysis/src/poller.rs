@@ -830,12 +830,12 @@ impl<S: AsyncJobSource> Observer<S> {
                     None => policy.retry.clone(),
                 };
                 // Async mirror of `retry()` over the same per-endpoint
-                // virtual clock and jitter stream as `poll_endpoint`: the
-                // only difference is that the wire wait between request
-                // and reply suspends the task instead of the thread.
+                // virtual clock and jitter stream as `poll_endpoint`,
+                // derived on the first backoff as there: the only
+                // difference is that the wire wait between request and
+                // reply suspends the task instead of the thread.
                 let mut clock = VirtualClock::new();
-                let mut rng = DetRng::seed(policy.jitter_seed)
-                    .derive(&format!("poll.jitter.{endpoint}.{now}"));
+                let mut rng: Option<DetRng> = None;
                 let max_attempts = retry_policy.max_attempts.max(1);
                 let mut attempts = 0u32;
                 let outcome = loop {
@@ -865,7 +865,8 @@ impl<S: AsyncJobSource> Observer<S> {
                     if error.error_class() == ErrorClass::Permanent || attempts >= max_attempts {
                         break Err(error);
                     }
-                    let backoff = retry_policy.backoff_ms(attempts, &mut rng);
+                    let rng = rng.get_or_insert_with(|| poll_jitter(policy, endpoint, now));
+                    let backoff = retry_policy.backoff_ms(attempts, rng);
                     if let Some(deadline) = retry_policy.deadline_ms {
                         if clock.now_ms().saturating_add(backoff) > deadline {
                             break Err(error);
@@ -957,6 +958,12 @@ impl PollDelta {
     }
 }
 
+/// The backoff jitter stream of `endpoint`'s poll at virtual time `now`,
+/// shared by the in-line and the async sweep.
+fn poll_jitter(policy: &PollPolicy, endpoint: usize, now: u64) -> DetRng {
+    DetRng::seed(policy.jitter_seed).derive(&format!("poll.jitter.{endpoint}.{now}"))
+}
+
 /// Polls one endpoint at virtual time `now` under its health `plan`,
 /// retrying per `policy`, and appends the outcome to `delta`. Cluster
 /// state is *not* touched here — `record` has order-dependent reset
@@ -983,9 +990,8 @@ fn poll_endpoint<S: JobSource>(
         Some(d) => policy.retry.tightened(d),
         None => policy.retry.clone(),
     };
-    let mut clock = VirtualClock::new();
-    let mut rng = DetRng::seed(policy.jitter_seed).derive(&format!("poll.jitter.{endpoint}.{now}"));
-    let outcome = retry(&retry_policy, &mut clock, &mut rng, |attempt| {
+    let jitter = || poll_jitter(policy, endpoint, now);
+    let outcome = retry(&retry_policy, &mut VirtualClock::new(), jitter, |attempt| {
         let r = source.fetch_job(endpoint, now, attempt);
         // Reconnect eagerly on every teardown, even a final one, so the
         // next sweep starts on a fresh connection.

@@ -64,9 +64,8 @@ impl FetchModel {
         let Some(plan) = &self.faults else {
             return (true, 0);
         };
-        let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(plan.seed()).derive(&format!("fetch.jitter.{name}"));
-        let outcome = retry(&self.retry, &mut clock, &mut rng, |attempt| {
+        let jitter = || DetRng::seed(plan.seed()).derive(&format!("fetch.jitter.{name}"));
+        let outcome = retry(&self.retry, &mut VirtualClock::new(), jitter, |attempt| {
             match plan.decide(&format!("fetch.{name}"), attempt) {
                 // Latency alone does not lose the page.
                 None | Some(Fault::Delay { .. }) => Ok(()),

@@ -13,6 +13,9 @@
 //! [`DetRng`](crate::DetRng), which campaign code derives per stable
 //! entity key (domain name, link code, endpoint id) — never from scan
 //! order — so retry schedules are bit-identical across shard counts.
+//! The stream is derived only when a loop first backs off, so the
+//! first-try successes that make up a fault-free campaign never pay for
+//! it.
 
 use crate::rng::DetRng;
 
@@ -196,18 +199,23 @@ impl<T, E> RetryOutcome<T, E> {
 /// `op` receives the zero-based attempt index — fault plans key their
 /// schedule on it. Transient errors are retried until the policy's
 /// attempt budget or deadline runs out; a permanent error stops the
-/// loop immediately. Jitter comes from `rng`, so two calls with equal
-/// `(policy, rng, error sequence)` produce identical schedules.
+/// loop immediately. Jitter is drawn from the stream `jitter` returns,
+/// which is called once, on the first backoff — never when the first
+/// attempt succeeds or the loop gives up without backing off. Two calls
+/// with equal `(policy, jitter stream, error sequence)` produce
+/// identical schedules.
 pub fn retry<T, E: Retryable, C: Clock>(
     policy: &RetryPolicy,
     clock: &mut C,
-    rng: &mut DetRng,
+    jitter: impl FnOnce() -> DetRng,
     mut op: impl FnMut(u32) -> Result<T, E>,
 ) -> RetryOutcome<T, E> {
     let start = clock.now_ms();
     let max_attempts = policy.max_attempts.max(1);
     let mut attempts = 0u32;
     let mut waited_ms = 0u64;
+    let mut jitter = Some(jitter);
+    let mut rng: Option<DetRng> = None;
     loop {
         let result = op(attempts);
         attempts += 1;
@@ -235,6 +243,8 @@ pub fn retry<T, E: Retryable, C: Clock>(
                 waited_ms,
             };
         }
+        let rng =
+            rng.get_or_insert_with(|| jitter.take().expect("taken only while rng is unset")());
         let backoff = policy.backoff_ms(attempts, rng);
         if let Some(deadline) = policy.deadline_ms {
             let elapsed = clock.now_ms().saturating_sub(start);
@@ -286,11 +296,10 @@ mod tests {
     #[test]
     fn succeeds_first_try_without_waiting() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(1);
         let out = retry(
             &RetryPolicy::default(),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(1),
             flaky_until(0),
         );
         assert_eq!(out.retries(), 0);
@@ -303,11 +312,10 @@ mod tests {
     #[test]
     fn transient_errors_are_retried_until_success() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(2);
         let out = retry(
             &RetryPolicy::attempts(5),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(2),
             flaky_until(3),
         );
         assert_eq!(out.result.unwrap(), 3);
@@ -319,11 +327,10 @@ mod tests {
     #[test]
     fn zero_retries_policy_gives_up_on_first_transient() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(3);
         let out = retry(
             &RetryPolicy::no_retries(),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(3),
             flaky_until(1),
         );
         let err = out.result.unwrap_err();
@@ -336,11 +343,10 @@ mod tests {
     #[test]
     fn permanent_error_short_circuits() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(4);
         let out = retry(
             &RetryPolicy::attempts(10),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(4),
             |_: u32| -> Result<(), TestError> { Err(TestError::Fatal) },
         );
         let err = out.result.unwrap_err();
@@ -352,15 +358,39 @@ mod tests {
     #[test]
     fn attempt_budget_is_exhausted_on_persistent_transients() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(5);
         let out = retry(
             &RetryPolicy::attempts(3),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(5),
             flaky_until(u32::MAX),
         );
         assert_eq!(out.result.unwrap_err().give_up, GiveUp::Exhausted);
         assert_eq!(out.attempts, 3);
+    }
+
+    #[test]
+    fn jitter_stream_is_derived_only_on_the_first_backoff() {
+        let derived = std::cell::Cell::new(0u32);
+        let jitter = || {
+            derived.set(derived.get() + 1);
+            DetRng::seed(10)
+        };
+        let policy = RetryPolicy::attempts(5);
+        let out = retry(&policy, &mut VirtualClock::new(), jitter, flaky_until(0));
+        assert_eq!(out.attempts, 1);
+        assert_eq!(derived.get(), 0, "first-try success");
+        let out = retry(&policy, &mut VirtualClock::new(), jitter, |_: u32| {
+            Err::<(), _>(TestError::Fatal)
+        });
+        assert_eq!(out.result.unwrap_err().give_up, GiveUp::Permanent);
+        assert_eq!(derived.get(), 0, "permanent failure");
+        let out = retry(&policy, &mut VirtualClock::new(), jitter, flaky_until(3));
+        assert_eq!(out.retries(), 3);
+        assert_eq!(derived.get(), 1, "three backoffs, one stream");
+        // The backoffs are the derived stream's draws, in order.
+        let mut rng = DetRng::seed(10);
+        let expected: u64 = (1..=3).map(|a| policy.backoff_ms(a, &mut rng)).sum();
+        assert_eq!(out.waited_ms, expected);
     }
 
     #[test]
@@ -376,8 +406,12 @@ mod tests {
             deadline_ms: Some(250),
         };
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(6);
-        let out = retry(&policy, &mut clock, &mut rng, flaky_until(u32::MAX));
+        let out = retry(
+            &policy,
+            &mut clock,
+            || DetRng::seed(6),
+            flaky_until(u32::MAX),
+        );
         assert_eq!(out.result.unwrap_err().give_up, GiveUp::DeadlineExceeded);
         assert_eq!(out.attempts, 2);
         assert_eq!(clock.now_ms(), 100);

@@ -194,12 +194,11 @@ mod tests {
             .iter()
             .map(|&i| LinkRecord {
                 index: i,
-                code: index_to_code(i),
                 token_id: i % 7,
                 required_hashes: 512,
-                target_url: format!("https://dest.example/{i}"),
-                target_domain: "dest.example".to_string(),
-                target_categories: vec![],
+                target_domain: "dest.example".into(),
+                path_hash: i,
+                target_categories: Box::new([]),
             })
             .collect();
         ShortlinkService::new(LinkPopulation { links, users: 8 })

@@ -13,6 +13,7 @@ use crate::ids::index_to_code;
 use minedig_primitives::rng::Zipf;
 use minedig_primitives::DetRng;
 use minedig_web::category::{sample_categories, Category, CategoryWeights};
+use std::sync::Arc;
 
 /// The paper's observed live-link count in February 2018.
 pub const PAPER_LINK_COUNT: u64 = 1_709_203;
@@ -22,22 +23,37 @@ pub const PAPER_LINK_COUNT: u64 = 1_709_203;
 pub const MAX_HASHES: u64 = 10_000_000_000_000_000_000;
 
 /// One short link.
+///
+/// The record stores only what its index cannot determine: the code
+/// and the destination URL are computed on demand from `index`,
+/// `target_domain` and `path_hash`.
 #[derive(Clone, Debug)]
 pub struct LinkRecord {
     /// Creation index (determines the code).
     pub index: u64,
-    /// The short code (`cnhv.co/<code>`).
-    pub code: String,
     /// Creator token id (users ≡ tokens, as in the paper).
     pub token_id: u64,
     /// Hashes the visitor must get credited before the redirect fires.
     pub required_hashes: u64,
-    /// Destination URL.
-    pub target_url: String,
-    /// Destination domain (for Table 4).
-    pub target_domain: String,
+    /// Destination domain (for Table 4). Links to one domain may share
+    /// the allocation.
+    pub target_domain: Arc<str>,
+    /// Path component of the destination URL.
+    pub path_hash: u64,
     /// Latent destination categories (revealed via RuleSpace for Table 5).
-    pub target_categories: Vec<Category>,
+    pub target_categories: Box<[Category]>,
+}
+
+impl LinkRecord {
+    /// The short code (`cnhv.co/<code>`).
+    pub fn code(&self) -> String {
+        index_to_code(self.index)
+    }
+
+    /// Destination URL: `https://<target_domain>/<path_hash as hex>`.
+    pub fn target_url(&self) -> String {
+        format!("https://{}/{:08x}", self.target_domain, self.path_hash)
+    }
 }
 
 /// Model configuration.
@@ -80,6 +96,10 @@ pub const TOP10_DESTINATIONS: &[(&str, Category, f64)] = &[
     ("share-online.biz", Category::Filesharing, 0.029),
     ("oboom.com", Category::Filesharing, 0.028),
 ];
+
+/// Misc mirror domains (`mirror000.net` …) the head users' remaining
+/// ~11 % of links point at.
+const MIRRORS: u64 = 300;
 
 /// Category weights for long-tail destinations (drives Table 5).
 const TAIL_CATEGORY_WEIGHTS: CategoryWeights = &[
@@ -200,6 +220,15 @@ impl LinkPopulation {
         rng.shuffle(&mut owners);
 
         let top10_weights: Vec<f64> = TOP10_DESTINATIONS.iter().map(|(_, _, w)| *w).collect();
+        // The head users' 310 destinations cover ~85 % of links; every
+        // link to one of them shares its domain.
+        let top10_domains: Vec<Arc<str>> = TOP10_DESTINATIONS
+            .iter()
+            .map(|(d, _, _)| Arc::from(*d))
+            .collect();
+        let mirrors: Vec<Arc<str>> = (0..MIRRORS)
+            .map(|m| Arc::from(format!("mirror{m:03}.net")))
+            .collect();
         let mut links = Vec::with_capacity(owners.len());
         for (index, &owner) in owners.iter().enumerate() {
             let user = owner as usize;
@@ -210,27 +239,23 @@ impl LinkPopulation {
                 // 89 % on the Table 4 domains, the rest on misc mirrors.
                 if rng.chance(0.89) {
                     let i = rng.weighted_index(&top10_weights);
-                    let (dom, cat, _) = TOP10_DESTINATIONS[i];
-                    (dom.to_string(), vec![cat])
+                    let cat = TOP10_DESTINATIONS[i].1;
+                    (top10_domains[i].clone(), Box::from([cat]))
                 } else {
-                    (
-                        format!("mirror{:03}.net", rng.gen_range(300)),
-                        vec![Category::Filesharing],
-                    )
+                    let m = rng.gen_range(MIRRORS) as usize;
+                    (mirrors[m].clone(), Box::from([Category::Filesharing]))
                 }
             } else {
                 let dom = format!("dest-{:06}.{}", rng.gen_range(500_000), tail_tld(&mut rng));
                 let cats = sample_categories(&mut rng, TAIL_CATEGORY_WEIGHTS);
-                (dom, cats)
+                (Arc::from(dom), cats.into_boxed_slice())
             };
-            let path_hash = rng.next_u64();
             links.push(LinkRecord {
                 index: index as u64,
-                code: index_to_code(index as u64),
                 token_id: user as u64,
                 required_hashes,
-                target_url: format!("https://{target_domain}/{path_hash:08x}"),
                 target_domain,
+                path_hash: rng.next_u64(),
                 target_categories,
             });
         }
@@ -280,6 +305,7 @@ fn tail_tld(rng: &mut DetRng) -> &'static str {
 mod tests {
     use super::*;
     use minedig_primitives::stats::{top1_share, top_k_for_share};
+    use minedig_primitives::{keccak256, to_hex};
 
     fn small_population() -> LinkPopulation {
         LinkPopulation::generate(&ModelConfig {
@@ -351,7 +377,7 @@ mod tests {
         let head_links: Vec<&LinkRecord> = pop.links.iter().filter(|l| l.token_id < 10).collect();
         let youtube = head_links
             .iter()
-            .filter(|l| l.target_domain == "youtu.be")
+            .filter(|l| &*l.target_domain == "youtu.be")
             .count() as f64;
         let share = youtube / head_links.len() as f64;
         assert!((0.14..0.24).contains(&share), "youtu.be share {share}");
@@ -372,9 +398,9 @@ mod tests {
     #[test]
     fn codes_match_indices() {
         let pop = small_population();
-        assert_eq!(pop.links[0].code, index_to_code(0));
+        assert_eq!(pop.links[0].code(), index_to_code(0));
         assert_eq!(
-            pop.links.last().unwrap().code,
+            pop.links.last().unwrap().code(),
             index_to_code(pop.links.len() as u64 - 1)
         );
     }
@@ -384,6 +410,37 @@ mod tests {
         let a = small_population();
         let b = small_population();
         assert_eq!(a.links.len(), b.links.len());
-        assert_eq!(a.links[1000].target_url, b.links[1000].target_url);
+        assert_eq!(a.links[1000].target_url(), b.links[1000].target_url());
+    }
+
+    /// Every field of a 10,000-link population, hashed: any change to
+    /// the model's RNG draw order, or to how a code or URL is rendered,
+    /// fails here.
+    #[test]
+    fn generation_matches_the_golden_digest() {
+        let pop = LinkPopulation::generate(&ModelConfig {
+            total_links: 10_000,
+            users: 2_500,
+            seed: 2018,
+        });
+        let mut rows = String::new();
+        for l in &pop.links {
+            let cats: Vec<&str> = l.target_categories.iter().map(|c| c.label()).collect();
+            rows.push_str(&format!(
+                "{} {} {} {} {} {} {}\n",
+                l.index,
+                l.code(),
+                l.token_id,
+                l.required_hashes,
+                l.target_url(),
+                l.target_domain,
+                cats.join("|")
+            ));
+        }
+        assert_eq!(pop.links.len(), 10_000);
+        assert_eq!(
+            to_hex(&keccak256(rows.as_bytes())),
+            "62faecc25afe4c2490007ad50f4e19408154d0b84def803a3094d8309d1ecb76"
+        );
     }
 }

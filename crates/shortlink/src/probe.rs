@@ -108,9 +108,8 @@ pub fn probe_with_retry<P: LinkProber>(
     code: &str,
     policy: &ProbePolicy,
 ) -> (Result<Option<VisitDoc>, ProbeError>, u32) {
-    let mut clock = VirtualClock::new();
-    let mut rng = DetRng::seed(policy.jitter_seed).derive(&format!("probe.jitter.{code}"));
-    let outcome = retry(&policy.retry, &mut clock, &mut rng, |attempt| {
+    let jitter = || DetRng::seed(policy.jitter_seed).derive(&format!("probe.jitter.{code}"));
+    let outcome = retry(&policy.retry, &mut VirtualClock::new(), jitter, |attempt| {
         prober.probe(code, attempt)
     });
     let retries = outcome.retries();
@@ -128,12 +127,11 @@ mod tests {
         ShortlinkService::new(LinkPopulation {
             links: vec![LinkRecord {
                 index: 0,
-                code: index_to_code(0),
                 token_id: 1,
                 required_hashes: 64,
-                target_url: "https://dest.example/0".into(),
                 target_domain: "dest.example".into(),
-                target_categories: vec![],
+                path_hash: 0,
+                target_categories: Box::new([]),
             }],
             users: 1,
         })

@@ -353,12 +353,11 @@ mod tests {
         let service = ShortlinkService::new(LinkPopulation {
             links: vec![crate::model::LinkRecord {
                 index: 0,
-                code: "a".into(),
                 token_id: 3,
                 required_hashes: 8,
-                target_url: "https://youtu.be/dQw4w9WgXcQ".into(),
                 target_domain: "youtu.be".into(),
-                target_categories: vec![],
+                path_hash: 0x5eed_c0de,
+                target_categories: Box::new([]),
             }],
             users: 1,
         });
@@ -379,7 +378,7 @@ mod tests {
         let handle = std::thread::spawn(move || p2.serve(&mut server_t, 0, || 120));
 
         let url = resolve_with_pool(&service, &pool, client_t, "a", 100_000).unwrap();
-        assert_eq!(url, "https://youtu.be/dQw4w9WgXcQ");
+        assert_eq!(url, "https://youtu.be/5eedc0de");
         // The creator got credited at least the requirement.
         let creator = Token::from_index(3);
         assert!(pool.ledger().lifetime_hashes(&creator) >= 8);
@@ -394,12 +393,11 @@ mod tests {
             ShortlinkService::new(LinkPopulation {
                 links: vec![crate::model::LinkRecord {
                     index: 0,
-                    code: "a".into(),
                     token_id: 3,
                     required_hashes: 8,
-                    target_url: "https://youtu.be/dQw4w9WgXcQ".into(),
                     target_domain: "youtu.be".into(),
-                    target_categories: vec![],
+                    path_hash: 0x5eed_c0de,
+                    target_categories: Box::new([]),
                 }],
                 users: 1,
             })
@@ -451,12 +449,11 @@ mod tests {
         ShortlinkService::new(LinkPopulation {
             links: vec![crate::model::LinkRecord {
                 index: 0,
-                code: "a".into(),
                 token_id: 3,
                 required_hashes: 8,
-                target_url: "https://youtu.be/dQw4w9WgXcQ".into(),
                 target_domain: "youtu.be".into(),
-                target_categories: vec![],
+                path_hash: 0x5eed_c0de,
+                target_categories: Box::new([]),
             }],
             users: 1,
         })
@@ -518,7 +515,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(url, "https://youtu.be/dQw4w9WgXcQ");
+        assert_eq!(url, "https://youtu.be/5eedc0de");
         assert_eq!(attempt, 0, "a healthy pool resolves on the first try");
         let stats = breaker.stats();
         assert_eq!(stats.checks, 1);
@@ -561,7 +558,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(url, "https://youtu.be/dQw4w9WgXcQ");
+        assert_eq!(url, "https://youtu.be/5eedc0de");
         // Failures at now=0,1 trip the breaker (open_for 10, no jitter →
         // open until 11); attempts 2..=10 are quarantined for free, the
         // half-open probe at 11 reconnects and wins.

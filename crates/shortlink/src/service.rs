@@ -5,6 +5,7 @@
 //! from every link — and the destination is released once the service has
 //! seen enough credited hashes for the visit.
 
+use crate::ids::code_to_index;
 use crate::model::{LinkPopulation, LinkRecord};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -53,40 +54,45 @@ impl std::fmt::Display for RedeemError {
 /// per-creator totals, interleaving resolution with enumeration cannot
 /// change any scraped document or any redeem outcome.
 pub struct ShortlinkService {
-    by_index: Vec<LinkRecord>,
-    by_code: HashMap<String, usize>,
+    /// The link table, sorted by [`LinkRecord::index`] with one record
+    /// per index.
+    links: Vec<LinkRecord>,
     /// Hashes credited to link creators through visits (the creator's
     /// revenue share ledger lives in the pool; this tracks volume).
     creator_hashes: Mutex<HashMap<u64, u64>>,
 }
 
 impl ShortlinkService {
-    /// Builds the service from a generated population.
+    /// Builds the service from a population, in any order. When several
+    /// records share an index, the first in population order wins and
+    /// the others are dropped.
     pub fn new(population: LinkPopulation) -> ShortlinkService {
-        let by_code = population
-            .links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.code.clone(), i))
-            .collect();
+        let mut links = population.links;
+        // Stable, so the first of each duplicate run is the population's.
+        links.sort_by_key(|l| l.index);
+        links.dedup_by_key(|l| l.index);
         ShortlinkService {
-            by_index: population.links,
-            by_code,
+            links,
             creator_hashes: Mutex::new(HashMap::new()),
         }
     }
 
     /// Number of live links.
     pub fn link_count(&self) -> u64 {
-        self.by_index.len() as u64
+        self.links.len() as u64
+    }
+
+    /// The live link behind `code`, if any.
+    fn lookup(&self, code: &str) -> Option<&LinkRecord> {
+        self.link(code_to_index(code)?)
     }
 
     /// Visits a link: returns the progress document, or `None` for codes
     /// beyond the live space (enumeration relies on this distinction).
     pub fn visit(&self, code: &str) -> Option<VisitDoc> {
-        let link = self.by_index.get(*self.by_code.get(code)?)?;
+        let link = self.lookup(code)?;
         Some(VisitDoc {
-            code: link.code.clone(),
+            code: link.code(),
             token_id: link.token_id,
             required_hashes: link.required_hashes,
         })
@@ -96,8 +102,7 @@ impl ShortlinkService {
     /// visit. On success returns the destination URL and credits the
     /// creator.
     pub fn redeem(&self, code: &str, credited_hashes: u64) -> Result<String, RedeemError> {
-        let index = *self.by_code.get(code).ok_or(RedeemError::UnknownCode)?;
-        let link = self.by_index.get(index).ok_or(RedeemError::UnknownCode)?;
+        let link = self.lookup(code).ok_or(RedeemError::UnknownCode)?;
         if credited_hashes < link.required_hashes {
             return Err(RedeemError::NotEnoughHashes {
                 missing: link.required_hashes - credited_hashes,
@@ -108,7 +113,7 @@ impl ShortlinkService {
         let mut ledger = self.creator_hashes.lock();
         let credited = ledger.entry(link.token_id).or_insert(0);
         *credited = credited.saturating_add(link.required_hashes);
-        Ok(link.target_url.clone())
+        Ok(link.target_url())
     }
 
     /// Total hashes credited to a creator through redeemed links.
@@ -120,16 +125,27 @@ impl ShortlinkService {
             .unwrap_or(0)
     }
 
-    /// Read access to a link record (analysis side).
+    /// The link whose [`LinkRecord::index`] is `index`. The index is
+    /// tried as a table position first: generated populations are dense,
+    /// so it is almost always there. Binary search covers gapped tables.
     pub fn link(&self, index: u64) -> Option<&LinkRecord> {
-        self.by_index.get(index as usize)
+        let at = usize::try_from(index).ok().and_then(|p| self.links.get(p));
+        match at {
+            Some(link) if link.index == index => Some(link),
+            _ => {
+                let p = self.links.binary_search_by_key(&index, |l| l.index).ok()?;
+                Some(&self.links[p])
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::index_to_code;
     use crate::model::ModelConfig;
+    use proptest::prelude::*;
 
     fn service() -> ShortlinkService {
         ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
@@ -189,5 +205,82 @@ mod tests {
     #[test]
     fn link_count_matches_population() {
         assert_eq!(service().link_count(), 2_000);
+    }
+
+    /// A hand-built record; its token and URL path both name `tag`, so
+    /// duplicates of one index stay distinguishable.
+    fn record(index: u64, tag: u64, required_hashes: u64) -> LinkRecord {
+        LinkRecord {
+            index,
+            token_id: tag,
+            required_hashes,
+            target_domain: "dest.example".into(),
+            path_hash: tag,
+            target_categories: Box::new([]),
+        }
+    }
+
+    fn hand_built(links: Vec<LinkRecord>) -> ShortlinkService {
+        ShortlinkService::new(LinkPopulation { links, users: 8 })
+    }
+
+    #[test]
+    fn gapped_tables_answer_by_index_not_position() {
+        let live = [0u64, 5, 9];
+        let s = hand_built(live.iter().map(|&i| record(i, i, 512)).collect());
+        for i in 0..=9 + 64 {
+            let code = index_to_code(i);
+            let want = live.contains(&i).then_some(i);
+            assert_eq!(s.link(i).map(|l| l.token_id), want, "link({i})");
+            assert_eq!(s.visit(&code).map(|d| d.token_id), want, "visit({code})");
+            let url = want.map(|i| format!("https://dest.example/{i:08x}"));
+            assert_eq!(s.redeem(&code, 512).ok(), url, "redeem({code})");
+        }
+    }
+
+    // Gapped, unsorted tables with duplicate indices answer every code
+    // like a linear scan for the first record carrying it.
+    proptest! {
+        #[test]
+        fn lookups_match_a_linear_scan(
+            entries in prop::collection::vec((0u64..300, 0u64..2_048), 0..64),
+        ) {
+            let links: Vec<LinkRecord> = entries
+                .iter()
+                .enumerate()
+                .map(|(tag, &(index, hashes))| record(index, tag as u64, hashes))
+                .collect();
+            let s = hand_built(links.clone());
+            let last = links.iter().map(|l| l.index).max().unwrap_or(0);
+            let odd = ["".to_string(), "A".to_string(), "a".repeat(13)];
+            let codes = (0..=last + 64).map(index_to_code).chain(odd);
+            for code in codes {
+                let want = links.iter().find(|l| l.code() == code);
+                prop_assert_eq!(
+                    s.visit(&code),
+                    want.map(|l| VisitDoc {
+                        code: l.code(),
+                        token_id: l.token_id,
+                        required_hashes: l.required_hashes,
+                    }),
+                    "visit({:?})", code
+                );
+                if let Some(l) = want.filter(|l| l.required_hashes > 0) {
+                    prop_assert_eq!(
+                        s.redeem(&code, l.required_hashes - 1),
+                        Err(RedeemError::NotEnoughHashes { missing: 1 })
+                    );
+                }
+                prop_assert_eq!(
+                    s.redeem(&code, u64::MAX),
+                    want.map(LinkRecord::target_url).ok_or(RedeemError::UnknownCode),
+                    "redeem({:?})", code
+                );
+            }
+            for i in 0..=last + 64 {
+                let want = links.iter().find(|l| l.index == i).map(|l| l.token_id);
+                prop_assert_eq!(s.link(i).map(|l| l.token_id), want, "link({})", i);
+            }
+        }
     }
 }

@@ -14,6 +14,7 @@ use minedig::chain::tx::Transaction;
 use minedig::net::tcp::{TcpServer, TcpTransport};
 use minedig::pool::pool::{Pool, PoolConfig};
 use minedig::primitives::Hash32;
+use minedig::shortlink::ids::code_to_index;
 use minedig::shortlink::model::{LinkPopulation, LinkRecord};
 use minedig::shortlink::resolve::resolve_with_pool;
 use minedig::shortlink::service::ShortlinkService;
@@ -43,16 +44,16 @@ fn main() {
     .expect("bind localhost");
     println!("pool endpoint listening on {}", server.addr());
 
-    // A short link requiring 64 credited hashes.
+    // A short link requiring 64 credited hashes, at the paper's own
+    // example link id.
     let service = ShortlinkService::new(LinkPopulation {
         links: vec![LinkRecord {
-            index: 0,
-            code: "3w88o".into(), // the paper's own example link id
+            index: code_to_index("3w88o").expect("valid code"),
             token_id: 7,
             required_hashes: 64,
-            target_url: "https://youtu.be/example".into(),
             target_domain: "youtu.be".into(),
-            target_categories: vec![],
+            path_hash: 0x3e88,
+            target_categories: Box::new([]),
         }],
         users: 1,
     });

@@ -14,7 +14,9 @@
 //! async backend with up to `MINEDIG_CONCURRENCY` tasks in flight
 //! (default 256) on one thread. Result lines are identical on every
 //! backend; each campaign prints one line naming its backend, items and
-//! wall time. A malformed value is rejected with exit status 2.
+//! wall time. A malformed value is rejected with exit status 2, and so
+//! is a positional number that is not a whole number, a zero link count
+//! or an extra argument.
 //!
 //! `MINEDIG_CKPT_DIR=<dir>` runs `scan`, `attribute` and `shortlink`
 //! supervised: progress checkpoints land in `<dir>` every
@@ -55,50 +57,121 @@ use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
 use std::time::Instant;
 
+const USAGE: &str =
+    "minedig — reproduction of 'Digging into Browser-based Crypto Mining' (IMC'18)\n\n\
+     usage:\n  \
+     minedig scan <alexa|com|net|org> [seed] [--resume]\n  \
+     minedig attribute [days] [seed] [--resume]\n  \
+     minedig shortlink [links] [seed] [--resume]\n  \
+     minedig hashrate\n\n\
+     MINEDIG_SHARDS=<n> runs campaigns on n worker threads (default: one per\n\
+     core; 1 runs sequentially); MINEDIG_ASYNC=1 runs them as cooperative\n\
+     tasks on one thread, up to MINEDIG_CONCURRENCY in flight (default 256).\n\
+     Results are identical on every backend.\n\
+     MINEDIG_CKPT_DIR=<dir> checkpoints scan/attribute/shortlink campaigns\n\
+     every MINEDIG_CKPT_EVERY items (default 64), retaining the last\n\
+     MINEDIG_CKPT_KEEP snapshots (default 2); --resume continues from the\n\
+     latest snapshot.\n\
+     MINEDIG_HEALTH=1 runs attribute behind the endpoint-health layer\n\
+     (circuit breakers, adaptive deadlines, hedged probes).";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let resume = args.iter().any(|a| a == "--resume");
     args.retain(|a| a != "--resume");
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
+    let command = match parse_command(&args) {
+        Ok(Some(command)) => command,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("{e}\n\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let backend = || {
         Backend::from_env().unwrap_or_else(|e| {
             eprintln!("bad backend configuration: {e}");
             std::process::exit(2);
         })
     };
-    match cmd {
-        "scan" => cmd_scan(&args[1..], backend(), resume),
-        "attribute" => cmd_attribute(&args[1..], backend(), resume),
-        "shortlink" => cmd_shortlink(&args[1..], backend(), resume),
-        "hashrate" => cmd_hashrate(),
-        _ => {
-            eprintln!(
-                "minedig — reproduction of 'Digging into Browser-based Crypto Mining' (IMC'18)\n\n\
-                 usage:\n  \
-                 minedig scan <alexa|com|net|org> [seed] [--resume]\n  \
-                 minedig attribute [days] [seed] [--resume]\n  \
-                 minedig shortlink [links] [seed] [--resume]\n  \
-                 minedig hashrate\n\n\
-                 MINEDIG_SHARDS=<n> runs campaigns on n worker threads (default: one per\n\
-                 core; 1 runs sequentially); MINEDIG_ASYNC=1 runs them as cooperative\n\
-                 tasks on one thread, up to MINEDIG_CONCURRENCY in flight (default 256).\n\
-                 Results are identical on every backend.\n\
-                 MINEDIG_CKPT_DIR=<dir> checkpoints scan/attribute/shortlink campaigns\n\
-                 every MINEDIG_CKPT_EVERY items (default 64), retaining the last\n\
-                 MINEDIG_CKPT_KEEP snapshots (default 2); --resume continues from the\n\
-                 latest snapshot.\n\
-                 MINEDIG_HEALTH=1 runs attribute behind the endpoint-health layer\n\
-                 (circuit breakers, adaptive deadlines, hedged probes)."
-            );
-            std::process::exit(if cmd == "help" { 0 } else { 2 });
-        }
+    match command {
+        Command::Scan { zone, seed } => cmd_scan(zone, seed, backend(), resume),
+        Command::Attribute { days, seed } => cmd_attribute(days, seed, backend(), resume),
+        Command::Shortlink { links, seed } => cmd_shortlink(links, seed, backend(), resume),
+        Command::Hashrate => cmd_hashrate(),
     }
 }
 
-fn arg_u64(args: &[String], idx: usize, default: u64) -> u64 {
-    args.get(idx)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// A checked command line.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Scan { zone: Zone, seed: u64 },
+    Attribute { days: u64, seed: u64 },
+    Shortlink { links: u64, seed: u64 },
+    Hashrate,
+}
+
+/// Parses the arguments after the program name, `--resume` removed.
+/// `Ok(None)` asks for the usage text; an error names the argument at
+/// fault.
+fn parse_command(args: &[String]) -> Result<Option<Command>, String> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Ok(None);
+    };
+    let command = match cmd.as_str() {
+        "scan" => {
+            let zone = match rest.first().map(String::as_str) {
+                Some("alexa") => Zone::Alexa,
+                Some("com") => Zone::Com,
+                Some("net") => Zone::Net,
+                Some("org") | None => Zone::Org,
+                Some(other) => {
+                    return Err(format!("unknown zone '{other}' (use alexa|com|net|org)"))
+                }
+            };
+            let [seed] = numbers(rest.get(1..).unwrap_or_default(), [("seed", 2018)])?;
+            Command::Scan { zone, seed }
+        }
+        "attribute" => {
+            let [days, seed] = numbers(rest, [("days", 7), ("seed", 2018)])?;
+            Command::Attribute { days, seed }
+        }
+        "shortlink" => {
+            let [links, seed] = numbers(rest, [("link count", 50_000), ("seed", 2018)])?;
+            if links == 0 {
+                return Err("bad link count '0': the study needs at least one link".to_string());
+            }
+            Command::Shortlink { links, seed }
+        }
+        "hashrate" => {
+            numbers(rest, [])?;
+            Command::Hashrate
+        }
+        "help" => return Ok(None),
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    Ok(Some(command))
+}
+
+/// The positional numbers `specs` names, in order, each `(name,
+/// default)` taking its default when absent. A value that is not a whole
+/// number, or an argument past the last spec, is an error naming it.
+fn numbers<const N: usize>(args: &[String], specs: [(&str, u64); N]) -> Result<[u64; N], String> {
+    if let Some(extra) = args.get(N) {
+        return Err(format!("unexpected argument '{extra}'"));
+    }
+    let mut values = [0; N];
+    for (i, (name, default)) in specs.into_iter().enumerate() {
+        values[i] = match args.get(i) {
+            None => default,
+            Some(s) => s
+                .parse()
+                .map_err(|_| format!("bad {name} '{s}': expected a whole number"))?,
+        };
+    }
+    Ok(values)
 }
 
 /// A checkpointed run: the snapshot store named by `MINEDIG_CKPT_DIR`,
@@ -177,24 +250,13 @@ fn run_campaign<C: Campaign>(
     output
 }
 
-fn cmd_scan(args: &[String], backend: Backend, resume: bool) {
-    let zone = match args.first().map(String::as_str) {
-        Some("alexa") => Zone::Alexa,
-        Some("com") => Zone::Com,
-        Some("net") => Zone::Net,
-        Some("org") | None => Zone::Org,
-        Some(other) => {
-            eprintln!("unknown zone '{other}' (use alexa|com|net|org)");
-            std::process::exit(2);
-        }
-    };
+fn cmd_scan(zone: Zone, seed: u64, backend: Backend, resume: bool) {
     let zone_tag = match zone {
         Zone::Alexa => "alexa",
         Zone::Com => "com",
         Zone::Net => "net",
         Zone::Org => "org",
     };
-    let seed = arg_u64(args, 1, 2018);
     println!(
         "generating {} ({} domains, miners materialized exactly)…",
         zone.label(),
@@ -329,9 +391,7 @@ fn print_chrome_findings(ch: &minedig::core::scan::ChromeScanOutcome) {
     );
 }
 
-fn cmd_attribute(args: &[String], backend: Backend, resume: bool) {
-    let days = arg_u64(args, 0, 7);
-    let seed = arg_u64(args, 1, 2018);
+fn cmd_attribute(days: u64, seed: u64, backend: Backend, resume: bool) {
     println!(
         "simulating {days} days of Monero with an instrumented Coinhive-style pool \
          ({backend} polling)…"
@@ -428,9 +488,7 @@ fn cmd_attribute(args: &[String], backend: Backend, resume: bool) {
     );
 }
 
-fn cmd_shortlink(args: &[String], backend: Backend, resume: bool) {
-    let links = arg_u64(args, 0, 50_000);
-    let seed = arg_u64(args, 1, 2018);
+fn cmd_shortlink(links: u64, seed: u64, backend: Backend, resume: bool) {
     let config = StudyConfig {
         model: ModelConfig {
             total_links: links,
@@ -503,4 +561,98 @@ fn cmd_hashrate() {
         println!("  {label:<14} {:>8.1} H/s", sample.rate());
     }
     println!("(the paper's browser anchor: 20 H/s on a 2013 laptop, 4 threads)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Option<Command>, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_command(&args)
+    }
+
+    #[test]
+    fn absent_numbers_take_their_defaults() {
+        assert_eq!(parse(""), Ok(None));
+        assert_eq!(parse("help"), Ok(None));
+        assert_eq!(
+            parse("scan"),
+            Ok(Some(Command::Scan {
+                zone: Zone::Org,
+                seed: 2018
+            }))
+        );
+        assert_eq!(
+            parse("attribute"),
+            Ok(Some(Command::Attribute {
+                days: 7,
+                seed: 2018
+            }))
+        );
+        assert_eq!(
+            parse("shortlink"),
+            Ok(Some(Command::Shortlink {
+                links: 50_000,
+                seed: 2018
+            }))
+        );
+        assert_eq!(parse("hashrate"), Ok(Some(Command::Hashrate)));
+    }
+
+    #[test]
+    fn given_numbers_are_used() {
+        assert_eq!(
+            parse("scan alexa 7"),
+            Ok(Some(Command::Scan {
+                zone: Zone::Alexa,
+                seed: 7
+            }))
+        );
+        assert_eq!(
+            parse("attribute 1 7"),
+            Ok(Some(Command::Attribute { days: 1, seed: 7 }))
+        );
+        assert_eq!(
+            parse("shortlink 1709203 2018"),
+            Ok(Some(Command::Shortlink {
+                links: 1_709_203,
+                seed: 2018
+            }))
+        );
+    }
+
+    #[test]
+    fn malformed_numbers_are_rejected_by_name() {
+        for (line, named) in [
+            ("shortlink 1.7e6", "link count '1.7e6'"),
+            ("shortlink -5", "link count '-5'"),
+            ("shortlink 50000 x", "seed 'x'"),
+            ("attribute seven", "days 'seven'"),
+            ("scan org x", "seed 'x'"),
+            (
+                "scan org 99999999999999999999",
+                "seed '99999999999999999999'",
+            ),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(named), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_links_extra_arguments_and_unknown_words_are_rejected() {
+        assert!(parse("shortlink 0").unwrap_err().contains("link count '0'"));
+        for (line, named) in [
+            ("shortlink 100 7 8", "'8'"),
+            ("attribute 1 7 --verbose", "'--verbose'"),
+            ("scan org 7 extra", "'extra'"),
+            ("hashrate now", "'now'"),
+            ("scan mars", "zone 'mars'"),
+            ("crawl", "command 'crawl'"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(named), "{line}: {err}");
+        }
+    }
 }

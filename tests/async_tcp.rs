@@ -490,12 +490,11 @@ fn one_link_service() -> ShortlinkService {
     ShortlinkService::new(LinkPopulation {
         links: vec![LinkRecord {
             index: 0,
-            code: "a".into(),
             token_id: 3,
             required_hashes: 8,
-            target_url: "https://youtu.be/dQw4w9WgXcQ".into(),
             target_domain: "youtu.be".into(),
-            target_categories: vec![],
+            path_hash: 0x5eed_c0de,
+            target_categories: Box::new([]),
         }],
         users: 1,
     })
@@ -542,6 +541,6 @@ fn async_resolution_over_tcp_matches_the_blocking_path() {
     });
 
     assert_eq!(async_url, url);
-    assert_eq!(async_url, "https://youtu.be/dQw4w9WgXcQ");
+    assert_eq!(async_url, "https://youtu.be/5eedc0de");
     assert_eq!(pool.ledger().lifetime_hashes(&creator), blocking_credit);
 }

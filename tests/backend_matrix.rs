@@ -28,7 +28,7 @@ use minedig::primitives::supervise::{run_to_end, Backend, Campaign};
 use minedig::primitives::Hash32;
 use minedig::shortlink::campaign::EnumCampaign;
 use minedig::shortlink::enumerate::{enumerate_links, enumerate_links_with, Enumeration};
-use minedig::shortlink::ids::{code_to_index, index_to_code};
+use minedig::shortlink::ids::code_to_index;
 use minedig::shortlink::model::{LinkPopulation, LinkRecord, ModelConfig};
 use minedig::shortlink::probe::{FaultyProber, LinkProber, ProbeError, ProbePolicy};
 use minedig::shortlink::resolve::resolve_accounted;
@@ -103,12 +103,11 @@ fn gap_service(live: &[u64]) -> ShortlinkService {
         .iter()
         .map(|&i| LinkRecord {
             index: i,
-            code: index_to_code(i),
             token_id: i % 7,
             required_hashes: 512,
-            target_url: format!("https://dest.example/{i}"),
-            target_domain: "dest.example".to_string(),
-            target_categories: vec![],
+            target_domain: "dest.example".into(),
+            path_hash: i,
+            target_categories: Box::new([]),
         })
         .collect();
     ShortlinkService::new(LinkPopulation { links, users: 8 })

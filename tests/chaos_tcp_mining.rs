@@ -26,12 +26,11 @@ fn one_link_service() -> ShortlinkService {
     ShortlinkService::new(LinkPopulation {
         links: vec![LinkRecord {
             index: 0,
-            code: "a".into(),
             token_id: 3,
             required_hashes: 8,
-            target_url: "https://youtu.be/dQw4w9WgXcQ".into(),
             target_domain: "youtu.be".into(),
-            target_categories: vec![],
+            path_hash: 0x5eed_c0de,
+            target_categories: Box::new([]),
         }],
         users: 1,
     })
@@ -194,7 +193,7 @@ fn dropped_requests_time_out_and_resolve_on_retry() {
         32,
     )
     .expect("drops at p=0.25 must be survivable under a recv deadline");
-    assert_eq!(url, "https://youtu.be/dQw4w9WgXcQ");
+    assert_eq!(url, "https://youtu.be/5eedc0de");
     assert!(
         retries > 0,
         "p=0.25 across whole sessions must drop at least one message"
@@ -223,7 +222,7 @@ fn refused_connections_consume_attempts_then_recover() {
         8,
     )
     .unwrap();
-    assert_eq!(url, "https://youtu.be/dQw4w9WgXcQ");
+    assert_eq!(url, "https://youtu.be/5eedc0de");
     assert_eq!(retries, 2);
 }
 

@@ -62,19 +62,18 @@ fn real_pow_resolution_over_tcp_credits_the_creator() {
     let service = ShortlinkService::new(LinkPopulation {
         links: vec![minedig::shortlink::model::LinkRecord {
             index: 0,
-            code: "a".into(),
             token_id: 11,
             required_hashes: 24,
-            target_url: "https://zippyshare.com/file".into(),
             target_domain: "zippyshare.com".into(),
-            target_categories: vec![],
+            path_hash: 0xf11e,
+            target_categories: Box::new([]),
         }],
         users: 1,
     });
 
     let transport = TcpTransport::connect(server.addr()).unwrap();
     let url = resolve_with_pool(&service, &pool, transport, "a", 500_000).unwrap();
-    assert_eq!(url, "https://zippyshare.com/file");
+    assert_eq!(url, "https://zippyshare.com/0000f11e");
     let creator = Token::from_index(11);
     assert!(pool.ledger().lifetime_hashes(&creator) >= 24);
 }
@@ -86,12 +85,11 @@ fn infeasible_link_cannot_be_resolved_within_budget() {
     let service = ShortlinkService::new(LinkPopulation {
         links: vec![minedig::shortlink::model::LinkRecord {
             index: 0,
-            code: "a".into(),
             token_id: 1,
             required_hashes: minedig::shortlink::model::MAX_HASHES,
-            target_url: "https://never.example/".into(),
             target_domain: "never.example".into(),
-            target_categories: vec![],
+            path_hash: 0,
+            target_categories: Box::new([]),
         }],
         users: 1,
     });
