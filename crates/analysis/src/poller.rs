@@ -1099,7 +1099,7 @@ impl<S: AsyncJobSource> Checkpointable for PollCampaign<S> {
     }
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), CkptError> {
-        let mut r = SnapReader::new(&snapshot.payload);
+        let mut r = SnapReader::new(snapshot.full_payload()?);
         let next_tick = r.u64()?;
         if next_tick > self.ticks {
             return Err(CkptError::Corrupt("tick cursor beyond campaign"));

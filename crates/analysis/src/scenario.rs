@@ -422,7 +422,7 @@ impl<S: AsyncJobSource + Send + 'static> Checkpointable for ScenarioCampaign<S> 
     }
 
     fn restore(&mut self, snap: &Snapshot) -> Result<(), CkptError> {
-        let mut r = SnapReader::new(&snap.payload);
+        let mut r = SnapReader::new(snap.full_payload()?);
         let steps = r.u64()?;
         let done = r.bool()?;
         let n = r.len()?;

@@ -5,17 +5,19 @@
 //! Each workload runs once unsupervised (the overhead baseline), then
 //! supervised at several checkpoint cadences with two simulated kills
 //! injected — so the recorded times include snapshot encoding, the
-//! atomic file replace, restore-on-restart, and the redone tail items.
-//! Every supervised outcome is asserted bit-identical to the baseline
-//! before its row is emitted: a bench that drifted from the
-//! correctness contract would be measuring the wrong thing.
+//! atomic file replace or journal append, restore-on-restart, and the
+//! redone tail items. Every supervised outcome is asserted
+//! bit-identical to the baseline before its row is emitted: a bench
+//! that drifted from the correctness contract would be measuring the
+//! wrong thing.
 //!
 //! The headline ratio is `secs` at cadence 64 (the CLI default) vs the
 //! unsupervised row. These smoke items are microseconds each, so the
-//! snapshot write dominates and the ratio looks dramatic; what the
-//! sweep is really pinning down is the per-checkpoint cost (divide the
-//! delta by `checkpoints`) and how it scales with snapshot size — the
-//! enumeration ledger's snapshot is ~30× the scan's.
+//! snapshot write dominates; what the sweep pins down is the
+//! per-checkpoint cost (divide the delta by `checkpoints`) and the
+//! bytes written (`bytes_written`, over the whole run). The scan
+//! rewrites its full state at every checkpoint; the enumeration walk
+//! appends deltas, so its bytes grow with the walk, not its square.
 
 use minedig_bench::env_u64;
 use minedig_core::campaign::ZgrabCampaign;
@@ -36,7 +38,8 @@ struct Row {
     every: u64,
     secs: f64,
     checkpoints: u64,
-    snapshot_bytes: u64,
+    /// Bytes written to the snapshot store over the run.
+    bytes_written: u64,
     crashes: u64,
     items_redone: u64,
 }
@@ -70,7 +73,7 @@ fn main() {
         every: 0,
         secs: start.elapsed().as_secs_f64(),
         checkpoints: 0,
-        snapshot_bytes: 0,
+        bytes_written: 0,
         crashes: 0,
         items_redone: 0,
     }];
@@ -97,7 +100,7 @@ fn main() {
             every,
             secs,
             checkpoints: run.report.checkpoints,
-            snapshot_bytes: run.report.snapshot_bytes,
+            bytes_written: run.report.bytes_written,
             crashes: u64::from(run.report.crashes),
             items_redone: run.report.items_lost,
         });
@@ -109,11 +112,10 @@ fn main() {
         rows,
     });
 
-    // §4.1 study: the enumeration walk supervised, resolution after.
-    // Smaller than the async smoke's study: the enumeration snapshot
-    // carries the resolved ledger, so its size — and with it the cost
-    // of a tight checkpoint cadence — grows with the walk. That growth
-    // is exactly what the sweep is here to show.
+    // §4.1 study: the enumeration walk supervised, with the unbiased
+    // tail resolved as it goes. Its checkpoints are delta snapshots of
+    // what the walk appended, so a tight cadence adds frames, not
+    // rewrites of the growing ledger.
     let config = StudyConfig {
         model: ModelConfig {
             total_links: 40_000,
@@ -130,7 +132,7 @@ fn main() {
         every: 0,
         secs: start.elapsed().as_secs_f64(),
         checkpoints: 0,
-        snapshot_bytes: 0,
+        bytes_written: 0,
         crashes: 0,
         items_redone: 0,
     }];
@@ -162,7 +164,7 @@ fn main() {
             every,
             secs,
             checkpoints: run.report.checkpoints,
-            snapshot_bytes: run.report.snapshot_bytes,
+            bytes_written: run.report.bytes_written,
             crashes: u64::from(run.report.crashes),
             items_redone: run.report.items_lost,
         });
@@ -184,12 +186,12 @@ fn main() {
             } else {
                 println!(
                     "  every {:>3}: {:.3}s ({:+.1}% vs unsupervised), {} ckpts, \
-                     {} snapshot bytes, {} crashes, {} items redone",
+                     {} bytes written, {} crashes, {} items redone",
                     r.every,
                     r.secs,
                     (r.secs / base.max(1e-9) - 1.0) * 100.0,
                     r.checkpoints,
-                    r.snapshot_bytes,
+                    r.bytes_written,
                     r.crashes,
                     r.items_redone,
                 );
@@ -207,11 +209,11 @@ fn main() {
         for (j, r) in w.rows.iter().enumerate() {
             json.push_str(&format!(
                 "{{\"every\": {}, \"secs\": {:.6}, \"checkpoints\": {}, \
-                 \"snapshot_bytes\": {}, \"crashes\": {}, \"items_redone\": {}}}{}",
+                 \"bytes_written\": {}, \"crashes\": {}, \"items_redone\": {}}}{}",
                 r.every,
                 r.secs,
                 r.checkpoints,
-                r.snapshot_bytes,
+                r.bytes_written,
                 r.crashes,
                 r.items_redone,
                 if j + 1 == w.rows.len() { "" } else { ", " }

@@ -322,7 +322,7 @@ impl Checkpointable for ZgrabCampaign<'_> {
     }
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), CkptError> {
-        let mut r = SnapReader::new(&snapshot.payload);
+        let mut r = SnapReader::new(snapshot.full_payload()?);
         let cursor = r.u64()?;
         let outcome = take_zgrab_outcome(&mut r)?;
         r.expect_end()?;
@@ -439,7 +439,7 @@ impl Checkpointable for ChromeCampaign<'_> {
     }
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), CkptError> {
-        let mut r = SnapReader::new(&snapshot.payload);
+        let mut r = SnapReader::new(snapshot.full_payload()?);
         let cursor = r.u64()?;
         let outcome = take_chrome_outcome(&mut r)?;
         r.expect_end()?;

@@ -294,7 +294,7 @@ pub fn async_poll_summary(label: &str, sweeps: u64, stats: &AsyncStats) -> Strin
 ///
 /// ```text
 /// zgrab .org (supervised): 1050 items over 4 attempts (3 crashes, 0 stall restarts)
-///   17 checkpoints (8531 bytes last), 42 items lost to crashes, 1008 before crash + 42 after resume [balanced]
+///   17 checkpoints (8531 bytes written), 42 items lost to crashes, 1008 before crash + 42 after resume [balanced]
 /// ```
 pub fn checkpoint_summary(label: &str, report: &SuperviseReport) -> String {
     let mut out = format!(
@@ -305,9 +305,9 @@ pub fn checkpoint_summary(label: &str, report: &SuperviseReport) -> String {
         report.stall_restarts,
     );
     out.push_str(&format!(
-        "  {} checkpoints ({} bytes last), {} items lost to crashes, {} before crash + {} after resume [{}]\n",
+        "  {} checkpoints ({} bytes written), {} items lost to crashes, {} before crash + {} after resume [{}]\n",
         report.checkpoints,
-        report.snapshot_bytes,
+        report.bytes_written,
         report.items_lost,
         report.items_before_crash,
         report.items_after_resume,
@@ -424,7 +424,7 @@ mod tests {
             attempts: 4,
             crashes: 3,
             checkpoints: 17,
-            snapshot_bytes: 8_531,
+            bytes_written: 8_531,
             items_before_crash: 1_008,
             items_after_resume: 42,
             items_lost: 42,
@@ -434,7 +434,7 @@ mod tests {
         };
         let text = checkpoint_summary("zgrab .org (supervised)", &report);
         assert!(text.contains("1050 items over 4 attempts (3 crashes, 0 stall restarts)"));
-        assert!(text.contains("17 checkpoints (8531 bytes last)"));
+        assert!(text.contains("17 checkpoints (8531 bytes written), 42 items lost to crashes"));
         assert!(text.contains("[balanced]"), "{text}");
     }
 

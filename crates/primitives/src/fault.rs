@@ -118,11 +118,17 @@ impl FaultPlan {
         )
     }
 
-    /// Reads `MINEDIG_FAULT_SEED` and builds a default-config plan from
-    /// it; `None` when the variable is unset or unparsable.
-    pub fn from_env() -> Option<FaultPlan> {
-        let raw = std::env::var(FAULT_SEED_ENV).ok()?;
-        raw.trim().parse::<u64>().ok().map(FaultPlan::new)
+    /// The default-config plan seeded by [`FAULT_SEED_ENV`] through
+    /// `lookup`: `None` when unset, and an error naming the variable for
+    /// a value that is not a whole number.
+    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Option<FaultPlan>, String> {
+        let seed = crate::parse_var(lookup, FAULT_SEED_ENV, "a whole number", |_: &u64| true)?;
+        Ok(seed.map(FaultPlan::new))
+    }
+
+    /// [`parse`](FaultPlan::parse) over the process environment.
+    pub fn from_env() -> Result<Option<FaultPlan>, String> {
+        FaultPlan::parse(|name| std::env::var(name).ok())
     }
 
     /// The plan's seed.
@@ -336,11 +342,16 @@ mod tests {
     }
 
     #[test]
-    fn from_env_parses_or_declines() {
-        // Avoid mutating the process environment (other tests run in
-        // parallel); exercise only the unset path plus the parser used
-        // by from_env.
-        assert!(FaultPlan::from_env().is_none() || FaultPlan::from_env().is_some());
-        assert_eq!(FaultPlan::new(17).seed(), 17);
+    fn seed_parses_whole_numbers_and_rejects_the_rest() {
+        let seed = |v: Option<&str>| {
+            FaultPlan::parse(|_| v.map(String::from)).map(|plan| plan.map(|p| p.seed()))
+        };
+        assert_eq!(seed(None), Ok(None));
+        assert_eq!(seed(Some("0")), Ok(Some(0)));
+        assert_eq!(seed(Some(" 17 ")), Ok(Some(17)));
+        for bad in ["abc", "-3", "1.5", ""] {
+            let err = seed(Some(bad)).expect_err(bad);
+            assert!(err.contains(FAULT_SEED_ENV), "{err}");
+        }
     }
 }

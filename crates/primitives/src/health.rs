@@ -48,9 +48,16 @@ use std::collections::VecDeque;
 /// set to `1`.
 pub const HEALTH_ENV: &str = "MINEDIG_HEALTH";
 
-/// True when [`HEALTH_ENV`] enables the health layer.
-pub fn health_from_env() -> bool {
-    std::env::var(HEALTH_ENV).is_ok_and(|v| v.trim() == "1")
+/// Whether [`HEALTH_ENV`], read through `lookup`, enables the health
+/// layer: unset or `0` is off, `1` is on, and anything else is an error
+/// naming the variable.
+pub fn parse_health(lookup: impl Fn(&str) -> Option<String>) -> Result<bool, String> {
+    crate::parse_switch(lookup, HEALTH_ENV)
+}
+
+/// [`parse_health`] over the process environment.
+pub fn health_from_env() -> Result<bool, String> {
+    parse_health(|name| std::env::var(name).ok())
 }
 
 /// Circuit-breaker tuning knobs.
@@ -858,6 +865,18 @@ impl Admission {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn health_switch_takes_0_or_1_and_rejects_the_rest() {
+        let health = |v: Option<&str>| parse_health(|_| v.map(String::from));
+        assert_eq!(health(None), Ok(false));
+        assert_eq!(health(Some("0")), Ok(false));
+        assert_eq!(health(Some(" 1 ")), Ok(true));
+        for bad in ["yes", "true", "2", ""] {
+            let err = health(Some(bad)).expect_err(bad);
+            assert!(err.contains(HEALTH_ENV), "{err}");
+        }
+    }
 
     fn fast_breaker() -> BreakerConfig {
         BreakerConfig {

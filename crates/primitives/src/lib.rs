@@ -44,6 +44,35 @@ pub use supervise::{
     run_to_end, Backend, Campaign, CrashPolicy, SuperviseReport, SupervisedRun, Supervisor,
 };
 
+/// Reads the variable `name` through `lookup` and parses it as a `T`
+/// that `valid` accepts: `Ok(None)` when unset, and an error naming the
+/// variable and what was `expected` for any other value, so that a
+/// malformed knob is rejected rather than silently misread.
+pub fn parse_var<T: std::str::FromStr>(
+    lookup: impl Fn(&str) -> Option<String>,
+    name: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    let Some(raw) = lookup(name) else {
+        return Ok(None);
+    };
+    match raw.trim().parse::<T>() {
+        Ok(value) if valid(&value) => Ok(Some(value)),
+        _ => Err(format!("{name}={raw:?}: expected {expected}")),
+    }
+}
+
+/// Reads the on/off switch `name` through `lookup`: unset or `0` is
+/// off, `1` is on, and anything else is an error naming the variable.
+pub fn parse_switch(lookup: impl Fn(&str) -> Option<String>, name: &str) -> Result<bool, String> {
+    match lookup(name).as_deref().map(str::trim) {
+        None | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(other) => Err(format!("{name}={other:?}: expected 0 or 1")),
+    }
+}
+
 /// A 256-bit hash digest used throughout the workspace.
 ///
 /// The type deliberately mirrors Monero's 32-byte hash values: block ids,

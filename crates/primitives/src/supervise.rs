@@ -22,6 +22,7 @@ use crate::aexec::{AsyncExecutor, CONCURRENCY_ENV, DEFAULT_CONCURRENCY};
 use crate::ckpt::{Checkpointable, CkptError, SnapshotStore};
 use crate::fault::FaultPlan;
 use crate::par::ParallelExecutor;
+use crate::{parse_switch, parse_var};
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,20 +90,8 @@ impl Backend {
     /// set, [`Backend::default`]. A count that is not a positive
     /// integer, or an `MINEDIG_ASYNC` other than `0`/`1`, is an error.
     pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Backend, String> {
-        let count = |name: &str| -> Result<Option<usize>, String> {
-            let Some(raw) = lookup(name) else {
-                return Ok(None);
-            };
-            match raw.trim().parse::<usize>() {
-                Ok(n) if n > 0 => Ok(Some(n)),
-                _ => Err(format!("{name}={raw:?}: expected a positive integer")),
-            }
-        };
-        let asynchronous = match lookup(ASYNC_ENV).as_deref().map(str::trim) {
-            None | Some("0") => false,
-            Some("1") => true,
-            Some(other) => return Err(format!("{ASYNC_ENV}={other:?}: expected 0 or 1")),
-        };
+        let count = |name: &str| parse_var(&lookup, name, "a positive integer", |&n: &usize| n > 0);
+        let asynchronous = parse_switch(&lookup, ASYNC_ENV)?;
         let shards = count(SHARDS_ENV)?;
         let concurrency = count(CONCURRENCY_ENV)?;
         Ok(if asynchronous {
@@ -210,18 +199,22 @@ impl Default for CrashPolicy {
 }
 
 impl CrashPolicy {
-    /// The default policy with the checkpoint cadence taken from
-    /// [`CKPT_EVERY_ENV`] when that parses to a positive count.
-    pub fn from_env() -> CrashPolicy {
+    /// The default policy with the checkpoint cadence [`CKPT_EVERY_ENV`]
+    /// names through `lookup`: a positive count, the default when unset,
+    /// and an error naming the variable for anything else.
+    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<CrashPolicy, String> {
         let mut policy = CrashPolicy::default();
-        if let Some(every) = std::env::var(CKPT_EVERY_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-        {
+        if let Some(every) = parse_var(lookup, CKPT_EVERY_ENV, "a positive integer", |&n: &u64| {
+            n > 0
+        })? {
             policy.ckpt_every_items = every;
         }
-        policy
+        Ok(policy)
+    }
+
+    /// [`parse`](CrashPolicy::parse) over the process environment.
+    pub fn from_env() -> Result<CrashPolicy, String> {
+        CrashPolicy::parse(|name| std::env::var(name).ok())
     }
 }
 
@@ -245,8 +238,8 @@ pub struct SuperviseReport {
     pub stall_restarts: u32,
     /// Snapshots written.
     pub checkpoints: u64,
-    /// Size of the last snapshot written, in bytes.
-    pub snapshot_bytes: u64,
+    /// Bytes the run wrote to the snapshot store, over every checkpoint.
+    pub bytes_written: u64,
     /// Items executed by attempts that were later killed or recycled.
     pub items_before_crash: u64,
     /// Items executed by the attempt that completed.
@@ -451,7 +444,7 @@ impl Supervisor {
                     // Final snapshot: a later `--resume` of the same
                     // campaign restores the completed state instead of
                     // re-running anything.
-                    report.snapshot_bytes = store.save(name, &campaign.snapshot())?;
+                    report.bytes_written += store.save(name, &campaign.snapshot())?;
                     report.checkpoints += 1;
                     break;
                 }
@@ -488,7 +481,7 @@ impl Supervisor {
                             campaign.virtual_now_ms().saturating_sub(last_ckpt_ms) >= t
                         });
                         if due_items || due_time {
-                            report.snapshot_bytes = store.save(name, &campaign.snapshot())?;
+                            report.bytes_written += store.save(name, &campaign.snapshot())?;
                             report.checkpoints += 1;
                             restore_point = after;
                             last_ckpt_ms = campaign.virtual_now_ms();
@@ -588,7 +581,7 @@ mod tests {
         }
 
         fn restore(&mut self, snap: &Snapshot) -> Result<(), CkptError> {
-            let mut r = SnapReader::new(&snap.payload);
+            let mut r = SnapReader::new(snap.full_payload()?);
             self.done = r.u64()?;
             self.acc = r.u64()?;
             r.expect_end()
@@ -815,6 +808,23 @@ mod tests {
         }
         for bad in ["yes", "2", "true"] {
             assert!(parse(&[("MINEDIG_ASYNC", bad)]).is_err(), "async {bad:?}");
+        }
+    }
+
+    #[test]
+    fn crash_policy_parses_positive_cadences_and_rejects_the_rest() {
+        let every = |v: &str| {
+            CrashPolicy::parse(|name| (name == CKPT_EVERY_ENV).then(|| v.to_string()))
+                .map(|p| p.ckpt_every_items)
+        };
+        assert_eq!(
+            CrashPolicy::parse(|_| None).map(|p| p.ckpt_every_items),
+            Ok(64)
+        );
+        assert_eq!(every(" 16 "), Ok(16));
+        for bad in ["abc", "0", "-1", ""] {
+            let err = every(bad).expect_err(bad);
+            assert!(err.contains(CKPT_EVERY_ENV), "{err}");
         }
     }
 

@@ -1,9 +1,13 @@
 //! The §4.1 enumeration (plus optional accounted resolution) as a
 //! killable, resumable [`Campaign`].
 //!
-//! One item = one probed ID. The snapshot is the enumeration ledger so
-//! far (`docs`, counters), the current dead run, and — when resolution
-//! rides along — the accounted [`ResolveReport`]. Because probe
+//! One item = one probed ID. The first snapshot is the enumeration
+//! ledger so far (`docs`, counters), the current dead run, and — when
+//! resolution rides along — the accounted [`ResolveReport`]. Both
+//! ledgers only grow, so every later snapshot is a delta: the docs and
+//! resolved links appended since the snapshot before it, plus the
+//! counters. A checkpoint thus costs what the walk did since the last
+//! one, and the bytes a walk writes grow linearly with it. Because probe
 //! results, retry jitter, and async latency are all keyed by link code
 //! (never probing order), re-probing `[cursor, …)` after a restore
 //! replays exactly the suffix the sequential walk would have produced,
@@ -22,6 +26,7 @@ use crate::service::{ShortlinkService, VisitDoc};
 use minedig_primitives::ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot};
 use minedig_primitives::rng::DetRng;
 use minedig_primitives::supervise::{Backend, Campaign};
+use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,8 +56,14 @@ fn take_doc(r: &mut SnapReader) -> Result<VisitDoc, CkptError> {
 
 /// Encodes an [`Enumeration`] into `w`.
 pub fn put_enumeration(w: &mut SnapWriter, e: &Enumeration) {
-    w.len(e.docs.len());
-    for d in &e.docs {
+    put_walk(w, &e.docs, e);
+}
+
+/// Encodes `docs` — all of `e`'s, or the ones a delta appends — then
+/// `e`'s counters, in [`take_enumeration`]'s layout.
+fn put_walk(w: &mut SnapWriter, docs: &[VisitDoc], e: &Enumeration) {
+    w.len(docs.len());
+    for d in docs {
         put_doc(w, d);
     }
     w.u64(e.probed);
@@ -77,8 +88,14 @@ pub fn take_enumeration(r: &mut SnapReader) -> Result<Enumeration, CkptError> {
 
 /// Encodes a [`ResolveReport`] into `w`.
 pub fn put_resolve_report(w: &mut SnapWriter, rep: &ResolveReport) {
-    w.len(rep.resolved.len());
-    for (code, url) in &rep.resolved {
+    put_resolved(w, &rep.resolved, rep);
+}
+
+/// Encodes `resolved` — all of `rep`'s, or the links a delta appends —
+/// then `rep`'s counters, in [`take_resolve_report`]'s layout.
+fn put_resolved(w: &mut SnapWriter, resolved: &[(String, String)], rep: &ResolveReport) {
+    w.len(resolved.len());
+    for (code, url) in resolved {
         w.str(code);
         w.str(url);
     }
@@ -108,6 +125,15 @@ pub fn take_resolve_report(r: &mut SnapReader) -> Result<ResolveReport, CkptErro
 // The campaign.
 // ---------------------------------------------------------------------
 
+/// How far the snapshot journal reaches: the progress key and ledger
+/// lengths of the last snapshot taken or restored.
+#[derive(Clone, Copy, Debug)]
+struct Journaled {
+    key: u64,
+    docs: usize,
+    resolved: usize,
+}
+
 /// The ID-space walk (optionally with accounted resolution riding on
 /// each live find) as a supervised campaign.
 pub struct EnumCampaign<'a, P: LinkProber + Sync> {
@@ -128,6 +154,11 @@ pub struct EnumCampaign<'a, P: LinkProber + Sync> {
     enumeration: Enumeration,
     resolve_report: ResolveReport,
     dead_run: u64,
+    /// What the journal holds once a snapshot was taken or restored:
+    /// the next snapshot is a delta over it. A `Cell` because
+    /// `snapshot` takes `&self`. Should a delta go unsaved, the store
+    /// refuses the next one, whose base key it does not hold.
+    journaled: Cell<Option<Journaled>>,
 }
 
 /// What a finished [`EnumCampaign`] yields: the enumeration plus the
@@ -165,6 +196,7 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
             },
             resolve_report: ResolveReport::default(),
             dead_run: 0,
+            journaled: Cell::new(None),
         }
     }
 
@@ -247,27 +279,57 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
         self.enumeration.probed
     }
 
+    /// The full state the first time; after that, a delta carrying the
+    /// docs and resolved links appended since the last snapshot and the
+    /// counters (the resolver flags are fixed by the base).
     fn snapshot(&self) -> Snapshot {
+        let (e, rep) = (&self.enumeration, &self.resolve_report);
+        let now = Journaled {
+            key: e.probed,
+            docs: e.docs.len(),
+            resolved: rep.resolved.len(),
+        };
         let mut w = SnapWriter::new();
-        put_enumeration(&mut w, &self.enumeration);
-        w.u64(self.dead_run);
-        w.bool(self.resolver.is_some());
-        if self.resolver.is_some() {
-            w.bool(self.tail_only);
-            put_resolve_report(&mut w, &self.resolve_report);
-        }
-        Snapshot::new(self.enumeration.probed, w.finish())
+        let snap = match self.journaled.get() {
+            None => {
+                put_enumeration(&mut w, e);
+                w.u64(self.dead_run);
+                w.bool(self.resolver.is_some());
+                if self.resolver.is_some() {
+                    w.bool(self.tail_only);
+                    put_resolve_report(&mut w, rep);
+                }
+                Snapshot::new(now.key, w.finish())
+            }
+            Some(base) => {
+                put_walk(&mut w, &e.docs[base.docs..], e);
+                w.u64(self.dead_run);
+                if self.resolver.is_some() {
+                    put_resolved(&mut w, &rep.resolved[base.resolved..], rep);
+                }
+                Snapshot::delta(base.key, now.key, w.finish())
+            }
+        };
+        self.journaled.set(Some(now));
+        snap
     }
 
+    /// Applies the full snapshot, then each delta it carries, in order.
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), CkptError> {
+        if let Some(base_key) = snapshot.base_key {
+            return Err(CkptError::BaseMismatch {
+                base_key,
+                last_key: None,
+            });
+        }
         let mut r = SnapReader::new(&snapshot.payload);
-        let enumeration = take_enumeration(&mut r)?;
-        let dead_run = r.u64()?;
+        let mut enumeration = take_enumeration(&mut r)?;
+        let mut dead_run = r.u64()?;
         let had_resolver = r.bool()?;
         if had_resolver != self.resolver.is_some() {
             return Err(CkptError::Corrupt("resolver presence mismatch"));
         }
-        let resolve_report = if had_resolver {
+        let mut resolve_report = if had_resolver {
             if r.bool()? != self.tail_only {
                 return Err(CkptError::Corrupt("resolver mode mismatch"));
             }
@@ -276,6 +338,35 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
             ResolveReport::default()
         };
         r.expect_end()?;
+        let mut key = snapshot.progress_key;
+        for delta in &snapshot.deltas {
+            match delta.base_key {
+                Some(base_key) if base_key == key => {}
+                Some(base_key) => {
+                    return Err(CkptError::BaseMismatch {
+                        base_key,
+                        last_key: Some(key),
+                    })
+                }
+                None => return Err(CkptError::Corrupt("full snapshot among deltas")),
+            }
+            let mut r = SnapReader::new(&delta.payload);
+            let step = take_enumeration(&mut r)?;
+            enumeration.docs.extend(step.docs);
+            enumeration.probed = step.probed;
+            enumeration.failed_probes = step.failed_probes;
+            enumeration.probe_retries = step.probe_retries;
+            dead_run = r.u64()?;
+            if had_resolver {
+                let step = take_resolve_report(&mut r)?;
+                resolve_report.resolved.extend(step.resolved);
+                resolve_report.skipped_over_budget = step.skipped_over_budget;
+                resolve_report.visit_failures = step.visit_failures;
+                resolve_report.hashes_spent = step.hashes_spent;
+            }
+            r.expect_end()?;
+            key = delta.progress_key;
+        }
         if dead_run > self.dead_run_limit {
             return Err(CkptError::Corrupt("dead run beyond limit"));
         }
@@ -290,6 +381,11 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
         } else {
             std::collections::HashSet::new()
         };
+        self.journaled.set(Some(Journaled {
+            key,
+            docs: enumeration.docs.len(),
+            resolved: resolve_report.resolved.len(),
+        }));
         self.enumeration = enumeration;
         self.dead_run = dead_run;
         self.resolve_report = resolve_report;
@@ -483,6 +579,65 @@ mod tests {
             assert_eq!(run.output.resolve_report.skipped_over_budget, 0);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_checkpointed_walk_writes_bytes_linear_in_its_length() {
+        // The tail-resolving walk checkpointed every 16 items and killed
+        // twice: each checkpoint after the first appends only what the
+        // walk did since, so the whole run writes less than two full
+        // snapshots of the finished walk. Rewriting the folded state at
+        // every checkpoint writes hundreds of them.
+        let service = ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
+            total_links: 20_000,
+            users: 1_500,
+            seed: 5,
+        }));
+        let policy = ProbePolicy::default();
+        let budget = 10_000u64;
+        let clean = enumerate_links_with(&service, 32, &policy);
+        let mut seen = std::collections::HashSet::new();
+        let tail_codes: Vec<String> = clean
+            .docs
+            .iter()
+            .filter(|d| seen.insert((d.token_id, d.required_hashes)) && d.required_hashes < budget)
+            .map(|d| d.code.clone())
+            .collect();
+        let expected = resolve_accounted(&service, &tail_codes, budget);
+        let walk = || {
+            EnumCampaign::new(&service, &policy, 32, Backend::Sequential)
+                .with_tail_resolver(&service, budget)
+        };
+        let dir = tmpdir("linear");
+        let store = SnapshotStore::open(&dir).unwrap();
+        let run = Supervisor::new(CrashPolicy {
+            ckpt_every_items: 16,
+            ..CrashPolicy::default()
+        })
+        .with_kills(vec![7_000, 14_000])
+        .run(&store, "walk", walk, false)
+        .unwrap();
+        assert_eq!(run.report.crashes, 2);
+        assert!(run.report.balanced(), "{:?}", run.report);
+        assert_enum_eq(&run.output.enumeration, &clean);
+        let got = &run.output.resolve_report;
+        assert_eq!(got.resolved, expected.resolved);
+        assert_eq!(got.skipped_over_budget, expected.skipped_over_budget);
+        assert_eq!(got.visit_failures, expected.visit_failures);
+        assert_eq!(got.hashes_spent, expected.hashes_spent);
+
+        let mut finished = walk();
+        while !finished.is_done() {
+            finished.run_items(u64::MAX, &AtomicU64::new(0));
+        }
+        let full = finished.snapshot().encode().len() as u64;
+        assert!(
+            run.report.bytes_written <= 2 * full,
+            "{} checkpoints wrote {} bytes; one full snapshot is {full}",
+            run.report.checkpoints,
+            run.report.bytes_written
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl FingerprintCache {
                 },
             ));
         }
-        let mut r = SnapReader::new(&snap.payload);
+        let mut r = SnapReader::new(snap.full_payload()?);
         let count = r.len()?;
         let mut cache = FingerprintCache::new();
         for _ in 0..count {

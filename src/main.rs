@@ -14,17 +14,18 @@
 //! async backend with up to `MINEDIG_CONCURRENCY` tasks in flight
 //! (default 256) on one thread. Result lines are identical on every
 //! backend; each campaign prints one line naming its backend, items and
-//! wall time. A malformed value is rejected with exit status 2, and so
-//! is a positional number that is not a whole number, a zero link count
-//! or an extra argument.
+//! wall time. A malformed value of any `MINEDIG_*` variable named here
+//! is rejected with exit status 2, before any work starts, and so is a
+//! positional number that is not a whole number, a zero link count or
+//! an extra argument.
 //!
 //! `MINEDIG_CKPT_DIR=<dir>` runs `scan`, `attribute` and `shortlink`
 //! supervised: progress checkpoints land in `<dir>` every
-//! `MINEDIG_CKPT_EVERY` items (default 64, last `MINEDIG_CKPT_KEEP`
-//! snapshots retained), the Chrome scan's fingerprint memo persists
-//! across runs, and `--resume` continues a killed campaign from its
-//! latest snapshot — with results bit-identical to an uninterrupted
-//! run.
+//! `MINEDIG_CKPT_EVERY` items (default 64, the journals of the last
+//! `MINEDIG_CKPT_KEEP` full saves retained), the Chrome scan's
+//! fingerprint memo persists across runs, and `--resume` continues a
+//! killed campaign from its latest snapshot — with results
+//! bit-identical to an uninterrupted run.
 //!
 //! `MINEDIG_HEALTH=1 minedig attribute …` puts the §4.2 poller behind
 //! the endpoint-health layer: per-endpoint circuit breakers quarantine
@@ -43,7 +44,7 @@ use minedig::core::scan::{build_reference_db, scan_len, FetchModel};
 use minedig::core::shortlink_study::{run_study, run_study_supervised, StudyConfig};
 use minedig::pow::hashrate::measure_hashrate;
 use minedig::pow::Variant;
-use minedig::primitives::ckpt::SnapshotStore;
+use minedig::primitives::ckpt::{parse_keep, SnapshotStore};
 use minedig::primitives::fault::FaultPlan;
 use minedig::primitives::health::{health_from_env, HealthConfig};
 use minedig::primitives::supervise::{
@@ -73,7 +74,9 @@ const USAGE: &str =
      MINEDIG_CKPT_KEEP snapshots (default 2); --resume continues from the\n\
      latest snapshot.\n\
      MINEDIG_HEALTH=1 runs attribute behind the endpoint-health layer\n\
-     (circuit breakers, adaptive deadlines, hedged probes).";
+     (circuit breakers, adaptive deadlines, hedged probes).\n\
+     MINEDIG_FAULT_SEED=<n> injects a reproducible fault schedule.\n\
+     A malformed value of any of these variables exits with status 2.";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -90,18 +93,27 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let backend = || {
-        Backend::from_env().unwrap_or_else(|e| {
-            eprintln!("bad backend configuration: {e}");
-            std::process::exit(2);
-        })
-    };
+    let backend = configured(Backend::from_env());
+    let faults = configured(FaultPlan::from_env());
+    let health = configured(health_from_env());
+    let ckpt = configured(Ckpt::from_env(resume, faults.as_ref()));
     match command {
-        Command::Scan { zone, seed } => cmd_scan(zone, seed, backend(), resume),
-        Command::Attribute { days, seed } => cmd_attribute(days, seed, backend(), resume),
-        Command::Shortlink { links, seed } => cmd_shortlink(links, seed, backend(), resume),
+        Command::Scan { zone, seed } => cmd_scan(zone, seed, backend, faults, ckpt),
+        Command::Attribute { days, seed } => {
+            cmd_attribute(days, seed, backend, faults, health, ckpt)
+        }
+        Command::Shortlink { links, seed } => cmd_shortlink(links, seed, backend, ckpt),
         Command::Hashrate => cmd_hashrate(),
     }
+}
+
+/// A setting parsed from the environment, or exit status 2 with the
+/// parser's error, which names the variable at fault.
+fn configured<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("bad configuration: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// A checked command line.
@@ -184,25 +196,28 @@ struct Ckpt {
 
 impl Ckpt {
     /// The checkpoint configuration from the environment, when
-    /// `MINEDIG_CKPT_DIR` is set: the env checkpoint cadence, with
-    /// simulated kills drawn from the fault plan's crash stream when one
-    /// is configured.
-    fn from_env(resume: bool) -> Option<Ckpt> {
-        let dir = std::env::var(CKPT_DIR_ENV).ok()?;
-        let store = SnapshotStore::open(&dir).unwrap_or_else(|e| {
-            eprintln!("cannot open checkpoint dir '{dir}': {e}");
-            std::process::exit(2);
-        });
-        let supervisor = Supervisor::new(CrashPolicy::from_env());
-        let supervisor = match FaultPlan::from_env() {
-            Some(plan) => supervisor.with_fault_plan(plan),
+    /// `MINEDIG_CKPT_DIR` is set: the env checkpoint cadence and
+    /// retention, with simulated kills drawn from the crash stream of
+    /// `faults` when a fault plan is configured. A malformed cadence or
+    /// retention is an error even when no directory is set.
+    fn from_env(resume: bool, faults: Option<&FaultPlan>) -> Result<Option<Ckpt>, String> {
+        let policy = CrashPolicy::from_env()?;
+        let keep = parse_keep(|name| std::env::var(name).ok())?;
+        let Ok(dir) = std::env::var(CKPT_DIR_ENV) else {
+            return Ok(None);
+        };
+        let store = SnapshotStore::open_with_keep(&dir, keep)
+            .map_err(|e| format!("cannot open checkpoint dir '{dir}': {e}"))?;
+        let supervisor = Supervisor::new(policy);
+        let supervisor = match faults {
+            Some(plan) => supervisor.with_fault_plan(plan.clone()),
             None => supervisor,
         };
-        Some(Ckpt {
+        Ok(Some(Ckpt {
             store,
             supervisor,
             resume,
-        })
+        }))
     }
 
     /// The run header's checkpointing note.
@@ -250,7 +265,13 @@ fn run_campaign<C: Campaign>(
     output
 }
 
-fn cmd_scan(zone: Zone, seed: u64, backend: Backend, resume: bool) {
+fn cmd_scan(
+    zone: Zone,
+    seed: u64,
+    backend: Backend,
+    faults: Option<FaultPlan>,
+    ckpt: Option<Ckpt>,
+) {
     let zone_tag = match zone {
         Zone::Alexa => "alexa",
         Zone::Com => "com",
@@ -271,7 +292,7 @@ fn cmd_scan(zone: Zone, seed: u64, backend: Backend, resume: bool) {
     // MINEDIG_FAULT_SEED injects a reproducible transport fault
     // schedule; the retry budget outlasts its transient faults, so only
     // permanent ones surface (as unreachable counts).
-    let model = match FaultPlan::from_env() {
+    let model = match faults {
         Some(plan) => {
             println!("fault injection on (seed {})", plan.seed());
             FetchModel::outlasting(plan)
@@ -282,7 +303,6 @@ fn cmd_scan(zone: Zone, seed: u64, backend: Backend, resume: bool) {
     // MINEDIG_CKPT_DIR runs both scans supervised: checkpointed,
     // resumable with --resume, and with a fingerprint memo persisted
     // across runs. Results are bit-identical either way.
-    let ckpt = Ckpt::from_env(resume);
     if let Some(ck) = &ckpt {
         println!("{} ({backend} backend)", ck.header("items"));
     }
@@ -391,7 +411,14 @@ fn print_chrome_findings(ch: &minedig::core::scan::ChromeScanOutcome) {
     );
 }
 
-fn cmd_attribute(days: u64, seed: u64, backend: Backend, resume: bool) {
+fn cmd_attribute(
+    days: u64,
+    seed: u64,
+    backend: Backend,
+    faults: Option<FaultPlan>,
+    health: bool,
+    ckpt: Option<Ckpt>,
+) {
     println!(
         "simulating {days} days of Monero with an instrumented Coinhive-style pool \
          ({backend} polling)…"
@@ -402,7 +429,7 @@ fn cmd_attribute(days: u64, seed: u64, backend: Backend, resume: bool) {
         backend,
         ..ScenarioConfig::default()
     };
-    if let Some(plan) = FaultPlan::from_env() {
+    if let Some(plan) = faults {
         println!("fault injection on (seed {})", plan.seed());
         config.poll_retry =
             minedig::primitives::retry::RetryPolicy::attempts(plan.attempts_to_clear());
@@ -412,7 +439,7 @@ fn cmd_attribute(days: u64, seed: u64, backend: Backend, resume: bool) {
     // breakers, adaptive deadlines, hedged probes) between the poller
     // and the pool endpoints; fault-free results are bit-identical to
     // the plain run.
-    if health_from_env() {
+    if health {
         println!("endpoint health layer on (breakers + adaptive deadlines + hedging)");
         config.poll_health = Some(HealthConfig {
             seed,
@@ -425,7 +452,7 @@ fn cmd_attribute(days: u64, seed: u64, backend: Backend, resume: bool) {
     // --resume continues from the latest snapshot — bit-identical to
     // the unsupervised scenario.
     let started = Instant::now();
-    let result = match Ckpt::from_env(resume) {
+    let result = match ckpt {
         Some(ck) => {
             println!("{}", ck.header("block events"));
             let name = format!("attribute-{days}-{seed}");
@@ -488,7 +515,7 @@ fn cmd_attribute(days: u64, seed: u64, backend: Backend, resume: bool) {
     );
 }
 
-fn cmd_shortlink(links: u64, seed: u64, backend: Backend, resume: bool) {
+fn cmd_shortlink(links: u64, seed: u64, backend: Backend, ckpt: Option<Ckpt>) {
     let config = StudyConfig {
         model: ModelConfig {
             total_links: links,
@@ -502,7 +529,7 @@ fn cmd_shortlink(links: u64, seed: u64, backend: Backend, resume: bool) {
     // MINEDIG_CKPT_DIR runs the walk, with the unbiased tail resolved as
     // it goes, supervised and resumable — bit-identical either way.
     let started = Instant::now();
-    let study = match Ckpt::from_env(resume) {
+    let study = match ckpt {
         Some(ck) => {
             println!("{}", ck.header("items"));
             let name = format!("shortlink-{links}-{seed}");

@@ -133,7 +133,8 @@ fn chaos_sweeps_match_clean_under_the_health_axis() {
         true,
         PollPolicy::outlasting(&plan),
     );
-    if health_from_env() {
+    let health = health_from_env().expect("MINEDIG_HEALTH must be 0 or 1");
+    if health {
         faulty = faulty.with_health(HealthConfig {
             seed: base_seed(),
             ..HealthConfig::default()
@@ -151,7 +152,7 @@ fn chaos_sweeps_match_clean_under_the_health_axis() {
     assert_eq!(f.endpoints_down, 0);
     assert_eq!(f.quarantined, 0, "outlasted transients must never trip");
     assert!(f.balanced());
-    assert_eq!(faulty.health_stats().is_some(), health_from_env());
+    assert_eq!(faulty.health_stats().is_some(), health);
     if let Some(hs) = faulty.health_stats() {
         assert!(hs.balanced(), "{hs:?}");
         assert_eq!(hs.breaker.trips, 0, "outlasted transients must never trip");

@@ -402,6 +402,52 @@ fn damaged_snapshots_are_rejected() {
         )
         .unwrap();
     assert_eq!(run.output, expected);
+
+    // A multi-frame journal: the §4.1 walk's full snapshot, then the
+    // deltas of three more checkpoints.
+    let service = ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
+        total_links: 600,
+        users: 40,
+        seed: 11,
+    }));
+    let policy = ProbePolicy::default();
+    let walk = || EnumCampaign::new(&service, &policy, 32, Backend::Sequential);
+    let mut campaign = walk();
+    let mut frames = Vec::new();
+    for _ in 0..4 {
+        campaign.run_items(50, &AtomicU64::new(0));
+        let snap = minedig::primitives::ckpt::Checkpointable::snapshot(&campaign);
+        frames.push(store.save("walk", &snap).expect("save") as usize);
+    }
+    let path = store.path("walk");
+    let journal = std::fs::read(&path).expect("read journal");
+    assert_eq!(journal.len(), frames.iter().sum::<usize>());
+    let last = journal.len() - frames[3];
+
+    // A flipped byte in a middle frame breaks its checksum, and a cut
+    // inside the last confirmed frame leaves the journal short of the
+    // length its name confirms. The supervisor surfaces either.
+    let mut flipped = journal.clone();
+    flipped[frames[0] + frames[1] / 2] ^= 0x40;
+    std::fs::write(&path, &flipped).expect("write");
+    assert!(matches!(
+        store.load("walk"),
+        Err(CkptError::ChecksumMismatch)
+    ));
+    let err = sup.run(&store, "walk", walk, true).unwrap_err();
+    assert!(matches!(err, SuperviseError::Ckpt(_)), "{err:?}");
+    std::fs::write(&path, &journal[..last + frames[3] / 2]).expect("write");
+    assert!(matches!(store.load("walk"), Err(CkptError::Truncated)));
+    let err = sup.run(&store, "walk", walk, true).unwrap_err();
+    assert!(matches!(err, SuperviseError::Ckpt(_)), "{err:?}");
+
+    // The pristine journal resumes the walk bit-identically.
+    std::fs::write(&path, &journal).expect("write");
+    let run = sup.run(&store, "walk", walk, true).unwrap();
+    assert_eq!(run.report.start_progress, 200);
+    let clean = enumerate_links_with(&service, 32, &policy);
+    assert_eq!(run.output.enumeration.docs, clean.docs);
+    assert_eq!(run.output.enumeration.probed, clean.probed);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
