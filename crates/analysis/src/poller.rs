@@ -18,21 +18,18 @@ use minedig_net::transport::{Transport, TransportError};
 use minedig_pool::obfuscation;
 use minedig_pool::pool::{JobError, Pool};
 use minedig_pool::protocol::{ClientMsg, Job, ServerMsg};
-use minedig_primitives::aexec::{AsyncExecutor, AsyncStats, IdleWait, IoPoll, YieldBackoff};
 use minedig_primitives::ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot};
 use minedig_primitives::fault::{Fault, FaultPlan};
 use minedig_primitives::health::{
     EndpointHealth, HealthConfig, HealthStats, ProbeOutcome, ProbePlan,
 };
-use minedig_primitives::retry::{retry, Clock, ErrorClass, RetryPolicy, Retryable, VirtualClock};
+use minedig_primitives::retry::{retry, ErrorClass, RetryPolicy, Retryable, VirtualClock};
 use minedig_primitives::rng::DetRng;
-use minedig_primitives::supervise::{Backend, Campaign};
+use minedig_primitives::supervise::Campaign;
 use minedig_primitives::Hash32;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::task::Poll;
 use std::time::Duration;
 
 /// Why a single job fetch failed.
@@ -188,64 +185,6 @@ impl<S: JobSource> JobSource for FaultyJobSource<S> {
     }
 }
 
-/// A [`JobSource`] whose fetches can be split into a request phase and a
-/// readiness-polled reply phase, so the cooperative executor can hold
-/// every endpoint's fetch in flight at once on one thread.
-///
-/// Contract: `begin_fetch(e, now, a)` followed by polling
-/// `poll_fetch(e, now, a)` to `Ready` must produce the same result (and
-/// consume the same fault/randomness draws) as one synchronous
-/// `fetch_job(e, now, a)` call — that is what keeps the async sweep
-/// bit-identical to the in-line one. An error from
-/// `begin_fetch` is the attempt's result; `poll_fetch` is never called
-/// for it.
-pub trait AsyncJobSource: JobSource {
-    /// Issues the request for one fetch attempt. An `Err` fails the
-    /// attempt immediately (fault schedules surface here, so no async
-    /// task ever hangs on an injected fault).
-    fn begin_fetch(&self, endpoint: usize, now: u64, attempt: u32) -> Result<(), FetchError>;
-    /// Polls for the attempt's reply: `Pending` while the wire is quiet.
-    fn poll_fetch(&self, endpoint: usize, now: u64, attempt: u32) -> Poll<Result<Job, FetchError>>;
-}
-
-impl AsyncJobSource for Pool {
-    fn begin_fetch(&self, _endpoint: usize, _now: u64, _attempt: u32) -> Result<(), FetchError> {
-        Ok(())
-    }
-
-    /// In-process pools answer instantly — the async sweep degenerates
-    /// to the sequential one with executor bookkeeping.
-    fn poll_fetch(&self, endpoint: usize, now: u64, attempt: u32) -> Poll<Result<Job, FetchError>> {
-        Poll::Ready(JobSource::fetch_job(self, endpoint, now, attempt))
-    }
-}
-
-impl<S: AsyncJobSource> AsyncJobSource for FaultyJobSource<S> {
-    /// The identical fault mapping as the synchronous
-    /// [`JobSource::fetch_job`] — same decide key, same draw per attempt
-    /// — applied at request time so injected faults resolve
-    /// synchronously and only genuine wire waits reach the executor's
-    /// idle sweep.
-    fn begin_fetch(&self, endpoint: usize, now: u64, attempt: u32) -> Result<(), FetchError> {
-        if self.down[endpoint].load(Ordering::Acquire) {
-            return Err(FetchError::Closed);
-        }
-        match self.plan.decide(&format!("poll.{endpoint}.{now}"), attempt) {
-            None | Some(Fault::Delay { .. }) => self.inner.begin_fetch(endpoint, now, attempt),
-            Some(Fault::Drop) | Some(Fault::Stall) | Some(Fault::Crash) => Err(FetchError::Timeout),
-            Some(Fault::Disconnect) => {
-                self.down[endpoint].store(true, Ordering::Release);
-                Err(FetchError::Closed)
-            }
-            Some(Fault::Garble) => Err(FetchError::Garbled),
-        }
-    }
-
-    fn poll_fetch(&self, endpoint: usize, now: u64, attempt: u32) -> Poll<Result<Job, FetchError>> {
-        self.inner.poll_fetch(endpoint, now, attempt)
-    }
-}
-
 /// A [`JobSource`] speaking the pool's wire protocol over real
 /// transports: one connection per endpoint, each fetch a
 /// [`ClientMsg::Peek`] request/reply exchange.
@@ -350,47 +289,6 @@ impl<T: Transport> JobSource for WireJobSource<T> {
     }
 }
 
-impl<T: Transport> AsyncJobSource for WireJobSource<T> {
-    fn begin_fetch(&self, endpoint: usize, now: u64, _attempt: u32) -> Result<(), FetchError> {
-        let mut slot = self.endpoints[endpoint].lock();
-        let Some(t) = slot.as_mut() else {
-            return Err(FetchError::Closed);
-        };
-        let msg = ClientMsg::Peek {
-            endpoint: endpoint as u64,
-            now,
-        };
-        if let Err(e) = t.send(&msg.encode()) {
-            *slot = None;
-            return Err(map_transport(e));
-        }
-        Ok(())
-    }
-
-    fn poll_fetch(
-        &self,
-        endpoint: usize,
-        now: u64,
-        _attempt: u32,
-    ) -> Poll<Result<Job, FetchError>> {
-        let _ = now;
-        let mut slot = self.endpoints[endpoint].lock();
-        let Some(t) = slot.as_mut() else {
-            return Poll::Ready(Err(FetchError::Closed));
-        };
-        // The executor's readiness probe: zero timeout means "nothing on
-        // the wire yet", anything else resolves the attempt.
-        match t.recv_timeout(Duration::ZERO) {
-            Err(TransportError::Timeout) => Poll::Pending,
-            Ok(raw) => Poll::Ready(Self::classify_reply(&mut slot, &raw)),
-            Err(e) => {
-                *slot = None;
-                Poll::Ready(Err(map_transport(e)))
-            }
-        }
-    }
-}
-
 /// How the observer retries failed fetches within a sweep.
 #[derive(Debug, Clone, Default)]
 pub struct PollPolicy {
@@ -469,24 +367,6 @@ impl PollStats {
                 + self.endpoints_down
                 + self.quarantined
     }
-
-    /// Folds another run's counters into this one. Additive counters
-    /// add; `max_blobs_per_prev` takes the max (it is a high-water
-    /// mark, not a tally — summing it would double-count across a
-    /// resume). Two balanced inputs merge into a balanced output.
-    pub fn absorb(&mut self, other: &PollStats) {
-        self.polls += other.polls;
-        self.answered += other.answered;
-        self.offline += other.offline;
-        self.other_errors += other.other_errors;
-        self.parse_failures += other.parse_failures;
-        self.endpoints_down += other.endpoints_down;
-        self.retries += other.retries;
-        self.reconnects += other.reconnects;
-        self.quarantined += other.quarantined;
-        self.sheds += other.sheds;
-        self.max_blobs_per_prev = self.max_blobs_per_prev.max(other.max_blobs_per_prev);
-    }
 }
 
 /// The observer: polls all endpoints and maintains the *current* cluster
@@ -553,10 +433,9 @@ impl<S: JobSource> Observer<S> {
     }
 
     /// The per-endpoint plans for a sweep at `now`: breaker decisions
-    /// when the health layer is on, pass-through plans otherwise. Must
-    /// run strictly before the fan-out so every backend sees identical
-    /// decisions (breaker state advances only in
-    /// [`record_health`](Observer::record_health), after the merge).
+    /// when the health layer is on, pass-through plans otherwise. Made
+    /// before the sweep's first fetch: breaker state advances only in
+    /// [`record_health`](Observer::record_health), after its last.
     fn sweep_plans(&mut self, now: u64) -> Vec<ProbePlan> {
         match self.health.as_mut() {
             Some(h) => h.plan_sweep(now),
@@ -564,7 +443,7 @@ impl<S: JobSource> Observer<S> {
         }
     }
 
-    /// Folds a sweep's merged probe outcomes back into the health layer.
+    /// Folds a sweep's probe outcomes back into the health layer.
     fn record_health(&mut self, now: u64, plans: &[ProbePlan], outcomes: &[ProbeOutcome]) {
         if let Some(h) = self.health.as_mut() {
             h.record_sweep(now, plans, outcomes);
@@ -576,44 +455,82 @@ impl<S: JobSource> Observer<S> {
         &self.source
     }
 
-    /// Polls every endpoint once at virtual time `now`, in-line and in
-    /// endpoint order.
+    /// Polls every endpoint once at virtual time `now`, in endpoint
+    /// order.
     pub fn poll_all(&mut self, now: u64) {
         let plans = self.sweep_plans(now);
-        let mut delta = PollDelta::default();
-        for (endpoint, plan) in plans.iter().enumerate() {
-            poll_endpoint(
-                &self.source,
-                &self.policy,
-                self.deobfuscate,
-                endpoint,
-                now,
-                *plan,
-                &mut delta,
-            );
-        }
-        let outcomes = self.absorb_delta(delta);
+        let outcomes: Vec<ProbeOutcome> = plans
+            .iter()
+            .enumerate()
+            .map(|(endpoint, plan)| self.poll_endpoint(endpoint, now, *plan))
+            .collect();
         self.record_health(now, &plans, &outcomes);
     }
 
-    /// Applies one sweep's merged delta: counters add, observations run
-    /// through [`record`](Observer::record) in endpoint order. Returns
-    /// the per-endpoint probe outcomes for the health layer.
-    fn absorb_delta(&mut self, delta: PollDelta) -> Vec<ProbeOutcome> {
-        self.stats.polls += delta.polls;
-        self.stats.answered += delta.answered;
-        self.stats.offline += delta.offline;
-        self.stats.other_errors += delta.other_errors;
-        self.stats.parse_failures += delta.parse_failures;
-        self.stats.endpoints_down += delta.endpoints_down;
-        self.stats.retries += delta.retries;
-        self.stats.reconnects += delta.reconnects;
-        self.stats.quarantined += delta.quarantined;
-        self.stats.sheds += delta.sheds;
-        for (bytes, blob) in delta.observations {
-            self.record(bytes, blob);
+    /// Polls one endpoint at virtual time `now` under its health `plan`,
+    /// retrying per the policy: counts the outcome into the stats and
+    /// records a parsed blob. Returns the probe outcome for the health
+    /// layer.
+    fn poll_endpoint(&mut self, endpoint: usize, now: u64, plan: ProbePlan) -> ProbeOutcome {
+        self.stats.polls += 1;
+        if !plan.admit {
+            // Quarantined by the circuit breaker: no request, no rng
+            // draws, no retry budget — a counted gap.
+            self.stats.quarantined += 1;
+            return ProbeOutcome::default();
         }
-        delta.probe_outcomes
+        let retry_policy = match plan.deadline_ms {
+            Some(d) => self.policy.retry.tightened(d),
+            None => self.policy.retry.clone(),
+        };
+        let (source, stats, seed) = (&self.source, &mut self.stats, self.policy.jitter_seed);
+        let jitter = || DetRng::seed(seed).derive(&format!("poll.jitter.{endpoint}.{now}"));
+        let outcome = retry(&retry_policy, &mut VirtualClock::new(), jitter, |attempt| {
+            let r = source.fetch_job(endpoint, now, attempt);
+            // Reconnect eagerly on every teardown, even a final one, so
+            // the next sweep starts on a fresh connection.
+            if matches!(r, Err(FetchError::Closed)) && source.reconnect(endpoint) {
+                stats.reconnects += 1;
+            }
+            if matches!(r, Err(FetchError::Shed)) {
+                stats.sheds += 1;
+            }
+            r
+        });
+        self.stats.retries += u64::from(outcome.retries());
+        let probe = ProbeOutcome {
+            attempted: true,
+            success: outcome.result.is_ok(),
+            waited_ms: outcome.waited_ms,
+        };
+        match outcome.result {
+            Err(e) => match e.error {
+                FetchError::Offline => self.stats.offline += 1,
+                // A final shed is a server-side refusal, not an endpoint
+                // death: the endpoint is up, just loaded.
+                FetchError::Refused | FetchError::Shed => self.stats.other_errors += 1,
+                // The transport never recovered within the policy: the
+                // endpoint is down for this sweep.
+                FetchError::Timeout | FetchError::Closed | FetchError::Garbled => {
+                    self.stats.endpoints_down += 1
+                }
+            },
+            Ok(job) => {
+                self.stats.answered += 1;
+                let Ok(mut bytes) = job.blob_bytes() else {
+                    self.stats.parse_failures += 1;
+                    return probe;
+                };
+                if self.deobfuscate {
+                    obfuscation::xor_blob(&mut bytes);
+                }
+                match HashingBlob::parse(&bytes) {
+                    Err(_) => self.stats.parse_failures += 1,
+                    Ok(blob) => self.record(bytes, blob),
+                }
+            }
+        }
+        probe
     }
 
     fn record(&mut self, bytes: Vec<u8>, blob: HashingBlob) {
@@ -746,298 +663,6 @@ impl<S: JobSource> Observer<S> {
     }
 }
 
-/// One endpoint's in-flight fetch attempt as an executor I/O source.
-struct FetchReady<'s, S: AsyncJobSource> {
-    source: &'s S,
-    endpoint: usize,
-    now: u64,
-    attempt: u32,
-}
-
-impl<S: AsyncJobSource> IoPoll for FetchReady<'_, S> {
-    type Out = Result<Job, FetchError>;
-
-    fn poll_io(&mut self) -> Poll<Self::Out> {
-        self.source
-            .poll_fetch(self.endpoint, self.now, self.attempt)
-    }
-}
-
-impl<S: AsyncJobSource> Observer<S> {
-    /// Polls every endpoint once at virtual time `now` on `backend`:
-    /// in-line for the sequential and sharded backends (a 32-endpoint
-    /// sweep is too short to pay for threads), with every fetch in
-    /// flight at once on [`Backend::Async`], whose executor counters are
-    /// returned. Clusters and [`PollStats`] are identical either way.
-    pub fn sweep(&mut self, now: u64, backend: &Backend) -> Option<AsyncStats> {
-        match *backend {
-            Backend::Sequential | Backend::Sharded(_) => {
-                self.poll_all(now);
-                None
-            }
-            Backend::Async { concurrency } => {
-                Some(self.poll_all_async(now, &AsyncExecutor::new(concurrency)))
-            }
-        }
-    }
-
-    /// Polls every endpoint once at virtual time `now` with all fetches
-    /// in flight at once on the cooperative executor — one thread,
-    /// `in_flight_high_water == min(endpoints, concurrency)`.
-    ///
-    /// Each endpoint's task replicates the in-line sweep's per-endpoint
-    /// body step for step — same retry/backoff/deadline decisions on a
-    /// private virtual clock, same jitter stream, same reconnect and
-    /// accounting rules — and completions fold in endpoint order, so
-    /// clusters and [`PollStats`] are bit-identical to
-    /// [`poll_all`](Observer::poll_all) for any concurrency, including
-    /// under fault schedules.
-    pub fn poll_all_async(&mut self, now: u64, executor: &AsyncExecutor) -> AsyncStats {
-        self.poll_all_async_idle(now, executor, &mut YieldBackoff)
-    }
-
-    /// [`poll_all_async`](Observer::poll_all_async) with an explicit
-    /// [`IdleWait`] — real-socket runs park on a transport's
-    /// `TcpParker` instead of spinning between readiness sweeps.
-    pub fn poll_all_async_idle(
-        &mut self,
-        now: u64,
-        executor: &AsyncExecutor,
-        idle: &mut dyn IdleWait,
-    ) -> AsyncStats {
-        let plans = self.sweep_plans(now);
-        let source = &self.source;
-        let policy = &self.policy;
-        let deobfuscate = self.deobfuscate;
-        let plans_ref: &[ProbePlan] = &plans;
-        let run = executor.run_ordered_with(
-            0..source.endpoint_count(),
-            |ctx, endpoint| async move {
-                let mut delta = PollDelta {
-                    polls: 1,
-                    ..PollDelta::default()
-                };
-                let plan = plans_ref[endpoint];
-                if !plan.admit {
-                    // Quarantined: no request, no rng draws, no retry
-                    // budget — identical to the in-line sweep's skip.
-                    delta.quarantined += 1;
-                    delta.probe_outcomes.push(ProbeOutcome::default());
-                    return delta;
-                }
-                let retry_policy = match plan.deadline_ms {
-                    Some(d) => policy.retry.tightened(d),
-                    None => policy.retry.clone(),
-                };
-                // Async mirror of `retry()` over the same per-endpoint
-                // virtual clock and jitter stream as `poll_endpoint`,
-                // derived on the first backoff as there: the only
-                // difference is that the wire wait between request and
-                // reply suspends the task instead of the thread.
-                let mut clock = VirtualClock::new();
-                let mut rng: Option<DetRng> = None;
-                let max_attempts = retry_policy.max_attempts.max(1);
-                let mut attempts = 0u32;
-                let outcome = loop {
-                    let result = match source.begin_fetch(endpoint, now, attempts) {
-                        Ok(()) => {
-                            ctx.io(FetchReady {
-                                source,
-                                endpoint,
-                                now,
-                                attempt: attempts,
-                            })
-                            .await
-                        }
-                        Err(e) => Err(e),
-                    };
-                    if matches!(result, Err(FetchError::Closed)) && source.reconnect(endpoint) {
-                        delta.reconnects += 1;
-                    }
-                    if matches!(result, Err(FetchError::Shed)) {
-                        delta.sheds += 1;
-                    }
-                    attempts += 1;
-                    let error = match result {
-                        Ok(job) => break Ok(job),
-                        Err(e) => e,
-                    };
-                    if error.error_class() == ErrorClass::Permanent || attempts >= max_attempts {
-                        break Err(error);
-                    }
-                    let rng = rng.get_or_insert_with(|| poll_jitter(policy, endpoint, now));
-                    let backoff = retry_policy.backoff_ms(attempts, rng);
-                    if let Some(deadline) = retry_policy.deadline_ms {
-                        if clock.now_ms().saturating_add(backoff) > deadline {
-                            break Err(error);
-                        }
-                    }
-                    clock.sleep_ms(backoff);
-                };
-                delta.retries += u64::from(attempts.saturating_sub(1));
-                delta.probe_outcomes.push(ProbeOutcome {
-                    attempted: true,
-                    success: outcome.is_ok(),
-                    waited_ms: clock.now_ms(),
-                });
-                match outcome {
-                    Err(FetchError::Offline) => delta.offline += 1,
-                    // A final shed is a server-side refusal, not an
-                    // endpoint death: the endpoint is up, just loaded.
-                    Err(FetchError::Refused) | Err(FetchError::Shed) => delta.other_errors += 1,
-                    Err(FetchError::Timeout)
-                    | Err(FetchError::Closed)
-                    | Err(FetchError::Garbled) => delta.endpoints_down += 1,
-                    Ok(job) => {
-                        delta.answered += 1;
-                        match job.blob_bytes() {
-                            Err(_) => delta.parse_failures += 1,
-                            Ok(mut bytes) => {
-                                if deobfuscate {
-                                    obfuscation::xor_blob(&mut bytes);
-                                }
-                                match HashingBlob::parse(&bytes) {
-                                    Err(_) => delta.parse_failures += 1,
-                                    Ok(blob) => delta.observations.push((bytes, blob)),
-                                }
-                            }
-                        }
-                    }
-                }
-                delta
-            },
-            PollDelta::default(),
-            |acc: &mut PollDelta, next: PollDelta| {
-                acc.absorb(next);
-                ControlFlow::Continue(())
-            },
-            idle,
-        );
-        let outcomes = self.absorb_delta(run.outcome);
-        self.record_health(now, &plans, &outcomes);
-        run.stats
-    }
-}
-
-/// Outcome of polling some endpoints: additive counters plus the parsed
-/// observations in endpoint order.
-#[derive(Default)]
-struct PollDelta {
-    polls: u64,
-    answered: u64,
-    offline: u64,
-    other_errors: u64,
-    parse_failures: u64,
-    endpoints_down: u64,
-    retries: u64,
-    reconnects: u64,
-    quarantined: u64,
-    sheds: u64,
-    observations: Vec<(Vec<u8>, HashingBlob)>,
-    /// One outcome per polled endpoint, in endpoint order, fed to the
-    /// health layer's record phase after the sweep.
-    probe_outcomes: Vec<ProbeOutcome>,
-}
-
-impl PollDelta {
-    /// Appends the next endpoints' outcome: counters add, observations
-    /// and probe outcomes concatenate in endpoint order.
-    fn absorb(&mut self, mut next: PollDelta) {
-        self.polls += next.polls;
-        self.answered += next.answered;
-        self.offline += next.offline;
-        self.other_errors += next.other_errors;
-        self.parse_failures += next.parse_failures;
-        self.endpoints_down += next.endpoints_down;
-        self.retries += next.retries;
-        self.reconnects += next.reconnects;
-        self.quarantined += next.quarantined;
-        self.sheds += next.sheds;
-        self.observations.append(&mut next.observations);
-        self.probe_outcomes.append(&mut next.probe_outcomes);
-    }
-}
-
-/// The backoff jitter stream of `endpoint`'s poll at virtual time `now`,
-/// shared by the in-line and the async sweep.
-fn poll_jitter(policy: &PollPolicy, endpoint: usize, now: u64) -> DetRng {
-    DetRng::seed(policy.jitter_seed).derive(&format!("poll.jitter.{endpoint}.{now}"))
-}
-
-/// Polls one endpoint at virtual time `now` under its health `plan`,
-/// retrying per `policy`, and appends the outcome to `delta`. Cluster
-/// state is *not* touched here — `record` has order-dependent reset
-/// semantics, so the sweep applies observations afterwards, in endpoint
-/// order.
-fn poll_endpoint<S: JobSource>(
-    source: &S,
-    policy: &PollPolicy,
-    deobfuscate: bool,
-    endpoint: usize,
-    now: u64,
-    plan: ProbePlan,
-    delta: &mut PollDelta,
-) {
-    delta.polls += 1;
-    if !plan.admit {
-        // Quarantined by the circuit breaker: no request, no rng draws,
-        // no retry budget — a counted gap.
-        delta.quarantined += 1;
-        delta.probe_outcomes.push(ProbeOutcome::default());
-        return;
-    }
-    let retry_policy = match plan.deadline_ms {
-        Some(d) => policy.retry.tightened(d),
-        None => policy.retry.clone(),
-    };
-    let jitter = || poll_jitter(policy, endpoint, now);
-    let outcome = retry(&retry_policy, &mut VirtualClock::new(), jitter, |attempt| {
-        let r = source.fetch_job(endpoint, now, attempt);
-        // Reconnect eagerly on every teardown, even a final one, so the
-        // next sweep starts on a fresh connection.
-        if matches!(r, Err(FetchError::Closed)) && source.reconnect(endpoint) {
-            delta.reconnects += 1;
-        }
-        if matches!(r, Err(FetchError::Shed)) {
-            delta.sheds += 1;
-        }
-        r
-    });
-    delta.retries += u64::from(outcome.retries());
-    delta.probe_outcomes.push(ProbeOutcome {
-        attempted: true,
-        success: outcome.result.is_ok(),
-        waited_ms: outcome.waited_ms,
-    });
-    match outcome.result {
-        Err(e) => match e.error {
-            FetchError::Offline => delta.offline += 1,
-            // A final shed is a server-side refusal, not an endpoint
-            // death: the endpoint is up, just loaded.
-            FetchError::Refused | FetchError::Shed => delta.other_errors += 1,
-            // The transport never recovered within the policy: the
-            // endpoint is down for this sweep.
-            FetchError::Timeout | FetchError::Closed | FetchError::Garbled => {
-                delta.endpoints_down += 1
-            }
-        },
-        Ok(job) => {
-            delta.answered += 1;
-            let Ok(mut bytes) = job.blob_bytes() else {
-                delta.parse_failures += 1;
-                return;
-            };
-            if deobfuscate {
-                obfuscation::xor_blob(&mut bytes);
-            }
-            match HashingBlob::parse(&bytes) {
-                Err(_) => delta.parse_failures += 1,
-                Ok(blob) => delta.observations.push((bytes, blob)),
-            }
-        }
-    }
-}
-
 /// The §4.2 poll loop as a killable, resumable
 /// [`Campaign`]: one item = one whole sweep (every endpoint polled once
 /// at virtual time `start_ms + tick × interval_ms`).
@@ -1048,19 +673,18 @@ fn poll_endpoint<S: JobSource>(
 /// flags (an endpoint left down at the end of one sweep fails `Closed`
 /// at the start of the next, so dropping the flags would skew
 /// `retries`/`reconnects` after a resume). Because fault schedules and
-/// retry jitter are keyed by `(endpoint, now)` and sweeps fold in
+/// retry jitter are keyed by `(endpoint, now)` and sweeps poll in
 /// endpoint order, a killed-and-resumed run reproduces the
-/// uninterrupted observer bit for bit on every backend.
-pub struct PollCampaign<S: AsyncJobSource> {
+/// uninterrupted observer bit for bit.
+pub struct PollCampaign<S: JobSource> {
     observer: Observer<S>,
     start_ms: u64,
     interval_ms: u64,
     ticks: u64,
     next_tick: u64,
-    backend: Backend,
 }
 
-impl<S: AsyncJobSource> PollCampaign<S> {
+impl<S: JobSource> PollCampaign<S> {
     /// A campaign of `ticks` sweeps at `interval_ms` starting at
     /// `start_ms`, over a freshly-initialized observer.
     pub fn new(
@@ -1068,7 +692,6 @@ impl<S: AsyncJobSource> PollCampaign<S> {
         start_ms: u64,
         interval_ms: u64,
         ticks: u64,
-        backend: Backend,
     ) -> PollCampaign<S> {
         PollCampaign {
             observer,
@@ -1076,7 +699,6 @@ impl<S: AsyncJobSource> PollCampaign<S> {
             interval_ms,
             ticks,
             next_tick: 0,
-            backend,
         }
     }
 
@@ -1086,7 +708,7 @@ impl<S: AsyncJobSource> PollCampaign<S> {
     }
 }
 
-impl<S: AsyncJobSource> Checkpointable for PollCampaign<S> {
+impl<S: JobSource> Checkpointable for PollCampaign<S> {
     fn progress_key(&self) -> u64 {
         self.next_tick
     }
@@ -1111,7 +733,7 @@ impl<S: AsyncJobSource> Checkpointable for PollCampaign<S> {
     }
 }
 
-impl<S: AsyncJobSource> Campaign for PollCampaign<S> {
+impl<S: JobSource> Campaign for PollCampaign<S> {
     type Output = Observer<S>;
 
     fn is_done(&self) -> bool {
@@ -1124,7 +746,7 @@ impl<S: AsyncJobSource> Campaign for PollCampaign<S> {
                 return;
             }
             let now = self.start_ms + self.next_tick * self.interval_ms;
-            self.observer.sweep(now, &self.backend);
+            self.observer.poll_all(now);
             heartbeat.fetch_add(1, Ordering::Relaxed);
             self.next_tick += 1;
         }
@@ -1230,29 +852,14 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_match_poll_all_on_every_backend() {
-        for backend in CAMPAIGN_BACKENDS {
-            let pool = pool_with_tip();
-            let mut seq = Observer::new(pool.clone(), true);
-            let mut swept = Observer::new(pool, true);
-            for t in (1_000..1_150).step_by(5) {
-                seq.poll_all(t);
-                let stats = swept.sweep(t, &backend);
-                assert_eq!(stats.is_some(), matches!(backend, Backend::Async { .. }));
-            }
-            assert_observer_eq(&swept, &seq, &backend.to_string());
-        }
-    }
-
-    #[test]
     fn sweeps_count_outages() {
         let pool = pool_with_tip();
         pool.set_online(false);
         let mut obs = Observer::new(pool.clone(), true);
-        obs.sweep(1_000, &Backend::Sharded(4));
+        obs.poll_all(1_000);
         assert_eq!(obs.stats().offline, 32);
         pool.set_online(true);
-        obs.sweep(1_020, &Backend::Sharded(4));
+        obs.poll_all(1_020);
         assert_eq!(obs.stats().answered, 32);
     }
 
@@ -1330,76 +937,6 @@ mod tests {
         assert!(s.balanced());
     }
 
-    #[test]
-    fn async_poll_matches_sequential() {
-        for concurrency in [1usize, 8, 256] {
-            let pool = pool_with_tip();
-            let mut seq = Observer::new(pool.clone(), true);
-            let mut asy = Observer::new(pool, true);
-            let executor = AsyncExecutor::new(concurrency);
-            for t in (1_000..1_150).step_by(5) {
-                seq.poll_all(t);
-                let stats = asy.poll_all_async(t, &executor);
-                assert_eq!(stats.tasks, 32, "concurrency={concurrency}");
-                // Every endpoint's fetch is genuinely in flight at once
-                // (up to the budget) on the single executor thread.
-                assert_eq!(
-                    stats.in_flight_high_water,
-                    32.min(concurrency) as u64,
-                    "concurrency={concurrency}"
-                );
-            }
-            assert_eq!(asy.current_prev(), seq.current_prev(), "c={concurrency}");
-            assert_eq!(asy.current_roots, seq.current_roots, "c={concurrency}");
-            assert_eq!(asy.current_blobs, seq.current_blobs, "c={concurrency}");
-            let (ss, als) = (seq.stats(), asy.stats());
-            assert_eq!(als.polls, ss.polls, "c={concurrency}");
-            assert_eq!(als.answered, ss.answered, "c={concurrency}");
-            assert_eq!(als.max_blobs_per_prev, ss.max_blobs_per_prev);
-            assert!(als.balanced());
-        }
-    }
-
-    #[test]
-    fn async_poll_matches_sequential_under_faults() {
-        let plan = FaultPlan::with_config(
-            13,
-            FaultConfig {
-                fault_prob: 0.5,
-                permanent_prob: 0.3,
-                ..FaultConfig::default()
-            },
-        );
-        for concurrency in [1usize, 8, 256] {
-            let pool = pool_with_tip();
-            let mut seq = Observer::with_source(
-                FaultyJobSource::new(pool.clone(), plan.clone()),
-                true,
-                PollPolicy::default(),
-            );
-            let mut asy = Observer::with_source(
-                FaultyJobSource::new(pool, plan.clone()),
-                true,
-                PollPolicy::default(),
-            );
-            let executor = AsyncExecutor::new(concurrency);
-            for t in (1_000..1_100).step_by(5) {
-                seq.poll_all(t);
-                asy.poll_all_async(t, &executor);
-            }
-            assert_eq!(asy.current_prev(), seq.current_prev(), "c={concurrency}");
-            assert_eq!(asy.current_roots, seq.current_roots, "c={concurrency}");
-            assert_eq!(asy.current_blobs, seq.current_blobs, "c={concurrency}");
-            let (ss, als) = (seq.stats(), asy.stats());
-            assert_eq!(als.polls, ss.polls, "c={concurrency}");
-            assert_eq!(als.answered, ss.answered, "c={concurrency}");
-            assert_eq!(als.endpoints_down, ss.endpoints_down, "c={concurrency}");
-            assert_eq!(als.retries, ss.retries, "c={concurrency}");
-            assert_eq!(als.reconnects, ss.reconnects, "c={concurrency}");
-            assert!(als.balanced(), "c={concurrency}");
-        }
-    }
-
     fn wire_over_channels(pool: &Pool) -> WireJobSource<minedig_net::transport::ChannelTransport> {
         let pool = pool.clone();
         WireJobSource::new(32, Duration::from_secs(5), move |endpoint| {
@@ -1445,26 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn async_wire_poll_matches_the_blocking_wire_poll() {
-        let pool = pool_with_tip();
-        let mut blocking =
-            Observer::with_source(wire_over_channels(&pool), true, PollPolicy::default());
-        let mut asynced =
-            Observer::with_source(wire_over_channels(&pool), true, PollPolicy::default());
-        let executor = AsyncExecutor::new(64);
-        for t in (1_000..1_100).step_by(5) {
-            blocking.poll_all(t);
-            let stats = asynced.poll_all_async(t, &executor);
-            assert_eq!(stats.in_flight_high_water, 32);
-        }
-        assert_eq!(asynced.current_prev(), blocking.current_prev());
-        assert_eq!(asynced.current_roots, blocking.current_roots);
-        assert_eq!(asynced.current_blobs, blocking.current_blobs);
-        assert_eq!(asynced.stats().answered, blocking.stats().answered);
-        assert!(asynced.stats().balanced());
-    }
-
-    #[test]
     fn take_cluster_resets_state() {
         let pool = pool_with_tip();
         let mut obs = Observer::new(pool, true);
@@ -1507,14 +1024,8 @@ mod tests {
         assert_eq!(a.current_blobs, b.current_blobs, "{ctx}");
     }
 
-    const CAMPAIGN_BACKENDS: [Backend; 3] = [
-        Backend::Sequential,
-        Backend::Sharded(3),
-        Backend::Async { concurrency: 8 },
-    ];
-
     #[test]
-    fn supervised_poll_with_kills_matches_uninterrupted_on_every_backend() {
+    fn supervised_poll_with_kills_matches_uninterrupted() {
         use minedig_primitives::ckpt::SnapshotStore;
         use minedig_primitives::supervise::{CrashPolicy, Supervisor};
         let pool = pool_with_tip();
@@ -1522,27 +1033,25 @@ mod tests {
         for tick in 0..24u64 {
             reference.poll_all(1_000 + tick * 5);
         }
-        for backend in CAMPAIGN_BACKENDS {
-            let dir = ckpt_dir(&format!("clean-{backend}"));
-            let store = SnapshotStore::open(&dir).unwrap();
-            let sup = Supervisor::new(CrashPolicy {
-                ckpt_every_items: 4,
-                ..CrashPolicy::default()
-            })
-            .with_kills(vec![2, 9, 17]);
-            let run = sup
-                .run(
-                    &store,
-                    "poll",
-                    || PollCampaign::new(Observer::new(pool.clone(), true), 1_000, 5, 24, backend),
-                    false,
-                )
-                .unwrap();
-            assert_observer_eq(&run.output, &reference, &backend.to_string());
-            assert!(run.report.balanced(), "{:?}", run.report);
-            assert_eq!(run.report.crashes, 3, "backend={}", backend);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = ckpt_dir("clean");
+        let store = SnapshotStore::open(&dir).unwrap();
+        let sup = Supervisor::new(CrashPolicy {
+            ckpt_every_items: 4,
+            ..CrashPolicy::default()
+        })
+        .with_kills(vec![2, 9, 17]);
+        let run = sup
+            .run(
+                &store,
+                "poll",
+                || PollCampaign::new(Observer::new(pool.clone(), true), 1_000, 5, 24),
+                false,
+            )
+            .unwrap();
+        assert_observer_eq(&run.output, &reference, "killed at 2, 9 and 17");
+        assert!(run.report.balanced(), "{:?}", run.report);
+        assert_eq!(run.report.crashes, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1575,39 +1084,36 @@ mod tests {
             reference.poll_all(1_000 + tick * 5);
         }
         assert!(reference.stats.reconnects > 0, "plan must tear connections");
-        for backend in CAMPAIGN_BACKENDS {
-            let dir = ckpt_dir(&format!("faulty-{backend}"));
-            let store = SnapshotStore::open(&dir).unwrap();
-            let sup = Supervisor::new(CrashPolicy {
-                ckpt_every_items: 4,
-                ..CrashPolicy::default()
-            })
-            .with_kills(vec![5, 13]);
-            let run = sup
-                .run(
-                    &store,
-                    "poll-faulty",
-                    || {
-                        PollCampaign::new(
-                            Observer::with_source(
-                                FaultyJobSource::new(pool.clone(), plan.clone()),
-                                true,
-                                policy.clone(),
-                            ),
-                            1_000,
-                            5,
-                            24,
-                            backend,
-                        )
-                    },
-                    false,
-                )
-                .unwrap();
-            assert_observer_eq(&run.output, &reference, &backend.to_string());
-            assert!(run.output.stats.balanced(), "{:?}", run.output.stats);
-            assert!(run.report.balanced(), "{:?}", run.report);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = ckpt_dir("faulty");
+        let store = SnapshotStore::open(&dir).unwrap();
+        let sup = Supervisor::new(CrashPolicy {
+            ckpt_every_items: 4,
+            ..CrashPolicy::default()
+        })
+        .with_kills(vec![5, 13]);
+        let run = sup
+            .run(
+                &store,
+                "poll-faulty",
+                || {
+                    PollCampaign::new(
+                        Observer::with_source(
+                            FaultyJobSource::new(pool.clone(), plan.clone()),
+                            true,
+                            policy.clone(),
+                        ),
+                        1_000,
+                        5,
+                        24,
+                    )
+                },
+                false,
+            )
+            .unwrap();
+        assert_observer_eq(&run.output, &reference, "killed at 5 and 13");
+        assert!(run.output.stats.balanced(), "{:?}", run.output.stats);
+        assert!(run.report.balanced(), "{:?}", run.report);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A source whose `dead` endpoint times out on every attempt —
@@ -1631,25 +1137,6 @@ mod tests {
         }
     }
 
-    impl<S: AsyncJobSource> AsyncJobSource for DeadEndpoint<S> {
-        fn begin_fetch(&self, endpoint: usize, now: u64, attempt: u32) -> Result<(), FetchError> {
-            if endpoint == self.dead {
-                Err(FetchError::Timeout)
-            } else {
-                self.inner.begin_fetch(endpoint, now, attempt)
-            }
-        }
-
-        fn poll_fetch(
-            &self,
-            endpoint: usize,
-            now: u64,
-            attempt: u32,
-        ) -> Poll<Result<Job, FetchError>> {
-            self.inner.poll_fetch(endpoint, now, attempt)
-        }
-    }
-
     #[test]
     fn health_layer_is_bit_identical_without_faults() {
         use minedig_primitives::health::HedgeConfig;
@@ -1661,7 +1148,7 @@ mod tests {
         }
         // Aggressive adaptive/hedge settings: warmed-up deadlines bind
         // tightly and hedging starts early — none of it may perturb the
-        // fault-free result on any backend.
+        // fault-free result.
         let cfg = HealthConfig {
             seed: 0x4ea1,
             adaptive: minedig_primitives::health::AdaptiveConfig {
@@ -1677,28 +1164,15 @@ mod tests {
             },
             ..HealthConfig::default()
         };
-        let mut seq = Observer::new(pool.clone(), true).with_health(cfg.clone());
-        let mut par = Observer::new(pool.clone(), true).with_health(cfg.clone());
-        let mut asy = Observer::new(pool, true).with_health(cfg);
-        let sharded = Backend::Sharded(4);
-        let aexec = AsyncExecutor::new(8);
+        let mut on = Observer::new(pool, true).with_health(cfg);
         for &t in &times {
-            seq.poll_all(t);
-            par.sweep(t, &sharded);
-            asy.poll_all_async(t, &aexec);
+            on.poll_all(t);
         }
-        for (on, label) in [(&seq, "seq"), (&par, "sharded"), (&asy, "async")] {
-            assert_eq!(on.stats, off.stats, "{label}");
-            assert_eq!(on.current_prev, off.current_prev, "{label}");
-            assert_eq!(on.current_roots, off.current_roots, "{label}");
-            assert_eq!(on.current_blobs, off.current_blobs, "{label}");
-            let hs = on.health_stats().unwrap();
-            assert!(hs.balanced(), "{label}: {hs:?}");
-            assert_eq!(hs.breaker.trips, 0, "{label}: fault-free never trips");
-            assert!(hs.hedges > 0, "{label}: hedging must have activated");
-        }
-        assert_eq!(seq.health_stats(), asy.health_stats());
-        assert_eq!(seq.health_stats(), par.health_stats());
+        assert_observer_eq(&on, &off, "health on");
+        let hs = on.health_stats().unwrap();
+        assert!(hs.balanced(), "{hs:?}");
+        assert_eq!(hs.breaker.trips, 0, "fault-free never trips");
+        assert!(hs.hedges > 0, "hedging must have activated");
     }
 
     #[test]
@@ -1721,16 +1195,8 @@ mod tests {
         let cfg = HealthConfig::default(); // open_for 60(+≤15 jitter)
         let mut seq =
             Observer::with_source(make(), true, PollPolicy::default()).with_health(cfg.clone());
-        let mut par =
-            Observer::with_source(make(), true, PollPolicy::default()).with_health(cfg.clone());
-        let mut asy =
-            Observer::with_source(make(), true, PollPolicy::default()).with_health(cfg.clone());
-        let sharded = Backend::Sharded(3);
-        let aexec = AsyncExecutor::new(16);
         for &t in &times {
             seq.poll_all(t);
-            par.sweep(t, &sharded);
-            asy.poll_all_async(t, &aexec);
         }
         // The acceptance bound: the window fill to trip, then at most
         // one probe per open interval across the 1000-unit span.
@@ -1752,17 +1218,10 @@ mod tests {
         let hs = seq.health_stats().unwrap();
         assert!(hs.balanced(), "{hs:?}");
         assert_eq!(hs.breaker.quarantined, s.quarantined);
-        // All backends agree bit for bit, quarantine decisions included.
-        assert_eq!(par.stats, seq.stats);
-        assert_eq!(asy.stats, seq.stats);
-        assert_eq!(par.health_stats(), seq.health_stats());
-        assert_eq!(asy.health_stats(), seq.health_stats());
-        assert_eq!(par.current_roots, seq.current_roots);
-        assert_eq!(asy.current_roots, seq.current_roots);
     }
 
     #[test]
-    fn health_backends_match_under_faults() {
+    fn health_layer_trips_breakers_under_faults() {
         let plan = FaultPlan::with_config(
             13,
             FaultConfig {
@@ -1789,27 +1248,13 @@ mod tests {
             )
             .with_health(cfg.clone())
         };
-        let mut seq = make();
-        let mut par = make();
-        let mut asy = make();
-        let sharded = Backend::Sharded(5);
-        let aexec = AsyncExecutor::new(8);
+        let mut obs = make();
         for t in (1_000..1_400).step_by(5) {
-            seq.poll_all(t);
-            par.sweep(t, &sharded);
-            asy.poll_all_async(t, &aexec);
+            obs.poll_all(t);
         }
-        assert!(seq.stats.quarantined > 0, "faults must trip breakers");
-        assert!(seq.stats.balanced(), "{:?}", seq.stats);
-        assert!(seq.health_stats().unwrap().balanced());
-        assert_eq!(par.stats, seq.stats);
-        assert_eq!(asy.stats, seq.stats);
-        assert_eq!(par.health_stats(), seq.health_stats());
-        assert_eq!(asy.health_stats(), seq.health_stats());
-        assert_eq!(par.current_roots, seq.current_roots);
-        assert_eq!(asy.current_roots, seq.current_roots);
-        assert_eq!(par.current_blobs, seq.current_blobs);
-        assert_eq!(asy.current_blobs, seq.current_blobs);
+        assert!(obs.stats.quarantined > 0, "faults must trip breakers");
+        assert!(obs.stats.balanced(), "{:?}", obs.stats);
+        assert!(obs.health_stats().unwrap().balanced());
     }
 
     #[test]
@@ -1854,33 +1299,26 @@ mod tests {
             "plan must trip breakers mid-run: {:?}",
             reference.stats
         );
-        for backend in CAMPAIGN_BACKENDS {
-            let dir = ckpt_dir(&format!("health-{backend}"));
-            let store = SnapshotStore::open(&dir).unwrap();
-            let sup = Supervisor::new(CrashPolicy {
-                ckpt_every_items: 4,
-                ..CrashPolicy::default()
-            })
-            .with_kills(vec![5, 13]);
-            let run = sup
-                .run(
-                    &store,
-                    "poll-health",
-                    || PollCampaign::new(make(), 1_000, 5, 24, backend),
-                    false,
-                )
-                .unwrap();
-            assert_observer_eq(&run.output, &reference, &backend.to_string());
-            assert_eq!(
-                run.output.health_stats(),
-                reference.health_stats(),
-                "backend={}",
-                backend
-            );
-            assert!(run.output.stats.balanced(), "{:?}", run.output.stats);
-            assert!(run.report.balanced(), "{:?}", run.report);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = ckpt_dir("health");
+        let store = SnapshotStore::open(&dir).unwrap();
+        let sup = Supervisor::new(CrashPolicy {
+            ckpt_every_items: 4,
+            ..CrashPolicy::default()
+        })
+        .with_kills(vec![5, 13]);
+        let run = sup
+            .run(
+                &store,
+                "poll-health",
+                || PollCampaign::new(make(), 1_000, 5, 24),
+                false,
+            )
+            .unwrap();
+        assert_observer_eq(&run.output, &reference, "killed at 5 and 13");
+        assert_eq!(run.output.health_stats(), reference.health_stats());
+        assert!(run.output.stats.balanced(), "{:?}", run.output.stats);
+        assert!(run.report.balanced(), "{:?}", run.report);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     proptest::proptest! {
@@ -1940,23 +1378,5 @@ mod tests {
             proptest::prop_assert!(hs.balanced(), "{:?}", hs);
             proptest::prop_assert_eq!(hs.breaker.trips, 0);
         }
-    }
-
-    #[test]
-    fn merged_poll_stats_stay_balanced() {
-        let pool = pool_with_tip();
-        let mut a = Observer::new(pool.clone(), true);
-        a.poll_all(1_000);
-        let mut b = Observer::new(pool, true);
-        b.poll_all(1_020);
-        let mut merged = a.stats.clone();
-        merged.absorb(&b.stats);
-        assert!(a.stats.balanced() && b.stats.balanced());
-        assert!(merged.balanced());
-        assert_eq!(merged.polls, a.stats.polls + b.stats.polls);
-        assert_eq!(
-            merged.max_blobs_per_prev,
-            a.stats.max_blobs_per_prev.max(b.stats.max_blobs_per_prev)
-        );
     }
 }

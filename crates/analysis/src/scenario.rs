@@ -3,10 +3,9 @@
 
 use crate::attribution::{AttributedBlock, Attributor};
 use crate::estimate::{network_estimate, NetworkEstimate};
-use crate::poller::{AsyncJobSource, FaultyJobSource, Observer, PollPolicy, PollStats};
+use crate::poller::{FaultyJobSource, JobSource, Observer, PollPolicy, PollStats};
 use minedig_chain::netsim::{Actor, MinedEvent, NetSim, NetSimConfig, SoloSource};
 use minedig_pool::pool::{Pool, PoolConfig};
-use minedig_primitives::aexec::AsyncStats;
 use minedig_primitives::ckpt::{
     Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot, SnapshotStore,
 };
@@ -14,12 +13,11 @@ use minedig_primitives::fault::FaultPlan;
 use minedig_primitives::health::{HealthConfig, HealthStats};
 use minedig_primitives::retry::RetryPolicy;
 use minedig_primitives::supervise::{
-    run_to_end, Backend, Campaign, SuperviseError, SupervisedRun, Supervisor,
+    run_to_end, Campaign, SuperviseError, SupervisedRun, Supervisor,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A piecewise-constant rate segment.
 #[derive(Clone, Copy, Debug)]
@@ -53,10 +51,6 @@ pub struct ScenarioConfig {
     /// Observer poll interval (blobs change at the pool's template
     /// refresh cadence, so polling faster than that is redundant).
     pub poll_interval_secs: u64,
-    /// Backend of the poll sweeps (see `Observer::sweep`): in-line
-    /// unless async, where every endpoint's fetch is in flight at once
-    /// on one thread. Results are identical on every backend.
-    pub backend: Backend,
     /// Optional transport fault schedule on the poll path (chaos
     /// testing). `None` polls the pool directly.
     pub poll_faults: Option<FaultPlan>,
@@ -102,7 +96,6 @@ impl Default for ScenarioConfig {
             diurnal_amplitude: 0.08,
             outages: vec![FIG5_OUTAGE],
             poll_interval_secs: 15,
-            backend: Backend::Sequential,
             poll_faults: None,
             poll_retry: RetryPolicy::default(),
             poll_health: None,
@@ -163,9 +156,6 @@ pub struct ScenarioResult {
     pub network: NetworkEstimate,
     /// Observer poll statistics.
     pub poll_stats: PollStats,
-    /// Aggregate async-executor statistics across all poll sweeps, when
-    /// the backend was async.
-    pub poll_async_stats: Option<AsyncStats>,
     /// Endpoint-health counters (breaker trips, quarantines, hedges),
     /// when `poll_health` was set.
     pub poll_health_stats: Option<HealthStats>,
@@ -224,9 +214,7 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
 
 /// The scenario body, generic over the observer's job source so the
 /// fault-injected and direct paths share every line of driver logic.
-/// The source must be async-capable so an async backend can route
-/// sweeps through the cooperative executor.
-fn run_scenario_with<S: AsyncJobSource + Send + 'static>(
+fn run_scenario_with<S: JobSource + Send + 'static>(
     config: ScenarioConfig,
     pool: Pool,
     observer: Observer<S>,
@@ -242,18 +230,16 @@ fn run_scenario_with<S: AsyncJobSource + Send + 'static>(
 /// times, winners, templates, difficulties — is a pure function of the
 /// config and seed, and the observation hook only *reads* the pool, so
 /// the snapshot carries just the step cursor plus the state that folds
-/// across steps: the attributor's verdicts, the observer's cross-sweep
-/// state (via [`Observer::write_state`]) and the aggregated async
-/// executor counters. `restore` rebuilds the simulator by replaying the
-/// first `steps` events with polling suppressed (outage toggles still
-/// applied), recomputing `difficulties`/`ground_truth`/`total_blocks`
-/// along the way, then overlays the snapshot state — so a
-/// killed-and-resumed run reproduces the uninterrupted scenario bit for
-/// bit, for any sweep backend and fault schedule.
-pub struct ScenarioCampaign<S: AsyncJobSource + Send + 'static> {
+/// across steps: the attributor's verdicts and the observer's
+/// cross-sweep state (via [`Observer::write_state`]). `restore` rebuilds
+/// the simulator by replaying the first `steps` events with polling
+/// suppressed (outage toggles still applied), recomputing
+/// `difficulties`/`ground_truth`/`total_blocks` along the way, then
+/// overlays the snapshot state — so a killed-and-resumed run reproduces
+/// the uninterrupted scenario bit for bit, for any fault schedule.
+pub struct ScenarioCampaign<S: JobSource + Send + 'static> {
     config: Arc<ScenarioConfig>,
     observer: Arc<Mutex<Observer<S>>>,
-    async_stats: Arc<Mutex<AsyncStats>>,
     /// When set, the interval hook skips poll sweeps (restore replay).
     replaying: Arc<AtomicBool>,
     sim: NetSim,
@@ -267,13 +253,12 @@ pub struct ScenarioCampaign<S: AsyncJobSource + Send + 'static> {
     done: bool,
 }
 
-impl<S: AsyncJobSource + Send + 'static> ScenarioCampaign<S> {
+impl<S: JobSource + Send + 'static> ScenarioCampaign<S> {
     /// Builds the simulator, actors and observation hook for one
     /// scenario run over a freshly-initialized observer.
     pub fn new(config: ScenarioConfig, pool: Pool, observer: Observer<S>) -> ScenarioCampaign<S> {
         let observer = Arc::new(Mutex::new(observer));
         let end_time = config.start_time + config.duration_days * 86_400;
-        let async_stats: Arc<Mutex<AsyncStats>> = Arc::new(Mutex::new(AsyncStats::default()));
         let replaying = Arc::new(AtomicBool::new(false));
 
         let config = Arc::new(config);
@@ -317,24 +302,15 @@ impl<S: AsyncJobSource + Send + 'static> ScenarioCampaign<S> {
             let config = config.clone();
             let replaying = replaying.clone();
             let interval = config.poll_interval_secs.max(1);
-            let async_stats = async_stats.clone();
             sim.set_interval_hook(Box::new(move |from, to| {
                 let replay = replaying.load(Ordering::Relaxed);
                 let mut obs = observer.lock();
-                // Every backend's sweep is bit-identical; an async one
-                // additionally aggregates its executor stats for the
-                // report.
-                let sweep = |obs: &mut Observer<S>, t: u64| {
-                    if let Some(s) = obs.sweep(t, &config.backend) {
-                        async_stats.lock().absorb(&s);
-                    }
-                };
                 let mut t = from - from % interval + interval;
                 let mut polled_end = false;
                 while t <= to {
                     pool.set_online(!config.in_outage(t));
                     if !replay {
-                        sweep(&mut obs, t);
+                        obs.poll_all(t);
                     }
                     polled_end = t == to;
                     t += interval;
@@ -345,7 +321,7 @@ impl<S: AsyncJobSource + Send + 'static> ScenarioCampaign<S> {
                 // always observed.
                 pool.set_online(!config.in_outage(to));
                 if !polled_end && !config.in_outage(to) && !replay {
-                    sweep(&mut obs, to);
+                    obs.poll_all(to);
                 }
             }));
         }
@@ -353,7 +329,6 @@ impl<S: AsyncJobSource + Send + 'static> ScenarioCampaign<S> {
         ScenarioCampaign {
             config,
             observer,
-            async_stats,
             replaying,
             sim,
             end_time,
@@ -384,7 +359,7 @@ impl<S: AsyncJobSource + Send + 'static> ScenarioCampaign<S> {
     }
 }
 
-impl<S: AsyncJobSource + Send + 'static> Checkpointable for ScenarioCampaign<S> {
+impl<S: JobSource + Send + 'static> Checkpointable for ScenarioCampaign<S> {
     fn progress_key(&self) -> u64 {
         self.steps
     }
@@ -404,19 +379,6 @@ impl<S: AsyncJobSource + Send + 'static> Checkpointable for ScenarioCampaign<S> 
         }
         w.u64(a.unmatched);
         w.u64(a.gaps);
-        {
-            let s = self.async_stats.lock();
-            w.len(s.concurrency);
-            w.u64(s.tasks);
-            w.u64(s.completed);
-            w.u64(s.in_flight_high_water);
-            w.u64(s.polls);
-            w.u64(s.wakeups);
-            w.u64(s.timer_fires);
-            w.u64(s.io_repolls);
-            w.u64(s.virtual_ms);
-            w.u64(s.elapsed.as_nanos() as u64);
-        }
         self.observer.lock().write_state(&mut w);
         Snapshot::new(self.steps, w.finish())
     }
@@ -438,18 +400,6 @@ impl<S: AsyncJobSource + Send + 'static> Checkpointable for ScenarioCampaign<S> 
         }
         let unmatched = r.u64()?;
         let gaps = r.u64()?;
-        let async_stats = AsyncStats {
-            concurrency: r.len()?,
-            tasks: r.u64()?,
-            completed: r.u64()?,
-            in_flight_high_water: r.u64()?,
-            polls: r.u64()?,
-            wakeups: r.u64()?,
-            timer_fires: r.u64()?,
-            io_repolls: r.u64()?,
-            virtual_ms: r.u64()?,
-            elapsed: Duration::from_nanos(r.u64()?),
-        };
         self.observer.lock().read_state(&mut r)?;
         r.expect_end()?;
 
@@ -485,12 +435,11 @@ impl<S: AsyncJobSource + Send + 'static> Checkpointable for ScenarioCampaign<S> 
             unmatched,
             gaps,
         };
-        *self.async_stats.lock() = async_stats;
         Ok(())
     }
 }
 
-impl<S: AsyncJobSource + Send + 'static> Campaign for ScenarioCampaign<S> {
+impl<S: JobSource + Send + 'static> Campaign for ScenarioCampaign<S> {
     type Output = ScenarioResult;
 
     fn is_done(&self) -> bool {
@@ -539,8 +488,6 @@ impl<S: AsyncJobSource + Send + 'static> Campaign for ScenarioCampaign<S> {
             network,
             poll_stats,
             poll_health_stats,
-            poll_async_stats: matches!(self.config.backend, Backend::Async { .. })
-                .then(|| self.async_stats.lock().clone()),
             window: (self.config.start_time, self.end_time),
         }
     }
@@ -701,62 +648,6 @@ mod tests {
         assert!(faulty.poll_stats.balanced());
     }
 
-    #[test]
-    fn async_polling_does_not_change_the_scenario() {
-        let seq = short_scenario(2, 9);
-        let asy = run_scenario(ScenarioConfig {
-            duration_days: 2,
-            seed: 9,
-            backend: Backend::Async { concurrency: 64 },
-            ..ScenarioConfig::default()
-        });
-        assert_eq!(asy.attributed, seq.attributed);
-        assert_eq!(asy.total_blocks, seq.total_blocks);
-        assert_eq!(asy.poll_stats.polls, seq.poll_stats.polls);
-        assert_eq!(asy.poll_stats.answered, seq.poll_stats.answered);
-        assert_eq!(asy.poll_stats.offline, seq.poll_stats.offline);
-        assert_eq!(
-            asy.poll_stats.max_blobs_per_prev,
-            seq.poll_stats.max_blobs_per_prev
-        );
-        let stats = asy.poll_async_stats.expect("async stats reported");
-        // Every sweep held all 32 endpoint fetches in flight at once.
-        assert_eq!(stats.in_flight_high_water, 32);
-        assert_eq!(stats.tasks, seq.poll_stats.polls);
-        assert!(seq.poll_async_stats.is_none());
-    }
-
-    #[test]
-    fn async_polling_matches_under_fault_schedules() {
-        let plan = FaultPlan::transient_only(77, 0.4);
-        let base = ScenarioConfig {
-            duration_days: 2,
-            seed: 9,
-            poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
-            poll_faults: Some(plan.clone()),
-            ..ScenarioConfig::default()
-        };
-        let seq = run_scenario(ScenarioConfig {
-            poll_faults: Some(plan.clone()),
-            ..base
-        });
-        let asy = run_scenario(ScenarioConfig {
-            duration_days: 2,
-            seed: 9,
-            poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
-            poll_faults: Some(plan),
-            backend: Backend::Async { concurrency: 256 },
-            ..ScenarioConfig::default()
-        });
-        assert!(asy.poll_stats.retries > 0, "p=0.4 must force retries");
-        assert_eq!(asy.attributed, seq.attributed);
-        assert_eq!(asy.total_blocks, seq.total_blocks);
-        assert_eq!(asy.poll_stats.answered, seq.poll_stats.answered);
-        assert_eq!(asy.poll_stats.retries, seq.poll_stats.retries);
-        assert_eq!(asy.poll_stats.reconnects, seq.poll_stats.reconnects);
-        assert!(asy.poll_stats.balanced());
-    }
-
     fn assert_results_eq(a: &ScenarioResult, b: &ScenarioResult, ctx: &str) {
         assert_eq!(a.attributed, b.attributed, "{ctx}");
         assert_eq!(a.total_blocks, b.total_blocks, "{ctx}");
@@ -838,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn supervised_scenario_matches_under_poll_faults_and_async_sweeps() {
+    fn supervised_scenario_matches_under_poll_faults() {
         use minedig_primitives::supervise::CrashPolicy;
         let plan = FaultPlan::transient_only(77, 0.4);
         let config = ScenarioConfig {
@@ -846,7 +737,6 @@ mod tests {
             seed: 9,
             poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
             poll_faults: Some(plan),
-            backend: Backend::Async { concurrency: 64 },
             ..ScenarioConfig::default()
         };
         let reference = run_scenario(config.clone());
@@ -858,13 +748,7 @@ mod tests {
         })
         .with_kills(vec![2, 9]);
         let run = run_scenario_supervised(&config, &store, "attr", &sup, false).unwrap();
-        assert_results_eq(&run.output, &reference, "faulty async supervised");
-        let (sa, sb) = (
-            run.output.poll_async_stats.as_ref().expect("async stats"),
-            reference.poll_async_stats.as_ref().expect("async stats"),
-        );
-        assert_eq!(sa.tasks, sb.tasks);
-        assert_eq!(sa.in_flight_high_water, sb.in_flight_high_water);
+        assert_results_eq(&run.output, &reference, "faulty supervised");
         assert!(run.report.balanced(), "{:?}", run.report);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -921,25 +805,5 @@ mod tests {
         );
         assert!(run.report.balanced(), "{:?}", run.report);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_polling_does_not_change_the_scenario() {
-        let seq = short_scenario(2, 9);
-        let par = run_scenario(ScenarioConfig {
-            duration_days: 2,
-            seed: 9,
-            backend: Backend::Sharded(4),
-            ..ScenarioConfig::default()
-        });
-        assert_eq!(par.attributed, seq.attributed);
-        assert_eq!(par.total_blocks, seq.total_blocks);
-        assert_eq!(par.poll_stats.polls, seq.poll_stats.polls);
-        assert_eq!(par.poll_stats.answered, seq.poll_stats.answered);
-        assert_eq!(par.poll_stats.offline, seq.poll_stats.offline);
-        assert_eq!(
-            par.poll_stats.max_blobs_per_prev,
-            seq.poll_stats.max_blobs_per_prev
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! shortlink-enumeration campaigns run to the end at several shard
 //! counts, writing a shards→wall-time map to `BENCH_parallel.json`
 //! (override with `MINEDIG_BENCH_OUT`). Poll sweeps run in-line on
-//! every non-async backend, so they get one row, labelled 1 shard.
+//! every backend, so they get one row, labelled 1 shard.
 //!
 //! This is the CI-friendly complement to the criterion benches: one
 //! timed pass per shard count, small populations, machine-readable
@@ -98,7 +98,7 @@ fn main() {
     for _ in 0..20 {
         let mut obs = Observer::new(pool.clone(), true);
         for &t in &times {
-            obs.sweep(t, &Backend::Sequential);
+            obs.poll_all(t);
         }
         black_box(obs.stats().answered);
     }

@@ -15,7 +15,6 @@ fn main() {
     );
 
     let mut config = fig5_config(seed);
-    config.backend = minedig_bench::backend();
     config.duration_days = days;
     let result = run_scenario(config);
 

@@ -46,7 +46,9 @@ fn main() {
 
     println!(
         "{:<26} {:>10} {:>14}",
-        "category", "paper", "measured(1:10)"
+        "category",
+        "paper",
+        format!("measured(1:{scale})")
     );
     for (i, (label, paper_count)) in PAPER.iter().enumerate() {
         let m = measured
@@ -76,7 +78,7 @@ fn main() {
         study.tail_classified_fraction * 100.0
     );
     println!(
-        "hash cost of the resolution run: {:.1}M hashes (paper: 61.5M at full scale)",
-        study.hashes_spent as f64 / 1e6
+        "hash cost of resolving the unbiased tail: {:.1}M hashes (paper: 61.5M at full scale)",
+        study.tail_hashes_spent as f64 / 1e6
     );
 }

@@ -20,7 +20,6 @@ fn main() {
     let mut rows = Vec::new();
     for (month, p_med, p_avg, p_mhs, p_xmr) in PAPER {
         let mut config = month_config(month, seed);
-        config.backend = minedig_bench::backend();
         // Months are long; a coarser poll grid plus the guaranteed
         // end-of-interval sample keeps attribution exact (see scenario.rs).
         config.poll_interval_secs = 60;

@@ -5,27 +5,42 @@
 //! next to the paper's. Common knobs come from the environment:
 //!
 //! * `MINEDIG_SEED` — experiment seed (default 2018),
-//! * `MINEDIG_SHARDS` / `MINEDIG_ASYNC` / `MINEDIG_CONCURRENCY` — the
-//!   execution backend (default: one worker thread per core),
+//! * `MINEDIG_SHARDS` — worker threads of the execution backend
+//!   (default: one per core; `1` runs sequentially),
 //! * `MINEDIG_LINK_SCALE` — divisor on the 1.7 M link population
 //!   (default 10),
 //! * `MINEDIG_DAYS` — override for the Fig 5 window length.
+//!
+//! A malformed value of any of them exits with status 2, naming the
+//! variable.
 
 use minedig_core::campaign::ChromeCampaign;
 use minedig_core::report::campaign_line;
 use minedig_core::scan::{build_reference_db, scan_len, ChromeScanOutcome, FetchModel};
+use minedig_primitives::parse_var;
 use minedig_primitives::supervise::{run_to_end, Backend};
 use minedig_wasm::sigdb::SignatureDb;
 use minedig_wasm::FingerprintCache;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
 
-/// Reads a `u64` knob from the environment.
+/// Reads the `u64` knob `name` through `lookup`: `default` when unset,
+/// and an error naming the variable when it is not a whole number.
+fn parse_u64(
+    lookup: impl Fn(&str) -> Option<String>,
+    name: &str,
+    default: u64,
+) -> Result<u64, String> {
+    Ok(parse_var(lookup, name, "a whole number", |_: &u64| true)?.unwrap_or(default))
+}
+
+/// Reads a `u64` knob from the environment; exits with status 2 on a
+/// malformed value.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_u64(|n| std::env::var(n).ok(), name, default).unwrap_or_else(|e| {
+        eprintln!("bad configuration: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// The experiment seed.
@@ -147,5 +162,11 @@ mod tests {
     #[test]
     fn env_parsing() {
         assert_eq!(env_u64("MINEDIG_DOES_NOT_EXIST", 7), 7);
+        let given = |v: &'static str| move |_: &str| Some(v.to_string());
+        assert_eq!(parse_u64(given(" 3 "), "MINEDIG_SEED", 2018), Ok(3));
+        for bad in ["2.5", "seven", "-1", ""] {
+            let err = parse_u64(given(bad), "MINEDIG_LINK_SCALE", 10).expect_err(bad);
+            assert!(err.contains("MINEDIG_LINK_SCALE"), "{err}");
+        }
     }
 }

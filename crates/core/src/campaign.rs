@@ -27,9 +27,9 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::scan::{
-    chrome_fold, chrome_probe_domain, crawl_latency_ms, scan_item, scan_len, zgrab_fold,
-    zgrab_probe_domain, ChromeProbeCtx, ChromeScanOutcome, DomainRef, FetchModel, FetchStats,
-    ZgrabProbeCtx, ZgrabScanOutcome,
+    chrome_fold, chrome_probe_domain, scan_item, scan_len, zgrab_fold, zgrab_probe_domain,
+    ChromeProbeCtx, ChromeScanOutcome, DomainRef, FetchModel, FetchStats, ZgrabProbeCtx,
+    ZgrabScanOutcome,
 };
 use minedig_nocoin::list::ServiceLabel;
 use minedig_nocoin::NoCoinEngine;
@@ -365,7 +365,6 @@ impl Campaign for ZgrabCampaign<'_> {
                 let (d, clean) = scan_item(population, i as usize);
                 (zgrab_probe_domain(&ctx, d), clean)
             },
-            |i| crawl_latency_ms(model, &scan_item(population, i as usize).0.name),
             outcome,
             |acc, (verdict, clean)| {
                 zgrab_fold(acc, verdict, clean);
@@ -484,7 +483,6 @@ impl Campaign for ChromeCampaign<'_> {
                     SCRATCH.with_borrow_mut(|scratch| chrome_probe_domain(&ctx, d, scratch));
                 (verdict, clean)
             },
-            |i| crawl_latency_ms(model, &scan_item(population, i as usize).0.name),
             outcome,
             |acc, (verdict, clean)| {
                 chrome_fold(acc, verdict, clean);
@@ -573,11 +571,7 @@ mod tests {
         let db = build_reference_db(0.7);
         let model = FetchModel::default();
         let expected = chrome_scan(&pop, &db, 1);
-        for backend in [
-            Backend::Sequential,
-            Backend::Sharded(3),
-            Backend::Async { concurrency: 16 },
-        ] {
+        for backend in [Backend::Sequential, Backend::Sharded(3)] {
             let dir = tmpdir(&format!("chrome-{backend}"));
             let store = SnapshotStore::open(&dir).unwrap();
             let sup = Supervisor::new(CrashPolicy {

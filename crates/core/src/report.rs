@@ -2,7 +2,6 @@
 
 use crate::scan::FetchStats;
 use minedig_analysis::poller::PollStats;
-use minedig_primitives::aexec::AsyncStats;
 use minedig_primitives::health::{HealthStats, ShedStats};
 use minedig_primitives::supervise::{Backend, SuperviseReport};
 use minedig_shortlink::enumerate::Enumeration;
@@ -271,25 +270,6 @@ pub fn degradation_summary(rows: &[CampaignHealth]) -> String {
     out
 }
 
-/// Renders the aggregate of many async poll sweeps (one per scenario
-/// interval), e.g.
-///
-/// ```text
-/// pool polling (async): 13440 endpoint fetches across 420 sweeps, sweep high water 32 on one thread
-///   57812 polls, 44110 wakeups, 902 io repolls
-/// ```
-pub fn async_poll_summary(label: &str, sweeps: u64, stats: &AsyncStats) -> String {
-    let mut out = format!(
-        "{label}: {} endpoint fetches across {} sweeps, sweep high water {} on one thread\n",
-        stats.completed, sweeps, stats.in_flight_high_water,
-    );
-    out.push_str(&format!(
-        "  {} polls, {} wakeups, {} io repolls\n",
-        stats.polls, stats.wakeups, stats.io_repolls,
-    ));
-    out
-}
-
 /// Renders a supervised run's crash/checkpoint accounting, e.g.
 ///
 /// ```text
@@ -398,24 +378,6 @@ mod tests {
         assert!(t.contains("beta-very-long-label"));
         assert!(t.contains("2.00G"));
         assert!(t.contains("10.0%"));
-    }
-
-    #[test]
-    fn async_poll_summary_renders_aggregate() {
-        let stats = AsyncStats {
-            concurrency: 64,
-            tasks: 13_440,
-            completed: 13_440,
-            in_flight_high_water: 32,
-            polls: 57_812,
-            wakeups: 44_110,
-            io_repolls: 902,
-            ..AsyncStats::default()
-        };
-        let text = async_poll_summary("pool polling (async)", 420, &stats);
-        assert!(text.contains("13440 endpoint fetches across 420 sweeps"));
-        assert!(text.contains("sweep high water 32 on one thread"));
-        assert!(text.contains("57812 polls, 44110 wakeups, 902 io repolls"));
     }
 
     #[test]

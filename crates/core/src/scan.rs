@@ -76,33 +76,6 @@ impl FetchModel {
     }
 }
 
-/// Virtual stall cost, in milliseconds, charged to a crawl's simulated
-/// latency when the fault plan stalls the first fetch attempt: the
-/// paper's crawler ran with page-load timeouts of this order.
-pub const STALL_LATENCY_MS: u64 = 1_000;
-
-/// Deterministic virtual crawl latency of fetching `name` under
-/// `model`, in milliseconds: a per-domain base round-trip plus any
-/// injected first-attempt delay (or a stall timeout) from the fault
-/// plan. Only the async scheduler observes this figure — verdicts stay
-/// pure functions of `(domain, seed, model)` — but keying it by domain
-/// name rather than by spawn order keeps every schedule identical for
-/// any concurrency level.
-pub fn crawl_latency_ms(model: &FetchModel, name: &str) -> u64 {
-    let mut rng = DetRng::seed(0xC4A71).derive(name);
-    let base = 1 + rng.gen_range(64);
-    let fault = match model
-        .faults
-        .as_ref()
-        .and_then(|p| p.decide(&format!("fetch.{name}"), 0))
-    {
-        Some(Fault::Delay { ms }) => ms,
-        Some(Fault::Stall) => STALL_LATENCY_MS,
-        _ => 0,
-    };
-    base + fault
-}
-
 /// Table 1-style response-rate accounting for one scan.
 ///
 /// Invariant: `attempted == responded + unreachable + silent` — every

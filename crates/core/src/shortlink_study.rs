@@ -61,12 +61,16 @@ pub struct StudyResult {
     pub cdf_unbiased: Ecdf,
     /// Fraction of unbiased requirements ≤ 1024.
     pub unbiased_le_1024: f64,
-    /// Hashes spent resolving links: the unbiased < budget dataset (the
-    /// part that scales the paper's 61.5 M figure) plus the Table 4
-    /// sample, which is resolved at any cost and so adds every 10^19-hash
-    /// link it draws (seed 2018 at paper scale: 4,930,000,052.4 M hashes
-    /// in all). Saturating.
+    /// Hashes spent resolving links: [`tail_hashes_spent`] plus the
+    /// Table 4 sample, which is resolved at any cost and so adds every
+    /// 10^19-hash link it draws (seed 2018 at paper scale:
+    /// 4,930,000,052.4 M hashes in all). Saturating.
+    ///
+    /// [`tail_hashes_spent`]: StudyResult::tail_hashes_spent
     pub hashes_spent: u64,
+    /// Hashes spent resolving the unbiased < budget dataset alone: the
+    /// figure to compare with the paper's 61.5 M.
+    pub tail_hashes_spent: u64,
     /// Table 4: destination-domain frequencies of the top-10 users'
     /// samples.
     pub top10_domains: Vec<(String, f64)>,
@@ -169,22 +173,9 @@ fn finish_study(
     let cdf_unbiased = Ecdf::new(unbiased.iter().map(log2).collect());
     let le1024 = unbiased.iter().filter(|&&h| h <= 1024).count() as f64 / unbiased.len() as f64;
 
-    // Table 4: a random sample of each top-10 user's links. The shuffle
-    // permutes doc positions: its draws depend only on the length, so
-    // the sample is the one a shuffle of the codes themselves would give.
-    let mut rng = DetRng::seed(seed).derive("shortlink.study.sample");
-    let top_tokens = enumeration.top_tokens(10);
-    let mut top10_codes = Vec::new();
-    for token in &top_tokens {
-        let mut picks: Vec<usize> = (0..enumeration.docs.len())
-            .filter(|&i| enumeration.docs[i].token_id == *token)
-            .collect();
-        rng.shuffle(&mut picks);
-        picks.truncate(config.per_user_sample);
-        top10_codes.extend(picks.into_iter().map(|i| enumeration.docs[i].code.clone()));
-    }
     // Table 4 samples are resolved regardless of cost in the paper's
     // method (they come from the top users, whose links are cheap).
+    let top10_codes = table4_sample(&enumeration, seed, config.per_user_sample);
     let top10_report = resolve_accounted(service, &top10_codes, u64::MAX);
     let mut domain_counts: BTreeMap<String, u64> = BTreeMap::new();
     for (_code, url) in &top10_report.resolved {
@@ -237,10 +228,29 @@ fn finish_study(
         hashes_spent: tail_report
             .hashes_spent
             .saturating_add(top10_report.hashes_spent),
+        tail_hashes_spent: tail_report.hashes_spent,
         top10_domains,
         tail_categories,
         tail_classified_fraction,
     }
+}
+
+/// Table 4's sample: up to `per_user_sample` random links of each of
+/// the top-10 users. The shuffle permutes doc positions: its draws
+/// depend only on the length, so the sample is the one a shuffle of the
+/// codes themselves would give.
+fn table4_sample(enumeration: &Enumeration, seed: u64, per_user_sample: usize) -> Vec<String> {
+    let mut rng = DetRng::seed(seed).derive("shortlink.study.sample");
+    let mut codes = Vec::new();
+    for token in enumeration.top_tokens(10) {
+        let mut picks: Vec<usize> = (0..enumeration.docs.len())
+            .filter(|&i| enumeration.docs[i].token_id == token)
+            .collect();
+        rng.shuffle(&mut picks);
+        picks.truncate(per_user_sample);
+        codes.extend(picks.into_iter().map(|i| enumeration.docs[i].code.clone()));
+    }
+    codes
 }
 
 #[cfg(test)]
@@ -295,6 +305,7 @@ mod tests {
         assert_eq!(a.enumeration.docs, b.enumeration.docs, "{ctx}");
         assert_eq!(a.links_per_token, b.links_per_token, "{ctx}");
         assert_eq!(a.hashes_spent, b.hashes_spent, "{ctx}");
+        assert_eq!(a.tail_hashes_spent, b.tail_hashes_spent, "{ctx}");
         assert_eq!(a.top10_domains, b.top10_domains, "{ctx}");
         assert_eq!(a.tail_categories, b.tail_categories, "{ctx}");
         assert_eq!(
@@ -307,11 +318,7 @@ mod tests {
     fn every_backend_yields_the_batch_study() {
         let base = config(10_000, 800, 100);
         let batch = batch_study(&base, 9);
-        for backend in [
-            Backend::Sequential,
-            Backend::Sharded(8),
-            Backend::Async { concurrency: 16 },
-        ] {
+        for backend in [Backend::Sequential, Backend::Sharded(8)] {
             let study = run_study(
                 &StudyConfig {
                     backend,
@@ -330,7 +337,7 @@ mod tests {
         // so resolution resumes from the snapshot too.
         for (backend, kills) in [
             (Backend::Sharded(4), vec![500, 2_000]),
-            (Backend::Async { concurrency: 16 }, vec![200, 1_500, 4_000]),
+            (Backend::Sequential, vec![200, 1_500, 4_000]),
         ] {
             let config = StudyConfig {
                 backend,
@@ -423,5 +430,26 @@ mod tests {
     fn hash_cost_is_accounted() {
         let r = small_study();
         assert!(r.hashes_spent > 100_000, "spent {}", r.hashes_spent);
+    }
+
+    #[test]
+    fn hash_cost_is_the_tail_plus_the_table4_sample() {
+        let config = config(30_000, 2_500, 300);
+        let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
+        let policy = ProbePolicy::default();
+        let walk = run_to_end(study_campaign(&service, &policy, &config));
+        let tail = walk.resolve_report.hashes_spent;
+        let tail_resolved = walk.resolve_report.resolved.len() as u64;
+        let sample = table4_sample(&walk.enumeration, 9, config.per_user_sample);
+        let r = finish_study(&service, walk, &config, 9);
+        let table4 = resolve_accounted(&service, &sample, u64::MAX).hashes_spent;
+        assert_eq!(r.tail_hashes_spent, tail);
+        assert_eq!(r.hashes_spent, tail.saturating_add(table4));
+        assert!(tail_resolved > 0);
+        assert!(
+            r.tail_hashes_spent <= config.resolve_budget * tail_resolved,
+            "{} hashes over {tail_resolved} links",
+            r.tail_hashes_spent
+        );
     }
 }

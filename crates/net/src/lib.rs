@@ -14,9 +14,6 @@
 //! * [`frame`] — a simple length-prefixed codec for tests and fuzzing,
 //! * [`fault`] — a fault-injecting [`transport::Transport`] decorator
 //!   driven by a seeded, reproducible fault schedule (chaos testing),
-//! * [`aio`] — readiness adapters that let any [`transport::Transport`]
-//!   (including the faulty decorator) park on the cooperative async
-//!   executor instead of blocking a thread per connection,
 //! * [`transport`] — the blocking [`transport::Transport`] trait with an
 //!   in-process crossbeam channel implementation (deterministic tests),
 //! * [`tcp`] — real `std::net` sockets: a thread-per-connection server and
@@ -25,7 +22,6 @@
 //!   payloads) is served best by plain threads rather than an async
 //!   runtime.
 
-pub mod aio;
 pub mod fault;
 pub mod frame;
 pub mod json;
@@ -33,7 +29,6 @@ pub mod tcp;
 pub mod transport;
 pub mod wsframe;
 
-pub use aio::{recv_ready, MultiParkRegistrar, MultiParkWait, RecvReady};
 pub use fault::{FaultStats, FaultyTransport};
 pub use json::Value;
 pub use transport::{channel_pair, ChannelTransport, DeadlineTransport, Transport, TransportError};

@@ -13,17 +13,15 @@
 //! ## Zero-timeout polls and the mode cache
 //!
 //! `recv_timeout(Duration::ZERO)` / `send_timeout(Duration::ZERO)` are
-//! the cooperative executor's readiness probes (`crate::aio`), so they
-//! must mean "try once, never block" — but std rejects
+//! readiness probes under the [`Transport`] contract, so they must mean
+//! "try once, never block" — but std rejects
 //! `set_read_timeout(Some(Duration::ZERO))` with `InvalidInput`. Zero
 //! timeouts therefore run the socket in nonblocking mode and translate
 //! `WouldBlock` to [`TransportError::Timeout`]. The kernel-visible mode
 //! (O_NONBLOCK, SO_RCVTIMEO/SO_SNDTIMEO) is cached in [`SockMode`] so a
 //! poll loop issuing thousands of zero-timeout receives pays the
 //! `setsockopt` once, not per call; blocking operations restore their
-//! mode lazily through the same cache. The cache is shared with
-//! [`TcpParker`]s cloned off the transport, because a dup'd fd shares
-//! those flags with the original socket.
+//! mode lazily through the same cache.
 //!
 //! ## Partial writes
 //!
@@ -56,23 +54,21 @@ fn timeout_us(t: Option<Duration>) -> u64 {
     }
 }
 
-/// Cached kernel-visible socket mode. O_NONBLOCK and the SO_*TIMEO
-/// options live on the socket, not the fd, so a [`TcpParker`] cloned
-/// from a transport shares this cache with it — whichever side changes
-/// the mode records it here, and the other side trusts the cache instead
-/// of re-issuing the syscall.
+/// Cached kernel-visible socket mode, so an operation re-issues a
+/// `setsockopt` only when the mode it needs differs from the last one
+/// set.
 struct SockMode {
-    nonblocking: AtomicBool,
-    read_timeout_us: AtomicU64,
-    write_timeout_us: AtomicU64,
+    nonblocking: bool,
+    read_timeout_us: u64,
+    write_timeout_us: u64,
 }
 
 impl SockMode {
     fn new() -> SockMode {
         SockMode {
-            nonblocking: AtomicBool::new(false),
-            read_timeout_us: AtomicU64::new(TIMEOUT_UNSET),
-            write_timeout_us: AtomicU64::new(TIMEOUT_UNSET),
+            nonblocking: false,
+            read_timeout_us: TIMEOUT_UNSET,
+            write_timeout_us: TIMEOUT_UNSET,
         }
     }
 }
@@ -112,7 +108,7 @@ pub struct TcpTransport {
     /// Clients mask their frames; servers do not.
     is_client: bool,
     mask_counter: u64,
-    mode: Arc<SockMode>,
+    mode: SockMode,
 }
 
 impl TcpTransport {
@@ -125,7 +121,7 @@ impl TcpTransport {
             outbuf: OutBuf::default(),
             is_client: false,
             mask_counter: 0,
-            mode: Arc::new(SockMode::new()),
+            mode: SockMode::new(),
         })
     }
 
@@ -139,17 +135,7 @@ impl TcpTransport {
             outbuf: OutBuf::default(),
             is_client: true,
             mask_counter: 0x9e3779b97f4a7c15,
-            mode: Arc::new(SockMode::new()),
-        })
-    }
-
-    /// A [`TcpParker`] sharing this transport's socket: the executor's
-    /// idle sweep can block on it until the socket turns readable,
-    /// instead of spinning on zero-timeout polls.
-    pub fn parker(&self) -> std::io::Result<TcpParker> {
-        Ok(TcpParker {
-            stream: self.stream.try_clone()?,
-            mode: self.mode.clone(),
+            mode: SockMode::new(),
         })
     }
 
@@ -164,21 +150,21 @@ impl TcpTransport {
     }
 
     fn ensure_nonblocking(&mut self) -> Result<(), TransportError> {
-        if !self.mode.nonblocking.load(Ordering::Relaxed) {
+        if !self.mode.nonblocking {
             self.stream
                 .set_nonblocking(true)
                 .map_err(|e| TransportError::Io(e.to_string()))?;
-            self.mode.nonblocking.store(true, Ordering::Relaxed);
+            self.mode.nonblocking = true;
         }
         Ok(())
     }
 
     fn ensure_blocking(&mut self) -> Result<(), TransportError> {
-        if self.mode.nonblocking.load(Ordering::Relaxed) {
+        if self.mode.nonblocking {
             self.stream
                 .set_nonblocking(false)
                 .map_err(|e| TransportError::Io(e.to_string()))?;
-            self.mode.nonblocking.store(false, Ordering::Relaxed);
+            self.mode.nonblocking = false;
         }
         Ok(())
     }
@@ -189,22 +175,22 @@ impl TcpTransport {
     /// take the nonblocking path instead.
     fn ensure_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
         let us = timeout_us(timeout);
-        if self.mode.read_timeout_us.load(Ordering::Relaxed) != us {
+        if self.mode.read_timeout_us != us {
             self.stream
                 .set_read_timeout(timeout)
                 .map_err(|e| TransportError::Io(e.to_string()))?;
-            self.mode.read_timeout_us.store(us, Ordering::Relaxed);
+            self.mode.read_timeout_us = us;
         }
         Ok(())
     }
 
     fn ensure_write_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
         let us = timeout_us(timeout);
-        if self.mode.write_timeout_us.load(Ordering::Relaxed) != us {
+        if self.mode.write_timeout_us != us {
             self.stream
                 .set_write_timeout(timeout)
                 .map_err(|e| TransportError::Io(e.to_string()))?;
-            self.mode.write_timeout_us.store(us, Ordering::Relaxed);
+            self.mode.write_timeout_us = us;
         }
         Ok(())
     }
@@ -337,54 +323,6 @@ impl Transport for TcpTransport {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
         self.recv_data(Some(timeout))
-    }
-}
-
-/// Blocks a thread until a [`TcpTransport`]'s socket turns readable —
-/// the executor's [`IdleWait`](minedig_primitives::aexec::IdleWait)
-/// strategy for real sockets parks here between idle sweeps instead of
-/// spinning on zero-timeout polls.
-///
-/// The parker holds a dup of the transport's fd, so its blocking `peek`
-/// shares O_NONBLOCK/SO_RCVTIMEO with the transport; both sides go
-/// through the shared [`SockMode`] cache, and the transport restores its
-/// own mode (one cached syscall) on its next operation. Safe on the
-/// single-threaded executor because the parker only runs while no task
-/// is mid-operation.
-pub struct TcpParker {
-    stream: TcpStream,
-    mode: Arc<SockMode>,
-}
-
-impl TcpParker {
-    /// Waits up to `max` for readable bytes without consuming them.
-    /// Returns whether the socket looks ready (errors report ready, so
-    /// the owning transport surfaces them on its next receive).
-    pub fn wait(&self, max: Duration) -> bool {
-        let max = if max.is_zero() {
-            Duration::from_millis(1)
-        } else {
-            max
-        };
-        if self.mode.nonblocking.load(Ordering::Relaxed) {
-            if self.stream.set_nonblocking(false).is_err() {
-                return true;
-            }
-            self.mode.nonblocking.store(false, Ordering::Relaxed);
-        }
-        let us = timeout_us(Some(max));
-        if self.mode.read_timeout_us.load(Ordering::Relaxed) != us {
-            if self.stream.set_read_timeout(Some(max)).is_err() {
-                return true;
-            }
-            self.mode.read_timeout_us.store(us, Ordering::Relaxed);
-        }
-        let mut byte = [0u8; 1];
-        match self.stream.peek(&mut byte) {
-            Ok(_) => true,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => false,
-            Err(_) => true,
-        }
     }
 }
 
@@ -575,7 +513,7 @@ mod tests {
     #[test]
     fn zero_timeout_recv_is_a_nonblocking_probe() {
         // Regression: `set_read_timeout(Some(ZERO))` is InvalidInput in
-        // std, so this used to surface `Io`, breaking the async adapter.
+        // std, so this used to surface `Io` instead of `Timeout`.
         let server = echo_server();
         let mut client = TcpTransport::connect(server.addr()).unwrap();
         for _ in 0..100 {
@@ -663,28 +601,6 @@ mod tests {
         client.send(b"tiny").unwrap();
         assert_eq!(client.recv().unwrap(), big.len().to_string().as_bytes());
         assert_eq!(client.recv().unwrap(), b"4");
-    }
-
-    #[test]
-    fn parker_waits_for_readability_without_consuming() {
-        let server = echo_server();
-        let addr = server.addr();
-        let mut client = TcpTransport::connect(addr).unwrap();
-        let parker = client.parker().unwrap();
-        // Nothing in flight: the wait times out.
-        assert!(!parker.wait(Duration::from_millis(20)));
-        client.send(b"wake").unwrap();
-        // The echo arrives within the wait budget…
-        let mut ready = false;
-        for _ in 0..100 {
-            if parker.wait(Duration::from_millis(10)) {
-                ready = true;
-                break;
-            }
-        }
-        assert!(ready, "echo reply must make the socket readable");
-        // …and was not consumed by the peek.
-        assert_eq!(client.recv().unwrap(), b"wake");
     }
 
     #[test]

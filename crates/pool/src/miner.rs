@@ -11,10 +11,8 @@
 use crate::obfuscation;
 use crate::protocol::{ClientMsg, Job, ServerMsg, Token};
 use minedig_chain::blob::HashingBlob;
-use minedig_net::aio::recv_ready;
 use minedig_net::transport::{Transport, TransportError};
 use minedig_pow::{check_hash, slow_hash, Variant};
-use minedig_primitives::aexec::Ctx;
 
 /// Errors from the mining client.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,100 +190,6 @@ impl<T: Transport> MinerClient<T> {
         report.hashes_credited = credited;
         Ok(report)
     }
-
-    /// Async counterpart of `request`: the send goes out eagerly (the
-    /// request frames are tiny), the reply is awaited through the
-    /// executor's readiness sweep so other tasks run while the pool
-    /// thinks.
-    async fn request_io(&mut self, ctx: &Ctx, msg: &ClientMsg) -> Result<ServerMsg, MinerError> {
-        // Same bounded shed re-offer as the blocking `request`, so the
-        // two clients stay step-for-step identical under load shedding.
-        for _ in 0..=MAX_SHED_RETRIES {
-            self.transport.send(&msg.encode())?;
-            let raw = ctx.io(recv_ready(&mut self.transport)).await?;
-            match ServerMsg::decode(&raw).map_err(|e| MinerError::Protocol(e.to_string()))? {
-                ServerMsg::Shed { .. } => continue,
-                other => return Ok(other),
-            }
-        }
-        Err(MinerError::Overloaded)
-    }
-
-    /// [`MinerClient::auth`] on the cooperative executor.
-    pub async fn auth_io(&mut self, ctx: &Ctx) -> Result<u64, MinerError> {
-        let msg = ClientMsg::Auth {
-            token: self.token.clone(),
-        };
-        match self.request_io(ctx, &msg).await? {
-            ServerMsg::Authed { hashes } => Ok(hashes),
-            ServerMsg::Error { reason } => Err(MinerError::Server(reason)),
-            other => Err(MinerError::Protocol(format!(
-                "expected authed, got {other:?}"
-            ))),
-        }
-    }
-
-    /// [`MinerClient::mine_until_credited`] on the cooperative executor.
-    /// Step-for-step the same loop — job refresh cadence, nonce order,
-    /// budget checks, share handling — so reports are bit-identical to
-    /// the blocking client's for the same pool state.
-    pub async fn mine_until_credited_io(
-        &mut self,
-        ctx: &Ctx,
-        target_hashes: u64,
-        max_local_hashes: u64,
-    ) -> Result<MiningReport, MinerError> {
-        let mut report = MiningReport::default();
-        let mut credited = 0u64;
-        'outer: while credited < target_hashes && report.hashes_computed < max_local_hashes {
-            let job = match self.request_io(ctx, &ClientMsg::GetJob).await? {
-                ServerMsg::Job(job) => job,
-                ServerMsg::Error { reason } => return Err(MinerError::Server(reason)),
-                other => return Err(MinerError::Protocol(format!("expected job, got {other:?}"))),
-            };
-            let mut blob = job
-                .blob_bytes()
-                .map_err(|e| MinerError::Protocol(e.to_string()))?;
-            if self.deobfuscate {
-                obfuscation::xor_blob(&mut blob);
-            }
-            let parsed = HashingBlob::parse(&blob)
-                .map_err(|e| MinerError::Protocol(format!("unparseable blob: {e}")))?;
-            for nonce in 0..4096u32 {
-                if report.hashes_computed >= max_local_hashes {
-                    break 'outer;
-                }
-                let attempt = parsed.with_nonce(nonce).to_bytes();
-                let hash = slow_hash(&attempt, self.variant);
-                report.hashes_computed += 1;
-                if check_hash(&hash, job.share_difficulty) {
-                    report.shares_submitted += 1;
-                    let submit = ClientMsg::Submit {
-                        job_id: job.job_id.clone(),
-                        nonce,
-                        result: hash,
-                    };
-                    match self.request_io(ctx, &submit).await? {
-                        ServerMsg::HashAccepted { hashes } => {
-                            report.shares_accepted += 1;
-                            credited = hashes;
-                            if credited >= target_hashes {
-                                break 'outer;
-                            }
-                        }
-                        ServerMsg::Error { .. } => continue 'outer,
-                        other => {
-                            return Err(MinerError::Protocol(format!(
-                                "expected accept/error, got {other:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-        report.hashes_credited = credited;
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -354,34 +258,6 @@ mod tests {
         handle.join().unwrap();
         let (_, rejected) = pool.ledger().share_counts();
         assert_eq!(rejected, report.shares_submitted);
-    }
-
-    #[test]
-    fn async_mining_matches_the_blocking_client() {
-        // Two identical pool/server pairs; one mined by the blocking
-        // client, one by the async client on the cooperative executor.
-        // Same pool state + same loop ⇒ bit-identical reports & ledgers.
-        let (pool_sync, handle_sync, mut blocking) = serve_pool(4);
-        let (pool_async, handle_async, mut asynced) = serve_pool(4);
-        blocking.auth().unwrap();
-        let sync_report = blocking.mine_until_credited(16, 10_000).unwrap();
-        let async_report = minedig_primitives::aexec::block_on(|ctx| async move {
-            let credited = asynced.auth_io(&ctx).await.unwrap();
-            assert_eq!(credited, 0);
-            asynced
-                .mine_until_credited_io(&ctx, 16, 10_000)
-                .await
-                .unwrap()
-        });
-        assert_eq!(sync_report, async_report);
-        drop(blocking);
-        handle_sync.join().unwrap();
-        handle_async.join().unwrap();
-        let token = Token::from_index(1);
-        assert_eq!(
-            pool_sync.ledger().lifetime_hashes(&token),
-            pool_async.ledger().lifetime_hashes(&token)
-        );
     }
 
     #[test]

@@ -17,11 +17,9 @@
 //!   that tightens retry deadlines (see [`RetryPolicy::tightened`]) and
 //!   feeds hedge planning.
 //! * [`EndpointHealth`] — the per-sweep orchestration: a *plan* phase
-//!   computed strictly before a sweep fans out (so every executor
-//!   backend sees identical decisions) and a *record* phase applied
-//!   strictly after the ordered merge (so breaker and tracker state
-//!   advance at one deterministic point regardless of shard count or
-//!   in-flight concurrency).
+//!   computed strictly before a sweep's first probe and a *record*
+//!   phase applied strictly after its last (so breaker and tracker
+//!   state advance at one deterministic point, never mid-sweep).
 //! * [`Admission`] — server-side token-bucket rate limiting with a
 //!   bounded over-rate debt queue and explicit shed accounting.
 //!
@@ -137,7 +135,7 @@ impl BreakerStats {
 /// randomness is the per-trip probe jitter, drawn statelessly from
 /// `DetRng::seed(seed).derive("breaker").derive(key).derive("trip{n}")`
 /// so schedules depend on the (seed, key, trip count) triple — never on
-/// sweep order, shard count, or concurrency.
+/// sweep order or shard count.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     config: BreakerConfig,
@@ -319,8 +317,7 @@ pub struct AdaptiveConfig {
     pub floor_ms: u64,
     /// Span of the seeded per-endpoint base service latency, in virtual
     /// milliseconds (the simulation has no real wire RTT; latencies are
-    /// drawn per stable key exactly like the shortlink walk's
-    /// `probe_latency_ms`).
+    /// drawn per stable key, so every backend sees the same ones).
     pub synthetic_span_ms: u64,
 }
 
@@ -502,10 +499,10 @@ impl HealthStats {
 /// Health state for a fixed set of endpoints: one breaker and one
 /// latency tracker per endpoint, plus hedge accounting.
 ///
-/// The two-phase API ([`EndpointHealth::plan_sweep`] strictly before the
-/// fan-out, [`EndpointHealth::record_sweep`] strictly after the ordered
-/// merge) is what keeps every executor backend bit-identical: decisions
-/// for sweep *N* depend only on state as of the end of sweep *N − 1*.
+/// The two-phase API ([`EndpointHealth::plan_sweep`] strictly before a
+/// sweep's first probe, [`EndpointHealth::record_sweep`] strictly after
+/// its last) keeps decisions independent of probe order: decisions for
+/// sweep *N* depend only on state as of the end of sweep *N − 1*.
 #[derive(Debug, Clone)]
 pub struct EndpointHealth {
     config: HealthConfig,

@@ -12,7 +12,6 @@
 //! Everything here is implemented from scratch on top of `std` so that the
 //! rest of the workspace stays dependency-light and fully deterministic.
 
-pub mod aexec;
 pub mod ckpt;
 pub mod fault;
 pub mod health;
@@ -26,7 +25,6 @@ pub mod stats;
 pub mod supervise;
 pub mod varint;
 
-pub use aexec::{AsyncExecutor, AsyncRun, AsyncStats, IoPoll};
 pub use ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot, SnapshotStore};
 pub use fault::{Fault, FaultConfig, FaultPlan};
 pub use health::{

@@ -18,11 +18,10 @@
 //! `tests/checkpoint_resume.rs` proves for all three campaigns on all
 //! executor backends.
 
-use crate::aexec::{AsyncExecutor, CONCURRENCY_ENV, DEFAULT_CONCURRENCY};
 use crate::ckpt::{Checkpointable, CkptError, SnapshotStore};
 use crate::fault::FaultPlan;
 use crate::par::ParallelExecutor;
-use crate::{parse_switch, parse_var};
+use crate::parse_var;
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,14 +30,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`Backend::Sharded`].
 pub const SHARDS_ENV: &str = "MINEDIG_SHARDS";
 
-/// Environment variable selecting [`Backend::Async`] when set to `1`.
-pub const ASYNC_ENV: &str = "MINEDIG_ASYNC";
-
 /// Which executor a campaign maps its items on.
 ///
-/// Every backend folds per-item outputs in item order, so the choice
+/// Both backends fold per-item outputs in item order, so the choice
 /// changes wall clock and nothing else: outcomes are bit-identical to
-/// the sequential loop on all three.
+/// the sequential loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Single-threaded, in item order.
@@ -46,12 +42,6 @@ pub enum Backend {
     /// [`ParallelExecutor`] with this many worker threads, taking items
     /// round-robin.
     Sharded(usize),
-    /// [`AsyncExecutor`] with this in-flight budget: each item is a
-    /// cooperative task that first sleeps its virtual latency.
-    Async {
-        /// Maximum tasks in flight at once.
-        concurrency: usize,
-    },
 }
 
 impl Default for Backend {
@@ -70,40 +60,29 @@ impl fmt::Display for Backend {
         match self {
             Backend::Sequential => f.write_str("sequential"),
             Backend::Sharded(n) => write!(f, "sharded({n})"),
-            Backend::Async { concurrency } => write!(f, "async({concurrency})"),
         }
     }
 }
 
 impl Backend {
-    /// Selects the backend named by `MINEDIG_ASYNC`, `MINEDIG_SHARDS`
-    /// and `MINEDIG_CONCURRENCY` — see [`parse`](Backend::parse).
+    /// Selects the backend named by `MINEDIG_SHARDS` — see
+    /// [`parse`](Backend::parse).
     pub fn from_env() -> Result<Backend, String> {
         Backend::parse(|name| std::env::var(name).ok())
     }
 
     /// Selects a backend from the variables `lookup` returns:
-    /// `MINEDIG_ASYNC=1` picks [`Backend::Async`] with
-    /// `MINEDIG_CONCURRENCY` tasks in flight (default
-    /// [`DEFAULT_CONCURRENCY`]); otherwise `MINEDIG_SHARDS=n` picks
-    /// `n` worker threads (`1` is [`Backend::Sequential`]); with neither
-    /// set, [`Backend::default`]. A count that is not a positive
-    /// integer, or an `MINEDIG_ASYNC` other than `0`/`1`, is an error.
+    /// `MINEDIG_SHARDS=n` picks `n` worker threads (`1` is
+    /// [`Backend::Sequential`]); unset, [`Backend::default`]. A count
+    /// that is not a positive integer is an error.
     pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Backend, String> {
-        let count = |name: &str| parse_var(&lookup, name, "a positive integer", |&n: &usize| n > 0);
-        let asynchronous = parse_switch(&lookup, ASYNC_ENV)?;
-        let shards = count(SHARDS_ENV)?;
-        let concurrency = count(CONCURRENCY_ENV)?;
-        Ok(if asynchronous {
-            Backend::Async {
-                concurrency: concurrency.unwrap_or(DEFAULT_CONCURRENCY),
-            }
-        } else {
-            match shards {
-                Some(1) => Backend::Sequential,
-                Some(n) => Backend::Sharded(n),
-                None => Backend::default(),
-            }
+        let shards = parse_var(&lookup, SHARDS_ENV, "a positive integer", |&n: &usize| {
+            n > 0
+        })?;
+        Ok(match shards {
+            Some(1) => Backend::Sequential,
+            Some(n) => Backend::Sharded(n),
+            None => Backend::default(),
         })
     }
 
@@ -114,40 +93,21 @@ impl Backend {
     /// outputs mapped ahead of it are discarded.
     ///
     /// Sequentially the items run in-line; sharded, worker threads take
-    /// them round-robin ([`ParallelExecutor::map_fold`]); async, each
-    /// item is a task that sleeps `latency_ms(index)` of virtual time
-    /// before running the kernel, and a reorder buffer restores index
-    /// order. Because `kernel` may depend only on the index, the folded
-    /// result is the same on every backend.
+    /// them round-robin ([`ParallelExecutor::map_fold`]). Because
+    /// `kernel` may depend only on the index, the folded result is the
+    /// same on both backends.
     pub fn map_fold<T: Send, A>(
         &self,
         range: Range<u64>,
         kernel: impl Fn(u64) -> T + Sync,
-        latency_ms: impl Fn(u64) -> u64,
         acc: A,
         fold: impl FnMut(&mut A, T) -> ControlFlow<()>,
     ) -> A {
-        match *self {
-            Backend::Sequential => ParallelExecutor::new(1).map_fold(range, kernel, acc, fold),
-            Backend::Sharded(n) => ParallelExecutor::new(n).map_fold(range, kernel, acc, fold),
-            Backend::Async { concurrency } => {
-                let kernel = &kernel;
-                AsyncExecutor::new(concurrency)
-                    .run_ordered(
-                        range,
-                        |ctx, i| {
-                            let delay = latency_ms(i);
-                            async move {
-                                ctx.sleep_ms(delay).await;
-                                kernel(i)
-                            }
-                        },
-                        acc,
-                        fold,
-                    )
-                    .outcome
-            }
-        }
+        let workers = match *self {
+            Backend::Sequential => 1,
+            Backend::Sharded(n) => n,
+        };
+        ParallelExecutor::new(workers).map_fold(range, kernel, acc, fold)
     }
 }
 
@@ -782,32 +742,14 @@ mod tests {
     #[test]
     fn backend_parse_defaults_and_normalizes() {
         assert_eq!(parse(&[]), Ok(Backend::default()));
-        assert_eq!(parse(&[("MINEDIG_ASYNC", "0")]), Ok(Backend::default()));
         assert_eq!(parse(&[("MINEDIG_SHARDS", " 3 ")]), Ok(Backend::Sharded(3)));
         assert_eq!(parse(&[("MINEDIG_SHARDS", "1")]), Ok(Backend::Sequential));
-        assert_eq!(
-            parse(&[("MINEDIG_ASYNC", "1"), ("MINEDIG_SHARDS", "4")]),
-            Ok(Backend::Async {
-                concurrency: DEFAULT_CONCURRENCY
-            })
-        );
-        assert_eq!(
-            parse(&[("MINEDIG_ASYNC", "1"), ("MINEDIG_CONCURRENCY", "16")]),
-            Ok(Backend::Async { concurrency: 16 })
-        );
     }
 
     #[test]
     fn backend_parse_rejects_nonsense() {
         for bad in ["abc", "0", "-2", ""] {
             assert!(parse(&[("MINEDIG_SHARDS", bad)]).is_err(), "shards {bad:?}");
-            assert!(
-                parse(&[("MINEDIG_CONCURRENCY", bad)]).is_err(),
-                "concurrency {bad:?}"
-            );
-        }
-        for bad in ["yes", "2", "true"] {
-            assert!(parse(&[("MINEDIG_ASYNC", bad)]).is_err(), "async {bad:?}");
         }
     }
 
@@ -832,7 +774,6 @@ mod tests {
     fn backend_display_names_the_width() {
         assert_eq!(Backend::Sequential.to_string(), "sequential");
         assert_eq!(Backend::Sharded(4).to_string(), "sharded(4)");
-        assert_eq!(Backend::Async { concurrency: 16 }.to_string(), "async(16)");
     }
 
     #[test]
@@ -842,13 +783,10 @@ mod tests {
             Backend::Sequential,
             Backend::Sharded(1),
             Backend::Sharded(3),
-            Backend::Async { concurrency: 1 },
-            Backend::Async { concurrency: 64 },
         ] {
             let got = backend.map_fold(
                 5..300,
                 |i| i * 7,
-                |i| 300 - i,
                 Vec::new(),
                 |acc, x| {
                     acc.push(x);

@@ -8,8 +8,8 @@
 //! resolved links appended since the snapshot before it, plus the
 //! counters. A checkpoint thus costs what the walk did since the last
 //! one, and the bytes a walk writes grow linearly with it. Because probe
-//! results, retry jitter, and async latency are all keyed by link code
-//! (never probing order), re-probing `[cursor, …)` after a restore
+//! results and retry jitter are keyed by link code (never probing
+//! order), re-probing `[cursor, …)` after a restore
 //! replays exactly the suffix the sequential walk would have produced,
 //! so kill-and-resume is bit-identical to an uninterrupted run on any
 //! backend — for every ledger the campaign owns. The service-side
@@ -24,17 +24,10 @@ use crate::probe::{probe_with_retry, LinkProber, ProbeError, ProbePolicy};
 use crate::resolve::{resolve_step, ResolveReport};
 use crate::service::{ShortlinkService, VisitDoc};
 use minedig_primitives::ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot};
-use minedig_primitives::rng::DetRng;
 use minedig_primitives::supervise::{Backend, Campaign};
 use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Simulated probe round-trip, keyed by link code (never by probing
-/// order) so the async backend's schedule cannot perturb results.
-fn probe_latency_ms(code: &str) -> u64 {
-    1 + DetRng::seed(0x5C0DE).derive(code).gen_range(48)
-}
 
 // ---------------------------------------------------------------------
 // Snapshot codec.
@@ -410,7 +403,6 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
         backend.map_fold(
             base..base.saturating_add(budget),
             |i| probe_with_retry(prober, &index_to_code(i), policy),
-            |i| probe_latency_ms(&index_to_code(i)),
             (),
             |_, (result, retries)| self.fold_probe(result, retries, heartbeat),
         );
@@ -459,11 +451,7 @@ mod tests {
         let service = service();
         let policy = ProbePolicy::default();
         let expected = enumerate_links_with(&service, 32, &policy);
-        for backend in [
-            Backend::Sequential,
-            Backend::Sharded(3),
-            Backend::Async { concurrency: 16 },
-        ] {
+        for backend in [Backend::Sequential, Backend::Sharded(3)] {
             let dir = tmpdir(&format!("walk-{backend}"));
             let store = SnapshotStore::open(&dir).unwrap();
             let sup = Supervisor::new(CrashPolicy {

@@ -155,40 +155,6 @@ pub fn resolve_with_pool<T: Transport>(
         .map_err(|_| ResolveError::UnknownCode)
 }
 
-/// [`resolve_with_pool`] as a future for the cooperative executor: the
-/// mining session awaits pool replies through [`Ctx::io`] instead of
-/// blocking in `recv`, so one thread can hold many link resolutions in
-/// flight (each over its own transport). Step-for-step identical to the
-/// blocking path — same visits, same shares, same ledger movements.
-pub async fn resolve_with_pool_async<T: Transport>(
-    ctx: &minedig_primitives::aexec::Ctx,
-    service: &ShortlinkService,
-    pool: &Pool,
-    transport: T,
-    code: &str,
-    max_local_hashes: u64,
-) -> Result<String, ResolveError> {
-    let doc = service.visit(code).ok_or(ResolveError::UnknownCode)?;
-    let creator = Token::from_index(doc.token_id);
-    let mut client = MinerClient::new(transport, creator.clone(), minedig_pow::Variant::Test);
-    client.auth_io(ctx).await.map_err(ResolveError::Miner)?;
-    let before = pool.ledger().lifetime_hashes(&creator);
-    let report = client
-        .mine_until_credited_io(ctx, before + doc.required_hashes, max_local_hashes)
-        .await
-        .map_err(ResolveError::Miner)?;
-    let credited_for_visit = report.hashes_credited.saturating_sub(before);
-    if credited_for_visit < doc.required_hashes {
-        return Err(ResolveError::Starved {
-            credited: credited_for_visit,
-            required: doc.required_hashes,
-        });
-    }
-    service
-        .redeem(code, credited_for_visit)
-        .map_err(|_| ResolveError::UnknownCode)
-}
-
 /// [`resolve_with_pool`] with reconnect-and-retry: each attempt mines
 /// over a fresh transport from `connect` (which receives the attempt
 /// number — chaos suites use it to label fault schedules per attempt),
@@ -383,66 +349,6 @@ mod tests {
         let creator = Token::from_index(3);
         assert!(pool.ledger().lifetime_hashes(&creator) >= 8);
         handle.join().unwrap();
-    }
-
-    /// The async resolver mirrors the blocking one exactly: same URL,
-    /// same ledger movement, over the same pool state.
-    #[test]
-    fn async_resolution_matches_the_blocking_path() {
-        let make_service = || {
-            ShortlinkService::new(LinkPopulation {
-                links: vec![crate::model::LinkRecord {
-                    index: 0,
-                    token_id: 3,
-                    required_hashes: 8,
-                    target_domain: "youtu.be".into(),
-                    path_hash: 0x5eed_c0de,
-                    target_categories: Box::new([]),
-                }],
-                users: 1,
-            })
-        };
-        let make_pool = || {
-            let pool = Pool::new(PoolConfig {
-                share_difficulty: 4,
-                ..PoolConfig::default()
-            });
-            pool.announce_tip(&TipInfo {
-                height: 1,
-                prev_id: Hash32::keccak(b"tip"),
-                prev_timestamp: 100,
-                reward: 1_000_000,
-                difficulty: 1_000,
-                mempool: vec![Transaction::transfer(Hash32::keccak(b"t"))],
-            });
-            pool
-        };
-        let creator = Token::from_index(3);
-
-        // Blocking reference run on its own pool/server pair.
-        let (service, pool) = (make_service(), make_pool());
-        let (client_t, mut server_t) = channel_pair();
-        let p2 = pool.clone();
-        let handle = std::thread::spawn(move || p2.serve(&mut server_t, 0, || 120));
-        let url = resolve_with_pool(&service, &pool, client_t, "a", 100_000).unwrap();
-        handle.join().unwrap();
-        let blocking_credit = pool.ledger().lifetime_hashes(&creator);
-
-        // Async run on an identical, independent pair.
-        let (service, pool) = (make_service(), make_pool());
-        let (client_t, mut server_t) = channel_pair();
-        let p2 = pool.clone();
-        let handle = std::thread::spawn(move || p2.serve(&mut server_t, 0, || 120));
-        let (svc, pl) = (&service, &pool);
-        let async_url: String = minedig_primitives::aexec::block_on(|ctx| async move {
-            resolve_with_pool_async(&ctx, svc, pl, client_t, "a", 100_000)
-                .await
-                .unwrap()
-        });
-        handle.join().unwrap();
-
-        assert_eq!(async_url, url);
-        assert_eq!(pool.ledger().lifetime_hashes(&creator), blocking_credit);
     }
 
     fn mini_service() -> ShortlinkService {

@@ -10,14 +10,13 @@
 //!
 //! Every command runs its measurement as a campaign on one execution
 //! backend: `MINEDIG_SHARDS=<n>` worker threads (default: one per core;
-//! `1` runs sequentially), or `MINEDIG_ASYNC=1` for the cooperative
-//! async backend with up to `MINEDIG_CONCURRENCY` tasks in flight
-//! (default 256) on one thread. Result lines are identical on every
-//! backend; each campaign prints one line naming its backend, items and
-//! wall time. A malformed value of any `MINEDIG_*` variable named here
-//! is rejected with exit status 2, before any work starts, and so is a
-//! positional number that is not a whole number, a zero link count or
-//! an extra argument.
+//! `1` runs sequentially). Result lines are identical on every backend;
+//! each campaign prints one line naming its backend, items and wall
+//! time. A malformed value of any `MINEDIG_*` variable named here, and
+//! any other variable whose name starts with `MINEDIG_`, is rejected
+//! with exit status 2 before any work starts, and so is a positional
+//! number that is not a whole number, a zero link count or an extra
+//! argument.
 //!
 //! `MINEDIG_CKPT_DIR=<dir>` runs `scan`, `attribute` and `shortlink`
 //! supervised: progress checkpoints land in `<dir>` every
@@ -37,18 +36,19 @@ use minedig::analysis::economics::{pool_revenue, ExchangeRate};
 use minedig::analysis::scenario::{run_scenario, run_scenario_supervised, ScenarioConfig};
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::report::{
-    async_poll_summary, campaign_line, checkpoint_summary, comparison_table, degradation_summary,
-    fetch_stats, health_summary, CampaignHealth, Comparison,
+    campaign_line, checkpoint_summary, comparison_table, degradation_summary, fetch_stats,
+    health_summary, CampaignHealth, Comparison,
 };
 use minedig::core::scan::{build_reference_db, scan_len, FetchModel};
 use minedig::core::shortlink_study::{run_study, run_study_supervised, StudyConfig};
 use minedig::pow::hashrate::measure_hashrate;
 use minedig::pow::Variant;
-use minedig::primitives::ckpt::{parse_keep, SnapshotStore};
-use minedig::primitives::fault::FaultPlan;
-use minedig::primitives::health::{health_from_env, HealthConfig};
+use minedig::primitives::ckpt::{parse_keep, SnapshotStore, CKPT_KEEP_ENV};
+use minedig::primitives::fault::{FaultPlan, FAULT_SEED_ENV};
+use minedig::primitives::health::{health_from_env, HealthConfig, HEALTH_ENV};
 use minedig::primitives::supervise::{
-    run_to_end, Backend, Campaign, CrashPolicy, Supervisor, CKPT_DIR_ENV,
+    run_to_end, Backend, Campaign, CrashPolicy, Supervisor, CKPT_DIR_ENV, CKPT_EVERY_ENV,
+    SHARDS_ENV,
 };
 use minedig::shortlink::model::ModelConfig;
 use minedig::wasm::corpus::generate_corpus;
@@ -66,9 +66,7 @@ const USAGE: &str =
      minedig shortlink [links] [seed] [--resume]\n  \
      minedig hashrate\n\n\
      MINEDIG_SHARDS=<n> runs campaigns on n worker threads (default: one per\n\
-     core; 1 runs sequentially); MINEDIG_ASYNC=1 runs them as cooperative\n\
-     tasks on one thread, up to MINEDIG_CONCURRENCY in flight (default 256).\n\
-     Results are identical on every backend.\n\
+     core; 1 runs sequentially). Results are identical on every backend.\n\
      MINEDIG_CKPT_DIR=<dir> checkpoints scan/attribute/shortlink campaigns\n\
      every MINEDIG_CKPT_EVERY items (default 64), retaining the last\n\
      MINEDIG_CKPT_KEEP snapshots (default 2); --resume continues from the\n\
@@ -76,7 +74,8 @@ const USAGE: &str =
      MINEDIG_HEALTH=1 runs attribute behind the endpoint-health layer\n\
      (circuit breakers, adaptive deadlines, hedged probes).\n\
      MINEDIG_FAULT_SEED=<n> injects a reproducible fault schedule.\n\
-     A malformed value of any of these variables exits with status 2.";
+     A malformed value of any of these variables, or any other MINEDIG_*\n\
+     variable, exits with status 2.";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,15 +92,16 @@ fn main() {
             std::process::exit(2);
         }
     };
+    configured(known_vars(
+        std::env::vars_os().map(|(name, _)| name.to_string_lossy().into_owned()),
+    ));
     let backend = configured(Backend::from_env());
     let faults = configured(FaultPlan::from_env());
     let health = configured(health_from_env());
     let ckpt = configured(Ckpt::from_env(resume, faults.as_ref()));
     match command {
         Command::Scan { zone, seed } => cmd_scan(zone, seed, backend, faults, ckpt),
-        Command::Attribute { days, seed } => {
-            cmd_attribute(days, seed, backend, faults, health, ckpt)
-        }
+        Command::Attribute { days, seed } => cmd_attribute(days, seed, faults, health, ckpt),
         Command::Shortlink { links, seed } => cmd_shortlink(links, seed, backend, ckpt),
         Command::Hashrate => cmd_hashrate(),
     }
@@ -114,6 +114,35 @@ fn configured<T>(parsed: Result<T, String>) -> T {
         eprintln!("bad configuration: {e}");
         std::process::exit(2);
     })
+}
+
+/// The `MINEDIG_*` variables the CLI reads.
+const VARS: [&str; 6] = [
+    SHARDS_ENV,
+    CKPT_DIR_ENV,
+    CKPT_EVERY_ENV,
+    CKPT_KEEP_ENV,
+    FAULT_SEED_ENV,
+    HEALTH_ENV,
+];
+
+/// Checks the environment's variable `names`: an error names every
+/// `MINEDIG_*` variable the CLI does not read, so a removed or
+/// misspelt setting is refused rather than silently ignored.
+fn known_vars(names: impl IntoIterator<Item = String>) -> Result<(), String> {
+    let mut unknown: Vec<String> = names
+        .into_iter()
+        .filter(|name| name.starts_with("MINEDIG_") && !VARS.contains(&name.as_str()))
+        .collect();
+    if unknown.is_empty() {
+        return Ok(());
+    }
+    unknown.sort();
+    Err(format!(
+        "unknown variable {} (minedig reads {})",
+        unknown.join(", "),
+        VARS.join(", ")
+    ))
 }
 
 /// A checked command line.
@@ -414,19 +443,14 @@ fn print_chrome_findings(ch: &minedig::core::scan::ChromeScanOutcome) {
 fn cmd_attribute(
     days: u64,
     seed: u64,
-    backend: Backend,
     faults: Option<FaultPlan>,
     health: bool,
     ckpt: Option<Ckpt>,
 ) {
-    println!(
-        "simulating {days} days of Monero with an instrumented Coinhive-style pool \
-         ({backend} polling)…"
-    );
+    println!("simulating {days} days of Monero with an instrumented Coinhive-style pool…");
     let mut config = ScenarioConfig {
         duration_days: days,
         seed,
-        backend,
         ..ScenarioConfig::default()
     };
     if let Some(plan) = faults {
@@ -446,11 +470,11 @@ fn cmd_attribute(
             ..HealthConfig::default()
         });
     }
-    let endpoints = (config.pool.backends * config.pool.endpoints_per_backend) as u64;
     // MINEDIG_CKPT_DIR runs the §4.2 poll loop supervised: one item =
     // one block event, checkpoints every MINEDIG_CKPT_EVERY events,
     // --resume continues from the latest snapshot — bit-identical to
-    // the unsupervised scenario.
+    // the unsupervised scenario. Its sweeps run in-line whatever the
+    // backend, so its campaign line says sequential.
     let started = Instant::now();
     let result = match ckpt {
         Some(ck) => {
@@ -470,7 +494,7 @@ fn cmd_attribute(
         "{}",
         campaign_line(
             "attribute",
-            &backend,
+            &Backend::Sequential,
             result.total_blocks,
             "blocks",
             started.elapsed()
@@ -484,13 +508,6 @@ fn cmd_attribute(
     );
     if let Some(stats) = &result.poll_health_stats {
         print!("{}", health_summary("pool health", stats));
-    }
-    if let Some(stats) = &result.poll_async_stats {
-        let sweeps = stats.tasks / endpoints.max(1);
-        print!(
-            "{}",
-            async_poll_summary("pool polling (async)", sweeps, stats)
-        );
     }
     let share = result.attributed.len() as f64 / result.total_blocks.max(1) as f64;
     println!(
@@ -665,6 +682,22 @@ mod tests {
             let err = parse(line).expect_err(line);
             assert!(err.contains(named), "{line}: {err}");
         }
+    }
+
+    #[test]
+    fn unknown_minedig_variables_are_rejected_by_name() {
+        let check = |names: &[&str]| known_vars(names.iter().map(|n| n.to_string()));
+        assert_eq!(check(&VARS), Ok(()));
+        assert_eq!(check(&["PATH", "HOME", "MINEDIG"]), Ok(()));
+        for name in ["MINEDIG_ASYNC", "MINEDIG_CONCURRENCY", "MINEDIG_SHARD"] {
+            let err = check(&["PATH", name, "MINEDIG_SHARDS"]).expect_err(name);
+            assert!(err.contains(name), "{err}");
+        }
+        let err = check(&["MINEDIG_SHARD", "MINEDIG_ASYNC"]).unwrap_err();
+        assert!(
+            err.starts_with("unknown variable MINEDIG_ASYNC, MINEDIG_SHARD "),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,31 +1,24 @@
 //! The backend matrix: every workload's campaign, on every execution
 //! backend, reproduces its sequential reference bit for bit.
 //!
-//! Each proptest draws a shard count (`Sharded(1..=16)`) and an
-//! in-flight budget (`Async{1..=256}`) and runs the workload on
-//! `Sequential`, on both drawn backends and on the async backend named
-//! by `MINEDIG_CONCURRENCY` (the CI async job's axis), under a mixed
+//! Each proptest draws a shard count (`Sharded(1..=16)`) and runs the
+//! workload on `Sequential` and on the drawn backend, under a mixed
 //! fault plan — some faults clear, some are permanent — whose seed is
 //! offset by `MINEDIG_FAULT_SEED` (the CI chaos axis). Campaigns run
 //! through `run_to_end`, the loop the CLI uses, and are compared with
-//! `zgrab_scan_with`, `chrome_scan_with`, `enumerate_links_with` plus
-//! `resolve_accounted`, and `Observer::poll_all`.
+//! `zgrab_scan_with`, `chrome_scan_with`, and `enumerate_links_with`
+//! plus `resolve_accounted`.
 //!
 //! The walk's dead-run carry across `run_items` calls and failed-probe
-//! neutrality are checked on their own below; stall handling and the
-//! async fan-out width live in `tests/async_equivalence.rs`.
+//! neutrality are checked on their own below.
 
-use minedig::analysis::poller::{FaultyJobSource, Observer, PollPolicy};
-use minedig::analysis::scenario::{run_scenario, ScenarioConfig};
-use minedig::chain::netsim::TipInfo;
-use minedig::chain::tx::Transaction;
+use minedig::analysis::poller::Observer;
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{build_reference_db, chrome_scan_with, zgrab_scan_with, FetchModel};
 use minedig::pool::pool::{Pool, PoolConfig};
 use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
 use minedig::primitives::retry::RetryPolicy;
 use minedig::primitives::supervise::{run_to_end, Backend, Campaign};
-use minedig::primitives::Hash32;
 use minedig::shortlink::campaign::EnumCampaign;
 use minedig::shortlink::enumerate::{enumerate_links, enumerate_links_with, Enumeration};
 use minedig::shortlink::ids::code_to_index;
@@ -63,23 +56,9 @@ fn mixed_plan(fault_off: u64, permanent: f64) -> FaultPlan {
     )
 }
 
-/// The async backend with the environment's in-flight budget.
-fn env_async() -> Backend {
-    Backend::parse(|name| match name {
-        "MINEDIG_ASYNC" => Some("1".to_string()),
-        _ => std::env::var(name).ok(),
-    })
-    .expect("MINEDIG_CONCURRENCY must be a positive integer")
-}
-
 /// The backends one case runs on.
-fn backends(shards: usize, concurrency: usize) -> [Backend; 4] {
-    [
-        Backend::Sequential,
-        Backend::Sharded(shards),
-        Backend::Async { concurrency },
-        env_async(),
-    ]
+fn backends(shards: usize) -> [Backend; 2] {
+    [Backend::Sequential, Backend::Sharded(shards)]
 }
 
 fn zone(ix: u8) -> Zone {
@@ -136,19 +115,6 @@ fn assert_walk_eq(got: &Enumeration, want: &Enumeration, ctx: &str) {
     assert_eq!(got.probe_retries, want.probe_retries, "retries, {ctx}");
 }
 
-fn tip(height: u64, at: u64) -> TipInfo {
-    TipInfo {
-        height,
-        prev_id: Hash32::keccak(format!("prev-{height}").as_bytes()),
-        prev_timestamp: at,
-        reward: 1_000_000,
-        difficulty: 100,
-        mempool: vec![Transaction::transfer(Hash32::keccak(
-            format!("tx-{height}").as_bytes(),
-        ))],
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -160,13 +126,12 @@ proptest! {
         fault_off in 0u64..1_000,
         permanent in 0.0f64..0.6,
         shards in 1usize..=16,
-        concurrency in 1usize..=256,
     ) {
         let pop = Population::generate(zone(zone_ix), seed, clean);
         let model = FetchModel::outlasting(mixed_plan(fault_off, permanent));
         let reference = zgrab_scan_with(&pop, seed, &model);
         prop_assert!(reference.fetch.balanced());
-        for backend in backends(shards, concurrency) {
+        for backend in backends(shards) {
             let run = run_to_end(ZgrabCampaign::new(&pop, seed, &model, backend));
             prop_assert_eq!(&run, &reference, "backend={}", backend);
         }
@@ -186,14 +151,13 @@ proptest! {
         fault_off in 0u64..1_000,
         permanent in 0.0f64..0.6,
         shards in 1usize..=16,
-        concurrency in 1usize..=256,
     ) {
         let z = if alexa { Zone::Alexa } else { Zone::Org };
         let pop = Population::generate(z, seed, clean);
         let model = FetchModel::outlasting(mixed_plan(fault_off, permanent));
         let reference = chrome_scan_with(&pop, db(), seed, &model);
         let cache = FingerprintCache::new();
-        for backend in backends(shards, concurrency) {
+        for backend in backends(shards) {
             for memo in [None, Some(&cache)] {
                 let run = run_to_end(ChromeCampaign::new(&pop, db(), seed, &model, memo, backend));
                 prop_assert_eq!(&run, &reference, "backend={} memo={}", backend, memo.is_some());
@@ -216,7 +180,6 @@ proptest! {
         fault_off in 0u64..1_000,
         permanent in 0.0f64..0.6,
         shards in 1usize..=16,
-        concurrency in 1usize..=256,
     ) {
         let service = ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
             total_links: links,
@@ -236,7 +199,7 @@ proptest! {
             .map(|d| d.code.clone())
             .collect();
         let resolved = resolve_accounted(&service, &tail, budget);
-        for backend in backends(shards, concurrency) {
+        for backend in backends(shards) {
             let run = run_to_end(
                 EnumCampaign::new(&prober, &policy, limit, backend)
                     .with_tail_resolver(&service, budget),
@@ -256,60 +219,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    // The sweeps the §4.2 scenario issues between blocks, with the pool
-    // going offline and re-announcing its tip mid-run, through a faulty
-    // transport: every backend's sweep ≡ the sequential `poll_all`.
-    #[test]
-    fn scenario_sweeps_match_sequential_on_every_backend(
-        sweeps in 1usize..30,
-        outage_at in 0usize..30,
-        retip_at in 0usize..30,
-        deobfuscate in any::<bool>(),
-        fault_off in 0u64..1_000,
-        permanent in 0.0f64..0.6,
-        shards in 1usize..=16,
-        concurrency in 1usize..=256,
-    ) {
-        let pool = Pool::new(PoolConfig::default());
-        pool.announce_tip(&tip(10, 1_000));
-        let plan = mixed_plan(fault_off, permanent);
-        let observer = || {
-            Observer::with_source(
-                FaultyJobSource::new(pool.clone(), plan.clone()),
-                deobfuscate,
-                PollPolicy::outlasting(&plan),
-            )
-        };
-        let mut reference = observer();
-        let backends = backends(shards, concurrency);
-        let mut swept: Vec<_> = backends.iter().map(|_| observer()).collect();
-        for (i, t) in (1_000..).step_by(5).take(sweeps).enumerate() {
-            if i == retip_at {
-                pool.announce_tip(&tip(11, t));
-            }
-            pool.set_online(i != outage_at);
-            reference.poll_all(t);
-            for (obs, backend) in swept.iter_mut().zip(&backends) {
-                obs.sweep(t, backend);
-            }
-        }
-        let prev = reference.current_prev();
-        let blobs = reference.current_blob_count();
-        let stats = reference.stats().clone();
-        let cluster = prev.and_then(|p| reference.take_cluster(&p));
-        prop_assert!(stats.balanced());
-        for (obs, backend) in swept.iter_mut().zip(&backends) {
-            prop_assert_eq!(obs.stats(), &stats, "backend={}", backend);
-            prop_assert_eq!(obs.current_prev(), prev);
-            prop_assert_eq!(obs.current_blob_count(), blobs);
-            prop_assert_eq!(prev.and_then(|p| obs.take_cluster(&p)), cluster.clone());
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // Scattered live indices give internal dead gaps of any length
@@ -320,7 +229,6 @@ proptest! {
         live in prop::collection::vec(0u64..400, 0..48),
         limit in 0u64..64,
         shards in 1usize..=16,
-        concurrency in 1usize..=256,
         budget in 1u64..24,
     ) {
         let mut live = live;
@@ -329,38 +237,11 @@ proptest! {
         let service = gap_service(&live);
         let sequential = enumerate_links(&service, limit);
         let policy = ProbePolicy::default();
-        for backend in backends(shards, concurrency) {
+        for backend in backends(shards) {
             let run = walk(&service, &policy, limit, backend, budget);
             prop_assert_eq!(&run.docs, &sequential.docs, "backend={} budget={}", backend, budget);
             prop_assert_eq!(run.probed, sequential.probed, "backend={} budget={}", backend, budget);
         }
-    }
-}
-
-/// The full scenario on every backend ≡ the sequential scenario, under a
-/// fault plan its retries outlast.
-#[test]
-fn scenario_matches_sequential_on_every_backend() {
-    let plan = mixed_plan(101, 0.0);
-    let config = |backend| ScenarioConfig {
-        duration_days: 1,
-        seed: 11,
-        poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
-        poll_faults: Some(plan.clone()),
-        backend,
-        ..ScenarioConfig::default()
-    };
-    let reference = run_scenario(config(Backend::Sequential));
-    assert!(reference.poll_stats.retries > 0);
-    for backend in [Backend::Sharded(3), env_async()] {
-        let run = run_scenario(config(backend));
-        assert_eq!(run.attributed, reference.attributed, "{backend}");
-        assert_eq!(run.total_blocks, reference.total_blocks, "{backend}");
-        assert_eq!(run.poll_stats, reference.poll_stats, "{backend}");
-        assert_eq!(
-            run.poll_async_stats.is_some(),
-            backend != Backend::Sharded(3)
-        );
     }
 }
 
@@ -371,11 +252,7 @@ fn scenario_matches_sequential_on_every_backend() {
 fn tiny_budgets_exercise_the_carry() {
     let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
     let policy = ProbePolicy::default();
-    for backend in [
-        Backend::Sequential,
-        Backend::Sharded(3),
-        Backend::Async { concurrency: 4 },
-    ] {
+    for backend in [Backend::Sequential, Backend::Sharded(3)] {
         for budget in [1, 2, 3, 7] {
             for limit in [1, 2, 3, 5, 10, 26] {
                 let want = enumerate_links(&service, limit);
@@ -420,11 +297,7 @@ fn flaky_walk(live: &[u64], fail: &[u64], limit: u64) -> Enumeration {
         jitter_seed: 0,
     };
     let want = enumerate_links_with(&prober, limit, &policy);
-    for backend in [
-        Backend::Sequential,
-        Backend::Sharded(2),
-        Backend::Async { concurrency: 3 },
-    ] {
+    for backend in [Backend::Sequential, Backend::Sharded(2)] {
         for budget in [1, 2, 3, 7] {
             let got = walk(&prober, &policy, limit, backend, budget);
             assert_walk_eq(&got, &want, &format!("{backend} budget={budget}"));
@@ -457,18 +330,16 @@ fn a_failing_live_link_is_lost_across_call_boundaries() {
     assert_eq!(e.failed_probes, 1);
 }
 
-/// A pool with no announced tip refuses every poll; every backend's
-/// sweep counts those refusals as `other_errors`.
+/// A pool with no announced tip refuses every poll; the sweep counts
+/// those refusals as `other_errors`.
 #[test]
 fn tipless_pool_counts_other_errors_identically() {
-    for backend in backends(4, 8) {
-        let mut obs = Observer::new(Pool::new(PoolConfig::default()), true);
-        for t in (1_000..).step_by(5).take(6) {
-            obs.sweep(t, &backend);
-        }
-        let s = obs.stats();
-        assert_eq!(s.other_errors, 6 * 32, "{backend}");
-        assert_eq!(s.answered, 0, "{backend}");
-        assert_eq!(s.polls, s.other_errors, "{backend}");
+    let mut obs = Observer::new(Pool::new(PoolConfig::default()), true);
+    for t in (1_000..).step_by(5).take(6) {
+        obs.poll_all(t);
     }
+    let s = obs.stats();
+    assert_eq!(s.other_errors, 6 * 32);
+    assert_eq!(s.answered, 0);
+    assert_eq!(s.polls, s.other_errors);
 }

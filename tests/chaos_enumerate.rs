@@ -36,15 +36,11 @@ fn service(links: u64, seed: u64) -> ShortlinkService {
     }))
 }
 
-/// The backend a property replays on: drawn kind, shard count and
-/// in-flight budget.
+/// The backend a property replays on: drawn kind and shard count.
 fn backend(kind: u8, width: usize) -> Backend {
-    match kind % 3 {
+    match kind % 2 {
         0 => Backend::Sequential,
-        1 => Backend::Sharded(width),
-        _ => Backend::Async {
-            concurrency: width * 16,
-        },
+        _ => Backend::Sharded(width),
     }
 }
 
@@ -77,7 +73,7 @@ proptest! {
         limit in 1u64..30,
         fault_off in 0u64..1_000,
         prob in 0.1f64..0.9,
-        kind in 0u8..3,
+        kind in 0u8..2,
         width in 1usize..=16,
         budget in 1u64..64,
     ) {
@@ -109,7 +105,7 @@ proptest! {
         limit in 1u64..20,
         fault_off in 0u64..1_000,
         permanent in 0.1f64..0.8,
-        kind in 0u8..3,
+        kind in 0u8..2,
         width in 1usize..=16,
         budget in 1u64..48,
     ) {

@@ -31,15 +31,11 @@ fn base_seed() -> u64 {
         .unwrap_or(0)
 }
 
-/// The backend a property replays on: drawn kind, shard count and
-/// in-flight budget.
+/// The backend a property replays on: drawn kind and shard count.
 fn backend(kind: u8, width: usize) -> Backend {
-    match kind % 3 {
+    match kind % 2 {
         0 => Backend::Sequential,
-        1 => Backend::Sharded(width),
-        _ => Backend::Async {
-            concurrency: width * 16,
-        },
+        _ => Backend::Sharded(width),
     }
 }
 
@@ -69,7 +65,7 @@ proptest! {
         clean in 0usize..150,
         fault_off in 0u64..1_000,
         prob in 0.1f64..0.9,
-        kind in 0u8..3,
+        kind in 0u8..2,
         width in 1usize..=16,
     ) {
         let pop = Population::generate(zone(zone_ix), seed, clean);
@@ -94,7 +90,7 @@ proptest! {
         clean in 0usize..150,
         fault_off in 0u64..1_000,
         permanent in 0.1f64..0.9,
-        kind in 0u8..3,
+        kind in 0u8..2,
         width in 1usize..=16,
     ) {
         let pop = Population::generate(Zone::Org, seed, clean);
@@ -140,7 +136,7 @@ proptest! {
         clean in 0usize..80,
         fault_off in 0u64..1_000,
         prob in 0.1f64..0.9,
-        kind in 0u8..3,
+        kind in 0u8..2,
         width in 1usize..=16,
     ) {
         let z = if alexa { Zone::Alexa } else { Zone::Org };

@@ -57,11 +57,7 @@ fn kill_at(frac: u64, horizon: u64) -> u64 {
 }
 
 /// Every campaign backend.
-const BACKENDS: [Backend; 3] = [
-    Backend::Sequential,
-    Backend::Sharded(3),
-    Backend::Async { concurrency: 16 },
-];
+const BACKENDS: [Backend; 2] = [Backend::Sequential, Backend::Sharded(3)];
 
 fn backend(ix: usize) -> Backend {
     BACKENDS[ix % BACKENDS.len()]
@@ -226,7 +222,6 @@ proptest! {
     #[test]
     fn poll_kill_and_resume_is_uninterrupted(
         frac in 0u64..100,
-        backend_ix in 0usize..4,
         seed_off in 0u64..3,
     ) {
         let kill = kill_at(frac, 19);
@@ -245,7 +240,7 @@ proptest! {
             reference.poll_all(1_000 + t * 5);
         }
 
-        let (dir, store) = tmp_store(&format!("poll-{kill}-{backend_ix}-{seed_off}"));
+        let (dir, store) = tmp_store(&format!("poll-{kill}-{seed_off}"));
         let sup = supervisor_with_kills(4, vec![kill]);
         let run = sup
             .run(
@@ -257,7 +252,7 @@ proptest! {
                         true,
                         policy.clone(),
                     );
-                    PollCampaign::new(observer, 1_000, 5, ticks, backend(backend_ix))
+                    PollCampaign::new(observer, 1_000, 5, ticks)
                 },
                 false,
             )
