@@ -4,8 +4,10 @@
 //! 500 ms. Our pool's blobs change only when a backend refreshes its
 //! template (every `template_refresh_secs`), so the default poll interval
 //! matches that granularity — polling faster only re-reads identical
-//! blobs. The observer reverts the XOR obfuscation (which the paper had
-//! to discover first) before parsing.
+//! blobs, and a re-read costs one string compare: the observer decodes
+//! an endpoint's answer only when it differs from the last one recorded.
+//! The observer reverts the XOR obfuscation (which the paper had to
+//! discover first) before parsing.
 //!
 //! The observer is written against [`JobSource`] so the transport can
 //! fail: each endpoint gets a per-sweep retry budget (deterministic
@@ -381,6 +383,11 @@ pub struct Observer<S: JobSource = Pool> {
     /// Distinct serialized blobs for the current prev (diagnostics — the
     /// paper's "at most 128 different PoW inputs per block").
     current_blobs: BTreeSet<Vec<u8>>,
+    /// Per endpoint, the last wire blob it answered that was recorded
+    /// into the current cluster. The same answer again would record
+    /// nothing new, so it skips the decode, the XOR and the parse.
+    /// Cleared whenever `current_prev` changes and never snapshotted.
+    last_recorded: Vec<Option<String>>,
     stats: PollStats,
     /// Optional endpoint-health layer: circuit breakers, adaptive
     /// deadlines, and hedge planning. `None` reproduces the pre-health
@@ -400,6 +407,7 @@ impl<S: JobSource> Observer<S> {
     /// Creates an observer over any [`JobSource`] with an explicit retry
     /// policy — the entry point for fault-injected runs.
     pub fn with_source(source: S, deobfuscate: bool, policy: PollPolicy) -> Observer<S> {
+        let last_recorded = vec![None; source.endpoint_count()];
         Observer {
             source,
             deobfuscate,
@@ -407,6 +415,7 @@ impl<S: JobSource> Observer<S> {
             current_prev: None,
             current_roots: BTreeSet::new(),
             current_blobs: BTreeSet::new(),
+            last_recorded,
             stats: PollStats::default(),
             health: None,
         }
@@ -517,6 +526,9 @@ impl<S: JobSource> Observer<S> {
             },
             Ok(job) => {
                 self.stats.answered += 1;
+                if self.last_recorded[endpoint].as_ref() == Some(&job.blob_hex) {
+                    return probe;
+                }
                 let Ok(mut bytes) = job.blob_bytes() else {
                     self.stats.parse_failures += 1;
                     return probe;
@@ -526,7 +538,10 @@ impl<S: JobSource> Observer<S> {
                 }
                 match HashingBlob::parse(&bytes) {
                     Err(_) => self.stats.parse_failures += 1,
-                    Ok(blob) => self.record(bytes, blob),
+                    Ok(blob) => {
+                        self.record(bytes, blob);
+                        self.last_recorded[endpoint] = Some(job.blob_hex);
+                    }
                 }
             }
         }
@@ -538,13 +553,20 @@ impl<S: JobSource> Observer<S> {
             // New height: the driver is expected to have consumed the old
             // cluster via `take_cluster` when the block appeared; if not
             // (e.g. missed block), reset.
-            self.current_prev = Some(blob.prev_id);
+            self.set_current_prev(Some(blob.prev_id));
             self.current_roots.clear();
             self.current_blobs.clear();
         }
         self.current_roots.insert(blob.merkle_root);
         self.current_blobs.insert(bytes);
         self.stats.max_blobs_per_prev = self.stats.max_blobs_per_prev.max(self.current_blobs.len());
+    }
+
+    /// Moves the observer to another cluster; the endpoints' last
+    /// recorded answers belong to the old one.
+    fn set_current_prev(&mut self, prev: Option<Hash32>) {
+        self.current_prev = prev;
+        self.last_recorded.fill(None);
     }
 
     /// The prev pointer currently being observed.
@@ -562,7 +584,7 @@ impl<S: JobSource> Observer<S> {
     /// is accepted.
     pub fn take_cluster(&mut self, prev: &Hash32) -> Option<BTreeSet<Hash32>> {
         if self.current_prev == Some(*prev) {
-            self.current_prev = None;
+            self.set_current_prev(None);
             self.current_blobs.clear();
             Some(std::mem::take(&mut self.current_roots))
         } else {
@@ -655,7 +677,7 @@ impl<S: JobSource> Observer<S> {
             h.read_state(r)?;
         }
         self.stats = stats;
-        self.current_prev = current_prev;
+        self.set_current_prev(current_prev);
         self.current_roots = current_roots;
         self.current_blobs = current_blobs;
         self.source.set_connections_down(&down);
@@ -991,6 +1013,140 @@ mod tests {
         assert_eq!(cluster.len(), 16);
         assert_eq!(obs.current_prev(), None);
         assert!(obs.take_cluster(&prev).is_none());
+    }
+
+    #[test]
+    fn a_repeated_blob_is_recorded_again_after_take_cluster() {
+        let pool = pool_with_tip();
+        let mut obs = Observer::new(pool, true);
+        let prev = Hash32::keccak(b"prev-10");
+        obs.poll_all(1_000);
+        let first = obs.take_cluster(&prev).unwrap();
+        // Every endpoint answers exactly as before; the cluster taken
+        // above must not make those answers look already recorded.
+        obs.poll_all(1_005);
+        assert_eq!(obs.current_prev(), Some(prev));
+        assert_eq!(obs.current_blob_count(), 16);
+        assert_eq!(obs.take_cluster(&prev), Some(first));
+        assert_eq!(obs.stats().answered, 64);
+    }
+
+    fn state_bytes<S: JobSource>(obs: &Observer<S>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        obs.write_state(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn restoring_mid_height_matches_the_uninterrupted_observer() {
+        // 5 s ticks against a 15 s template refresh: tick 9 (t = 1 045)
+        // is the first to see version 3.
+        let tick = |k: u64| 1_000 + k * 5;
+        let pool = pool_with_tip();
+        let mut reference = Observer::new(pool.clone(), true);
+        let mut interrupted = Observer::new(pool.clone(), true);
+        for k in 0..9 {
+            reference.poll_all(tick(k));
+            interrupted.poll_all(tick(k));
+        }
+        let saved = state_bytes(&interrupted);
+        for k in 9..24 {
+            reference.poll_all(tick(k));
+        }
+        // One observer restored fresh, one restored after it had already
+        // recorded tick 9's answers (which the snapshot does not hold).
+        let mut fresh = Observer::new(pool.clone(), true);
+        let mut dirty = Observer::new(pool, true);
+        dirty.poll_all(tick(9));
+        for restored in [&mut fresh, &mut dirty] {
+            restored.read_state(&mut SnapReader::new(&saved)).unwrap();
+            assert_eq!(state_bytes(restored), saved);
+            for k in 9..24 {
+                restored.poll_all(tick(k));
+            }
+            assert_eq!(state_bytes(restored), state_bytes(&reference));
+        }
+    }
+
+    /// Endpoint 0 moves to a new tip at `switch`; the other endpoints
+    /// keep serving the old one.
+    struct LaggingEndpoints {
+        old: Pool,
+        new: Pool,
+        switch: u64,
+    }
+
+    impl JobSource for LaggingEndpoints {
+        fn endpoint_count(&self) -> usize {
+            self.old.endpoint_count()
+        }
+
+        fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Job, FetchError> {
+            let pool = if endpoint == 0 && now >= self.switch {
+                &self.new
+            } else {
+                &self.old
+            };
+            pool.fetch_job(endpoint, now, attempt)
+        }
+    }
+
+    #[test]
+    fn an_old_tip_answered_after_a_new_one_is_recorded_again() {
+        let new = Pool::new(PoolConfig::default());
+        new.announce_tip(&TipInfo {
+            height: 11,
+            prev_id: Hash32::keccak(b"prev-11"),
+            prev_timestamp: 1_000,
+            reward: 1_000_000,
+            difficulty: 100,
+            mempool: vec![],
+        });
+        let source = LaggingEndpoints {
+            old: pool_with_tip(),
+            new,
+            switch: 1_005,
+        };
+        let mut obs = Observer::with_source(source, true, PollPolicy::default());
+        obs.poll_all(1_000);
+        // Endpoint 0's new tip resets the cluster; endpoint 1 then repeats
+        // its old-tip answer, which must move the cluster back.
+        obs.poll_all(1_005);
+        assert_eq!(obs.current_prev(), Some(Hash32::keccak(b"prev-10")));
+        assert_eq!(obs.current_blob_count(), 16);
+    }
+
+    /// A source answering every poll with the same job, whatever its blob.
+    struct Fixed(Job);
+
+    impl JobSource for Fixed {
+        fn endpoint_count(&self) -> usize {
+            32
+        }
+
+        fn fetch_job(&self, _endpoint: usize, _now: u64, _attempt: u32) -> Result<Job, FetchError> {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn a_repeated_unparseable_answer_fails_on_every_poll() {
+        for blob_hex in ["zz", "00"] {
+            let job = Job {
+                job_id: "j".into(),
+                blob_hex: blob_hex.into(),
+                share_difficulty: 1,
+                height: 10,
+            };
+            let mut obs = Observer::with_source(Fixed(job), true, PollPolicy::default());
+            for t in [1_000, 1_005, 1_010] {
+                obs.poll_all(t);
+            }
+            let s = obs.stats();
+            assert_eq!(s.answered, 96, "{blob_hex}");
+            assert_eq!(s.parse_failures, 96, "{blob_hex}");
+            assert_eq!(obs.current_prev(), None);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use minedig_analysis::scenario::{run_scenario, ScenarioConfig};
-use minedig_chain::merkle::tree_hash;
+use minedig_chain::merkle::{coinbase_path, root_from_path, tree_hash};
 use minedig_primitives::Hash32;
 use std::hint::black_box;
 
@@ -32,6 +32,12 @@ fn bench_merkle(c: &mut Criterion) {
         .collect();
     c.bench_function("tree_hash_13_leaves", |b| {
         b.iter(|| black_box(tree_hash(black_box(&leaves))))
+    });
+    // What a template refresh pays: the Coinbase's root from its path,
+    // which the pool computes once per tip.
+    let path = coinbase_path(&leaves[1..]);
+    c.bench_function("coinbase_root_13_leaves", |b| {
+        b.iter(|| black_box(root_from_path(black_box(leaves[0]), black_box(&path))))
     });
 }
 

@@ -77,6 +77,73 @@ pub fn block_tree_hash(coinbase: Hash32, tx_hashes: &[Hash32]) -> Hash32 {
     tree_hash(&leaves)
 }
 
+/// The Coinbase's Merkle path: leaf 0's right-hand siblings, bottom-up,
+/// in the tree [`tree_hash`] builds over `[coinbase, tx_hashes..]`.
+///
+/// Leaf 0 always passes the overhang step untouched, so its first
+/// sibling may be an overhang pair hash; each later sibling is the root
+/// of the next subtree to its right. None of them depends on the
+/// Coinbase, so a pool computes the path once per tip and then prices a
+/// template refresh at log₂ n pair hashes ([`root_from_path`]) instead
+/// of n − 1.
+///
+/// ```
+/// use minedig_chain::merkle::{block_tree_hash, coinbase_path, root_from_path};
+/// use minedig_primitives::Hash32;
+///
+/// let txs: Vec<Hash32> = (0..12u64).map(|i| Hash32::keccak(&i.to_le_bytes())).collect();
+/// let path = coinbase_path(&txs);
+/// assert_eq!(path.len(), 3); // 13 leaves: a perfect tree of 8 after the overhang
+/// let cb = Hash32::keccak(b"coinbase");
+/// assert_eq!(root_from_path(cb, &path), block_tree_hash(cb, &txs));
+/// ```
+pub fn coinbase_path(tx_hashes: &[Hash32]) -> Vec<Hash32> {
+    let n = 1 + tx_hashes.len();
+    if n <= 2 {
+        return tx_hashes.to_vec();
+    }
+    let cnt = 1usize << n.ilog2();
+    // Positions 1..cnt of the perfect tree's bottom level: the other
+    // untouched leaves, then the overhang pairs.
+    let untouched = 2 * cnt - n;
+    let mut level: Vec<Hash32> = Vec::with_capacity(cnt - 1);
+    level.extend_from_slice(&tx_hashes[..untouched - 1]);
+    for pair in tx_hashes[untouched - 1..].chunks_exact(2) {
+        level.push(hash_pair(&pair[0], &pair[1]));
+    }
+    // Leaf 0's sibling subtrees hold 1, 2, 4, … cnt/2 of those positions.
+    let mut path = Vec::with_capacity(cnt.ilog2() as usize);
+    let mut rest = &mut level[..];
+    let mut size = 1;
+    while !rest.is_empty() {
+        let (subtree, tail) = rest.split_at_mut(size);
+        path.push(reduce_perfect(subtree));
+        rest = tail;
+        size *= 2;
+    }
+    path
+}
+
+/// The Merkle root of a block whose Coinbase hashes to `coinbase`, from
+/// that Coinbase's [`coinbase_path`].
+pub fn root_from_path(coinbase: Hash32, path: &[Hash32]) -> Hash32 {
+    path.iter()
+        .fold(coinbase, |node, sibling| hash_pair(&node, sibling))
+}
+
+/// Root of a perfect binary tree over `hashes` (a power of two long),
+/// reduced in place.
+fn reduce_perfect(hashes: &mut [Hash32]) -> Hash32 {
+    let mut len = hashes.len();
+    while len > 1 {
+        for j in 0..len / 2 {
+            hashes[j] = hash_pair(&hashes[2 * j], &hashes[2 * j + 1]);
+        }
+        len /= 2;
+    }
+    hashes[0]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +239,34 @@ mod tests {
         fn deterministic(n in 1usize..64) {
             let ls = leaves(n);
             prop_assert_eq!(tree_hash(&ls), tree_hash(&ls));
+        }
+
+        #[test]
+        fn coinbase_path_reproduces_tree_hash(others in 0usize..=300, salt in any::<u64>()) {
+            let cb = leaf(salt);
+            let txs: Vec<Hash32> = (0..others as u64).map(|i| leaf(i ^ 0x5eed)).collect();
+            let mut all = vec![cb];
+            all.extend_from_slice(&txs);
+            prop_assert_eq!(root_from_path(cb, &coinbase_path(&txs)), tree_hash(&all));
+        }
+    }
+
+    #[test]
+    fn coinbase_path_matches_tree_hash_at_powers_of_two_and_neighbours() {
+        let mut sizes = vec![1usize, 2, 3];
+        for k in 2..=9 {
+            sizes.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for n in sizes {
+            let txs = leaves(n - 1);
+            let path = coinbase_path(&txs);
+            assert_eq!(path.len(), n.ilog2() as usize, "n={n}");
+            for salt in [7u64, 1 << 40] {
+                let cb = leaf(salt);
+                let mut all = vec![cb];
+                all.extend_from_slice(&txs);
+                assert_eq!(root_from_path(cb, &path), tree_hash(&all), "n={n}");
+            }
         }
     }
 }

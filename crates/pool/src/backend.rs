@@ -49,6 +49,18 @@ impl Backend {
         extra
     }
 
+    /// The Coinbase of `version` of the current tip's template: the only
+    /// transaction that differs between backends and versions, so the
+    /// only one a template refresh has to hash.
+    pub fn coinbase(&self, tip: &TipInfo, version: u32) -> Transaction {
+        Transaction::coinbase(
+            tip.height,
+            tip.reward,
+            self.pool_tag,
+            self.extra_nonce(tip.height, version),
+        )
+    }
+
     /// Builds the template for `version` of the current tip. `timestamp`
     /// should be the virtual time of the refresh that produced this
     /// version; the block keeps it even if mined later (matching how real
@@ -62,12 +74,7 @@ impl Backend {
                 prev_id: tip.prev_id,
                 nonce: 0,
             },
-            miner_tx: Transaction::coinbase(
-                tip.height,
-                tip.reward,
-                self.pool_tag,
-                self.extra_nonce(tip.height, version),
-            ),
+            miner_tx: self.coinbase(tip, version),
             txs: tip.mempool.clone(),
         }
     }

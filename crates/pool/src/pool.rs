@@ -13,7 +13,7 @@ use crate::obfuscation;
 use crate::protocol::{ClientMsg, Job, ServerMsg, Token};
 use minedig_chain::blob::HashingBlob;
 use minedig_chain::block::Block;
-use minedig_chain::merkle::block_tree_hash;
+use minedig_chain::merkle::{coinbase_path, root_from_path};
 use minedig_chain::netsim::{TemplateSource, TipInfo};
 use minedig_chain::tx::MinerTag;
 use minedig_net::transport::{Transport, TransportError};
@@ -22,7 +22,7 @@ use minedig_primitives::{Admission, AdmitDecision, DetRng, Hash32};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Pool configuration. Defaults model Coinhive as measured by the paper.
 #[derive(Clone, Debug)]
@@ -82,7 +82,22 @@ struct TipState {
     epoch: u64,
     tip: Option<TipInfo>,
     seen_at: u64,
-    tx_hashes: Vec<Hash32>,
+    /// The Coinbase's Merkle path over this tip's mempool, hashed by the
+    /// first template build (a tip served to nobody, as during an outage
+    /// or a resumed run's replay, never pays for it).
+    coinbase_path: OnceLock<Vec<Hash32>>,
+}
+
+impl TipState {
+    /// Leaf 0's siblings for this tip: shared by every backend's
+    /// templates, so a template's root costs log₂ n pair hashes.
+    fn coinbase_path(&self) -> &[Hash32] {
+        self.coinbase_path.get_or_init(|| {
+            let info = self.tip.as_ref().expect("template without tip");
+            let tx_hashes: Vec<Hash32> = info.mempool.iter().map(|t| t.hash()).collect();
+            coinbase_path(&tx_hashes)
+        })
+    }
 }
 
 /// One backend plus its own blob cache — the per-backend lock that lets
@@ -95,10 +110,19 @@ struct BackendSlot {
 
 #[derive(Default)]
 struct BackendCache {
-    /// Tip epoch these blobs were built for; a mismatch clears lazily.
+    /// Tip epoch these templates were built for; a mismatch clears lazily.
     epoch: u64,
-    /// Cached blob per template version at the current epoch.
-    blobs: HashMap<u32, Vec<u8>>,
+    /// Cached template per version at the current epoch.
+    templates: HashMap<u32, CachedTemplate>,
+}
+
+/// One template version as served: a pure function of (tip, backend,
+/// version), so it is built once and then handed out as copies.
+struct CachedTemplate {
+    /// True (de-obfuscated) hashing blob with the nonce zeroed.
+    blob: Vec<u8>,
+    /// The observer's peek job for this version, built on its first peek.
+    peek: Option<Job>,
 }
 
 /// Mutable state of the mining protocol proper: issued jobs, revenue
@@ -179,7 +203,7 @@ impl Pool {
                     epoch: 0,
                     tip: None,
                     seen_at: 0,
-                    tx_hashes: Vec::new(),
+                    coinbase_path: OnceLock::new(),
                 })),
                 backends,
                 mining: Mutex::new(MiningState {
@@ -237,7 +261,7 @@ impl Pool {
             epoch,
             tip: Some(tip.clone()),
             seen_at: tip.prev_timestamp,
-            tx_hashes: tip.mempool.iter().map(|t| t.hash()).collect(),
+            coinbase_path: OnceLock::new(),
         });
         drop(guard);
         // Backend blob caches invalidate lazily via the epoch; issued
@@ -251,36 +275,39 @@ impl Pool {
         (v as u32).min(config.max_templates_per_height - 1)
     }
 
-    fn blob_for(shared: &Shared, tip: &TipState, backend_idx: u16, version: u32) -> Vec<u8> {
+    /// Runs `f` on backend `backend_idx`'s template `version` for `tip`,
+    /// under that backend's cache lock, building the template on a miss:
+    /// the Coinbase hash plus its Merkle path, never the whole tree.
+    fn with_template<R>(
+        shared: &Shared,
+        tip: &TipState,
+        backend_idx: u16,
+        version: u32,
+        f: impl FnOnce(&mut CachedTemplate) -> R,
+    ) -> R {
         let slot = &shared.backends[backend_idx as usize];
         let mut cache = slot.cache.lock();
         if cache.epoch != tip.epoch {
-            cache.blobs.clear();
+            cache.templates.clear();
             cache.epoch = tip.epoch;
         }
-        if let Some(blob) = cache.blobs.get(&version) {
-            return blob.clone();
-        }
-        let info = tip.tip.as_ref().expect("blob_for without tip");
-        let timestamp = tip.seen_at + version as u64 * shared.config.template_refresh_secs;
-        let coinbase_hash = slot
-            .backend
-            .template(info, version, timestamp)
-            .miner_tx
-            .hash();
-        let root = block_tree_hash(coinbase_hash, &tip.tx_hashes);
-        let blob = HashingBlob {
-            major_version: 7,
-            minor_version: 7,
-            timestamp,
-            prev_id: info.prev_id,
-            nonce: 0,
-            merkle_root: root,
-            tx_count: 1 + tip.tx_hashes.len() as u64,
-        }
-        .to_bytes();
-        cache.blobs.insert(version, blob.clone());
-        blob
+        let template = cache.templates.entry(version).or_insert_with(|| {
+            let info = tip.tip.as_ref().expect("template without tip");
+            let timestamp = tip.seen_at + version as u64 * shared.config.template_refresh_secs;
+            let coinbase = slot.backend.coinbase(info, version).hash();
+            let blob = HashingBlob {
+                major_version: 7,
+                minor_version: 7,
+                timestamp,
+                prev_id: info.prev_id,
+                nonce: 0,
+                merkle_root: root_from_path(coinbase, tip.coinbase_path()),
+                tx_count: 1 + info.mempool.len() as u64,
+            }
+            .to_bytes();
+            CachedTemplate { blob, peek: None }
+        });
+        f(template)
     }
 
     fn backend_of_endpoint(config: &PoolConfig, endpoint: usize) -> Result<u16, JobError> {
@@ -305,17 +332,24 @@ impl Pool {
         };
         let backend = Self::backend_of_endpoint(&shared.config, endpoint)?;
         let version = Self::version_at(&shared.config, &tip, now);
-        let mut blob = Self::blob_for(shared, &tip, backend, version);
-        if shared.config.obfuscate {
-            obfuscation::xor_blob(&mut blob);
-        }
         let height = info.height;
-        Ok(Job::from_blob(
-            format!("peek-{height}-{backend}-{version}"),
-            &blob,
-            shared.config.share_difficulty,
-            height,
-        ))
+        Ok(Self::with_template(shared, &tip, backend, version, |t| {
+            t.peek
+                .get_or_insert_with(|| {
+                    let wire = if shared.config.obfuscate {
+                        obfuscation::obfuscated(&t.blob)
+                    } else {
+                        t.blob.clone()
+                    };
+                    Job::from_blob(
+                        format!("peek-{height}-{backend}-{version}"),
+                        &wire,
+                        shared.config.share_difficulty,
+                        height,
+                    )
+                })
+                .clone()
+        }))
     }
 
     /// Miner-style job fetch: registers the job so shares can be
@@ -331,7 +365,7 @@ impl Pool {
         };
         let backend = Self::backend_of_endpoint(&shared.config, endpoint)?;
         let version = Self::version_at(&shared.config, &tip, now);
-        let true_blob = Self::blob_for(shared, &tip, backend, version);
+        let true_blob = Self::with_template(shared, &tip, backend, version, |t| t.blob.clone());
         let height = info.height;
         let share_difficulty = shared.config.share_difficulty;
         let mut mining = shared.mining.lock();
@@ -744,6 +778,52 @@ mod tests {
         let block = p.win_block(1_050);
         assert!(seen_roots.contains(&block.merkle_root()));
         assert_eq!(p.blocks_won(), 1);
+    }
+
+    #[test]
+    fn served_templates_equal_full_templates_for_any_mempool_size() {
+        // A cached template comes from the Coinbase's Merkle path; it must
+        // equal the full `Backend::template` for every endpoint and
+        // version, and a cached peek job must equal one built fresh.
+        let config = PoolConfig::default();
+        let refresh = config.template_refresh_secs;
+        for txs in [0usize, 1, 2, 3, 7, 8, 12, 15, 16, 17, 64] {
+            let p = pool();
+            let info = TipInfo {
+                mempool: (0..txs as u64)
+                    .map(|i| Transaction::transfer(Hash32::keccak(&i.to_le_bytes())))
+                    .collect(),
+                ..tip(40 + txs as u64, 1_000)
+            };
+            p.announce_tip(&info);
+            for endpoint in 0..p.endpoint_count() {
+                let index = (endpoint / config.endpoints_per_backend as usize) as u16;
+                let backend = Backend {
+                    index,
+                    pool_tag: p.tag(),
+                    seed: config.seed,
+                };
+                for version in 0..config.max_templates_per_height {
+                    let timestamp = 1_000 + version as u64 * refresh;
+                    let block = backend.template(&info, version, timestamp);
+                    let fresh = Job::from_blob(
+                        format!("peek-{}-{index}-{version}", info.height),
+                        &obfuscation::obfuscated(&block.hashing_blob().to_bytes()),
+                        config.share_difficulty,
+                        info.height,
+                    );
+                    let first = p.peek_job(endpoint, timestamp).unwrap();
+                    let mut blob = first.blob_bytes().unwrap();
+                    obfuscation::xor_blob(&mut blob);
+                    let served = HashingBlob::parse(&blob).unwrap();
+                    assert_eq!(served.merkle_root, block.merkle_root(), "{txs} txs");
+                    assert_eq!(served.tx_count, block.tx_count(), "{txs} txs");
+                    assert_eq!(first, fresh, "{txs} txs, endpoint {endpoint}");
+                    let cached = p.peek_job(endpoint, timestamp + refresh - 1).unwrap();
+                    assert_eq!(cached, fresh, "{txs} txs, endpoint {endpoint}");
+                }
+            }
+        }
     }
 
     #[test]
