@@ -281,6 +281,7 @@ pub struct ZgrabCampaign<'a> {
     population: &'a Population,
     seed: u64,
     model: &'a FetchModel,
+    engine: NoCoinEngine,
     backend: Backend,
     outcome: ZgrabScanOutcome,
     cursor: u64,
@@ -298,6 +299,7 @@ impl<'a> ZgrabCampaign<'a> {
             population,
             seed,
             model,
+            engine: NoCoinEngine::new(),
             backend,
             outcome: ZgrabScanOutcome::empty(population.zone),
             cursor: 0,
@@ -351,11 +353,10 @@ impl Campaign for ZgrabCampaign<'_> {
             return;
         }
         let (population, model) = (self.population, self.model);
-        let engine = NoCoinEngine::new();
         let ctx = ZgrabProbeCtx {
             seed: self.seed,
             model,
-            engine: &engine,
+            engine: &self.engine,
         };
         let outcome =
             std::mem::replace(&mut self.outcome, ZgrabScanOutcome::empty(population.zone));
@@ -389,6 +390,7 @@ pub struct ChromeCampaign<'a> {
     db: &'a SignatureDb,
     seed: u64,
     model: &'a FetchModel,
+    engine: NoCoinEngine,
     cache: Option<&'a FingerprintCache>,
     backend: Backend,
     outcome: ChromeScanOutcome,
@@ -413,6 +415,7 @@ impl<'a> ChromeCampaign<'a> {
             db,
             seed,
             model,
+            engine: NoCoinEngine::new(),
             cache,
             backend,
             outcome: ChromeScanOutcome::empty(population.zone),
@@ -471,8 +474,7 @@ impl Campaign for ChromeCampaign<'_> {
             return;
         }
         let (population, model) = (self.population, self.model);
-        let engine = NoCoinEngine::new();
-        let ctx = ChromeProbeCtx::new(self.seed, model, &engine, self.db, self.cache);
+        let ctx = ChromeProbeCtx::new(self.seed, model, &self.engine, self.db, self.cache);
         let outcome =
             std::mem::replace(&mut self.outcome, ChromeScanOutcome::empty(population.zone));
         self.outcome = self.backend.map_fold(

@@ -747,100 +747,6 @@ pub fn chrome_scan_with(
     outcome
 }
 
-/// A first-date Chrome scan that retains every per-domain verdict, so a
-/// second-date rescan can reuse the verdicts of unchanged domains
-/// instead of re-loading them in the instrumented browser — the Chrome
-/// counterpart of [`ZgrabRescanMemo`], and a far bigger saving: a
-/// browser load costs orders of magnitude more than a TLS probe.
-///
-/// Reuse is sound because a [`ChromeVerdict`] is a pure function of
-/// `(domain, seed, model, db)`: a survivor keeps its name, so a fresh
-/// load at the same seed, model and signature database would reproduce
-/// the retained verdict bit for bit.
-pub struct ChromeRescanMemo {
-    /// The first scan's outcome.
-    pub first: ChromeScanOutcome,
-    seed: u64,
-    artifact_verdicts: Vec<ChromeVerdict>,
-    clean_verdicts: Vec<ChromeVerdict>,
-}
-
-/// Runs the first-date Chrome scan of a two-date campaign, memoizing
-/// verdicts for [`ChromeRescanMemo::rescan`].
-pub fn chrome_scan_retaining(
-    population: &Population,
-    db: &SignatureDb,
-    seed: u64,
-    model: &FetchModel,
-) -> ChromeRescanMemo {
-    let engine = NoCoinEngine::new();
-    let ctx = ChromeProbeCtx::new(seed, model, &engine, db, None);
-    let mut scratch = Vec::new();
-    let mut outcome = ChromeScanOutcome::empty(population.zone);
-    let mut artifact_verdicts = Vec::with_capacity(population.artifacts.len());
-    for d in &population.artifacts {
-        let verdict = chrome_probe_domain(&ctx, d, &mut scratch);
-        chrome_fold(&mut outcome, verdict.clone(), false);
-        artifact_verdicts.push(verdict);
-    }
-    let mut clean_verdicts = Vec::with_capacity(population.clean_sample.len());
-    for d in &population.clean_sample {
-        let verdict = chrome_probe_domain(&ctx, d, &mut scratch);
-        chrome_fold(&mut outcome, verdict.clone(), true);
-        clean_verdicts.push(verdict);
-    }
-    ChromeRescanMemo {
-        first: outcome,
-        seed,
-        artifact_verdicts,
-        clean_verdicts,
-    }
-}
-
-impl ChromeRescanMemo {
-    /// Scans the second-date population incrementally: survivors and the
-    /// (unchanged) clean sample fold their retained first-scan verdicts;
-    /// only the fresh arrivals are loaded. With the same `db` and
-    /// `model` the first scan ran under, the outcome is bit-identical to
-    /// a full [`chrome_scan_with`] of `second` — verdicts are keyed by
-    /// domain name, and folding happens in the same population order.
-    pub fn rescan(
-        &self,
-        second: &Population,
-        delta: &ChurnDelta,
-        db: &SignatureDb,
-        model: &FetchModel,
-    ) -> (ChromeScanOutcome, RescanStats) {
-        assert_eq!(
-            self.clean_verdicts.len(),
-            second.clean_sample.len(),
-            "the clean sample is fixed across scan dates"
-        );
-        let engine = NoCoinEngine::new();
-        let ctx = ChromeProbeCtx::new(self.seed, model, &engine, db, None);
-        let mut scratch = Vec::new();
-        let mut outcome = ChromeScanOutcome::empty(second.zone);
-        let mut stats = RescanStats::default();
-        for &src in &delta.survivors {
-            chrome_fold(&mut outcome, self.artifact_verdicts[src].clone(), false);
-            stats.reused += 1;
-        }
-        for d in &second.artifacts[delta.survivors.len()..] {
-            chrome_fold(
-                &mut outcome,
-                chrome_probe_domain(&ctx, d, &mut scratch),
-                false,
-            );
-            stats.probed += 1;
-        }
-        for verdict in &self.clean_verdicts {
-            chrome_fold(&mut outcome, verdict.clone(), true);
-            stats.reused += 1;
-        }
-        (outcome, stats)
-    }
-}
-
 /// Categorizes a set of domains through the RuleSpace oracle, returning
 /// `(category counts, categorized domains, total domains)` — Table 3's
 /// machinery. A domain contributes one count per (revealed) category.
@@ -930,50 +836,6 @@ mod tests {
         let memo = zgrab_scan_retaining(&first, 3, &model);
         let (incremental, _) = memo.rescan(&second, &delta, &model);
         assert_eq!(incremental, zgrab_scan_with(&second, 3, &model));
-        assert!(
-            incremental.fetch.unreachable > 0,
-            "permanent faults must surface"
-        );
-    }
-
-    #[test]
-    fn chrome_incremental_rescan_is_identical_to_a_full_second_scan() {
-        use minedig_web::churn::{second_scan_with_delta, DEFAULT_REMOVAL_RATE};
-        let first = small_org();
-        let (second, delta) = second_scan_with_delta(&first, 7, DEFAULT_REMOVAL_RATE);
-        let db = build_reference_db(0.7);
-        let model = FetchModel::default();
-        let memo = chrome_scan_retaining(&first, &db, 1, &model);
-        assert_eq!(memo.first, chrome_scan_with(&first, &db, 1, &model));
-        let (incremental, stats) = memo.rescan(&second, &delta, &db, &model);
-        let full = chrome_scan_with(&second, &db, 1, &model);
-        assert_eq!(incremental, full);
-        assert_eq!(stats.probed, delta.arrivals as u64);
-        assert_eq!(
-            stats.reused,
-            delta.survivors.len() as u64 + second.clean_sample.len() as u64
-        );
-        assert!(stats.reused > stats.probed, "churn reuse must dominate");
-    }
-
-    #[test]
-    fn chrome_incremental_rescan_matches_under_fault_schedules() {
-        use minedig_web::churn::second_scan_with_delta;
-        let first = small_org();
-        let (second, delta) = second_scan_with_delta(&first, 11, 0.2);
-        let plan = FaultPlan::with_config(
-            13,
-            minedig_primitives::fault::FaultConfig {
-                fault_prob: 0.4,
-                permanent_prob: 0.3,
-                ..minedig_primitives::fault::FaultConfig::default()
-            },
-        );
-        let db = build_reference_db(0.7);
-        let model = FetchModel::outlasting(plan);
-        let memo = chrome_scan_retaining(&first, &db, 3, &model);
-        let (incremental, _) = memo.rescan(&second, &delta, &db, &model);
-        assert_eq!(incremental, chrome_scan_with(&second, &db, 3, &model));
         assert!(
             incremental.fetch.unreachable > 0,
             "permanent faults must surface"

@@ -1,8 +1,17 @@
 //! The scan engine: extract script URLs from a page, resolve them against
 //! the page's origin, and match the rule list — §3.1's pipeline.
+//!
+//! Rules are indexed by keyword, as Adblock Plus's matcher does: each
+//! rule's keyword is a token that every URL it matches must contain
+//! (see `Rule::keyword`), so a URL is tested only against the rules keyed
+//! by one of its tokens plus the few rules without a keyword. A page's
+//! URLs are resolved into one reused buffer and lowercased once, so a
+//! page allocates only that buffer, the candidate bitset and its hits.
 
-use crate::extract::extract_script_tags;
+use crate::extract::script_tags;
+use crate::filter::is_keyword_byte;
 use crate::list::{nocoin_rules, LabeledRule, ServiceLabel};
+use std::collections::HashMap;
 
 /// One filter hit on a page.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -18,6 +27,11 @@ pub struct FilterHit {
 /// The NoCoin engine: a rule list ready to apply to pages.
 pub struct NoCoinEngine {
     rules: Vec<LabeledRule>,
+    /// Keyword → indices of the rules keyed by it, ascending.
+    by_keyword: HashMap<Box<[u8]>, Vec<usize>>,
+    /// Bitset of the rules without a keyword, which every URL is tested
+    /// against; one bit per rule, in list order.
+    unkeyed: Vec<u64>,
 }
 
 impl Default for NoCoinEngine {
@@ -29,14 +43,24 @@ impl Default for NoCoinEngine {
 impl NoCoinEngine {
     /// Engine with the bundled NoCoin snapshot.
     pub fn new() -> NoCoinEngine {
-        NoCoinEngine {
-            rules: nocoin_rules(),
-        }
+        Self::with_rules(nocoin_rules())
     }
 
     /// Engine with a custom rule list (ablations, updated lists).
     pub fn with_rules(rules: Vec<LabeledRule>) -> NoCoinEngine {
-        NoCoinEngine { rules }
+        let mut by_keyword: HashMap<Box<[u8]>, Vec<usize>> = HashMap::new();
+        let mut unkeyed = vec![0u64; rules.len().div_ceil(64)];
+        for (i, lr) in rules.iter().enumerate() {
+            match lr.rule.keyword() {
+                Some(k) => by_keyword.entry(k.as_bytes().into()).or_default().push(i),
+                None => unkeyed[i / 64] |= 1 << (i % 64),
+            }
+        }
+        NoCoinEngine {
+            rules,
+            by_keyword,
+            unkeyed,
+        }
     }
 
     /// Number of rules loaded.
@@ -46,49 +70,49 @@ impl NoCoinEngine {
 
     /// Resolves a possibly-relative script URL against a page origin.
     pub fn resolve_url(origin_domain: &str, src: &str) -> String {
-        if src.starts_with("http://") || src.starts_with("https://") {
-            src.to_string()
-        } else if let Some(rest) = src.strip_prefix("//") {
-            format!("https://{rest}")
-        } else if let Some(rest) = src.strip_prefix('/') {
-            format!("https://{origin_domain}/{rest}")
-        } else {
-            format!("https://{origin_domain}/{src}")
-        }
+        let mut url = String::new();
+        resolve_into(&mut url, origin_domain, src);
+        url
     }
 
     /// Scans one page: extracts script tags, matches external script URLs
     /// and also inline bodies (some list entries are plain substrings that
     /// match loader snippets — matching both is what an "apply the list to
-    /// the HTML body" pipeline sees).
+    /// the HTML body" pipeline sees). Hits come in page order, and per URL
+    /// in rule order.
     pub fn scan_page(&self, domain: &str, html: &str) -> Vec<FilterHit> {
         let mut hits = Vec::new();
-        for tag in extract_script_tags(html) {
-            if let Some(src) = &tag.src {
-                let url = Self::resolve_url(domain, src);
-                for lr in &self.rules {
-                    if lr.rule.matches(&url) {
-                        hits.push(FilterHit {
-                            url: url.clone(),
-                            rule: lr.rule.raw.clone(),
-                            label: lr.label,
-                        });
+        // Reused across the page's URLs: the lowercased absolute URL and
+        // the candidate-rule bitset.
+        let mut lower = String::new();
+        let mut candidates = vec![0u64; self.unkeyed.len()];
+        for url in page_urls(html) {
+            lower.clear();
+            match url {
+                PageUrl::Src(src) => resolve_into(&mut lower, domain, src),
+                PageUrl::Inline(url) => lower.push_str(url),
+            }
+            lower.make_ascii_lowercase();
+            candidates.copy_from_slice(&self.unkeyed);
+            let tokens = lower.as_bytes().split(|&b| !is_keyword_byte(b));
+            for token in tokens.filter(|t| !t.is_empty()) {
+                if let Some(keyed) = self.by_keyword.get(token) {
+                    for &i in keyed {
+                        candidates[i / 64] |= 1 << (i % 64);
                     }
                 }
             }
-            if let Some(inline) = &tag.inline {
-                // Inline loader snippets frequently reference the miner
-                // host (`new CoinHive.Anonymous` + script URL in a string);
-                // match any URL-looking substrings.
-                for url in extract_url_like(inline) {
-                    for lr in &self.rules {
-                        if lr.rule.matches(&url) {
-                            hits.push(FilterHit {
-                                url: url.clone(),
-                                rule: lr.rule.raw.clone(),
-                                label: lr.label,
-                            });
-                        }
+            for (word, &bits) in candidates.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let lr = &self.rules[word * 64 + bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    if lr.rule.matches_lowercase(&lower) {
+                        hits.push(FilterHit {
+                            url: url.absolute(domain),
+                            rule: lr.rule.raw.clone(),
+                            label: lr.label,
+                        });
                     }
                 }
             }
@@ -111,22 +135,66 @@ impl NoCoinEngine {
     }
 }
 
-/// Pulls `http(s)://...` substrings out of inline script text.
-fn extract_url_like(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for start_pat in ["https://", "http://"] {
-        let mut from = 0;
-        while let Some(idx) = text[from..].find(start_pat) {
-            let start = from + idx;
-            let end = text[start..]
-                .find(|c: char| c == '"' || c == '\'' || c == ')' || c.is_whitespace())
-                .map(|i| start + i)
-                .unwrap_or(text.len());
-            out.push(text[start..end].to_string());
-            from = end;
+/// A script URL as the page holds it.
+#[derive(Clone, Copy)]
+enum PageUrl<'a> {
+    /// A tag's `src`, possibly relative to the page's origin.
+    Src(&'a str),
+    /// An `http(s)://` string in an inline script body.
+    Inline(&'a str),
+}
+
+impl PageUrl<'_> {
+    /// The absolute URL, in its original case.
+    fn absolute(self, domain: &str) -> String {
+        match self {
+            PageUrl::Src(src) => NoCoinEngine::resolve_url(domain, src),
+            PageUrl::Inline(url) => url.to_owned(),
         }
     }
-    out
+}
+
+/// Every script URL of a page, in page order: each tag's `src`, then the
+/// URL-like strings of its inline body.
+fn page_urls(html: &str) -> impl Iterator<Item = PageUrl<'_>> {
+    script_tags(html).flat_map(|tag| {
+        let inline = tag.inline.into_iter().flat_map(extract_url_like);
+        tag.src
+            .map(PageUrl::Src)
+            .into_iter()
+            .chain(inline.map(PageUrl::Inline))
+    })
+}
+
+/// Appends `src` resolved against `origin_domain` to `out`.
+fn resolve_into(out: &mut String, origin_domain: &str, src: &str) {
+    if src.starts_with("http://") || src.starts_with("https://") {
+        out.push_str(src);
+    } else if let Some(rest) = src.strip_prefix("//") {
+        out.push_str("https://");
+        out.push_str(rest);
+    } else {
+        out.push_str("https://");
+        out.push_str(origin_domain);
+        out.push('/');
+        out.push_str(src.strip_prefix('/').unwrap_or(src));
+    }
+}
+
+/// Pulls `http(s)://...` substrings out of inline script text: every
+/// `https://` one, then every `http://` one.
+fn extract_url_like(text: &str) -> impl Iterator<Item = &str> {
+    ["https://", "http://"].into_iter().flat_map(move |scheme| {
+        let mut from = 0;
+        std::iter::from_fn(move || {
+            let start = from + text[from..].find(scheme)?;
+            let end = text[start..]
+                .find(|c: char| c == '"' || c == '\'' || c == ')' || c.is_whitespace())
+                .map_or(text.len(), |i| start + i);
+            from = end;
+            Some(&text[start..end])
+        })
+    })
 }
 
 #[cfg(test)]
@@ -202,6 +270,47 @@ mod tests {
     }
 
     #[test]
+    fn five_bundled_rules_have_no_keyword() {
+        let unkeyed: Vec<String> = nocoin_rules()
+            .into_iter()
+            .filter(|lr| lr.rule.keyword().is_none())
+            .map(|lr| lr.rule.raw)
+            .collect();
+        assert_eq!(
+            unkeyed,
+            [
+                "crypta.js",
+                "jsminer.js",
+                "deepminer.js",
+                "deepMiner.js",
+                "perfekt.js"
+            ]
+        );
+        let engine = engine();
+        let always: u32 = engine.unkeyed.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(always, 5);
+    }
+
+    #[test]
+    fn labels_follow_the_deduplicated_hits() {
+        // Two rules with one text but different labels: `scan_page` keeps
+        // only the first hit of a URL per rule text, and the labels follow.
+        let rules = [ServiceLabel::Coinhive, ServiceLabel::Cpmstar]
+            .map(|label| LabeledRule {
+                rule: crate::Rule::parse("coin").unwrap(),
+                label,
+            })
+            .to_vec();
+        let engine = NoCoinEngine::with_rules(rules);
+        let html = r#"<script src="https://x.org/coin.js"></script>"#;
+        assert_eq!(engine.scan_page("x.org", html).len(), 1);
+        assert_eq!(
+            engine.page_labels("x.org", html),
+            vec![ServiceLabel::Coinhive]
+        );
+    }
+
+    #[test]
     fn resolve_url_cases() {
         assert_eq!(
             NoCoinEngine::resolve_url("a.com", "https://b.com/x.js"),
@@ -223,9 +332,10 @@ mod tests {
 
     #[test]
     fn url_extraction_from_inline_text() {
-        let urls = extract_url_like(
+        let urls: Vec<&str> = extract_url_like(
             "load('https://a.com/m.js'); fetch(\"http://b.org/x\") // https://c.io/end",
-        );
+        )
+        .collect();
         assert_eq!(
             urls,
             vec!["https://a.com/m.js", "https://c.io/end", "http://b.org/x"]

@@ -4,6 +4,13 @@
 //! frequently malformed, so the tokenizer is deliberately forgiving: it
 //! scans for tags, parses attributes with single/double/no quotes, and
 //! treats an unterminated final tag or script body as ending at EOF.
+//!
+//! [`script_tags`] borrows: it yields `&str` slices of the page and
+//! allocates nothing. It finds `<script` and `</script` by jumping
+//! between `<` bytes with `str::find`, which the standard library backs
+//! with `memchr`, so markup-free stretches of a page cost a byte scan,
+//! not a comparison at every offset. [`extract_script_tags`] is its
+//! owned form.
 
 /// A `<script>` tag found in a page.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -14,98 +21,126 @@ pub struct ScriptTag {
     pub inline: Option<String>,
 }
 
-/// Extracts all script tags from `html`.
+/// A `<script>` tag found in a page, borrowing from the page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScriptTagRef<'a> {
+    /// `src` attribute, if present (external script).
+    pub src: Option<&'a str>,
+    /// Inline body, trimmed, if not empty.
+    pub inline: Option<&'a str>,
+}
+
+/// Extracts all script tags from `html`, owned.
 pub fn extract_script_tags(html: &str) -> Vec<ScriptTag> {
-    let bytes = html.as_bytes();
-    let mut out = Vec::new();
-    let mut pos = 0;
-    while let Some(open) = find_ci(bytes, pos, b"<script") {
-        // Make sure it's `<script` followed by whitespace, '>' or '/'.
-        let after = open + 7;
-        match bytes.get(after) {
-            Some(b) if b.is_ascii_whitespace() || *b == b'>' || *b == b'/' => {}
-            None => break,
-            Some(_) => {
-                pos = after;
-                continue;
-            }
-        }
-        // Parse attributes up to the closing '>'.
-        let tag_end = match bytes[after..].iter().position(|&b| b == b'>') {
-            Some(i) => after + i,
-            None => break, // truncated inside the tag
-        };
-        let attr_text = &html[after..tag_end];
-        let src = parse_attr(attr_text, "src");
-        let self_closing = attr_text.trim_end().ends_with('/');
-
-        if self_closing {
-            out.push(ScriptTag { src, inline: None });
-            pos = tag_end + 1;
-            continue;
-        }
-        // Body runs until </script> (case-insensitive) or EOF.
-        let body_start = tag_end + 1;
-        let (body_end, next_pos) = match find_ci(bytes, body_start, b"</script") {
-            Some(close) => {
-                let close_end = bytes[close..]
-                    .iter()
-                    .position(|&b| b == b'>')
-                    .map(|i| close + i + 1)
-                    .unwrap_or(bytes.len());
-                (close, close_end)
-            }
-            None => (bytes.len(), bytes.len()),
-        };
-        let body = html[body_start..body_end].trim();
-        out.push(ScriptTag {
-            src,
-            inline: if body.is_empty() {
-                None
-            } else {
-                Some(body.to_string())
-            },
-        });
-        pos = next_pos;
-    }
-    out
+    script_tags(html)
+        .map(|tag| ScriptTag {
+            src: tag.src.map(str::to_owned),
+            inline: tag.inline.map(str::to_owned),
+        })
+        .collect()
 }
 
-/// Case-insensitive substring search starting at `from`.
-fn find_ci(haystack: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
-    if from >= haystack.len() {
-        return None;
-    }
-    haystack[from..]
-        .windows(needle.len())
-        .position(|w| w.eq_ignore_ascii_case(needle))
-        .map(|i| from + i)
+/// The script tags of `html`, in page order.
+pub fn script_tags(html: &str) -> ScriptTags<'_> {
+    ScriptTags { html, pos: 0 }
 }
 
-/// Parses an attribute value out of a tag's attribute text.
-fn parse_attr(attrs: &str, name: &str) -> Option<String> {
-    let lower = attrs.to_ascii_lowercase();
+/// Iterator over a page's script tags; see [`script_tags`].
+#[derive(Clone, Debug)]
+pub struct ScriptTags<'a> {
+    html: &'a str,
+    /// Where the search for the next tag resumes (a char boundary).
+    pos: usize,
+}
+
+impl<'a> Iterator for ScriptTags<'a> {
+    type Item = ScriptTagRef<'a>;
+
+    fn next(&mut self) -> Option<ScriptTagRef<'a>> {
+        let html = self.html;
+        loop {
+            let open = find_tag(html, self.pos, b"<script")?;
+            // Make sure it's `<script` followed by whitespace, '>' or '/'.
+            let after = open + 7;
+            match html.as_bytes().get(after) {
+                Some(b) if b.is_ascii_whitespace() || *b == b'>' || *b == b'/' => {}
+                Some(_) => {
+                    self.pos = after;
+                    continue;
+                }
+                None => return None,
+            }
+            // Parse attributes up to the closing '>'.
+            let Some(tag_end) = html[after..].find('>').map(|i| after + i) else {
+                return None; // truncated inside the tag
+            };
+            let attrs = &html[after..tag_end];
+            let src = attr_value(attrs, "src");
+            if attrs.trim_end().ends_with('/') {
+                self.pos = tag_end + 1;
+                return Some(ScriptTagRef { src, inline: None });
+            }
+            // Body runs until </script> (case-insensitive) or EOF.
+            let body_start = tag_end + 1;
+            let (body_end, next_pos) = match find_tag(html, body_start, b"</script") {
+                Some(close) => {
+                    let close_end = html[close..]
+                        .find('>')
+                        .map_or(html.len(), |i| close + i + 1);
+                    (close, close_end)
+                }
+                None => (html.len(), html.len()),
+            };
+            self.pos = next_pos;
+            let body = html[body_start..body_end].trim();
+            return Some(ScriptTagRef {
+                src,
+                inline: (!body.is_empty()).then_some(body),
+            });
+        }
+    }
+}
+
+/// Offset of the first case-insensitive `needle` at or after `from` (a
+/// char boundary). `needle` is a lowercase tag opener starting with `<`,
+/// so only the `<` bytes need a look.
+fn find_tag(html: &str, from: usize, needle: &[u8]) -> Option<usize> {
+    let mut at = from;
+    loop {
+        let open = at + html.get(at..)?.find('<')?;
+        match html.as_bytes()[open..].get(..needle.len()) {
+            Some(window) if window.eq_ignore_ascii_case(needle) => return Some(open),
+            Some(_) => at = open + 1,
+            None => return None,
+        }
+    }
+}
+
+/// Parses an attribute value out of a tag's attribute text. `name` is
+/// lowercase ASCII and matches in any case.
+fn attr_value<'a>(attrs: &'a str, name: &str) -> Option<&'a str> {
+    let bytes = attrs.as_bytes();
     let mut search = 0;
     loop {
-        let idx = lower[search..].find(name)? + search;
+        let idx = search
+            + bytes[search..]
+                .windows(name.len())
+                .position(|w| w.eq_ignore_ascii_case(name.as_bytes()))?;
         // Must be a word boundary before the attr name.
         let before_ok = idx == 0
-            || lower.as_bytes()[idx - 1].is_ascii_whitespace()
-            || lower.as_bytes()[idx - 1] == b'\'' // pathological but seen
-            || lower.as_bytes()[idx - 1] == b'"';
+            || bytes[idx - 1].is_ascii_whitespace()
+            || bytes[idx - 1] == b'\'' // pathological but seen
+            || bytes[idx - 1] == b'"';
         let after = idx + name.len();
-        let rest = lower[after..].trim_start();
+        let rest = attrs[after..].trim_start();
         if before_ok && rest.starts_with('=') {
-            // Found `name =`; extract value from the original-case text.
-            let eq_offset = after + (lower[after..].len() - rest.len());
-            let value_text = attrs[eq_offset + 1..].trim_start();
-            return Some(match value_text.chars().next() {
-                Some(q @ ('"' | '\'')) => value_text[1..].split(q).next().unwrap_or("").to_string(),
-                _ => value_text
+            let value = rest[1..].trim_start();
+            return Some(match value.chars().next() {
+                Some(q @ ('"' | '\'')) => value[1..].split(q).next().unwrap_or(""),
+                _ => value
                     .split(|c: char| c.is_ascii_whitespace() || c == '>')
                     .next()
-                    .unwrap_or("")
-                    .to_string(),
+                    .unwrap_or(""),
             });
         }
         search = after;

@@ -6,6 +6,12 @@
 //! (options are parsed and recorded; the `script` / `third-party` options
 //! don't change matching for our script-URL workload, where every matched
 //! URL *is* a third-party script request).
+//!
+//! Matching allocates nothing on a lowercased URL and runs in
+//! O(URL length × pattern length): the `*`s cut a pattern into
+//! fixed-width segments, and each is placed greedily at its leftmost
+//! fit. A rule's keyword, the token the engine indexes it by, comes
+//! from the same tokens.
 
 /// A parsed blocking rule.
 ///
@@ -130,61 +136,174 @@ impl Rule {
 
     /// Whether the rule matches `url` (case-insensitive).
     pub fn matches(&self, url: &str) -> bool {
-        let url = url.to_ascii_lowercase();
-        let bytes = url.as_bytes();
+        self.matches_lowercase(&url.to_ascii_lowercase())
+    }
+
+    /// [`Rule::matches`] on a URL already in ASCII lower case. Allocates
+    /// nothing, and costs O(URL length × pattern length) however many
+    /// `*`s the rule holds.
+    pub(crate) fn matches_lowercase(&self, url: &str) -> bool {
         if self.host_anchor {
-            // Match must start at the beginning of the host or at a dot
-            // boundary within it.
-            let host_start = match url.find("://") {
-                Some(i) => i + 3,
-                None => 0,
-            };
+            // The match starts at the host's start or just after a dot in it.
+            let host_start = url.find("://").map_or(0, |i| i + 3);
             let host_end = url[host_start..]
                 .find(['/', '?', ':'])
-                .map(|i| host_start + i)
-                .unwrap_or(url.len());
-            let mut starts = vec![host_start];
-            for (i, &b) in bytes[host_start..host_end].iter().enumerate() {
-                if b == b'.' {
-                    starts.push(host_start + i + 1);
-                }
-            }
-            starts
-                .into_iter()
-                .any(|s| self.match_tokens_at(bytes, s, 0, self.end_anchor))
+                .map_or(url.len(), |i| host_start + i);
+            let after_dots = url.as_bytes()[host_start..host_end]
+                .iter()
+                .enumerate()
+                .filter(|&(_, &b)| b == b'.')
+                .map(|(i, _)| host_start + i + 1);
+            std::iter::once(host_start)
+                .chain(after_dots)
+                .any(|start| self.matches_from(url, Some(start)))
         } else if self.start_anchor {
-            self.match_tokens_at(bytes, 0, 0, self.end_anchor)
+            self.matches_from(url, Some(0))
         } else {
-            (0..=bytes.len()).any(|s| self.match_tokens_at(bytes, s, 0, self.end_anchor))
+            self.matches_from(url, None)
         }
     }
 
-    fn match_tokens_at(&self, url: &[u8], pos: usize, token_idx: usize, to_end: bool) -> bool {
-        if token_idx == self.tokens.len() {
-            return !to_end || pos == url.len();
+    /// Matches the tokens starting at `start`, or anywhere when `start`
+    /// is `None`.
+    ///
+    /// The `*`s cut the tokens into fixed-width segments. The leftmost
+    /// placement of a segment that a `*` follows leaves the most room
+    /// for the rest, so it is the only one worth trying: one greedy pass
+    /// decides the match, with no backtracking.
+    fn matches_from(&self, url: &str, start: Option<usize>) -> bool {
+        let mut segments = self.tokens.split(|t| *t == Token::Wildcard);
+        let first = segments
+            .next()
+            .expect("`split` yields at least one segment");
+        let Some(last) = segments.next_back() else {
+            return match start {
+                Some(at) => segment_at(url.as_bytes(), first, at, true)
+                    .is_some_and(|end| !self.end_anchor || end == url.len()),
+                None => self.last_segment_from(url, first, 0),
+            };
+        };
+        let mut pos = match start {
+            Some(at) => segment_at(url.as_bytes(), first, at, false),
+            None => find_segment(url, first, 0, false),
+        };
+        for middle in segments {
+            pos = pos.and_then(|from| find_segment(url, middle, from, false));
         }
-        match &self.tokens[token_idx] {
+        pos.is_some_and(|from| self.last_segment_from(url, last, from))
+    }
+
+    /// Whether the rule's last segment matches at or after `from`, ending
+    /// at the URL's end when the rule is end-anchored.
+    fn last_segment_from(&self, url: &str, segment: &[Token], from: usize) -> bool {
+        if !self.end_anchor {
+            return find_segment(url, segment, from, true).is_some();
+        }
+        let end = url.len();
+        let width: usize = segment.iter().map(Token::width).sum();
+        (end.saturating_sub(width).max(from)..=end)
+            .any(|at| segment_at(url.as_bytes(), segment, at, true) == Some(end))
+    }
+
+    /// The Adblock Plus keyword: the longest run of `[a-z0-9%]` that
+    /// every URL this rule matches holds as a whole token (a maximal run
+    /// of such bytes). A run qualifies when a literal non-keyword byte,
+    /// a `^`, a `||` or `|` start, or a `|` end bounds it on each side;
+    /// a `*` or an open pattern end never does. Ties go to the first run.
+    pub(crate) fn keyword(&self) -> Option<&str> {
+        let mut best: Option<&str> = None;
+        for (t, token) in self.tokens.iter().enumerate() {
+            let Token::Literal(lit) = token else { continue };
+            let left_bounded = match t.checked_sub(1) {
+                Some(prev) => self.tokens[prev] == Token::Separator,
+                None => self.host_anchor || self.start_anchor,
+            };
+            let right_bounded = match self.tokens.get(t + 1) {
+                Some(next) => *next == Token::Separator,
+                None => self.end_anchor,
+            };
+            let bytes = lit.as_bytes();
+            let mut i = 0;
+            while i < bytes.len() {
+                if !is_keyword_byte(bytes[i]) {
+                    i += 1;
+                    continue;
+                }
+                let run = i;
+                while i < bytes.len() && is_keyword_byte(bytes[i]) {
+                    i += 1;
+                }
+                let bounded = (run > 0 || left_bounded) && (i < bytes.len() || right_bounded);
+                if bounded && best.is_none_or(|k| i - run > k.len()) {
+                    best = Some(&lit[run..i]);
+                }
+            }
+        }
+        best
+    }
+}
+
+impl Token {
+    /// Bytes the token consumes (a final `^` may also match the URL's end).
+    fn width(&self) -> usize {
+        match self {
+            Token::Literal(lit) => lit.len(),
+            Token::Wildcard => 0,
+            Token::Separator => 1,
+        }
+    }
+}
+
+/// Whether `b` can be part of an Adblock Plus keyword.
+pub(crate) fn is_keyword_byte(b: u8) -> bool {
+    matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'%')
+}
+
+/// Matches a `*`-free token run at `at`, returning where it ends. `last`
+/// says the run ends the rule, so a final `^` may match the URL's end.
+fn segment_at(url: &[u8], segment: &[Token], at: usize, last: bool) -> Option<usize> {
+    let mut pos = at;
+    for (i, token) in segment.iter().enumerate() {
+        match token {
             Token::Literal(lit) => {
-                let lit = lit.as_bytes();
-                if url.len() < pos + lit.len() || &url[pos..pos + lit.len()] != lit {
-                    return false;
+                if !url[pos..].starts_with(lit.as_bytes()) {
+                    return None;
                 }
-                self.match_tokens_at(url, pos + lit.len(), token_idx + 1, to_end)
+                pos += lit.len();
             }
-            Token::Separator => {
-                if pos == url.len() {
-                    // `^` matches the end of the URL.
-                    token_idx + 1 == self.tokens.len()
-                } else if is_separator(url[pos]) {
-                    self.match_tokens_at(url, pos + 1, token_idx + 1, to_end)
-                } else {
-                    false
-                }
-            }
-            Token::Wildcard => {
-                (pos..=url.len()).any(|next| self.match_tokens_at(url, next, token_idx + 1, to_end))
-            }
+            Token::Separator => match url.get(pos) {
+                Some(&b) if is_separator(b) => pos += 1,
+                Some(_) => return None,
+                None => return (last && i + 1 == segment.len()).then_some(pos),
+            },
+            Token::Wildcard => unreachable!("segments hold no `*`"),
         }
+    }
+    Some(pos)
+}
+
+/// The end of the leftmost match of `segment` at or after `from`. A
+/// leading literal is found with `str::find`, which jumps straight to
+/// its candidates.
+fn find_segment(url: &str, segment: &[Token], from: usize, last: bool) -> Option<usize> {
+    let Some(Token::Literal(lit)) = segment.first() else {
+        return (from..=url.len()).find_map(|at| segment_at(url.as_bytes(), segment, at, last));
+    };
+    // A literal starts on a char boundary (a `^` can stop inside a
+    // multi-byte char), so skipping to the next boundary loses nothing.
+    let next_boundary = |mut at: usize| {
+        while !url.is_char_boundary(at) {
+            at += 1;
+        }
+        at
+    };
+    let mut at = next_boundary(from);
+    loop {
+        let found = at + url[at..].find(lit.as_str())?;
+        if let Some(end) = segment_at(url.as_bytes(), segment, found, last) {
+            return Some(end);
+        }
+        at = next_boundary(found + 1);
     }
 }
 
@@ -297,6 +416,22 @@ mod tests {
         let r = rule("a**b");
         assert!(r.matches("https://x/aXXb"));
         assert!(r.matches("https://x/ab"));
+    }
+
+    #[test]
+    fn keyword_is_the_longest_run_bounded_on_both_sides() {
+        let keyword = |s: &str| rule(s).keyword().map(str::to_string);
+        assert_eq!(keyword("||coinhive.com^").as_deref(), Some("coinhive"));
+        assert_eq!(keyword("coinhive.min.js").as_deref(), Some("min"));
+        assert_eq!(keyword("|https://pool.").as_deref(), Some("https"));
+        assert_eq!(keyword("miner.js|").as_deref(), Some("js"));
+        assert_eq!(keyword("^x%41y^").as_deref(), Some("x%41y"));
+        // `*` and an open pattern end bound nothing.
+        assert_eq!(keyword("/wp-monero-miner*").as_deref(), Some("monero"));
+        assert_eq!(keyword("||minero-proxy*.sh^").as_deref(), Some("minero"));
+        assert_eq!(keyword("crypta.js"), None);
+        assert_eq!(keyword("*coinhive*"), None);
+        assert_eq!(keyword("a*b"), None);
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! using common ad blockers". This crate reproduces the whole pipeline:
 //!
 //! * [`extract`] — a tolerant HTML tokenizer that pulls script tags out of
-//!   (possibly truncated) landing pages, standing in for lxml,
+//!   (possibly truncated) landing pages, standing in for lxml; it borrows
+//!   from the page and jumps between `<` bytes,
 //! * [`filter`] — Adblock-Plus blocking-rule syntax (`||host^`, anchors,
-//!   `*` wildcards, `^` separators, `$` options) and URL matching,
+//!   `*` wildcards, `^` separators, `$` options) and URL matching that
+//!   allocates nothing and stays polynomial however many `*`s a rule has,
 //! * [`list`] — a bundled snapshot of 2018-era NoCoin rules, each tagged
 //!   with the mining service it targets (the Figure 2 legend),
-//! * [`engine`] — applies a rule list to a fetched page and reports hits.
+//! * [`engine`] — applies a rule list to a fetched page and reports hits,
+//!   testing each URL only against the rules its tokens select through an
+//!   Adblock Plus keyword index.
 
 pub mod engine;
 pub mod extract;
