@@ -158,11 +158,16 @@ fn finish_study(
         enumeration,
         resolve_report: tail_report,
     } = walk;
-    let links_per_token = enumeration.links_per_token();
+    // One counting pass ranks the tokens for Fig 3 and for Table 4.
+    let token_counts = enumeration.token_counts();
+    let links_per_token: Vec<u64> = token_counts.iter().map(|&(_, n)| n).collect();
     let top1 = top1_share(&links_per_token);
     let users85 = top_k_for_share(links_per_token.clone(), 0.85);
 
-    let biased = enumeration.requirements_biased();
+    // Sorted once, as integers: `log2` keeps their order, so the ECDF
+    // finds its input already sorted.
+    let mut biased = enumeration.requirements_biased();
+    biased.sort_unstable();
     let unbiased = enumeration.requirements_unbiased();
     let mut hist = Pow2Histogram::new(63);
     for &h in &biased {
@@ -175,7 +180,7 @@ fn finish_study(
 
     // Table 4 samples are resolved regardless of cost in the paper's
     // method (they come from the top users, whose links are cheap).
-    let top10_codes = table4_sample(&enumeration, seed, config.per_user_sample);
+    let top10_codes = table4_sample(&enumeration, &token_counts, seed, config.per_user_sample);
     let top10_report = resolve_accounted(service, &top10_codes, u64::MAX);
     let mut domain_counts: BTreeMap<String, u64> = BTreeMap::new();
     for (_code, url) in &top10_report.resolved {
@@ -235,17 +240,35 @@ fn finish_study(
     }
 }
 
+/// Users Table 4 samples: the top ten by link count.
+const TABLE4_USERS: usize = 10;
+
 /// Table 4's sample: up to `per_user_sample` random links of each of
-/// the top-10 users. The shuffle permutes doc positions: its draws
-/// depend only on the length, so the sample is the one a shuffle of the
-/// codes themselves would give.
-fn table4_sample(enumeration: &Enumeration, seed: u64, per_user_sample: usize) -> Vec<String> {
+/// the top-10 users, the first ten of `token_counts` (ranked as
+/// [`Enumeration::token_counts`] ranks them). One pass over the docs
+/// buckets each user's doc positions in doc order; each bucket is then
+/// shuffled in rank order. The shuffle permutes doc positions: its
+/// draws depend only on the length, so the sample is the one a shuffle
+/// of the codes themselves would give.
+fn table4_sample(
+    enumeration: &Enumeration,
+    token_counts: &[(u64, u64)],
+    seed: u64,
+    per_user_sample: usize,
+) -> Vec<String> {
+    let top = &token_counts[..token_counts.len().min(TABLE4_USERS)];
+    let mut buckets: Vec<Vec<usize>> = top
+        .iter()
+        .map(|&(_, links)| Vec::with_capacity(links as usize))
+        .collect();
+    for (i, doc) in enumeration.docs.iter().enumerate() {
+        if let Some(rank) = top.iter().position(|&(token, _)| token == doc.token_id) {
+            buckets[rank].push(i);
+        }
+    }
     let mut rng = DetRng::seed(seed).derive("shortlink.study.sample");
     let mut codes = Vec::new();
-    for token in enumeration.top_tokens(10) {
-        let mut picks: Vec<usize> = (0..enumeration.docs.len())
-            .filter(|&i| enumeration.docs[i].token_id == token)
-            .collect();
+    for mut picks in buckets {
         rng.shuffle(&mut picks);
         picks.truncate(per_user_sample);
         codes.extend(picks.into_iter().map(|i| enumeration.docs[i].code.clone()));
@@ -258,6 +281,9 @@ mod tests {
     use super::*;
     use minedig_primitives::supervise::CrashPolicy;
     use minedig_shortlink::enumerate::enumerate_links_with;
+    use minedig_shortlink::ids::index_to_code;
+    use minedig_shortlink::service::VisitDoc;
+    use proptest::prelude::*;
 
     fn config(total_links: u64, users: usize, per_user_sample: usize) -> StudyConfig {
         StudyConfig {
@@ -366,6 +392,101 @@ mod tests {
         }
     }
 
+    /// Reference Table 4 sample: the top ten from a SipHash count map,
+    /// then one `filter` pass over the docs per user.
+    fn table4_sample_ten_pass(
+        enumeration: &Enumeration,
+        seed: u64,
+        per_user_sample: usize,
+    ) -> Vec<String> {
+        let mut counts = std::collections::HashMap::new();
+        for d in &enumeration.docs {
+            *counts.entry(d.token_id).or_insert(0u64) += 1;
+        }
+        let mut ranked: Vec<(u64, u64)> = counts.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut rng = DetRng::seed(seed).derive("shortlink.study.sample");
+        let mut codes = Vec::new();
+        for (token, _) in ranked.into_iter().take(10) {
+            let mut picks: Vec<usize> = (0..enumeration.docs.len())
+                .filter(|&i| enumeration.docs[i].token_id == token)
+                .collect();
+            rng.shuffle(&mut picks);
+            picks.truncate(per_user_sample);
+            codes.extend(picks.into_iter().map(|i| enumeration.docs[i].code.clone()));
+        }
+        codes
+    }
+
+    fn docs_of(tokens: &[u64]) -> Enumeration {
+        let docs = tokens
+            .iter()
+            .enumerate()
+            .map(|(i, &token_id)| VisitDoc {
+                code: index_to_code(i as u64),
+                token_id,
+                required_hashes: 512,
+            })
+            .collect();
+        Enumeration {
+            docs,
+            probed: tokens.len() as u64,
+            failed_probes: 0,
+            probe_retries: 0,
+        }
+    }
+
+    fn one_pass_sample(e: &Enumeration, seed: u64, per_user_sample: usize) -> Vec<String> {
+        table4_sample(e, &e.token_counts(), seed, per_user_sample)
+    }
+
+    #[test]
+    fn table4_sample_matches_the_ten_pass_filter() {
+        // Twelve users of five links each: the top ten are a tie,
+        // broken by token id, and 8 > 5 takes every link of each.
+        let ties: Vec<u64> = (0..60u64).map(|i| 500 - (i * 5 % 12) * 7).collect();
+        let few = [4u64, 1, 4, 4, 2, 1, 9];
+        for tokens in [&ties[..], &few[..], &[]] {
+            let e = docs_of(tokens);
+            for per_user in [0, 1, 3, 8, 1_000] {
+                for seed in [0, 9, 2018] {
+                    assert_eq!(
+                        one_pass_sample(&e, seed, per_user),
+                        table4_sample_ten_pass(&e, seed, per_user),
+                        "per_user {per_user} seed {seed}"
+                    );
+                }
+            }
+        }
+        // A generated study's walk, with buckets of every size.
+        let config = config(10_000, 800, 100);
+        let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
+        let e = enumerate_links_with(&service, STUDY_DEAD_RUN_LIMIT, &ProbePolicy::default());
+        for per_user in [100, 5_000] {
+            assert_eq!(
+                one_pass_sample(&e, 9, per_user),
+                table4_sample_ten_pass(&e, 9, per_user)
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn table4_sample_matches_the_ten_pass_filter_on_generated_docs(
+            users in 1u64..16,
+            raw in prop::collection::vec(any::<u64>(), 0..300),
+            per_user in 0usize..40,
+            seed in any::<u64>(),
+        ) {
+            let tokens: Vec<u64> = raw.iter().map(|r| r % users * 31).collect();
+            let e = docs_of(&tokens);
+            prop_assert_eq!(
+                one_pass_sample(&e, seed, per_user),
+                table4_sample_ten_pass(&e, seed, per_user)
+            );
+        }
+    }
+
     #[test]
     fn fig3_headlines() {
         let r = small_study();
@@ -440,7 +561,8 @@ mod tests {
         let walk = run_to_end(study_campaign(&service, &policy, &config));
         let tail = walk.resolve_report.hashes_spent;
         let tail_resolved = walk.resolve_report.resolved.len() as u64;
-        let sample = table4_sample(&walk.enumeration, 9, config.per_user_sample);
+        let counts = walk.enumeration.token_counts();
+        let sample = table4_sample(&walk.enumeration, &counts, 9, config.per_user_sample);
         let r = finish_study(&service, walk, &config, 9);
         let table4 = resolve_accounted(&service, &sample, u64::MAX).hashes_spent;
         assert_eq!(r.tail_hashes_spent, tail);

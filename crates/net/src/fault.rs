@@ -44,6 +44,9 @@ impl FaultStats {
 pub struct FaultyTransport<T: Transport> {
     inner: T,
     plan: FaultPlan,
+    /// `DetRng::seed(plan.seed()).derive("garble")`, derived once: each
+    /// garbled payload's stream derives from it by operation key.
+    garble_root: DetRng,
     label: String,
     send_seq: u64,
     recv_seq: u64,
@@ -57,6 +60,7 @@ impl<T: Transport> FaultyTransport<T> {
     pub fn new(inner: T, plan: FaultPlan, label: &str) -> FaultyTransport<T> {
         FaultyTransport {
             inner,
+            garble_root: DetRng::seed(plan.seed()).derive("garble"),
             plan,
             label: label.to_string(),
             send_seq: 0,
@@ -93,7 +97,7 @@ impl<T: Transport> FaultyTransport<T> {
     fn garble(&self, key: &str, payload: &[u8]) -> Vec<u8> {
         // Corruption is keyed like the fault itself, so a garbled
         // payload is reproducible byte-for-byte.
-        let mut rng = DetRng::seed(self.plan.seed()).derive("garble").derive(key);
+        let mut rng = self.garble_root.derive(key);
         payload
             .iter()
             .map(|&b| b ^ (1 + rng.gen_range(255)) as u8)
@@ -304,6 +308,13 @@ mod tests {
         assert_ne!(first, b"payload".to_vec());
         assert_eq!(first.len(), 7);
         assert_eq!(first, run(), "garbling must be reproducible");
+        // The stream is the one derived from the seed in two steps.
+        let mut rng = DetRng::seed(6).derive("garble").derive("t.send.0");
+        let expected: Vec<u8> = b"payload"
+            .iter()
+            .map(|&b| b ^ (1 + rng.gen_range(255)) as u8)
+            .collect();
+        assert_eq!(first, expected);
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub struct Rule {
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Token {
-    /// Literal text (lowercased; URL matching is case-insensitive).
+    /// Literal text (ASCII-lowercased, like the URLs it is matched
+    /// against; URL matching is ASCII case-insensitive).
     Literal(String),
     /// `*` — any run of characters.
     Wildcard,
@@ -115,7 +116,9 @@ impl Rule {
                     }
                     tokens.push(Token::Separator);
                 }
-                c => literal.extend(c.to_lowercase()),
+                // ASCII only, as URLs are: Unicode lowering maps `É`
+                // to `é` and the Kelvin sign `K` to `k`.
+                c => literal.push(c.to_ascii_lowercase()),
             }
         }
         if !literal.is_empty() {
@@ -354,6 +357,18 @@ mod tests {
         assert!(r.matches("https://coinhive.com")); // ^ matches end
         assert!(r.matches("https://coinhive.com:8080/x")); // ':' is a separator
         assert!(!r.matches("https://coinhive.community/x")); // 'm' is not
+    }
+
+    #[test]
+    fn non_ascii_letters_keep_their_case_in_rules_as_in_urls() {
+        let host = rule("||CAF\u{c9}.example^");
+        assert!(host.matches("https://CAF\u{c9}.example/x.js"));
+        assert!(host.matches("https://caf\u{c9}.example/x.js"));
+        assert!(!host.matches("https://caf\u{e9}.example/x.js"));
+        // The Kelvin sign lowers to an ASCII `k` under Unicode rules.
+        let kelvin = rule("/\u{212A}oin.js");
+        assert!(kelvin.matches("https://x/\u{212A}oin.js"));
+        assert!(!kelvin.matches("https://x/koin.js"));
     }
 
     #[test]

@@ -142,10 +142,13 @@ fn pick(items: &'static [&'static str]) -> impl Strategy<Value = String> {
 }
 
 /// NoCoin-like pattern fragments: hosts, paths, digits, `%`, upper case,
-/// and `*`-heavy runs (which once cost exponential time).
+/// `*`-heavy runs (which once cost exponential time), and non-ASCII
+/// letters whose Unicode lower case differs from their ASCII one (`É`,
+/// and the Kelvin sign `\u{212a}`, which lowers to an ASCII `k`).
 const PATTERN_FRAGMENTS: &[&str] = &[
     "coinhive", "coin", "hive", "miner", "Miner", ".com", ".js", "/lib/", "-", "a", "aa", "xy",
-    "9", "%2f", "*", "*", "*a*", "a*a", "*a*a*", "^", "^*", "*^",
+    "9", "%2f", "*", "*", "*a*", "a*a", "*a*a*", "^", "^*", "*^", "CAFÉ", "café", "\u{212a}",
+    "oin", "koin", "\u{65e5}",
 ];
 
 fn arb_pattern() -> impl Strategy<Value = String> {
@@ -170,6 +173,7 @@ const HOSTS: &[&str] = &[
     "x9.io:8080",
     "aaaaaaaa.aa",
     "caf\u{e9}.example",
+    "CAF\u{c9}.example",
 ];
 const PATHS: &[&str] = &[
     "/lib/coinhive.min.js",
@@ -183,6 +187,8 @@ const PATHS: &[&str] = &[
     "/aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
     "/a.a.a.a.a.a.a.a.a.a",
     "/\u{65e5}\u{672c}/coin",
+    "/\u{212a}oin.js",
+    "/koin.js",
 ];
 
 fn arb_url() -> impl Strategy<Value = String> {
@@ -258,10 +264,12 @@ struct GenRule {
 }
 
 /// Fragments for engine rules. Keyword runs touch `*`, `^`, anchors and
-/// open pattern ends, so a keyword that ignores any of them is caught.
+/// open pattern ends, so a keyword that ignores any of them is caught;
+/// the non-ASCII ones catch a rule lowered other than its URLs.
 const RULE_FRAGMENTS: &[&str] = &[
     "coinhive", "coin", "hive", "miner", "deep", ".com", ".js", ".min", "/lib/", "-", "COIN",
-    "Hive", "9", "x9", "%2f", "a", "aa", "*", "*", "^", "*a*", "*coin", "miner*",
+    "Hive", "9", "x9", "%2f", "a", "aa", "*", "*", "^", "*a*", "*coin", "miner*", "CAFÉ",
+    "\u{212a}", "oin", "koin",
 ];
 
 const LABELS: [ServiceLabel; 7] = [

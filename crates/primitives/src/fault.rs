@@ -85,10 +85,21 @@ impl Default for FaultConfig {
 ///
 /// `decide` is a pure function: the same `(seed, config, key, attempt)`
 /// always yields the same verdict, on any shard, in any order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
     config: FaultConfig,
+    /// `DetRng::seed(seed).derive("fault")`, derived once: every key's
+    /// stream derives from it.
+    root: DetRng,
+}
+
+/// Two plans are equal when their seeds and configurations are; the
+/// root stream follows from the seed.
+impl PartialEq for FaultPlan {
+    fn eq(&self, other: &FaultPlan) -> bool {
+        self.seed == other.seed && self.config == other.config
+    }
 }
 
 /// Environment variable naming the fault seed for chaos runs.
@@ -102,7 +113,11 @@ impl FaultPlan {
 
     /// A plan with an explicit configuration.
     pub fn with_config(seed: u64, config: FaultConfig) -> FaultPlan {
-        FaultPlan { seed, config }
+        FaultPlan {
+            seed,
+            config,
+            root: DetRng::seed(seed).derive("fault"),
+        }
     }
 
     /// A transient-only plan: every fault clears within
@@ -148,14 +163,10 @@ impl FaultPlan {
         self.config.max_transient_attempts.saturating_add(1)
     }
 
-    fn key_rng(&self, key: &str) -> DetRng {
-        DetRng::seed(self.seed).derive("fault").derive(key)
-    }
-
     /// The fault injected into the `attempt`-th try (zero-based) of the
     /// operation named `key`, or `None` for a clean attempt.
     pub fn decide(&self, key: &str, attempt: u32) -> Option<Fault> {
-        let mut rng = self.key_rng(key);
+        let mut rng = self.root.derive(key);
         if !rng.chance(self.config.fault_prob) {
             return None;
         }
@@ -222,6 +233,65 @@ mod tests {
             }
         }
         assert!(differs, "seeds 11 and 12 produced identical schedules");
+    }
+
+    /// Reference `decide`: derives the key's stream from the seed in
+    /// two steps on every call.
+    fn decide_rederiving(plan: &FaultPlan, key: &str, attempt: u32) -> Option<Fault> {
+        let config = plan.config();
+        let mut rng = DetRng::seed(plan.seed()).derive("fault").derive(key);
+        if !rng.chance(config.fault_prob) {
+            return None;
+        }
+        let permanent = rng.chance(config.permanent_prob);
+        let clears_after = 1 + rng.gen_range(u64::from(config.max_transient_attempts.max(1)));
+        if !permanent && u64::from(attempt) >= clears_after {
+            return None;
+        }
+        Some(match rng.weighted_index(&config.kind_weights) {
+            0 => Fault::Drop,
+            1 => Fault::Delay {
+                ms: 1 + rng.gen_range(config.mean_delay_ms.max(1) * 2),
+            },
+            2 => Fault::Disconnect,
+            3 => Fault::Garble,
+            _ => Fault::Stall,
+        })
+    }
+
+    #[test]
+    fn decide_matches_the_rederiving_construction() {
+        let mixed = FaultConfig {
+            fault_prob: 0.6,
+            permanent_prob: 0.3,
+            max_transient_attempts: 3,
+            kind_weights: [1.0, 2.0, 0.5, 1.0, 3.0],
+            ..FaultConfig::default()
+        };
+        for plan in [
+            FaultPlan::new(0),
+            FaultPlan::new(5),
+            FaultPlan::with_config(2018, mixed),
+        ] {
+            for i in 0..2_000 {
+                let key = format!("probe.k{i}");
+                for attempt in [0, 1, 2, 3, 7, u32::MAX] {
+                    assert_eq!(
+                        plan.decide(&key, attempt),
+                        decide_rederiving(&plan, &key, attempt),
+                        "seed {} key {key} attempt {attempt}",
+                        plan.seed()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plans_are_equal_by_seed_and_config() {
+        assert_eq!(FaultPlan::new(3), FaultPlan::new(3).clone());
+        assert_ne!(FaultPlan::new(3), FaultPlan::new(4));
+        assert_ne!(FaultPlan::new(3), FaultPlan::transient_only(3, 0.5));
     }
 
     #[test]

@@ -16,6 +16,7 @@ pub mod ckpt;
 pub mod fault;
 pub mod health;
 pub mod hex;
+pub mod idhash;
 pub mod keccak;
 pub mod par;
 pub mod retry;
@@ -33,6 +34,7 @@ pub use health::{
     ProbePlan, ShedStats, HEALTH_ENV,
 };
 pub use hex::{from_hex, to_hex};
+pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use keccak::{keccak1600, keccak256, sha3_256};
 pub use par::ParallelExecutor;
 pub use retry::{retry, Clock, ErrorClass, GiveUp, RetryPolicy, Retryable, VirtualClock};

@@ -133,16 +133,24 @@ impl DetRng {
     /// Samples an index according to the given non-negative weights.
     /// Panics if the weights sum to zero or the slice is empty.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+        self.weighted_index_by(weights, |&w| w)
+    }
+
+    /// [`weighted_index`](DetRng::weighted_index) over the weights that
+    /// `weight` reads off `items`: the same draw, without building a
+    /// weights slice first.
+    pub fn weighted_index_by<T>(&mut self, items: &[T], weight: impl Fn(&T) -> f64) -> usize {
+        let total: f64 = items.iter().map(&weight).sum();
         assert!(total > 0.0, "weighted_index with zero total weight");
         let mut target = self.f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
+        for (i, item) in items.iter().enumerate() {
+            let w = weight(item);
             if target < w {
                 return i;
             }
             target -= w;
         }
-        weights.len() - 1
+        items.len() - 1
     }
 
     /// Fisher–Yates shuffle.
@@ -358,6 +366,20 @@ mod tests {
         assert!(counts[2] > counts[1] && counts[1] > counts[0]);
         let share2 = counts[2] as f64 / 30_000.0;
         assert!((0.65..0.75).contains(&share2), "share {share2}");
+    }
+
+    #[test]
+    fn weighted_index_by_draws_what_weighted_index_draws() {
+        let items = [("a", 15.2), ("b", 0.0), ("c", 7.3), ("d", 1e-3), ("e", 2.4)];
+        let weights: Vec<f64> = items.iter().map(|&(_, w)| w).collect();
+        let (mut by, mut plain) = (DetRng::seed(6), DetRng::seed(6));
+        for _ in 0..10_000 {
+            assert_eq!(
+                by.weighted_index_by(&items, |&(_, w)| w),
+                plain.weighted_index(&weights)
+            );
+        }
+        assert_eq!(by.next_u64(), plain.next_u64());
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::resolve::{resolve_step, ResolveReport};
 use crate::service::{ShortlinkService, VisitDoc};
 use minedig_primitives::ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot};
 use minedig_primitives::supervise::{Backend, Campaign};
+use minedig_primitives::IdSet;
 use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,7 +144,7 @@ pub struct EnumCampaign<'a, P: LinkProber + Sync> {
     /// not snapshotted; it is rebuilt from `enumeration.docs` on
     /// restore, since every live doc entered it exactly once.
     tail_only: bool,
-    seen: std::collections::HashSet<(u64, u64)>,
+    seen: IdSet<(u64, u64)>,
     enumeration: Enumeration,
     resolve_report: ResolveReport,
     dead_run: u64,
@@ -180,7 +181,7 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
             backend,
             resolver: None,
             tail_only: false,
-            seen: std::collections::HashSet::new(),
+            seen: IdSet::default(),
             enumeration: Enumeration {
                 docs: Vec::new(),
                 probed: 0,
@@ -372,7 +373,7 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
                 .map(|d| (d.token_id, d.required_hashes))
                 .collect()
         } else {
-            std::collections::HashSet::new()
+            IdSet::default()
         };
         self.journaled.set(Some(Journaled {
             key,

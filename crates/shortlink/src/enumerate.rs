@@ -21,6 +21,7 @@
 use crate::ids::index_to_code;
 use crate::probe::{probe_with_retry, LinkProber, ProbePolicy};
 use crate::service::{ShortlinkService, VisitDoc};
+use minedig_primitives::{IdMap, IdSet};
 
 /// Result of enumerating the address space.
 #[derive(Clone, Debug)]
@@ -37,15 +38,23 @@ pub struct Enumeration {
 }
 
 impl Enumeration {
+    /// `(token, links)` for every token, most links first and ties by
+    /// token id: one counting pass that yields both Fig 3's series
+    /// ([`links_per_token`](Enumeration::links_per_token)) and the top
+    /// creators ([`top_tokens`](Enumeration::top_tokens)).
+    pub fn token_counts(&self) -> Vec<(u64, u64)> {
+        let mut counts: IdMap<u64, u64> = IdMap::default();
+        for d in &self.docs {
+            *counts.entry(d.token_id).or_insert(0) += 1;
+        }
+        let mut v: Vec<(u64, u64)> = counts.into_iter().collect();
+        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        v
+    }
+
     /// Links per token, sorted descending (Fig 3's series).
     pub fn links_per_token(&self) -> Vec<u64> {
-        let mut counts = std::collections::HashMap::new();
-        for d in &self.docs {
-            *counts.entry(d.token_id).or_insert(0u64) += 1;
-        }
-        let mut v: Vec<u64> = counts.into_values().collect();
-        v.sort_unstable_by(|a, b| b.cmp(a));
-        v
+        self.token_counts().into_iter().map(|(_, n)| n).collect()
     }
 
     /// All observed hash requirements (biased dataset).
@@ -55,7 +64,7 @@ impl Enumeration {
 
     /// Requirements deduplicated per `(token, count)` (unbiased dataset).
     pub fn requirements_unbiased(&self) -> Vec<u64> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         self.docs
             .iter()
             .filter(|d| seen.insert((d.token_id, d.required_hashes)))
@@ -63,15 +72,13 @@ impl Enumeration {
             .collect()
     }
 
-    /// Token ids of the top-k creators by link count.
+    /// Token ids of the top-k creators by link count, ties by token id.
     pub fn top_tokens(&self, k: usize) -> Vec<u64> {
-        let mut counts = std::collections::HashMap::new();
-        for d in &self.docs {
-            *counts.entry(d.token_id).or_insert(0u64) += 1;
-        }
-        let mut v: Vec<(u64, u64)> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.into_iter().take(k).map(|(t, _)| t).collect()
+        self.token_counts()
+            .into_iter()
+            .take(k)
+            .map(|(t, _)| t)
+            .collect()
     }
 }
 
@@ -127,6 +134,9 @@ mod tests {
     use super::*;
     use crate::model::{LinkPopulation, ModelConfig};
     use minedig_primitives::stats::top1_share;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::collections::{HashMap, HashSet};
 
     fn enumeration() -> Enumeration {
         let service = ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
@@ -175,6 +185,104 @@ mod tests {
         assert!(top1_share(&counts) > 0.25);
     }
 
+    /// An enumeration whose docs carry `tokens` in order; a token's
+    /// requirement cycles through three values with its doc position.
+    fn docs_of(tokens: &[u64]) -> Enumeration {
+        let docs = tokens
+            .iter()
+            .enumerate()
+            .map(|(i, &token_id)| VisitDoc {
+                code: index_to_code(i as u64),
+                token_id,
+                required_hashes: 256 << (i % 3),
+            })
+            .collect();
+        Enumeration {
+            docs,
+            probed: tokens.len() as u64,
+            failed_probes: 0,
+            probe_retries: 0,
+        }
+    }
+
+    /// Reference statistics: a SipHash map or set per statistic.
+    fn token_map(e: &Enumeration) -> HashMap<u64, u64> {
+        let mut counts = HashMap::new();
+        for d in &e.docs {
+            *counts.entry(d.token_id).or_insert(0u64) += 1;
+        }
+        counts
+    }
+
+    fn links_per_token_reference(e: &Enumeration) -> Vec<u64> {
+        let mut v: Vec<u64> = token_map(e).into_values().collect();
+        v.sort_unstable_by(|a, b| b.cmp(a));
+        v
+    }
+
+    fn top_tokens_reference(e: &Enumeration, k: usize) -> Vec<u64> {
+        let mut v: Vec<(u64, u64)> = token_map(e).into_iter().collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        v.into_iter().take(k).map(|(t, _)| t).collect()
+    }
+
+    fn requirements_unbiased_reference(e: &Enumeration) -> Vec<u64> {
+        let mut seen = HashSet::new();
+        e.docs
+            .iter()
+            .filter(|d| seen.insert((d.token_id, d.required_hashes)))
+            .map(|d| d.required_hashes)
+            .collect()
+    }
+
+    fn counts_match_the_references(e: &Enumeration) -> Result<(), TestCaseError> {
+        prop_assert_eq!(e.links_per_token(), links_per_token_reference(e));
+        for k in [0, 1, 3, 10, 25] {
+            prop_assert_eq!(e.top_tokens(k), top_tokens_reference(e, k), "k={}", k);
+        }
+        prop_assert_eq!(
+            e.requirements_unbiased(),
+            requirements_unbiased_reference(e)
+        );
+        let counts = e.token_counts();
+        prop_assert_eq!(counts.len(), token_map(e).len());
+        prop_assert_eq!(
+            counts.iter().map(|&(_, n)| n).sum::<u64>(),
+            e.docs.len() as u64
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn one_pass_counts_match_the_per_statistic_maps() {
+        // Fifteen tokens with five links each, interleaved, and ids out
+        // of step with first appearance: every rank is a tie.
+        let ties: Vec<u64> = (0..75u64).map(|i| 1_000 - (i * 7 % 15) * 13).collect();
+        let e = docs_of(&ties);
+        counts_match_the_references(&e).unwrap();
+        assert_eq!(e.top_tokens(3), [818, 831, 844]);
+        // Fewer than ten tokens, ties among them, and none at all.
+        for tokens in [
+            vec![5, 3, 5, 9, 3, 3, 9, 5],
+            vec![u64::MAX, 0, u64::MAX],
+            vec![],
+        ] {
+            counts_match_the_references(&docs_of(&tokens)).unwrap();
+        }
+        counts_match_the_references(&enumeration()).unwrap();
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_counts_match_the_maps_on_generated_enumerations(
+            users in 1u64..30,
+            raw in prop::collection::vec(any::<u64>(), 0..400),
+        ) {
+            let tokens: Vec<u64> = raw.iter().map(|r| r % users * 0x9e37_79b9).collect();
+            counts_match_the_references(&docs_of(&tokens))?;
+        }
+    }
+
     #[test]
     fn empty_service_terminates() {
         let service = ShortlinkService::new(LinkPopulation {
@@ -198,7 +306,7 @@ mod tests {
                 required_hashes: 512,
                 target_domain: "dest.example".into(),
                 path_hash: i,
-                target_categories: Box::new([]),
+                target_categories: Default::default(),
             })
             .collect();
         ShortlinkService::new(LinkPopulation { links, users: 8 })

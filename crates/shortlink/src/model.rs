@@ -11,8 +11,8 @@
 
 use crate::ids::index_to_code;
 use minedig_primitives::rng::Zipf;
-use minedig_primitives::DetRng;
-use minedig_web::category::{sample_categories, Category, CategoryWeights};
+use minedig_primitives::{DetRng, IdMap, IdSet};
+use minedig_web::category::{sample_category_set, Category, CategorySet, CategoryWeights};
 use std::sync::Arc;
 
 /// The paper's observed live-link count in February 2018.
@@ -26,7 +26,8 @@ pub const MAX_HASHES: u64 = 10_000_000_000_000_000_000;
 ///
 /// The record stores only what its index cannot determine: the code
 /// and the destination URL are computed on demand from `index`,
-/// `target_domain` and `path_hash`.
+/// `target_domain` and `path_hash`. It owns no heap memory of its own:
+/// the domain is shared and the categories are held inline.
 #[derive(Clone, Debug)]
 pub struct LinkRecord {
     /// Creation index (determines the code).
@@ -41,7 +42,7 @@ pub struct LinkRecord {
     /// Path component of the destination URL.
     pub path_hash: u64,
     /// Latent destination categories (revealed via RuleSpace for Table 5).
-    pub target_categories: Box<[Category]>,
+    pub target_categories: CategorySet,
 }
 
 impl LinkRecord {
@@ -165,10 +166,9 @@ fn sample_policy(rng: &mut DetRng, is_rank1: bool) -> UserPolicy {
         (15, 0.04),
         (16, 0.04),
     ];
-    let weights: Vec<f64> = EXP_WEIGHTS.iter().map(|(_, w)| *w).collect();
     let n = 1 + rng.gen_range(2) as usize;
     let counts = (0..n)
-        .map(|_| 1u64 << EXP_WEIGHTS[rng.weighted_index(&weights)].0)
+        .map(|_| 1u64 << EXP_WEIGHTS[rng.weighted_index_by(&EXP_WEIGHTS, |&(_, w)| w)].0)
         .collect();
     UserPolicy { counts }
 }
@@ -219,7 +219,6 @@ impl LinkPopulation {
         }
         rng.shuffle(&mut owners);
 
-        let top10_weights: Vec<f64> = TOP10_DESTINATIONS.iter().map(|(_, _, w)| *w).collect();
         // The head users' 310 destinations cover ~85 % of links; every
         // link to one of them shares its domain.
         let top10_domains: Vec<Arc<str>> = TOP10_DESTINATIONS
@@ -238,17 +237,17 @@ impl LinkPopulation {
             let (target_domain, target_categories) = if is_head {
                 // 89 % on the Table 4 domains, the rest on misc mirrors.
                 if rng.chance(0.89) {
-                    let i = rng.weighted_index(&top10_weights);
+                    let i = rng.weighted_index_by(TOP10_DESTINATIONS, |&(_, _, w)| w);
                     let cat = TOP10_DESTINATIONS[i].1;
-                    (top10_domains[i].clone(), Box::from([cat]))
+                    (top10_domains[i].clone(), CategorySet::from(cat))
                 } else {
                     let m = rng.gen_range(MIRRORS) as usize;
-                    (mirrors[m].clone(), Box::from([Category::Filesharing]))
+                    (mirrors[m].clone(), CategorySet::from(Category::Filesharing))
                 }
             } else {
                 let dom = format!("dest-{:06}.{}", rng.gen_range(500_000), tail_tld(&mut rng));
-                let cats = sample_categories(&mut rng, TAIL_CATEGORY_WEIGHTS);
-                (Arc::from(dom), cats.into_boxed_slice())
+                let cats = sample_category_set(&mut rng, TAIL_CATEGORY_WEIGHTS);
+                (Arc::from(dom), cats)
             };
             links.push(LinkRecord {
                 index: index as u64,
@@ -267,7 +266,7 @@ impl LinkPopulation {
 
     /// Links-per-token counts (Fig 3's y-values), sorted descending.
     pub fn links_per_token(&self) -> Vec<u64> {
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = IdMap::default();
         for l in &self.links {
             *counts.entry(l.token_id).or_insert(0u64) += 1;
         }
@@ -284,7 +283,7 @@ impl LinkPopulation {
     /// Hash requirements counted once per `(user, count)` pair (the
     /// user-bias-removed dataset of Fig 4).
     pub fn hash_requirements_unbiased(&self) -> Vec<u64> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         self.links
             .iter()
             .filter(|l| seen.insert((l.token_id, l.required_hashes)))
@@ -390,7 +389,7 @@ mod tests {
             .links
             .iter()
             .filter(|l| l.token_id >= 10)
-            .flat_map(|l| l.target_categories.clone())
+            .flat_map(|l| l.target_categories)
             .collect();
         assert!(tail_cats.len() >= 12, "tail categories {}", tail_cats.len());
     }

@@ -131,7 +131,7 @@ mod tests {
                 required_hashes: 64,
                 target_domain: "dest.example".into(),
                 path_hash: 0,
-                target_categories: Box::new([]),
+                target_categories: Default::default(),
             }],
             users: 1,
         })

@@ -323,7 +323,7 @@ mod tests {
                 required_hashes: 8,
                 target_domain: "youtu.be".into(),
                 path_hash: 0x5eed_c0de,
-                target_categories: Box::new([]),
+                target_categories: Default::default(),
             }],
             users: 1,
         });
@@ -359,7 +359,7 @@ mod tests {
                 required_hashes: 8,
                 target_domain: "youtu.be".into(),
                 path_hash: 0x5eed_c0de,
-                target_categories: Box::new([]),
+                target_categories: Default::default(),
             }],
             users: 1,
         })

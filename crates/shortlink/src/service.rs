@@ -92,7 +92,9 @@ impl ShortlinkService {
     pub fn visit(&self, code: &str) -> Option<VisitDoc> {
         let link = self.lookup(code)?;
         Some(VisitDoc {
-            code: link.code(),
+            // `code` decoded to this link's index, so it is the link's
+            // own code: no need to encode the index again.
+            code: code.to_owned(),
             token_id: link.token_id,
             required_hashes: link.required_hashes,
         })
@@ -216,7 +218,7 @@ mod tests {
             required_hashes,
             target_domain: "dest.example".into(),
             path_hash: tag,
-            target_categories: Box::new([]),
+            target_categories: Default::default(),
         }
     }
 

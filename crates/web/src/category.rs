@@ -125,18 +125,112 @@ pub const GENERIC_WEB: CategoryWeights = &[
     (Category::Automotive, 1.0),
 ];
 
-/// Samples 1–3 latent categories from a weight profile.
-pub fn sample_categories(rng: &mut DetRng, weights: CategoryWeights) -> Vec<Category> {
+/// Up to [`CAPACITY`](CategorySet::CAPACITY) categories in the order they
+/// were added, held inline: a `Copy` value that owns no heap memory.
+/// Reads as a slice through `Deref`.
+#[derive(Clone, Copy)]
+pub struct CategorySet {
+    len: u8,
+    /// `cats[..len]` are the set; the rest is filler.
+    cats: [Category; CategorySet::CAPACITY],
+}
+
+impl CategorySet {
+    /// Most categories a set holds: [`sample_category_set`] draws 1–3.
+    pub const CAPACITY: usize = 3;
+
+    /// The empty set.
+    pub const fn new() -> CategorySet {
+        CategorySet {
+            len: 0,
+            cats: [Category::Gaming; CategorySet::CAPACITY],
+        }
+    }
+
+    /// Appends `category`. Panics when the set already holds
+    /// [`CAPACITY`](CategorySet::CAPACITY) categories.
+    pub fn push(&mut self, category: Category) {
+        assert!(
+            usize::from(self.len) < CategorySet::CAPACITY,
+            "CategorySet holds at most {} categories",
+            CategorySet::CAPACITY
+        );
+        self.cats[usize::from(self.len)] = category;
+        self.len += 1;
+    }
+}
+
+impl Default for CategorySet {
+    fn default() -> CategorySet {
+        CategorySet::new()
+    }
+}
+
+impl From<Category> for CategorySet {
+    fn from(category: Category) -> CategorySet {
+        let mut set = CategorySet::new();
+        set.push(category);
+        set
+    }
+}
+
+impl std::ops::Deref for CategorySet {
+    type Target = [Category];
+
+    fn deref(&self) -> &[Category] {
+        &self.cats[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for CategorySet {
+    fn eq(&self, other: &CategorySet) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for CategorySet {}
+
+impl std::fmt::Debug for CategorySet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a CategorySet {
+    type Item = &'a Category;
+    type IntoIter = std::slice::Iter<'a, Category>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl IntoIterator for CategorySet {
+    type Item = Category;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Category, { CategorySet::CAPACITY }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.cats.into_iter().take(usize::from(self.len))
+    }
+}
+
+/// Samples 1–3 latent categories from a weight profile, without repeats,
+/// in the order they were drawn.
+pub fn sample_category_set(rng: &mut DetRng, weights: CategoryWeights) -> CategorySet {
     let n = 1 + rng.weighted_index(&[0.55, 0.35, 0.10]);
-    let w: Vec<f64> = weights.iter().map(|(_, x)| *x).collect();
-    let mut cats = Vec::with_capacity(n);
+    let mut cats = CategorySet::new();
     for _ in 0..n {
-        let c = weights[rng.weighted_index(&w)].0;
+        let c = weights[rng.weighted_index_by(weights, |&(_, w)| w)].0;
         if !cats.contains(&c) {
             cats.push(c);
         }
     }
     cats
+}
+
+/// [`sample_category_set`] as a `Vec`.
+pub fn sample_categories(rng: &mut DetRng, weights: CategoryWeights) -> Vec<Category> {
+    sample_category_set(rng, weights).to_vec()
 }
 
 /// The RuleSpace oracle: reveals latent categories with zone-dependent
@@ -225,6 +319,90 @@ mod tests {
             sorted.sort();
             sorted.dedup();
             assert_eq!(sorted.len(), cats.len());
+        }
+    }
+
+    /// Reference sampler: builds a weights `Vec` per call and grows a
+    /// `Vec` of draws.
+    fn sample_categories_vec(rng: &mut DetRng, weights: CategoryWeights) -> Vec<Category> {
+        let n = 1 + rng.weighted_index(&[0.55, 0.35, 0.10]);
+        let w: Vec<f64> = weights.iter().map(|(_, x)| *x).collect();
+        let mut cats = Vec::with_capacity(n);
+        for _ in 0..n {
+            let c = weights[rng.weighted_index(&w)].0;
+            if !cats.contains(&c) {
+                cats.push(c);
+            }
+        }
+        cats
+    }
+
+    #[test]
+    fn set_sampler_draws_what_the_vec_sampler_draws() {
+        const NARROW: CategoryWeights = &[(Category::News, 1.0), (Category::Sports, 3.0)];
+        const SKEWED: CategoryWeights = &[
+            (Category::Hosting, 0.0),
+            (Category::Travel, 1e-9),
+            (Category::Religion, 50.0),
+        ];
+        for weights in [GENERIC_WEB, NARROW, SKEWED] {
+            for seed in [0, 7, 2018] {
+                let (mut set_rng, mut vec_rng) = (DetRng::seed(seed), DetRng::seed(seed));
+                for draw in 0..5_000 {
+                    let set = sample_category_set(&mut set_rng, weights);
+                    let reference = sample_categories_vec(&mut vec_rng, weights);
+                    assert_eq!(&*set, &reference[..], "seed {seed} draw {draw}");
+                    assert_eq!(set.to_vec(), reference);
+                }
+                // Both consumed exactly the same draws.
+                assert_eq!(set_rng.next_u64(), vec_rng.next_u64(), "seed {seed}");
+            }
+        }
+        let (mut a, mut b) = (DetRng::seed(3), DetRng::seed(3));
+        for _ in 0..1_000 {
+            assert_eq!(
+                sample_categories(&mut a, GENERIC_WEB),
+                sample_categories_vec(&mut b, GENERIC_WEB)
+            );
+        }
+    }
+
+    #[test]
+    fn category_sets_read_like_lists() {
+        let mut set = CategorySet::new();
+        assert!(set.is_empty());
+        assert_eq!(set, CategorySet::default());
+        assert_eq!(format!("{set:?}"), "[]");
+        set.push(Category::News);
+        assert_eq!(set, CategorySet::from(Category::News));
+        set.push(Category::Gaming);
+        assert_eq!(format!("{set:?}"), "[News, Gaming]");
+        assert_eq!(set.len(), 2);
+        assert!(set.contains(&Category::Gaming));
+        let by_ref: Vec<Category> = (&set).into_iter().copied().collect();
+        let by_value: Vec<Category> = set.into_iter().collect();
+        assert_eq!(by_ref, [Category::News, Category::Gaming]);
+        assert_eq!(by_value, by_ref);
+        // Equality sees only the held categories, in order.
+        let mut other = CategorySet::from(Category::Gaming);
+        assert_ne!(other, set);
+        other = CategorySet::from(Category::News);
+        other.push(Category::Gaming);
+        assert_eq!(other, set);
+        assert_eq!(std::mem::size_of::<CategorySet>(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3")]
+    fn a_fourth_category_does_not_fit() {
+        let mut set = CategorySet::new();
+        for c in [
+            Category::News,
+            Category::Gaming,
+            Category::Travel,
+            Category::Sports,
+        ] {
+            set.push(c);
         }
     }
 

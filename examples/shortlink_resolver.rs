@@ -53,7 +53,7 @@ fn main() {
             required_hashes: 64,
             target_domain: "youtu.be".into(),
             path_hash: 0x3e88,
-            target_categories: Box::new([]),
+            target_categories: Default::default(),
         }],
         users: 1,
     });

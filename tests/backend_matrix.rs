@@ -86,7 +86,7 @@ fn gap_service(live: &[u64]) -> ShortlinkService {
             required_hashes: 512,
             target_domain: "dest.example".into(),
             path_hash: i,
-            target_categories: Box::new([]),
+            target_categories: Default::default(),
         })
         .collect();
     ShortlinkService::new(LinkPopulation { links, users: 8 })

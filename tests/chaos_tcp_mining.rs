@@ -30,7 +30,7 @@ fn one_link_service() -> ShortlinkService {
             required_hashes: 8,
             target_domain: "youtu.be".into(),
             path_hash: 0x5eed_c0de,
-            target_categories: Box::new([]),
+            target_categories: Default::default(),
         }],
         users: 1,
     })

@@ -66,7 +66,7 @@ fn real_pow_resolution_over_tcp_credits_the_creator() {
             required_hashes: 24,
             target_domain: "zippyshare.com".into(),
             path_hash: 0xf11e,
-            target_categories: Box::new([]),
+            target_categories: Default::default(),
         }],
         users: 1,
     });
@@ -89,7 +89,7 @@ fn infeasible_link_cannot_be_resolved_within_budget() {
             required_hashes: minedig::shortlink::model::MAX_HASHES,
             target_domain: "never.example".into(),
             path_hash: 0,
-            target_categories: Box::new([]),
+            target_categories: Default::default(),
         }],
         users: 1,
     });
