@@ -3,8 +3,8 @@
 //!
 //! `scan_pages` runs the keyword-indexed engine over 256 typical landing
 //! pages; `beyond_cut_page` labels one page cut at 256 kB, where the
-//! tag scanner's jumps between `<` bytes carry the cost (such pages hold
-//! most of the bytes a scan reads).
+//! tag scanner's word-at-a-time pass over text carries the cost (such
+//! pages hold most of the bytes a scan reads).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use minedig_nocoin::NoCoinEngine;

@@ -531,7 +531,7 @@ mod tests {
     #[test]
     fn final_html_is_truncated_to_65kb() {
         let big_body = "x".repeat(100_000);
-        let page = Page::new("big.example", &format!("<html>{big_body}</html>"));
+        let page = Page::new("big.example", format!("<html>{big_body}</html>"));
         let cap = load_page(&page, &LoadPolicy::default());
         assert_eq!(cap.final_html.len(), 65_536);
     }

@@ -93,11 +93,12 @@ pub struct Page {
 }
 
 impl Page {
-    /// A minimal page with the given HTML that loads normally.
-    pub fn new(domain: &str, html: &str) -> Page {
+    /// A minimal page with the given HTML that loads normally. An owned
+    /// `String` moves into the page; a `&str` is copied.
+    pub fn new(domain: &str, html: impl Into<String>) -> Page {
         Page {
             domain: domain.to_string(),
-            html: html.to_string(),
+            html: html.into(),
             fires_load_event: true,
             behaviors: HashMap::new(),
         }

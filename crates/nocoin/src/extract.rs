@@ -6,11 +6,13 @@
 //! treats an unterminated final tag or script body as ending at EOF.
 //!
 //! [`script_tags`] borrows: it yields `&str` slices of the page and
-//! allocates nothing. It finds `<script` and `</script` by jumping
-//! between `<` bytes with `str::find`, which the standard library backs
-//! with `memchr`, so markup-free stretches of a page cost a byte scan,
-//! not a comparison at every offset. [`extract_script_tags`] is its
-//! owned form.
+//! allocates nothing. It finds `<script` and `</script` eight bytes per
+//! step, word-at-a-time: a step masks the `<` bytes followed by the
+//! needle's second byte (`s` in either case, or `/`), and only those
+//! pairs are compared with the whole needle. Text and other tags, such
+//! as the `<p>` and `</p>` of filler paragraphs, cost a few word
+//! operations per eight bytes and no stop. [`extract_script_tags`] is
+//! its owned form.
 
 /// A `<script>` tag found in a page.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,18 +104,57 @@ impl<'a> Iterator for ScriptTags<'a> {
 }
 
 /// Offset of the first case-insensitive `needle` at or after `from` (a
-/// char boundary). `needle` is a lowercase tag opener starting with `<`,
-/// so only the `<` bytes need a look.
+/// char boundary). `needle` is a lowercase tag opener: `<` and then a
+/// byte with its ASCII case bit set (`s` or `/`), so a match starts at a
+/// `<` whose next byte, with that bit set, equals `needle[1]`.
+///
+/// The scan tests eight such pairs per step, word-at-a-time: it loads
+/// the eight bytes at the current offset and the eight one byte on, and
+/// masks the `<` bytes in the first word and the matching second bytes
+/// in the other. Only a pair in both masks is compared with the whole
+/// needle, so text and other tags cost a few word operations per eight
+/// bytes.
 fn find_tag(html: &str, from: usize, needle: &[u8]) -> Option<usize> {
-    let mut at = from;
-    loop {
-        let open = at + html.get(at..)?.find('<')?;
-        match html.as_bytes()[open..].get(..needle.len()) {
-            Some(window) if window.eq_ignore_ascii_case(needle) => return Some(open),
-            Some(_) => at = open + 1,
-            None => return None,
+    debug_assert!(needle[0] == b'<' && needle[1] & 0x20 != 0);
+    let bytes = html.get(from..)?.as_bytes();
+    let is_match = |at: usize| {
+        bytes
+            .get(at..at + needle.len())
+            .is_some_and(|window| window.eq_ignore_ascii_case(needle))
+    };
+    let mut at = 0;
+    while let Some(nine) = bytes.get(at..at + 9) {
+        let here = load_word(&nine[..8]);
+        let next = load_word(&nine[1..]);
+        let mut pairs = bytes_equal(here, b'<') & bytes_equal(next | CASE_BITS, needle[1]);
+        while pairs != 0 {
+            let open = at + (pairs.trailing_zeros() / 8) as usize;
+            if is_match(open) {
+                return Some(from + open);
+            }
+            pairs &= pairs - 1;
         }
+        at += 8;
     }
+    (at..bytes.len())
+        .find(|&open| is_match(open))
+        .map(|open| from + open)
+}
+
+/// Every byte's ASCII case bit (`0x20`).
+const CASE_BITS: u64 = 0x2020_2020_2020_2020;
+
+/// Eight bytes as a little-endian word: byte `i` is bits `8i..8i+8`.
+fn load_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+}
+
+/// The high bit of each byte of `word` that equals `byte`, and no other
+/// bit. Exact per byte: `(w & 0x7f) + 0x7f` cannot carry out of a byte.
+fn bytes_equal(word: u64, byte: u8) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let x = word ^ (u64::from(byte) * 0x0101_0101_0101_0101);
+    !(((x & LOW7) + LOW7) | x | LOW7)
 }
 
 /// Parses an attribute value out of a tag's attribute text. `name` is
@@ -233,7 +274,92 @@ mod tests {
         assert!(extract_script_tags("plain text only").is_empty());
     }
 
+    /// The reference scanner: jump between `<` bytes with `str::find`
+    /// and compare the needle at each. `find_tag` must return exactly
+    /// its offsets.
+    fn find_loop(html: &str, from: usize, needle: &[u8]) -> Option<usize> {
+        let mut at = from;
+        loop {
+            let open = at + html.get(at..)?.find('<')?;
+            match html.as_bytes()[open..].get(..needle.len()) {
+                Some(window) if window.eq_ignore_ascii_case(needle) => return Some(open),
+                Some(_) => at = open + 1,
+                None => return None,
+            }
+        }
+    }
+
+    /// Both needles from every offset of `html`, one past its end
+    /// included (a mid-character offset finds nothing in either).
+    fn assert_scanners_agree(html: &str) {
+        for needle in [&b"<script"[..], b"</script"] {
+            for from in 0..=html.len() + 1 {
+                assert_eq!(
+                    find_tag(html, from, needle),
+                    find_loop(html, from, needle),
+                    "{html:?} from {from}, needle {:?}",
+                    std::str::from_utf8(needle).unwrap()
+                );
+            }
+        }
+    }
+
+    /// Tag openers, near misses and multi-byte text.
+    const FRAGMENTS: &[&str] = &[
+        "<script",
+        "<SCRIPT",
+        "<Script",
+        "</script",
+        "</SCRIPT",
+        "<p>",
+        "</p>",
+        "<s",
+        "<",
+        "</",
+        "<scrip",
+        "é",
+        "日本",
+        "🦀",
+        "<\u{f}",
+        "<script>",
+        "</script>",
+    ];
+
+    #[test]
+    fn find_tag_equals_the_find_loop_at_every_offset_and_near_the_end() {
+        // Each fragment after 0..16 bytes (every offset mod 8) and before
+        // 0..=9 (inside and past the last word), alone and doubled.
+        for fragment in FRAGMENTS {
+            for lead in 0..16 {
+                for trail in 0..=9 {
+                    let pad = |n| "x".repeat(n);
+                    assert_scanners_agree(&format!("{}{fragment}{}", pad(lead), pad(trail)));
+                    assert_scanners_agree(&format!(
+                        "{}{fragment}{fragment}{}",
+                        pad(lead),
+                        pad(trail)
+                    ));
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn find_tag_equals_the_find_loop(
+            lead in 0usize..8,
+            parts in prop::collection::vec((0usize..FRAGMENTS.len(), 0usize..12), 0..24),
+            trail in 0usize..=9,
+        ) {
+            let mut html = "t".repeat(lead);
+            for (fragment, gap) in parts {
+                html.push_str(FRAGMENTS[fragment]);
+                html.push_str(&"text ".repeat(3)[..gap]);
+            }
+            html.push_str(&"z".repeat(trail));
+            assert_scanners_agree(&html);
+        }
+
         #[test]
         fn tokenizer_never_panics(s in "\\PC{0,400}") {
             let _ = extract_script_tags(&s);

@@ -13,6 +13,7 @@ use crate::ids::index_to_code;
 use minedig_primitives::rng::Zipf;
 use minedig_primitives::{DetRng, IdMap, IdSet};
 use minedig_web::category::{sample_category_set, Category, CategorySet, CategoryWeights};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// The paper's observed live-link count in February 2018.
@@ -229,6 +230,9 @@ impl LinkPopulation {
             .map(|m| Arc::from(format!("mirror{m:03}.net")))
             .collect();
         let mut links = Vec::with_capacity(owners.len());
+        // A long-tail domain is formatted here, then copied once into
+        // its own `Arc<str>`.
+        let mut domain = String::new();
         for (index, &owner) in owners.iter().enumerate() {
             let user = owner as usize;
             let policy = &policies[user];
@@ -245,9 +249,16 @@ impl LinkPopulation {
                     (mirrors[m].clone(), CategorySet::from(Category::Filesharing))
                 }
             } else {
-                let dom = format!("dest-{:06}.{}", rng.gen_range(500_000), tail_tld(&mut rng));
+                domain.clear();
+                write!(
+                    domain,
+                    "dest-{:06}.{}",
+                    rng.gen_range(500_000),
+                    tail_tld(&mut rng)
+                )
+                .expect("writing to a String cannot fail");
                 let cats = sample_category_set(&mut rng, TAIL_CATEGORY_WEIGHTS);
-                (Arc::from(dom), cats)
+                (Arc::from(domain.as_str()), cats)
             };
             links.push(LinkRecord {
                 index: index as u64,

@@ -103,56 +103,71 @@ pub fn site_key(token_id: u64) -> String {
     Hash32::keccak(&token_id.to_le_bytes()).to_hex()[..32].to_string()
 }
 
-fn filler_paragraphs(rng: &mut DetRng, n: usize) -> String {
-    const WORDS: &[&str] = &[
-        "community",
-        "service",
-        "update",
-        "release",
-        "support",
-        "project",
-        "archive",
-        "news",
-        "contact",
-        "download",
-        "stream",
-        "media",
-        "forum",
-        "article",
-        "gallery",
-        "events",
-    ];
-    let mut out = String::new();
-    for _ in 0..n {
+/// The filler vocabulary.
+const WORDS: &[&str] = &[
+    "community",
+    "service",
+    "update",
+    "release",
+    "support",
+    "project",
+    "archive",
+    "news",
+    "contact",
+    "download",
+    "stream",
+    "media",
+    "forum",
+    "article",
+    "gallery",
+    "events",
+];
+
+/// Words per filler paragraph.
+const PARAGRAPH_WORDS: usize = 12;
+
+/// Draws `N` filler words in order, twelve per paragraph.
+fn filler_words<const N: usize>(rng: &mut DetRng) -> [&'static str; N] {
+    std::array::from_fn(|_| *rng.choose(WORDS))
+}
+
+/// Appends `words` as `<p>` paragraphs of twelve words each.
+fn push_paragraphs(out: &mut String, words: &[&str]) {
+    for paragraph in words.chunks(PARAGRAPH_WORDS) {
         out.push_str("<p>");
-        for _ in 0..12 {
-            out.push_str(rng.choose(WORDS) as &str);
+        for word in paragraph {
+            out.push_str(word);
             out.push(' ');
         }
         out.push_str("</p>\n");
     }
-    out
+}
+
+/// The number of bytes [`push_paragraphs`] appends for `words`.
+fn paragraphs_len(words: &[&str]) -> usize {
+    let paragraphs = words.len().div_ceil(PARAGRAPH_WORDS);
+    paragraphs * "<p></p>\n".len() + words.iter().map(|w| w.len() + 1).sum::<usize>()
 }
 
 /// Synthesizes the executable page for a domain.
+///
+/// The HTML is written front to back into one buffer sized up front.
+/// The draws keep their own order (opening paragraphs, behaviours,
+/// beyond-cut padding, closing paragraphs, load event), so the filler's
+/// words are drawn into arrays and written where the page puts them.
 pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
     let mut rng = DetRng::seed(seed).derive(&format!("web.page.{}", domain.name));
-    let mut head = String::new();
-    let mut body = String::new();
     let mut behaviors: Vec<(ScriptRef, ScriptBehavior)> = Vec::new();
     let inline_count = 0usize;
 
-    // Generic site furniture.
-    head.push_str(&format!(
-        "<title>{}</title>\n<script src=\"/js/jquery.min.js\"></script>\n",
-        domain.name
-    ));
-    body.push_str(&filler_paragraphs(&mut rng, 4));
+    // Generic site furniture. The opening paragraphs are drawn before
+    // the head's other scripts but written after them.
+    let opening: [&str; 4 * PARAGRAPH_WORDS] = filler_words(&mut rng);
 
     // Occasional benign dynamic behaviour so DOM-quiet logic is exercised
     // on clean pages too.
-    if rng.chance(0.3) {
-        head.push_str("<script src=\"/js/app.js\"></script>\n");
+    let app_js = rng.chance(0.3);
+    if app_js {
         behaviors.push((
             ScriptRef::Src("/js/app.js".into()),
             ScriptBehavior {
@@ -317,23 +332,55 @@ pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
         }
     }
 
-    // Optionally hide the artifact markup beyond the 256 kB zgrab cut.
-    if domain.beyond_cut && !artifact_markup.is_empty() {
-        let padding = filler_paragraphs(&mut rng, 40);
-        let mut pad = String::with_capacity(ZGRAB_CUT + 8_192);
-        while pad.len() <= ZGRAB_CUT {
-            pad.push_str(&padding);
-        }
-        body.push_str(&pad);
-        body.push_str(&artifact_markup);
+    // Optionally hide the artifact markup beyond the 256 kB zgrab cut,
+    // behind a block of 40 paragraphs repeated until it passes the cut.
+    let hidden = domain.beyond_cut && !artifact_markup.is_empty();
+    let (padding, repeats) = if hidden {
+        let words: [&str; 40 * PARAGRAPH_WORDS] = filler_words(&mut rng);
+        let mut padding = String::with_capacity(paragraphs_len(&words));
+        push_paragraphs(&mut padding, &words);
+        let repeats = ZGRAB_CUT / padding.len() + 1;
+        (padding, repeats)
     } else {
-        head.push_str(&artifact_markup);
+        (String::new(), 0)
+    };
+    let (head_markup, body_markup) = if hidden {
+        ("", artifact_markup.as_str())
+    } else {
+        (artifact_markup.as_str(), "")
+    };
+    let closing: [&str; 3 * PARAGRAPH_WORDS] = filler_words(&mut rng);
+
+    let head = [
+        "<html><head>\n<title>",
+        &domain.name,
+        "</title>\n<script src=\"/js/jquery.min.js\"></script>\n",
+        if app_js {
+            "<script src=\"/js/app.js\"></script>\n"
+        } else {
+            ""
+        },
+        head_markup,
+        "</head><body>\n",
+    ];
+    const END: &str = "</body></html>";
+    let len = head.iter().map(|s| s.len()).sum::<usize>()
+        + paragraphs_len(&opening)
+        + repeats * padding.len()
+        + body_markup.len()
+        + paragraphs_len(&closing)
+        + END.len();
+    let mut html = String::with_capacity(len);
+    html.extend(head);
+    push_paragraphs(&mut html, &opening);
+    for _ in 0..repeats {
+        html.push_str(&padding);
     }
+    html.push_str(body_markup);
+    push_paragraphs(&mut html, &closing);
+    html.push_str(END);
 
-    body.push_str(&filler_paragraphs(&mut rng, 3));
-    let html = format!("<html><head>\n{head}</head><body>\n{body}</body></html>");
-
-    let mut page = Page::new(&domain.name, &html);
+    let mut page = Page::new(&domain.name, html);
     // A small fraction of the web never fires a load event.
     page.fires_load_event = !rng.chance(0.02);
     for (r, b) in behaviors {
@@ -524,5 +571,58 @@ mod tests {
         let b = synthesize_page(&d, 1);
         assert_eq!(a.html, b.html);
         assert_eq!(a.behaviors.len(), b.behaviors.len());
+    }
+
+    /// The buffer is sized exactly up front: writing the page neither
+    /// grows it nor leaves slack, with or without beyond-cut padding.
+    #[test]
+    fn pages_fill_their_buffer_exactly() {
+        let pop = Population::generate(Zone::Org, 2018, 50);
+        let mut beyond_cut = 0;
+        for d in pop.scanned_domains() {
+            let html = synthesize_page(d, 2018).html;
+            beyond_cut += usize::from(html.len() > ZGRAB_CUT);
+            assert_eq!(html.capacity(), html.len(), "{}", d.name);
+        }
+        assert!(beyond_cut > 0, "no page passes the cut");
+    }
+
+    /// Every page the seed-2018 scans synthesize for Alexa and .org, and
+    /// the first 3,000 .com domains (beyond-cut pages among them),
+    /// hashed: the HTML, the load event and the behaviours of each
+    /// executable page, and each zgrab view. Any change to the markup,
+    /// the RNG draw order or the cut fails here.
+    #[test]
+    fn synthesis_matches_the_golden_digest() {
+        let digest = |bytes: &[u8]| Hash32::keccak(bytes).to_hex();
+        let mut rows = String::new();
+        let mut beyond_cut = 0;
+        for (zone, take) in [
+            (Zone::Alexa, usize::MAX),
+            (Zone::Org, usize::MAX),
+            (Zone::Com, 3_000),
+        ] {
+            let pop = Population::generate(zone, 2018, 500);
+            for d in pop.scanned_domains().take(take) {
+                let page = synthesize_page(d, 2018);
+                let mut behaviors: Vec<String> =
+                    page.behaviors.iter().map(|b| format!("{b:?}")).collect();
+                behaviors.sort_unstable();
+                let zgrab = zgrab_fetch(d, 2018).map_or("-".to_string(), |h| digest(h.as_bytes()));
+                beyond_cut += usize::from(page.html.len() > ZGRAB_CUT);
+                rows.push_str(&format!(
+                    "{} {} {} {} {zgrab}\n",
+                    d.name,
+                    digest(page.html.as_bytes()),
+                    page.fires_load_event,
+                    digest(behaviors.join("\n").as_bytes()),
+                ));
+            }
+        }
+        assert!(beyond_cut > 0, "no page passes the cut");
+        assert_eq!(
+            digest(rows.as_bytes()),
+            "543553566b29fc55cdd2964644c9b2bd6bed9b649e3da52b6241cc841bbde2c2"
+        );
     }
 }
