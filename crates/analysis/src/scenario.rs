@@ -6,14 +6,12 @@ use crate::estimate::{network_estimate, NetworkEstimate};
 use crate::poller::{FaultyJobSource, JobSource, Observer, PollPolicy, PollStats};
 use minedig_chain::netsim::{Actor, MinedEvent, NetSim, NetSimConfig, SoloSource};
 use minedig_pool::pool::{Pool, PoolConfig};
-use minedig_primitives::ckpt::{
-    Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot, SnapshotStore,
-};
+use minedig_primitives::ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot};
 use minedig_primitives::fault::FaultPlan;
 use minedig_primitives::health::{HealthConfig, HealthStats};
 use minedig_primitives::retry::RetryPolicy;
 use minedig_primitives::supervise::{
-    run_to_end, Campaign, SuperviseError, SupervisedRun, Supervisor,
+    run_campaign, Campaign, Ckpt, SuperviseError, SuperviseReport,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -80,6 +78,10 @@ pub const FIG5_HOLIDAYS: [u64; 3] = [1_525_046_400, 1_525_910_400, 1_526_947_200
 
 /// Coinhive's observed outage: 6–7 May 2018.
 pub const FIG5_OUTAGE: (u64, u64) = (1_525_564_800, 1_525_737_600);
+
+/// The longest window, in days, whose end a scenario starting at
+/// [`FIG5_START`] can represent in its seconds clock.
+pub const MAX_DAYS: u64 = (u64::MAX - FIG5_START) / 86_400;
 
 impl Default for ScenarioConfig {
     fn default() -> Self {
@@ -182,44 +184,49 @@ impl ScenarioResult {
     }
 }
 
-/// Runs the full scenario.
-pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
-    let pool = Pool::new(config.pool.clone());
+/// Runs the full scenario: straight through, or with `ckpt` under its
+/// supervisor as snapshot `attribute-{days}-{seed}`, killable at any
+/// block event and resumable, with results bit-identical to a straight
+/// run. The supervisor's accounting comes back with a checkpointed
+/// scenario's result.
+pub fn run_scenario(
+    config: ScenarioConfig,
+    ckpt: Option<&Ckpt>,
+) -> Result<(ScenarioResult, Option<SuperviseReport>), SuperviseError> {
+    let name = format!("attribute-{}-{}", config.duration_days, config.seed);
     match config.poll_faults.clone() {
-        None => {
-            let policy = PollPolicy {
-                retry: config.poll_retry.clone(),
-                jitter_seed: config.seed,
-            };
-            let mut observer = Observer::with_source(pool.clone(), true, policy);
-            if let Some(health) = config.poll_health.clone() {
-                observer = observer.with_health(health);
-            }
-            run_scenario_with(config, pool, observer)
-        }
-        Some(plan) => {
-            let policy = PollPolicy {
-                retry: config.poll_retry.clone(),
-                jitter_seed: plan.seed(),
-            };
-            let source = FaultyJobSource::new(pool.clone(), plan);
-            let mut observer = Observer::with_source(source, true, policy);
-            if let Some(health) = config.poll_health.clone() {
-                observer = observer.with_health(health);
-            }
-            run_scenario_with(config, pool, observer)
-        }
+        None => run_campaign(ckpt, &name, || {
+            scenario_campaign(&config, |pool| pool, config.seed)
+        }),
+        Some(plan) => run_campaign(ckpt, &name, || {
+            scenario_campaign(
+                &config,
+                |pool| FaultyJobSource::new(pool, plan.clone()),
+                plan.seed(),
+            )
+        }),
     }
 }
 
-/// The scenario body, generic over the observer's job source so the
-/// fault-injected and direct paths share every line of driver logic.
-fn run_scenario_with<S: JobSource + Send + 'static>(
-    config: ScenarioConfig,
-    pool: Pool,
-    observer: Observer<S>,
-) -> ScenarioResult {
-    run_to_end(ScenarioCampaign::new(config, pool, observer))
+/// A fresh scenario campaign over a new pool, observed through the job
+/// source `source` builds on that pool, with poll jitter drawn from
+/// `jitter_seed`. Generic over the source, so the fault-injected and
+/// direct observers share this set-up yet keep a static source type.
+fn scenario_campaign<S: JobSource + Send + 'static>(
+    config: &ScenarioConfig,
+    source: impl FnOnce(Pool) -> S,
+    jitter_seed: u64,
+) -> ScenarioCampaign<S> {
+    let pool = Pool::new(config.pool.clone());
+    let policy = PollPolicy {
+        retry: config.poll_retry.clone(),
+        jitter_seed,
+    };
+    let mut observer = Observer::with_source(source(pool.clone()), true, policy);
+    if let Some(health) = config.poll_health.clone() {
+        observer = observer.with_health(health);
+    }
+    ScenarioCampaign::new(config.clone(), pool, observer)
 }
 
 /// The §4.2 scenario as a killable, resumable [`Campaign`]: one item =
@@ -493,63 +500,20 @@ impl<S: JobSource + Send + 'static> Campaign for ScenarioCampaign<S> {
     }
 }
 
-/// Runs the full scenario under a [`Supervisor`]: checkpointed into
-/// `store` every `CrashPolicy` interval, killable at any block event,
-/// resumable with `resume` — and bit-identical to [`run_scenario`] on
-/// the same config (the unsupervised path drives the very same
-/// [`ScenarioCampaign`]).
-pub fn run_scenario_supervised(
-    config: &ScenarioConfig,
-    store: &SnapshotStore,
-    name: &str,
-    supervisor: &Supervisor,
-    resume: bool,
-) -> Result<SupervisedRun<ScenarioResult>, SuperviseError> {
-    match config.poll_faults.clone() {
-        None => supervisor.run(
-            store,
-            name,
-            || {
-                let pool = Pool::new(config.pool.clone());
-                let policy = PollPolicy {
-                    retry: config.poll_retry.clone(),
-                    jitter_seed: config.seed,
-                };
-                let mut observer = Observer::with_source(pool.clone(), true, policy);
-                if let Some(health) = config.poll_health.clone() {
-                    observer = observer.with_health(health);
-                }
-                ScenarioCampaign::new(config.clone(), pool, observer)
-            },
-            resume,
-        ),
-        Some(plan) => supervisor.run(
-            store,
-            name,
-            || {
-                let pool = Pool::new(config.pool.clone());
-                let policy = PollPolicy {
-                    retry: config.poll_retry.clone(),
-                    jitter_seed: plan.seed(),
-                };
-                let source = FaultyJobSource::new(pool.clone(), plan.clone());
-                let mut observer = Observer::with_source(source, true, policy);
-                if let Some(health) = config.poll_health.clone() {
-                    observer = observer.with_health(health);
-                }
-                ScenarioCampaign::new(config.clone(), pool, observer)
-            },
-            resume,
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minedig_primitives::ckpt::SnapshotStore;
+    use minedig_primitives::supervise::{CrashPolicy, Supervisor};
+
+    fn straight(config: ScenarioConfig) -> ScenarioResult {
+        run_scenario(config, None)
+            .expect("a straight run cannot fail")
+            .0
+    }
 
     fn short_scenario(days: u64, seed: u64) -> ScenarioResult {
-        run_scenario(ScenarioConfig {
+        straight(ScenarioConfig {
             duration_days: days,
             seed,
             ..ScenarioConfig::default()
@@ -593,7 +557,7 @@ mod tests {
         // Make the pool large so the test has statistics, then check the
         // outage days are empty.
         config.segments[0].pool = 40_000_000.0;
-        let r = run_scenario(config);
+        let r = straight(config);
         let (o_start, o_end) = FIG5_OUTAGE;
         let during = r
             .ground_truth
@@ -633,7 +597,7 @@ mod tests {
     fn chaos_polling_with_clearing_faults_matches_clean() {
         let clean = short_scenario(2, 9);
         let plan = FaultPlan::transient_only(77, 0.4);
-        let faulty = run_scenario(ScenarioConfig {
+        let faulty = straight(ScenarioConfig {
             duration_days: 2,
             seed: 9,
             poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
@@ -670,46 +634,61 @@ mod tests {
         assert_eq!(a.window, b.window, "{ctx}");
     }
 
-    fn sup_store(tag: &str) -> (std::path::PathBuf, SnapshotStore) {
+    /// A fresh snapshot directory tagged `tag`.
+    fn sup_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("minedig-scenario-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        (dir.clone(), SnapshotStore::open(dir).unwrap())
+        dir
+    }
+
+    /// `config` run under `supervisor`, checkpointing into `dir`.
+    fn supervised(
+        config: &ScenarioConfig,
+        dir: &std::path::Path,
+        supervisor: Supervisor,
+        resume: bool,
+    ) -> Result<(ScenarioResult, SuperviseReport), SuperviseError> {
+        let ckpt = Ckpt {
+            store: SnapshotStore::open(dir).unwrap(),
+            supervisor,
+            resume,
+        };
+        let (result, report) = run_scenario(config.clone(), Some(&ckpt))?;
+        Ok((result, report.expect("a supervised run reports")))
     }
 
     #[test]
     fn supervised_scenario_with_kills_matches_uninterrupted() {
-        use minedig_primitives::supervise::CrashPolicy;
         let reference = short_scenario(2, 9);
         let config = ScenarioConfig {
             duration_days: 2,
             seed: 9,
             ..ScenarioConfig::default()
         };
-        let (dir, store) = sup_store("kills");
+        let dir = sup_dir("kills");
         let sup = Supervisor::new(CrashPolicy {
             ckpt_every_items: 4,
             ..CrashPolicy::default()
         })
         .with_kills(vec![3, 11]);
-        let run = run_scenario_supervised(&config, &store, "attr", &sup, false).unwrap();
-        assert_results_eq(&run.output, &reference, "killed at 3 and 11");
-        assert_eq!(run.report.crashes, 2);
-        assert!(run.report.items_lost > 0, "kills must discard work");
-        assert!(run.report.balanced(), "{:?}", run.report);
+        let (result, report) = supervised(&config, &dir, sup, false).unwrap();
+        assert_results_eq(&result, &reference, "killed at 3 and 11");
+        assert_eq!(report.crashes, 2);
+        assert!(report.items_lost > 0, "kills must discard work");
+        assert!(report.balanced(), "{report:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn supervised_scenario_resumes_across_processes() {
-        use minedig_primitives::supervise::{CrashPolicy, SuperviseError};
         let reference = short_scenario(2, 5);
         let config = ScenarioConfig {
             duration_days: 2,
             seed: 5,
             ..ScenarioConfig::default()
         };
-        let (dir, store) = sup_store("resume");
+        let dir = sup_dir("resume");
         // First process dies at every step after the first checkpoint…
         let doomed = Supervisor::new(CrashPolicy {
             ckpt_every_items: 4,
@@ -717,20 +696,18 @@ mod tests {
             ..CrashPolicy::default()
         })
         .with_kills((5..10_000).collect());
-        let err = run_scenario_supervised(&config, &store, "attr", &doomed, false).unwrap_err();
+        let err = supervised(&config, &dir, doomed, false).unwrap_err();
         assert!(matches!(err, SuperviseError::RestartsExhausted(_)));
         // …and a fresh supervisor resumes from its surviving snapshot.
-        let sup = Supervisor::new(CrashPolicy::default());
-        let run = run_scenario_supervised(&config, &store, "attr", &sup, true).unwrap();
-        assert!(run.report.start_progress > 0, "must resume mid-way");
-        assert_results_eq(&run.output, &reference, "resumed run");
-        assert!(run.report.balanced(), "{:?}", run.report);
+        let (result, report) = supervised(&config, &dir, Supervisor::default(), true).unwrap();
+        assert!(report.start_progress > 0, "must resume mid-way");
+        assert_results_eq(&result, &reference, "resumed run");
+        assert!(report.balanced(), "{report:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn supervised_scenario_matches_under_poll_faults() {
-        use minedig_primitives::supervise::CrashPolicy;
         let plan = FaultPlan::transient_only(77, 0.4);
         let config = ScenarioConfig {
             duration_days: 2,
@@ -739,24 +716,24 @@ mod tests {
             poll_faults: Some(plan),
             ..ScenarioConfig::default()
         };
-        let reference = run_scenario(config.clone());
+        let reference = straight(config.clone());
         assert!(reference.poll_stats.retries > 0, "p=0.4 must force retries");
-        let (dir, store) = sup_store("faulty");
+        let dir = sup_dir("faulty");
         let sup = Supervisor::new(CrashPolicy {
             ckpt_every_items: 4,
             ..CrashPolicy::default()
         })
         .with_kills(vec![2, 9]);
-        let run = run_scenario_supervised(&config, &store, "attr", &sup, false).unwrap();
-        assert_results_eq(&run.output, &reference, "faulty supervised");
-        assert!(run.report.balanced(), "{:?}", run.report);
+        let (result, report) = supervised(&config, &dir, sup, false).unwrap();
+        assert_results_eq(&result, &reference, "faulty supervised");
+        assert!(report.balanced(), "{report:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn health_layer_does_not_change_the_scenario() {
         let off = short_scenario(2, 9);
-        let on = run_scenario(ScenarioConfig {
+        let on = straight(ScenarioConfig {
             duration_days: 2,
             seed: 9,
             poll_health: Some(HealthConfig::default()),
@@ -774,7 +751,6 @@ mod tests {
 
     #[test]
     fn health_layer_survives_supervision_under_faults() {
-        use minedig_primitives::supervise::CrashPolicy;
         let plan = FaultPlan::transient_only(77, 0.4);
         let config = ScenarioConfig {
             duration_days: 2,
@@ -784,26 +760,26 @@ mod tests {
             poll_health: Some(HealthConfig::default()),
             ..ScenarioConfig::default()
         };
-        let reference = run_scenario(config.clone());
+        let reference = straight(config.clone());
         assert!(reference.poll_stats.retries > 0, "p=0.4 must force retries");
         assert!(reference.poll_stats.balanced());
         let ref_health = reference.poll_health_stats.expect("health stats");
         assert!(ref_health.balanced(), "{ref_health:?}");
 
-        let (dir, store) = sup_store("health");
+        let dir = sup_dir("health");
         let sup = Supervisor::new(CrashPolicy {
             ckpt_every_items: 4,
             ..CrashPolicy::default()
         })
         .with_kills(vec![3, 11]);
-        let run = run_scenario_supervised(&config, &store, "attr", &sup, false).unwrap();
-        assert_results_eq(&run.output, &reference, "health-on killed run");
+        let (result, report) = supervised(&config, &dir, sup, false).unwrap();
+        assert_results_eq(&result, &reference, "health-on killed run");
         assert_eq!(
-            run.output.poll_health_stats.as_ref().expect("health stats"),
+            result.poll_health_stats.as_ref().expect("health stats"),
             &ref_health,
             "breaker/hedge accounting must survive kill-and-resume"
         );
-        assert!(run.report.balanced(), "{:?}", run.report);
+        assert!(report.balanced(), "{report:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

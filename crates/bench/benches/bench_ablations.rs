@@ -157,12 +157,17 @@ fn ablation_truncation(c: &mut Criterion) {
 fn ablation_poll_interval(c: &mut Criterion) {
     use minedig_analysis::scenario::{run_scenario, ScenarioConfig};
     let run = |interval: u64| {
-        let r = run_scenario(ScenarioConfig {
-            duration_days: 1,
-            poll_interval_secs: interval,
-            seed: 11,
-            ..ScenarioConfig::default()
-        });
+        let r = run_scenario(
+            ScenarioConfig {
+                duration_days: 1,
+                poll_interval_secs: interval,
+                seed: 11,
+                ..ScenarioConfig::default()
+            },
+            None,
+        )
+        .expect("a straight run cannot fail")
+        .0;
         (
             r.recall(),
             r.poll_stats.polls,

@@ -15,11 +15,16 @@ fn bench_scenario_day(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            let r = run_scenario(ScenarioConfig {
-                duration_days: 1,
-                seed,
-                ..ScenarioConfig::default()
-            });
+            let r = run_scenario(
+                ScenarioConfig {
+                    duration_days: 1,
+                    seed,
+                    ..ScenarioConfig::default()
+                },
+                None,
+            )
+            .expect("a straight run cannot fail")
+            .0;
             black_box(r.total_blocks)
         })
     });

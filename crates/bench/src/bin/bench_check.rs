@@ -14,6 +14,7 @@
 //! adding a workload does not require regenerating every baseline.
 
 use minedig_net::json::Value;
+use minedig_primitives::{configured, read_env};
 
 /// Default regression threshold: current may take up to 2× baseline.
 const DEFAULT_THRESHOLD: f64 = 2.0;
@@ -82,6 +83,8 @@ fn load(path: &str) -> Value {
 }
 
 fn main() {
+    // No knobs: every MINEDIG_* variable is refused.
+    let _ = configured(read_env(&[]));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (Some(baseline_path), Some(current_path)) = (args.first(), args.get(1)) else {
         eprintln!("usage: bench_check <baseline.json> <current.json> [threshold]");

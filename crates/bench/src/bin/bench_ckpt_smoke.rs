@@ -19,12 +19,13 @@
 //! rewrites its full state at every checkpoint; the enumeration walk
 //! appends deltas, so its bytes grow with the walk, not its square.
 
-use minedig_bench::env_u64;
+use minedig_bench::{seed, BENCH_OUT_ENV, SEED_ENV};
 use minedig_core::campaign::ZgrabCampaign;
 use minedig_core::scan::{zgrab_scan_with, FetchModel};
-use minedig_core::shortlink_study::{run_study, run_study_supervised, StudyConfig};
+use minedig_core::shortlink_study::{run_study, StudyConfig};
 use minedig_primitives::ckpt::SnapshotStore;
-use minedig_primitives::supervise::{Backend, CrashPolicy, Supervisor};
+use minedig_primitives::supervise::{Backend, Ckpt, CrashPolicy, Supervisor};
+use minedig_primitives::{configured, read_env};
 use minedig_shortlink::model::ModelConfig;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
@@ -58,7 +59,8 @@ fn store_for(tag: &str) -> (std::path::PathBuf, SnapshotStore) {
 }
 
 fn main() {
-    let seed = env_u64("MINEDIG_SEED", 2018);
+    let env = configured(read_env(&[SEED_ENV, BENCH_OUT_ENV]));
+    let seed = configured(seed(&env));
     let mut workloads = Vec::new();
 
     // §3.1 scan: per-domain fetch → NoCoin verdicts under supervision.
@@ -125,7 +127,7 @@ fn main() {
         ..StudyConfig::default()
     };
     let start = Instant::now();
-    let reference = run_study(&config, seed);
+    let (reference, _) = run_study(&config, seed, None).expect("a straight run cannot fail");
     let probed = reference.enumeration.probed;
     let study_kills = vec![probed / 3, (2 * probed) / 3];
     let mut rows = vec![Row {
@@ -138,35 +140,39 @@ fn main() {
     }];
     for every in CADENCES {
         let (dir, store) = store_for(&format!("study-{every}"));
-        let sup = Supervisor::new(CrashPolicy {
-            ckpt_every_items: every,
-            ..CrashPolicy::default()
-        })
-        .with_kills(study_kills.clone());
+        let ckpt = Ckpt {
+            store,
+            supervisor: Supervisor::new(CrashPolicy {
+                ckpt_every_items: every,
+                ..CrashPolicy::default()
+            })
+            .with_kills(study_kills.clone()),
+            resume: false,
+        };
         let start = Instant::now();
-        let run = run_study_supervised(&config, seed, &store, "enum", &sup, false)
-            .expect("supervised study");
+        let (study, report) = run_study(&config, seed, Some(&ckpt)).expect("supervised study");
         let secs = start.elapsed().as_secs_f64();
+        let report = report.expect("a supervised study reports");
         assert_eq!(
-            run.result.enumeration.probed, reference.enumeration.probed,
+            study.enumeration.probed, reference.enumeration.probed,
             "supervised study drifted"
         );
         assert_eq!(
-            run.result.links_per_token, reference.links_per_token,
+            study.links_per_token, reference.links_per_token,
             "supervised study drifted"
         );
         assert_eq!(
-            run.result.hashes_spent, reference.hashes_spent,
+            study.hashes_spent, reference.hashes_spent,
             "supervised study drifted"
         );
-        black_box(&run.result);
+        black_box(&study);
         rows.push(Row {
             every,
             secs,
-            checkpoints: run.report.checkpoints,
-            bytes_written: run.report.bytes_written,
-            crashes: u64::from(run.report.crashes),
-            items_redone: run.report.items_lost,
+            checkpoints: report.checkpoints,
+            bytes_written: report.bytes_written,
+            crashes: u64::from(report.crashes),
+            items_redone: report.items_lost,
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -225,7 +231,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let out = std::env::var("MINEDIG_BENCH_OUT").unwrap_or_else(|_| "BENCH_checkpoint.json".into());
+    let out = env(BENCH_OUT_ENV).unwrap_or_else(|| "BENCH_checkpoint.json".into());
     std::fs::write(&out, json).expect("write bench output");
     println!("wrote {out}");
 }

@@ -18,13 +18,14 @@
 //! stay balanced.
 
 use minedig_analysis::poller::{FetchError, JobSource, Observer, PollPolicy};
-use minedig_bench::env_u64;
+use minedig_bench::{seed, BENCH_OUT_ENV, SEED_ENV};
 use minedig_chain::netsim::TipInfo;
 use minedig_chain::tx::Transaction;
 use minedig_pool::pool::{Pool, PoolConfig};
 use minedig_pool::protocol::Job;
 use minedig_primitives::health::HealthConfig;
 use minedig_primitives::Hash32;
+use minedig_primitives::{configured, read_env};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -118,7 +119,8 @@ fn run_config(seed: u64, dead_fraction: f64, health: bool) -> Run {
 }
 
 fn main() {
-    let seed = env_u64("MINEDIG_SEED", 2018);
+    let env = configured(read_env(&[SEED_ENV, BENCH_OUT_ENV]));
+    let seed = configured(seed(&env));
     let mut runs = Vec::new();
     // (fraction, retries saved by the breaker) per dead fraction.
     let mut savings = Vec::new();
@@ -193,7 +195,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let out = std::env::var("MINEDIG_BENCH_OUT").unwrap_or_else(|_| "BENCH_health.json".into());
+    let out = env(BENCH_OUT_ENV).unwrap_or_else(|| "BENCH_health.json".into());
     std::fs::write(&out, json).expect("write bench output");
     println!("wrote {out}");
 }

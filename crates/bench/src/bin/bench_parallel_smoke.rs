@@ -10,7 +10,7 @@
 //! so only the timings vary.
 
 use minedig_analysis::poller::Observer;
-use minedig_bench::env_u64;
+use minedig_bench::{seed, BENCH_OUT_ENV, SEED_ENV};
 use minedig_chain::netsim::TipInfo;
 use minedig_chain::tx::Transaction;
 use minedig_core::campaign::ZgrabCampaign;
@@ -18,6 +18,7 @@ use minedig_core::scan::{scan_len, FetchModel};
 use minedig_pool::pool::{Pool, PoolConfig};
 use minedig_primitives::supervise::{run_to_end, Backend};
 use minedig_primitives::Hash32;
+use minedig_primitives::{configured, read_env};
 use minedig_shortlink::campaign::EnumCampaign;
 use minedig_shortlink::model::{LinkPopulation, ModelConfig};
 use minedig_shortlink::probe::ProbePolicy;
@@ -49,7 +50,8 @@ fn sweep<T>(mut run: impl FnMut(Backend) -> T) -> Vec<(usize, f64)> {
 }
 
 fn main() {
-    let seed = env_u64("MINEDIG_SEED", 2018);
+    let env = configured(read_env(&[SEED_ENV, BENCH_OUT_ENV]));
+    let seed = configured(seed(&env));
     let mut workloads = Vec::new();
 
     // §3: zgrab + NoCoin over a .org-shaped population.
@@ -140,7 +142,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let out = std::env::var("MINEDIG_BENCH_OUT").unwrap_or_else(|_| "BENCH_parallel.json".into());
+    let out = env(BENCH_OUT_ENV).unwrap_or_else(|| "BENCH_parallel.json".into());
     std::fs::write(&out, json).expect("write bench output");
     println!("wrote {out}");
 }

@@ -9,8 +9,11 @@
 
 use minedig_analysis::economics::{ExchangeRate, SiteEconomics};
 use minedig_chain::emission::{atomic_to_xmr, base_reward, supply_mid_2018};
+use minedig_primitives::{configured, read_env};
 
 fn main() {
+    // No knobs: every MINEDIG_* variable is refused.
+    let _ = configured(read_env(&[]));
     println!("Feasibility: mining revenue vs display ads (the paper's closing question)\n");
 
     let network_hashrate = 462e6;

@@ -9,9 +9,11 @@ use minedig_chain::block::{Block, BlockHeader};
 use minedig_chain::merkle::block_tree_hash;
 use minedig_chain::tx::{MinerTag, Transaction};
 use minedig_pow::Variant;
-use minedig_primitives::{to_hex, Hash32};
+use minedig_primitives::{configured, read_env, to_hex, Hash32};
 
 fn main() {
+    // No knobs: every MINEDIG_* variable is refused.
+    let _ = configured(read_env(&[]));
     println!("Figure 1 — Monero blockchain and PoW mining input\n");
 
     let txs: Vec<Transaction> = (0..4u64)

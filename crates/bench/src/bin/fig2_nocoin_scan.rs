@@ -6,10 +6,11 @@
 //! in (fresh arrivals) are re-probed — bit-identical to re-scanning the
 //! whole second population.
 
-use minedig_bench::seed;
+use minedig_bench::{seed, SEED_ENV};
 use minedig_core::report::{bar_chart, comparison_table, Comparison};
 use minedig_core::scan::{zgrab_scan_retaining, FetchModel};
 use minedig_nocoin::list::ServiceLabel;
+use minedig_primitives::{configured, read_env};
 use minedig_web::churn::{second_scan_with_delta, DEFAULT_REMOVAL_RATE};
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
@@ -23,7 +24,8 @@ const PAPER: [(Zone, f64, f64); 4] = [
 ];
 
 fn main() {
-    let seed = seed();
+    let env = configured(read_env(&[SEED_ENV]));
+    let seed = configured(seed(&env));
     println!("Figure 2 — NoCoin detected miners (zgrab, TLS-only, 256 kB)\n");
 
     let model = FetchModel::default();

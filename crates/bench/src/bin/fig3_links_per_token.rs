@@ -1,15 +1,19 @@
 //! Figure 3: links per creator token — heavy concentration on a few
 //! users (one user = ⅓ of links, ten users = 85 %).
 
-use minedig_bench::{env_u64, seed};
+use minedig_bench::{link_scale, seed, LINK_SCALE_ENV, SEED_ENV};
 use minedig_core::report::{comparison_table, Comparison};
 use minedig_core::shortlink_study::{run_study, StudyConfig};
 use minedig_primitives::stats::{gini, power_law_alpha};
+use minedig_primitives::supervise::{Backend, SHARDS_ENV};
+use minedig_primitives::{configured, read_env};
 use minedig_shortlink::model::{ModelConfig, PAPER_LINK_COUNT};
 
 fn main() {
-    let seed = seed();
-    let scale = env_u64("MINEDIG_LINK_SCALE", 10).max(1);
+    let env = configured(read_env(&[SEED_ENV, SHARDS_ENV, LINK_SCALE_ENV]));
+    let seed = configured(seed(&env));
+    let scale = configured(link_scale(&env));
+    let backend = configured(Backend::parse(&env));
     println!("Figure 3 — short links per token (scale 1:{scale})\n");
 
     let study = run_study(
@@ -19,11 +23,14 @@ fn main() {
                 users: 12_000,
                 seed,
             },
-            backend: minedig_bench::backend(),
+            backend,
             ..StudyConfig::default()
         },
         seed,
-    );
+        None,
+    )
+    .expect("a straight run cannot fail")
+    .0;
 
     // The log-log series: rank → link count (decimated for printing).
     println!("rank    links_per_token   (log-log power law)");

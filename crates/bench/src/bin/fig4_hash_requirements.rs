@@ -1,15 +1,19 @@
 //! Figure 4: the required-hash distribution, with and without the
 //! heavy-user bias, plus the duration axis at 20 H/s.
 
-use minedig_bench::{env_u64, seed};
+use minedig_bench::{link_scale, seed, LINK_SCALE_ENV, SEED_ENV};
 use minedig_core::report::{comparison_table, Comparison};
 use minedig_core::shortlink_study::{run_study, StudyConfig};
 use minedig_pow::hashrate::{human_duration, ClientClass};
+use minedig_primitives::supervise::{Backend, SHARDS_ENV};
+use minedig_primitives::{configured, read_env};
 use minedig_shortlink::model::{ModelConfig, PAPER_LINK_COUNT};
 
 fn main() {
-    let seed = seed();
-    let scale = env_u64("MINEDIG_LINK_SCALE", 10).max(1);
+    let env = configured(read_env(&[SEED_ENV, SHARDS_ENV, LINK_SCALE_ENV]));
+    let seed = configured(seed(&env));
+    let scale = configured(link_scale(&env));
+    let backend = configured(Backend::parse(&env));
     println!("Figure 4 — required hashes per short link (scale 1:{scale})\n");
 
     let study = run_study(
@@ -19,11 +23,14 @@ fn main() {
                 users: 12_000,
                 seed,
             },
-            backend: minedig_bench::backend(),
+            backend,
             ..StudyConfig::default()
         },
         seed,
-    );
+        None,
+    )
+    .expect("a straight run cannot fail")
+    .0;
 
     println!("#hashes    @20H/s      #links   CDF(all)  CDF(unbiased)");
     for exp in [8u32, 9, 10, 11, 12, 13, 14, 15, 16, 40, 63] {

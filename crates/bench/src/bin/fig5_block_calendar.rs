@@ -3,20 +3,24 @@
 
 use minedig_analysis::calendar::BlockCalendar;
 use minedig_analysis::scenario::{run_scenario, FIG5_HOLIDAYS, FIG5_OUTAGE, FIG5_START};
-use minedig_bench::{env_u64, fmt_date, seed};
+use minedig_bench::{days, fmt_date, seed, DAYS_ENV, SEED_ENV};
 use minedig_core::attribute::fig5_config;
 use minedig_core::report::{comparison_table, Comparison};
+use minedig_primitives::{configured, read_env};
 
 fn main() {
-    let seed = seed();
-    let days = env_u64("MINEDIG_DAYS", 28);
+    let env = configured(read_env(&[SEED_ENV, DAYS_ENV]));
+    let seed = configured(seed(&env));
+    let days = configured(days(&env));
     println!(
         "Figure 5 — blocks mined by the Coinhive network (attribution via Merkle-root matching)\n"
     );
 
     let mut config = fig5_config(seed);
     config.duration_days = days;
-    let result = run_scenario(config);
+    let result = run_scenario(config, None)
+        .expect("a straight run cannot fail")
+        .0;
 
     let calendar = BlockCalendar::new(&result.attributed, FIG5_START, days as usize).with_outages(
         (0..days as usize)

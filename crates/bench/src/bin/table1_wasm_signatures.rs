@@ -1,8 +1,10 @@
 //! Table 1: top-5 WebAssembly signature classes on Alexa and .org, and
 //! the share of Wasm that is mining code.
 
-use minedig_bench::{run_chrome_scans, seed};
+use minedig_bench::{run_chrome_scans, seed, SEED_ENV};
 use minedig_core::report::{comparison_table, Comparison};
+use minedig_primitives::supervise::{Backend, SHARDS_ENV};
+use minedig_primitives::{configured, read_env};
 use minedig_web::zone::Zone;
 
 const PAPER_ALEXA: [(&str, f64); 5] = [
@@ -21,9 +23,11 @@ const PAPER_ORG: [(&str, f64); 5] = [
 ];
 
 fn main() {
-    let seed = seed();
+    let env = configured(read_env(&[SEED_ENV, SHARDS_ENV]));
+    let seed = configured(seed(&env));
+    let backend = configured(Backend::parse(&env));
     println!("Table 1 — top WebAssembly signature classes (Chrome scan)\n");
-    let (_db, scans) = run_chrome_scans(seed);
+    let (_db, scans) = run_chrome_scans(seed, backend);
 
     for (population, outcome) in &scans {
         let paper: &[(&str, f64)] = match population.zone {

@@ -1,8 +1,10 @@
 //! Table 2: the NoCoin block list vs the Wasm signature approach, on the
 //! same executed pages — the paper's headline false-negative result.
 
-use minedig_bench::{run_chrome_scans, seed};
+use minedig_bench::{run_chrome_scans, seed, SEED_ENV};
 use minedig_core::report::{comparison_table, Comparison};
+use minedig_primitives::supervise::{Backend, SHARDS_ENV};
+use minedig_primitives::{configured, read_env};
 use minedig_web::zone::Zone;
 
 struct PaperRow {
@@ -36,9 +38,11 @@ fn paper_row(zone: Zone) -> PaperRow {
 }
 
 fn main() {
-    let seed = seed();
+    let env = configured(read_env(&[SEED_ENV, SHARDS_ENV]));
+    let seed = configured(seed(&env));
+    let backend = configured(Backend::parse(&env));
     println!("Table 2 — miners found by NoCoin vs Wasm signatures (Chrome data, incl. non-TLS)\n");
-    let (_db, scans) = run_chrome_scans(seed);
+    let (_db, scans) = run_chrome_scans(seed, backend);
 
     for (population, o) in &scans {
         let p = paper_row(population.zone);

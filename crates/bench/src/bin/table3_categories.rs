@@ -2,8 +2,10 @@
 //! vs signature-detected, on Alexa and .org — including the "Gaming"
 //! artefact caused by the cpmstar ad-network false positive.
 
-use minedig_bench::{run_chrome_scans, seed};
+use minedig_bench::{run_chrome_scans, seed, SEED_ENV};
 use minedig_core::scan::categorize;
+use minedig_primitives::supervise::{Backend, SHARDS_ENV};
+use minedig_primitives::{configured, read_env};
 use minedig_web::category::RuleSpace;
 
 fn print_top5(
@@ -51,9 +53,11 @@ type PaperRefs = (
 );
 
 fn main() {
-    let seed = seed();
+    let env = configured(read_env(&[SEED_ENV, SHARDS_ENV]));
+    let seed = configured(seed(&env));
+    let backend = configured(Backend::parse(&env));
     println!("Table 3 — top categories (Symantec RuleSpace substitute)\n");
-    let (_db, scans) = run_chrome_scans(seed);
+    let (_db, scans) = run_chrome_scans(seed, backend);
     let rulespace = RuleSpace::new(seed);
 
     for (population, o) in &scans {

@@ -1,14 +1,18 @@
 //! Table 4: where the top-10 link creators' links lead (1000-link samples
 //! per user, resolved with the non-browser miner).
 
-use minedig_bench::{env_u64, seed};
+use minedig_bench::{link_scale, seed, LINK_SCALE_ENV, SEED_ENV};
 use minedig_core::report::{comparison_table, Comparison};
 use minedig_core::shortlink_study::{run_study, StudyConfig};
+use minedig_primitives::supervise::{Backend, SHARDS_ENV};
+use minedig_primitives::{configured, read_env};
 use minedig_shortlink::model::{ModelConfig, PAPER_LINK_COUNT, TOP10_DESTINATIONS};
 
 fn main() {
-    let seed = seed();
-    let scale = env_u64("MINEDIG_LINK_SCALE", 10).max(1);
+    let env = configured(read_env(&[SEED_ENV, SHARDS_ENV, LINK_SCALE_ENV]));
+    let seed = configured(seed(&env));
+    let scale = configured(link_scale(&env));
+    let backend = configured(Backend::parse(&env));
     println!("Table 4 — top destinations of the top-10 creators (scale 1:{scale})\n");
 
     let study = run_study(
@@ -19,11 +23,14 @@ fn main() {
                 seed,
             },
             per_user_sample: 1_000,
-            backend: minedig_bench::backend(),
+            backend,
             ..StudyConfig::default()
         },
         seed,
-    );
+        None,
+    )
+    .expect("a straight run cannot fail")
+    .0;
 
     let mut rows = Vec::new();
     let mut paper_mass = 0.0;

@@ -1,8 +1,10 @@
 //! Table 5: categories of the unbiased <10 K-hash destinations — the
 //! long tail is diverse, unlike the filesharing-heavy top-10 users.
 
-use minedig_bench::{env_u64, seed};
+use minedig_bench::{link_scale, seed, LINK_SCALE_ENV, SEED_ENV};
 use minedig_core::shortlink_study::{run_study, StudyConfig};
+use minedig_primitives::supervise::{Backend, SHARDS_ENV};
+use minedig_primitives::{configured, read_env};
 use minedig_shortlink::model::{ModelConfig, PAPER_LINK_COUNT};
 
 const PAPER: [(&str, u64); 10] = [
@@ -19,8 +21,10 @@ const PAPER: [(&str, u64); 10] = [
 ];
 
 fn main() {
-    let seed = seed();
-    let scale = env_u64("MINEDIG_LINK_SCALE", 10).max(1);
+    let env = configured(read_env(&[SEED_ENV, SHARDS_ENV, LINK_SCALE_ENV]));
+    let seed = configured(seed(&env));
+    let scale = configured(link_scale(&env));
+    let backend = configured(Backend::parse(&env));
     println!("Table 5 — categories of the unbiased <10k-hash dataset (scale 1:{scale})\n");
 
     let study = run_study(
@@ -31,11 +35,14 @@ fn main() {
                 seed,
             },
             resolve_budget: 10_000,
-            backend: minedig_bench::backend(),
+            backend,
             ..StudyConfig::default()
         },
         seed,
-    );
+        None,
+    )
+    .expect("a straight run cannot fail")
+    .0;
 
     let mut measured: Vec<(String, u64)> = study
         .tail_categories

@@ -3,9 +3,10 @@
 
 use minedig_analysis::estimate::monthly_row;
 use minedig_analysis::scenario::run_scenario;
-use minedig_bench::seed;
+use minedig_bench::{seed, SEED_ENV};
 use minedig_core::attribute::{month_config, Month};
 use minedig_core::report::{comparison_table, Comparison};
+use minedig_primitives::{configured, read_env};
 
 const PAPER: [(Month, f64, f64, f64, f64); 3] = [
     (Month::May, 9.0, 8.8, 5.5, 1_231.0),
@@ -14,7 +15,8 @@ const PAPER: [(Month, f64, f64, f64, f64); 3] = [
 ];
 
 fn main() {
-    let seed = seed();
+    let env = configured(read_env(&[SEED_ENV]));
+    let seed = configured(seed(&env));
     println!("Table 6 — Coinhive monthly mining statistics (three full simulated months)\n");
 
     let mut rows = Vec::new();
@@ -24,7 +26,9 @@ fn main() {
         // end-of-interval sample keeps attribution exact (see scenario.rs).
         config.poll_interval_secs = 60;
         let (start, end) = month.window();
-        let result = run_scenario(config);
+        let result = run_scenario(config, None)
+            .expect("a straight run cannot fail")
+            .0;
         let row = monthly_row(
             month.label(),
             &result.attributed,

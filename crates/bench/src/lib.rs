@@ -2,59 +2,66 @@
 //!
 //! Every binary under `src/bin/` regenerates one of the paper's tables or
 //! figures (see DESIGN.md's experiment index) and prints measured values
-//! next to the paper's. Common knobs come from the environment:
+//! next to the paper's. Each reads its knobs from the environment once,
+//! at start, through `minedig_primitives::read_env`:
 //!
 //! * `MINEDIG_SEED` — experiment seed (default 2018),
 //! * `MINEDIG_SHARDS` — worker threads of the execution backend
 //!   (default: one per core; `1` runs sequentially),
 //! * `MINEDIG_LINK_SCALE` — divisor on the 1.7 M link population
-//!   (default 10),
-//! * `MINEDIG_DAYS` — override for the Fig 5 window length.
+//!   (default 10, at most 1,709,203 so that one link remains),
+//! * `MINEDIG_DAYS` — the Fig 5 window in days (default 28, at least 1
+//!   and at most what the simulator's clock can hold),
+//! * `MINEDIG_BENCH_OUT` — where a smoke binary writes its JSON.
 //!
-//! A malformed value of any of them exits with status 2, naming the
-//! variable.
+//! A malformed value, a count that leaves nothing to measure, or any
+//! `MINEDIG_*` variable the binary does not read exits with status 2,
+//! naming the variable.
 
+use minedig_analysis::scenario::MAX_DAYS;
 use minedig_core::campaign::ChromeCampaign;
 use minedig_core::report::campaign_line;
 use minedig_core::scan::{build_reference_db, scan_len, ChromeScanOutcome, FetchModel};
 use minedig_primitives::parse_var;
 use minedig_primitives::supervise::{run_to_end, Backend};
+use minedig_shortlink::model::PAPER_LINK_COUNT;
 use minedig_wasm::sigdb::SignatureDb;
 use minedig_wasm::FingerprintCache;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
 
-/// Reads the `u64` knob `name` through `lookup`: `default` when unset,
-/// and an error naming the variable when it is not a whole number.
-fn parse_u64(
-    lookup: impl Fn(&str) -> Option<String>,
-    name: &str,
-    default: u64,
-) -> Result<u64, String> {
-    Ok(parse_var(lookup, name, "a whole number", |_: &u64| true)?.unwrap_or(default))
+/// The experiment seed's variable.
+pub const SEED_ENV: &str = "MINEDIG_SEED";
+
+/// The variable dividing the §4.1 link population.
+pub const LINK_SCALE_ENV: &str = "MINEDIG_LINK_SCALE";
+
+/// The variable setting the Fig 5 window in days.
+pub const DAYS_ENV: &str = "MINEDIG_DAYS";
+
+/// The variable naming a smoke binary's JSON output file.
+pub const BENCH_OUT_ENV: &str = "MINEDIG_BENCH_OUT";
+
+/// The experiment seed `env` names (default 2018).
+pub fn seed(env: impl Fn(&str) -> Option<String>) -> Result<u64, String> {
+    Ok(parse_var(env, SEED_ENV, "a whole number", |_: &u64| true)?.unwrap_or(2018))
 }
 
-/// Reads a `u64` knob from the environment; exits with status 2 on a
-/// malformed value.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    parse_u64(|n| std::env::var(n).ok(), name, default).unwrap_or_else(|e| {
-        eprintln!("bad configuration: {e}");
-        std::process::exit(2);
-    })
+/// The divisor on the 1.7 M link population `env` names (default 10):
+/// at least 1, and at most [`PAPER_LINK_COUNT`] so that at least one
+/// link is studied.
+pub fn link_scale(env: impl Fn(&str) -> Option<String>) -> Result<u64, String> {
+    let expected = format!("a whole number from 1 to {PAPER_LINK_COUNT}");
+    let valid = |n: &u64| (1..=PAPER_LINK_COUNT).contains(n);
+    Ok(parse_var(env, LINK_SCALE_ENV, &expected, valid)?.unwrap_or(10))
 }
 
-/// The experiment seed.
-pub fn seed() -> u64 {
-    env_u64("MINEDIG_SEED", 2018)
-}
-
-/// The execution backend named by the environment; exits with status 2
-/// on a malformed value.
-pub fn backend() -> Backend {
-    Backend::from_env().unwrap_or_else(|e| {
-        eprintln!("bad backend configuration: {e}");
-        std::process::exit(2);
-    })
+/// The Fig 5 window in days `env` names (default 28): at least one, and
+/// at most [`MAX_DAYS`].
+pub fn days(env: impl Fn(&str) -> Option<String>) -> Result<u64, String> {
+    let expected = format!("a whole number from 1 to {MAX_DAYS}");
+    let valid = |n: &u64| (1..=MAX_DAYS).contains(n);
+    Ok(parse_var(env, DAYS_ENV, &expected, valid)?.unwrap_or(28))
 }
 
 /// Clean-sample size scanned per zone for FP honesty.
@@ -69,12 +76,13 @@ pub fn chrome_populations(seed: u64) -> Vec<Population> {
 }
 
 /// Runs the Chrome scan on Alexa + .org with the reference DB (shared by
-/// the Table 1/2/3 binaries) on the environment's [`backend`], with an
-/// in-memory fingerprint memo; results are bit-identical on every
-/// backend.
-pub fn run_chrome_scans(seed: u64) -> (SignatureDb, Vec<(Population, ChromeScanOutcome)>) {
+/// the Table 1/2/3 binaries) on `backend`, with an in-memory fingerprint
+/// memo; results are bit-identical on every backend.
+pub fn run_chrome_scans(
+    seed: u64,
+    backend: Backend,
+) -> (SignatureDb, Vec<(Population, ChromeScanOutcome)>) {
     let db = build_reference_db(0.7);
-    let backend = backend();
     let model = FetchModel::default();
     let cache = FingerprintCache::new();
     let out = chrome_populations(seed)
@@ -161,12 +169,28 @@ mod tests {
 
     #[test]
     fn env_parsing() {
-        assert_eq!(env_u64("MINEDIG_DOES_NOT_EXIST", 7), 7);
+        let unset = |_: &str| None;
+        assert_eq!(seed(unset), Ok(2018));
+        assert_eq!(link_scale(unset), Ok(10));
+        assert_eq!(days(unset), Ok(28));
         let given = |v: &'static str| move |_: &str| Some(v.to_string());
-        assert_eq!(parse_u64(given(" 3 "), "MINEDIG_SEED", 2018), Ok(3));
+        assert_eq!(seed(given(" 3 ")), Ok(3));
+        assert_eq!(seed(given("0")), Ok(0));
+        assert_eq!(link_scale(given("1709203")), Ok(PAPER_LINK_COUNT));
+        assert_eq!(days(given("1")), Ok(1));
+        assert_eq!(days(given("213503982316954")), Ok(MAX_DAYS));
         for bad in ["2.5", "seven", "-1", ""] {
-            let err = parse_u64(given(bad), "MINEDIG_LINK_SCALE", 10).expect_err(bad);
-            assert!(err.contains("MINEDIG_LINK_SCALE"), "{err}");
+            let err = seed(given(bad)).expect_err(bad);
+            assert!(err.contains(SEED_ENV), "{err}");
+        }
+        // Counts that leave nothing to measure are refused by name.
+        for bad in ["0", "1709204", "2.5", "-1"] {
+            let err = link_scale(given(bad)).expect_err(bad);
+            assert!(err.contains(LINK_SCALE_ENV), "{err}");
+        }
+        for bad in ["0", "213503982316955", "seven", "-1"] {
+            let err = days(given(bad)).expect_err(bad);
+            assert!(err.contains(DAYS_ENV), "{err}");
         }
     }
 }

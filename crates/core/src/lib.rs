@@ -45,4 +45,4 @@ pub use scan::{
     build_reference_db, chrome_scan, chrome_scan_with, zgrab_scan, zgrab_scan_with,
     ChromeScanOutcome, FetchModel, FetchStats, ZgrabScanOutcome,
 };
-pub use shortlink_study::{run_study, run_study_supervised, StudyConfig, SupervisedStudy};
+pub use shortlink_study::{run_study, StudyConfig};

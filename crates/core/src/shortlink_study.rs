@@ -2,11 +2,8 @@
 //! cheap unbiased tail, then compute the Fig 3/4 distributions, resolve
 //! the top users' samples and categorize destinations.
 
-use minedig_primitives::ckpt::SnapshotStore;
 use minedig_primitives::stats::{top1_share, top_k_for_share, Ecdf, Pow2Histogram};
-use minedig_primitives::supervise::{
-    run_to_end, Backend, SuperviseError, SuperviseReport, Supervisor,
-};
+use minedig_primitives::supervise::{run_campaign, Backend, Ckpt, SuperviseError, SuperviseReport};
 use minedig_primitives::DetRng;
 use minedig_shortlink::campaign::{EnumCampaign, EnumCampaignOutput};
 use minedig_shortlink::enumerate::Enumeration;
@@ -95,54 +92,23 @@ fn study_campaign<'a>(
         .with_tail_resolver(service, config.resolve_budget)
 }
 
-/// Runs the full §4.1 study: the walk straight through, then the
-/// analysis.
-pub fn run_study(config: &StudyConfig, seed: u64) -> StudyResult {
-    let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
-    let policy = ProbePolicy::default();
-    let walk = run_to_end(study_campaign(&service, &policy, config));
-    finish_study(&service, walk, config, seed)
-}
-
-/// A [`StudyResult`] produced under supervision, plus the
-/// crash/checkpoint accounting of the enumeration walk.
-pub struct SupervisedStudy {
-    /// The study outputs, identical to [`run_study`] for any kill
-    /// schedule.
-    pub result: StudyResult,
-    /// Checkpoint/restart accounting of the supervised walk.
-    pub report: SuperviseReport,
-}
-
-/// Runs the §4.1 study with the enumeration walk *and* the unbiased-tail
-/// resolve stage — the long-running, crash-exposed phases — under
-/// `supervisor`, checkpointing into `store` as snapshot `name`. The
-/// resolve stage rides on the walk, so its ledger is part of every
-/// snapshot and a killed study resumes resolution too instead of
-/// re-resolving from scratch. With `resume` the study continues from
-/// the latest on-disk snapshot instead of index 0. The analysis runs
-/// after the walk completes, as in [`run_study`], so the outputs are
-/// bit-identical to an uninterrupted study.
-pub fn run_study_supervised(
+/// Runs the full §4.1 study: the enumeration walk, with the
+/// unbiased-tail resolve stage riding on it, then the analysis. With
+/// `ckpt` the walk runs under its supervisor as snapshot
+/// `shortlink-{links}-{seed}`: its resolve ledger is part of every
+/// snapshot, so a killed study resumes resolution too, and the outputs
+/// are bit-identical to a straight run. The supervisor's accounting
+/// comes back with a checkpointed study's result.
+pub fn run_study(
     config: &StudyConfig,
     seed: u64,
-    store: &SnapshotStore,
-    name: &str,
-    supervisor: &Supervisor,
-    resume: bool,
-) -> Result<SupervisedStudy, SuperviseError> {
+    ckpt: Option<&Ckpt>,
+) -> Result<(StudyResult, Option<SuperviseReport>), SuperviseError> {
     let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
     let policy = ProbePolicy::default();
-    let run = supervisor.run(
-        store,
-        name,
-        || study_campaign(&service, &policy, config),
-        resume,
-    )?;
-    Ok(SupervisedStudy {
-        result: finish_study(&service, run.output, config, seed),
-        report: run.report,
-    })
+    let name = format!("shortlink-{}-{seed}", config.model.total_links);
+    let (walk, report) = run_campaign(ckpt, &name, || study_campaign(&service, &policy, config))?;
+    Ok((finish_study(&service, walk, config, seed), report))
 }
 
 /// The analysis after the walk: Fig 3/4 statistics from the
@@ -279,7 +245,8 @@ fn table4_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minedig_primitives::supervise::CrashPolicy;
+    use minedig_primitives::ckpt::SnapshotStore;
+    use minedig_primitives::supervise::{run_to_end, CrashPolicy, Supervisor};
     use minedig_shortlink::enumerate::enumerate_links_with;
     use minedig_shortlink::ids::index_to_code;
     use minedig_shortlink::service::VisitDoc;
@@ -298,8 +265,15 @@ mod tests {
         }
     }
 
+    /// The study run straight through.
+    fn straight(config: &StudyConfig) -> StudyResult {
+        run_study(config, 9, None)
+            .expect("a straight run cannot fail")
+            .0
+    }
+
     fn small_study() -> StudyResult {
-        run_study(&config(30_000, 2_500, 300), 9)
+        straight(&config(30_000, 2_500, 300))
     }
 
     /// The study the campaign must reproduce: the sequential walk, then
@@ -345,13 +319,10 @@ mod tests {
         let base = config(10_000, 800, 100);
         let batch = batch_study(&base, 9);
         for backend in [Backend::Sequential, Backend::Sharded(8)] {
-            let study = run_study(
-                &StudyConfig {
-                    backend,
-                    ..base.clone()
-                },
-                9,
-            );
+            let study = straight(&StudyConfig {
+                backend,
+                ..base.clone()
+            });
             assert_study_eq(&study, &batch, &backend.to_string());
         }
     }
@@ -376,18 +347,21 @@ mod tests {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let store = SnapshotStore::open(&dir).expect("open store");
             let crashes = kills.len() as u32;
-            let supervisor = Supervisor::new(CrashPolicy {
-                ckpt_every_items: 64,
-                ..CrashPolicy::default()
-            })
-            .with_kills(kills);
-            let run = run_study_supervised(&config, 9, &store, "study", &supervisor, false)
-                .expect("supervised study");
-            assert_eq!(run.report.crashes, crashes, "backend={backend}");
-            assert!(run.report.balanced(), "{:?}", run.report);
-            assert_study_eq(&run.result, &batch, &backend.to_string());
+            let ckpt = Ckpt {
+                store: SnapshotStore::open(&dir).expect("open store"),
+                supervisor: Supervisor::new(CrashPolicy {
+                    ckpt_every_items: 64,
+                    ..CrashPolicy::default()
+                })
+                .with_kills(kills),
+                resume: false,
+            };
+            let (study, report) = run_study(&config, 9, Some(&ckpt)).expect("supervised study");
+            let report = report.expect("a supervised study reports");
+            assert_eq!(report.crashes, crashes, "backend={backend}");
+            assert!(report.balanced(), "{report:?}");
+            assert_study_eq(&study, &batch, &backend.to_string());
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -8,7 +8,7 @@
 //! frames, each carrying only what changed since the frame before it.
 //!
 //! ```text
-//! full frame (also the whole of a file written before journals):
+//! full frame:
 //! +--------+---------+--------------+-------------+---------+----------+
 //! | MDCKPT | version | progress_key | payload_len | payload | sha-256  |
 //! | 6 B    | varint  | varint       | varint      | bytes   | 32 B     |
@@ -100,8 +100,6 @@ pub enum CkptError {
         /// Progress key of the snapshot it was meant to follow.
         last_key: Option<u64>,
     },
-    /// A configuration variable holds a value the store cannot use.
-    Config(String),
 }
 
 impl fmt::Display for CkptError {
@@ -127,7 +125,6 @@ impl fmt::Display for CkptError {
                 f,
                 "delta snapshot extends progress {base_key} but has no base"
             ),
-            CkptError::Config(what) => write!(f, "bad snapshot configuration: {what}"),
         }
     }
 }
@@ -344,22 +341,9 @@ impl<'a> Frame<'a> {
     }
 }
 
-/// Environment variable overriding how many journals per name a
-/// [`SnapshotStore`] retains (default [`DEFAULT_KEEP`]).
-pub const CKPT_KEEP_ENV: &str = "MINEDIG_CKPT_KEEP";
-
-/// Journals retained per name when [`CKPT_KEEP_ENV`] is unset.
-pub const DEFAULT_KEEP: usize = 2;
-
-/// The retention depth [`CKPT_KEEP_ENV`] names through `lookup`: a
-/// positive count, [`DEFAULT_KEEP`] when unset, and an error naming the
-/// variable for anything else.
-pub fn parse_keep(lookup: impl Fn(&str) -> Option<String>) -> Result<usize, String> {
-    let keep = crate::parse_var(lookup, CKPT_KEEP_ENV, "a positive integer", |&n: &usize| {
-        n > 0
-    })?;
-    Ok(keep.unwrap_or(DEFAULT_KEEP))
-}
+/// Journals a [`SnapshotStore`] retains per name: the live one and the
+/// one before it.
+const KEEP: usize = 2;
 
 /// One on-disk journal of a snapshot name.
 struct Journal {
@@ -391,48 +375,19 @@ fn journal_file(name: &str, seq: u64, key: u64, len: Option<u64>) -> String {
 /// save appends to the newest journal and renames it to
 /// `{name}.{seq}.{key}@{len}.ckpt`, where `key` is now the last frame's
 /// progress key and `len` the confirmed length in bytes. After a full
-/// save the store prunes the oldest journals so at most `keep` remain —
-/// the newest is the live one, the rest are insurance an operator can
-/// fall back to by hand if the newest is ever damaged. Pre-retention
-/// single-file snapshots (`{name}.ckpt`) still load; a delta save
-/// adopts one as journal 0, and the first full save supersedes (and
-/// removes) it.
+/// save the store prunes the oldest journals so at most two remain —
+/// the newest is the live one, the other is insurance an operator can
+/// fall back to by hand if the newest is ever damaged.
 pub struct SnapshotStore {
     dir: PathBuf,
-    keep: usize,
 }
 
 impl SnapshotStore {
-    /// Opens (creating if needed) a snapshot directory, with the
-    /// retention depth taken from [`CKPT_KEEP_ENV`] (see
-    /// [`parse_keep`]); a malformed value is a [`CkptError::Config`].
+    /// Opens (creating if needed) a snapshot directory.
     pub fn open(dir: impl Into<PathBuf>) -> Result<SnapshotStore, CkptError> {
-        let keep = parse_keep(|name| std::env::var(name).ok()).map_err(CkptError::Config)?;
-        SnapshotStore::open_with_keep(dir, keep)
-    }
-
-    /// Opens a snapshot directory retaining the last `keep` journals
-    /// per name (clamped to at least 1).
-    pub fn open_with_keep(
-        dir: impl Into<PathBuf>,
-        keep: usize,
-    ) -> Result<SnapshotStore, CkptError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(SnapshotStore {
-            dir,
-            keep: keep.max(1),
-        })
-    }
-
-    /// Journals retained per name.
-    pub fn keep(&self) -> usize {
-        self.keep
-    }
-
-    /// Path of the legacy (pre-retention) snapshot file for `name`.
-    fn legacy_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.ckpt"))
+        Ok(SnapshotStore { dir })
     }
 
     /// Every on-disk journal of `name`, ascending by write sequence.
@@ -476,28 +431,15 @@ impl SnapshotStore {
         Ok(out)
     }
 
-    /// The journal `load` reads and a delta save extends: the newest
-    /// one, else a legacy single-file snapshot as journal 0.
+    /// The journal `load` reads and a delta save extends: the newest.
     fn tip(&self, name: &str) -> Result<Option<Journal>, CkptError> {
-        if let Some(journal) = self.journals(name)?.pop() {
-            return Ok(Some(journal));
-        }
-        let path = self.legacy_path(name);
-        Ok(path.is_file().then_some(Journal {
-            seq: 0,
-            confirmed: None,
-            path,
-        }))
+        Ok(self.journals(name)?.pop())
     }
 
     /// Path of the newest on-disk journal of `name` (the file `load`
-    /// would read), falling back to the legacy single-file path when no
-    /// snapshot exists.
-    pub fn path(&self, name: &str) -> PathBuf {
-        self.tip(name)
-            .ok()
-            .flatten()
-            .map_or_else(|| self.legacy_path(name), |j| j.path)
+    /// would read), if one exists.
+    pub fn path(&self, name: &str) -> Option<PathBuf> {
+        self.tip(name).ok().flatten().map(|j| j.path)
     }
 
     /// The directory this store writes into.
@@ -511,8 +453,7 @@ impl SnapshotStore {
     /// A full snapshot starts a new journal: its encoding is written to
     /// a temp file in the same directory and `rename`d into place, so a
     /// crash mid-write leaves every previous journal intact — then
-    /// journals older than the retention window (and any superseded
-    /// legacy file) are deleted. A delta is appended to the newest
+    /// journals older than the retention window are deleted. A delta is appended to the newest
     /// journal as one frame and confirmed by renaming the file; it is
     /// refused with [`CkptError::BaseMismatch`] unless its base key is
     /// the journal's last progress key.
@@ -529,12 +470,11 @@ impl SnapshotStore {
         fs::write(&tmp, &bytes)?;
         fs::rename(&tmp, self.dir.join(&file))?;
         // Retention: the rename succeeded, so older journals beyond the
-        // window — and the superseded legacy file — can go.
-        let excess = (older.len() + 1).saturating_sub(self.keep);
+        // window can go.
+        let excess = (older.len() + 1).saturating_sub(KEEP);
         for journal in &older[..excess.min(older.len())] {
             remove_if_present(&journal.path)?;
         }
-        remove_if_present(&self.legacy_path(name))?;
         Ok(bytes.len() as u64)
     }
 
@@ -590,9 +530,8 @@ impl SnapshotStore {
         Ok(frame.len() as u64)
     }
 
-    /// Loads and verifies the newest journal of `name` (falling back to
-    /// the legacy single-file layout) as its full snapshot carrying its
-    /// deltas; `Ok(None)` if none has ever been written. Bytes past the
+    /// Loads and verifies the newest journal of `name` as its full
+    /// snapshot carrying its deltas; `Ok(None)` if none has ever been written. Bytes past the
     /// confirmed length are an append killed before its rename and are
     /// ignored. Any damage to the confirmed frames is an error, never a
     /// silent fallback — restoring stale progress behind the campaign's
@@ -615,7 +554,7 @@ impl SnapshotStore {
         for journal in self.journals(name)? {
             remove_if_present(&journal.path)?;
         }
-        remove_if_present(&self.legacy_path(name))
+        Ok(())
     }
 }
 
@@ -910,8 +849,7 @@ mod tests {
     fn retention_keeps_only_the_last_n_versions() {
         let dir = std::env::temp_dir().join(format!("minedig-ckpt-keep-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
-        assert_eq!(store.keep(), 2);
+        let store = SnapshotStore::open(&dir).unwrap();
         for key in [10u64, 20, 30, 5, 40] {
             store
                 .save("camp", &Snapshot::new(key, vec![key as u8]))
@@ -923,7 +861,7 @@ mod tests {
         }
         // The newest write wins regardless of progress key ordering…
         assert_eq!(store.load("camp").unwrap().unwrap().progress_key, 40);
-        // …and exactly `keep` files survive: the last two writes.
+        // …and exactly two files survive: the last two writes.
         assert_eq!(
             ckpt_files(&dir),
             vec!["camp.4.5.ckpt".to_string(), "camp.5.40.ckpt".to_string()]
@@ -941,28 +879,10 @@ mod tests {
         // like the pre-retention overwrite did.
         let dir = std::env::temp_dir().join(format!("minedig-ckpt-stale-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+        let store = SnapshotStore::open(&dir).unwrap();
         store.save("camp", &Snapshot::new(100, vec![1])).unwrap();
         store.save("camp", &Snapshot::new(3, vec![2])).unwrap();
         assert_eq!(store.load("camp").unwrap().unwrap().progress_key, 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_single_file_snapshots_load_and_are_superseded() {
-        let dir = std::env::temp_dir().join(format!("minedig-ckpt-legacy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
-        let old = sample();
-        std::fs::write(dir.join("camp.ckpt"), old.encode()).unwrap();
-        assert_eq!(store.load("camp").unwrap().unwrap(), old);
-        assert_eq!(store.path("camp"), dir.join("camp.ckpt"));
-        // The first versioned save replaces the legacy layout wholesale.
-        let new = Snapshot::new(99, vec![9]);
-        store.save("camp", &new).unwrap();
-        assert!(!dir.join("camp.ckpt").exists());
-        assert_eq!(store.load("camp").unwrap().unwrap(), new);
-        assert_eq!(store.path("camp"), dir.join("camp.1.99.ckpt"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -972,12 +892,15 @@ mod tests {
         // one must never touch the other's files.
         let dir = std::env::temp_dir().join(format!("minedig-ckpt-sib-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open_with_keep(&dir, 1).unwrap();
+        let store = SnapshotStore::open(&dir).unwrap();
         store.save("camp", &Snapshot::new(1, vec![1])).unwrap();
         store.save("camp2", &Snapshot::new(2, vec![2])).unwrap();
-        store.save("camp", &Snapshot::new(3, vec![3])).unwrap();
+        for key in [3, 4, 5] {
+            store.save("camp", &Snapshot::new(key, vec![3])).unwrap();
+        }
+        assert_eq!(ckpt_files(&dir).len(), 3, "camp keeps two, camp2 one");
         assert_eq!(store.load("camp2").unwrap().unwrap().progress_key, 2);
-        assert_eq!(store.load("camp").unwrap().unwrap().progress_key, 3);
+        assert_eq!(store.load("camp").unwrap().unwrap().progress_key, 5);
         store.remove("camp").unwrap();
         assert!(store.load("camp").unwrap().is_none());
         assert_eq!(store.load("camp2").unwrap().unwrap().progress_key, 2);
@@ -1005,7 +928,7 @@ mod tests {
     /// deltas, each 10 keys on. Returns the store, the snapshot a load
     /// should return and each frame's length in bytes.
     fn journal(dir: &Path, deltas: u64) -> (SnapshotStore, Snapshot, Vec<usize>) {
-        let store = SnapshotStore::open_with_keep(dir, 2).unwrap();
+        let store = SnapshotStore::open(dir).unwrap();
         let mut expected = Snapshot::new(10, vec![1, 2, 3]);
         let mut lens = vec![store.save("walk", &expected).unwrap() as usize];
         for i in 1..=deltas {
@@ -1018,7 +941,7 @@ mod tests {
 
     #[test]
     fn a_full_snapshot_keeps_the_single_file_layout() {
-        // Files written before journals existed must still load.
+        // A snapshot without deltas is one full frame, byte for byte.
         let snap = sample();
         let mut want = MAGIC.to_vec();
         write_varint(&mut want, FORMAT_VERSION);
@@ -1040,11 +963,11 @@ mod tests {
         assert!(loaded.full_payload().is_err());
         // One file: the journal's encoding, named by its last key and
         // confirmed length.
-        let bytes = std::fs::read(store.path("walk")).unwrap();
+        let bytes = std::fs::read(store.path("walk").unwrap()).unwrap();
         assert_eq!(bytes, expected.encode());
         assert_eq!(bytes.len(), lens.iter().sum::<usize>());
         assert_eq!(
-            store.path("walk"),
+            store.path("walk").unwrap(),
             dir.join(format!("walk.1.50@{}.ckpt", bytes.len()))
         );
         assert_eq!(Snapshot::decode(&bytes).unwrap(), expected);
@@ -1065,7 +988,7 @@ mod tests {
     #[test]
     fn save_refuses_a_delta_that_does_not_extend_the_journal() {
         let dir = tmp("base");
-        let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+        let store = SnapshotStore::open(&dir).unwrap();
         assert!(matches!(
             store.save("walk", &Snapshot::delta(0, 5, vec![])),
             Err(CkptError::BaseMismatch {
@@ -1093,7 +1016,7 @@ mod tests {
         for deltas in [0, 3] {
             let dir = tmp(&format!("killed-{deltas}"));
             let (store, expected, _) = journal(&dir, deltas);
-            let path = store.path("walk");
+            let path = store.path("walk").unwrap();
             let confirmed = expected.encode();
             // The bytes a killed append left: its whole frame, or part
             // of it, past the confirmed length the name records.
@@ -1113,7 +1036,10 @@ mod tests {
             let mut want = expected.clone();
             want.deltas.push(next);
             assert_eq!(store.load("walk").unwrap().unwrap(), want);
-            assert_eq!(std::fs::read(store.path("walk")).unwrap(), want.encode());
+            assert_eq!(
+                std::fs::read(store.path("walk").unwrap()).unwrap(),
+                want.encode()
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -1122,7 +1048,7 @@ mod tests {
     fn damage_to_any_confirmed_frame_is_a_typed_error() {
         let dir = tmp("damage");
         let (store, expected, lens) = journal(&dir, 4);
-        let path = store.path("walk");
+        let path = store.path("walk").unwrap();
         let pristine = std::fs::read(&path).unwrap();
         let load = |bytes: &[u8]| {
             std::fs::write(&path, bytes).unwrap();
@@ -1170,7 +1096,7 @@ mod tests {
             restart.encode().len() as u64
         );
         assert_eq!(store.load("walk").unwrap().unwrap(), restart);
-        assert_eq!(store.path("walk"), dir.join("walk.2.5.ckpt"));
+        assert_eq!(store.path("walk").unwrap(), dir.join("walk.2.5.ckpt"));
         // Retention counts journals: the long one stays as insurance.
         assert_eq!(ckpt_files(&dir).len(), 2);
         // Deltas now extend the fresh journal only.
@@ -1184,35 +1110,5 @@ mod tests {
         store.save("walk", &Snapshot::delta(5, 6, vec![6])).unwrap();
         assert_eq!(store.load("walk").unwrap().unwrap().last_key(), 6);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_delta_extends_a_legacy_single_file_snapshot() {
-        let dir = tmp("legacy-delta");
-        let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
-        let old = Snapshot::new(17, vec![1]);
-        std::fs::write(dir.join("camp.ckpt"), old.encode()).unwrap();
-        let delta = Snapshot::delta(17, 20, vec![2]);
-        store.save("camp", &delta).unwrap();
-        assert!(!dir.join("camp.ckpt").exists());
-        assert_eq!(
-            store.load("camp").unwrap().unwrap(),
-            Snapshot {
-                deltas: vec![delta],
-                ..old
-            }
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn keep_parses_positive_counts_and_rejects_the_rest() {
-        let keep = |v: Option<&str>| parse_keep(|_| v.map(String::from));
-        assert_eq!(keep(None), Ok(DEFAULT_KEEP));
-        assert_eq!(keep(Some(" 5 ")), Ok(5));
-        for bad in ["-1", "0", "abc", ""] {
-            let err = keep(Some(bad)).expect_err(bad);
-            assert!(err.contains(CKPT_KEEP_ENV), "{err}");
-        }
     }
 }

@@ -141,11 +141,6 @@ impl FaultPlan {
         Ok(seed.map(FaultPlan::new))
     }
 
-    /// [`parse`](FaultPlan::parse) over the process environment.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        FaultPlan::parse(|name| std::env::var(name).ok())
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed

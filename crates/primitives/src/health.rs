@@ -53,11 +53,6 @@ pub fn parse_health(lookup: impl Fn(&str) -> Option<String>) -> Result<bool, Str
     crate::parse_switch(lookup, HEALTH_ENV)
 }
 
-/// [`parse_health`] over the process environment.
-pub fn health_from_env() -> Result<bool, String> {
-    parse_health(|name| std::env::var(name).ok())
-}
-
 /// Circuit-breaker tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BreakerConfig {

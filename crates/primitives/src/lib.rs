@@ -7,7 +7,8 @@
 //! sub-stream derivation, the statistics helpers used by the measurement
 //! analyses (CDFs, percentiles, Zipf/power-law sampling), and the
 //! execution [`Backend`] every measurement loop (zone scans, shortlink
-//! enumeration, endpoint polling) maps its items through.
+//! enumeration, endpoint polling) maps its items through, and
+//! [`read_env`], every program's one read of its environment.
 //!
 //! Everything here is implemented from scratch on top of `std` so that the
 //! rest of the workspace stays dependency-light and fully deterministic.
@@ -41,8 +42,69 @@ pub use retry::{retry, Clock, ErrorClass, GiveUp, RetryPolicy, Retryable, Virtua
 pub use rng::DetRng;
 pub use sha256::sha256;
 pub use supervise::{
-    run_to_end, Backend, Campaign, CrashPolicy, SuperviseReport, SupervisedRun, Supervisor,
+    run_campaign, run_to_end, Backend, Campaign, Ckpt, CrashPolicy, SuperviseReport, SupervisedRun,
+    Supervisor,
 };
+
+/// A program's one read of its environment, made at start: the values of
+/// the `MINEDIG_*` variables in `reads`, as the lookup that [`parse_var`],
+/// [`Backend::parse`] and the other parsers take. Any other `MINEDIG_*`
+/// variable is an error naming it (see [`parse_env`]).
+pub fn read_env(reads: &[&str]) -> Result<impl Fn(&str) -> Option<String>, String> {
+    parse_env(
+        std::env::vars_os().map(|(name, value)| {
+            let text = |s: std::ffi::OsString| s.to_string_lossy().into_owned();
+            (text(name), text(value))
+        }),
+        reads,
+    )
+}
+
+/// The lookup [`read_env`] builds from the variables `vars`: the value
+/// of each variable in `reads`, and an error naming every other variable
+/// whose name starts with `MINEDIG_`, so that a removed or misspelt
+/// setting is refused rather than silently ignored.
+pub fn parse_env(
+    vars: impl IntoIterator<Item = (String, String)>,
+    reads: &[&str],
+) -> Result<impl Fn(&str) -> Option<String>, String> {
+    let mut known = Vec::new();
+    let mut unknown = Vec::new();
+    for (name, value) in vars {
+        if reads.contains(&name.as_str()) {
+            known.push((name, value));
+        } else if name.starts_with("MINEDIG_") {
+            unknown.push(name);
+        }
+    }
+    if !unknown.is_empty() {
+        unknown.sort();
+        return Err(format!(
+            "unknown variable {} (this program reads {})",
+            unknown.join(", "),
+            if reads.is_empty() {
+                "none".to_string()
+            } else {
+                reads.join(", ")
+            }
+        ));
+    }
+    Ok(move |name: &str| {
+        known
+            .iter()
+            .find(|(known, _)| known == name)
+            .map(|(_, value)| value.clone())
+    })
+}
+
+/// A setting parsed at a program's start, or exit status 2 with the
+/// parser's error, which names the variable at fault.
+pub fn configured<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("bad configuration: {e}");
+        std::process::exit(2);
+    })
+}
 
 /// Reads the variable `name` through `lookup` and parses it as a `T`
 /// that `valid` accepts: `Ok(None)` when unset, and an error naming the
@@ -171,6 +233,45 @@ mod tests {
     fn zero_constant_is_all_zero() {
         assert_eq!(Hash32::ZERO.0, [0u8; 32]);
         assert_eq!(Hash32::ZERO.low_u64(), 0);
+    }
+
+    #[test]
+    fn the_environment_keeps_what_a_program_reads_and_refuses_other_minedig_names() {
+        let vars = |pairs: &[(&str, &str)]| {
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect::<Vec<_>>()
+        };
+        let env = parse_env(
+            vars(&[("PATH", "/bin"), ("MINEDIG", "x"), ("MINEDIG_SEED", "7")]),
+            &["MINEDIG_SEED", "MINEDIG_DAYS"],
+        )
+        .unwrap();
+        assert_eq!(env("MINEDIG_SEED").as_deref(), Some("7"));
+        assert_eq!(env("MINEDIG_DAYS"), None);
+        assert_eq!(env("PATH"), None, "only the names read are kept");
+        let err = parse_env(
+            vars(&[
+                ("MINEDIG_SHARD", "1"),
+                ("MINEDIG_ASYNC", "1"),
+                ("MINEDIG_SEED", "7"),
+            ]),
+            &["MINEDIG_SEED"],
+        )
+        .err()
+        .unwrap();
+        assert!(
+            err.starts_with("unknown variable MINEDIG_ASYNC, MINEDIG_SHARD "),
+            "{err}"
+        );
+        let err = parse_env(vars(&[("MINEDIG_SEED", "7")]), &[])
+            .err()
+            .unwrap();
+        assert!(
+            err.contains("MINEDIG_SEED") && err.contains("reads none"),
+            "{err}"
+        );
     }
 
     #[test]

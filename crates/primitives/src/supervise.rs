@@ -65,12 +65,6 @@ impl fmt::Display for Backend {
 }
 
 impl Backend {
-    /// Selects the backend named by `MINEDIG_SHARDS` — see
-    /// [`parse`](Backend::parse).
-    pub fn from_env() -> Result<Backend, String> {
-        Backend::parse(|name| std::env::var(name).ok())
-    }
-
     /// Selects a backend from the variables `lookup` returns:
     /// `MINEDIG_SHARDS=n` picks `n` worker threads (`1` is
     /// [`Backend::Sequential`]); unset, [`Backend::default`]. A count
@@ -122,8 +116,9 @@ pub fn run_to_end<C: Campaign>(mut campaign: C) -> C::Output {
     campaign.finish()
 }
 
-/// Environment variable naming the snapshot directory; when set, the
-/// CLI runs its campaigns supervised and checkpointed.
+/// Environment variable naming the snapshot directory; when set,
+/// [`Ckpt::parse`] runs a program's campaigns supervised and
+/// checkpointed.
 pub const CKPT_DIR_ENV: &str = "MINEDIG_CKPT_DIR";
 
 /// Environment variable overriding
@@ -170,11 +165,6 @@ impl CrashPolicy {
             policy.ckpt_every_items = every;
         }
         Ok(policy)
-    }
-
-    /// [`parse`](CrashPolicy::parse) over the process environment.
-    pub fn from_env() -> Result<CrashPolicy, String> {
-        CrashPolicy::parse(|name| std::env::var(name).ok())
     }
 }
 
@@ -496,6 +486,67 @@ impl Supervisor {
     }
 }
 
+/// A checkpointed run: the snapshot store, the supervisor that writes
+/// into it, and whether each campaign first restores its latest
+/// snapshot.
+pub struct Ckpt {
+    /// Where every campaign of the run keeps its journal.
+    pub store: SnapshotStore,
+    /// The checkpoint cadence and kill schedule.
+    pub supervisor: Supervisor,
+    /// Continue each campaign from its latest snapshot.
+    pub resume: bool,
+}
+
+impl Ckpt {
+    /// The checkpointing that `lookup` names: `None` unless
+    /// [`CKPT_DIR_ENV`] is set, else a store in that directory written
+    /// at the [`CrashPolicy::parse`] cadence, with simulated kills drawn
+    /// from the crash stream of `faults` when a fault plan is set. A
+    /// malformed cadence is an error even when no directory is set.
+    pub fn parse(
+        lookup: impl Fn(&str) -> Option<String>,
+        resume: bool,
+        faults: Option<&FaultPlan>,
+    ) -> Result<Option<Ckpt>, String> {
+        let policy = CrashPolicy::parse(&lookup)?;
+        let Some(dir) = lookup(CKPT_DIR_ENV) else {
+            return Ok(None);
+        };
+        let store = SnapshotStore::open(&dir)
+            .map_err(|e| format!("cannot open checkpoint dir '{dir}': {e}"))?;
+        let supervisor = Supervisor::new(policy);
+        let supervisor = match faults {
+            Some(plan) => supervisor.with_fault_plan(plan.clone()),
+            None => supervisor,
+        };
+        Ok(Some(Ckpt {
+            store,
+            supervisor,
+            resume,
+        }))
+    }
+}
+
+/// Runs `init()`'s campaign to completion: under the supervisor of
+/// `ckpt`, checkpointed into its store as `name`, or straight through
+/// ([`run_to_end`]) without one. The supervisor's accounting comes back
+/// with the output of a checkpointed run; a straight run has none and
+/// cannot fail.
+pub fn run_campaign<C: Campaign>(
+    ckpt: Option<&Ckpt>,
+    name: &str,
+    mut init: impl FnMut() -> C,
+) -> Result<(C::Output, Option<SuperviseReport>), SuperviseError> {
+    match ckpt {
+        Some(ck) => {
+            let run = ck.supervisor.run(&ck.store, name, init, ck.resume)?;
+            Ok((run.output, Some(run.report)))
+        }
+        None => Ok((run_to_end(init()), None)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,6 +780,58 @@ mod tests {
     #[test]
     fn run_to_end_matches_direct_execution() {
         assert_eq!(run_to_end(HashFold::new(300)), uninterrupted(300));
+    }
+
+    #[test]
+    fn run_campaign_is_straight_without_a_store_and_supervised_with_one() {
+        let (output, report) = run_campaign(None, "hf", || HashFold::new(300)).unwrap();
+        assert_eq!(output, uninterrupted(300));
+        assert!(report.is_none());
+        let killed = Ckpt {
+            store: store("run"),
+            supervisor: Supervisor::new(CrashPolicy {
+                ckpt_every_items: 16,
+                ..CrashPolicy::default()
+            })
+            .with_kills(vec![100]),
+            resume: false,
+        };
+        let (output, report) = run_campaign(Some(&killed), "hf", || HashFold::new(300)).unwrap();
+        assert_eq!(output, uninterrupted(300));
+        assert_eq!(report.expect("a supervised run reports").crashes, 1);
+        // Resumed, the finished campaign restores its final snapshot.
+        let resumed = Ckpt {
+            store: killed.store,
+            supervisor: Supervisor::default(),
+            resume: true,
+        };
+        let (output, report) = run_campaign(Some(&resumed), "hf", || HashFold::new(300)).unwrap();
+        assert_eq!(output, uninterrupted(300));
+        assert_eq!(
+            report.expect("a supervised run reports").start_progress,
+            300
+        );
+        let _ = std::fs::remove_dir_all(resumed.store.dir());
+    }
+
+    #[test]
+    fn ckpt_parse_checks_the_cadence_and_opens_the_named_directory() {
+        assert!(matches!(Ckpt::parse(|_| None, false, None), Ok(None)));
+        let bad = Ckpt::parse(|n| (n == CKPT_EVERY_ENV).then(|| "0".into()), false, None);
+        assert!(matches!(bad, Err(e) if e.contains(CKPT_EVERY_ENV)));
+        let dir = std::env::temp_dir().join(format!("minedig-ckpt-parse-{}", std::process::id()));
+        let lookup = |name: &str| match name {
+            CKPT_DIR_ENV => Some(dir.display().to_string()),
+            CKPT_EVERY_ENV => Some("16".to_string()),
+            _ => None,
+        };
+        let ck = Ckpt::parse(lookup, true, None)
+            .unwrap()
+            .expect("a directory is set");
+        assert_eq!(ck.store.dir(), dir.as_path());
+        assert_eq!(ck.supervisor.policy().ckpt_every_items, 16);
+        assert!(ck.resume);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn parse(vars: &[(&str, &str)]) -> Result<Backend, String> {

@@ -32,7 +32,7 @@ pub mod opcode;
 pub mod sigdb;
 pub mod validate;
 
-pub use cache::{corpus_content_key, CacheWarmth, FingerprintCache};
+pub use cache::FingerprintCache;
 pub use fingerprint::{fingerprint, fingerprint_with, Fingerprint};
 pub use module::{Module, ModuleBuilder};
 pub use sigdb::{MinerFamily, SignatureDb};

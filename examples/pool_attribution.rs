@@ -15,11 +15,16 @@ use minedig::chain::emission::atomic_to_xmr;
 fn main() {
     let days = 3;
     println!("Simulating {days} days of the Monero network with an instrumented pool…\n");
-    let result = run_scenario(ScenarioConfig {
-        duration_days: days,
-        seed: 0xd16,
-        ..ScenarioConfig::default()
-    });
+    let result = run_scenario(
+        ScenarioConfig {
+            duration_days: days,
+            seed: 0xd16,
+            ..ScenarioConfig::default()
+        },
+        None,
+    )
+    .expect("a straight run cannot fail")
+    .0;
 
     println!("attributed blocks (proven pool-mined via Merkle-root match):");
     println!(

@@ -12,19 +12,18 @@
 //! backend: `MINEDIG_SHARDS=<n>` worker threads (default: one per core;
 //! `1` runs sequentially). Result lines are identical on every backend;
 //! each campaign prints one line naming its backend, items and wall
-//! time. A malformed value of any `MINEDIG_*` variable named here, and
-//! any other variable whose name starts with `MINEDIG_`, is rejected
-//! with exit status 2 before any work starts, and so is a positional
-//! number that is not a whole number, a zero link count or an extra
-//! argument.
+//! time. The environment is read once, at start: a malformed value of
+//! any `MINEDIG_*` variable named here, and any other variable whose
+//! name starts with `MINEDIG_`, is rejected with exit status 2 before
+//! any work starts, and so is a positional number that is not a whole
+//! number, a zero day or link count or an extra argument.
 //!
 //! `MINEDIG_CKPT_DIR=<dir>` runs `scan`, `attribute` and `shortlink`
 //! supervised: progress checkpoints land in `<dir>` every
-//! `MINEDIG_CKPT_EVERY` items (default 64, the journals of the last
-//! `MINEDIG_CKPT_KEEP` full saves retained), the Chrome scan's
-//! fingerprint memo persists across runs, and `--resume` continues a
-//! killed campaign from its latest snapshot — with results
-//! bit-identical to an uninterrupted run.
+//! `MINEDIG_CKPT_EVERY` items (default 64, the journals of the last two
+//! full saves retained), and `--resume` continues a killed campaign
+//! from its latest snapshot — with results bit-identical to an
+//! uninterrupted run.
 //!
 //! `MINEDIG_HEALTH=1 minedig attribute …` puts the §4.2 poller behind
 //! the endpoint-health layer: per-endpoint circuit breakers quarantine
@@ -33,27 +32,25 @@
 //! run when no faults fire, and a breaker/hedge summary either way.
 
 use minedig::analysis::economics::{pool_revenue, ExchangeRate};
-use minedig::analysis::scenario::{run_scenario, run_scenario_supervised, ScenarioConfig};
+use minedig::analysis::scenario::{run_scenario, ScenarioConfig, ScenarioResult, MAX_DAYS};
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::report::{
     campaign_line, checkpoint_summary, comparison_table, degradation_summary, fetch_stats,
     health_summary, CampaignHealth, Comparison,
 };
 use minedig::core::scan::{build_reference_db, scan_len, FetchModel};
-use minedig::core::shortlink_study::{run_study, run_study_supervised, StudyConfig};
+use minedig::core::shortlink_study::{run_study, StudyConfig, StudyResult};
 use minedig::pow::hashrate::measure_hashrate;
 use minedig::pow::Variant;
-use minedig::primitives::ckpt::{parse_keep, SnapshotStore, CKPT_KEEP_ENV};
 use minedig::primitives::fault::{FaultPlan, FAULT_SEED_ENV};
-use minedig::primitives::health::{health_from_env, HealthConfig, HEALTH_ENV};
+use minedig::primitives::health::{parse_health, HealthConfig, HEALTH_ENV};
 use minedig::primitives::supervise::{
-    run_to_end, Backend, Campaign, CrashPolicy, Supervisor, CKPT_DIR_ENV, CKPT_EVERY_ENV,
+    run_campaign, Backend, Ckpt, SuperviseError, SuperviseReport, CKPT_DIR_ENV, CKPT_EVERY_ENV,
     SHARDS_ENV,
 };
+use minedig::primitives::{configured, read_env};
 use minedig::shortlink::model::ModelConfig;
-use minedig::wasm::corpus::generate_corpus;
-use minedig::wasm::{corpus_content_key, CacheWarmth, FingerprintCache};
-use minedig::web::page::CORPUS_SEED;
+use minedig::wasm::FingerprintCache;
 use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
 use std::time::Instant;
@@ -68,9 +65,8 @@ const USAGE: &str =
      MINEDIG_SHARDS=<n> runs campaigns on n worker threads (default: one per\n\
      core; 1 runs sequentially). Results are identical on every backend.\n\
      MINEDIG_CKPT_DIR=<dir> checkpoints scan/attribute/shortlink campaigns\n\
-     every MINEDIG_CKPT_EVERY items (default 64), retaining the last\n\
-     MINEDIG_CKPT_KEEP snapshots (default 2); --resume continues from the\n\
-     latest snapshot.\n\
+     every MINEDIG_CKPT_EVERY items (default 64); --resume continues from\n\
+     the latest snapshot.\n\
      MINEDIG_HEALTH=1 runs attribute behind the endpoint-health layer\n\
      (circuit breakers, adaptive deadlines, hedged probes).\n\
      MINEDIG_FAULT_SEED=<n> injects a reproducible fault schedule.\n\
@@ -92,13 +88,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    configured(known_vars(
-        std::env::vars_os().map(|(name, _)| name.to_string_lossy().into_owned()),
-    ));
-    let backend = configured(Backend::from_env());
-    let faults = configured(FaultPlan::from_env());
-    let health = configured(health_from_env());
-    let ckpt = configured(Ckpt::from_env(resume, faults.as_ref()));
+    let env = configured(read_env(&VARS));
+    let backend = configured(Backend::parse(&env));
+    let faults = configured(FaultPlan::parse(&env));
+    let health = configured(parse_health(&env));
+    let ckpt = configured(Ckpt::parse(&env, resume, faults.as_ref()));
     match command {
         Command::Scan { zone, seed } => cmd_scan(zone, seed, backend, faults, ckpt),
         Command::Attribute { days, seed } => cmd_attribute(days, seed, faults, health, ckpt),
@@ -107,43 +101,14 @@ fn main() {
     }
 }
 
-/// A setting parsed from the environment, or exit status 2 with the
-/// parser's error, which names the variable at fault.
-fn configured<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|e| {
-        eprintln!("bad configuration: {e}");
-        std::process::exit(2);
-    })
-}
-
 /// The `MINEDIG_*` variables the CLI reads.
-const VARS: [&str; 6] = [
+const VARS: [&str; 5] = [
     SHARDS_ENV,
     CKPT_DIR_ENV,
     CKPT_EVERY_ENV,
-    CKPT_KEEP_ENV,
     FAULT_SEED_ENV,
     HEALTH_ENV,
 ];
-
-/// Checks the environment's variable `names`: an error names every
-/// `MINEDIG_*` variable the CLI does not read, so a removed or
-/// misspelt setting is refused rather than silently ignored.
-fn known_vars(names: impl IntoIterator<Item = String>) -> Result<(), String> {
-    let mut unknown: Vec<String> = names
-        .into_iter()
-        .filter(|name| name.starts_with("MINEDIG_") && !VARS.contains(&name.as_str()))
-        .collect();
-    if unknown.is_empty() {
-        return Ok(());
-    }
-    unknown.sort();
-    Err(format!(
-        "unknown variable {} (minedig reads {})",
-        unknown.join(", "),
-        VARS.join(", ")
-    ))
-}
 
 /// A checked command line.
 #[derive(Debug, PartialEq)]
@@ -177,6 +142,11 @@ fn parse_command(args: &[String]) -> Result<Option<Command>, String> {
         }
         "attribute" => {
             let [days, seed] = numbers(rest, [("days", 7), ("seed", 2018)])?;
+            if !(1..=MAX_DAYS).contains(&days) {
+                return Err(format!(
+                    "bad days '{days}': the study needs 1 to {MAX_DAYS} days"
+                ));
+            }
             Command::Attribute { days, seed }
         }
         "shortlink" => {
@@ -215,82 +185,37 @@ fn numbers<const N: usize>(args: &[String], specs: [(&str, u64); N]) -> Result<[
     Ok(values)
 }
 
-/// A checkpointed run: the snapshot store named by `MINEDIG_CKPT_DIR`,
-/// the supervisor that writes into it, and whether to resume.
-struct Ckpt {
-    store: SnapshotStore,
-    supervisor: Supervisor,
-    resume: bool,
+/// The run header's checkpointing note.
+fn ckpt_header(ck: &Ckpt, unit: &str) -> String {
+    format!(
+        "checkpointing to {} every {} {unit}{}",
+        ck.store.dir().display(),
+        ck.supervisor.policy().ckpt_every_items,
+        if ck.resume { ", resuming" } else { "" },
+    )
 }
 
-impl Ckpt {
-    /// The checkpoint configuration from the environment, when
-    /// `MINEDIG_CKPT_DIR` is set: the env checkpoint cadence and
-    /// retention, with simulated kills drawn from the crash stream of
-    /// `faults` when a fault plan is configured. A malformed cadence or
-    /// retention is an error even when no directory is set.
-    fn from_env(resume: bool, faults: Option<&FaultPlan>) -> Result<Option<Ckpt>, String> {
-        let policy = CrashPolicy::from_env()?;
-        let keep = parse_keep(|name| std::env::var(name).ok())?;
-        let Ok(dir) = std::env::var(CKPT_DIR_ENV) else {
-            return Ok(None);
-        };
-        let store = SnapshotStore::open_with_keep(&dir, keep)
-            .map_err(|e| format!("cannot open checkpoint dir '{dir}': {e}"))?;
-        let supervisor = Supervisor::new(policy);
-        let supervisor = match faults {
-            Some(plan) => supervisor.with_fault_plan(plan.clone()),
-            None => supervisor,
-        };
-        Ok(Some(Ckpt {
-            store,
-            supervisor,
-            resume,
-        }))
-    }
-
-    /// The run header's checkpointing note.
-    fn header(&self, unit: &str) -> String {
-        format!(
-            "checkpointing to {} every {} {unit}{}",
-            self.store.dir().display(),
-            self.supervisor.policy().ckpt_every_items,
-            if self.resume { ", resuming" } else { "" },
-        )
-    }
-}
-
-/// Runs `init`'s scan campaign over `items` domains to completion —
-/// under the supervisor when checkpointing (printing its checkpoint
-/// summary), otherwise straight through — and prints its one-line run
-/// summary.
-fn run_campaign<C: Campaign>(
+/// Runs one campaign through `run` and returns its output, after
+/// printing its checkpoint summary when it ran supervised and its run
+/// line: the backend, the `items` of the output counted in `unit`, and
+/// the wall time. A failed run exits with status 1.
+fn campaign<T>(
     label: &str,
     backend: &Backend,
-    ckpt: Option<&Ckpt>,
-    name: &str,
-    items: u64,
-    mut init: impl FnMut() -> C,
-) -> C::Output {
+    unit: &str,
+    items: impl Fn(&T) -> u64,
+    run: impl FnOnce() -> Result<(T, Option<SuperviseReport>), SuperviseError>,
+) -> T {
     let started = Instant::now();
-    let output = match ckpt {
-        Some(ck) => {
-            let run = ck
-                .supervisor
-                .run(&ck.store, name, init, ck.resume)
-                .unwrap_or_else(|e| {
-                    eprintln!("{label} campaign failed: {e}");
-                    std::process::exit(1);
-                });
-            print!("{}", checkpoint_summary(label, &run.report));
-            run.output
-        }
-        None => run_to_end(init()),
-    };
-    print!(
-        "{}",
-        campaign_line(label, backend, items, "domains", started.elapsed())
-    );
+    let (output, report) = run().unwrap_or_else(|e| {
+        eprintln!("{label} campaign failed: {e}");
+        std::process::exit(1);
+    });
+    if let Some(report) = report {
+        print!("{}", checkpoint_summary(label, &report));
+    }
+    let line = campaign_line(label, backend, items(&output), unit, started.elapsed());
+    print!("{line}");
     output
 }
 
@@ -329,21 +254,25 @@ fn cmd_scan(
         None => FetchModel::default(),
     };
 
-    // MINEDIG_CKPT_DIR runs both scans supervised: checkpointed,
-    // resumable with --resume, and with a fingerprint memo persisted
-    // across runs. Results are bit-identical either way.
+    // MINEDIG_CKPT_DIR runs both scans supervised: checkpointed and
+    // resumable with --resume. Results are bit-identical either way.
     if let Some(ck) = &ckpt {
-        println!("{} ({backend} backend)", ck.header("items"));
+        println!("{} ({backend} backend)", ckpt_header(ck, "items"));
     }
     let items = scan_len(&population) as u64;
 
-    let zg = run_campaign(
+    let zg = campaign(
         "zgrab",
         &backend,
-        ckpt.as_ref(),
-        &format!("scan-zgrab-{zone_tag}-{seed}"),
-        items,
-        || ZgrabCampaign::new(&population, seed, &model, backend),
+        "domains",
+        |_| items,
+        || {
+            run_campaign(
+                ckpt.as_ref(),
+                &format!("scan-zgrab-{zone_tag}-{seed}"),
+                || ZgrabCampaign::new(&population, seed, &model, backend),
+            )
+        },
     );
     println!(
         "zgrab + NoCoin (TLS-only, 256 kB): {} domains flagged, 0 FPs on {} clean samples",
@@ -354,65 +283,29 @@ fn cmd_scan(
 
     if zone.chrome_scanned() {
         let db = build_reference_db(0.7);
-        // The fingerprint memo is content-addressed: in memory for a
-        // plain run, persisted across checkpointed runs keyed by the
-        // module universe it was built over.
-        let corpus_key = ckpt
-            .as_ref()
-            .map(|_| corpus_content_key(&generate_corpus(CORPUS_SEED)));
-        let cache = match (&ckpt, corpus_key) {
-            (Some(ck), Some(key)) => load_memo(&ck.store, key),
-            _ => FingerprintCache::new(),
-        };
-        let ch = run_campaign(
+        // The fingerprint memo is content-addressed and lives for the
+        // run: a resumed scan refills it as it goes.
+        let cache = FingerprintCache::new();
+        let ch = campaign(
             "chrome",
             &backend,
-            ckpt.as_ref(),
-            &format!("scan-chrome-{zone_tag}-{seed}"),
-            items,
-            || ChromeCampaign::new(&population, &db, seed, &model, Some(&cache), backend),
+            "domains",
+            |_| items,
+            || {
+                run_campaign(
+                    ckpt.as_ref(),
+                    &format!("scan-chrome-{zone_tag}-{seed}"),
+                    || ChromeCampaign::new(&population, &db, seed, &model, Some(&cache), backend),
+                )
+            },
         );
         print!("{}", fetch_stats("chrome fetches", &ch.fetch));
         health.push(CampaignHealth::from_fetch("chrome", &ch.fetch));
         print_chrome_findings(&ch);
-
-        if let (Some(ck), Some(key)) = (&ckpt, corpus_key) {
-            println!(
-                "fingerprint memo: {} entries, hit rate {:.1}% ({:.1}% warm, {:.1}% cold)",
-                cache.entries(),
-                cache.hit_rate() * 100.0,
-                cache.warm_hit_rate() * 100.0,
-                (cache.hit_rate() - cache.warm_hit_rate()) * 100.0,
-            );
-            match cache.save(&ck.store, "fingerprints", key) {
-                Ok(bytes) => println!("fingerprint memo persisted ({bytes} bytes)"),
-                Err(e) => eprintln!("could not persist fingerprint memo: {e}"),
-            }
-        }
     } else {
         println!("(zone not part of the paper's Chrome measurement — §3.2 covers Alexa and .org)");
     }
     print!("{}", degradation_summary(&health));
-}
-
-/// Loads the fingerprint memo persisted in `store` for the module
-/// universe `corpus_key`, reporting how warm it starts.
-fn load_memo(store: &SnapshotStore, corpus_key: u64) -> FingerprintCache {
-    let (cache, warmth) =
-        FingerprintCache::load(store, "fingerprints", corpus_key).unwrap_or_else(|e| {
-            eprintln!("discarding unreadable fingerprint memo: {e}");
-            (FingerprintCache::new(), CacheWarmth::Cold)
-        });
-    match warmth {
-        CacheWarmth::Cold => println!("fingerprint memo: cold start"),
-        CacheWarmth::Stale { found_key } => println!(
-            "fingerprint memo: stale (corpus key {found_key:#x} ≠ {corpus_key:#x}), cold start"
-        ),
-        CacheWarmth::Warm { entries } => {
-            println!("fingerprint memo: warm start, {entries} entries preloaded")
-        }
-    }
-    cache
 }
 
 fn print_chrome_findings(ch: &minedig::core::scan::ChromeScanOutcome) {
@@ -475,30 +368,15 @@ fn cmd_attribute(
     // --resume continues from the latest snapshot — bit-identical to
     // the unsupervised scenario. Its sweeps run in-line whatever the
     // backend, so its campaign line says sequential.
-    let started = Instant::now();
-    let result = match ckpt {
-        Some(ck) => {
-            println!("{}", ck.header("block events"));
-            let name = format!("attribute-{days}-{seed}");
-            let run = run_scenario_supervised(&config, &ck.store, &name, &ck.supervisor, ck.resume)
-                .unwrap_or_else(|e| {
-                    eprintln!("attribution campaign failed: {e}");
-                    std::process::exit(1);
-                });
-            print!("{}", checkpoint_summary("attribute", &run.report));
-            run.output
-        }
-        None => run_scenario(config),
-    };
-    print!(
-        "{}",
-        campaign_line(
-            "attribute",
-            &Backend::Sequential,
-            result.total_blocks,
-            "blocks",
-            started.elapsed()
-        )
+    if let Some(ck) = &ckpt {
+        println!("{}", ckpt_header(ck, "block events"));
+    }
+    let result = campaign(
+        "attribute",
+        &Backend::Sequential,
+        "blocks",
+        |r: &ScenarioResult| r.total_blocks,
+        || run_scenario(config, ckpt.as_ref()),
     );
     let ps = &result.poll_stats;
     println!(
@@ -545,31 +423,15 @@ fn cmd_shortlink(links: u64, seed: u64, backend: Backend, ckpt: Option<Ckpt>) {
     println!("generating {links} short links and enumerating the ID space ({backend} backend)…");
     // MINEDIG_CKPT_DIR runs the walk, with the unbiased tail resolved as
     // it goes, supervised and resumable — bit-identical either way.
-    let started = Instant::now();
-    let study = match ckpt {
-        Some(ck) => {
-            println!("{}", ck.header("items"));
-            let name = format!("shortlink-{links}-{seed}");
-            let run =
-                run_study_supervised(&config, seed, &ck.store, &name, &ck.supervisor, ck.resume)
-                    .unwrap_or_else(|e| {
-                        eprintln!("shortlink campaign failed: {e}");
-                        std::process::exit(1);
-                    });
-            print!("{}", checkpoint_summary("shortlink enum", &run.report));
-            run.result
-        }
-        None => run_study(&config, seed),
-    };
-    print!(
-        "{}",
-        campaign_line(
-            "shortlink enum",
-            &backend,
-            study.enumeration.probed,
-            "probes",
-            started.elapsed()
-        )
+    if let Some(ck) = &ckpt {
+        println!("{}", ckpt_header(ck, "items"));
+    }
+    let study = campaign(
+        "shortlink enum",
+        &backend,
+        "probes",
+        |s: &StudyResult| s.enumeration.probed,
+        || run_study(&config, seed, ckpt.as_ref()),
     );
     print!(
         "{}",
@@ -686,10 +548,18 @@ mod tests {
 
     #[test]
     fn unknown_minedig_variables_are_rejected_by_name() {
-        let check = |names: &[&str]| known_vars(names.iter().map(|n| n.to_string()));
+        let check = |names: &[&str]| {
+            let vars = names.iter().map(|n| (n.to_string(), "1".to_string()));
+            minedig::primitives::parse_env(vars, &VARS).map(|_| ())
+        };
         assert_eq!(check(&VARS), Ok(()));
         assert_eq!(check(&["PATH", "HOME", "MINEDIG"]), Ok(()));
-        for name in ["MINEDIG_ASYNC", "MINEDIG_CONCURRENCY", "MINEDIG_SHARD"] {
+        for name in [
+            "MINEDIG_ASYNC",
+            "MINEDIG_CONCURRENCY",
+            "MINEDIG_SHARD",
+            "MINEDIG_CKPT_KEEP",
+        ] {
             let err = check(&["PATH", name, "MINEDIG_SHARDS"]).expect_err(name);
             assert!(err.contains(name), "{err}");
         }
@@ -703,6 +573,10 @@ mod tests {
     #[test]
     fn zero_links_extra_arguments_and_unknown_words_are_rejected() {
         assert!(parse("shortlink 0").unwrap_err().contains("link count '0'"));
+        assert!(parse("attribute 0 2018").unwrap_err().contains("days '0'"));
+        let too_long = format!("attribute {} 2018", MAX_DAYS + 1);
+        let named = format!("days '{}'", MAX_DAYS + 1);
+        assert!(parse(&too_long).unwrap_err().contains(&named));
         for (line, named) in [
             ("shortlink 100 7 8", "'8'"),
             ("attribute 1 7 --verbose", "'--verbose'"),

@@ -14,11 +14,16 @@ const SEED: u64 = 1337;
 
 #[test]
 fn scenario_attribution_recall_and_precision() {
-    let result = run_scenario(ScenarioConfig {
-        duration_days: 3,
-        seed: SEED,
-        ..ScenarioConfig::default()
-    });
+    let result = run_scenario(
+        ScenarioConfig {
+            duration_days: 3,
+            seed: SEED,
+            ..ScenarioConfig::default()
+        },
+        None,
+    )
+    .expect("a straight run cannot fail")
+    .0;
     assert!(result.precise());
     assert!(result.recall() >= 0.95, "recall {}", result.recall());
     // The observer's structural bound holds.
@@ -94,11 +99,16 @@ fn pool_block_passes_verified_chain() {
 
 #[test]
 fn outage_produces_visible_gap() {
-    let result = run_scenario(ScenarioConfig {
-        duration_days: 13, // covers the 6–7 May outage (days 10–11)
-        seed: SEED,
-        ..ScenarioConfig::default()
-    });
+    let result = run_scenario(
+        ScenarioConfig {
+            duration_days: 13, // covers the 6–7 May outage (days 10–11)
+            seed: SEED,
+            ..ScenarioConfig::default()
+        },
+        None,
+    )
+    .expect("a straight run cannot fail")
+    .0;
     use minedig::analysis::calendar::BlockCalendar;
     let cal = BlockCalendar::new(
         &result.attributed,
@@ -121,7 +131,9 @@ fn holiday_produces_spike() {
     };
     // Boost the pool so one week has enough statistics.
     config.segments[0].pool = 30_000_000.0;
-    let result = run_scenario(config);
+    let result = run_scenario(config, None)
+        .expect("a straight run cannot fail")
+        .0;
     use minedig::analysis::calendar::BlockCalendar;
     let cal = BlockCalendar::new(
         &result.attributed,

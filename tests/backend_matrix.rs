@@ -16,7 +16,7 @@ use minedig::analysis::poller::Observer;
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{build_reference_db, chrome_scan_with, zgrab_scan_with, FetchModel};
 use minedig::pool::pool::{Pool, PoolConfig};
-use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
+use minedig::primitives::fault::{FaultConfig, FaultPlan};
 use minedig::primitives::retry::RetryPolicy;
 use minedig::primitives::supervise::{run_to_end, Backend, Campaign};
 use minedig::shortlink::campaign::EnumCampaign;
@@ -35,12 +35,12 @@ use std::collections::HashSet;
 use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 
-/// Base fault seed from the environment (the CI chaos axis).
+/// Base fault seed from `MINEDIG_FAULT_SEED` (the CI matrix axis), 0
+/// when unset; a malformed value panics naming the variable.
 fn base_seed() -> u64 {
-    std::env::var(FAULT_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+    FaultPlan::parse(|name| std::env::var(name).ok())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .map_or(0, |plan| plan.seed())
 }
 
 /// A mixed chaos plan: half the operations fault, `permanent` of them

@@ -10,7 +10,7 @@
 //! `MINEDIG_FAULT_SEED` offsets every fault-plan seed (the CI chaos
 //! matrix axis).
 
-use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
+use minedig::primitives::fault::{FaultConfig, FaultPlan};
 use minedig::primitives::supervise::{Backend, Campaign};
 use minedig::shortlink::campaign::EnumCampaign;
 use minedig::shortlink::enumerate::{enumerate_links, enumerate_links_with, Enumeration};
@@ -20,11 +20,12 @@ use minedig::shortlink::service::ShortlinkService;
 use proptest::prelude::*;
 use std::sync::atomic::AtomicU64;
 
+/// Base fault seed from `MINEDIG_FAULT_SEED` (the CI matrix axis), 0
+/// when unset; a malformed value panics naming the variable.
 fn base_seed() -> u64 {
-    std::env::var(FAULT_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+    FaultPlan::parse(|name| std::env::var(name).ok())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .map_or(0, |plan| plan.seed())
 }
 
 fn service(links: u64, seed: u64) -> ShortlinkService {

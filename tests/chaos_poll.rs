@@ -15,16 +15,17 @@ use minedig::analysis::scenario::{run_scenario, ScenarioConfig};
 use minedig::chain::netsim::TipInfo;
 use minedig::chain::tx::Transaction;
 use minedig::pool::pool::{Pool, PoolConfig};
-use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
-use minedig::primitives::health::{health_from_env, HealthConfig};
+use minedig::primitives::fault::{FaultConfig, FaultPlan};
+use minedig::primitives::health::{parse_health, HealthConfig};
 use minedig::primitives::retry::RetryPolicy;
 use minedig::primitives::Hash32;
 
+/// Base fault seed from `MINEDIG_FAULT_SEED` (the CI matrix axis), 0
+/// when unset; a malformed value panics naming the variable.
 fn base_seed() -> u64 {
-    std::env::var(FAULT_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+    FaultPlan::parse(|name| std::env::var(name).ok())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .map_or(0, |plan| plan.seed())
 }
 
 fn pool_with_tip() -> Pool {
@@ -125,7 +126,7 @@ fn chaos_sweeps_match_clean_under_the_health_axis() {
         true,
         PollPolicy::outlasting(&plan),
     );
-    let health = health_from_env().expect("MINEDIG_HEALTH must be 0 or 1");
+    let health = parse_health(|name| std::env::var(name).ok()).unwrap_or_else(|e| panic!("{e}"));
     if health {
         faulty = faulty.with_health(HealthConfig {
             seed: base_seed(),
@@ -156,19 +157,29 @@ fn chaos_sweeps_match_clean_under_the_health_axis() {
 /// as the fault-free scenario.
 #[test]
 fn scenario_attribution_is_fault_free_equivalent() {
-    let clean = run_scenario(ScenarioConfig {
-        duration_days: 1,
-        seed: 11,
-        ..ScenarioConfig::default()
-    });
+    let clean = run_scenario(
+        ScenarioConfig {
+            duration_days: 1,
+            seed: 11,
+            ..ScenarioConfig::default()
+        },
+        None,
+    )
+    .expect("a straight run cannot fail")
+    .0;
     let plan = FaultPlan::transient_only(base_seed().wrapping_add(101), 0.35);
-    let faulty = run_scenario(ScenarioConfig {
-        duration_days: 1,
-        seed: 11,
-        poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
-        poll_faults: Some(plan),
-        ..ScenarioConfig::default()
-    });
+    let faulty = run_scenario(
+        ScenarioConfig {
+            duration_days: 1,
+            seed: 11,
+            poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
+            poll_faults: Some(plan),
+            ..ScenarioConfig::default()
+        },
+        None,
+    )
+    .expect("a straight run cannot fail")
+    .0;
     assert!(faulty.poll_stats.retries > 0);
     assert_eq!(faulty.attributed, clean.attributed);
     assert_eq!(faulty.total_blocks, clean.total_blocks);

@@ -15,7 +15,7 @@ use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{
     build_reference_db, chrome_scan, chrome_scan_with, zgrab_scan, zgrab_scan_with, FetchModel,
 };
-use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
+use minedig::primitives::fault::{FaultConfig, FaultPlan};
 use minedig::primitives::supervise::{run_to_end, Backend};
 use minedig::wasm::sigdb::SignatureDb;
 use minedig::web::universe::Population;
@@ -23,12 +23,12 @@ use minedig::web::zone::Zone;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// Base fault seed from the environment (the CI matrix axis).
+/// Base fault seed from `MINEDIG_FAULT_SEED` (the CI matrix axis), 0
+/// when unset; a malformed value panics naming the variable.
 fn base_seed() -> u64 {
-    std::env::var(FAULT_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+    FaultPlan::parse(|name| std::env::var(name).ok())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .map_or(0, |plan| plan.seed())
 }
 
 /// The backend a property replays on: drawn kind and shard count.

@@ -85,7 +85,7 @@ fn damaged_journals_give_a_typed_error_or_the_last_confirmed_state() {
     }
     let confirmed_key = campaign.progress_key();
     assert_eq!(confirmed_key, FRAMES as u64 * EVERY);
-    let confirmed_path = store.path("walk");
+    let confirmed_path = store.path("walk").expect("a saved journal");
     let confirmed_len = std::fs::read(&confirmed_path).expect("read journal").len();
     // One more checkpoint whose append was killed before its confirming
     // rename: its frame is on disk past the confirmed length.
@@ -93,8 +93,9 @@ fn damaged_journals_give_a_typed_error_or_the_last_confirmed_state() {
     store
         .save("walk", &campaign.snapshot())
         .expect("save a checkpoint");
-    let journal = std::fs::read(store.path("walk")).expect("read journal");
-    std::fs::rename(store.path("walk"), &confirmed_path).expect("undo the rename");
+    let appended_path = store.path("walk").expect("a saved journal");
+    let journal = std::fs::read(&appended_path).expect("read journal");
+    std::fs::rename(&appended_path, &confirmed_path).expect("undo the rename");
     assert!(journal.len() > confirmed_len);
 
     // Damage to a confirmed frame must be rejected; damage confined to

@@ -21,7 +21,7 @@ use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{build_reference_db, chrome_scan_with, zgrab_scan_with, FetchModel};
 use minedig::pool::pool::{Pool, PoolConfig};
 use minedig::primitives::ckpt::{CkptError, SnapshotStore};
-use minedig::primitives::fault::{FaultPlan, FAULT_SEED_ENV};
+use minedig::primitives::fault::FaultPlan;
 use minedig::primitives::supervise::{Backend, Campaign, CrashPolicy, SuperviseError, Supervisor};
 use minedig::primitives::Hash32;
 use minedig::shortlink::campaign::EnumCampaign;
@@ -34,24 +34,26 @@ use minedig::web::zone::Zone;
 use proptest::prelude::*;
 use std::sync::atomic::AtomicU64;
 
-/// Base fault seed from the environment (the CI matrix axis).
+/// Base fault seed from `MINEDIG_FAULT_SEED` (the CI matrix axis), 0
+/// when unset; a malformed value panics naming the variable.
 fn base_seed() -> u64 {
-    std::env::var(FAULT_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+    FaultPlan::parse(|name| std::env::var(name).ok())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .map_or(0, |plan| plan.seed())
 }
 
 /// Maps a drawn percentage into the kill window selected by
 /// `MINEDIG_KILL_POINT` (the other CI matrix axis): `early`/`mid`/
 /// `late` confine kills to the matching third of the campaign's
-/// progress range; unset draws across the whole range.
+/// progress range; unset draws across the whole range, and any other
+/// value panics naming the variable.
 fn kill_at(frac: u64, horizon: u64) -> u64 {
     let (lo, hi) = match std::env::var("MINEDIG_KILL_POINT").ok().as_deref() {
         Some("early") => (0, horizon / 3),
         Some("mid") => (horizon / 3, (2 * horizon) / 3),
         Some("late") => ((2 * horizon) / 3, horizon),
-        _ => (0, horizon),
+        None => (0, horizon),
+        Some(other) => panic!("MINEDIG_KILL_POINT={other:?}: expected early, mid or late"),
     };
     (lo + frac * (hi - lo) / 100).max(1)
 }
@@ -338,7 +340,7 @@ fn damaged_snapshots_are_rejected() {
     campaign.run_items(10, &AtomicU64::new(0));
     let snap = minedig::primitives::ckpt::Checkpointable::snapshot(&campaign);
     store.save("zgrab", &snap).expect("save");
-    let path = store.path("zgrab");
+    let path = store.path("zgrab").expect("a saved snapshot");
     let pristine = std::fs::read(&path).expect("read snapshot");
 
     // Flip one payload byte: checksum trailer must catch it.
@@ -414,7 +416,7 @@ fn damaged_snapshots_are_rejected() {
         let snap = minedig::primitives::ckpt::Checkpointable::snapshot(&campaign);
         frames.push(store.save("walk", &snap).expect("save") as usize);
     }
-    let path = store.path("walk");
+    let path = store.path("walk").expect("a saved journal");
     let journal = std::fs::read(&path).expect("read journal");
     assert_eq!(journal.len(), frames.iter().sum::<usize>());
     let last = journal.len() - frames[3];

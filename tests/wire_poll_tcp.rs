@@ -19,17 +19,17 @@ use minedig::chain::tx::Transaction;
 use minedig::net::tcp::{TcpServer, TcpTransport};
 use minedig::net::transport::{Transport, TransportError};
 use minedig::pool::pool::{Pool, PoolConfig};
-use minedig::primitives::fault::{FaultPlan, FAULT_SEED_ENV};
+use minedig::primitives::fault::FaultPlan;
 use minedig::primitives::Hash32;
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Base fault seed from the environment (the CI matrix axis).
+/// Base fault seed from `MINEDIG_FAULT_SEED` (the CI matrix axis), 0
+/// when unset; a malformed value panics naming the variable.
 fn base_seed() -> u64 {
-    std::env::var(FAULT_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+    FaultPlan::parse(|name| std::env::var(name).ok())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .map_or(0, |plan| plan.seed())
 }
 
 fn pool_with_tip() -> Pool {
