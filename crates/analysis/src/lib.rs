@@ -32,5 +32,5 @@ pub mod scenario;
 
 pub use attribution::{AttributedBlock, Attributor};
 pub use calendar::BlockCalendar;
-pub use poller::{Observer, PollCampaign};
+pub use poller::Observer;
 pub use scenario::{run_scenario, ScenarioConfig, ScenarioResult};

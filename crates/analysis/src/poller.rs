@@ -20,18 +20,17 @@ use minedig_net::transport::{Transport, TransportError};
 use minedig_pool::obfuscation;
 use minedig_pool::pool::{JobError, Pool};
 use minedig_pool::protocol::{ClientMsg, Job, ServerMsg};
-use minedig_primitives::ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot};
+use minedig_primitives::ckpt::{CkptError, SnapReader, SnapWriter};
 use minedig_primitives::fault::{Fault, FaultPlan};
 use minedig_primitives::health::{
     EndpointHealth, HealthConfig, HealthStats, ProbeOutcome, ProbePlan,
 };
 use minedig_primitives::retry::{retry, ErrorClass, RetryPolicy, Retryable, VirtualClock};
 use minedig_primitives::rng::DetRng;
-use minedig_primitives::supervise::Campaign;
 use minedig_primitives::Hash32;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Why a single job fetch failed.
@@ -600,8 +599,7 @@ impl<S: JobSource> Observer<S> {
     /// Appends the observer's complete cross-sweep state to a snapshot
     /// payload: [`PollStats`], the current prev pointer with its root
     /// and blob clusters, and the source's per-endpoint connection-down
-    /// flags. [`PollCampaign`] and the §4.2 scenario campaign both
-    /// checkpoint through this, so the two formats cannot drift.
+    /// flags. The §4.2 scenario campaign checkpoints through this.
     pub fn write_state(&self, w: &mut SnapWriter) {
         let s = &self.stats;
         w.u64(s.polls);
@@ -682,104 +680,6 @@ impl<S: JobSource> Observer<S> {
         self.current_blobs = current_blobs;
         self.source.set_connections_down(&down);
         Ok(())
-    }
-}
-
-/// The §4.2 poll loop as a killable, resumable
-/// [`Campaign`]: one item = one whole sweep (every endpoint polled once
-/// at virtual time `start_ms + tick × interval_ms`).
-///
-/// The snapshot is the observer's complete cross-sweep state — the
-/// tick cursor, [`PollStats`], the current prev pointer with its root
-/// and blob clusters, and the source's per-endpoint connection-down
-/// flags (an endpoint left down at the end of one sweep fails `Closed`
-/// at the start of the next, so dropping the flags would skew
-/// `retries`/`reconnects` after a resume). Because fault schedules and
-/// retry jitter are keyed by `(endpoint, now)` and sweeps poll in
-/// endpoint order, a killed-and-resumed run reproduces the
-/// uninterrupted observer bit for bit.
-pub struct PollCampaign<S: JobSource> {
-    observer: Observer<S>,
-    start_ms: u64,
-    interval_ms: u64,
-    ticks: u64,
-    next_tick: u64,
-}
-
-impl<S: JobSource> PollCampaign<S> {
-    /// A campaign of `ticks` sweeps at `interval_ms` starting at
-    /// `start_ms`, over a freshly-initialized observer.
-    pub fn new(
-        observer: Observer<S>,
-        start_ms: u64,
-        interval_ms: u64,
-        ticks: u64,
-    ) -> PollCampaign<S> {
-        PollCampaign {
-            observer,
-            start_ms,
-            interval_ms,
-            ticks,
-            next_tick: 0,
-        }
-    }
-
-    /// The observer being driven.
-    pub fn observer(&self) -> &Observer<S> {
-        &self.observer
-    }
-}
-
-impl<S: JobSource> Checkpointable for PollCampaign<S> {
-    fn progress_key(&self) -> u64 {
-        self.next_tick
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        let mut w = SnapWriter::new();
-        w.u64(self.next_tick);
-        self.observer.write_state(&mut w);
-        Snapshot::new(self.next_tick, w.finish())
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), CkptError> {
-        let mut r = SnapReader::new(snapshot.full_payload()?);
-        let next_tick = r.u64()?;
-        if next_tick > self.ticks {
-            return Err(CkptError::Corrupt("tick cursor beyond campaign"));
-        }
-        self.observer.read_state(&mut r)?;
-        r.expect_end()?;
-        self.next_tick = next_tick;
-        Ok(())
-    }
-}
-
-impl<S: JobSource> Campaign for PollCampaign<S> {
-    type Output = Observer<S>;
-
-    fn is_done(&self) -> bool {
-        self.next_tick >= self.ticks
-    }
-
-    fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
-        for _ in 0..budget {
-            if self.is_done() {
-                return;
-            }
-            let now = self.start_ms + self.next_tick * self.interval_ms;
-            self.observer.poll_all(now);
-            heartbeat.fetch_add(1, Ordering::Relaxed);
-            self.next_tick += 1;
-        }
-    }
-
-    fn virtual_now_ms(&self) -> u64 {
-        self.start_ms + self.next_tick * self.interval_ms
-    }
-
-    fn finish(self) -> Observer<S> {
-        self.observer
     }
 }
 
@@ -1167,12 +1067,6 @@ mod tests {
         assert_eq!(obs.current_blob_count(), 16);
     }
 
-    fn ckpt_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("minedig-poll-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     fn assert_observer_eq<A: JobSource, B: JobSource>(a: &Observer<A>, b: &Observer<B>, ctx: &str) {
         assert_eq!(a.stats, b.stats, "{ctx}");
         assert_eq!(a.current_prev, b.current_prev, "{ctx}");
@@ -1180,44 +1074,79 @@ mod tests {
         assert_eq!(a.current_blobs, b.current_blobs, "{ctx}");
     }
 
-    #[test]
-    fn supervised_poll_with_kills_matches_uninterrupted() {
-        use minedig_primitives::ckpt::SnapshotStore;
-        use minedig_primitives::supervise::{CrashPolicy, Supervisor};
-        let pool = pool_with_tip();
-        let mut reference = Observer::new(pool.clone(), true);
-        for tick in 0..24u64 {
-            reference.poll_all(1_000 + tick * 5);
+    /// Polls `make()` through 24 ticks, and again with its state written
+    /// after tick `k` and read into a second `make()` that polls the
+    /// rest, for each `k` in `saves`; every resumed run must end in the
+    /// uninterrupted run's state. Returns the interrupted observers as
+    /// they stood at each save.
+    fn resumes_like_uninterrupted<S: JobSource>(
+        make: impl Fn() -> Observer<S>,
+        saves: &[u64],
+    ) -> Vec<Observer<S>> {
+        let tick = |k: u64| 1_000 + k * 5;
+        let mut reference = make();
+        for k in 0..24 {
+            reference.poll_all(tick(k));
         }
-        let dir = ckpt_dir("clean");
-        let store = SnapshotStore::open(&dir).unwrap();
-        let sup = Supervisor::new(CrashPolicy {
-            ckpt_every_items: 4,
-            ..CrashPolicy::default()
-        })
-        .with_kills(vec![2, 9, 17]);
-        let run = sup
-            .run(
-                &store,
-                "poll",
-                || PollCampaign::new(Observer::new(pool.clone(), true), 1_000, 5, 24),
-                false,
-            )
-            .unwrap();
-        assert_observer_eq(&run.output, &reference, "killed at 2, 9 and 17");
-        assert!(run.report.balanced(), "{:?}", run.report);
-        assert_eq!(run.report.crashes, 3);
-        let _ = std::fs::remove_dir_all(&dir);
+        saves
+            .iter()
+            .map(|&k| {
+                let mut interrupted = make();
+                for j in 0..k {
+                    interrupted.poll_all(tick(j));
+                }
+                let saved = state_bytes(&interrupted);
+                let mut resumed = make();
+                resumed.read_state(&mut SnapReader::new(&saved)).unwrap();
+                for j in k..24 {
+                    resumed.poll_all(tick(j));
+                }
+                assert_eq!(
+                    state_bytes(&resumed),
+                    state_bytes(&reference),
+                    "saved after tick {k}"
+                );
+                assert!(resumed.stats.balanced(), "{:?}", resumed.stats);
+                interrupted
+            })
+            .collect()
+    }
+
+    /// A fault-injected source that cannot redial `stuck`: once a
+    /// disconnect takes that endpoint down, it stays down across sweeps.
+    struct NoRedial {
+        inner: FaultyJobSource<Pool>,
+        stuck: usize,
+    }
+
+    impl JobSource for NoRedial {
+        fn endpoint_count(&self) -> usize {
+            self.inner.endpoint_count()
+        }
+
+        fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Job, FetchError> {
+            self.inner.fetch_job(endpoint, now, attempt)
+        }
+
+        fn reconnect(&self, endpoint: usize) -> bool {
+            endpoint != self.stuck && self.inner.reconnect(endpoint)
+        }
+
+        fn connections_down(&self) -> Vec<bool> {
+            self.inner.connections_down()
+        }
+
+        fn set_connections_down(&self, down: &[bool]) {
+            self.inner.set_connections_down(down)
+        }
     }
 
     #[test]
-    fn supervised_poll_restores_connection_down_flags_under_faults() {
-        use minedig_primitives::ckpt::SnapshotStore;
-        use minedig_primitives::supervise::{CrashPolicy, Supervisor};
-        // Mixed plan with disconnects and permanent faults: endpoints
-        // can be left down across sweep boundaries, which is exactly
-        // the state the snapshot must carry for retries/reconnects to
-        // balance after a resume.
+    fn restored_state_carries_connection_down_flags_under_faults() {
+        // A mixed plan with disconnects and permanent faults, over a
+        // source that leaves one endpoint down from its first disconnect
+        // on: a resumed observer that dropped the flag would poll that
+        // endpoint as up.
         let plan = FaultPlan::with_config(
             33,
             FaultConfig {
@@ -1231,45 +1160,19 @@ mod tests {
             retry: RetryPolicy::attempts(3),
             jitter_seed: plan.seed(),
         };
-        let mut reference = Observer::with_source(
-            FaultyJobSource::new(pool.clone(), plan.clone()),
-            true,
-            policy.clone(),
+        let make = || {
+            let inner = FaultyJobSource::new(pool.clone(), plan.clone());
+            Observer::with_source(NoRedial { inner, stuck: 4 }, true, policy.clone())
+        };
+        let saved = resumes_like_uninterrupted(make, &[4, 12, 20]);
+        assert!(
+            saved.iter().any(|o| o.source().connections_down()[4]),
+            "the plan must take the stuck endpoint down before a save"
         );
-        for tick in 0..24u64 {
-            reference.poll_all(1_000 + tick * 5);
-        }
-        assert!(reference.stats.reconnects > 0, "plan must tear connections");
-        let dir = ckpt_dir("faulty");
-        let store = SnapshotStore::open(&dir).unwrap();
-        let sup = Supervisor::new(CrashPolicy {
-            ckpt_every_items: 4,
-            ..CrashPolicy::default()
-        })
-        .with_kills(vec![5, 13]);
-        let run = sup
-            .run(
-                &store,
-                "poll-faulty",
-                || {
-                    PollCampaign::new(
-                        Observer::with_source(
-                            FaultyJobSource::new(pool.clone(), plan.clone()),
-                            true,
-                            policy.clone(),
-                        ),
-                        1_000,
-                        5,
-                        24,
-                    )
-                },
-                false,
-            )
-            .unwrap();
-        assert_observer_eq(&run.output, &reference, "killed at 5 and 13");
-        assert!(run.output.stats.balanced(), "{:?}", run.output.stats);
-        assert!(run.report.balanced(), "{:?}", run.report);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            saved.iter().any(|o| o.stats.reconnects > 0),
+            "plan must tear connections"
+        );
     }
 
     /// A source whose `dead` endpoint times out on every attempt —
@@ -1414,9 +1317,7 @@ mod tests {
     }
 
     #[test]
-    fn supervised_poll_with_health_restores_breaker_state() {
-        use minedig_primitives::ckpt::SnapshotStore;
-        use minedig_primitives::supervise::{CrashPolicy, Supervisor};
+    fn restored_state_carries_breaker_state() {
         let plan = FaultPlan::with_config(
             33,
             FaultConfig {
@@ -1446,35 +1347,13 @@ mod tests {
             )
             .with_health(cfg.clone())
         };
-        let mut reference = make();
-        for tick in 0..24u64 {
-            reference.poll_all(1_000 + tick * 5);
-        }
-        assert!(
-            reference.stats.quarantined > 0,
-            "plan must trip breakers mid-run: {:?}",
-            reference.stats
-        );
-        let dir = ckpt_dir("health");
-        let store = SnapshotStore::open(&dir).unwrap();
-        let sup = Supervisor::new(CrashPolicy {
-            ckpt_every_items: 4,
-            ..CrashPolicy::default()
-        })
-        .with_kills(vec![5, 13]);
-        let run = sup
-            .run(
-                &store,
-                "poll-health",
-                || PollCampaign::new(make(), 1_000, 5, 24),
-                false,
-            )
-            .unwrap();
-        assert_observer_eq(&run.output, &reference, "killed at 5 and 13");
-        assert_eq!(run.output.health_stats(), reference.health_stats());
-        assert!(run.output.stats.balanced(), "{:?}", run.output.stats);
-        assert!(run.report.balanced(), "{:?}", run.report);
-        let _ = std::fs::remove_dir_all(&dir);
+        let saved = resumes_like_uninterrupted(make, &[5, 13]);
+        let open_at_a_save = saved.iter().any(|o| {
+            let h = o.health().unwrap();
+            (0..h.endpoints())
+                .any(|i| h.breaker(i).state() != minedig_primitives::BreakerState::Closed)
+        });
+        assert!(open_at_a_save, "plan must trip a breaker before a save");
     }
 
     proptest::proptest! {

@@ -478,10 +478,6 @@ impl<S: JobSource + Send + 'static> Campaign for ScenarioCampaign<S> {
         }
     }
 
-    fn virtual_now_ms(&self) -> u64 {
-        self.sim.now().saturating_mul(1_000)
-    }
-
     fn finish(mut self) -> ScenarioResult {
         let network = network_estimate(&mut self.difficulties);
         let observer = self.observer.lock();

@@ -1,15 +1,14 @@
-//! Endpoint polling: a full observation campaign (30 sweeps of every
-//! endpoint across one template window), measuring the in-line
+//! Endpoint polling: 30 sweeps of every endpoint across one template
+//! window through `Observer::poll_all`, measuring the in-line
 //! poll/de-obfuscate/parse work every backend runs. Sweeps are not
 //! sharded: at 32 endpoints a thread spawn per sweep cost more than it
 //! saved.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use minedig_analysis::poller::{Observer, PollCampaign};
+use minedig_analysis::poller::Observer;
 use minedig_chain::netsim::TipInfo;
 use minedig_chain::tx::Transaction;
 use minedig_pool::pool::{Pool, PoolConfig};
-use minedig_primitives::supervise::run_to_end;
 use minedig_primitives::Hash32;
 use std::hint::black_box;
 
@@ -35,9 +34,11 @@ fn bench_poll_sweeps(c: &mut Criterion) {
     group.throughput(Throughput::Elements(polls));
     group.bench_function(BenchmarkId::new("backend", "sequential"), |b| {
         b.iter(|| {
-            let observer = Observer::new(pool.clone(), true);
-            let campaign = PollCampaign::new(observer, 1_000, 5, sweeps);
-            black_box(run_to_end(campaign).stats().answered)
+            let mut observer = Observer::new(pool.clone(), true);
+            for sweep in 0..sweeps {
+                observer.poll_all(1_000 + sweep * 5);
+            }
+            black_box(observer.stats().answered)
         })
     });
     group.finish();

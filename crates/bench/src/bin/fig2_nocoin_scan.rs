@@ -1,17 +1,17 @@
 //! Figure 2: NoCoin-detected miners on Alexa and .com/.net/.org, two scan
 //! dates each, with the share of the top filter targets.
 //!
-//! The second scan date is churn-aware and incremental: the first scan
-//! retains every per-domain verdict, and only the domains that churned
-//! in (fresh arrivals) are re-probed — bit-identical to re-scanning the
-//! whole second population.
+//! Both dates are full zgrab scans: the second date scans the first
+//! date's population after churn (`minedig_web::churn::second_scan`).
 
 use minedig_bench::{seed, SEED_ENV};
-use minedig_core::report::{bar_chart, comparison_table, Comparison};
-use minedig_core::scan::{zgrab_scan_retaining, FetchModel};
+use minedig_core::campaign::ZgrabCampaign;
+use minedig_core::report::{bar_chart, campaign_line, comparison_table, Comparison};
+use minedig_core::scan::{scan_len, FetchModel, ZgrabScanOutcome};
 use minedig_nocoin::list::ServiceLabel;
+use minedig_primitives::supervise::{run_to_end, Backend, SHARDS_ENV};
 use minedig_primitives::{configured, read_env};
-use minedig_web::churn::{second_scan_with_delta, DEFAULT_REMOVAL_RATE};
+use minedig_web::churn::{second_scan, DEFAULT_REMOVAL_RATE};
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
 
@@ -23,26 +23,52 @@ const PAPER: [(Zone, f64, f64); 4] = [
     (Zone::Org, 473.0, 399.0),
 ];
 
+/// Scans `population` on `backend`, with its campaign line on stderr.
+fn scan(
+    label: &str,
+    population: &Population,
+    seed: u64,
+    model: &FetchModel,
+    backend: Backend,
+) -> ZgrabScanOutcome {
+    let started = std::time::Instant::now();
+    let outcome = run_to_end(ZgrabCampaign::new(population, seed, model, backend));
+    eprint!(
+        "{}",
+        campaign_line(
+            label,
+            &backend,
+            scan_len(population) as u64,
+            "domains",
+            started.elapsed()
+        )
+    );
+    outcome
+}
+
 fn main() {
-    let env = configured(read_env(&[SEED_ENV]));
+    let env = configured(read_env(&[SEED_ENV, SHARDS_ENV]));
     let seed = configured(seed(&env));
+    let backend = configured(Backend::parse(&env));
     println!("Figure 2 — NoCoin detected miners (zgrab, TLS-only, 256 kB)\n");
 
     let model = FetchModel::default();
     let mut rows = Vec::new();
     for (zone, paper_first, paper_second) in PAPER {
         let population = Population::generate(zone, seed, 500);
-        let memo = zgrab_scan_retaining(&population, seed, &model);
-        let first = memo.first.clone();
-        let (population2, delta) = second_scan_with_delta(&population, seed, DEFAULT_REMOVAL_RATE);
-        let (second, rescan) = memo.rescan(&population2, &delta, &model);
-        eprintln!(
-            "zgrab scan 2 {}: incremental — {} verdicts reused, {} fresh probes \
-             ({} removed between dates)",
-            zone.label(),
-            rescan.reused,
-            rescan.probed,
-            delta.removed
+        let first = scan(
+            &format!("zgrab scan 1 {}", zone.label()),
+            &population,
+            seed,
+            &model,
+            backend,
+        );
+        let second = scan(
+            &format!("zgrab scan 2 {}", zone.label()),
+            &second_scan(&population, seed, DEFAULT_REMOVAL_RATE),
+            seed,
+            &model,
+            backend,
         );
 
         rows.push(Comparison::new(

@@ -1,5 +1,5 @@
-//! The §3 scans as campaigns: the one way the CLI and the benches run
-//! them, on any [`Backend`].
+//! The §3 scans as campaigns: the one way the CLI and the benches
+//! (Fig 2's two scan dates among them) run them, on any [`Backend`].
 //!
 //! Each campaign maps the population's scan order through a per-domain
 //! kernel with [`Backend::map_fold`] and folds the verdicts in that

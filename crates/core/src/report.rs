@@ -2,7 +2,7 @@
 
 use crate::scan::FetchStats;
 use minedig_analysis::poller::PollStats;
-use minedig_primitives::health::{HealthStats, ShedStats};
+use minedig_primitives::health::HealthStats;
 use minedig_primitives::supervise::{Backend, SuperviseReport};
 use minedig_shortlink::enumerate::Enumeration;
 use std::time::Duration;
@@ -327,33 +327,6 @@ pub fn health_summary(label: &str, stats: &HealthStats) -> String {
     out
 }
 
-/// Renders a server's admission-control accounting, e.g.
-///
-/// ```text
-/// pool admission: 512 offered, 480 accepted, 20 queued (high water 6), 12 shed (2.3%)
-/// ```
-pub fn shed_summary(label: &str, stats: &ShedStats) -> String {
-    let shed_pct = if stats.offered == 0 {
-        0.0
-    } else {
-        stats.shed as f64 / stats.offered as f64 * 100.0
-    };
-    format!(
-        "{label}: {} offered, {} accepted, {} queued (high water {}), {} shed ({:.1}%){}\n",
-        stats.offered,
-        stats.accepted,
-        stats.queued,
-        stats.queue_high_water,
-        stats.shed,
-        shed_pct,
-        if stats.balanced() {
-            ""
-        } else {
-            " [UNBALANCED]"
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,29 +496,6 @@ mod tests {
         assert!(text.contains("now: 1 open, 0 half-open"));
         assert!(text.contains("hedges: 86 launched, 31 won"));
         assert!(text.contains("[balanced]"), "{text}");
-    }
-
-    #[test]
-    fn shed_summary_renders_admission_accounting() {
-        let stats = ShedStats {
-            offered: 512,
-            accepted: 480,
-            queued: 20,
-            shed: 12,
-            queue_high_water: 6,
-        };
-        let text = shed_summary("pool admission", &stats);
-        assert!(text.contains("512 offered, 480 accepted"));
-        assert!(text.contains("20 queued (high water 6)"));
-        assert!(text.contains("12 shed (2.3%)"));
-        assert!(!text.contains("UNBALANCED"), "{text}");
-        // A torn counter set is flagged, not hidden.
-        let torn = ShedStats {
-            offered: 10,
-            accepted: 3,
-            ..ShedStats::default()
-        };
-        assert!(shed_summary("x", &torn).contains("[UNBALANCED]"));
     }
 
     #[test]

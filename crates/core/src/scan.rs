@@ -12,7 +12,6 @@ use minedig_wasm::fingerprint::{fingerprint, fingerprint_with};
 use minedig_wasm::module::Module;
 use minedig_wasm::sigdb::{SignatureDb, WasmClass};
 use minedig_web::category::Category;
-use minedig_web::churn::ChurnDelta;
 use minedig_web::deploy::{ArtifactKind, Hosting};
 use minedig_web::page::{synthesize_page, zgrab_fetch, CORPUS_SEED};
 use minedig_web::universe::{Domain, Population};
@@ -344,109 +343,6 @@ pub fn zgrab_scan_with(population: &Population, seed: u64, model: &FetchModel) -
     }
     outcome.total_domains = population.total;
     outcome
-}
-
-/// A first-date zgrab scan that retains every per-domain verdict, so a
-/// second-date rescan can reuse the verdicts of unchanged domains
-/// instead of re-probing them (the Fig 2 two-date measurement).
-///
-/// Reuse is sound because a [`ZgrabVerdict`] is a pure function of
-/// `(domain, seed, model)`: a survivor keeps its name, so a fresh probe
-/// at the same seed and model would reproduce the retained verdict bit
-/// for bit.
-pub struct ZgrabRescanMemo {
-    /// The first scan's outcome.
-    pub first: ZgrabScanOutcome,
-    seed: u64,
-    artifact_verdicts: Vec<ZgrabVerdict>,
-    clean_verdicts: Vec<ZgrabVerdict>,
-}
-
-/// How much probing an incremental rescan avoided.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RescanStats {
-    /// Domains whose first-scan verdict was reused unprobed.
-    pub reused: u64,
-    /// Domains actually probed (fresh arrivals).
-    pub probed: u64,
-}
-
-/// Runs the first-date scan of a two-date campaign, memoizing verdicts
-/// for [`ZgrabRescanMemo::rescan`].
-pub fn zgrab_scan_retaining(
-    population: &Population,
-    seed: u64,
-    model: &FetchModel,
-) -> ZgrabRescanMemo {
-    let engine = NoCoinEngine::new();
-    let ctx = ZgrabProbeCtx {
-        seed,
-        model,
-        engine: &engine,
-    };
-    let mut outcome = ZgrabScanOutcome::empty(population.zone);
-    let mut artifact_verdicts = Vec::with_capacity(population.artifacts.len());
-    for d in &population.artifacts {
-        let verdict = zgrab_probe_domain(&ctx, d);
-        zgrab_fold(&mut outcome, verdict.clone(), false);
-        artifact_verdicts.push(verdict);
-    }
-    let mut clean_verdicts = Vec::with_capacity(population.clean_sample.len());
-    for d in &population.clean_sample {
-        let verdict = zgrab_probe_domain(&ctx, d);
-        zgrab_fold(&mut outcome, verdict.clone(), true);
-        clean_verdicts.push(verdict);
-    }
-    outcome.total_domains = population.total;
-    ZgrabRescanMemo {
-        first: outcome,
-        seed,
-        artifact_verdicts,
-        clean_verdicts,
-    }
-}
-
-impl ZgrabRescanMemo {
-    /// Scans the second-date population incrementally: survivors and the
-    /// (unchanged) clean sample fold their retained first-scan verdicts;
-    /// only the fresh arrivals are probed. With the same `model` the
-    /// first scan ran under, the outcome is bit-identical to a full
-    /// [`zgrab_scan_with`] of `second` — verdicts are keyed by domain
-    /// name, and folding happens in the same population order.
-    pub fn rescan(
-        &self,
-        second: &Population,
-        delta: &ChurnDelta,
-        model: &FetchModel,
-    ) -> (ZgrabScanOutcome, RescanStats) {
-        assert_eq!(
-            self.clean_verdicts.len(),
-            second.clean_sample.len(),
-            "the clean sample is fixed across scan dates"
-        );
-        let engine = NoCoinEngine::new();
-        let ctx = ZgrabProbeCtx {
-            seed: self.seed,
-            model,
-            engine: &engine,
-        };
-        let mut outcome = ZgrabScanOutcome::empty(second.zone);
-        let mut stats = RescanStats::default();
-        for &src in &delta.survivors {
-            zgrab_fold(&mut outcome, self.artifact_verdicts[src].clone(), false);
-            stats.reused += 1;
-        }
-        for d in &second.artifacts[delta.survivors.len()..] {
-            zgrab_fold(&mut outcome, zgrab_probe_domain(&ctx, d), false);
-            stats.probed += 1;
-        }
-        for verdict in &self.clean_verdicts {
-            zgrab_fold(&mut outcome, verdict.clone(), true);
-            stats.reused += 1;
-        }
-        outcome.total_domains = second.total;
-        (outcome, stats)
-    }
 }
 
 /// Outcome of the instrumented-browser scan of one zone (§3.2).
@@ -798,48 +694,6 @@ mod tests {
             .copied()
             .unwrap_or(0);
         assert!(coinhive as f64 / out.hit_domains as f64 > 0.5);
-    }
-
-    #[test]
-    fn incremental_rescan_is_identical_to_a_full_second_scan() {
-        use minedig_web::churn::{second_scan_with_delta, DEFAULT_REMOVAL_RATE};
-        let first = small_org();
-        let (second, delta) = second_scan_with_delta(&first, 7, DEFAULT_REMOVAL_RATE);
-        let model = FetchModel::default();
-        let memo = zgrab_scan_retaining(&first, 1, &model);
-        assert_eq!(memo.first, zgrab_scan_with(&first, 1, &model));
-        let (incremental, stats) = memo.rescan(&second, &delta, &model);
-        let full = zgrab_scan_with(&second, 1, &model);
-        assert_eq!(incremental, full);
-        assert_eq!(stats.probed, delta.arrivals as u64);
-        assert_eq!(
-            stats.reused,
-            delta.survivors.len() as u64 + second.clean_sample.len() as u64
-        );
-        assert!(stats.reused > stats.probed, "churn reuse must dominate");
-    }
-
-    #[test]
-    fn incremental_rescan_matches_under_fault_schedules() {
-        use minedig_web::churn::second_scan_with_delta;
-        let first = small_org();
-        let (second, delta) = second_scan_with_delta(&first, 11, 0.2);
-        let plan = FaultPlan::with_config(
-            13,
-            minedig_primitives::fault::FaultConfig {
-                fault_prob: 0.4,
-                permanent_prob: 0.3,
-                ..minedig_primitives::fault::FaultConfig::default()
-            },
-        );
-        let model = FetchModel::outlasting(plan);
-        let memo = zgrab_scan_retaining(&first, 3, &model);
-        let (incremental, _) = memo.rescan(&second, &delta, &model);
-        assert_eq!(incremental, zgrab_scan_with(&second, 3, &model));
-        assert!(
-            incremental.fetch.unreachable > 0,
-            "permanent faults must surface"
-        );
     }
 
     #[test]

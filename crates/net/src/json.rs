@@ -488,8 +488,11 @@ impl<'a> Parser<'a> {
                 return Ok(Value::Num(Number::U64(v)));
             }
         }
+        // A literal past f64's range would parse to an infinity, which
+        // has no JSON form: it would re-encode as `null`.
         match text.parse::<f64>() {
-            Ok(v) => Ok(Value::Num(Number::F64(v))),
+            Ok(v) if v.is_finite() => Ok(Value::Num(Number::F64(v))),
+            Ok(_) => Err(self.err("number out of range")),
             Err(_) => Err(self.err("invalid number")),
         }
     }
@@ -509,6 +512,14 @@ mod tests {
         assert_eq!(Value::parse("-7").unwrap(), Value::Num(Number::I64(-7)));
         assert_eq!(Value::parse("1.5").unwrap(), Value::f64(1.5));
         assert_eq!(Value::parse("\"hi\"").unwrap(), Value::str("hi"));
+    }
+
+    #[test]
+    fn numbers_past_f64_range_are_refused() {
+        // An infinity has no JSON form: it would re-encode as `null`.
+        for text in ["1e999", "-1e999", "[1,2e400]"] {
+            assert!(Value::parse(text).is_err(), "{text}");
+        }
     }
 
     #[test]

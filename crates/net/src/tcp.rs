@@ -334,7 +334,6 @@ pub struct TcpServer {
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     connections: Arc<AtomicU64>,
-    shed: Arc<AtomicU64>,
 }
 
 impl TcpServer {
@@ -344,35 +343,16 @@ impl TcpServer {
     where
         F: Fn(TcpTransport) + Send + Sync + 'static,
     {
-        TcpServer::spawn_with_limit(bind, None, handler)
-    }
-
-    /// [`TcpServer::spawn`] with connection-level admission control:
-    /// when `max_connections` handler threads are already live, a new
-    /// connection is hung up on immediately (its peer sees `Closed`)
-    /// and counted in [`TcpServer::connections_shed`] instead of getting
-    /// a thread. `None` keeps the historical unbounded behaviour.
-    pub fn spawn_with_limit<F>(
-        bind: &str,
-        max_connections: Option<u64>,
-        handler: F,
-    ) -> std::io::Result<TcpServer>
-    where
-        F: Fn(TcpTransport) + Send + Sync + 'static,
-    {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let connections = Arc::new(AtomicU64::new(0));
-        let shed = Arc::new(AtomicU64::new(0));
-        let active = Arc::new(AtomicU64::new(0));
         let handler = Arc::new(handler);
         let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let stop2 = stop.clone();
         let conns2 = connections.clone();
-        let shed2 = shed.clone();
         let handles2 = handles.clone();
         let accept_thread = std::thread::Builder::new()
             .name("tcp-accept".into())
@@ -380,29 +360,15 @@ impl TcpServer {
                 while !stop2.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
-                            if let Some(cap) = max_connections {
-                                if active.load(Ordering::Acquire) >= cap {
-                                    // Dropping the stream sends FIN/RST;
-                                    // the peer's next operation reports
-                                    // Closed, which clients already treat
-                                    // as a reconnectable condition.
-                                    shed2.fetch_add(1, Ordering::Relaxed);
-                                    drop(stream);
-                                    continue;
-                                }
-                            }
                             stream.set_nonblocking(false).ok();
                             conns2.fetch_add(1, Ordering::Relaxed);
-                            active.fetch_add(1, Ordering::AcqRel);
                             let handler = handler.clone();
-                            let active2 = active.clone();
                             let h = std::thread::Builder::new()
                                 .name("tcp-conn".into())
                                 .spawn(move || {
                                     if let Ok(t) = TcpTransport::server_side(stream) {
                                         handler(t);
                                     }
-                                    active2.fetch_sub(1, Ordering::AcqRel);
                                 })
                                 .expect("spawn connection thread");
                             handles2.lock().push(h);
@@ -420,7 +386,6 @@ impl TcpServer {
             stop,
             accept_thread: Some(accept_thread),
             connections,
-            shed,
         })
     }
 
@@ -432,11 +397,6 @@ impl TcpServer {
     /// Total connections accepted so far.
     pub fn connections_accepted(&self) -> u64 {
         self.connections.load(Ordering::Relaxed)
-    }
-
-    /// Connections hung up on by the admission cap.
-    pub fn connections_shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 
     /// Stops accepting new connections.
@@ -601,65 +561,6 @@ mod tests {
         client.send(b"tiny").unwrap();
         assert_eq!(client.recv().unwrap(), big.len().to_string().as_bytes());
         assert_eq!(client.recv().unwrap(), b"4");
-    }
-
-    #[test]
-    fn connection_cap_sheds_and_recovers() {
-        // Handlers park until released so the first connection pins the
-        // single slot; the second must be shed, and once the slot frees
-        // up a third connection is served normally.
-        let release = Arc::new(AtomicBool::new(false));
-        let r2 = release.clone();
-        let server = TcpServer::spawn_with_limit("127.0.0.1:0", Some(1), move |mut t| {
-            while !r2.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            while let Ok(msg) = t.recv() {
-                if t.send(&msg).is_err() {
-                    break;
-                }
-            }
-        })
-        .unwrap();
-        let mut first = TcpTransport::connect(server.addr()).unwrap();
-        // Wait for the accept loop to register the first connection.
-        for _ in 0..500 {
-            if server.connections_accepted() == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(server.connections_accepted(), 1);
-
-        let mut second = TcpTransport::connect(server.addr()).unwrap();
-        let shed_seen = (0..500).any(|_| {
-            std::thread::sleep(Duration::from_millis(2));
-            server.connections_shed() == 1
-        });
-        assert!(shed_seen, "over-cap connection must be counted as shed");
-        // The shed peer observes a hangup, not silence.
-        let _ = second.send(b"hello?");
-        assert!(matches!(
-            second.recv_timeout(Duration::from_millis(500)),
-            Err(TransportError::Closed) | Err(TransportError::Timeout)
-        ));
-        drop(second);
-
-        release.store(true, Ordering::Relaxed);
-        first.send(b"still here").unwrap();
-        assert_eq!(first.recv().unwrap(), b"still here");
-        drop(first);
-        // The slot drains; a fresh connection is admitted again.
-        let admitted = (0..500).any(|_| {
-            std::thread::sleep(Duration::from_millis(2));
-            let mut third = match TcpTransport::connect(server.addr()) {
-                Ok(t) => t,
-                Err(_) => return false,
-            };
-            third.send(b"third").ok();
-            third.recv_timeout(Duration::from_millis(200)) == Ok(b"third".to_vec())
-        });
-        assert!(admitted, "capacity must recover after the first peer left");
     }
 
     #[test]

@@ -42,8 +42,8 @@ impl std::fmt::Display for MinerError {
 
 /// Consecutive [`ServerMsg::Shed`] replies a client re-offers one request
 /// through before giving up with [`MinerError::Overloaded`]. Bounded so a
-/// frozen-clock server (whose bucket never refills) cannot trap the
-/// client in an infinite offer loop.
+/// server that sheds forever cannot trap the client in an infinite offer
+/// loop.
 pub const MAX_SHED_RETRIES: u32 = 64;
 
 impl std::error::Error for MinerError {}
@@ -91,12 +91,11 @@ impl<T: Transport> MinerClient<T> {
 
     fn request(&mut self, msg: &ClientMsg) -> Result<ServerMsg, MinerError> {
         // A shed is the one reply that is about the request *rate*, not
-        // the request: re-offer the same message (the server's bucket
-        // refills as its clock advances), bounded so overload that never
-        // clears surfaces as an error instead of a livelock. Sheds are
-        // absorbed here so the auth/job/submit state machines above never
-        // see them — without admission control this loop runs exactly
-        // once, byte-identical to the pre-shed client.
+        // the request: re-offer the same message, bounded so overload
+        // that never clears surfaces as an error instead of a livelock.
+        // Sheds are absorbed here so the auth/job/submit state machines
+        // above never see them; against a server that never sheds (this
+        // crate's `Pool` is one) the loop runs exactly once.
         for _ in 0..=MAX_SHED_RETRIES {
             self.transport.send(&msg.encode())?;
             let raw = self.transport.recv()?;
@@ -200,6 +199,9 @@ mod tests {
     use minedig_chain::tx::Transaction;
     use minedig_net::transport::channel_pair;
     use minedig_primitives::Hash32;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn serve_pool(
         share_difficulty: u64,
@@ -269,74 +271,82 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// A client-side transport that answers the requests `shed` picks
+    /// (numbered from 0) with [`ServerMsg::Shed`] itself, so the pool
+    /// never sees them; every other request passes through.
+    struct Shedding<T: Transport> {
+        inner: T,
+        shed: fn(u64) -> bool,
+        offered: u64,
+        sheds: Arc<AtomicU64>,
+        owes_shed: bool,
+    }
+
+    impl<T: Transport> Shedding<T> {
+        fn new(inner: T, shed: fn(u64) -> bool) -> (Shedding<T>, Arc<AtomicU64>) {
+            let sheds = Arc::new(AtomicU64::new(0));
+            let transport = Shedding {
+                inner,
+                shed,
+                offered: 0,
+                sheds: sheds.clone(),
+                owes_shed: false,
+            };
+            (transport, sheds)
+        }
+    }
+
+    impl<T: Transport> Transport for Shedding<T> {
+        fn send(&mut self, message: &[u8]) -> Result<(), TransportError> {
+            let n = self.offered;
+            self.offered += 1;
+            if (self.shed)(n) {
+                self.sheds.fetch_add(1, Ordering::Relaxed);
+                self.owes_shed = true;
+                Ok(())
+            } else {
+                self.inner.send(message)
+            }
+        }
+
+        fn send_timeout(&mut self, message: &[u8], _: Duration) -> Result<(), TransportError> {
+            self.send(message)
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+            if std::mem::take(&mut self.owes_shed) {
+                return Ok(ServerMsg::Shed { retry_after_ms: 1 }.encode());
+            }
+            self.inner.recv()
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
+            if std::mem::take(&mut self.owes_shed) {
+                return Ok(ServerMsg::Shed { retry_after_ms: 1 }.encode());
+            }
+            self.inner.recv_timeout(timeout)
+        }
+    }
+
     #[test]
     fn miner_rides_out_sheds_transparently() {
-        use minedig_primitives::{Admission, AdmissionConfig};
-        use parking_lot::Mutex;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        // One template version regardless of clock, so the gated run (whose
-        // clock advances per request) grinds the same blobs as the plain
-        // frozen-clock reference run.
-        let make_pool = || {
-            let pool = Pool::new(PoolConfig {
-                share_difficulty: 4,
-                max_templates_per_height: 1,
-                ..PoolConfig::default()
-            });
-            pool.announce_tip(&TipInfo {
-                height: 1,
-                prev_id: Hash32::keccak(b"tip"),
-                prev_timestamp: 100,
-                reward: 1_000_000,
-                difficulty: 1_000,
-                mempool: vec![Transaction::transfer(Hash32::keccak(b"t"))],
-            });
-            pool
-        };
-
-        // Reference: no admission control.
-        let pool = make_pool();
-        let (client_t, mut server_t) = channel_pair();
-        let p2 = pool.clone();
-        let handle = std::thread::spawn(move || p2.serve(&mut server_t, 0, || 120));
-        let mut plain = MinerClient::new(client_t, Token::from_index(1), Variant::Test);
+        let (_pool, handle, mut plain) = serve_pool(4);
         plain.auth().unwrap();
         let reference = plain.mine_until_credited(16, 10_000).unwrap();
         drop(plain);
         handle.join().unwrap();
 
-        // Gated: bucket of one token refilling every other request, so
-        // roughly half the offers are shed and silently re-offered.
-        let pool = make_pool();
-        let admission = Arc::new(Mutex::new(Admission::new(AdmissionConfig {
-            burst: 1,
-            refill_per_tick: 1,
-            queue_cap: 0,
-        })));
-        let (client_t, mut server_t) = channel_pair();
-        let p2 = pool.clone();
-        let adm = admission.clone();
-        let ticks = Arc::new(AtomicU64::new(0));
-        let handle = std::thread::spawn(move || {
-            p2.serve_with_admission(
-                &mut server_t,
-                0,
-                move || ticks.fetch_add(1, Ordering::Relaxed) / 2,
-                Some(&adm),
-            );
-        });
-        let mut gated = MinerClient::new(client_t, Token::from_index(1), Variant::Test);
+        // Every other offer is shed and silently re-offered.
+        let (pool, handle, client) = serve_pool(4);
+        let (transport, sheds) = Shedding::new(client.transport, |n| n % 2 == 0);
+        let mut gated = MinerClient::new(transport, Token::from_index(1), Variant::Test);
         gated.auth().unwrap();
         let report = gated.mine_until_credited(16, 10_000).unwrap();
         drop(gated);
         handle.join().unwrap();
 
         assert_eq!(report, reference, "sheds must not perturb the mining run");
-        let stats = *admission.lock().stats();
-        assert!(stats.shed > 0, "the throttle must actually have fired");
-        assert!(stats.balanced(), "{stats:?}");
+        assert!(sheds.load(Ordering::Relaxed) > 0, "no request was shed");
         assert_eq!(
             pool.ledger().lifetime_hashes(&Token::from_index(1)),
             report.hashes_credited
@@ -345,42 +355,19 @@ mod tests {
 
     #[test]
     fn persistent_overload_surfaces_as_error() {
-        use minedig_primitives::{Admission, AdmissionConfig};
-        use parking_lot::Mutex;
-        use std::sync::Arc;
-
-        let pool = Pool::new(PoolConfig::default());
-        pool.announce_tip(&TipInfo {
-            height: 1,
-            prev_id: Hash32::keccak(b"tip"),
-            prev_timestamp: 100,
-            reward: 1_000_000,
-            difficulty: 1_000,
-            mempool: vec![],
-        });
-        // Frozen clock: the bucket never refills, so after the single
-        // burst token every offer is shed and the client must give up
-        // instead of spinning forever.
-        let admission = Arc::new(Mutex::new(Admission::new(AdmissionConfig {
-            burst: 1,
-            refill_per_tick: 1,
-            queue_cap: 0,
-        })));
-        let (client_t, mut server_t) = channel_pair();
-        let p2 = pool.clone();
-        let adm = admission.clone();
-        let handle = std::thread::spawn(move || {
-            p2.serve_with_admission(&mut server_t, 0, || 120, Some(&adm));
-        });
-        let mut client = MinerClient::new(client_t, Token::from_index(1), Variant::Test);
-        client.auth().unwrap(); // consumes the only token
+        let (_pool, handle, client) = serve_pool(1);
+        // The auth passes; every later offer is shed, so the client must
+        // give up instead of spinning forever.
+        let (transport, sheds) = Shedding::new(client.transport, |n| n > 0);
+        let mut client = MinerClient::new(transport, Token::from_index(1), Variant::Test);
+        client.auth().unwrap();
         assert_eq!(client.get_job().unwrap_err(), MinerError::Overloaded);
         drop(client);
         handle.join().unwrap();
-        let stats = *admission.lock().stats();
-        assert_eq!(stats.accepted, 1);
-        assert_eq!(stats.shed, u64::from(MAX_SHED_RETRIES) + 1);
-        assert!(stats.balanced());
+        assert_eq!(
+            sheds.load(Ordering::Relaxed),
+            u64::from(MAX_SHED_RETRIES) + 1
+        );
     }
 
     #[test]

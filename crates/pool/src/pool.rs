@@ -18,7 +18,7 @@ use minedig_chain::netsim::{TemplateSource, TipInfo};
 use minedig_chain::tx::MinerTag;
 use minedig_net::transport::{Transport, TransportError};
 use minedig_pow::{check_hash, slow_hash, Variant};
-use minedig_primitives::{Admission, AdmitDecision, DetRng, Hash32};
+use minedig_primitives::{DetRng, Hash32};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -467,43 +467,12 @@ impl Pool {
         endpoint: usize,
         clock: C,
     ) {
-        self.serve_with_admission(transport, endpoint, clock, None);
-    }
-
-    /// [`Pool::serve`] behind a shared admission controller: every
-    /// received request is offered to the token bucket *before* any
-    /// decoding or pool work, and over-limit requests are answered with
-    /// [`ServerMsg::Shed`] instead of being processed. The controller is
-    /// shared by reference so all of a pool's connection threads drain
-    /// one bucket — overload is a server-wide condition, not a
-    /// per-session one. With `admission == None` this is byte-for-byte
-    /// the plain serve loop.
-    pub fn serve_with_admission<T: Transport, C: Fn() -> u64>(
-        &self,
-        transport: &mut T,
-        endpoint: usize,
-        clock: C,
-        admission: Option<&Mutex<Admission>>,
-    ) {
         let mut token: Option<Token> = None;
         loop {
             let msg = match transport.recv() {
                 Ok(m) => m,
                 Err(_) => return,
             };
-            if let Some(gate) = admission {
-                let mut gate = gate.lock();
-                if gate.admit(clock()) == AdmitDecision::Shed {
-                    let reply = ServerMsg::Shed {
-                        retry_after_ms: gate.retry_after(),
-                    };
-                    drop(gate);
-                    if transport.send(&reply.encode()).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-            }
             let reply = match ClientMsg::decode(&msg) {
                 Err(e) => ServerMsg::Error {
                     reason: e.to_string(),
@@ -910,95 +879,6 @@ mod tests {
         );
         drop(client);
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn admission_sheds_over_limit_requests() {
-        let p = pool();
-        p.announce_tip(&tip(3, 40));
-        // Tiny bucket on a frozen clock: it never refills, so after the
-        // burst and the one queue slot everything is shed.
-        let admission = Arc::new(Mutex::new(Admission::new(
-            minedig_primitives::AdmissionConfig {
-                burst: 2,
-                refill_per_tick: 1,
-                queue_cap: 1,
-            },
-        )));
-        let (mut client, mut server) = channel_pair();
-        let pool_clone = p.clone();
-        let adm = admission.clone();
-        let handle = std::thread::spawn(move || {
-            pool_clone.serve_with_admission(&mut server, 0, || 60, Some(&adm));
-        });
-        let mut jobs = 0u64;
-        let mut sheds = 0u64;
-        for _ in 0..8 {
-            match drive_session(
-                &mut client,
-                &ClientMsg::Peek {
-                    endpoint: 0,
-                    now: 90,
-                },
-            )
-            .unwrap()
-            {
-                ServerMsg::Job(_) => jobs += 1,
-                ServerMsg::Shed { retry_after_ms } => {
-                    assert!(retry_after_ms >= 1, "shed must carry a usable hint");
-                    sheds += 1;
-                }
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        drop(client);
-        handle.join().unwrap();
-        assert_eq!(jobs, 3, "burst of 2 plus one queued request process");
-        assert_eq!(sheds, 5);
-        let stats = *admission.lock().stats();
-        assert_eq!(stats.offered, 8);
-        assert_eq!(stats.accepted, 2);
-        assert_eq!(stats.queued, 1);
-        assert_eq!(stats.shed, 5);
-        assert!(stats.balanced(), "{stats:?}");
-    }
-
-    #[test]
-    fn generous_admission_is_invisible() {
-        // Under the rate limit the gated serve loop must answer
-        // byte-identically to the plain one.
-        let run = |admission: Option<Arc<Mutex<Admission>>>| -> Vec<ServerMsg> {
-            let p = pool();
-            p.announce_tip(&tip(3, 40));
-            let (mut client, mut server) = channel_pair();
-            let pool_clone = p.clone();
-            let handle = std::thread::spawn(move || match admission {
-                Some(adm) => pool_clone.serve_with_admission(&mut server, 0, || 60, Some(&adm)),
-                None => pool_clone.serve(&mut server, 0, || 60),
-            });
-            let replies = (0..20)
-                .map(|i| {
-                    drive_session(
-                        &mut client,
-                        &ClientMsg::Peek {
-                            endpoint: i % 32,
-                            now: 90 + i,
-                        },
-                    )
-                    .unwrap()
-                })
-                .collect();
-            drop(client);
-            handle.join().unwrap();
-            replies
-        };
-        let gate = Arc::new(Mutex::new(Admission::new(
-            minedig_primitives::AdmissionConfig::default(),
-        )));
-        assert_eq!(run(Some(gate.clone())), run(None));
-        let stats = *gate.lock().stats();
-        assert_eq!(stats.shed, 0);
-        assert_eq!(stats.accepted, 20);
     }
 
     #[test]

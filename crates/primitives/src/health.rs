@@ -1,6 +1,5 @@
 //! Endpoint-health subsystem: deterministic circuit breakers, latency
-//! tracking with adaptive deadlines, hedged-probe planning, and
-//! token-bucket admission control.
+//! tracking with adaptive deadlines and hedged-probe planning.
 //!
 //! The §4.2 poll study talks to 32 untrusted pool endpoints for four
 //! weeks; real endpoints flap, stall, and die (Eskandari et al. document
@@ -20,8 +19,6 @@
 //!   computed strictly before a sweep's first probe and a *record*
 //!   phase applied strictly after its last (so breaker and tracker
 //!   state advance at one deterministic point, never mid-sweep).
-//! * [`Admission`] — server-side token-bucket rate limiting with a
-//!   bounded over-rate debt queue and explicit shed accounting.
 //!
 //! Two time domains are in play and must not be conflated: breaker open
 //! windows are measured on the *sweep clock* (the `now` the caller
@@ -35,8 +32,8 @@
 //! probes never back off), and hedges — which share the primary probe's
 //! `(endpoint, now)` sequence key — return the identical payload, only
 //! earlier. Health-on is therefore bit-identical to health-off on
-//! fault-free runs; under faults, the accounting invariants checked by
-//! [`HealthStats::balanced`] and [`ShedStats::balanced`] hold instead.
+//! fault-free runs; under faults, the accounting invariant checked by
+//! [`HealthStats::balanced`] holds instead.
 
 use crate::ckpt::{CkptError, SnapReader, SnapWriter};
 use crate::rng::DetRng;
@@ -95,7 +92,7 @@ pub enum BreakerState {
 /// Counters for one breaker (or an aggregate over several).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BreakerStats {
-    /// Admission checks performed.
+    /// Calls to [`CircuitBreaker::admit`].
     pub checks: u64,
     /// Checks that admitted the probe.
     pub allowed: u64,
@@ -698,161 +695,6 @@ impl EndpointHealth {
     }
 }
 
-/// Server-side admission-control knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Token-bucket capacity (burst allowance).
-    pub burst: u64,
-    /// Tokens refilled per clock unit.
-    pub refill_per_tick: u64,
-    /// Over-rate requests tolerated (processed as queue debt) before
-    /// shedding starts.
-    pub queue_cap: u64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> AdmissionConfig {
-        AdmissionConfig {
-            burst: 32,
-            refill_per_tick: 1,
-            queue_cap: 16,
-        }
-    }
-}
-
-/// The verdict for one offered request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitDecision {
-    /// Within rate: process immediately.
-    Accepted,
-    /// Over rate but within the queue bound: process, counted as debt.
-    Queued,
-    /// Over rate and over the queue bound: reply with a shed.
-    Shed,
-}
-
-/// Shed/accept/queue-depth counters for one admission controller (or an
-/// aggregate over several connections).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShedStats {
-    /// Requests offered.
-    pub offered: u64,
-    /// Requests accepted within rate.
-    pub accepted: u64,
-    /// Requests processed as over-rate queue debt.
-    pub queued: u64,
-    /// Requests shed.
-    pub shed: u64,
-    /// Highest queue depth observed.
-    pub queue_high_water: u64,
-}
-
-impl ShedStats {
-    /// Conservation check: every offered request was accepted, queued,
-    /// or shed, and the high-water mark cannot exceed total queueing.
-    pub fn balanced(&self) -> bool {
-        self.offered == self.accepted + self.queued + self.shed
-            && self.queue_high_water <= self.queued
-    }
-
-    /// Adds another stats block into this one (high-water maxes).
-    pub fn absorb(&mut self, other: &ShedStats) {
-        self.offered += other.offered;
-        self.accepted += other.accepted;
-        self.queued += other.queued;
-        self.shed += other.shed;
-        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-    }
-}
-
-/// Token-bucket admission control with a bounded over-rate debt queue.
-///
-/// Work arriving within the refill rate (plus burst) is accepted;
-/// over-rate work is tolerated up to `queue_cap` outstanding debt, then
-/// shed. Refilled tokens retire debt before admitting new work, so a
-/// burst is followed by a proportional quiet period — deterministic
-/// with any monotone clock, including a frozen test clock (where the
-/// bucket simply never refills).
-#[derive(Debug, Clone)]
-pub struct Admission {
-    config: AdmissionConfig,
-    tokens: u64,
-    backlog: u64,
-    last: Option<u64>,
-    stats: ShedStats,
-}
-
-impl Admission {
-    /// A full bucket with no debt.
-    pub fn new(config: AdmissionConfig) -> Admission {
-        Admission {
-            tokens: config.burst,
-            config,
-            backlog: 0,
-            last: None,
-            stats: ShedStats::default(),
-        }
-    }
-
-    /// Offers one request at clock value `now`.
-    pub fn admit(&mut self, now: u64) -> AdmitDecision {
-        self.refill(now);
-        self.stats.offered += 1;
-        if self.tokens > 0 && self.backlog > 0 {
-            let pay = self.tokens.min(self.backlog);
-            self.tokens -= pay;
-            self.backlog -= pay;
-        }
-        if self.tokens > 0 {
-            self.tokens -= 1;
-            self.stats.accepted += 1;
-            return AdmitDecision::Accepted;
-        }
-        if self.backlog < self.config.queue_cap {
-            self.backlog += 1;
-            self.stats.queued += 1;
-            self.stats.queue_high_water = self.stats.queue_high_water.max(self.backlog);
-            return AdmitDecision::Queued;
-        }
-        self.stats.shed += 1;
-        AdmitDecision::Shed
-    }
-
-    fn refill(&mut self, now: u64) {
-        match self.last {
-            None => self.last = Some(now),
-            Some(prev) if now > prev => {
-                let add = (now - prev).saturating_mul(self.config.refill_per_tick);
-                self.tokens = self.tokens.saturating_add(add).min(self.config.burst);
-                self.last = Some(now);
-            }
-            // A frozen or (buggy) backwards clock refills nothing.
-            Some(_) => {}
-        }
-    }
-
-    /// Current over-rate debt.
-    pub fn queue_depth(&self) -> u64 {
-        self.backlog
-    }
-
-    /// A retry-after hint for shed replies: clock units until the debt
-    /// plus one new request fit the refill rate (1 when unknowable).
-    pub fn retry_after(&self) -> u64 {
-        let rate = self.config.refill_per_tick;
-        if rate == 0 {
-            1
-        } else {
-            (self.backlog + 1).div_ceil(rate).max(1)
-        }
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> &ShedStats {
-        &self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1130,47 +972,6 @@ mod tests {
         assert_eq!(off.stats().hedges, 0);
     }
 
-    #[test]
-    fn admission_accepts_queues_then_sheds_and_refills() {
-        let mut a = Admission::new(AdmissionConfig {
-            burst: 2,
-            refill_per_tick: 1,
-            queue_cap: 2,
-        });
-        // Frozen clock: burst, then queue debt, then sheds.
-        assert_eq!(a.admit(10), AdmitDecision::Accepted);
-        assert_eq!(a.admit(10), AdmitDecision::Accepted);
-        assert_eq!(a.admit(10), AdmitDecision::Queued);
-        assert_eq!(a.admit(10), AdmitDecision::Queued);
-        assert_eq!(a.admit(10), AdmitDecision::Shed);
-        assert_eq!(a.queue_depth(), 2);
-        assert!(a.retry_after() >= 1);
-        // Time passes: refill retires debt before new accepts.
-        assert_eq!(a.admit(12), AdmitDecision::Queued); // 2 tokens pay debt
-        assert_eq!(a.admit(14), AdmitDecision::Accepted); // debt 1 paid, 1 token left
-        let s = *a.stats();
-        assert!(s.balanced(), "{s:?}");
-        assert_eq!(s.offered, 7);
-        assert_eq!(s.shed, 1);
-        assert_eq!(s.queue_high_water, 2);
-    }
-
-    #[test]
-    fn shed_stats_absorb_keeps_balance() {
-        let mut total = ShedStats::default();
-        let mut a = Admission::new(AdmissionConfig {
-            burst: 1,
-            refill_per_tick: 0,
-            queue_cap: 1,
-        });
-        for _ in 0..5 {
-            a.admit(0);
-        }
-        total.absorb(a.stats());
-        total.absorb(a.stats());
-        assert!(total.balanced(), "{total:?}");
-    }
-
     proptest! {
         #[test]
         fn health_accounting_is_balanced_under_any_outcome_schedule(
@@ -1199,24 +1000,6 @@ mod tests {
             }
             let s = h.stats();
             prop_assert_eq!(s.breaker.checks, (sweeps * endpoints) as u64);
-        }
-
-        #[test]
-        fn admission_is_balanced_under_any_arrival_schedule(
-            burst in 0u64..8,
-            rate in 0u64..4,
-            cap in 0u64..8,
-            arrivals in prop::collection::vec(0u64..50, 1..80),
-        ) {
-            let mut now = 0u64;
-            let mut a = Admission::new(AdmissionConfig {
-                burst, refill_per_tick: rate, queue_cap: cap,
-            });
-            for gap in arrivals {
-                now += gap;
-                a.admit(now);
-                prop_assert!(a.stats().balanced(), "{:?}", a.stats());
-            }
         }
     }
 }

@@ -30,9 +30,8 @@ pub mod varint;
 pub use ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot, SnapshotStore};
 pub use fault::{Fault, FaultConfig, FaultPlan};
 pub use health::{
-    Admission, AdmissionConfig, AdmitDecision, BreakerConfig, BreakerState, BreakerStats,
-    CircuitBreaker, EndpointHealth, HealthConfig, HealthStats, LatencyTracker, ProbeOutcome,
-    ProbePlan, ShedStats, HEALTH_ENV,
+    BreakerConfig, BreakerState, BreakerStats, CircuitBreaker, EndpointHealth, HealthConfig,
+    HealthStats, LatencyTracker, ProbeOutcome, ProbePlan, HEALTH_ENV,
 };
 pub use hex::{from_hex, to_hex};
 pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};

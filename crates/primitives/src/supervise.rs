@@ -3,9 +3,8 @@
 //!
 //! A [`Supervisor`] drives any [`Campaign`] in bounded chunks. After
 //! each chunk it may write a [`Snapshot`](crate::ckpt::Snapshot)
-//! (every K items and/or every T virtual milliseconds); before each
-//! chunk it checks whether the active crash schedule kills the process
-//! at the chunk boundary. A kill discards the in-memory campaign —
+//! (every K items); before each chunk it checks whether the active
+//! crash schedule kills the process at the chunk boundary. A kill discards the in-memory campaign —
 //! exactly what `SIGKILL` would do — and the supervisor rebuilds it
 //! from the factory, restores the latest on-disk snapshot, and
 //! continues. A heartbeat watchdog catches campaigns that stop making
@@ -131,10 +130,6 @@ pub const CKPT_EVERY_ENV: &str = "MINEDIG_CKPT_EVERY";
 pub struct CrashPolicy {
     /// Checkpoint after at most this many items since the last one.
     pub ckpt_every_items: u64,
-    /// Additionally checkpoint when the campaign's virtual clock has
-    /// advanced this far since the last snapshot (the poller's "every
-    /// T virtual ms"); `None` disables the time trigger.
-    pub ckpt_every_virtual_ms: Option<u64>,
     /// Restarts (crash or stall recycles) allowed before giving up.
     pub max_restarts: u32,
     /// Consecutive heartbeat-silent chunks tolerated before the
@@ -146,7 +141,6 @@ impl Default for CrashPolicy {
     fn default() -> CrashPolicy {
         CrashPolicy {
             ckpt_every_items: 64,
-            ckpt_every_virtual_ms: None,
             max_restarts: 16,
             stall_limit: 3,
         }
@@ -267,12 +261,6 @@ pub trait Campaign: Checkpointable {
     /// `u64::MAX` is valid.
     fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64);
 
-    /// The campaign's virtual clock, for time-triggered checkpoints.
-    /// Campaigns without one report 0 (item triggers still apply).
-    fn virtual_now_ms(&self) -> u64 {
-        0
-    }
-
     /// Consumes the finished campaign.
     fn finish(self) -> Self::Output;
 }
@@ -376,9 +364,8 @@ impl Supervisor {
         report.start_progress = campaign.progress_key();
         report.attempts = 1;
 
-        // Progress/virtual-time of the snapshot a kill would restore.
+        // Progress of the snapshot a kill would restore.
         let mut restore_point = campaign.progress_key();
-        let mut last_ckpt_ms = campaign.virtual_now_ms();
         let mut attempt_items = 0u64;
         let mut kill_at = self.next_kill(&pending, 0, restore_point);
         let mut silent_chunks = 0u32;
@@ -424,18 +411,10 @@ impl Supervisor {
                     silent_chunks = 0;
                     if kill_at.is_some_and(|k| k <= after) {
                         recycle = Some(Recycle::Kill);
-                    } else {
-                        let due_items =
-                            after - restore_point >= self.policy.ckpt_every_items.max(1);
-                        let due_time = self.policy.ckpt_every_virtual_ms.is_some_and(|t| {
-                            campaign.virtual_now_ms().saturating_sub(last_ckpt_ms) >= t
-                        });
-                        if due_items || due_time {
-                            report.bytes_written += store.save(name, &campaign.snapshot())?;
-                            report.checkpoints += 1;
-                            restore_point = after;
-                            last_ckpt_ms = campaign.virtual_now_ms();
-                        }
+                    } else if after - restore_point >= self.policy.ckpt_every_items.max(1) {
+                        report.bytes_written += store.save(name, &campaign.snapshot())?;
+                        report.checkpoints += 1;
+                        restore_point = after;
                     }
                 }
             }
@@ -471,7 +450,6 @@ impl Supervisor {
             report.attempts += 1;
             attempt_items = 0;
             restore_point = campaign.progress_key();
-            last_ckpt_ms = campaign.virtual_now_ms();
             kill_at = self.next_kill(&pending, report.attempts - 1, restore_point);
             silent_chunks = 0;
         }
@@ -625,11 +603,28 @@ mod tests {
         }
     }
 
-    fn store(tag: &str) -> SnapshotStore {
+    /// A snapshot store in a fresh temp directory, removed on drop.
+    struct TempStore(SnapshotStore);
+
+    impl std::ops::Deref for TempStore {
+        type Target = SnapshotStore;
+
+        fn deref(&self) -> &SnapshotStore {
+            &self.0
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.0.dir());
+        }
+    }
+
+    fn store(tag: &str) -> TempStore {
         let dir =
             std::env::temp_dir().join(format!("minedig-supervise-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        SnapshotStore::open(dir).unwrap()
+        TempStore(SnapshotStore::open(dir).unwrap())
     }
 
     fn uninterrupted(total: u64) -> u64 {
@@ -727,7 +722,6 @@ mod tests {
             ckpt_every_items: 8,
             max_restarts: 2,
             stall_limit: 1,
-            ..CrashPolicy::default()
         })
         .run(
             &st,
@@ -787,8 +781,9 @@ mod tests {
         let (output, report) = run_campaign(None, "hf", || HashFold::new(300)).unwrap();
         assert_eq!(output, uninterrupted(300));
         assert!(report.is_none());
+        let dir = store("run");
         let killed = Ckpt {
-            store: store("run"),
+            store: SnapshotStore::open(dir.dir()).unwrap(),
             supervisor: Supervisor::new(CrashPolicy {
                 ckpt_every_items: 16,
                 ..CrashPolicy::default()
@@ -811,7 +806,6 @@ mod tests {
             report.expect("a supervised run reports").start_progress,
             300
         );
-        let _ = std::fs::remove_dir_all(resumed.store.dir());
     }
 
     #[test]

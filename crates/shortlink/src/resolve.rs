@@ -22,7 +22,6 @@ use minedig_net::transport::Transport;
 use minedig_pool::miner::{MinerClient, MinerError};
 use minedig_pool::pool::Pool;
 use minedig_pool::protocol::Token;
-use minedig_primitives::CircuitBreaker;
 
 /// Outcome of a bulk (accounted) resolution run.
 #[derive(Clone, Debug, Default)]
@@ -98,9 +97,6 @@ pub enum ResolveError {
         /// Hashes that were required.
         required: u64,
     },
-    /// Every attempt fell inside the circuit breaker's open window — no
-    /// connection was even tried ([`resolve_with_pool_guarded`] only).
-    Quarantined,
 }
 
 impl std::fmt::Display for ResolveError {
@@ -111,7 +107,6 @@ impl std::fmt::Display for ResolveError {
             ResolveError::Starved { credited, required } => {
                 write!(f, "only {credited}/{required} hashes credited")
             }
-            ResolveError::Quarantined => f.write_str("pool quarantined by circuit breaker"),
         }
     }
 }
@@ -187,64 +182,6 @@ where
             // Permanent: retrying cannot make a dead code live.
             Err(ResolveError::UnknownCode) => return Err(ResolveError::UnknownCode),
             Err(e) => last = e,
-        }
-    }
-    Err(last)
-}
-
-/// [`resolve_with_pool_retrying`] behind a [`CircuitBreaker`]: before any
-/// attempt spends a connection (and the mining it would carry), the
-/// breaker is consulted at `clock(attempt)` — while it is open the
-/// attempt is consumed as quarantine *without* calling `connect`, so a
-/// pool known to be down costs at most one probe per breaker window
-/// instead of the full reconnect budget. Every attempted connection's
-/// outcome (including a `connect` returning `None`) is recorded back, so
-/// repeated failures trip the breaker for the *next* links in a campaign.
-/// Unknown codes stay permanent and bypass the breaker's accounting —
-/// a dead link says nothing about the pool's health.
-#[allow(clippy::too_many_arguments)]
-pub fn resolve_with_pool_guarded<T, F, C>(
-    service: &ShortlinkService,
-    pool: &Pool,
-    mut connect: F,
-    code: &str,
-    max_local_hashes: u64,
-    max_attempts: u32,
-    breaker: &mut CircuitBreaker,
-    clock: C,
-) -> Result<(String, u32), ResolveError>
-where
-    T: Transport,
-    F: FnMut(u32) -> Option<T>,
-    C: Fn(u32) -> u64,
-{
-    let mut last = ResolveError::Quarantined;
-    for attempt in 0..max_attempts {
-        let now = clock(attempt);
-        if !breaker.admit(now) {
-            continue;
-        }
-        let Some(transport) = connect(attempt) else {
-            breaker.record(now, false);
-            if matches!(last, ResolveError::Quarantined) {
-                last = ResolveError::Miner(MinerError::Transport(
-                    minedig_net::transport::TransportError::Closed,
-                ));
-            }
-            continue;
-        };
-        match resolve_with_pool(service, pool, transport, code, max_local_hashes) {
-            Ok(url) => {
-                breaker.record(now, true);
-                return Ok((url, attempt));
-            }
-            // Permanent, and detected before the pool session starts —
-            // no probe outcome to record.
-            Err(ResolveError::UnknownCode) => return Err(ResolveError::UnknownCode),
-            Err(e) => {
-                breaker.record(now, false);
-                last = e;
-            }
         }
     }
     Err(last)
@@ -349,159 +286,6 @@ mod tests {
         let creator = Token::from_index(3);
         assert!(pool.ledger().lifetime_hashes(&creator) >= 8);
         handle.join().unwrap();
-    }
-
-    fn mini_service() -> ShortlinkService {
-        ShortlinkService::new(LinkPopulation {
-            links: vec![crate::model::LinkRecord {
-                index: 0,
-                token_id: 3,
-                required_hashes: 8,
-                target_domain: "youtu.be".into(),
-                path_hash: 0x5eed_c0de,
-                target_categories: Default::default(),
-            }],
-            users: 1,
-        })
-    }
-
-    fn mini_pool() -> Pool {
-        let pool = Pool::new(PoolConfig {
-            share_difficulty: 4,
-            ..PoolConfig::default()
-        });
-        pool.announce_tip(&TipInfo {
-            height: 1,
-            prev_id: Hash32::keccak(b"tip"),
-            prev_timestamp: 100,
-            reward: 1_000_000,
-            difficulty: 1_000,
-            mempool: vec![Transaction::transfer(Hash32::keccak(b"t"))],
-        });
-        pool
-    }
-
-    fn fast_breaker(open_for: u64) -> CircuitBreaker {
-        CircuitBreaker::new(
-            minedig_primitives::BreakerConfig {
-                window: 4,
-                min_samples: 2,
-                failure_threshold: 0.5,
-                open_for,
-                probe_jitter: 0,
-            },
-            7,
-            "resolver",
-        )
-    }
-
-    #[test]
-    fn guarded_resolution_matches_unguarded_when_healthy() {
-        let (service, pool) = (mini_service(), mini_pool());
-        let mut handles = Vec::new();
-        let mut breaker = fast_breaker(10);
-        let (url, attempt) = resolve_with_pool_guarded(
-            &service,
-            &pool,
-            |_attempt| {
-                let (client_t, mut server_t) = channel_pair();
-                let p2 = pool.clone();
-                handles.push(std::thread::spawn(move || {
-                    p2.serve(&mut server_t, 0, || 120)
-                }));
-                Some(client_t)
-            },
-            "a",
-            100_000,
-            4,
-            &mut breaker,
-            |attempt| attempt as u64,
-        )
-        .unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(url, "https://youtu.be/5eedc0de");
-        assert_eq!(attempt, 0, "a healthy pool resolves on the first try");
-        let stats = breaker.stats();
-        assert_eq!(stats.checks, 1);
-        assert_eq!(stats.quarantined, 0);
-        assert_eq!(stats.trips, 0);
-    }
-
-    #[test]
-    fn tripped_breaker_spends_probes_not_connections() {
-        // The first two attempts fail to connect and trip the breaker;
-        // the open window then swallows attempts without calling
-        // `connect` until the probe schedule admits one half-open try,
-        // which succeeds and closes the circuit.
-        let (service, pool) = (mini_service(), mini_pool());
-        let connects = std::cell::Cell::new(0u32);
-        let mut handles = Vec::new();
-        let mut breaker = fast_breaker(10);
-        let (url, attempt) = resolve_with_pool_guarded(
-            &service,
-            &pool,
-            |attempt| {
-                connects.set(connects.get() + 1);
-                if attempt < 2 {
-                    return None; // dead pool: connection refused
-                }
-                let (client_t, mut server_t) = channel_pair();
-                let p2 = pool.clone();
-                handles.push(std::thread::spawn(move || {
-                    p2.serve(&mut server_t, 0, || 120)
-                }));
-                Some(client_t)
-            },
-            "a",
-            100_000,
-            32,
-            &mut breaker,
-            |attempt| attempt as u64,
-        )
-        .unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(url, "https://youtu.be/5eedc0de");
-        // Failures at now=0,1 trip the breaker (open_for 10, no jitter →
-        // open until 11); attempts 2..=10 are quarantined for free, the
-        // half-open probe at 11 reconnects and wins.
-        assert_eq!(attempt, 11);
-        assert_eq!(connects.get(), 3, "quarantined attempts must not connect");
-        let stats = breaker.stats();
-        assert_eq!(stats.trips, 1);
-        assert_eq!(stats.quarantined, 9);
-        assert_eq!(stats.probes, 1);
-        assert_eq!(stats.closes, 1);
-    }
-
-    #[test]
-    fn permanently_dead_pool_reports_quarantine_cost() {
-        let (service, pool) = (mini_service(), mini_pool());
-        let connects = std::cell::Cell::new(0u32);
-        let mut breaker = fast_breaker(100);
-        let err = resolve_with_pool_guarded::<minedig_net::transport::ChannelTransport, _, _>(
-            &service,
-            &pool,
-            |_attempt| {
-                connects.set(connects.get() + 1);
-                None
-            },
-            "a",
-            100_000,
-            32,
-            &mut breaker,
-            |attempt| attempt as u64,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ResolveError::Miner(_)), "{err:?}");
-        // Two failures trip it at now=1; open until 101 covers the rest
-        // of the budget, so exactly two connections were ever spent.
-        assert_eq!(connects.get(), 2);
-        assert_eq!(breaker.stats().quarantined, 30);
-        assert_eq!(breaker.stats().trips, 1);
     }
 
     #[test]

@@ -15,73 +15,34 @@ pub const DEFAULT_REMOVAL_RATE: f64 = 0.13;
 /// Fraction of (former) artifact count re-appearing as fresh deployments.
 pub const DEFAULT_ARRIVAL_RATE: f64 = 0.015;
 
-/// What changed between the two scan dates, in terms of the *first*
-/// population's artifact list — the structure an incremental rescan
-/// needs to decide which first-scan outcomes are still valid.
-#[derive(Clone, Debug)]
-pub struct ChurnDelta {
-    /// Indices into the first population's artifacts that survived, in
-    /// order: `second.artifacts[i] == first.artifacts[survivors[i]]`
-    /// for `i < survivors.len()`.
-    pub survivors: Vec<usize>,
-    /// Fresh deployments appended after the survivors.
-    pub arrivals: usize,
-    /// Artifacts removed between the dates.
-    pub removed: usize,
-}
-
 /// Produces the population as seen at the second scan date.
 pub fn second_scan(first: &Population, seed: u64, removal_rate: f64) -> Population {
-    second_scan_with_delta(first, seed, removal_rate).0
-}
-
-/// [`second_scan`] plus the [`ChurnDelta`] relating the two dates, so a
-/// rescan can reuse first-scan outcomes for unchanged domains.
-pub fn second_scan_with_delta(
-    first: &Population,
-    seed: u64,
-    removal_rate: f64,
-) -> (Population, ChurnDelta) {
     let mut rng = DetRng::seed(seed).derive(&format!("web.churn.{}", first.zone.label()));
-    let mut artifacts: Vec<Domain> = Vec::with_capacity(first.artifacts.len());
-    let mut survivors = Vec::with_capacity(first.artifacts.len());
-    for (index, d) in first.artifacts.iter().enumerate() {
-        if !rng.chance(removal_rate) {
-            survivors.push(index);
-            artifacts.push(d.clone());
-        }
-    }
-    let removed = first.artifacts.len() - survivors.len();
+    let mut artifacts: Vec<Domain> = first
+        .artifacts
+        .iter()
+        .filter(|_| !rng.chance(removal_rate))
+        .cloned()
+        .collect();
     // Fresh arrivals clone the profile of random survivors under new
     // names (a new deployment looks like an existing kind of deployment).
     let arrivals = (first.artifacts.len() as f64 * DEFAULT_ARRIVAL_RATE) as usize;
-    let mut appended = 0usize;
     for i in 0..arrivals {
         if artifacts.is_empty() {
             break;
         }
-        let template = artifacts[rng.range_usize(0, artifacts.len())].clone();
-        let mut fresh = template;
+        let mut fresh = artifacts[rng.range_usize(0, artifacts.len())].clone();
         fresh.name = format!("fresh-{i:05}.{}", first.zone.tld());
         fresh.token_id = rng.gen_range(1 << 20);
         artifacts.push(fresh);
-        appended += 1;
     }
-    let population = Population {
+    Population {
         zone: first.zone,
         total: first.total,
         clean_total: first.total - artifacts.len() as u64,
         artifacts,
         clean_sample: first.clean_sample.clone(),
-    };
-    (
-        population,
-        ChurnDelta {
-            survivors,
-            arrivals: appended,
-            removed,
-        },
-    )
+    }
 }
 
 #[cfg(test)]
@@ -116,26 +77,6 @@ mod tests {
         let a = second_scan(&first, 7, DEFAULT_REMOVAL_RATE);
         let b = second_scan(&first, 7, DEFAULT_REMOVAL_RATE);
         assert_eq!(a.artifacts.len(), b.artifacts.len());
-    }
-
-    #[test]
-    fn delta_indexes_the_survivors_exactly() {
-        let first = Population::generate(Zone::Org, 42, 10);
-        let (second, delta) = second_scan_with_delta(&first, 7, DEFAULT_REMOVAL_RATE);
-        assert_eq!(delta.survivors.len() + delta.removed, first.artifacts.len());
-        assert_eq!(
-            delta.survivors.len() + delta.arrivals,
-            second.artifacts.len()
-        );
-        for (i, &src) in delta.survivors.iter().enumerate() {
-            assert_eq!(second.artifacts[i].name, first.artifacts[src].name);
-        }
-        for fresh in &second.artifacts[delta.survivors.len()..] {
-            assert!(fresh.name.starts_with("fresh-"));
-        }
-        // The plain entry point is the same draw.
-        let plain = second_scan(&first, 7, DEFAULT_REMOVAL_RATE);
-        assert_eq!(plain.artifacts.len(), second.artifacts.len());
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub const ZGRAB_CUT: usize = 256 * 1024;
 /// the signature database built from the corpus matches what pages serve.
 pub const CORPUS_SEED: u64 = 0x1660;
 
-/// Cache of generated Wasm binaries, keyed by `(class label, version)`.
-type WasmCache = Mutex<HashMap<(String, u32), Vec<u8>>>;
+/// Cache of generated Wasm binaries, keyed by `(class, version)`.
+type WasmCache = Mutex<HashMap<(WasmClass, u32), Vec<u8>>>;
 
 fn wasm_cache() -> &'static WasmCache {
     static CACHE: OnceLock<WasmCache> = OnceLock::new();
@@ -32,8 +32,7 @@ fn wasm_cache() -> &'static WasmCache {
 
 /// Returns (and caches) the Wasm binary for a corpus class/version.
 pub fn wasm_bytes(class: WasmClass, version: u32) -> Vec<u8> {
-    let key = (class.label(), version);
-    if let Some(bytes) = wasm_cache().lock().get(&(key.0.clone(), key.1)) {
+    if let Some(bytes) = wasm_cache().lock().get(&(class, version)) {
         return bytes.clone();
     }
     let profiles = default_profiles();
@@ -42,7 +41,7 @@ pub fn wasm_bytes(class: WasmClass, version: u32) -> Vec<u8> {
         .find(|p| p.class == class)
         .expect("class has a profile");
     let bytes = generate_module(profile, version % profile.versions, CORPUS_SEED).encode();
-    wasm_cache().lock().insert((key.0, key.1), bytes.clone());
+    wasm_cache().lock().insert((class, version), bytes.clone());
     bytes
 }
 
@@ -149,35 +148,68 @@ fn paragraphs_len(words: &[&str]) -> usize {
     paragraphs * "<p></p>\n".len() + words.iter().map(|w| w.len() + 1).sum::<usize>()
 }
 
+/// Where synthesis puts a page's script behaviours: the executable
+/// page's table, or nowhere for the zgrab view, which makes the same
+/// draws but builds no behaviour (and so copies no Wasm module).
+struct Scripts<'a>(Option<&'a mut HashMap<ScriptRef, ScriptBehavior>>);
+
+impl Scripts<'_> {
+    /// Adds the behaviour `script` builds, when this view keeps them.
+    /// `script` draws nothing: its draws are made before the call, so
+    /// both views draw alike.
+    fn add(&mut self, script: impl FnOnce() -> (ScriptRef, ScriptBehavior)) {
+        if let Some(table) = &mut self.0 {
+            let (r, b) = script();
+            table.insert(r, b);
+        }
+    }
+}
+
+/// The stream every draw of `domain`'s page comes from.
+fn page_rng(domain: &Domain, seed: u64) -> DetRng {
+    DetRng::seed(seed).derive(&format!("web.page.{}", domain.name))
+}
+
 /// Synthesizes the executable page for a domain.
+pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
+    let mut rng = page_rng(domain, seed);
+    let mut page = Page::new(&domain.name, String::new());
+    page.html = write_html(domain, &mut rng, Scripts(Some(&mut page.behaviors)));
+    // A small fraction of the web never fires a load event.
+    page.fires_load_event = !rng.chance(0.02);
+    page
+}
+
+/// Writes a domain's HTML, handing its script behaviours to `scripts`.
 ///
 /// The HTML is written front to back into one buffer sized up front.
 /// The draws keep their own order (opening paragraphs, behaviours,
-/// beyond-cut padding, closing paragraphs, load event), so the filler's
-/// words are drawn into arrays and written where the page puts them.
-pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
-    let mut rng = DetRng::seed(seed).derive(&format!("web.page.{}", domain.name));
-    let mut behaviors: Vec<(ScriptRef, ScriptBehavior)> = Vec::new();
+/// beyond-cut padding, closing paragraphs), so the filler's words are
+/// drawn into arrays and written where the page puts them.
+fn write_html(domain: &Domain, rng: &mut DetRng, mut scripts: Scripts<'_>) -> String {
     let inline_count = 0usize;
 
     // Generic site furniture. The opening paragraphs are drawn before
     // the head's other scripts but written after them.
-    let opening: [&str; 4 * PARAGRAPH_WORDS] = filler_words(&mut rng);
+    let opening: [&str; 4 * PARAGRAPH_WORDS] = filler_words(rng);
 
     // Occasional benign dynamic behaviour so DOM-quiet logic is exercised
     // on clean pages too.
     let app_js = rng.chance(0.3);
     if app_js {
-        behaviors.push((
-            ScriptRef::Src("/js/app.js".into()),
-            ScriptBehavior {
-                delay_ms: 40,
-                effects: vec![ScriptEffect::MutateDom {
-                    times: 1 + rng.gen_range(3) as u32,
-                    interval_ms: 300,
-                }],
-            },
-        ));
+        let times = 1 + rng.gen_range(3) as u32;
+        scripts.add(|| {
+            (
+                ScriptRef::Src("/js/app.js".into()),
+                ScriptBehavior {
+                    delay_ms: 40,
+                    effects: vec![ScriptEffect::MutateDom {
+                        times,
+                        interval_ms: 300,
+                    }],
+                },
+            )
+        });
     }
 
     let mut artifact_markup = String::new();
@@ -187,21 +219,22 @@ pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
                 let (hosted_url, ws_url) = family_assets(family, domain.token_id);
                 // jsMiner predates Wasm: it mines in plain JS, so it opens
                 // the pool socket but never compiles a module.
-                let start = if family == MinerFamily::JsMinerLegacy {
-                    ScriptEffect::OpenWebSocket {
+                let submit_interval_ms =
+                    (family != MinerFamily::JsMinerLegacy).then(|| 700 + rng.gen_range(600));
+                let start = move || match submit_interval_ms {
+                    None => ScriptEffect::OpenWebSocket {
                         url: ws_url,
                         frames: vec![format!(
                             "{{\"type\":\"auth\",\"token\":\"{}\"}}",
                             site_key(domain.token_id)
                         )],
-                    }
-                } else {
-                    ScriptEffect::StartMiner {
+                    },
+                    Some(submit_interval_ms) => ScriptEffect::StartMiner {
                         wasm: wasm_bytes(WasmClass::Miner(family), domain.wasm_version),
                         ws_url,
                         token: site_key(domain.token_id),
-                        submit_interval_ms: 700 + rng.gen_range(600),
-                    }
+                        submit_interval_ms,
+                    },
                 };
                 match hosting {
                     Hosting::Hosted => {
@@ -211,13 +244,14 @@ pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
                             "<script src=\"{url}\"></script>\n<script>var miner=new Miner.Anonymous('{}');miner.start();</script>\n",
                             site_key(domain.token_id)
                         ));
-                        behaviors.push((
-                            ScriptRef::Src(url),
-                            ScriptBehavior {
-                                delay_ms: 30 + rng.gen_range(120),
-                                effects: vec![start],
-                            },
-                        ));
+                        let delay_ms = 30 + rng.gen_range(120);
+                        scripts.add(|| {
+                            let behavior = ScriptBehavior {
+                                delay_ms,
+                                effects: vec![start()],
+                            };
+                            (ScriptRef::Src(url), behavior)
+                        });
                     }
                     Hosting::SelfHosted => {
                         let url = format!(
@@ -226,36 +260,42 @@ pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
                             &Hash32::keccak(domain.name.as_bytes()).to_hex()[..12]
                         );
                         artifact_markup.push_str(&format!("<script src=\"{url}\"></script>\n"));
-                        behaviors.push((
-                            ScriptRef::Src(url),
-                            ScriptBehavior {
-                                delay_ms: 30 + rng.gen_range(120),
-                                effects: vec![start],
-                            },
-                        ));
+                        let delay_ms = 30 + rng.gen_range(120);
+                        scripts.add(|| {
+                            let behavior = ScriptBehavior {
+                                delay_ms,
+                                effects: vec![start()],
+                            };
+                            (ScriptRef::Src(url), behavior)
+                        });
                     }
                     Hosting::Injected => {
-                        let url = format!(
-                            "https://cdn-{}.net/pkg/{}.js",
-                            rng.gen_range(1000),
-                            &Hash32::keccak(domain.name.as_bytes()).to_hex()[..10]
-                        );
+                        let cdn = rng.gen_range(1000);
+                        let url = || {
+                            format!(
+                                "https://cdn-{cdn}.net/pkg/{}.js",
+                                &Hash32::keccak(domain.name.as_bytes()).to_hex()[..10]
+                            )
+                        };
                         artifact_markup
                             .push_str("<script>(function(){/* perf bootstrap */})();</script>\n");
-                        behaviors.push((
-                            ScriptRef::Inline(inline_count),
-                            ScriptBehavior {
-                                delay_ms: 20 + rng.gen_range(100),
-                                effects: vec![ScriptEffect::InjectScript { src: url.clone() }],
-                            },
-                        ));
-                        behaviors.push((
-                            ScriptRef::Src(url),
-                            ScriptBehavior {
+                        let delay_ms = 20 + rng.gen_range(100);
+                        scripts.add(|| {
+                            (
+                                ScriptRef::Inline(inline_count),
+                                ScriptBehavior {
+                                    delay_ms,
+                                    effects: vec![ScriptEffect::InjectScript { src: url() }],
+                                },
+                            )
+                        });
+                        scripts.add(|| {
+                            let behavior = ScriptBehavior {
                                 delay_ms: 10,
-                                effects: vec![start],
-                            },
-                        ));
+                                effects: vec![start()],
+                            };
+                            (ScriptRef::Src(url()), behavior)
+                        });
                     }
                 }
             }
@@ -265,69 +305,71 @@ pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
                 // is present-but-gated, so a consenting load (see
                 // `LoadPolicy::grant_consent`) does mine — Authedmine uses
                 // the same Coinhive infrastructure.
-                let url = "https://authedmine.com/lib/authedmine.min.js".to_string();
+                let url = "https://authedmine.com/lib/authedmine.min.js";
                 artifact_markup.push_str(&format!("<script src=\"{url}\"></script>\n"));
-                let (_hosted, ws_url) = family_assets(MinerFamily::Coinhive, domain.token_id);
-                behaviors.push((
-                    ScriptRef::Src(url),
-                    ScriptBehavior {
-                        delay_ms: 30 + rng.gen_range(120),
+                let delay_ms = 30 + rng.gen_range(120);
+                scripts.add(|| {
+                    let (_hosted, ws_url) = family_assets(MinerFamily::Coinhive, domain.token_id);
+                    let miner = ScriptEffect::StartMiner {
+                        wasm: wasm_bytes(
+                            WasmClass::Miner(MinerFamily::Coinhive),
+                            domain.wasm_version,
+                        ),
+                        ws_url,
+                        token: site_key(domain.token_id),
+                        submit_interval_ms: 900,
+                    };
+                    let behavior = ScriptBehavior {
+                        delay_ms,
                         effects: vec![ScriptEffect::ConsentGated {
-                            inner: Box::new(ScriptEffect::StartMiner {
-                                wasm: wasm_bytes(
-                                    WasmClass::Miner(MinerFamily::Coinhive),
-                                    domain.wasm_version,
-                                ),
-                                ws_url,
-                                token: site_key(domain.token_id),
-                                submit_interval_ms: 900,
-                            }),
+                            inner: Box::new(miner),
                         }],
-                    },
-                ));
+                    };
+                    (ScriptRef::Src(url.to_string()), behavior)
+                });
             }
             ArtifactKind::DeadReference { label } => {
                 let url = match label {
                     minedig_nocoin::list::ServiceLabel::Coinhive => {
-                        "https://coinhive.com/lib/coinhive.min.js".to_string()
+                        "https://coinhive.com/lib/coinhive.min.js"
                     }
                     minedig_nocoin::list::ServiceLabel::Cryptoloot => {
-                        "https://crypto-loot.com/lib/miner.min.js".to_string()
+                        "https://crypto-loot.com/lib/miner.min.js"
                     }
                     minedig_nocoin::list::ServiceLabel::WpMonero => {
-                        "/wp-content/plugins/wp-monero-miner-pro/js/worker.js".to_string()
+                        "/wp-content/plugins/wp-monero-miner-pro/js/worker.js"
                     }
-                    _ => "https://coin-have.com/c.js".to_string(),
+                    _ => "https://coin-have.com/c.js",
                 };
                 artifact_markup.push_str(&format!("<script src=\"{url}\"></script>\n"));
                 // No behaviour: the reference is dead.
             }
             ArtifactKind::AdNetworkFp => {
-                let url = "https://server.cpmstar.com/cached/view.js".to_string();
+                let url = "https://server.cpmstar.com/cached/view.js";
                 artifact_markup.push_str(&format!("<script src=\"{url}\"></script>\n"));
-                behaviors.push((
-                    ScriptRef::Src(url),
-                    ScriptBehavior {
+                scripts.add(|| {
+                    let behavior = ScriptBehavior {
                         delay_ms: 60,
                         effects: vec![ScriptEffect::MutateDom {
                             times: 2,
                             interval_ms: 400,
                         }],
-                    },
-                ));
+                    };
+                    (ScriptRef::Src(url.to_string()), behavior)
+                });
             }
             ArtifactKind::BenignWasm { kind } => {
                 let url = format!("https://{}/wasm-loader.js", domain.name);
                 artifact_markup.push_str(&format!("<script src=\"{url}\"></script>\n"));
-                behaviors.push((
-                    ScriptRef::Src(url),
-                    ScriptBehavior {
+                scripts.add(|| {
+                    let behavior = ScriptBehavior {
                         delay_ms: 50,
                         effects: vec![ScriptEffect::InstantiateWasm {
                             wasm: wasm_bytes(WasmClass::Benign(kind), domain.wasm_version),
                         }],
-                    },
-                ));
+                    };
+                    (ScriptRef::Src(url), behavior)
+                });
             }
         }
     }
@@ -336,7 +378,7 @@ pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
     // behind a block of 40 paragraphs repeated until it passes the cut.
     let hidden = domain.beyond_cut && !artifact_markup.is_empty();
     let (padding, repeats) = if hidden {
-        let words: [&str; 40 * PARAGRAPH_WORDS] = filler_words(&mut rng);
+        let words: [&str; 40 * PARAGRAPH_WORDS] = filler_words(rng);
         let mut padding = String::with_capacity(paragraphs_len(&words));
         push_paragraphs(&mut padding, &words);
         let repeats = ZGRAB_CUT / padding.len() + 1;
@@ -349,7 +391,7 @@ pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
     } else {
         (artifact_markup.as_str(), "")
     };
-    let closing: [&str; 3 * PARAGRAPH_WORDS] = filler_words(&mut rng);
+    let closing: [&str; 3 * PARAGRAPH_WORDS] = filler_words(rng);
 
     let head = [
         "<html><head>\n<title>",
@@ -379,14 +421,7 @@ pub fn synthesize_page(domain: &Domain, seed: u64) -> Page {
     html.push_str(body_markup);
     push_paragraphs(&mut html, &closing);
     html.push_str(END);
-
-    let mut page = Page::new(&domain.name, html);
-    // A small fraction of the web never fires a load event.
-    page.fires_load_event = !rng.chance(0.02);
-    for (r, b) in behaviors {
-        page.behaviors.insert(r, b);
-    }
-    page
+    html
 }
 
 /// The zgrab view: TLS-only, first 256 kB of the same HTML.
@@ -394,8 +429,7 @@ pub fn zgrab_fetch(domain: &Domain, seed: u64) -> Option<String> {
     if !domain.tls {
         return None;
     }
-    let page = synthesize_page(domain, seed);
-    let mut html = page.html;
+    let mut html = write_html(domain, &mut page_rng(domain, seed), Scripts(None));
     if html.len() > ZGRAB_CUT {
         let mut cut = ZGRAB_CUT;
         while cut > 0 && !html.is_char_boundary(cut) {

@@ -3,10 +3,10 @@
 //! Headline invariant: a campaign killed at **any** progress point and
 //! resumed from its latest on-disk snapshot produces results
 //! bit-identical to an uninterrupted run — for all three campaign
-//! families (§3 scans, §4.1 enumeration, §4.2 polling), on every
-//! executor backend, clean or under an injected fault schedule — and
-//! its work accounting stays balanced around the crashes
-//! (`SuperviseReport::balanced`). Snapshots themselves are covered
+//! families (§3 scans, §4.1 enumeration, the §4.2 attribution
+//! scenario), on every executor backend, clean or under an injected
+//! fault schedule — and its work accounting stays balanced around the
+//! crashes (`SuperviseReport::balanced`). Snapshots themselves are covered
 //! adversarially: corrupted, truncated, or foreign bytes must be
 //! rejected loudly, never silently restored.
 //!
@@ -14,15 +14,16 @@
 //! crash-recovery matrix axis), so each job replays the properties
 //! under a different schedule without touching the test code.
 
-use minedig::analysis::poller::{FaultyJobSource, Observer, PollCampaign, PollPolicy};
-use minedig::chain::netsim::TipInfo;
-use minedig::chain::tx::Transaction;
+use minedig::analysis::scenario::{run_scenario, ScenarioConfig};
+use minedig::chain::netsim::MinedEvent;
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{build_reference_db, chrome_scan_with, zgrab_scan_with, FetchModel};
-use minedig::pool::pool::{Pool, PoolConfig};
 use minedig::primitives::ckpt::{CkptError, SnapshotStore};
-use minedig::primitives::fault::FaultPlan;
-use minedig::primitives::supervise::{Backend, Campaign, CrashPolicy, SuperviseError, Supervisor};
+use minedig::primitives::fault::{FaultConfig, FaultPlan};
+use minedig::primitives::retry::RetryPolicy;
+use minedig::primitives::supervise::{
+    Backend, Campaign, Ckpt, CrashPolicy, SuperviseError, Supervisor,
+};
 use minedig::primitives::Hash32;
 use minedig::shortlink::campaign::EnumCampaign;
 use minedig::shortlink::enumerate::enumerate_links_with;
@@ -202,70 +203,64 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// §4.2 polling: cluster state and stats survive kills, with faults
+// §4.2 attribution: the scenario `minedig attribute` runs survives kills
 // ---------------------------------------------------------------------
 
-fn pool_with_tip() -> Pool {
-    let pool = Pool::new(PoolConfig::default());
-    pool.announce_tip(&TipInfo {
-        height: 10,
-        prev_id: Hash32::keccak(b"prev-10"),
-        prev_timestamp: 1_000,
-        reward: 1_000_000,
-        difficulty: 100,
-        mempool: vec![Transaction::transfer(Hash32::keccak(b"m"))],
-    });
-    pool
+/// The block ids of `events`, which carry no equality of their own.
+fn block_ids(events: &[MinedEvent]) -> Vec<Hash32> {
+    events.iter().map(|e| e.block_id).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn poll_kill_and_resume_is_uninterrupted(
+    fn scenario_kill_and_resume_is_uninterrupted(
         frac in 0u64..100,
         seed_off in 0u64..3,
     ) {
-        let kill = kill_at(frac, 19);
-        let pool = pool_with_tip();
-        let plan = FaultPlan::transient_only(base_seed().wrapping_add(seed_off), 0.3);
-        let policy = PollPolicy::outlasting(&plan);
-        let ticks = 20u64;
-
-        // Uninterrupted reference: one observer polling every tick.
-        let mut reference = Observer::with_source(
-            FaultyJobSource::new(pool.clone(), plan.clone()),
-            true,
-            policy.clone(),
-        );
-        for t in 0..ticks {
-            reference.poll_all(1_000 + t * 5);
-        }
-
-        let (dir, store) = tmp_store(&format!("poll-{kill}-{seed_off}"));
-        let sup = supervisor_with_kills(4, vec![kill]);
-        let run = sup
-            .run(
-                &store,
-                "poll",
-                || {
-                    let observer = Observer::with_source(
-                        FaultyJobSource::new(pool.clone(), plan.clone()),
-                        true,
-                        policy.clone(),
-                    );
-                    PollCampaign::new(observer, 1_000, 5, ticks)
+        // One day on a 10-minute poll grid: every poll path runs, and an
+        // odd fault seed adds permanent faults to the disconnects.
+        let fault_seed = base_seed().wrapping_add(seed_off);
+        let plan = if fault_seed % 2 == 0 {
+            FaultPlan::transient_only(fault_seed, 0.3)
+        } else {
+            FaultPlan::with_config(
+                fault_seed,
+                FaultConfig {
+                    fault_prob: 0.3,
+                    permanent_prob: 0.3,
+                    ..FaultConfig::default()
                 },
-                false,
             )
-            .unwrap();
-        let observer = run.output;
-        prop_assert_eq!(run.report.crashes, 1);
-        prop_assert!(run.report.balanced(), "{:?}", run.report);
-        prop_assert_eq!(observer.current_prev(), reference.current_prev());
-        prop_assert_eq!(observer.current_blob_count(), reference.current_blob_count());
-        prop_assert_eq!(observer.stats(), reference.stats());
-        prop_assert!(observer.stats().balanced(), "{:?}", observer.stats());
+        };
+        let config = ScenarioConfig {
+            duration_days: 1,
+            poll_interval_secs: 600,
+            poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
+            poll_faults: Some(plan),
+            seed: 9,
+            ..ScenarioConfig::default()
+        };
+        let (expected, _) = run_scenario(config.clone(), None).unwrap();
+        let kill = kill_at(frac, expected.total_blocks);
+
+        let (dir, store) = tmp_store(&format!("scenario-{kill}-{seed_off}"));
+        let ckpt = Ckpt {
+            store,
+            supervisor: supervisor_with_kills(64, vec![kill]),
+            resume: false,
+        };
+        let (result, report) = run_scenario(config, Some(&ckpt)).unwrap();
+        let report = report.expect("a checkpointed run reports");
+        prop_assert_eq!(report.crashes, 1, "kill at {} never fired", kill);
+        prop_assert!(report.balanced(), "{:?}", report);
+        prop_assert_eq!(&result.attributed, &expected.attributed);
+        prop_assert_eq!(block_ids(&result.ground_truth), block_ids(&expected.ground_truth));
+        prop_assert_eq!(result.total_blocks, expected.total_blocks);
+        prop_assert_eq!(&result.poll_stats, &expected.poll_stats);
+        prop_assert!(result.poll_stats.balanced(), "{:?}", result.poll_stats);
+        prop_assert_eq!(result.network.median_difficulty, expected.network.median_difficulty);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
