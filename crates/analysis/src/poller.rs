@@ -25,7 +25,7 @@ use minedig_primitives::fault::{Fault, FaultPlan};
 use minedig_primitives::health::{
     EndpointHealth, HealthConfig, HealthStats, ProbeOutcome, ProbePlan,
 };
-use minedig_primitives::retry::{retry, ErrorClass, RetryPolicy, Retryable, VirtualClock};
+use minedig_primitives::retry::{retry, ErrorClass, RetryPolicy, Retryable};
 use minedig_primitives::rng::DetRng;
 use minedig_primitives::Hash32;
 use parking_lot::Mutex;
@@ -90,19 +90,6 @@ pub trait JobSource: Sync {
         let _ = endpoint;
         false
     }
-    /// Per-endpoint down flags, for checkpointing: an endpoint left
-    /// down at the end of one sweep fails its first fetch of the next,
-    /// so the flags are cross-sweep state a resumed campaign must
-    /// restore. Stateless sources return an empty vec.
-    fn connections_down(&self) -> Vec<bool> {
-        Vec::new()
-    }
-    /// Restores down flags captured by
-    /// [`connections_down`](JobSource::connections_down). Stateless
-    /// sources ignore it.
-    fn set_connections_down(&self, down: &[bool]) {
-        let _ = down;
-    }
 }
 
 impl JobSource for Pool {
@@ -157,9 +144,7 @@ impl<S: JobSource> JobSource for FaultyJobSource<S> {
             None => self.inner.fetch_job(endpoint, now, attempt),
             // Latency alone does not change the observed job.
             Some(Fault::Delay { .. }) => self.inner.fetch_job(endpoint, now, attempt),
-            // Crash never comes out of `decide` (the supervisor draws
-            // kills from its own stream); defensively a timeout.
-            Some(Fault::Drop) | Some(Fault::Stall) | Some(Fault::Crash) => Err(FetchError::Timeout),
+            Some(Fault::Drop) | Some(Fault::Stall) => Err(FetchError::Timeout),
             Some(Fault::Disconnect) => {
                 self.down[endpoint].store(true, Ordering::Release);
                 Err(FetchError::Closed)
@@ -170,19 +155,6 @@ impl<S: JobSource> JobSource for FaultyJobSource<S> {
 
     fn reconnect(&self, endpoint: usize) -> bool {
         self.down[endpoint].swap(false, Ordering::AcqRel)
-    }
-
-    fn connections_down(&self) -> Vec<bool> {
-        self.down
-            .iter()
-            .map(|d| d.load(Ordering::Acquire))
-            .collect()
-    }
-
-    fn set_connections_down(&self, down: &[bool]) {
-        for (flag, &v) in self.down.iter().zip(down) {
-            flag.store(v, Ordering::Release);
-        }
     }
 }
 
@@ -493,7 +465,7 @@ impl<S: JobSource> Observer<S> {
         };
         let (source, stats, seed) = (&self.source, &mut self.stats, self.policy.jitter_seed);
         let jitter = || DetRng::seed(seed).derive(&format!("poll.jitter.{endpoint}.{now}"));
-        let outcome = retry(&retry_policy, &mut VirtualClock::new(), jitter, |attempt| {
+        let outcome = retry(&retry_policy, jitter, |attempt| {
             let r = source.fetch_job(endpoint, now, attempt);
             // Reconnect eagerly on every teardown, even a final one, so
             // the next sweep starts on a fresh connection.
@@ -598,8 +570,10 @@ impl<S: JobSource> Observer<S> {
 
     /// Appends the observer's complete cross-sweep state to a snapshot
     /// payload: [`PollStats`], the current prev pointer with its root
-    /// and blob clusters, and the source's per-endpoint connection-down
-    /// flags. The §4.2 scenario campaign checkpoints through this.
+    /// and blob clusters, and the health layer's state. The §4.2
+    /// scenario campaign checkpoints through this. No connection state
+    /// is written: a poll reconnects after every teardown, so between
+    /// sweeps [`FaultyJobSource`] has every connection up.
     pub fn write_state(&self, w: &mut SnapWriter) {
         let s = &self.stats;
         w.u64(s.polls);
@@ -622,14 +596,9 @@ impl<S: JobSource> Observer<S> {
         for blob in &self.current_blobs {
             w.bytes(blob);
         }
-        let down = self.source.connections_down();
-        w.len(down.len());
-        for d in down {
-            w.bool(d);
-        }
-        // The health layer's breaker/tracker state is cross-sweep state
-        // like the down flags: a resumed campaign that dropped it would
-        // re-spend retry budget a quarantine had already saved.
+        // The health layer's breaker/tracker state is cross-sweep state:
+        // a resumed campaign that dropped it would re-spend retry budget
+        // a quarantine had already saved.
         w.bool(self.health.is_some());
         if let Some(h) = &self.health {
             h.write_state(w);
@@ -663,11 +632,6 @@ impl<S: JobSource> Observer<S> {
         for _ in 0..n {
             current_blobs.insert(r.bytes()?);
         }
-        let n = r.len()?;
-        let mut down = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            down.push(r.bool()?);
-        }
         if r.bool()? != self.health.is_some() {
             return Err(CkptError::Corrupt("health layer presence mismatch"));
         }
@@ -678,7 +642,6 @@ impl<S: JobSource> Observer<S> {
         self.set_current_prev(current_prev);
         self.current_roots = current_roots;
         self.current_blobs = current_blobs;
-        self.source.set_connections_down(&down);
         Ok(())
     }
 }
@@ -1110,69 +1073,6 @@ mod tests {
                 interrupted
             })
             .collect()
-    }
-
-    /// A fault-injected source that cannot redial `stuck`: once a
-    /// disconnect takes that endpoint down, it stays down across sweeps.
-    struct NoRedial {
-        inner: FaultyJobSource<Pool>,
-        stuck: usize,
-    }
-
-    impl JobSource for NoRedial {
-        fn endpoint_count(&self) -> usize {
-            self.inner.endpoint_count()
-        }
-
-        fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Job, FetchError> {
-            self.inner.fetch_job(endpoint, now, attempt)
-        }
-
-        fn reconnect(&self, endpoint: usize) -> bool {
-            endpoint != self.stuck && self.inner.reconnect(endpoint)
-        }
-
-        fn connections_down(&self) -> Vec<bool> {
-            self.inner.connections_down()
-        }
-
-        fn set_connections_down(&self, down: &[bool]) {
-            self.inner.set_connections_down(down)
-        }
-    }
-
-    #[test]
-    fn restored_state_carries_connection_down_flags_under_faults() {
-        // A mixed plan with disconnects and permanent faults, over a
-        // source that leaves one endpoint down from its first disconnect
-        // on: a resumed observer that dropped the flag would poll that
-        // endpoint as up.
-        let plan = FaultPlan::with_config(
-            33,
-            FaultConfig {
-                fault_prob: 0.5,
-                permanent_prob: 0.5,
-                ..FaultConfig::default()
-            },
-        );
-        let pool = pool_with_tip();
-        let policy = PollPolicy {
-            retry: RetryPolicy::attempts(3),
-            jitter_seed: plan.seed(),
-        };
-        let make = || {
-            let inner = FaultyJobSource::new(pool.clone(), plan.clone());
-            Observer::with_source(NoRedial { inner, stuck: 4 }, true, policy.clone())
-        };
-        let saved = resumes_like_uninterrupted(make, &[4, 12, 20]);
-        assert!(
-            saved.iter().any(|o| o.source().connections_down()[4]),
-            "the plan must take the stuck endpoint down before a save"
-        );
-        assert!(
-            saved.iter().any(|o| o.stats.reconnects > 0),
-            "plan must tear connections"
-        );
     }
 
     /// A source whose `dead` endpoint times out on every attempt —

@@ -1,11 +1,13 @@
 //! The page-load event loop with the paper's completion policy.
+//!
+//! A Wasm module a page compiles is dumped and logged, not run: the §3
+//! classifier fingerprints the modules DevTools captured and never reads
+//! what their code computes.
 
 use crate::devtools::{Capture, DevtoolsEvent, FrameDirection, LoadOutcome};
 use crate::page::{Page, ScriptBehavior, ScriptEffect, ScriptRef};
 use minedig_nocoin::extract::extract_script_tags;
 use minedig_primitives::{DetRng, Hash32};
-use minedig_wasm::interp::{Instance, Val};
-use minedig_wasm::module::Module;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -22,8 +24,6 @@ pub struct LoadPolicy {
     pub final_html_bytes: usize,
     /// Cap on dynamically injected scripts (loop guard).
     pub max_injected_scripts: u32,
-    /// Fuel for executing compiled Wasm (instructions).
-    pub wasm_fuel: u64,
     /// Whether the simulated visitor grants consent dialogs (Authedmine).
     /// Crawlers — including the paper's — never do; interactive visits
     /// might.
@@ -40,7 +40,6 @@ impl Default for LoadPolicy {
             timeout_ms: 15_000,
             final_html_bytes: 65_536,
             max_injected_scripts: 32,
-            wasm_fuel: 200_000,
             grant_consent: false,
             seed: 0xb70,
         }
@@ -113,20 +112,6 @@ impl<'a> Sim<'a> {
             id,
             at_ms,
         });
-        // Actually execute the module's first export, as the page would.
-        if let Ok(module) = Module::parse(bytes) {
-            if let Some(export) = module.exports.first().map(|e| e.name.clone()) {
-                let needs_arg = module
-                    .export_func(&export)
-                    .and_then(|i| module.func_type(i))
-                    .map(|t| t.params.len())
-                    .unwrap_or(0);
-                let mut inst = Instance::new(module);
-                let mut fuel = self.policy.wasm_fuel;
-                let args: Vec<Val> = (0..needs_arg).map(|_| Val::I32(1)).collect();
-                let _ = inst.invoke(&export, &args, &mut fuel);
-            }
-        }
     }
 
     fn run_effects(&mut self, behavior: &ScriptBehavior, now: u64) {
@@ -149,7 +134,7 @@ impl<'a> Sim<'a> {
                     token,
                     submit_interval_ms,
                 } => {
-                    self.compile_wasm(&wasm.clone(), now);
+                    self.compile_wasm(wasm, now);
                     self.events.push(DevtoolsEvent::WebSocketCreated {
                         url: ws_url.clone(),
                         at_ms: now,
@@ -183,7 +168,7 @@ impl<'a> Sim<'a> {
                     );
                 }
                 ScriptEffect::InstantiateWasm { wasm } => {
-                    self.compile_wasm(&wasm.clone(), now);
+                    self.compile_wasm(wasm, now);
                 }
                 ScriptEffect::OpenWebSocket { url, frames } => {
                     self.events.push(DevtoolsEvent::WebSocketCreated {
@@ -402,6 +387,7 @@ fn truncate_on_char_boundary(mut s: String, max_bytes: usize) -> String {
 mod tests {
     use super::*;
     use minedig_wasm::corpus::{default_profiles, generate_module};
+    use minedig_wasm::module::Module;
 
     fn miner_wasm() -> Vec<u8> {
         let profiles = default_profiles();

@@ -24,7 +24,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use crate::scan::{
     chrome_fold, chrome_probe_domain, scan_item, scan_len, zgrab_fold, zgrab_probe_domain,
@@ -137,7 +137,7 @@ fn put_dref(w: &mut SnapWriter, d: &DomainRef) {
 fn take_dref(r: &mut SnapReader) -> Result<DomainRef, CkptError> {
     let name = r.str()?;
     let n = r.len()?;
-    let mut categories = Vec::with_capacity(n.min(64));
+    let mut categories = Vec::new();
     for _ in 0..n {
         categories.push(take_category(r)?);
     }
@@ -158,7 +158,7 @@ fn put_refs(w: &mut SnapWriter, refs: &[DomainRef]) {
 
 fn take_refs(r: &mut SnapReader) -> Result<Vec<DomainRef>, CkptError> {
     let n = r.len()?;
-    let mut refs = Vec::with_capacity(n.min(1024));
+    let mut refs = Vec::new();
     for _ in 0..n {
         refs.push(take_dref(r)?);
     }
@@ -347,7 +347,7 @@ impl Campaign for ZgrabCampaign<'_> {
         self.cursor >= self.total_items()
     }
 
-    fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
+    fn run_items(&mut self, budget: u64, _heartbeat: &AtomicU64) {
         let end = self.cursor.saturating_add(budget).min(self.total_items());
         if end == self.cursor {
             return;
@@ -372,7 +372,6 @@ impl Campaign for ZgrabCampaign<'_> {
                 ControlFlow::Continue(())
             },
         );
-        heartbeat.fetch_add(end - self.cursor, Ordering::Relaxed);
         self.cursor = end;
     }
 
@@ -464,7 +463,7 @@ impl Campaign for ChromeCampaign<'_> {
         self.cursor >= self.total_items()
     }
 
-    fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
+    fn run_items(&mut self, budget: u64, _heartbeat: &AtomicU64) {
         thread_local! {
             /// Each thread's reusable Wasm encode buffer.
             static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
@@ -491,7 +490,6 @@ impl Campaign for ChromeCampaign<'_> {
                 ControlFlow::Continue(())
             },
         );
-        heartbeat.fetch_add(end - self.cursor, Ordering::Relaxed);
         self.cursor = end;
     }
 

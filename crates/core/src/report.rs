@@ -273,16 +273,15 @@ pub fn degradation_summary(rows: &[CampaignHealth]) -> String {
 /// Renders a supervised run's crash/checkpoint accounting, e.g.
 ///
 /// ```text
-/// zgrab .org (supervised): 1050 items over 4 attempts (3 crashes, 0 stall restarts)
+/// zgrab .org (supervised): 1050 items over 4 attempts (3 crashes)
 ///   17 checkpoints (8531 bytes written), 42 items lost to crashes, 1008 before crash + 42 after resume [balanced]
 /// ```
 pub fn checkpoint_summary(label: &str, report: &SuperviseReport) -> String {
     let mut out = format!(
-        "{label}: {} items over {} attempts ({} crashes, {} stall restarts)\n",
+        "{label}: {} items over {} attempts ({} crashes)\n",
         report.items_executed(),
         report.attempts,
         report.crashes,
-        report.stall_restarts,
     );
     out.push_str(&format!(
         "  {} checkpoints ({} bytes written), {} items lost to crashes, {} before crash + {} after resume [{}]\n",
@@ -365,10 +364,9 @@ mod tests {
             items_lost: 42,
             start_progress: 0,
             final_progress: 1_008,
-            ..SuperviseReport::default()
         };
         let text = checkpoint_summary("zgrab .org (supervised)", &report);
-        assert!(text.contains("1050 items over 4 attempts (3 crashes, 0 stall restarts)"));
+        assert!(text.contains("1050 items over 4 attempts (3 crashes)\n"));
         assert!(text.contains("17 checkpoints (8531 bytes written), 42 items lost to crashes"));
         assert!(text.contains("[balanced]"), "{text}");
     }

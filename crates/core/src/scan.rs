@@ -4,7 +4,7 @@ use minedig_browser::loader::{load_page, LoadPolicy};
 use minedig_nocoin::list::ServiceLabel;
 use minedig_nocoin::NoCoinEngine;
 use minedig_primitives::fault::{Fault, FaultPlan};
-use minedig_primitives::retry::{retry, ErrorClass, RetryPolicy, Retryable, VirtualClock};
+use minedig_primitives::retry::{retry, ErrorClass, RetryPolicy, Retryable};
 use minedig_primitives::rng::DetRng;
 use minedig_wasm::cache::FingerprintCache;
 use minedig_wasm::corpus::generate_corpus;
@@ -64,7 +64,7 @@ impl FetchModel {
             return (true, 0);
         };
         let jitter = || DetRng::seed(plan.seed()).derive(&format!("fetch.jitter.{name}"));
-        let outcome = retry(&self.retry, &mut VirtualClock::new(), jitter, |attempt| {
+        let outcome = retry(&self.retry, jitter, |attempt| {
             match plan.decide(&format!("fetch.{name}"), attempt) {
                 // Latency alone does not lose the page.
                 None | Some(Fault::Delay { .. }) => Ok(()),

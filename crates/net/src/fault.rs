@@ -140,9 +140,7 @@ impl<T: Transport> FaultyTransport<T> {
                 let garbled = self.garble(&key, message);
                 deliver(self, &garbled)
             }
-            // `decide` never emits Crash (process death is the
-            // supervisor's, not the transport's); defensively a stall.
-            Some(Fault::Stall) | Some(Fault::Crash) => {
+            Some(Fault::Stall) => {
                 self.stats.stalls += 1;
                 Err(TransportError::Timeout)
             }
@@ -184,7 +182,7 @@ impl<T: Transport> FaultyTransport<T> {
                 let payload = deliver(self)?;
                 Ok(self.garble(&key, &payload))
             }
-            Some(Fault::Stall) | Some(Fault::Crash) => {
+            Some(Fault::Stall) => {
                 self.stats.stalls += 1;
                 Err(TransportError::Timeout)
             }

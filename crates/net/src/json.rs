@@ -227,18 +227,20 @@ impl Value {
     /// rejected up front — a hostile peer cannot make the parser
     /// allocate proportionally to an unbounded document.
     pub fn parse(input: &str) -> Result<Value, ParseError> {
-        let bytes = input.as_bytes();
-        if bytes.len() > MAX_INPUT {
+        if input.len() > MAX_INPUT {
             return Err(ParseError {
                 offset: MAX_INPUT,
                 message: "input exceeds size cap",
             });
         }
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text: input,
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.parse_value(0)?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != input.len() {
             return Err(p.err("trailing characters"));
         }
         Ok(v)
@@ -274,7 +276,7 @@ const MAX_DEPTH: usize = 64;
 pub const MAX_INPUT: usize = 1 << 20;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -287,7 +289,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -372,7 +374,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_keyword(&mut self, word: &'static str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -432,12 +434,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters at once. It ends
+                    // at a quote, a backslash or a control byte, all
+                    // ASCII, so both ends fall on char boundaries.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -475,7 +479,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if text.is_empty() || text == "-" {
             return Err(self.err("invalid number"));
         }
@@ -600,6 +604,21 @@ mod tests {
         assert_eq!(err.message, "input exceeds size cap");
         assert_eq!(err.offset, MAX_INPUT);
         assert!(err.to_string().contains("exceeds size cap"));
+    }
+
+    #[test]
+    fn a_string_near_the_cap_parses_in_linear_time() {
+        // Plain runs mixed with escapes and multi-byte characters, filling
+        // the input cap: the parse must stay linear in the literal.
+        let unit = "plain ASCII text, é€😀 and an escape\\n; ";
+        let body = unit.repeat((MAX_INPUT - 2) / unit.len());
+        let text = format!("\"{body}\"");
+        assert!(text.len() > MAX_INPUT - unit.len() && text.len() <= MAX_INPUT);
+        let started = std::time::Instant::now();
+        let value = Value::parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(value.encode(), text);
+        assert!(elapsed.as_secs_f64() < 5.0, "parsed in {elapsed:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
-//! Networking substrate: message framing, a WebSocket-style frame codec, a
-//! minimal JSON implementation, and transports.
+//! Networking substrate: a WebSocket-style frame codec, a minimal JSON
+//! implementation, and transports.
 //!
 //! The systems the paper measures talk JSON over WebSockets: the Coinhive
 //! miner authenticates with a user token and receives PoW jobs, and the
@@ -11,7 +11,6 @@
 //!   keep the workspace within its approved dependency set),
 //! * [`wsframe`] — RFC 6455-style frame encoding/decoding (FIN/opcode,
 //!   client masking, 7/16/64-bit lengths) used on the TCP path,
-//! * [`frame`] — a simple length-prefixed codec for tests and fuzzing,
 //! * [`fault`] — a fault-injecting [`transport::Transport`] decorator
 //!   driven by a seeded, reproducible fault schedule (chaos testing),
 //! * [`transport`] — the blocking [`transport::Transport`] trait with an
@@ -23,7 +22,6 @@
 //!   runtime.
 
 pub mod fault;
-pub mod frame;
 pub mod json;
 pub mod tcp;
 pub mod transport;

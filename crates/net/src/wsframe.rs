@@ -81,8 +81,8 @@ impl std::fmt::Display for WsError {
 
 impl std::error::Error for WsError {}
 
-/// Payload sanity limit (matches [`crate::frame::MAX_FRAME_LEN`]).
-pub const MAX_PAYLOAD: u64 = crate::frame::MAX_FRAME_LEN as u64;
+/// Payload sanity limit (16 MiB); protects servers from hostile lengths.
+pub const MAX_PAYLOAD: u64 = 16 * 1024 * 1024;
 
 /// Encodes a frame. `mask` is `Some(key)` for client→server frames (the
 /// RFC requires clients to mask) and `None` for server→client frames.

@@ -1,15 +1,14 @@
 //! Mutation robustness of the net codecs: flip, cut and insert bytes in
-//! encoded `json` documents, `wsframe` frames and `frame` frames.
+//! encoded `json` documents and `wsframe` frames.
 //!
 //! Each mutant must decode to a typed error, to `Ok(None)` when a frame
 //! is incomplete (leaving the buffer as it was), or to a value that
 //! survives a re-encode. No decode may panic, and none may make a single
 //! allocation larger than its codec's cap (`json::MAX_INPUT`,
-//! `wsframe::MAX_PAYLOAD`, `frame::MAX_FRAME_LEN`); a frame decoder may
-//! not allocate more than the bytes it was given.
+//! `wsframe::MAX_PAYLOAD`); the frame decoder may not allocate more than
+//! the bytes it was given.
 
 use bytes::BytesMut;
-use minedig_net::frame::{decode_frame, encode_frame, FrameError, MAX_FRAME_LEN};
 use minedig_net::json::{Value, MAX_INPUT};
 use minedig_net::wsframe::{decode_ws, encode_ws, Opcode, WsError, MAX_PAYLOAD};
 use minedig_primitives::DetRng;
@@ -242,65 +241,5 @@ fn ws_lengths_past_the_cap_are_refused_and_short_buffers_wait() {
             assert_eq!(result, if waits { Ok(None) } else { refused });
             assert_eq!(buf.len(), header.len(), "nothing is consumed");
         }
-    }
-}
-
-/// [`drain_ws`] for the length-prefixed codec.
-fn drain_frames(bytes: &[u8]) -> usize {
-    let mut buf = BytesMut::from(bytes);
-    let mut frames = 0;
-    loop {
-        let before = buf.clone();
-        let (largest, result) = largest_alloc(|| decode_frame(&mut buf));
-        assert!(largest <= MAX_FRAME_LEN, "{largest} bytes");
-        assert!(
-            largest <= before.len(),
-            "{largest} bytes from {}",
-            before.len()
-        );
-        match result {
-            Ok(Some(payload)) => {
-                frames += 1;
-                assert!(buf.len() < before.len(), "a frame consumes its bytes");
-                let mut again = BytesMut::new();
-                encode_frame(&mut again, &payload);
-                assert_eq!(decode_frame(&mut again), Ok(Some(payload)));
-                assert!(again.is_empty());
-            }
-            Ok(None) | Err(_) => {
-                assert_eq!(
-                    buf, before,
-                    "an incomplete or refused frame is not consumed"
-                );
-                return frames;
-            }
-        }
-    }
-}
-
-#[test]
-fn mutated_frames_decode_to_an_error_none_or_a_stable_payload() {
-    let mut rng = DetRng::seed(0xf4a3);
-    let mut decoded = 0;
-    for len in [0usize, 1, 125, 65_536] {
-        let payload: Vec<u8> = (0..len).map(|b| (b % 253) as u8).collect();
-        let mut wire = BytesMut::new();
-        encode_frame(&mut wire, &payload);
-        encode_frame(&mut wire, b"{\"type\":\"get_job\"}");
-        assert_eq!(drain_frames(&wire), 2);
-        let rounds = if len > 1_000 { 200 } else { 2_000 };
-        for_each_mutant(&wire, 8, &mut rng, rounds, |bytes| {
-            decoded += drain_frames(bytes);
-        });
-    }
-    assert!(decoded > 0, "some mutants must still decode");
-    // A declared length past the cap is refused; one at the cap waits.
-    for (declared, waits) in [(MAX_FRAME_LEN + 1, false), (MAX_FRAME_LEN, true)] {
-        let header = (declared as u32).to_le_bytes();
-        let mut buf = BytesMut::from(&header[..]);
-        let (largest, result) = largest_alloc(|| decode_frame(&mut buf));
-        assert!(largest <= header.len(), "{largest} bytes");
-        let refused = Err(FrameError::TooLarge(declared));
-        assert_eq!(result, if waits { Ok(None) } else { refused });
     }
 }

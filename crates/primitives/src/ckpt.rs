@@ -50,7 +50,7 @@
 //!
 //! The determinism contract: a campaign's snapshot, with its deltas
 //! applied in order, captures *all* the state its remaining items can
-//! observe (accumulated outcome, stats, cursors, connection flags).
+//! observe (accumulated outcome, stats, cursors, breaker state).
 //! Because every per-item result in this workspace is a pure function
 //! of stable identity (domain name, link code, `(endpoint, now)`),
 //! restoring a snapshot and re-running the suffix — on any executor

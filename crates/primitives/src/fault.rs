@@ -37,12 +37,6 @@ pub enum Fault {
     Garble,
     /// The operation hangs until the caller's timeout fires.
     Stall,
-    /// The whole campaign process dies at this point. Never returned by
-    /// [`FaultPlan::decide`] — per-operation decorators cannot simulate
-    /// process death; the supervisor draws kills from the separate
-    /// [`FaultPlan::crash_point`] stream instead. Decorators that do
-    /// receive it (defensively) treat it like [`Fault::Stall`].
-    Crash,
 }
 
 /// Shape of a fault schedule: how often faults strike and how they mix.
@@ -61,11 +55,6 @@ pub struct FaultConfig {
     pub kind_weights: [f64; 5],
     /// Mean injected latency for `Delay` faults, in milliseconds.
     pub mean_delay_ms: u64,
-    /// Probability that a supervised execution attempt is killed by a
-    /// simulated process crash ([`Fault::Crash`]). Drawn from a stream
-    /// separate from `decide`'s, so enabling crashes leaves every
-    /// existing per-operation fault schedule bit-identical.
-    pub crash_prob: f64,
 }
 
 impl Default for FaultConfig {
@@ -76,7 +65,6 @@ impl Default for FaultConfig {
             max_transient_attempts: 2,
             kind_weights: [1.0; 5],
             mean_delay_ms: 40,
-            crash_prob: 0.0,
         }
     }
 }
@@ -186,26 +174,6 @@ impl FaultPlan {
     /// fault): retries cannot recover this operation.
     pub fn is_permanent(&self, key: &str) -> bool {
         self.decide(key, u32::MAX).is_some()
-    }
-
-    /// Where the `restart`-th supervised execution attempt (zero-based)
-    /// is killed by a simulated [`Fault::Crash`], as an item offset in
-    /// `0..horizon` from the attempt's starting progress — or `None` if
-    /// that attempt survives.
-    ///
-    /// Kills come from their own derived stream (`"crash"`), never from
-    /// [`decide`](FaultPlan::decide)'s draws, so a plan with
-    /// `crash_prob > 0` injects exactly the same operation faults as
-    /// the same plan with crashes disabled — the basis of the
-    /// kill-and-resume ≡ uninterrupted equivalence tests.
-    pub fn crash_point(&self, restart: u32, horizon: u64) -> Option<u64> {
-        let mut rng = DetRng::seed(self.seed)
-            .derive("crash")
-            .derive(&restart.to_string());
-        if !rng.chance(self.config.crash_prob) {
-            return None;
-        }
-        Some(rng.gen_range(horizon.max(1)))
     }
 }
 
@@ -367,43 +335,6 @@ mod tests {
         assert_eq!(only(2).decide("k", 0), Some(Fault::Disconnect));
         assert_eq!(only(3).decide("k", 0), Some(Fault::Garble));
         assert_eq!(only(4).decide("k", 0), Some(Fault::Stall));
-    }
-
-    #[test]
-    fn crash_stream_never_perturbs_decide() {
-        let clean = FaultPlan::new(11);
-        let crashy = FaultPlan::with_config(
-            11,
-            FaultConfig {
-                crash_prob: 1.0,
-                ..FaultConfig::default()
-            },
-        );
-        for i in 0..200 {
-            let key = format!("op.{i}");
-            for attempt in 0..4 {
-                assert_eq!(clean.decide(&key, attempt), crashy.decide(&key, attempt));
-            }
-        }
-        assert!(clean.crash_point(0, 100).is_none());
-        let p = crashy.crash_point(0, 100).expect("crash_prob=1 must kill");
-        assert!(p < 100);
-        assert_eq!(crashy.crash_point(0, 100), Some(p), "crash_point is pure");
-    }
-
-    #[test]
-    fn crash_rate_tracks_probability() {
-        let plan = FaultPlan::with_config(
-            5,
-            FaultConfig {
-                crash_prob: 0.3,
-                ..FaultConfig::default()
-            },
-        );
-        let killed = (0..10_000u32)
-            .filter(|r| plan.crash_point(*r, 64).is_some())
-            .count();
-        assert!((2_600..3_400).contains(&killed), "killed {killed}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! windows are measured on the *sweep clock* (the `now` the caller
 //! passes, e.g. the poll timestamp), while latencies and adaptive
 //! deadlines are measured in the per-endpoint retry loop's *virtual
-//! milliseconds* (see [`VirtualClock`](crate::retry::VirtualClock)).
+//! milliseconds* (see [`RetryOutcome::waited_ms`](crate::retry::RetryOutcome::waited_ms)).
 //!
 //! Determinism contract: with no faults every probe succeeds on its
 //! first attempt, so breakers never trip, adaptive deadlines never bind

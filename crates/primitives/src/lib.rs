@@ -37,7 +37,7 @@ pub use hex::{from_hex, to_hex};
 pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use keccak::{keccak1600, keccak256, sha3_256};
 pub use par::ParallelExecutor;
-pub use retry::{retry, Clock, ErrorClass, GiveUp, RetryPolicy, Retryable, VirtualClock};
+pub use retry::{retry, ErrorClass, GiveUp, RetryPolicy, Retryable};
 pub use rng::DetRng;
 pub use sha256::sha256;
 pub use supervise::{

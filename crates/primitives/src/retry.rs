@@ -1,12 +1,12 @@
 //! Unified retry/backoff layer with a transient-vs-permanent error
-//! taxonomy and a virtual clock.
+//! taxonomy.
 //!
 //! Every campaign path in the workspace (zone-scan fetches, short-link
 //! probes, pool-endpoint polls) retries transient failures through the
 //! same [`RetryPolicy`]: bounded attempts, exponential backoff with
-//! deterministic jitter, and an overall deadline. Time is abstracted
-//! behind the [`Clock`] trait; the default [`VirtualClock`] merely
-//! advances a counter on "sleep", so retry-heavy test suites and chaos
+//! deterministic jitter, and an overall deadline. Backoff is virtual:
+//! [`retry`] sums it into [`RetryOutcome::waited_ms`] and checks the
+//! deadline against that sum, so retry-heavy test suites and chaos
 //! proptests run instantly while still exercising the deadline logic.
 //!
 //! Determinism contract: jitter is drawn from a caller-supplied
@@ -33,47 +33,6 @@ pub enum ErrorClass {
 pub trait Retryable {
     /// Classifies the error as transient (retry) or permanent (give up).
     fn error_class(&self) -> ErrorClass;
-}
-
-/// A monotonic millisecond clock that retry loops sleep against.
-pub trait Clock {
-    /// Current time in milliseconds.
-    fn now_ms(&self) -> u64;
-    /// Sleeps for `ms` milliseconds (or pretends to).
-    fn sleep_ms(&mut self, ms: u64);
-}
-
-/// A clock where sleeping just advances a counter — no wall time passes.
-///
-/// This is what makes the fault-injection suites instant: a retry loop
-/// that "waits" through seconds of exponential backoff completes in
-/// microseconds, while deadline expiry still triggers exactly as it
-/// would in real time.
-#[derive(Debug, Clone, Default)]
-pub struct VirtualClock {
-    now: u64,
-}
-
-impl VirtualClock {
-    /// A virtual clock starting at time zero.
-    pub fn new() -> VirtualClock {
-        VirtualClock::default()
-    }
-
-    /// A virtual clock starting at `now` milliseconds.
-    pub fn at(now: u64) -> VirtualClock {
-        VirtualClock { now }
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now_ms(&self) -> u64 {
-        self.now
-    }
-
-    fn sleep_ms(&mut self, ms: u64) {
-        self.now = self.now.saturating_add(ms);
-    }
 }
 
 /// Retry policy: attempt budget, exponential backoff, jitter, deadline.
@@ -183,7 +142,7 @@ pub struct RetryOutcome<T, E> {
     pub result: Result<T, RetryError<E>>,
     /// Attempts actually issued (≥ 1).
     pub attempts: u32,
-    /// Total backoff slept through, in (possibly virtual) milliseconds.
+    /// Total backoff waited through, in virtual milliseconds.
     pub waited_ms: u64,
 }
 
@@ -194,7 +153,8 @@ impl<T, E> RetryOutcome<T, E> {
     }
 }
 
-/// Runs `op` under `policy`, sleeping on `clock` between attempts.
+/// Runs `op` under `policy`, backing off in virtual time between
+/// attempts.
 ///
 /// `op` receives the zero-based attempt index — fault plans key their
 /// schedule on it. Transient errors are retried until the policy's
@@ -204,13 +164,11 @@ impl<T, E> RetryOutcome<T, E> {
 /// attempt succeeds or the loop gives up without backing off. Two calls
 /// with equal `(policy, jitter stream, error sequence)` produce
 /// identical schedules.
-pub fn retry<T, E: Retryable, C: Clock>(
+pub fn retry<T, E: Retryable>(
     policy: &RetryPolicy,
-    clock: &mut C,
     jitter: impl FnOnce() -> DetRng,
     mut op: impl FnMut(u32) -> Result<T, E>,
 ) -> RetryOutcome<T, E> {
-    let start = clock.now_ms();
     let max_attempts = policy.max_attempts.max(1);
     let mut attempts = 0u32;
     let mut waited_ms = 0u64;
@@ -247,8 +205,7 @@ pub fn retry<T, E: Retryable, C: Clock>(
             rng.get_or_insert_with(|| jitter.take().expect("taken only while rng is unset")());
         let backoff = policy.backoff_ms(attempts, rng);
         if let Some(deadline) = policy.deadline_ms {
-            let elapsed = clock.now_ms().saturating_sub(start);
-            if elapsed.saturating_add(backoff) > deadline {
+            if waited_ms.saturating_add(backoff) > deadline {
                 return RetryOutcome {
                     result: Err(RetryError {
                         error,
@@ -259,8 +216,7 @@ pub fn retry<T, E: Retryable, C: Clock>(
                 };
             }
         }
-        clock.sleep_ms(backoff);
-        waited_ms += backoff;
+        waited_ms = waited_ms.saturating_add(backoff);
     }
 }
 
@@ -295,41 +251,29 @@ mod tests {
 
     #[test]
     fn succeeds_first_try_without_waiting() {
-        let mut clock = VirtualClock::new();
-        let out = retry(
-            &RetryPolicy::default(),
-            &mut clock,
-            || DetRng::seed(1),
-            flaky_until(0),
-        );
+        let out = retry(&RetryPolicy::default(), || DetRng::seed(1), flaky_until(0));
         assert_eq!(out.retries(), 0);
         assert_eq!(out.result.unwrap(), 0);
         assert_eq!(out.attempts, 1);
         assert_eq!(out.waited_ms, 0);
-        assert_eq!(clock.now_ms(), 0);
     }
 
     #[test]
     fn transient_errors_are_retried_until_success() {
-        let mut clock = VirtualClock::new();
         let out = retry(
             &RetryPolicy::attempts(5),
-            &mut clock,
             || DetRng::seed(2),
             flaky_until(3),
         );
         assert_eq!(out.result.unwrap(), 3);
         assert_eq!(out.attempts, 4);
         assert!(out.waited_ms > 0);
-        assert_eq!(clock.now_ms(), out.waited_ms);
     }
 
     #[test]
     fn zero_retries_policy_gives_up_on_first_transient() {
-        let mut clock = VirtualClock::new();
         let out = retry(
             &RetryPolicy::no_retries(),
-            &mut clock,
             || DetRng::seed(3),
             flaky_until(1),
         );
@@ -342,10 +286,8 @@ mod tests {
 
     #[test]
     fn permanent_error_short_circuits() {
-        let mut clock = VirtualClock::new();
         let out = retry(
             &RetryPolicy::attempts(10),
-            &mut clock,
             || DetRng::seed(4),
             |_: u32| -> Result<(), TestError> { Err(TestError::Fatal) },
         );
@@ -357,10 +299,8 @@ mod tests {
 
     #[test]
     fn attempt_budget_is_exhausted_on_persistent_transients() {
-        let mut clock = VirtualClock::new();
         let out = retry(
             &RetryPolicy::attempts(3),
-            &mut clock,
             || DetRng::seed(5),
             flaky_until(u32::MAX),
         );
@@ -376,15 +316,13 @@ mod tests {
             DetRng::seed(10)
         };
         let policy = RetryPolicy::attempts(5);
-        let out = retry(&policy, &mut VirtualClock::new(), jitter, flaky_until(0));
+        let out = retry(&policy, jitter, flaky_until(0));
         assert_eq!(out.attempts, 1);
         assert_eq!(derived.get(), 0, "first-try success");
-        let out = retry(&policy, &mut VirtualClock::new(), jitter, |_: u32| {
-            Err::<(), _>(TestError::Fatal)
-        });
+        let out = retry(&policy, jitter, |_: u32| Err::<(), _>(TestError::Fatal));
         assert_eq!(out.result.unwrap_err().give_up, GiveUp::Permanent);
         assert_eq!(derived.get(), 0, "permanent failure");
-        let out = retry(&policy, &mut VirtualClock::new(), jitter, flaky_until(3));
+        let out = retry(&policy, jitter, flaky_until(3));
         assert_eq!(out.retries(), 3);
         assert_eq!(derived.get(), 1, "three backoffs, one stream");
         // The backoffs are the derived stream's draws, in order.
@@ -405,16 +343,9 @@ mod tests {
             jitter: 0.0,
             deadline_ms: Some(250),
         };
-        let mut clock = VirtualClock::new();
-        let out = retry(
-            &policy,
-            &mut clock,
-            || DetRng::seed(6),
-            flaky_until(u32::MAX),
-        );
+        let out = retry(&policy, || DetRng::seed(6), flaky_until(u32::MAX));
         assert_eq!(out.result.unwrap_err().give_up, GiveUp::DeadlineExceeded);
         assert_eq!(out.attempts, 2);
-        assert_eq!(clock.now_ms(), 100);
         assert_eq!(out.waited_ms, 100);
     }
 

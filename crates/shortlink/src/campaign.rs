@@ -28,7 +28,7 @@ use minedig_primitives::supervise::{Backend, Campaign};
 use minedig_primitives::IdSet;
 use std::cell::Cell;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 // ---------------------------------------------------------------------
 // Snapshot codec.
@@ -229,7 +229,6 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
         &mut self,
         result: Result<Option<VisitDoc>, ProbeError>,
         retries: u32,
-        heartbeat: &AtomicU64,
     ) -> ControlFlow<()> {
         let e = &mut self.enumeration;
         e.probed += 1;
@@ -259,7 +258,6 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
             // Neutral: not evidence of a dead ID, not a live link.
             Err(_) => e.failed_probes += 1,
         }
-        heartbeat.fetch_add(1, Ordering::Relaxed);
         if self.is_done() {
             ControlFlow::Break(())
         } else {
@@ -394,7 +392,7 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
         self.dead_run >= self.dead_run_limit
     }
 
-    fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
+    fn run_items(&mut self, budget: u64, _heartbeat: &AtomicU64) {
         if self.is_done() {
             return;
         }
@@ -405,7 +403,7 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
             base..base.saturating_add(budget),
             |i| probe_with_retry(prober, &index_to_code(i), policy),
             (),
-            |_, (result, retries)| self.fold_probe(result, retries, heartbeat),
+            |_, (result, retries)| self.fold_probe(result, retries),
         );
     }
 

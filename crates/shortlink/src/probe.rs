@@ -15,7 +15,7 @@
 
 use crate::service::{ShortlinkService, VisitDoc};
 use minedig_primitives::fault::{Fault, FaultPlan};
-use minedig_primitives::retry::{retry, ErrorClass, RetryPolicy, Retryable, VirtualClock};
+use minedig_primitives::retry::{retry, ErrorClass, RetryPolicy, Retryable};
 use minedig_primitives::rng::DetRng;
 
 /// Transport-level probe failure. Every kind is transient-capable: a
@@ -72,9 +72,7 @@ impl<P: LinkProber> LinkProber for FaultyProber<'_, P> {
             None => self.inner.probe(code, attempt),
             // Latency alone does not change the observed document.
             Some(Fault::Delay { .. }) => self.inner.probe(code, attempt),
-            // Crash never comes out of `decide` (the supervisor draws
-            // kills from its own stream); defensively a timeout.
-            Some(Fault::Drop) | Some(Fault::Stall) | Some(Fault::Crash) => Err(ProbeError::Timeout),
+            Some(Fault::Drop) | Some(Fault::Stall) => Err(ProbeError::Timeout),
             Some(Fault::Disconnect) => Err(ProbeError::Closed),
             Some(Fault::Garble) => Err(ProbeError::Garbled),
         }
@@ -109,9 +107,7 @@ pub fn probe_with_retry<P: LinkProber>(
     policy: &ProbePolicy,
 ) -> (Result<Option<VisitDoc>, ProbeError>, u32) {
     let jitter = || DetRng::seed(policy.jitter_seed).derive(&format!("probe.jitter.{code}"));
-    let outcome = retry(&policy.retry, &mut VirtualClock::new(), jitter, |attempt| {
-        prober.probe(code, attempt)
-    });
+    let outcome = retry(&policy.retry, jitter, |attempt| prober.probe(code, attempt));
     let retries = outcome.retries();
     (outcome.result.map_err(|e| e.error), retries)
 }

@@ -92,7 +92,7 @@ fn main() {
     let backend = configured(Backend::parse(&env));
     let faults = configured(FaultPlan::parse(&env));
     let health = configured(parse_health(&env));
-    let ckpt = configured(Ckpt::parse(&env, resume, faults.as_ref()));
+    let ckpt = configured(Ckpt::parse(&env, resume));
     match command {
         Command::Scan { zone, seed } => cmd_scan(zone, seed, backend, faults, ckpt),
         Command::Attribute { days, seed } => cmd_attribute(days, seed, faults, health, ckpt),

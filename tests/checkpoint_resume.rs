@@ -283,7 +283,6 @@ fn resume_after_restart_budget_exhaustion_completes_the_campaign() {
     let doomed = Supervisor::new(CrashPolicy {
         ckpt_every_items: 16,
         max_restarts: 0,
-        ..CrashPolicy::default()
     })
     .with_kills(vec![20]);
     let err = doomed
