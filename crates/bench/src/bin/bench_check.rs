@@ -1,6 +1,6 @@
 //! Bench regression gate: compares a freshly emitted `BENCH_*.json`
 //! against a committed baseline and fails when any wall-clock number
-//! regressed past a threshold.
+//! regressed past a threshold or any deterministic count changed.
 //!
 //! ```text
 //! bench_check <baseline.json> <current.json> [threshold]
@@ -9,7 +9,10 @@
 //! Every numeric field whose key ends in `secs` is compared at the same
 //! JSON path; the run fails when `current > baseline * threshold`
 //! (default 2.0 — generous on purpose: CI runners are noisy, and the
-//! gate exists to catch order-of-magnitude rot, not jitter). Fields
+//! gate exists to catch order-of-magnitude rot, not jitter). The counts
+//! a seeded run reproduces exactly ([`COUNT_KEYS`]: items, checkpoints,
+//! bytes written, crashes, items redone) must equal the baseline's, and
+//! a count the baseline has but the run lacks fails too. Other fields
 //! present on only one side are reported but never fail the gate, so
 //! adding a workload does not require regenerating every baseline.
 
@@ -19,16 +22,40 @@ use minedig_primitives::{configured, read_env};
 /// Default regression threshold: current may take up to 2× baseline.
 const DEFAULT_THRESHOLD: f64 = 2.0;
 
+/// Keys of the counts a seeded run reproduces exactly.
+const COUNT_KEYS: [&str; 5] = [
+    "items",
+    "checkpoints",
+    "bytes_written",
+    "crashes",
+    "items_redone",
+];
+
 struct Gate {
     threshold: f64,
     compared: u32,
+    counts: u32,
     regressions: Vec<String>,
 }
 
+/// The key a JSON path ends in.
+fn key_of(path: &str) -> &str {
+    path.rsplit('/').next().unwrap_or("")
+}
+
 impl Gate {
+    fn new(threshold: f64) -> Gate {
+        Gate {
+            threshold,
+            compared: 0,
+            counts: 0,
+            regressions: Vec::new(),
+        }
+    }
+
     /// Walks `baseline` and `current` in lockstep, comparing every
-    /// numeric `*secs` leaf reachable through matching object keys and
-    /// array indices.
+    /// numeric `*secs` leaf and every count leaf reachable through
+    /// matching object keys and array indices.
     fn walk(&mut self, path: &str, baseline: &Value, current: &Value) {
         match (baseline, current) {
             (Value::Obj(b), Value::Obj(c)) => {
@@ -36,7 +63,7 @@ impl Gate {
                     let child = format!("{path}/{key}");
                     match c.get(key) {
                         Some(cv) => self.walk(&child, bv, cv),
-                        None => println!("note: {child} missing from current run"),
+                        None => self.missing(&child, bv),
                     }
                 }
                 for key in c.keys().filter(|k| !b.contains_key(*k)) {
@@ -54,10 +81,24 @@ impl Gate {
                 for (i, (bv, cv)) in b.iter().zip(c.iter()).enumerate() {
                     self.walk(&format!("{path}[{i}]"), bv, cv);
                 }
+                for (i, bv) in b.iter().enumerate().skip(c.len()) {
+                    self.missing(&format!("{path}[{i}]"), bv);
+                }
+            }
+            _ if COUNT_KEYS.contains(&key_of(path)) => {
+                self.counts += 1;
+                match (baseline.as_u64(), current.as_u64()) {
+                    (Some(b), Some(c)) if b == c => {}
+                    (Some(b), Some(c)) => self.regressions.push(format!(
+                        "{path}: {c} vs baseline {b} (counts must match exactly)"
+                    )),
+                    _ => self
+                        .regressions
+                        .push(format!("{path}: not a count on both sides")),
+                }
             }
             _ => {
-                let key_is_secs = path.rsplit('/').next().unwrap_or("").ends_with("secs");
-                if !key_is_secs {
+                if !key_of(path).ends_with("secs") {
                     return;
                 }
                 let (Some(b), Some(c)) = (baseline.as_f64(), current.as_f64()) else {
@@ -73,6 +114,29 @@ impl Gate {
                     ));
                 }
             }
+        }
+    }
+
+    /// Reports a baseline field the current run lacks: a note, or a
+    /// regression for every count it holds.
+    fn missing(&mut self, path: &str, baseline: &Value) {
+        match baseline {
+            Value::Obj(b) => {
+                for (key, bv) in b {
+                    self.missing(&format!("{path}/{key}"), bv);
+                }
+            }
+            Value::Arr(b) => {
+                for (i, bv) in b.iter().enumerate() {
+                    self.missing(&format!("{path}[{i}]"), bv);
+                }
+            }
+            _ if COUNT_KEYS.contains(&key_of(path)) => {
+                self.counts += 1;
+                self.regressions
+                    .push(format!("{path}: missing from current run"));
+            }
+            _ => println!("note: {path} missing from current run"),
         }
     }
 }
@@ -97,16 +161,12 @@ fn main() {
 
     let baseline = load(baseline_path);
     let current = load(current_path);
-    let mut gate = Gate {
-        threshold,
-        compared: 0,
-        regressions: Vec::new(),
-    };
+    let mut gate = Gate::new(threshold);
     gate.walk("", &baseline, &current);
 
     println!(
-        "{}: {} wall-clock fields compared against {} at {threshold}x",
-        current_path, gate.compared, baseline_path
+        "{}: {} wall-clock fields compared against {} at {threshold}x, {} counts exactly",
+        current_path, gate.compared, baseline_path, gate.counts
     );
     if gate.compared == 0 {
         eprintln!("error: no comparable *secs fields — wrong file pair?");
@@ -120,4 +180,89 @@ fn main() {
         std::process::exit(1);
     }
     println!("no regressions");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The gate's verdict on `current` against `baseline`: the fields it
+    /// compared (wall-clock, counts) and its regressions.
+    fn gate(baseline: &str, current: &str) -> (u32, u32, Vec<String>) {
+        let mut gate = Gate::new(DEFAULT_THRESHOLD);
+        gate.walk(
+            "",
+            &Value::parse(baseline).unwrap(),
+            &Value::parse(current).unwrap(),
+        );
+        (gate.compared, gate.counts, gate.regressions)
+    }
+
+    const BASE: &str = r#"{"workloads": [{"name": "w", "items": 40256, "runs": [
+        {"every": 16, "secs": 0.1, "checkpoints": 2517, "bytes_written": 517523,
+         "crashes": 2, "items_redone": 15}]}]}"#;
+
+    #[test]
+    fn equal_counts_and_times_within_the_threshold_pass() {
+        let (secs, counts, regressions) = gate(BASE, BASE);
+        assert_eq!((secs, counts), (1, 5));
+        assert!(regressions.is_empty(), "{regressions:?}");
+        let slower = BASE.replace("0.1,", "0.19,");
+        assert!(gate(BASE, &slower).2.is_empty());
+    }
+
+    #[test]
+    fn a_changed_count_fails_whichever_way_it_moves() {
+        for (from, to) in [
+            ("517523", "517524"),
+            ("517523", "517522"),
+            ("40256", "40255"),
+            ("\"crashes\": 2", "\"crashes\": 3"),
+            ("\"items_redone\": 15", "\"items_redone\": 0"),
+            ("2517", "2516"),
+        ] {
+            let run = BASE.replace(from, to);
+            let (_, _, regressions) = gate(BASE, &run);
+            assert_eq!(regressions.len(), 1, "{from} -> {to}: {regressions:?}");
+            assert!(regressions[0].contains("exactly"), "{regressions:?}");
+        }
+        let (_, _, regressions) = gate(BASE, &BASE.replace("40256", "\"40256\""));
+        assert_eq!(
+            regressions,
+            ["/workloads[0]/items: not a count on both sides"]
+        );
+    }
+
+    #[test]
+    fn a_count_missing_from_the_run_fails() {
+        let run = BASE.replace("\"bytes_written\": 517523,", "");
+        let (_, counts, regressions) = gate(BASE, &run);
+        assert_eq!(counts, 5);
+        assert_eq!(
+            regressions,
+            ["/workloads[0]/runs[0]/bytes_written: missing from current run"]
+        );
+        // A whole run or workload gone takes its counts with it.
+        let (_, _, regressions) = gate(BASE, r#"{"workloads": [{"name": "w", "runs": []}]}"#);
+        assert_eq!(regressions.len(), 5, "{regressions:?}");
+        let (_, _, regressions) = gate(BASE, r#"{"workloads": []}"#);
+        assert_eq!(regressions.len(), 5, "{regressions:?}");
+    }
+
+    #[test]
+    fn fields_only_the_run_has_and_other_numbers_never_fail() {
+        let run = BASE
+            .replace("\"every\": 16", "\"every\": 17, \"snapshot_bytes\": 9")
+            .replace("\"name\": \"w\"", "\"name\": \"v\", \"new_count\": 1");
+        assert!(gate(BASE, &run).2.is_empty());
+        let extra = BASE.replace("\"crashes\": 2,", "\"crashes\": 2, \"items_lost\": 4,");
+        assert!(gate(BASE, &extra).2.is_empty());
+    }
+
+    #[test]
+    fn a_time_past_the_threshold_fails() {
+        let (_, _, regressions) = gate(BASE, &BASE.replace("0.1,", "0.21,"));
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(regressions[0].contains("secs"), "{regressions:?}");
+    }
 }

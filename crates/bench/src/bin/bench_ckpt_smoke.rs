@@ -128,7 +128,7 @@ fn main() {
     };
     let start = Instant::now();
     let (reference, _) = run_study(&config, seed, None).expect("a straight run cannot fail");
-    let probed = reference.enumeration.probed;
+    let probed = reference.walk.probed;
     let study_kills = vec![probed / 3, (2 * probed) / 3];
     let mut rows = vec![Row {
         every: 0,
@@ -153,10 +153,7 @@ fn main() {
         let (study, report) = run_study(&config, seed, Some(&ckpt)).expect("supervised study");
         let secs = start.elapsed().as_secs_f64();
         let report = report.expect("a supervised study reports");
-        assert_eq!(
-            study.enumeration.probed, reference.enumeration.probed,
-            "supervised study drifted"
-        );
+        assert_eq!(study.walk, reference.walk, "supervised study drifted");
         assert_eq!(
             study.links_per_token, reference.links_per_token,
             "supervised study drifted"

@@ -1,7 +1,7 @@
 //! Figure 3: links per creator token — heavy concentration on a few
 //! users (one user = ⅓ of links, ten users = 85 %).
 
-use minedig_bench::{link_scale, seed, LINK_SCALE_ENV, SEED_ENV};
+use minedig_bench::{fig3_verdicts, link_scale, seed, LINK_SCALE_ENV, SEED_ENV};
 use minedig_core::report::{comparison_table, Comparison};
 use minedig_core::shortlink_study::{run_study, StudyConfig};
 use minedig_primitives::stats::{gini, power_law_alpha};
@@ -48,8 +48,7 @@ fn main() {
             .map(|&c| c as f64)
             .collect::<Vec<_>>(),
         1.0,
-    )
-    .unwrap_or(f64::NAN);
+    );
 
     let rows = vec![
         Comparison::new(
@@ -66,13 +65,12 @@ fn main() {
         ),
     ];
     println!("\n{}", comparison_table("Fig 3 headline statistics", &rows));
-    println!(
-        "Gini coefficient of links-per-token: {:.3} (extreme concentration)",
-        gini(&study.links_per_token)
-    );
-    println!("fitted power-law exponent alpha = {alpha:.2} (heavy tail confirmed)");
+    let tokens = study.links_per_token.len();
+    for line in fig3_verdicts(gini(&study.links_per_token), alpha, tokens) {
+        println!("{line}");
+    }
     println!(
         "links probed during enumeration: {} (live space + dead run)",
-        study.enumeration.probed
+        study.walk.probed
     );
 }

@@ -64,6 +64,37 @@ pub fn days(env: impl Fn(&str) -> Option<String>) -> Result<u64, String> {
     Ok(parse_var(env, DAYS_ENV, &expected, valid)?.unwrap_or(28))
 }
 
+/// Gini coefficient from which Fig 3 calls the concentration extreme.
+const EXTREME_GINI: f64 = 0.9;
+
+/// Largest power-law exponent Fig 3 calls a heavy tail.
+const HEAVY_TAIL_ALPHA: f64 = 3.0;
+
+/// Fig 3's two verdict lines, each derived from its value: the Gini
+/// coefficient of the links per token, and the power-law exponent
+/// fitted to the counts of `tokens` tokens (`None` when the fit is
+/// undefined). The concentration is called extreme only from a Gini of
+/// 0.9, and the tail heavy only for a finite alpha of at most 3.
+pub fn fig3_verdicts(gini: f64, alpha: Option<f64>, tokens: usize) -> [String; 2] {
+    let concentration = if gini >= EXTREME_GINI {
+        "extreme concentration"
+    } else {
+        "below 0.9: not extreme concentration"
+    };
+    let alpha = match alpha.filter(|a| a.is_finite()) {
+        None => {
+            let plural = if tokens == 1 { "" } else { "s" };
+            format!("alpha undefined ({tokens} token{plural})")
+        }
+        Some(a) if a <= HEAVY_TAIL_ALPHA => format!("alpha = {a:.2} (heavy tail confirmed)"),
+        Some(a) => format!("alpha = {a:.2} (above 3: no heavy tail)"),
+    };
+    [
+        format!("Gini coefficient of links-per-token: {gini:.3} ({concentration})"),
+        format!("fitted power-law exponent {alpha}"),
+    ]
+}
+
 /// Clean-sample size scanned per zone for FP honesty.
 pub const CLEAN_SAMPLE: usize = 1_000;
 
@@ -165,6 +196,48 @@ mod tests {
         assert_eq!(fmt_date(1_525_564_800), "2018-05-06");
         assert_eq!(fmt_date(1_530_403_200), "2018-07-01");
         assert_eq!(fmt_date(951_782_400), "2000-02-29");
+    }
+
+    #[test]
+    fn fig3_verdicts_follow_the_values() {
+        // The default scale's readings keep their lines.
+        assert_eq!(
+            fig3_verdicts(0.936, Some(2.55), 12_000),
+            [
+                "Gini coefficient of links-per-token: 0.936 (extreme concentration)",
+                "fitted power-law exponent alpha = 2.55 (heavy tail confirmed)",
+            ]
+        );
+        // At scale 1:100,000 (17 links over 12 tokens).
+        assert_eq!(
+            fig3_verdicts(0.260, Some(6.21), 12),
+            [
+                "Gini coefficient of links-per-token: 0.260 (below 0.9: not extreme concentration)",
+                "fitted power-law exponent alpha = 6.21 (above 3: no heavy tail)",
+            ]
+        );
+        // At scales 1:500,000 to 1:1,709,203 no fit exists.
+        assert_eq!(
+            fig3_verdicts(0.0, None, 3),
+            [
+                "Gini coefficient of links-per-token: 0.000 (below 0.9: not extreme concentration)",
+                "fitted power-law exponent alpha undefined (3 tokens)",
+            ]
+        );
+        assert_eq!(
+            fig3_verdicts(0.0, None, 1)[1],
+            "fitted power-law exponent alpha undefined (1 token)"
+        );
+        // The bounds themselves, and fits that are not finite.
+        let [gini, alpha] = fig3_verdicts(0.9, Some(3.0), 40);
+        assert!(gini.ends_with("(extreme concentration)"), "{gini}");
+        assert!(alpha.ends_with("(heavy tail confirmed)"), "{alpha}");
+        for a in [f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                fig3_verdicts(0.95, Some(a), 2)[1],
+                "fitted power-law exponent alpha undefined (2 tokens)"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::scan::FetchStats;
 use minedig_analysis::poller::PollStats;
 use minedig_primitives::health::HealthStats;
 use minedig_primitives::supervise::{Backend, SuperviseReport};
-use minedig_shortlink::enumerate::Enumeration;
+use minedig_shortlink::campaign::WalkCounts;
 use std::time::Duration;
 
 /// One compared quantity.
@@ -195,14 +195,14 @@ impl CampaignHealth {
         }
     }
 
-    /// Health row of a link-space enumeration.
-    pub fn from_enumeration(campaign: &str, e: &Enumeration) -> CampaignHealth {
+    /// Health row of a link-space enumeration, from its walk's counters.
+    pub fn from_enumeration(campaign: &str, walk: &WalkCounts) -> CampaignHealth {
         CampaignHealth {
             campaign: campaign.to_string(),
-            attempted: e.probed,
-            succeeded: e.probed - e.failed_probes,
-            lost: e.failed_probes,
-            retries: e.probe_retries,
+            attempted: walk.probed,
+            succeeded: walk.probed - walk.failed_probes,
+            lost: walk.failed_probes,
+            retries: walk.probe_retries,
             reconnects: 0,
             quarantined: 0,
         }
@@ -432,13 +432,12 @@ mod tests {
         assert_eq!(fetch.lost, 30);
         assert!((fetch.loss_rate() - 0.024).abs() < 1e-9);
 
-        let e = Enumeration {
-            docs: Vec::new(),
+        let walk = WalkCounts {
             probed: 5_064,
             failed_probes: 12,
             probe_retries: 88,
         };
-        let enum_row = CampaignHealth::from_enumeration("shortlink enum", &e);
+        let enum_row = CampaignHealth::from_enumeration("shortlink enum", &walk);
         assert_eq!(enum_row.attempted, 5_064);
         assert_eq!(enum_row.succeeded, 5_052);
         assert_eq!(enum_row.retries, 88);

@@ -1,18 +1,28 @@
 //! §4.1 as one campaign: enumerate the link space while resolving the
 //! cheap unbiased tail, then compute the Fig 3/4 distributions, resolve
 //! the top users' samples and categorize destinations.
+//!
+//! The walk's ledger is one 16-byte [`Sighting`] per live link, and the
+//! analysis reads the sightings: no live link's [`VisitDoc`] outlives
+//! its probe.
+//!
+//! [`VisitDoc`]: minedig_shortlink::service::VisitDoc
 
+use minedig_primitives::ckpt::{Checkpointable, CkptError, Snapshot};
 use minedig_primitives::stats::{top1_share, top_k_for_share, Ecdf, Pow2Histogram};
-use minedig_primitives::supervise::{run_campaign, Backend, Ckpt, SuperviseError, SuperviseReport};
-use minedig_primitives::DetRng;
-use minedig_shortlink::campaign::{EnumCampaign, EnumCampaignOutput};
-use minedig_shortlink::enumerate::Enumeration;
+use minedig_primitives::supervise::{
+    run_campaign, Backend, Campaign, Ckpt, SuperviseError, SuperviseReport,
+};
+use minedig_primitives::{DetRng, IdMap, IdSet};
+use minedig_shortlink::campaign::{EnumCampaign, Sighting, WalkCounts, WalkLedger};
+use minedig_shortlink::ids::index_to_code;
 use minedig_shortlink::model::{LinkPopulation, ModelConfig};
 use minedig_shortlink::probe::ProbePolicy;
 use minedig_shortlink::resolve::resolve_accounted;
 use minedig_shortlink::service::ShortlinkService;
 use minedig_web::category::Category;
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicU64;
 
 /// Study configuration.
 #[derive(Clone, Debug)]
@@ -42,8 +52,8 @@ impl Default for StudyConfig {
 
 /// The study's outputs.
 pub struct StudyResult {
-    /// The raw enumeration.
-    pub enumeration: Enumeration,
+    /// The walk's probe counters.
+    pub walk: WalkCounts,
     /// Fig 3: links per token, sorted descending.
     pub links_per_token: Vec<u64>,
     /// Fig 3 headline: share of links from the single top user.
@@ -80,16 +90,54 @@ pub struct StudyResult {
 /// Dead-run limit of the study's enumeration walk.
 const STUDY_DEAD_RUN_LIMIT: u64 = 256;
 
-/// The study's walk: enumeration with the unbiased-below-budget tail
-/// resolved as the fold reaches each first sighting, on
-/// `config.backend`.
-fn study_campaign<'a>(
-    service: &'a ShortlinkService,
-    policy: &'a ProbePolicy,
-    config: &StudyConfig,
-) -> EnumCampaign<'a, ShortlinkService> {
-    EnumCampaign::new(service, policy, STUDY_DEAD_RUN_LIMIT, config.backend)
-        .with_tail_resolver(service, config.resolve_budget)
+/// The study's walk: [`EnumCampaign`] with the unbiased-below-budget
+/// tail resolved as the fold reaches each first sighting, on
+/// `config.backend`. It checkpoints and restores as the campaign does,
+/// but finishes with the campaign's sightings, where the campaign's own
+/// [`Campaign::finish`] would rebuild a doc for each.
+struct StudyWalk<'a>(EnumCampaign<'a, ShortlinkService>);
+
+impl<'a> StudyWalk<'a> {
+    fn new(
+        service: &'a ShortlinkService,
+        policy: &'a ProbePolicy,
+        config: &StudyConfig,
+    ) -> StudyWalk<'a> {
+        StudyWalk(
+            EnumCampaign::new(service, policy, STUDY_DEAD_RUN_LIMIT, config.backend)
+                .with_tail_resolver(service, config.resolve_budget),
+        )
+    }
+}
+
+impl Checkpointable for StudyWalk<'_> {
+    fn progress_key(&self) -> u64 {
+        self.0.progress_key()
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        self.0.snapshot()
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), CkptError> {
+        self.0.restore(snapshot)
+    }
+}
+
+impl Campaign for StudyWalk<'_> {
+    type Output = WalkLedger;
+
+    fn is_done(&self) -> bool {
+        self.0.is_done()
+    }
+
+    fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
+        self.0.run_items(budget, heartbeat);
+    }
+
+    fn finish(self) -> WalkLedger {
+        self.0.into_ledger()
+    }
 }
 
 /// Runs the full §4.1 study: the enumeration walk, with the
@@ -107,46 +155,49 @@ pub fn run_study(
     let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
     let policy = ProbePolicy::default();
     let name = format!("shortlink-{}-{seed}", config.model.total_links);
-    let (walk, report) = run_campaign(ckpt, &name, || study_campaign(&service, &policy, config))?;
+    let (walk, report) = run_campaign(ckpt, &name, || StudyWalk::new(&service, &policy, config))?;
     Ok((finish_study(&service, walk, config, seed), report))
 }
 
-/// The analysis after the walk: Fig 3/4 statistics from the
-/// enumeration, the Table 4 top-10 sampling (resolved here), and the
-/// Table 5 categorization of the already-resolved tail.
+/// The analysis after the walk: Fig 3/4 statistics from the sightings,
+/// the Table 4 top-10 sampling (resolved here), and the Table 5
+/// categorization of the already-resolved tail.
 fn finish_study(
     service: &ShortlinkService,
-    walk: EnumCampaignOutput,
+    ledger: WalkLedger,
     config: &StudyConfig,
     seed: u64,
 ) -> StudyResult {
-    let EnumCampaignOutput {
-        enumeration,
+    let WalkLedger {
+        sightings,
+        counts: walk,
         resolve_report: tail_report,
-    } = walk;
-    // One counting pass ranks the tokens for Fig 3 and for Table 4.
-    let token_counts = enumeration.token_counts();
+    } = ledger;
+    let Tally {
+        token_counts,
+        mut biased,
+        unbiased,
+    } = tally(&sightings);
     let links_per_token: Vec<u64> = token_counts.iter().map(|&(_, n)| n).collect();
     let top1 = top1_share(&links_per_token);
     let users85 = top_k_for_share(links_per_token.clone(), 0.85);
 
     // Sorted once, as integers: `log2` keeps their order, so the ECDF
-    // finds its input already sorted.
-    let mut biased = enumeration.requirements_biased();
+    // finds its input already sorted. The mapping reuses the sorted
+    // buffer.
     biased.sort_unstable();
-    let unbiased = enumeration.requirements_unbiased();
     let mut hist = Pow2Histogram::new(63);
     for &h in &biased {
         hist.add(h);
     }
-    let log2 = |v: &u64| (*v as f64).log2();
-    let cdf_biased = Ecdf::new(biased.iter().map(log2).collect());
-    let cdf_unbiased = Ecdf::new(unbiased.iter().map(log2).collect());
+    let log2 = |h: u64| (h as f64).log2();
+    let cdf_biased = Ecdf::new(biased.into_iter().map(log2).collect());
     let le1024 = unbiased.iter().filter(|&&h| h <= 1024).count() as f64 / unbiased.len() as f64;
+    let cdf_unbiased = Ecdf::new(unbiased.into_iter().map(log2).collect());
 
     // Table 4 samples are resolved regardless of cost in the paper's
     // method (they come from the top users, whose links are cheap).
-    let top10_codes = table4_sample(&enumeration, &token_counts, seed, config.per_user_sample);
+    let top10_codes = table4_sample(&sightings, &token_counts, seed, config.per_user_sample);
     let top10_report = resolve_accounted(service, &top10_codes, u64::MAX);
     let mut domain_counts: BTreeMap<String, u64> = BTreeMap::new();
     for (_code, url) in &top10_report.resolved {
@@ -188,7 +239,7 @@ fn finish_study(
     let tail_classified_fraction = classified as f64 / tail_report.resolved.len().max(1) as f64;
 
     StudyResult {
-        enumeration,
+        walk,
         links_per_token,
         top1_share: top1,
         users_for_85pct: users85,
@@ -206,30 +257,66 @@ fn finish_study(
     }
 }
 
+/// What the analysis counts in its one pass over the sightings.
+struct Tally {
+    /// `(token, links)` for every token, most links first and ties by
+    /// token id, as [`Enumeration::token_counts`] ranks them: Fig 3's
+    /// series and Table 4's top ten.
+    ///
+    /// [`Enumeration::token_counts`]: minedig_shortlink::enumerate::Enumeration::token_counts
+    token_counts: Vec<(u32, u64)>,
+    /// Every requirement, in walk order (Fig 4's biased dataset).
+    biased: Vec<u64>,
+    /// The requirement of the first sighting of each
+    /// `(token, requirement)` pair, in walk order (the unbiased dataset).
+    unbiased: Vec<u64>,
+}
+
+fn tally(sightings: &[Sighting]) -> Tally {
+    let mut per_token: IdMap<u32, u64> = IdMap::default();
+    let mut pairs = IdSet::default();
+    let mut biased = Vec::with_capacity(sightings.len());
+    let mut unbiased = Vec::new();
+    for s in sightings {
+        *per_token.entry(s.token).or_insert(0) += 1;
+        biased.push(s.required_hashes);
+        if pairs.insert((s.token, s.required_hashes)) {
+            unbiased.push(s.required_hashes);
+        }
+    }
+    let mut token_counts: Vec<(u32, u64)> = per_token.into_iter().collect();
+    token_counts.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    Tally {
+        token_counts,
+        biased,
+        unbiased,
+    }
+}
+
 /// Users Table 4 samples: the top ten by link count.
 const TABLE4_USERS: usize = 10;
 
 /// Table 4's sample: up to `per_user_sample` random links of each of
 /// the top-10 users, the first ten of `token_counts` (ranked as
-/// [`Enumeration::token_counts`] ranks them). One pass over the docs
-/// buckets each user's doc positions in doc order; each bucket is then
-/// shuffled in rank order. The shuffle permutes doc positions: its
-/// draws depend only on the length, so the sample is the one a shuffle
-/// of the codes themselves would give.
+/// [`Tally::token_counts`]). One pass over the sightings buckets each
+/// user's link indices in walk order; each bucket is then shuffled in
+/// rank order. The shuffle's draws depend only on the bucket's length,
+/// so the sample is the one a shuffle of the codes themselves would
+/// give.
 fn table4_sample(
-    enumeration: &Enumeration,
-    token_counts: &[(u64, u64)],
+    sightings: &[Sighting],
+    token_counts: &[(u32, u64)],
     seed: u64,
     per_user_sample: usize,
 ) -> Vec<String> {
     let top = &token_counts[..token_counts.len().min(TABLE4_USERS)];
-    let mut buckets: Vec<Vec<usize>> = top
+    let mut buckets: Vec<Vec<u32>> = top
         .iter()
         .map(|&(_, links)| Vec::with_capacity(links as usize))
         .collect();
-    for (i, doc) in enumeration.docs.iter().enumerate() {
-        if let Some(rank) = top.iter().position(|&(token, _)| token == doc.token_id) {
-            buckets[rank].push(i);
+    for s in sightings {
+        if let Some(rank) = top.iter().position(|&(token, _)| token == s.token) {
+            buckets[rank].push(s.index);
         }
     }
     let mut rng = DetRng::seed(seed).derive("shortlink.study.sample");
@@ -237,7 +324,7 @@ fn table4_sample(
     for mut picks in buckets {
         rng.shuffle(&mut picks);
         picks.truncate(per_user_sample);
-        codes.extend(picks.into_iter().map(|i| enumeration.docs[i].code.clone()));
+        codes.extend(picks.into_iter().map(|i| index_to_code(u64::from(i))));
     }
     codes
 }
@@ -247,9 +334,8 @@ mod tests {
     use super::*;
     use minedig_primitives::ckpt::SnapshotStore;
     use minedig_primitives::supervise::{run_to_end, CrashPolicy, Supervisor};
-    use minedig_shortlink::enumerate::enumerate_links_with;
-    use minedig_shortlink::ids::index_to_code;
-    use minedig_shortlink::service::VisitDoc;
+    use minedig_shortlink::enumerate::{enumerate_links_with, Enumeration};
+    use minedig_shortlink::ids::code_to_index;
     use proptest::prelude::*;
 
     fn config(total_links: u64, users: usize, per_user_sample: usize) -> StudyConfig {
@@ -276,12 +362,25 @@ mod tests {
         straight(&config(30_000, 2_500, 300))
     }
 
+    /// The sightings a walk keeps for `e`'s docs.
+    fn sightings_of(e: &Enumeration) -> Vec<Sighting> {
+        e.docs
+            .iter()
+            .map(|d| Sighting::of(code_to_index(&d.code).expect("a walk's code"), d))
+            .collect()
+    }
+
+    /// The sequential reference walk of `config`'s population.
+    fn reference_walk(config: &StudyConfig) -> (ShortlinkService, Enumeration) {
+        let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
+        let e = enumerate_links_with(&service, STUDY_DEAD_RUN_LIMIT, &ProbePolicy::default());
+        (service, e)
+    }
+
     /// The study the campaign must reproduce: the sequential walk, then
     /// the unbiased-below-budget tail resolved as one batch.
     fn batch_study(config: &StudyConfig, seed: u64) -> StudyResult {
-        let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
-        let enumeration =
-            enumerate_links_with(&service, STUDY_DEAD_RUN_LIMIT, &ProbePolicy::default());
+        let (service, enumeration) = reference_walk(config);
         let mut seen = std::collections::HashSet::new();
         let tail: Vec<String> = enumeration
             .docs
@@ -292,18 +391,24 @@ mod tests {
             })
             .map(|d| d.code.clone())
             .collect();
-        let resolve_report = resolve_accounted(&service, &tail, config.resolve_budget);
-        let walk = EnumCampaignOutput {
-            enumeration,
-            resolve_report,
+        let walk = WalkLedger {
+            sightings: sightings_of(&enumeration),
+            counts: WalkCounts {
+                probed: enumeration.probed,
+                failed_probes: enumeration.failed_probes,
+                probe_retries: enumeration.probe_retries,
+            },
+            resolve_report: resolve_accounted(&service, &tail, config.resolve_budget),
         };
         finish_study(&service, walk, config, seed)
     }
 
     fn assert_study_eq(a: &StudyResult, b: &StudyResult, ctx: &str) {
-        assert_eq!(a.enumeration.probed, b.enumeration.probed, "{ctx}");
-        assert_eq!(a.enumeration.docs, b.enumeration.docs, "{ctx}");
+        assert_eq!(a.walk, b.walk, "{ctx}");
         assert_eq!(a.links_per_token, b.links_per_token, "{ctx}");
+        assert_eq!(a.hist_biased.bins(), b.hist_biased.bins(), "{ctx}");
+        assert_eq!(a.unbiased_le_1024, b.unbiased_le_1024, "{ctx}");
+        assert_eq!(a.cdf_unbiased.len(), b.cdf_unbiased.len(), "{ctx}");
         assert_eq!(a.hashes_spent, b.hashes_spent, "{ctx}");
         assert_eq!(a.tail_hashes_spent, b.tail_hashes_spent, "{ctx}");
         assert_eq!(a.top10_domains, b.top10_domains, "{ctx}");
@@ -366,97 +471,130 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_study_walk_keeps_the_campaigns_ledger() {
+        // The wrapper hands over the sightings that `EnumCampaign`
+        // would rebuild into docs, with the same counters and tail.
+        let config = config(10_000, 800, 100);
+        let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
+        let policy = ProbePolicy::default();
+        let ledger = run_to_end(StudyWalk::new(&service, &policy, &config));
+        let out = run_to_end(StudyWalk::new(&service, &policy, &config).0);
+        let docs: Vec<_> = ledger.sightings.iter().map(Sighting::doc).collect();
+        assert_eq!(docs, out.enumeration.docs);
+        assert_eq!(ledger.counts.probed, out.enumeration.probed);
+        assert_eq!(ledger.resolve_report.resolved, out.resolve_report.resolved);
+        assert_eq!(
+            ledger.resolve_report.hashes_spent,
+            out.resolve_report.hashes_spent
+        );
+    }
+
+    #[test]
+    fn the_tally_matches_the_enumeration_statistics() {
+        // One pass over the sightings gives what `Enumeration`'s
+        // per-statistic methods give over the docs.
+        for (links, users) in [(10_000, 800), (2_000, 1_500), (0, 100)] {
+            let (_, e) = reference_walk(&config(links, users, 100));
+            let t = tally(&sightings_of(&e));
+            let counts: Vec<(u64, u64)> = t
+                .token_counts
+                .iter()
+                .map(|&(token, n)| (u64::from(token), n))
+                .collect();
+            assert_eq!(counts, e.token_counts(), "{links} links");
+            assert_eq!(t.biased, e.requirements_biased(), "{links} links");
+            assert_eq!(t.unbiased, e.requirements_unbiased(), "{links} links");
+        }
+    }
+
     /// Reference Table 4 sample: the top ten from a SipHash count map,
-    /// then one `filter` pass over the docs per user.
+    /// then one `filter` pass over the sightings per user, shuffling the
+    /// codes themselves.
     fn table4_sample_ten_pass(
-        enumeration: &Enumeration,
+        sightings: &[Sighting],
         seed: u64,
         per_user_sample: usize,
     ) -> Vec<String> {
         let mut counts = std::collections::HashMap::new();
-        for d in &enumeration.docs {
-            *counts.entry(d.token_id).or_insert(0u64) += 1;
+        for s in sightings {
+            *counts.entry(s.token).or_insert(0u64) += 1;
         }
-        let mut ranked: Vec<(u64, u64)> = counts.into_iter().collect();
+        let mut ranked: Vec<(u32, u64)> = counts.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut rng = DetRng::seed(seed).derive("shortlink.study.sample");
         let mut codes = Vec::new();
         for (token, _) in ranked.into_iter().take(10) {
-            let mut picks: Vec<usize> = (0..enumeration.docs.len())
-                .filter(|&i| enumeration.docs[i].token_id == token)
+            let mut picks: Vec<String> = sightings
+                .iter()
+                .filter(|s| s.token == token)
+                .map(Sighting::code)
                 .collect();
             rng.shuffle(&mut picks);
             picks.truncate(per_user_sample);
-            codes.extend(picks.into_iter().map(|i| enumeration.docs[i].code.clone()));
+            codes.extend(picks);
         }
         codes
     }
 
-    fn docs_of(tokens: &[u64]) -> Enumeration {
-        let docs = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, &token_id)| VisitDoc {
-                code: index_to_code(i as u64),
-                token_id,
+    /// Sightings of consecutive links carrying `tokens` in order.
+    fn sightings_with(tokens: &[u32]) -> Vec<Sighting> {
+        (0u32..)
+            .zip(tokens)
+            .map(|(index, &token)| Sighting {
+                index,
+                token,
                 required_hashes: 512,
             })
-            .collect();
-        Enumeration {
-            docs,
-            probed: tokens.len() as u64,
-            failed_probes: 0,
-            probe_retries: 0,
-        }
+            .collect()
     }
 
-    fn one_pass_sample(e: &Enumeration, seed: u64, per_user_sample: usize) -> Vec<String> {
-        table4_sample(e, &e.token_counts(), seed, per_user_sample)
+    fn one_pass_sample(s: &[Sighting], seed: u64, per_user_sample: usize) -> Vec<String> {
+        table4_sample(s, &tally(s).token_counts, seed, per_user_sample)
     }
 
     #[test]
     fn table4_sample_matches_the_ten_pass_filter() {
         // Twelve users of five links each: the top ten are a tie,
         // broken by token id, and 8 > 5 takes every link of each.
-        let ties: Vec<u64> = (0..60u64).map(|i| 500 - (i * 5 % 12) * 7).collect();
-        let few = [4u64, 1, 4, 4, 2, 1, 9];
+        let ties: Vec<u32> = (0..60u32).map(|i| 500 - (i * 5 % 12) * 7).collect();
+        let few = [4u32, 1, 4, 4, 2, 1, 9];
         for tokens in [&ties[..], &few[..], &[]] {
-            let e = docs_of(tokens);
+            let s = sightings_with(tokens);
             for per_user in [0, 1, 3, 8, 1_000] {
                 for seed in [0, 9, 2018] {
                     assert_eq!(
-                        one_pass_sample(&e, seed, per_user),
-                        table4_sample_ten_pass(&e, seed, per_user),
+                        one_pass_sample(&s, seed, per_user),
+                        table4_sample_ten_pass(&s, seed, per_user),
                         "per_user {per_user} seed {seed}"
                     );
                 }
             }
         }
         // A generated study's walk, with buckets of every size.
-        let config = config(10_000, 800, 100);
-        let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
-        let e = enumerate_links_with(&service, STUDY_DEAD_RUN_LIMIT, &ProbePolicy::default());
+        let (_, e) = reference_walk(&config(10_000, 800, 100));
+        let s = sightings_of(&e);
         for per_user in [100, 5_000] {
             assert_eq!(
-                one_pass_sample(&e, 9, per_user),
-                table4_sample_ten_pass(&e, 9, per_user)
+                one_pass_sample(&s, 9, per_user),
+                table4_sample_ten_pass(&s, 9, per_user)
             );
         }
     }
 
     proptest! {
         #[test]
-        fn table4_sample_matches_the_ten_pass_filter_on_generated_docs(
-            users in 1u64..16,
-            raw in prop::collection::vec(any::<u64>(), 0..300),
+        fn table4_sample_matches_the_ten_pass_filter_on_generated_sightings(
+            users in 1u32..16,
+            raw in prop::collection::vec(any::<u32>(), 0..300),
             per_user in 0usize..40,
             seed in any::<u64>(),
         ) {
-            let tokens: Vec<u64> = raw.iter().map(|r| r % users * 31).collect();
-            let e = docs_of(&tokens);
+            let tokens: Vec<u32> = raw.iter().map(|r| r % users * 31).collect();
+            let s = sightings_with(&tokens);
             prop_assert_eq!(
-                one_pass_sample(&e, seed, per_user),
-                table4_sample_ten_pass(&e, seed, per_user)
+                one_pass_sample(&s, seed, per_user),
+                table4_sample_ten_pass(&s, seed, per_user)
             );
         }
     }
@@ -532,11 +670,11 @@ mod tests {
         let config = config(30_000, 2_500, 300);
         let service = ShortlinkService::new(LinkPopulation::generate(&config.model));
         let policy = ProbePolicy::default();
-        let walk = run_to_end(study_campaign(&service, &policy, &config));
+        let walk = run_to_end(StudyWalk::new(&service, &policy, &config));
         let tail = walk.resolve_report.hashes_spent;
         let tail_resolved = walk.resolve_report.resolved.len() as u64;
-        let counts = walk.enumeration.token_counts();
-        let sample = table4_sample(&walk.enumeration, &counts, 9, config.per_user_sample);
+        let counts = tally(&walk.sightings).token_counts;
+        let sample = table4_sample(&walk.sightings, &counts, 9, config.per_user_sample);
         let r = finish_study(&service, walk, &config, 9);
         let table4 = resolve_accounted(&service, &sample, u64::MAX).hashes_spent;
         assert_eq!(r.tail_hashes_spent, tail);

@@ -39,6 +39,10 @@ impl Hasher for IdHasher {
         }
     }
 
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
     fn write_u64(&mut self, n: u64) {
         self.hash = self.hash.wrapping_add(n).wrapping_mul(K);
     }
@@ -98,6 +102,8 @@ mod tests {
         assert_ne!(hash_of((1u64, 2u64)), hash_of((2u64, 1u64)));
         assert_ne!(hash_of((0u64, 512u64)), hash_of((0u64, 1_024u64)));
         assert_eq!(hash_of((7u64, 512u64)), hash_of((7u64, 512u64)));
+        // A `u32` id hashes as its `u64` widening: one word.
+        assert_eq!(hash_of((7u32, 512u64)), hash_of((7u64, 512u64)));
     }
 
     #[test]

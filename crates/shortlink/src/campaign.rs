@@ -1,15 +1,23 @@
 //! The §4.1 enumeration (plus optional accounted resolution) as a
 //! killable, resumable [`Campaign`].
 //!
-//! One item = one probed ID. The first snapshot is the enumeration
-//! ledger so far (`docs`, counters), the current dead run, and — when
-//! resolution rides along — the accounted [`ResolveReport`]. Both
-//! ledgers only grow, so every later snapshot is a delta: the docs and
-//! resolved links appended since the snapshot before it, plus the
-//! counters. A checkpoint thus costs what the walk did since the last
-//! one, and the bytes a walk writes grow linearly with it. Because probe
-//! results and retry jitter are keyed by link code (never probing
-//! order), re-probing `[cursor, …)` after a restore
+//! One item = one probed ID. The walk keeps one [`Sighting`] per live
+//! link: the link's index, its creator's token and its requirement, the
+//! two fields the paper scraped from each link, in 16 bytes with no heap
+//! allocation of their own. The map step turns each probe's
+//! [`VisitDoc`] into a sighting on the worker that probed it, so each
+//! doc's code string is freed on the thread that allocated it.
+//!
+//! The first snapshot is the ledger so far (sightings, counters), the
+//! current dead run, and — when resolution rides along — the accounted
+//! [`ResolveReport`]. Both ledgers only grow, so every later snapshot is
+//! a delta: the sightings and resolved links appended since the
+//! snapshot before it, plus the counters. A sighting is written in a
+//! doc's layout (its code, token and requirement), so the journal holds
+//! the docs the walk found. A checkpoint thus costs what the walk did
+//! since the last one, and the bytes a walk writes grow linearly with
+//! it. Because probe results and retry jitter are keyed by link code
+//! (never probing order), re-probing `[cursor, …)` after a restore
 //! replays exactly the suffix the sequential walk would have produced,
 //! so kill-and-resume is bit-identical to an uninterrupted run on any
 //! backend — for every ledger the campaign owns. The service-side
@@ -19,7 +27,7 @@
 //! checkpointed.
 
 use crate::enumerate::Enumeration;
-use crate::ids::index_to_code;
+use crate::ids::{code_to_index, index_to_code};
 use crate::probe::{probe_with_retry, LinkProber, ProbeError, ProbePolicy};
 use crate::resolve::{resolve_step, ResolveReport};
 use crate::service::{ShortlinkService, VisitDoc};
@@ -31,49 +39,120 @@ use std::ops::ControlFlow;
 use std::sync::atomic::AtomicU64;
 
 // ---------------------------------------------------------------------
+// The walk's ledger.
+// ---------------------------------------------------------------------
+
+/// One live link as the walk keeps it: what the link's document told
+/// the walk, keyed by the link's index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Sighting {
+    /// The link's index; its code is [`index_to_code`] of it.
+    pub index: u32,
+    /// The creator's token.
+    pub token: u32,
+    /// Hashes required to release the redirect.
+    pub required_hashes: u64,
+}
+
+impl Sighting {
+    /// The sighting of `doc`, the document the probe of link `index`
+    /// returned.
+    ///
+    /// # Panics
+    ///
+    /// If `index` or the doc's token does not fit a `u32`: a walk that
+    /// finds a live link past `u32::MAX` probes, or a prober that hands
+    /// out tokens the link model cannot generate.
+    pub fn of(index: u64, doc: &VisitDoc) -> Sighting {
+        Sighting {
+            index: u32::try_from(index)
+                .unwrap_or_else(|_| panic!("link index {index} does not fit a sighting's u32")),
+            token: u32::try_from(doc.token_id)
+                .unwrap_or_else(|_| panic!("token {} does not fit a sighting's u32", doc.token_id)),
+            required_hashes: doc.required_hashes,
+        }
+    }
+
+    /// The link's short code.
+    pub fn code(&self) -> String {
+        index_to_code(u64::from(self.index))
+    }
+
+    /// The document the link's probe returned.
+    pub fn doc(&self) -> VisitDoc {
+        VisitDoc {
+            code: self.code(),
+            token_id: u64::from(self.token),
+            required_hashes: self.required_hashes,
+        }
+    }
+}
+
+/// The walk's probe counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalkCounts {
+    /// Number of codes probed (live + dead + failed up to the stop).
+    pub probed: u64,
+    /// Probes that exhausted their retry budget — transport casualties,
+    /// deliberately kept distinct from dead IDs.
+    pub failed_probes: u64,
+    /// Total retries spent recovering transient probe failures.
+    pub probe_retries: u64,
+}
+
+/// A finished walk as [`EnumCampaign`] keeps it, with no doc per live
+/// link.
+#[derive(Debug)]
+pub struct WalkLedger {
+    /// One sighting per live link, in index order.
+    pub sightings: Vec<Sighting>,
+    /// The walk's probe counters.
+    pub counts: WalkCounts,
+    /// The accounted resolution ledger, folded in ID order
+    /// (default-empty when no resolver rode along).
+    pub resolve_report: ResolveReport,
+}
+
+// ---------------------------------------------------------------------
 // Snapshot codec.
 // ---------------------------------------------------------------------
 
-fn put_doc(w: &mut SnapWriter, d: &VisitDoc) {
-    w.str(&d.code);
-    w.u64(d.token_id);
-    w.u64(d.required_hashes);
+/// Writes `s` in a [`VisitDoc`]'s layout: its code, token and
+/// requirement.
+fn put_sighting(w: &mut SnapWriter, s: &Sighting) {
+    w.str(&s.code());
+    w.u64(u64::from(s.token));
+    w.u64(s.required_hashes);
 }
 
-fn take_doc(r: &mut SnapReader) -> Result<VisitDoc, CkptError> {
-    Ok(VisitDoc {
-        code: r.str()?,
-        token_id: r.u64()?,
+fn take_sighting(r: &mut SnapReader) -> Result<Sighting, CkptError> {
+    let index = code_to_index(&r.str()?).ok_or(CkptError::Corrupt("short code does not decode"))?;
+    Ok(Sighting {
+        index: u32::try_from(index).map_err(|_| CkptError::Corrupt("link index beyond u32"))?,
+        token: u32::try_from(r.u64()?).map_err(|_| CkptError::Corrupt("token beyond u32"))?,
         required_hashes: r.u64()?,
     })
 }
 
-/// Encodes an [`Enumeration`] into `w`.
-pub fn put_enumeration(w: &mut SnapWriter, e: &Enumeration) {
-    put_walk(w, &e.docs, e);
+/// Encodes `sightings` — all of a walk's, or the ones a delta appends —
+/// then `counts`, in [`take_walk`]'s layout.
+fn put_walk(w: &mut SnapWriter, sightings: &[Sighting], counts: &WalkCounts) {
+    w.len(sightings.len());
+    for s in sightings {
+        put_sighting(w, s);
+    }
+    w.u64(counts.probed);
+    w.u64(counts.failed_probes);
+    w.u64(counts.probe_retries);
 }
 
-/// Encodes `docs` — all of `e`'s, or the ones a delta appends — then
-/// `e`'s counters, in [`take_enumeration`]'s layout.
-fn put_walk(w: &mut SnapWriter, docs: &[VisitDoc], e: &Enumeration) {
-    w.len(docs.len());
-    for d in docs {
-        put_doc(w, d);
+/// Decodes what [`put_walk`] wrote: appends the sightings to
+/// `sightings` and returns the counters.
+fn take_walk(r: &mut SnapReader, sightings: &mut Vec<Sighting>) -> Result<WalkCounts, CkptError> {
+    for _ in 0..r.len()? {
+        sightings.push(take_sighting(r)?);
     }
-    w.u64(e.probed);
-    w.u64(e.failed_probes);
-    w.u64(e.probe_retries);
-}
-
-/// Decodes an [`Enumeration`] from `r`.
-pub fn take_enumeration(r: &mut SnapReader) -> Result<Enumeration, CkptError> {
-    let n = r.len()?;
-    let mut docs = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        docs.push(take_doc(r)?);
-    }
-    Ok(Enumeration {
-        docs,
+    Ok(WalkCounts {
         probed: r.u64()?,
         failed_probes: r.u64()?,
         probe_retries: r.u64()?,
@@ -124,7 +203,7 @@ pub fn take_resolve_report(r: &mut SnapReader) -> Result<ResolveReport, CkptErro
 #[derive(Clone, Copy, Debug)]
 struct Journaled {
     key: u64,
-    docs: usize,
+    sightings: usize,
     resolved: usize,
 }
 
@@ -140,12 +219,14 @@ pub struct EnumCampaign<'a, P: LinkProber + Sync> {
     resolver: Option<(&'a ShortlinkService, u64)>,
     /// When set, only the *unbiased tail* is resolved: the first
     /// sighting of each `(token, requirement)` pair, and only when
-    /// affordable — the §4.1 study's resolve set. The sighting state is
-    /// not snapshotted; it is rebuilt from `enumeration.docs` on
-    /// restore, since every live doc entered it exactly once.
+    /// affordable — the §4.1 study's resolve set. The pairs seen are
+    /// not snapshotted; they are rebuilt from `sightings` on restore,
+    /// since every live link entered them exactly once.
     tail_only: bool,
-    seen: IdSet<(u64, u64)>,
-    enumeration: Enumeration,
+    seen: IdSet<(u32, u64)>,
+    /// One sighting per live link so far, in index order.
+    sightings: Vec<Sighting>,
+    counts: WalkCounts,
     resolve_report: ResolveReport,
     dead_run: u64,
     /// What the journal holds once a snapshot was taken or restored:
@@ -155,9 +236,11 @@ pub struct EnumCampaign<'a, P: LinkProber + Sync> {
     journaled: Cell<Option<Journaled>>,
 }
 
-/// What a finished [`EnumCampaign`] yields: the enumeration plus the
-/// accounted resolution ledger (default-empty when no resolver rode
-/// along).
+/// What a finished [`EnumCampaign`] yields as its [`Campaign::Output`]:
+/// the enumeration, with a [`VisitDoc`] rebuilt for every sighting, plus
+/// the accounted resolution ledger (default-empty when no resolver rode
+/// along). A caller that needs no docs takes
+/// [`EnumCampaign::into_ledger`] instead.
 #[derive(Clone, Debug)]
 pub struct EnumCampaignOutput {
     /// The walk's ledger, identical to `enumerate_links_with`.
@@ -182,19 +265,15 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
             resolver: None,
             tail_only: false,
             seen: IdSet::default(),
-            enumeration: Enumeration {
-                docs: Vec::new(),
-                probed: 0,
-                failed_probes: 0,
-                probe_retries: 0,
-            },
+            sightings: Vec::new(),
+            counts: WalkCounts::default(),
             resolve_report: ResolveReport::default(),
             dead_run: 0,
             journaled: Cell::new(None),
         }
     }
 
-    /// Rides accounted resolution on the walk: every live doc is
+    /// Rides accounted resolution on the walk: every live link is
     /// resolved (budget permitting) against `service` as the fold
     /// reaches it, so a checkpoint carries the resolution ledger too.
     pub fn with_resolver(
@@ -222,41 +301,51 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
         self
     }
 
+    /// The walk's ledger as it keeps it: one sighting per live link, no
+    /// doc.
+    pub fn into_ledger(self) -> WalkLedger {
+        WalkLedger {
+            sightings: self.sightings,
+            counts: self.counts,
+            resolve_report: self.resolve_report,
+        }
+    }
+
     /// Folds the next probe of the walk, in index order: the sequential
     /// dead-run fold. Breaks once the dead run reaches the limit, so
     /// probes mapped past the stop are discarded.
     fn fold_probe(
         &mut self,
-        result: Result<Option<VisitDoc>, ProbeError>,
+        result: Result<Option<Sighting>, ProbeError>,
         retries: u32,
     ) -> ControlFlow<()> {
-        let e = &mut self.enumeration;
-        e.probed += 1;
-        e.probe_retries += u64::from(retries);
+        let counts = &mut self.counts;
+        counts.probed += 1;
+        counts.probe_retries += u64::from(retries);
         match result {
-            Ok(Some(doc)) => {
+            Ok(Some(sighting)) => {
                 self.dead_run = 0;
                 if let Some((service, budget_per_link)) = self.resolver {
                     // In tail mode, only the first sighting of a
                     // (token, requirement) pair under budget joins the
                     // resolve set — the §4.1 unbiased filter.
                     let wanted = !self.tail_only
-                        || (self.seen.insert((doc.token_id, doc.required_hashes))
-                            && doc.required_hashes < budget_per_link);
+                        || (self.seen.insert((sighting.token, sighting.required_hashes))
+                            && sighting.required_hashes < budget_per_link);
                     if wanted {
                         resolve_step(
                             service,
                             &mut self.resolve_report,
-                            &doc.code,
+                            &sighting.code(),
                             budget_per_link,
                         );
                     }
                 }
-                e.docs.push(doc);
+                self.sightings.push(sighting);
             }
             Ok(None) => self.dead_run += 1,
             // Neutral: not evidence of a dead ID, not a live link.
-            Err(_) => e.failed_probes += 1,
+            Err(_) => counts.failed_probes += 1,
         }
         if self.is_done() {
             ControlFlow::Break(())
@@ -268,23 +357,23 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
 
 impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
     fn progress_key(&self) -> u64 {
-        self.enumeration.probed
+        self.counts.probed
     }
 
     /// The full state the first time; after that, a delta carrying the
-    /// docs and resolved links appended since the last snapshot and the
-    /// counters (the resolver flags are fixed by the base).
+    /// sightings and resolved links appended since the last snapshot
+    /// and the counters (the resolver flags are fixed by the base).
     fn snapshot(&self) -> Snapshot {
-        let (e, rep) = (&self.enumeration, &self.resolve_report);
+        let rep = &self.resolve_report;
         let now = Journaled {
-            key: e.probed,
-            docs: e.docs.len(),
+            key: self.counts.probed,
+            sightings: self.sightings.len(),
             resolved: rep.resolved.len(),
         };
         let mut w = SnapWriter::new();
         let snap = match self.journaled.get() {
             None => {
-                put_enumeration(&mut w, e);
+                put_walk(&mut w, &self.sightings, &self.counts);
                 w.u64(self.dead_run);
                 w.bool(self.resolver.is_some());
                 if self.resolver.is_some() {
@@ -294,7 +383,7 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
                 Snapshot::new(now.key, w.finish())
             }
             Some(base) => {
-                put_walk(&mut w, &e.docs[base.docs..], e);
+                put_walk(&mut w, &self.sightings[base.sightings..], &self.counts);
                 w.u64(self.dead_run);
                 if self.resolver.is_some() {
                     put_resolved(&mut w, &rep.resolved[base.resolved..], rep);
@@ -315,7 +404,8 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
             });
         }
         let mut r = SnapReader::new(&snapshot.payload);
-        let mut enumeration = take_enumeration(&mut r)?;
+        let mut sightings = Vec::new();
+        let mut counts = take_walk(&mut r, &mut sightings)?;
         let mut dead_run = r.u64()?;
         let had_resolver = r.bool()?;
         if had_resolver != self.resolver.is_some() {
@@ -343,11 +433,7 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
                 None => return Err(CkptError::Corrupt("full snapshot among deltas")),
             }
             let mut r = SnapReader::new(&delta.payload);
-            let step = take_enumeration(&mut r)?;
-            enumeration.docs.extend(step.docs);
-            enumeration.probed = step.probed;
-            enumeration.failed_probes = step.failed_probes;
-            enumeration.probe_retries = step.probe_retries;
+            counts = take_walk(&mut r, &mut sightings)?;
             dead_run = r.u64()?;
             if had_resolver {
                 let step = take_resolve_report(&mut r)?;
@@ -362,23 +448,23 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
         if dead_run > self.dead_run_limit {
             return Err(CkptError::Corrupt("dead run beyond limit"));
         }
-        // Rebuild the tail filter's sighting state: every live doc the
+        // Rebuild the tail filter's pairs: every live link the
         // checkpointed walk saw inserted its pair exactly once.
         self.seen = if self.tail_only {
-            enumeration
-                .docs
+            sightings
                 .iter()
-                .map(|d| (d.token_id, d.required_hashes))
+                .map(|s| (s.token, s.required_hashes))
                 .collect()
         } else {
             IdSet::default()
         };
         self.journaled.set(Some(Journaled {
             key,
-            docs: enumeration.docs.len(),
+            sightings: sightings.len(),
             resolved: resolve_report.resolved.len(),
         }));
-        self.enumeration = enumeration;
+        self.sightings = sightings;
+        self.counts = counts;
         self.dead_run = dead_run;
         self.resolve_report = resolve_report;
         Ok(())
@@ -396,21 +482,39 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
         if self.is_done() {
             return;
         }
-        let base = self.enumeration.probed;
+        let base = self.counts.probed;
         let (prober, policy) = (self.prober, self.policy);
         let backend = self.backend;
         backend.map_fold(
             base..base.saturating_add(budget),
-            |i| probe_with_retry(prober, &index_to_code(i), policy),
+            |i| {
+                let (result, retries) = probe_with_retry(prober, &index_to_code(i), policy);
+                // Converted on the worker that probed, which frees the
+                // doc's code there.
+                let sighting = result.map(|doc| doc.map(|d| Sighting::of(i, &d)));
+                (sighting, retries)
+            },
             (),
             |_, (result, retries)| self.fold_probe(result, retries),
         );
     }
 
+    /// Rebuilds a [`VisitDoc`] for every sighting: callers that read
+    /// [`Enumeration::docs`] need them.
     fn finish(self) -> EnumCampaignOutput {
+        let WalkLedger {
+            sightings,
+            counts,
+            resolve_report,
+        } = self.into_ledger();
         EnumCampaignOutput {
-            enumeration: self.enumeration,
-            resolve_report: self.resolve_report,
+            enumeration: Enumeration {
+                docs: sightings.iter().map(Sighting::doc).collect(),
+                probed: counts.probed,
+                failed_probes: counts.failed_probes,
+                probe_retries: counts.probe_retries,
+            },
+            resolve_report,
         }
     }
 }
@@ -647,6 +751,57 @@ mod tests {
             }
             assert_enum_eq(&resumed.finish().enumeration, &expected);
         }
+    }
+
+    #[test]
+    fn the_ledger_is_the_enumeration_as_sightings() {
+        // `into_ledger` hands over what `finish` rebuilds docs from: one
+        // 16-byte sighting per live link, in index order, on every
+        // backend.
+        assert_eq!(std::mem::size_of::<Sighting>(), 16);
+        let service = service();
+        let policy = ProbePolicy::default();
+        let expected = enumerate_links_with(&service, 32, &policy);
+        for backend in [Backend::Sequential, Backend::Sharded(3)] {
+            let mut walk = EnumCampaign::new(&service, &policy, 32, backend);
+            while !walk.is_done() {
+                walk.run_items(100, &AtomicU64::new(0));
+            }
+            let ledger = walk.into_ledger();
+            let docs: Vec<VisitDoc> = ledger.sightings.iter().map(Sighting::doc).collect();
+            assert_eq!(docs, expected.docs, "backend={backend}");
+            assert_eq!(
+                ledger.counts,
+                WalkCounts {
+                    probed: expected.probed,
+                    failed_probes: expected.failed_probes,
+                    probe_retries: expected.probe_retries,
+                },
+                "backend={backend}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "link index 4294967296 does not fit a sighting's u32")]
+    fn a_live_link_past_u32_probes_panics() {
+        let doc = VisitDoc {
+            code: index_to_code(1 << 32),
+            token_id: 1,
+            required_hashes: 512,
+        };
+        Sighting::of(1 << 32, &doc);
+    }
+
+    #[test]
+    #[should_panic(expected = "token 4294967296 does not fit a sighting's u32")]
+    fn a_token_beyond_u32_panics() {
+        let doc = VisitDoc {
+            code: "a".to_string(),
+            token_id: 1 << 32,
+            required_hashes: 512,
+        };
+        Sighting::of(0, &doc);
     }
 
     #[test]

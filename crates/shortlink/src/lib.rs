@@ -20,6 +20,8 @@
 //!   and hash-count-gated redirect release,
 //! * [`enumerate`] — the researcher's ID-space walk producing the Fig 3 /
 //!   Fig 4 datasets (biased and user-bias-removed),
+//! * [`campaign`] — the same walk as a resumable campaign on any
+//!   backend, keeping a 16-byte [`Sighting`] per live link,
 //! * [`probe`] — the transport abstraction under the walk: probes can
 //!   fail (distinctly from finding a dead ID), faults are injected on a
 //!   seeded schedule, and retries follow the shared
@@ -36,7 +38,7 @@ pub mod probe;
 pub mod resolve;
 pub mod service;
 
-pub use campaign::{EnumCampaign, EnumCampaignOutput};
+pub use campaign::{EnumCampaign, EnumCampaignOutput, Sighting, WalkCounts, WalkLedger};
 pub use ids::{code_to_index, index_to_code};
 pub use model::{LinkPopulation, LinkRecord, ModelConfig};
 pub use probe::{FaultyProber, LinkProber, ProbeError, ProbePolicy};

@@ -34,7 +34,7 @@ pub struct LinkRecord {
     /// Creation index (determines the code).
     pub index: u64,
     /// Creator token id (users ≡ tokens, as in the paper).
-    pub token_id: u64,
+    pub token_id: u32,
     /// Hashes the visitor must get credited before the redirect fires.
     pub required_hashes: u64,
     /// Destination domain (for Table 4). Links to one domain may share
@@ -185,7 +185,13 @@ pub struct LinkPopulation {
 
 impl LinkPopulation {
     /// Generates a population under the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `config.users` does not fit the `u32` token ids.
     pub fn generate(config: &ModelConfig) -> LinkPopulation {
+        let users = u32::try_from(config.users)
+            .unwrap_or_else(|_| panic!("{} users do not fit u32 token ids", config.users));
         let mut rng = DetRng::seed(config.seed).derive("shortlink.model");
         let total = config.total_links;
 
@@ -213,9 +219,9 @@ impl LinkPopulation {
         // Emit links in an interleaved creation order (users created
         // links over time, not in rank blocks).
         let mut owners: Vec<u32> = Vec::with_capacity(total as usize);
-        for (user, &c) in counts.iter().enumerate() {
+        for (user, &c) in (0..users).zip(&counts) {
             for _ in 0..c {
-                owners.push(user as u32);
+                owners.push(user);
             }
         }
         rng.shuffle(&mut owners);
@@ -262,7 +268,7 @@ impl LinkPopulation {
             };
             links.push(LinkRecord {
                 index: index as u64,
-                token_id: user as u64,
+                token_id: owner,
                 required_hashes,
                 target_domain,
                 path_hash: rng.next_u64(),
@@ -372,7 +378,7 @@ mod tests {
         // hundreds, matching the paper ("over hundreds of short links").
         assert!(huge > 15, "10^19 links: {huge}");
         // And from more than one user.
-        let users: std::collections::HashSet<u64> = pop
+        let users: std::collections::HashSet<u32> = pop
             .links
             .iter()
             .filter(|l| l.required_hashes == MAX_HASHES)
@@ -403,6 +409,22 @@ mod tests {
             .flat_map(|l| l.target_categories)
             .collect();
         assert!(tail_cats.len() >= 12, "tail categories {}", tail_cats.len());
+    }
+
+    #[test]
+    fn a_record_is_48_bytes() {
+        // The u32 token shares a word with the inline categories.
+        assert_eq!(std::mem::size_of::<LinkRecord>(), 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967296 users do not fit u32 token ids")]
+    fn users_beyond_u32_are_refused() {
+        LinkPopulation::generate(&ModelConfig {
+            total_links: 0,
+            users: 1 << 32,
+            seed: 1,
+        });
     }
 
     #[test]

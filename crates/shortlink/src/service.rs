@@ -95,7 +95,7 @@ impl ShortlinkService {
             // `code` decoded to this link's index, so it is the link's
             // own code: no need to encode the index again.
             code: code.to_owned(),
-            token_id: link.token_id,
+            token_id: u64::from(link.token_id),
             required_hashes: link.required_hashes,
         })
     }
@@ -113,7 +113,7 @@ impl ShortlinkService {
         // Saturating: a creator with several ~1e19-hash links redeemed
         // under an unlimited budget would wrap a plain sum.
         let mut ledger = self.creator_hashes.lock();
-        let credited = ledger.entry(link.token_id).or_insert(0);
+        let credited = ledger.entry(u64::from(link.token_id)).or_insert(0);
         *credited = credited.saturating_add(link.required_hashes);
         Ok(link.target_url())
     }
@@ -163,7 +163,7 @@ mod tests {
         let doc = s.visit("a").unwrap();
         assert_eq!(doc.code, "a");
         let link = s.link(0).unwrap();
-        assert_eq!(doc.token_id, link.token_id);
+        assert_eq!(doc.token_id, u64::from(link.token_id));
         assert_eq!(doc.required_hashes, link.required_hashes);
     }
 
@@ -211,13 +211,13 @@ mod tests {
 
     /// A hand-built record; its token and URL path both name `tag`, so
     /// duplicates of one index stay distinguishable.
-    fn record(index: u64, tag: u64, required_hashes: u64) -> LinkRecord {
+    fn record(index: u64, tag: u32, required_hashes: u64) -> LinkRecord {
         LinkRecord {
             index,
             token_id: tag,
             required_hashes,
             target_domain: "dest.example".into(),
-            path_hash: tag,
+            path_hash: u64::from(tag),
             target_categories: Default::default(),
         }
     }
@@ -229,11 +229,11 @@ mod tests {
     #[test]
     fn gapped_tables_answer_by_index_not_position() {
         let live = [0u64, 5, 9];
-        let s = hand_built(live.iter().map(|&i| record(i, i, 512)).collect());
+        let s = hand_built(live.iter().map(|&i| record(i, i as u32, 512)).collect());
         for i in 0..=9 + 64 {
             let code = index_to_code(i);
             let want = live.contains(&i).then_some(i);
-            assert_eq!(s.link(i).map(|l| l.token_id), want, "link({i})");
+            assert_eq!(s.link(i).map(|l| u64::from(l.token_id)), want, "link({i})");
             assert_eq!(s.visit(&code).map(|d| d.token_id), want, "visit({code})");
             let url = want.map(|i| format!("https://dest.example/{i:08x}"));
             assert_eq!(s.redeem(&code, 512).ok(), url, "redeem({code})");
@@ -250,7 +250,7 @@ mod tests {
             let links: Vec<LinkRecord> = entries
                 .iter()
                 .enumerate()
-                .map(|(tag, &(index, hashes))| record(index, tag as u64, hashes))
+                .map(|(tag, &(index, hashes))| record(index, tag as u32, hashes))
                 .collect();
             let s = hand_built(links.clone());
             let last = links.iter().map(|l| l.index).max().unwrap_or(0);
@@ -262,7 +262,7 @@ mod tests {
                     s.visit(&code),
                     want.map(|l| VisitDoc {
                         code: l.code(),
-                        token_id: l.token_id,
+                        token_id: u64::from(l.token_id),
                         required_hashes: l.required_hashes,
                     }),
                     "visit({:?})", code

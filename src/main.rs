@@ -430,14 +430,14 @@ fn cmd_shortlink(links: u64, seed: u64, backend: Backend, ckpt: Option<Ckpt>) {
         "shortlink enum",
         &backend,
         "probes",
-        |s: &StudyResult| s.enumeration.probed,
+        |s: &StudyResult| s.walk.probed,
         || run_study(&config, seed, ckpt.as_ref()),
     );
     print!(
         "{}",
         degradation_summary(&[CampaignHealth::from_enumeration(
             "shortlink enum",
-            &study.enumeration,
+            &study.walk,
         )])
     );
     println!(

@@ -82,7 +82,7 @@ fn gap_service(live: &[u64]) -> ShortlinkService {
         .iter()
         .map(|&i| LinkRecord {
             index: i,
-            token_id: i % 7,
+            token_id: (i % 7) as u32,
             required_hashes: 512,
             target_domain: "dest.example".into(),
             path_hash: i,

@@ -7,7 +7,9 @@
 //! and insertions applied to a §4.1 walk's journal must give, through
 //! `SnapshotStore::load` and `restore`, a typed error or exactly the
 //! state of the last confirmed checkpoint — never a panic, and never
-//! older progress.
+//! older progress. A well-formed journal whose doc the walk cannot hold
+//! (a code that does not decode, or an index or token beyond `u32`)
+//! gives a typed error too.
 //!
 //! Journal checksums reject file-level damage before any `restore` runs,
 //! so the §3 and §4.2 decoders are fuzzed directly: each mutant of a
@@ -22,7 +24,7 @@ use minedig::analysis::scenario::{ScenarioCampaign, ScenarioConfig};
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{build_reference_db, FetchModel};
 use minedig::pool::Pool;
-use minedig::primitives::ckpt::{Checkpointable, Snapshot, SnapshotStore};
+use minedig::primitives::ckpt::{Checkpointable, CkptError, SnapWriter, Snapshot, SnapshotStore};
 use minedig::primitives::fault::{FaultConfig, FaultPlan};
 use minedig::primitives::health::HealthConfig;
 use minedig::primitives::retry::RetryPolicy;
@@ -205,6 +207,49 @@ fn damaged_journals_give_a_typed_error_or_the_last_confirmed_state() {
             cut < confirmed_len,
             &format!("cut at {cut}"),
         );
+    }
+
+    // Well-formed journals whose one doc the walk cannot hold as a
+    // sighting: a code that does not decode, a 12-character code whose
+    // index is beyond `u32`, and a token beyond `u32`. Each is a typed
+    // error; the control doc restores.
+    for (code, token, holds) in [
+        ("b", 1, true),
+        ("a!", 1, false),
+        ("aaaaaaaaaaaa", 1, false),
+        ("b", 1u64 << 32, false),
+    ] {
+        let what = format!("doc {code:?} of token {token}");
+        let mut w = SnapWriter::new();
+        w.len(1);
+        w.str(code);
+        w.u64(token);
+        w.u64(512);
+        // Probed, failed and retried probes, then the dead run.
+        for counter in [2, 0, 0, 0] {
+            w.u64(counter);
+        }
+        // The tail resolver rides along, with nothing resolved yet.
+        w.bool(true);
+        w.bool(true);
+        w.len(0);
+        for counter in [0, 0, 0] {
+            w.u64(counter);
+        }
+        store
+            .save("forged", &Snapshot::new(2, w.finish()))
+            .expect("save a forged journal");
+        let snap = store
+            .load("forged")
+            .expect("a well-formed journal")
+            .expect("the journal exists");
+        match walk().restore(&snap) {
+            Ok(()) => assert!(holds, "{what}: restored"),
+            Err(e) => {
+                assert!(!holds, "{what}: refused ({e})");
+                assert!(matches!(e, CkptError::Corrupt(_)), "{what}: {e}");
+            }
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

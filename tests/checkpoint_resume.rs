@@ -18,13 +18,14 @@ use minedig::analysis::scenario::{run_scenario, ScenarioConfig};
 use minedig::chain::netsim::MinedEvent;
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{build_reference_db, chrome_scan_with, zgrab_scan_with, FetchModel};
+use minedig::core::shortlink_study::{run_study, StudyConfig};
 use minedig::primitives::ckpt::{CkptError, SnapshotStore};
 use minedig::primitives::fault::{FaultConfig, FaultPlan};
 use minedig::primitives::retry::RetryPolicy;
 use minedig::primitives::supervise::{
     Backend, Campaign, Ckpt, CrashPolicy, SuperviseError, Supervisor,
 };
-use minedig::primitives::Hash32;
+use minedig::primitives::{sha256, to_hex, Hash32};
 use minedig::shortlink::campaign::EnumCampaign;
 use minedig::shortlink::enumerate::enumerate_links_with;
 use minedig::shortlink::model::{LinkPopulation, ModelConfig};
@@ -74,6 +75,14 @@ fn tmp_store(tag: &str) -> (std::path::PathBuf, SnapshotStore) {
     let store = SnapshotStore::open(&dir).expect("open snapshot store");
     (dir, store)
 }
+
+/// Length of the journal that
+/// [`a_checkpointed_study_writes_the_golden_journal`] pins.
+const GOLDEN_JOURNAL_LEN: usize = 58_328;
+
+/// SHA-256 of that journal.
+const GOLDEN_JOURNAL_SHA256: &str =
+    "8640caedd146174535cf37a8be45ab50a91b1ed6a5c2ed372bf8b43484c55247";
 
 fn supervisor_with_kills(every: u64, kills: Vec<u64>) -> Supervisor {
     Supervisor::new(CrashPolicy {
@@ -198,6 +207,47 @@ proptest! {
         prop_assert_eq!(e.failed_probes, expected.failed_probes);
         prop_assert_eq!(e.probe_retries, expected.probe_retries);
         prop_assert!(run.report.balanced(), "{:?}", run.report);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The journal of a checkpointed §4.1 study, byte for byte: 5,000 links
+/// checkpointed every 64 items, as `MINEDIG_CKPT_DIR=… minedig shortlink
+/// 5000 2018` writes it, on every backend. A change to the journal's
+/// layout, or to what the walk finds or resolves, fails here.
+#[test]
+fn a_checkpointed_study_writes_the_golden_journal() {
+    let config = StudyConfig {
+        model: ModelConfig {
+            total_links: 5_000,
+            users: 1_250,
+            seed: 2018,
+        },
+        ..StudyConfig::default()
+    };
+    for backend in BACKENDS {
+        let (dir, store) = tmp_store(&format!("golden-{backend}"));
+        let ckpt = Ckpt {
+            store,
+            supervisor: supervisor_with_kills(64, vec![]),
+            resume: false,
+        };
+        let config = StudyConfig {
+            backend,
+            ..config.clone()
+        };
+        run_study(&config, 2018, Some(&ckpt)).expect("a checkpointed study");
+        let path = ckpt
+            .store
+            .path("shortlink-5000-2018")
+            .expect("a saved journal");
+        let journal = std::fs::read(&path).expect("read the journal");
+        assert_eq!(journal.len(), GOLDEN_JOURNAL_LEN, "{backend}");
+        assert_eq!(
+            to_hex(&sha256(&journal)),
+            GOLDEN_JOURNAL_SHA256,
+            "{backend}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
