@@ -18,7 +18,6 @@
 //! (final HTML, Wasm dumps, WebSocket log) is exactly what the paper's
 //! measurement pipeline consumes.
 
-pub mod clock;
 pub mod devtools;
 pub mod loader;
 pub mod page;

@@ -1,24 +1,18 @@
 //! In-memory validated chain store.
+//!
+//! `append` validates structure only (prev link, Coinbase shape,
+//! reward): block discovery is sampled by the statistical network
+//! simulator instead of ground out hash by hash, so no block a program
+//! appends carries real PoW. A block's own PoW is checked with
+//! [`Block::pow_valid`].
 
 use crate::block::Block;
 use crate::difficulty::DifficultyTracker;
 use crate::emission::base_reward;
 use crate::tx::TxKind;
-use minedig_pow::{Difficulty, Variant};
+use minedig_pow::Difficulty;
 use minedig_primitives::Hash32;
 use std::collections::HashMap;
-
-/// How much validation `append` performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AppendMode {
-    /// Structural validation only (prev link, Coinbase shape, reward).
-    /// Used by the statistical network simulator, where block discovery is
-    /// sampled instead of ground out hash by hash.
-    Statistical,
-    /// Structural validation plus a real PoW check under the given
-    /// variant. Used by the end-to-end integration tests and examples.
-    Verified(Variant),
-}
 
 /// Chain validation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,11 +40,6 @@ pub enum ChainError {
         /// Emission-schedule reward.
         expected: u64,
     },
-    /// The PoW hash does not satisfy the current difficulty.
-    BadPow {
-        /// Difficulty the block had to meet.
-        difficulty: Difficulty,
-    },
 }
 
 impl std::fmt::Display for ChainError {
@@ -66,9 +55,6 @@ impl std::fmt::Display for ChainError {
             ChainError::BadReward { got, expected } => {
                 write!(f, "coinbase reward {got} (expected {expected})")
             }
-            ChainError::BadPow { difficulty } => {
-                write!(f, "PoW does not meet difficulty {difficulty}")
-            }
         }
     }
 }
@@ -81,20 +67,18 @@ pub struct Chain {
     ids: HashMap<Hash32, u64>,
     tracker: DifficultyTracker,
     supply: u64,
-    mode: AppendMode,
 }
 
 impl Chain {
     /// Creates an empty chain starting from the given already-generated
     /// supply (atomic units). Use [`crate::emission::supply_mid_2018`] to
     /// anchor a simulation in the paper's observation window.
-    pub fn new(initial_supply: u64, mode: AppendMode) -> Chain {
+    pub fn new(initial_supply: u64) -> Chain {
         Chain {
             blocks: Vec::new(),
             ids: HashMap::new(),
             tracker: DifficultyTracker::new(),
             supply: initial_supply,
-            mode,
         }
     }
 
@@ -186,11 +170,6 @@ impl Chain {
             });
         }
         let difficulty = self.next_difficulty();
-        if let AppendMode::Verified(variant) = self.mode {
-            if !block.pow_valid(variant, difficulty) {
-                return Err(ChainError::BadPow { difficulty });
-            }
-        }
         self.tracker.push(block.header.timestamp, difficulty);
         self.supply += got_reward;
         self.ids.insert(block.id(), height);
@@ -226,7 +205,7 @@ mod tests {
 
     #[test]
     fn append_chain_of_blocks() {
-        let mut chain = Chain::new(0, AppendMode::Statistical);
+        let mut chain = Chain::new(0);
         for i in 0..10 {
             let b = make_block(&chain, 1000 + i * 120, "solo");
             chain.append(b).unwrap();
@@ -237,7 +216,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_prev() {
-        let mut chain = Chain::new(0, AppendMode::Statistical);
+        let mut chain = Chain::new(0);
         chain.append(make_block(&chain, 1000, "solo")).unwrap();
         let mut bad = make_block(&chain, 1120, "solo");
         bad.header.prev_id = Hash32::keccak(b"fork");
@@ -249,7 +228,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_reward() {
-        let mut chain = Chain::new(0, AppendMode::Statistical);
+        let mut chain = Chain::new(0);
         let mut bad = make_block(&chain, 1000, "solo");
         bad.miner_tx = Transaction::coinbase(
             0,
@@ -265,7 +244,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_coinbase_height() {
-        let mut chain = Chain::new(0, AppendMode::Statistical);
+        let mut chain = Chain::new(0);
         let mut bad = make_block(&chain, 1000, "solo");
         bad.miner_tx =
             Transaction::coinbase(5, chain.next_reward(), MinerTag::from_label("x"), vec![]);
@@ -277,7 +256,7 @@ mod tests {
 
     #[test]
     fn rejects_transfer_as_miner_tx() {
-        let mut chain = Chain::new(0, AppendMode::Statistical);
+        let mut chain = Chain::new(0);
         let mut bad = make_block(&chain, 1000, "solo");
         bad.miner_tx = Transaction::transfer(Hash32::ZERO);
         assert!(matches!(chain.append(bad), Err(ChainError::BadCoinbase)));
@@ -285,7 +264,7 @@ mod tests {
 
     #[test]
     fn rejects_second_coinbase_in_tx_list() {
-        let mut chain = Chain::new(0, AppendMode::Statistical);
+        let mut chain = Chain::new(0);
         let mut bad = make_block(&chain, 1000, "solo");
         bad.txs.push(Transaction::coinbase(
             0,
@@ -297,27 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn verified_mode_enforces_pow() {
-        let mut chain = Chain::new(0, AppendMode::Verified(Variant::Test));
-        chain.seed_difficulty(1000, 1 << 20, 720); // hard enough to fail nonce 0 almost surely
-        let b = make_block(&chain, 1000, "solo");
-        assert!(matches!(chain.append(b), Err(ChainError::BadPow { .. })));
-    }
-
-    #[test]
-    fn verified_mode_accepts_mined_block() {
-        let mut chain = Chain::new(0, AppendMode::Verified(Variant::Test));
-        chain.seed_difficulty(1000, 8, 720);
-        let mut b = make_block(&chain, 1000, "solo");
-        let difficulty = chain.next_difficulty();
-        b.mine(Variant::Test, difficulty, 10_000).expect("mineable");
-        chain.append(b).unwrap();
-        assert_eq!(chain.height(), 1);
-    }
-
-    #[test]
     fn supply_grows_by_rewards() {
-        let mut chain = Chain::new(crate::emission::supply_mid_2018(), AppendMode::Statistical);
+        let mut chain = Chain::new(crate::emission::supply_mid_2018());
         let before = chain.supply();
         let reward = chain.next_reward();
         chain.append(make_block(&chain, 1000, "solo")).unwrap();
@@ -326,7 +286,7 @@ mod tests {
 
     #[test]
     fn seeded_difficulty_is_respected() {
-        let mut chain = Chain::new(0, AppendMode::Statistical);
+        let mut chain = Chain::new(0);
         chain.seed_difficulty(1_524_700_800, 55_400_000_000, 720);
         let d = chain.next_difficulty();
         let ratio = d as f64 / 55_400_000_000.0;

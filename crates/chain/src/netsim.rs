@@ -12,7 +12,7 @@
 //! paper's Merkle-root matching methodology requires.
 
 use crate::block::{Block, BlockHeader};
-use crate::chain::{AppendMode, Chain};
+use crate::chain::Chain;
 use crate::tx::{MinerTag, Transaction};
 use minedig_pow::Difficulty;
 use minedig_primitives::{DetRng, Hash32};
@@ -177,7 +177,7 @@ impl NetSim {
     /// Builds a simulator over the given actors.
     pub fn new(config: NetSimConfig, actors: Vec<Actor>) -> NetSim {
         assert!(!actors.is_empty(), "netsim needs at least one actor");
-        let mut chain = Chain::new(config.initial_supply, AppendMode::Statistical);
+        let mut chain = Chain::new(config.initial_supply);
         chain.seed_difficulty(config.start_time, config.initial_difficulty, 720);
         let mut sim = NetSim {
             actors,

@@ -19,12 +19,10 @@
 //!   blocks consistent with served jobs,
 //! * [`accounting`] — pro-rata share accounting with the 70/30 split,
 //! * [`miner`] — the client: authenticates, de-obfuscates, grinds nonces,
-//!   submits shares (the paper's §4.1 resolver replicates exactly this),
-//! * [`captcha`] — the PoW-gated captcha side business the paper mentions.
+//!   submits shares (the paper's §4.1 resolver replicates exactly this).
 
 pub mod accounting;
 pub mod backend;
-pub mod captcha;
 pub mod miner;
 pub mod obfuscation;
 pub mod pool;

@@ -1,5 +1,5 @@
-//! The §4.1 enumeration (plus optional accounted resolution) as a
-//! killable, resumable [`Campaign`].
+//! The §4.1 enumeration (plus optional accounted resolution of the
+//! unbiased tail) as a killable, resumable [`Campaign`].
 //!
 //! One item = one probed ID. The walk keeps one [`Sighting`] per live
 //! link: the link's index, its creator's token and its requirement, the
@@ -20,11 +20,7 @@
 //! (never probing order), re-probing `[cursor, …)` after a restore
 //! replays exactly the suffix the sequential walk would have produced,
 //! so kill-and-resume is bit-identical to an uninterrupted run on any
-//! backend — for every ledger the campaign owns. The service-side
-//! creator-hash ledger is the one exception: replaying a lost window
-//! re-redeems its links, re-crediting creators, just as a crashed
-//! real-world crawler re-pays the PoW for work it had not yet
-//! checkpointed.
+//! backend.
 
 use crate::enumerate::Enumeration;
 use crate::ids::{code_to_index, index_to_code};
@@ -207,22 +203,21 @@ struct Journaled {
     resolved: usize,
 }
 
-/// The ID-space walk (optionally with accounted resolution riding on
-/// each live find) as a supervised campaign.
+/// The ID-space walk (optionally with accounted resolution of the
+/// unbiased tail riding on each live find) as a supervised campaign.
 pub struct EnumCampaign<'a, P: LinkProber + Sync> {
     prober: &'a P,
     policy: &'a ProbePolicy,
     dead_run_limit: u64,
     backend: Backend,
-    /// `Some` when accounted resolution rides along: the service to
+    /// `Some` when accounted resolution of the unbiased tail rides
+    /// along (see [`EnumCampaign::with_tail_resolver`]): the service to
     /// redeem against and the per-link hash budget.
     resolver: Option<(&'a ShortlinkService, u64)>,
-    /// When set, only the *unbiased tail* is resolved: the first
-    /// sighting of each `(token, requirement)` pair, and only when
-    /// affordable — the §4.1 study's resolve set. The pairs seen are
-    /// not snapshotted; they are rebuilt from `sightings` on restore,
-    /// since every live link entered them exactly once.
-    tail_only: bool,
+    /// The `(token, requirement)` pairs seen, when a resolver rides
+    /// along. They are not snapshotted; they are rebuilt from
+    /// `sightings` on restore, since every live link entered them
+    /// exactly once.
     seen: IdSet<(u32, u64)>,
     /// One sighting per live link so far, in index order.
     sightings: Vec<Sighting>,
@@ -263,7 +258,6 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
             dead_run_limit,
             backend,
             resolver: None,
-            tail_only: false,
             seen: IdSet::default(),
             sightings: Vec::new(),
             counts: WalkCounts::default(),
@@ -271,18 +265,6 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
             dead_run: 0,
             journaled: Cell::new(None),
         }
-    }
-
-    /// Rides accounted resolution on the walk: every live link is
-    /// resolved (budget permitting) against `service` as the fold
-    /// reaches it, so a checkpoint carries the resolution ledger too.
-    pub fn with_resolver(
-        mut self,
-        service: &'a ShortlinkService,
-        budget_per_link: u64,
-    ) -> EnumCampaign<'a, P> {
-        self.resolver = Some((service, budget_per_link));
-        self
     }
 
     /// Rides *unbiased-tail* resolution on the walk — the §4.1 study's
@@ -297,7 +279,6 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
         budget_per_link: u64,
     ) -> EnumCampaign<'a, P> {
         self.resolver = Some((service, budget_per_link));
-        self.tail_only = true;
         self
     }
 
@@ -326,12 +307,11 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
             Ok(Some(sighting)) => {
                 self.dead_run = 0;
                 if let Some((service, budget_per_link)) = self.resolver {
-                    // In tail mode, only the first sighting of a
-                    // (token, requirement) pair under budget joins the
-                    // resolve set — the §4.1 unbiased filter.
-                    let wanted = !self.tail_only
-                        || (self.seen.insert((sighting.token, sighting.required_hashes))
-                            && sighting.required_hashes < budget_per_link);
+                    // Only the first sighting of a (token, requirement)
+                    // pair under budget joins the resolve set — the
+                    // §4.1 unbiased filter.
+                    let wanted = self.seen.insert((sighting.token, sighting.required_hashes))
+                        && sighting.required_hashes < budget_per_link;
                     if wanted {
                         resolve_step(
                             service,
@@ -377,7 +357,9 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
                 w.u64(self.dead_run);
                 w.bool(self.resolver.is_some());
                 if self.resolver.is_some() {
-                    w.bool(self.tail_only);
+                    // The resolver's mode: the unbiased tail, the only
+                    // one a walk resolves in.
+                    w.bool(true);
                     put_resolve_report(&mut w, rep);
                 }
                 Snapshot::new(now.key, w.finish())
@@ -412,7 +394,7 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
             return Err(CkptError::Corrupt("resolver presence mismatch"));
         }
         let mut resolve_report = if had_resolver {
-            if r.bool()? != self.tail_only {
+            if !r.bool()? {
                 return Err(CkptError::Corrupt("resolver mode mismatch"));
             }
             take_resolve_report(&mut r)?
@@ -450,7 +432,7 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
         }
         // Rebuild the tail filter's pairs: every live link the
         // checkpointed walk saw inserted its pair exactly once.
-        self.seen = if self.tail_only {
+        self.seen = if had_resolver {
             sightings
                 .iter()
                 .map(|s| (s.token, s.required_hashes))
@@ -575,48 +557,6 @@ mod tests {
             assert_eq!(run.report.crashes, 3, "backend={}", backend);
             let _ = std::fs::remove_dir_all(&dir);
         }
-    }
-
-    #[test]
-    fn resolution_ledger_survives_kills() {
-        let service = service();
-        let policy = ProbePolicy::default();
-        let clean = enumerate_links_with(&service, 32, &policy);
-        let codes: Vec<String> = clean.docs.iter().map(|d| d.code.clone()).collect();
-        let expected = resolve_accounted(&service, &codes, 10_000);
-        let dir = tmpdir("resolve");
-        let store = SnapshotStore::open(&dir).unwrap();
-        let sup = Supervisor::new(CrashPolicy {
-            ckpt_every_items: 32,
-            ..CrashPolicy::default()
-        })
-        .with_kills(vec![100, 333]);
-        let run = sup
-            .run(
-                &store,
-                "enum-resolve",
-                || {
-                    EnumCampaign::new(&service, &policy, 32, Backend::Sequential)
-                        .with_resolver(&service, 10_000)
-                },
-                false,
-            )
-            .unwrap();
-        // The campaign-owned ledger is bit-identical: the restored
-        // report is the checkpointed prefix and the replayed window
-        // appends each lost doc exactly once. (The *service-side*
-        // creator ledger may double-credit replayed links — a crashed
-        // crawler really does re-pay the PoW for un-checkpointed work.)
-        assert_eq!(run.output.resolve_report.resolved, expected.resolved);
-        assert_eq!(
-            run.output.resolve_report.skipped_over_budget,
-            expected.skipped_over_budget
-        );
-        assert_eq!(
-            run.output.resolve_report.hashes_spent,
-            expected.hashes_spent
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -805,16 +745,32 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_tail_mode_mismatch() {
+    fn restore_rejects_a_base_that_resolves_every_link() {
+        // A base whose mode byte is 0 (resolve every live link, a mode no
+        // walk has) is refused; the same base with the tail's mode byte
+        // is what a fresh tail walk writes, and restores.
         let service = service();
         let policy = ProbePolicy::default();
-        let mut tail = EnumCampaign::new(&service, &policy, 8, Backend::Sequential)
-            .with_tail_resolver(&service, 10_000);
-        tail.run_items(16, &AtomicU64::new(0));
-        let snap = tail.snapshot();
-        let mut all = EnumCampaign::new(&service, &policy, 8, Backend::Sequential)
-            .with_resolver(&service, 10_000);
-        assert!(matches!(all.restore(&snap), Err(CkptError::Corrupt(_))));
+        let forged = |mode: bool| {
+            let mut w = SnapWriter::new();
+            put_walk(&mut w, &[], &WalkCounts::default());
+            w.u64(0); // dead run
+            w.bool(true); // a resolver rides along
+            w.bool(mode);
+            put_resolve_report(&mut w, &ResolveReport::default());
+            Snapshot::new(0, w.finish())
+        };
+        let tail = || {
+            EnumCampaign::new(&service, &policy, 8, Backend::Sequential)
+                .with_tail_resolver(&service, 10_000)
+        };
+        assert_eq!(tail().snapshot(), forged(true));
+        let mut walk = tail();
+        assert!(matches!(
+            walk.restore(&forged(false)),
+            Err(CkptError::Corrupt("resolver mode mismatch"))
+        ));
+        walk.restore(&forged(true)).unwrap();
     }
 
     #[test]
@@ -822,7 +778,7 @@ mod tests {
         let service = service();
         let policy = ProbePolicy::default();
         let mut with = EnumCampaign::new(&service, &policy, 8, Backend::Sequential)
-            .with_resolver(&service, 10_000);
+            .with_tail_resolver(&service, 10_000);
         with.run_items(16, &AtomicU64::new(0));
         let snap = with.snapshot();
         let mut without = EnumCampaign::new(&service, &policy, 8, Backend::Sequential);

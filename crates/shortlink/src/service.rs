@@ -7,8 +7,6 @@
 
 use crate::ids::code_to_index;
 use crate::model::{LinkPopulation, LinkRecord};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 
 /// The document returned when visiting a short link before solving it
 /// (the progress-bar page).
@@ -45,21 +43,17 @@ impl std::fmt::Display for RedeemError {
     }
 }
 
-/// The service: link table + per-creator credited-hash totals.
+/// The service: an immutable link table.
 ///
-/// The link table is immutable after construction; only the credited-hash
-/// ledger mutates, behind a mutex, so visits and redeems can run from any
-/// thread. Because [`visit`](ShortlinkService::visit) never reads the
-/// ledger and [`redeem`](ShortlinkService::redeem) only accumulates
-/// per-creator totals, interleaving resolution with enumeration cannot
-/// change any scraped document or any redeem outcome.
+/// Nothing mutates after construction, so visits and redeems run from
+/// any thread without a lock, and interleaving resolution with
+/// enumeration cannot change any scraped document or any redeem outcome.
+/// A creator's credit for the hashes a visit mines lives in the pool's
+/// ledger (see [`resolve_with_pool`](crate::resolve::resolve_with_pool)).
 pub struct ShortlinkService {
     /// The link table, sorted by [`LinkRecord::index`] with one record
     /// per index.
     links: Vec<LinkRecord>,
-    /// Hashes credited to link creators through visits (the creator's
-    /// revenue share ledger lives in the pool; this tracks volume).
-    creator_hashes: Mutex<HashMap<u64, u64>>,
 }
 
 impl ShortlinkService {
@@ -71,10 +65,7 @@ impl ShortlinkService {
         // Stable, so the first of each duplicate run is the population's.
         links.sort_by_key(|l| l.index);
         links.dedup_by_key(|l| l.index);
-        ShortlinkService {
-            links,
-            creator_hashes: Mutex::new(HashMap::new()),
-        }
+        ShortlinkService { links }
     }
 
     /// Number of live links.
@@ -101,8 +92,7 @@ impl ShortlinkService {
     }
 
     /// Redeems a link after `credited_hashes` have been computed for this
-    /// visit. On success returns the destination URL and credits the
-    /// creator.
+    /// visit. On success returns the destination URL.
     pub fn redeem(&self, code: &str, credited_hashes: u64) -> Result<String, RedeemError> {
         let link = self.lookup(code).ok_or(RedeemError::UnknownCode)?;
         if credited_hashes < link.required_hashes {
@@ -110,21 +100,7 @@ impl ShortlinkService {
                 missing: link.required_hashes - credited_hashes,
             });
         }
-        // Saturating: a creator with several ~1e19-hash links redeemed
-        // under an unlimited budget would wrap a plain sum.
-        let mut ledger = self.creator_hashes.lock();
-        let credited = ledger.entry(u64::from(link.token_id)).or_insert(0);
-        *credited = credited.saturating_add(link.required_hashes);
         Ok(link.target_url())
-    }
-
-    /// Total hashes credited to a creator through redeemed links.
-    pub fn creator_hashes(&self, token_id: u64) -> u64 {
-        self.creator_hashes
-            .lock()
-            .get(&token_id)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// The link whose [`LinkRecord::index`] is `index`. The index is
@@ -187,15 +163,6 @@ mod tests {
         }
         let url = s.redeem("b", need).unwrap();
         assert!(url.starts_with("https://"));
-    }
-
-    #[test]
-    fn redeem_credits_creator() {
-        let s = service();
-        let doc = s.visit("c").unwrap();
-        assert_eq!(s.creator_hashes(doc.token_id), 0);
-        s.redeem("c", doc.required_hashes).unwrap();
-        assert_eq!(s.creator_hashes(doc.token_id), doc.required_hashes);
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //! plus benign modules.
 //!
 //! Real miner binaries are not redistributable (and the 2018 services are
-//! gone), so we *generate* the corpus: every module is valid (checked by
-//! [`crate::validate`]), executable (a hash-kernel export runs under the
-//! interpreter), and carries its family's characteristic instruction mix —
-//! CryptoNight kernels are XOR/shift/load heavy with a large linear
-//! memory, which is precisely the signal the paper's feature-based
-//! fingerprinting keys on. Version variation within a family changes
-//! constants, filler functions and template order (new SHA-256 signature)
-//! while preserving the family mix (recognizable by similarity).
+//! gone), so we *generate* the corpus: every module is real, parseable
+//! Wasm (it round-trips through [`Module::parse`]) and carries its
+//! family's characteristic instruction mix — CryptoNight kernels are
+//! XOR/shift/load heavy with a large linear memory, which is precisely
+//! the signal the paper's feature-based fingerprinting keys on. The
+//! fingerprint reads that code and never runs it. Version variation
+//! within a family changes constants, filler functions and template order
+//! (new SHA-256 signature) while preserving the family mix (recognizable
+//! by similarity).
 
 use crate::module::{Module, ModuleBuilder};
 use crate::opcode::{Instr, MemArg, ValType};
@@ -438,8 +439,6 @@ pub fn generate_corpus(seed: u64) -> Vec<CorpusEntry> {
 mod tests {
     use super::*;
     use crate::fingerprint::fingerprint;
-    use crate::interp::{Instance, Val};
-    use crate::validate::validate_module;
     use std::collections::HashSet;
 
     #[test]
@@ -452,38 +451,10 @@ mod tests {
     }
 
     #[test]
-    fn every_module_validates() {
-        for entry in generate_corpus(7) {
-            validate_module(&entry.module).unwrap_or_else(|e| {
-                panic!(
-                    "{} v{} failed validation: {e}",
-                    entry.class.label(),
-                    entry.version
-                )
-            });
-        }
-    }
-
-    #[test]
     fn every_module_roundtrips_through_binary() {
-        for entry in generate_corpus(7).into_iter().step_by(7) {
+        for entry in generate_corpus(7) {
             let bytes = entry.module.encode();
             assert_eq!(Module::parse(&bytes).unwrap(), entry.module);
-        }
-    }
-
-    #[test]
-    fn every_kernel_executes() {
-        for entry in generate_corpus(7).into_iter().step_by(5) {
-            let export = entry.module.exports[0].name.clone();
-            let mut inst = Instance::new(entry.module);
-            let mut fuel = 2_000_000;
-            let out = inst
-                .invoke(&export, &[Val::I32(0xdead)], &mut fuel)
-                .unwrap_or_else(|t| {
-                    panic!("{} v{} trapped: {t}", entry.class.label(), entry.version)
-                });
-            assert!(matches!(out, Some(Val::I32(_))));
         }
     }
 

@@ -372,20 +372,6 @@ impl Module {
         }
         Ok(module)
     }
-
-    /// Looks up an exported function index by name.
-    pub fn export_func(&self, name: &str) -> Option<u32> {
-        self.exports
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.func_idx)
-    }
-
-    /// The signature of function `idx`.
-    pub fn func_type(&self, idx: u32) -> Option<&FuncType> {
-        let f = self.functions.get(idx as usize)?;
-        self.types.get(f.type_idx as usize)
-    }
 }
 
 fn section(out: &mut Vec<u8>, id: u8, body: &[u8]) {
@@ -493,17 +479,6 @@ mod tests {
         let once = m.encode();
         let twice = Module::parse(&once).unwrap().encode();
         assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn export_lookup() {
-        let m = sample_module();
-        assert_eq!(m.export_func("mix"), Some(0));
-        assert_eq!(m.export_func("nope"), None);
-        let t = m.func_type(0).unwrap();
-        assert_eq!(t.params.len(), 2);
-        assert_eq!(t.results, vec![ValType::I32]);
-        assert!(m.func_type(1).is_none());
     }
 
     #[test]
@@ -616,7 +591,8 @@ mod tests {
         let m = Module::parse(&b.build()).unwrap();
         assert_eq!(m.functions.len(), 2);
         assert_eq!(m.exports.len(), 2);
-        assert_eq!(m.export_func("add7"), Some(1));
+        assert_eq!(m.exports[1].name, "add7");
+        assert_eq!(m.exports[1].func_idx, 1);
     }
 
     #[test]

@@ -1,24 +1,23 @@
-//! Wasm forensics: inspect, execute and fingerprint captured modules.
+//! Wasm forensics: parse, fingerprint and classify captured modules.
 //!
-//! Takes two binaries from the wild-corpus generator — a Coinhive-style
-//! miner kernel and a benign codec — parses them with the workspace's own
-//! Wasm toolchain, runs them in the fueled interpreter, and shows the
-//! instruction-mix features the paper found "quite distinctive".
+//! Takes three binaries from the wild-corpus generator — an unseen and a
+//! catalogued Coinhive-style miner build and a benign codec — parses them
+//! with the workspace's own Wasm decoder, fingerprints them as §3.2 does
+//! (a SHA-256 over the ordered function bodies, plus the instruction mix
+//! the paper found "quite distinctive") and classifies each against the
+//! signature database. Nothing runs: the fingerprint reads the code.
 //!
 //! Run with: `cargo run --example wasm_forensics`
 
 use minedig::core::scan::build_reference_db;
 use minedig::wasm::corpus::{default_profiles, generate_module};
 use minedig::wasm::fingerprint::fingerprint;
-use minedig::wasm::interp::{Instance, Val};
 use minedig::wasm::module::Module;
 use minedig::wasm::sigdb::{BenignKind, MinerFamily, WasmClass};
-use minedig::wasm::validate::validate_module;
 
 fn inspect(label: &str, bytes: &[u8], db: &minedig::wasm::sigdb::SignatureDb) {
     println!("== {label} ({} bytes) ==", bytes.len());
     let module = Module::parse(bytes).expect("parse");
-    validate_module(&module).expect("validate");
     println!(
         "   {} functions, {} exports, memory {:?} pages",
         module.functions.len(),
@@ -41,15 +40,6 @@ fn inspect(label: &str, bytes: &[u8], db: &minedig::wasm::sigdb::SignatureDb) {
         "   export name hints at hashing: {}",
         fp.features.has_hash_name_hint()
     );
-
-    // Execute the first export with bounded fuel.
-    let export = module.exports[0].name.clone();
-    let mut inst = Instance::new(module);
-    let mut fuel = 500_000u64;
-    match inst.invoke(&export, &[Val::I32(0xbeef)], &mut fuel) {
-        Ok(Some(v)) => println!("   executed {export}(0xbeef) -> {v:?} ({} fuel left)", fuel),
-        other => println!("   execution: {other:?}"),
-    }
 
     match db.classify(&fp) {
         Some(hit) => println!(

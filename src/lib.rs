@@ -15,8 +15,9 @@
 //! * [`net`] — JSON, WebSocket-style framing, channel and TCP transports.
 //! * [`pool`] — the Coinhive-style pool (backends, job protocol, XOR blob
 //!   obfuscation, 70/30 accounting) and miner client.
-//! * [`wasm`] — a WebAssembly toolchain (encode/parse/validate/interpret),
-//!   the ~160-build miner corpus and SHA-256 fingerprinting.
+//! * [`wasm`] — a WebAssembly encoder and decoder, the ~160-build miner
+//!   corpus, and the static SHA-256 and instruction-mix fingerprint with
+//!   its signature database and memo; no module is ever run.
 //! * [`browser`] — the instrumented headless-browser simulator with the
 //!   paper's page-load policy.
 //! * [`web`] — the calibrated synthetic web (zones, categories, miner

@@ -1,8 +1,8 @@
 //! Integration: §4.2 attribution across chain + pool + analysis, plus a
-//! fully-verified (real PoW) mini chain with pool-consistent blocks.
+//! pool-built block mined with real PoW and appended to a chain.
 
 use minedig::analysis::scenario::{run_scenario, ScenarioConfig};
-use minedig::chain::chain::{AppendMode, Chain};
+use minedig::chain::chain::Chain;
 use minedig::chain::netsim::{TemplateSource, TipInfo};
 use minedig::chain::tx::Transaction;
 use minedig::pool::obfuscation;
@@ -55,15 +55,13 @@ fn attribution_without_deobfuscation_fails() {
     assert!(cluster.contains(&block.merkle_root()));
 }
 
-/// A pool-built block must carry valid real PoW when mined with the Test
-/// variant, and a verifying chain must accept it — the full consistency
-/// loop: pool template → blob → nonce grind → chain validation.
+/// A pool-built block must carry valid real PoW at the chain's difficulty
+/// when mined with the Test variant, and the chain must accept it — the
+/// full consistency loop: pool template → blob → nonce grind → PoW check
+/// → chain validation.
 #[test]
 fn pool_block_passes_verified_chain() {
-    let mut chain = Chain::new(
-        minedig::chain::emission::supply_mid_2018(),
-        AppendMode::Verified(Variant::Test),
-    );
+    let mut chain = Chain::new(minedig::chain::emission::supply_mid_2018());
     chain.seed_difficulty(1_000, 16, 720);
 
     let pool = Pool::new(PoolConfig::default());
@@ -83,7 +81,8 @@ fn pool_block_passes_verified_chain() {
     block
         .mine(Variant::Test, difficulty, 100_000)
         .expect("mineable at difficulty 16");
-    chain.append(block.clone()).expect("verified chain accepts");
+    assert!(block.pow_valid(Variant::Test, difficulty));
+    chain.append(block.clone()).expect("the chain accepts");
     assert_eq!(chain.height(), 1);
 
     // The blob the pool served for this height matches the mined block's
