@@ -2,7 +2,7 @@
 //!
 //! The paper requests a new PoW input from every Coinhive endpoint every
 //! 500 ms. Our pool's blobs change only when a backend refreshes its
-//! template (every `template_refresh_secs`), so the default poll interval
+//! template (every 15 s), so the default poll interval
 //! matches that granularity — polling faster only re-reads identical
 //! blobs, and a re-read costs one string compare: the observer decodes
 //! an endpoint's answer only when it differs from the last one recorded.
@@ -53,10 +53,11 @@ pub enum FetchError {
     Closed,
     /// The response arrived corrupted. Transport; transient.
     Garbled,
-    /// The server shed the request under load (admission control). The
-    /// connection stays up and a later attempt may be admitted, so this
-    /// is transient — the one refusal that is *about* the request rate,
-    /// not the request.
+    /// The server shed the request under load. Transient. No source
+    /// returns it, as the pool protocol has no shed reply: it stays only
+    /// while the end-to-end benchmark's `attribute` composition
+    /// (`e2ebench/src/attribute.rs`) still matches it, and goes with the
+    /// endpoint-health layer (ROADMAP.md).
     Shed,
 }
 
@@ -209,9 +210,6 @@ impl<T: Transport> WireJobSource<T> {
                     Err(FetchError::Refused)
                 }
             }
-            // A shed is a well-formed, in-protocol refusal: the
-            // connection stays up and the retry loop backs off.
-            Ok(ServerMsg::Shed { .. }) => Err(FetchError::Shed),
             Ok(_) | Err(_) => {
                 *slot = None;
                 Err(FetchError::Garbled)
@@ -282,17 +280,6 @@ impl PollPolicy {
     }
 }
 
-/// One observed, de-obfuscated PoW input.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BlobObservation {
-    /// Virtual time of observation.
-    pub seen_at: u64,
-    /// Endpoint index it came from.
-    pub endpoint: usize,
-    /// Parsed blob.
-    pub blob: HashingBlob,
-}
-
 /// Statistics the observer keeps.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PollStats {
@@ -323,8 +310,10 @@ pub struct PollStats {
     /// the health layer is enabled *and* endpoints failed enough to
     /// trip, so fault-free runs are unaffected either way.
     pub quarantined: u64,
-    /// Shed replies received from the server's admission control across
-    /// all attempts (the retry loop may see several per poll).
+    /// Shed replies received. Always 0: no source sheds. It stays only
+    /// while the end-to-end benchmark's `attribute` composition prints it
+    /// and §4.2 snapshots carry it, and goes with the endpoint-health
+    /// layer (ROADMAP.md).
     pub sheds: u64,
     /// Maximum distinct blobs observed for a single prev pointer.
     pub max_blobs_per_prev: usize,
@@ -472,9 +461,6 @@ impl<S: JobSource> Observer<S> {
             if matches!(r, Err(FetchError::Closed)) && source.reconnect(endpoint) {
                 stats.reconnects += 1;
             }
-            if matches!(r, Err(FetchError::Shed)) {
-                stats.sheds += 1;
-            }
             r
         });
         self.stats.retries += u64::from(outcome.retries());
@@ -486,8 +472,6 @@ impl<S: JobSource> Observer<S> {
         match outcome.result {
             Err(e) => match e.error {
                 FetchError::Offline => self.stats.offline += 1,
-                // A final shed is a server-side refusal, not an endpoint
-                // death: the endpoint is up, just loaded.
                 FetchError::Refused | FetchError::Shed => self.stats.other_errors += 1,
                 // The transport never recovered within the policy: the
                 // endpoint is down for this sweep.

@@ -39,11 +39,6 @@ pub struct ScenarioConfig {
     pub segments: Vec<RateSegment>,
     /// Day-start timestamps with elevated browsing (public holidays).
     pub holidays: Vec<u64>,
-    /// Pool-rate multiplier on holiday days.
-    pub holiday_boost: f64,
-    /// Diurnal modulation amplitude of the pool rate (global audience ⇒
-    /// small).
-    pub diurnal_amplitude: f64,
     /// Pool outage windows `[from, to)` — Coinhive's 6–7 May disruption.
     pub outages: Vec<(u64, u64)>,
     /// Observer poll interval (blobs change at the pool's template
@@ -79,6 +74,13 @@ pub const FIG5_HOLIDAYS: [u64; 3] = [1_525_046_400, 1_525_910_400, 1_526_947_200
 /// Coinhive's observed outage: 6–7 May 2018.
 pub const FIG5_OUTAGE: (u64, u64) = (1_525_564_800, 1_525_737_600);
 
+/// Pool-rate multiplier on holiday days.
+const HOLIDAY_BOOST: f64 = 1.8;
+
+/// Diurnal modulation amplitude of the pool rate (global audience ⇒
+/// small).
+const DIURNAL_AMPLITUDE: f64 = 0.08;
+
 /// The longest window, in days, whose end a scenario starting at
 /// [`FIG5_START`] can represent in its seconds clock.
 pub const MAX_DAYS: u64 = (u64::MAX - FIG5_START) / 86_400;
@@ -94,8 +96,6 @@ impl Default for ScenarioConfig {
                 pool: 6_000_000.0,
             }],
             holidays: FIG5_HOLIDAYS.to_vec(),
-            holiday_boost: 1.8,
-            diurnal_amplitude: 0.08,
             outages: vec![FIG5_OUTAGE],
             poll_interval_secs: 15,
             poll_faults: None,
@@ -135,9 +135,9 @@ impl ScenarioConfig {
         }
         let base = self.segment_at(t).pool;
         let tod = (t % 86_400) as f64 / 86_400.0;
-        let diurnal = 1.0 + self.diurnal_amplitude * (std::f64::consts::TAU * tod).sin();
+        let diurnal = 1.0 + DIURNAL_AMPLITUDE * (std::f64::consts::TAU * tod).sin();
         let holiday = if self.is_holiday(t) {
-            self.holiday_boost
+            HOLIDAY_BOOST
         } else {
             1.0
         };
@@ -292,7 +292,6 @@ impl<S: JobSource + Send + 'static> ScenarioCampaign<S> {
                 initial_difficulty: config.initial_difficulty,
                 mean_txs_per_block: config.mean_txs_per_block,
                 seed: config.seed,
-                ..NetSimConfig::default()
             },
             vec![network_actor, pool_actor],
         );

@@ -24,7 +24,6 @@ fn main() {
             },
             per_user_sample: 1_000,
             backend,
-            ..StudyConfig::default()
         },
         seed,
         None,

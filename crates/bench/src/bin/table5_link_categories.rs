@@ -34,7 +34,6 @@ fn main() {
                 users: 12_000,
                 seed,
             },
-            resolve_budget: 10_000,
             backend,
             ..StudyConfig::default()
         },

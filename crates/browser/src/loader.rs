@@ -11,38 +11,28 @@ use minedig_primitives::{DetRng, Hash32};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Page-load policy. Defaults are the paper's §3.2 parameters.
+/// DOM-quiet window after the last mutation (§3.2: 2 s).
+const DOM_QUIET_MS: u64 = 2_000;
+/// Maximum additional wait after the load event (§3.2: 5 s).
+const POST_LOAD_CAP_MS: u64 = 5_000;
+/// Hard timeout when no load event fires (§3.2: 15 s).
+const TIMEOUT_MS: u64 = 15_000;
+/// Bytes of final HTML to keep (§3.2: 65 kB).
+const FINAL_HTML_BYTES: usize = 65_536;
+/// Cap on dynamically injected scripts (loop guard).
+const MAX_INJECTED_SCRIPTS: u32 = 32;
+
+/// Page-load policy. The completion rule and the HTML budget are the
+/// paper's §3.2 constants; only the latency seed varies.
 #[derive(Clone, Debug)]
 pub struct LoadPolicy {
-    /// DOM-quiet window after the last mutation (2 s).
-    pub dom_quiet_ms: u64,
-    /// Maximum additional wait after the load event (5 s).
-    pub post_load_cap_ms: u64,
-    /// Hard timeout when no load event fires (15 s).
-    pub timeout_ms: u64,
-    /// Bytes of final HTML to keep (65 kB).
-    pub final_html_bytes: usize,
-    /// Cap on dynamically injected scripts (loop guard).
-    pub max_injected_scripts: u32,
-    /// Whether the simulated visitor grants consent dialogs (Authedmine).
-    /// Crawlers — including the paper's — never do; interactive visits
-    /// might.
-    pub grant_consent: bool,
     /// Seed for simulated network latencies.
     pub seed: u64,
 }
 
 impl Default for LoadPolicy {
     fn default() -> Self {
-        LoadPolicy {
-            dom_quiet_ms: 2_000,
-            post_load_cap_ms: 5_000,
-            timeout_ms: 15_000,
-            final_html_bytes: 65_536,
-            max_injected_scripts: 32,
-            grant_consent: false,
-            seed: 0xb70,
-        }
+        LoadPolicy { seed: 0xb70 }
     }
 }
 
@@ -52,12 +42,10 @@ enum Action {
     ExecInjected(String),
     Mutation { remaining: u32, interval_ms: u64 },
     MinerSubmit { url: String, interval_ms: u64 },
-    ConsentedEffect(ScriptEffect),
     FireLoad,
 }
 
-struct Sim<'a> {
-    policy: &'a LoadPolicy,
+struct Sim {
     rng: DetRng,
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
     actions: Vec<Action>,
@@ -70,7 +58,7 @@ struct Sim<'a> {
     last_dom_ms: Option<u64>,
 }
 
-impl<'a> Sim<'a> {
+impl Sim {
     fn schedule(&mut self, at_ms: u64, action: Action) {
         let idx = self.actions.len();
         self.actions.push(action);
@@ -93,12 +81,12 @@ impl<'a> Sim<'a> {
                 // at 5 s (§3.2).
                 let dom_quiet = self
                     .last_dom_ms
-                    .map(|dom| dom + self.policy.dom_quiet_ms)
+                    .map(|dom| dom + DOM_QUIET_MS)
                     .unwrap_or(0)
-                    .max(load + self.policy.dom_quiet_ms);
-                dom_quiet.min(load + self.policy.post_load_cap_ms)
+                    .max(load + DOM_QUIET_MS);
+                dom_quiet.min(load + POST_LOAD_CAP_MS)
             }
-            None => self.policy.timeout_ms,
+            None => TIMEOUT_MS,
         }
     }
 
@@ -118,7 +106,7 @@ impl<'a> Sim<'a> {
         for effect in &behavior.effects {
             match effect {
                 ScriptEffect::InjectScript { src } => {
-                    if self.injected_count >= self.policy.max_injected_scripts {
+                    if self.injected_count >= MAX_INJECTED_SCRIPTS {
                         continue;
                     }
                     self.injected_count += 1;
@@ -195,14 +183,7 @@ impl<'a> Sim<'a> {
                         );
                     }
                 }
-                ScriptEffect::ConsentGated { inner } => {
-                    // The opt-in dialog renders either way.
-                    self.dom_mutation(now);
-                    if self.policy.grant_consent {
-                        // The simulated user reads and clicks after ~600 ms.
-                        self.schedule(now + 600, Action::ConsentedEffect((**inner).clone()));
-                    }
-                }
+                ScriptEffect::ConsentGated => self.dom_mutation(now),
             }
         }
     }
@@ -215,7 +196,6 @@ impl<'a> Sim<'a> {
 /// Loads a page under the given policy, returning the capture.
 pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
     let mut sim = Sim {
-        policy,
         rng: DetRng::seed(policy.seed).derive(&format!("browser.load.{}", page.domain)),
         queue: BinaryHeap::new(),
         actions: Vec::new(),
@@ -263,7 +243,7 @@ pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
     }
 
     // Event loop.
-    let hard_limit = policy.timeout_ms;
+    let hard_limit = TIMEOUT_MS;
     let mut finished_at = None;
     while let Some(Reverse((t, _, idx))) = sim.queue.pop() {
         // Stop if the page is already "done" before this event.
@@ -318,13 +298,6 @@ pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
                     sim.schedule(t + interval_ms, Action::MinerSubmit { url, interval_ms });
                 }
             }
-            Action::ConsentedEffect(effect) => {
-                let behavior = ScriptBehavior {
-                    delay_ms: 0,
-                    effects: vec![effect],
-                };
-                sim.run_effects(&behavior, t);
-            }
             Action::FireLoad => {
                 sim.load_at = Some(t);
                 sim.events.push(DevtoolsEvent::LoadEvent { at_ms: t });
@@ -339,10 +312,10 @@ pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
     };
 
     // Final HTML: fetched document plus dynamically injected tags,
-    // truncated to the policy's byte budget on a char boundary.
+    // truncated to the §3.2 byte budget on a char boundary.
     let mut final_html = page.html.clone();
     final_html.push_str(&sim.injected_html);
-    let final_html = truncate_on_char_boundary(final_html, policy.final_html_bytes);
+    let final_html = truncate_on_char_boundary(final_html, FINAL_HTML_BYTES);
 
     // Drop events recorded past the finish line (the real capture stops
     // when the page is marked done).
@@ -538,19 +511,12 @@ mod tests {
     }
 
     #[test]
-    fn consent_gated_effect_dormant_by_default() {
+    fn consent_gated_effect_renders_only_its_dialog() {
         let page = Page::new("authed.example", r#"<script src="a.js"></script>"#).with_behavior(
             ScriptRef::Src("a.js".into()),
             ScriptBehavior {
                 delay_ms: 0,
-                effects: vec![ScriptEffect::ConsentGated {
-                    inner: Box::new(ScriptEffect::StartMiner {
-                        wasm: miner_wasm(),
-                        ws_url: "wss://ws.authedmine.com/proxy".into(),
-                        token: "K".into(),
-                        submit_interval_ms: 500,
-                    }),
-                }],
+                effects: vec![ScriptEffect::ConsentGated],
             },
         );
         let cap = load_page(&page, &LoadPolicy::default());
@@ -561,15 +527,6 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, DevtoolsEvent::DomMutation { .. })));
-
-        // An opted-in visit mines.
-        let consenting = LoadPolicy {
-            grant_consent: true,
-            ..LoadPolicy::default()
-        };
-        let cap = load_page(&page, &consenting);
-        assert!(cap.has_wasm(), "consent granted, mining starts");
-        assert_eq!(cap.websocket_urls(), vec!["wss://ws.authedmine.com/proxy"]);
     }
 
     #[test]

@@ -60,14 +60,10 @@ pub enum ScriptEffect {
         /// Interval between mutations, ms.
         interval_ms: u64,
     },
-    /// An effect behind an explicit user opt-in dialog — Authedmine's
-    /// model. A crawler never grants consent, so the inner effect stays
-    /// dormant (only the dialog's DOM mutation is visible); a consenting
-    /// visit (see `LoadPolicy::grant_consent`) runs it.
-    ConsentGated {
-        /// The effect unlocked by the opt-in.
-        inner: Box<ScriptEffect>,
-    },
+    /// An explicit user opt-in dialog — Authedmine's model. A crawler
+    /// never grants consent, so only the dialog's DOM mutation is
+    /// visible and the miner behind it never starts.
+    ConsentGated,
 }
 
 /// A script's declared behaviour.

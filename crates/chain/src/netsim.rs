@@ -135,8 +135,6 @@ pub struct NetSimConfig {
     pub start_time: u64,
     /// Initial network difficulty (the window is pre-seeded with it).
     pub initial_difficulty: Difficulty,
-    /// Already-generated supply at start (atomic units).
-    pub initial_supply: u64,
     /// Mean number of transfer transactions per block (Poisson).
     pub mean_txs_per_block: f64,
     /// RNG seed.
@@ -148,7 +146,6 @@ impl Default for NetSimConfig {
         NetSimConfig {
             start_time: 1_524_700_800, // 2018-04-26 00:00 UTC, Fig 5 start
             initial_difficulty: 55_400_000_000,
-            initial_supply: crate::emission::supply_mid_2018(),
             mean_txs_per_block: 12.0,
             seed: 0x5eed,
         }
@@ -174,10 +171,11 @@ pub struct NetSim {
 }
 
 impl NetSim {
-    /// Builds a simulator over the given actors.
+    /// Builds a simulator over the given actors, on a chain that starts
+    /// from mid-2018's generated supply.
     pub fn new(config: NetSimConfig, actors: Vec<Actor>) -> NetSim {
         assert!(!actors.is_empty(), "netsim needs at least one actor");
-        let mut chain = Chain::new(config.initial_supply);
+        let mut chain = Chain::new(crate::emission::supply_mid_2018());
         chain.seed_difficulty(config.start_time, config.initial_difficulty, 720);
         let mut sim = NetSim {
             actors,

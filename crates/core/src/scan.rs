@@ -7,7 +7,7 @@ use minedig_primitives::fault::{Fault, FaultPlan};
 use minedig_primitives::retry::{retry, ErrorClass, RetryPolicy, Retryable};
 use minedig_primitives::rng::DetRng;
 use minedig_wasm::cache::FingerprintCache;
-use minedig_wasm::corpus::generate_corpus;
+use minedig_wasm::corpus::{default_profiles, generate_corpus};
 use minedig_wasm::fingerprint::{fingerprint, fingerprint_with};
 use minedig_wasm::module::Module;
 use minedig_wasm::sigdb::{SignatureDb, WasmClass};
@@ -116,20 +116,15 @@ impl FetchStats {
 /// carrying classification for the rest.
 pub fn build_reference_db(coverage: f64) -> SignatureDb {
     assert!((0.0..=1.0).contains(&coverage));
+    let versions: BTreeMap<WasmClass, f64> = default_profiles()
+        .iter()
+        .map(|p| (p.class, p.versions as f64))
+        .collect();
     let mut db = SignatureDb::new();
     for entry in generate_corpus(CORPUS_SEED) {
         // Deterministic subset: the first `coverage` fraction of each
         // family's versions are "in the catalogue".
-        let versions_of_family = entry.version as f64;
-        let _ = versions_of_family;
-        let keep = (entry.version as f64)
-            < (coverage
-                * minedig_wasm::corpus::default_profiles()
-                    .iter()
-                    .find(|p| p.class == entry.class)
-                    .map(|p| p.versions as f64)
-                    .unwrap_or(1.0));
-        if keep {
+        if (entry.version as f64) < coverage * versions[&entry.class] {
             db.insert(&fingerprint(&entry.module), entry.class);
         }
     }
@@ -443,10 +438,7 @@ impl<'a> ChromeProbeCtx<'a> {
             model,
             engine,
             db,
-            policy: LoadPolicy {
-                seed,
-                ..LoadPolicy::default()
-            },
+            policy: LoadPolicy { seed },
             cache,
         }
     }

@@ -29,9 +29,6 @@ use std::sync::atomic::AtomicU64;
 pub struct StudyConfig {
     /// Link model.
     pub model: ModelConfig,
-    /// Per-link resolution budget (the paper resolved links < 10 K hashes
-    /// from the unbiased dataset).
-    pub resolve_budget: u64,
     /// Sample size per top-10 user for Table 4 (paper: 1000).
     pub per_user_sample: usize,
     /// Backend the ID-space walk runs on (results are identical on
@@ -43,7 +40,6 @@ impl Default for StudyConfig {
     fn default() -> Self {
         StudyConfig {
             model: ModelConfig::default(),
-            resolve_budget: 10_000,
             per_user_sample: 1_000,
             backend: Backend::Sequential,
         }
@@ -87,6 +83,10 @@ pub struct StudyResult {
     pub tail_classified_fraction: f64,
 }
 
+/// Per-link resolution budget (the paper resolved links < 10 K hashes
+/// from the unbiased dataset).
+const RESOLVE_BUDGET: u64 = 10_000;
+
 /// Dead-run limit of the study's enumeration walk.
 const STUDY_DEAD_RUN_LIMIT: u64 = 256;
 
@@ -105,7 +105,7 @@ impl<'a> StudyWalk<'a> {
     ) -> StudyWalk<'a> {
         StudyWalk(
             EnumCampaign::new(service, policy, STUDY_DEAD_RUN_LIMIT, config.backend)
-                .with_tail_resolver(service, config.resolve_budget),
+                .with_tail_resolver(service, RESOLVE_BUDGET),
         )
     }
 }
@@ -345,7 +345,6 @@ mod tests {
                 users,
                 seed: 9,
             },
-            resolve_budget: 10_000,
             per_user_sample,
             backend: Backend::Sequential,
         }
@@ -386,8 +385,7 @@ mod tests {
             .docs
             .iter()
             .filter(|d| {
-                seen.insert((d.token_id, d.required_hashes))
-                    && d.required_hashes < config.resolve_budget
+                seen.insert((d.token_id, d.required_hashes)) && d.required_hashes < RESOLVE_BUDGET
             })
             .map(|d| d.code.clone())
             .collect();
@@ -398,7 +396,7 @@ mod tests {
                 failed_probes: enumeration.failed_probes,
                 probe_retries: enumeration.probe_retries,
             },
-            resolve_report: resolve_accounted(&service, &tail, config.resolve_budget),
+            resolve_report: resolve_accounted(&service, &tail, RESOLVE_BUDGET),
         };
         finish_study(&service, walk, config, seed)
     }
@@ -681,7 +679,7 @@ mod tests {
         assert_eq!(r.hashes_spent, tail.saturating_add(table4));
         assert!(tail_resolved > 0);
         assert!(
-            r.tail_hashes_spent <= config.resolve_budget * tail_resolved,
+            r.tail_hashes_spent <= RESOLVE_BUDGET * tail_resolved,
             "{} hashes over {tail_resolved} links",
             r.tail_hashes_spent
         );

@@ -155,14 +155,6 @@ impl Value {
         }
     }
 
-    /// The value as `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {

@@ -63,11 +63,6 @@ impl NoCoinEngine {
         }
     }
 
-    /// Number of rules loaded.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Resolves a possibly-relative script URL against a page origin.
     pub fn resolve_url(origin_domain: &str, src: &str) -> String {
         let mut url = String::new();

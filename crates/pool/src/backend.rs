@@ -8,10 +8,9 @@
 //!
 //! Model: each backend builds its own block template for the current tip,
 //! with a backend-specific Coinbase extra nonce (hence a distinct Merkle
-//! root), and refreshes the template on a timer up to
-//! `max_templates_per_height` times while the height lasts. Two endpoints
-//! map onto each backend. 16 backends × 8 template versions = the paper's
-//! ≤128 distinct blobs per height.
+//! root), and refreshes the template every 15 s, up to 8 versions while
+//! the height lasts. Two endpoints map onto each backend. 16 backends × 8
+//! template versions = the paper's ≤128 distinct blobs per height.
 
 use minedig_chain::block::{Block, BlockHeader};
 use minedig_chain::netsim::TipInfo;

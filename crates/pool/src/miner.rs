@@ -23,10 +23,6 @@ pub enum MinerError {
     Server(String),
     /// Server replied with something unexpected.
     Protocol(String),
-    /// The server shed the same request [`MAX_SHED_RETRIES`] times in a
-    /// row — overload outlasted the client's patience. Retryable at the
-    /// session level (a reconnect re-offers the work later).
-    Overloaded,
 }
 
 impl std::fmt::Display for MinerError {
@@ -35,16 +31,9 @@ impl std::fmt::Display for MinerError {
             MinerError::Transport(e) => write!(f, "miner transport error: {e}"),
             MinerError::Server(e) => write!(f, "pool error: {e}"),
             MinerError::Protocol(e) => write!(f, "protocol violation: {e}"),
-            MinerError::Overloaded => f.write_str("pool shed the request repeatedly"),
         }
     }
 }
-
-/// Consecutive [`ServerMsg::Shed`] replies a client re-offers one request
-/// through before giving up with [`MinerError::Overloaded`]. Bounded so a
-/// server that sheds forever cannot trap the client in an infinite offer
-/// loop.
-pub const MAX_SHED_RETRIES: u32 = 64;
 
 impl std::error::Error for MinerError {}
 
@@ -90,21 +79,9 @@ impl<T: Transport> MinerClient<T> {
     }
 
     fn request(&mut self, msg: &ClientMsg) -> Result<ServerMsg, MinerError> {
-        // A shed is the one reply that is about the request *rate*, not
-        // the request: re-offer the same message, bounded so overload
-        // that never clears surfaces as an error instead of a livelock.
-        // Sheds are absorbed here so the auth/job/submit state machines
-        // above never see them; against a server that never sheds (this
-        // crate's `Pool` is one) the loop runs exactly once.
-        for _ in 0..=MAX_SHED_RETRIES {
-            self.transport.send(&msg.encode())?;
-            let raw = self.transport.recv()?;
-            match ServerMsg::decode(&raw).map_err(|e| MinerError::Protocol(e.to_string()))? {
-                ServerMsg::Shed { .. } => continue,
-                other => return Ok(other),
-            }
-        }
-        Err(MinerError::Overloaded)
+        self.transport.send(&msg.encode())?;
+        let raw = self.transport.recv()?;
+        ServerMsg::decode(&raw).map_err(|e| MinerError::Protocol(e.to_string()))
     }
 
     /// Authenticates; returns hashes already credited to the token.
@@ -199,9 +176,6 @@ mod tests {
     use minedig_chain::tx::Transaction;
     use minedig_net::transport::channel_pair;
     use minedig_primitives::Hash32;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
 
     fn serve_pool(
         share_difficulty: u64,
@@ -210,10 +184,7 @@ mod tests {
         std::thread::JoinHandle<()>,
         MinerClient<minedig_net::transport::ChannelTransport>,
     ) {
-        let pool = Pool::new(PoolConfig {
-            share_difficulty,
-            ..PoolConfig::default()
-        });
+        let pool = Pool::new(PoolConfig { share_difficulty });
         pool.announce_tip(&TipInfo {
             height: 1,
             prev_id: Hash32::keccak(b"tip"),
@@ -269,105 +240,6 @@ mod tests {
         assert!(matches!(err, MinerError::Server(_)));
         drop(client);
         handle.join().unwrap();
-    }
-
-    /// A client-side transport that answers the requests `shed` picks
-    /// (numbered from 0) with [`ServerMsg::Shed`] itself, so the pool
-    /// never sees them; every other request passes through.
-    struct Shedding<T: Transport> {
-        inner: T,
-        shed: fn(u64) -> bool,
-        offered: u64,
-        sheds: Arc<AtomicU64>,
-        owes_shed: bool,
-    }
-
-    impl<T: Transport> Shedding<T> {
-        fn new(inner: T, shed: fn(u64) -> bool) -> (Shedding<T>, Arc<AtomicU64>) {
-            let sheds = Arc::new(AtomicU64::new(0));
-            let transport = Shedding {
-                inner,
-                shed,
-                offered: 0,
-                sheds: sheds.clone(),
-                owes_shed: false,
-            };
-            (transport, sheds)
-        }
-    }
-
-    impl<T: Transport> Transport for Shedding<T> {
-        fn send(&mut self, message: &[u8]) -> Result<(), TransportError> {
-            let n = self.offered;
-            self.offered += 1;
-            if (self.shed)(n) {
-                self.sheds.fetch_add(1, Ordering::Relaxed);
-                self.owes_shed = true;
-                Ok(())
-            } else {
-                self.inner.send(message)
-            }
-        }
-
-        fn send_timeout(&mut self, message: &[u8], _: Duration) -> Result<(), TransportError> {
-            self.send(message)
-        }
-
-        fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-            if std::mem::take(&mut self.owes_shed) {
-                return Ok(ServerMsg::Shed { retry_after_ms: 1 }.encode());
-            }
-            self.inner.recv()
-        }
-
-        fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-            if std::mem::take(&mut self.owes_shed) {
-                return Ok(ServerMsg::Shed { retry_after_ms: 1 }.encode());
-            }
-            self.inner.recv_timeout(timeout)
-        }
-    }
-
-    #[test]
-    fn miner_rides_out_sheds_transparently() {
-        let (_pool, handle, mut plain) = serve_pool(4);
-        plain.auth().unwrap();
-        let reference = plain.mine_until_credited(16, 10_000).unwrap();
-        drop(plain);
-        handle.join().unwrap();
-
-        // Every other offer is shed and silently re-offered.
-        let (pool, handle, client) = serve_pool(4);
-        let (transport, sheds) = Shedding::new(client.transport, |n| n % 2 == 0);
-        let mut gated = MinerClient::new(transport, Token::from_index(1), Variant::Test);
-        gated.auth().unwrap();
-        let report = gated.mine_until_credited(16, 10_000).unwrap();
-        drop(gated);
-        handle.join().unwrap();
-
-        assert_eq!(report, reference, "sheds must not perturb the mining run");
-        assert!(sheds.load(Ordering::Relaxed) > 0, "no request was shed");
-        assert_eq!(
-            pool.ledger().lifetime_hashes(&Token::from_index(1)),
-            report.hashes_credited
-        );
-    }
-
-    #[test]
-    fn persistent_overload_surfaces_as_error() {
-        let (_pool, handle, client) = serve_pool(1);
-        // The auth passes; every later offer is shed, so the client must
-        // give up instead of spinning forever.
-        let (transport, sheds) = Shedding::new(client.transport, |n| n > 0);
-        let mut client = MinerClient::new(transport, Token::from_index(1), Variant::Test);
-        client.auth().unwrap();
-        assert_eq!(client.get_job().unwrap_err(), MinerError::Overloaded);
-        drop(client);
-        handle.join().unwrap();
-        assert_eq!(
-            sheds.load(Ordering::Relaxed),
-            u64::from(MAX_SHED_RETRIES) + 1
-        );
     }
 
     #[test]

@@ -24,44 +24,38 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Pool configuration. Defaults model Coinhive as measured by the paper.
+/// Pool name: the Coinbase tag and the endpoint host names.
+const NAME: &str = "coinhive";
+/// Backend systems (Coinhive: 16 inferred).
+const BACKENDS: u16 = 16;
+/// Endpoints per backend (Coinhive: 2, inferred from 32 endpoints).
+const ENDPOINTS_PER_BACKEND: u16 = 2;
+/// WebSocket-style endpoints in all.
+const ENDPOINTS: usize = (BACKENDS * ENDPOINTS_PER_BACKEND) as usize;
+/// Seconds between template refreshes within one height.
+const TEMPLATE_REFRESH_SECS: u64 = 15;
+/// Template versions per height (Coinhive: at most 8 observed).
+const MAX_TEMPLATES_PER_HEIGHT: u32 = 8;
+/// Pool fee (Coinhive: 30 %).
+const FEE_FRACTION: f64 = 0.30;
+/// PoW variant shares are validated with.
+const POW_VARIANT: Variant = Variant::Test;
+/// Seed of the backends' extra nonces and of the pool's own draws.
+const SEED: u64 = 0xc01;
+
+/// Pool configuration. The pool models Coinhive as the paper measured
+/// it: 32 endpoints on 16 backends, at most 8 templates per height, a
+/// 30 % fee, and every served blob XOR-obfuscated.
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
-    /// Pool name; used for the Coinbase tag and endpoint host names.
-    pub name: String,
-    /// Number of backend systems (Coinhive: 16 inferred).
-    pub backends: u16,
-    /// Endpoints per backend (Coinhive: 2 inferred from 32 endpoints).
-    pub endpoints_per_backend: u16,
     /// Difficulty assigned to client shares (low, so browsers find them).
     pub share_difficulty: u64,
-    /// Seconds between template refreshes within one height.
-    pub template_refresh_secs: u64,
-    /// Maximum template versions per height (Coinhive: 8 observed).
-    pub max_templates_per_height: u32,
-    /// Pool fee (Coinhive: 30 %).
-    pub fee_fraction: f64,
-    /// Whether the XOR blob countermeasure is applied to outgoing jobs.
-    pub obfuscate: bool,
-    /// PoW variant used for share validation.
-    pub pow_variant: Variant,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            name: "coinhive".to_string(),
-            backends: 16,
-            endpoints_per_backend: 2,
             share_difficulty: 16,
-            template_refresh_secs: 15,
-            max_templates_per_height: 8,
-            fee_fraction: 0.30,
-            obfuscate: true,
-            pow_variant: Variant::Test,
-            seed: 0xc01,
         }
     }
 }
@@ -182,18 +176,18 @@ impl std::fmt::Display for JobError {
 impl Pool {
     /// Creates a pool.
     pub fn new(config: PoolConfig) -> Pool {
-        let tag = MinerTag::from_label(&config.name);
-        let backends = (0..config.backends)
+        let tag = MinerTag::from_label(NAME);
+        let backends = (0..BACKENDS)
             .map(|index| BackendSlot {
                 backend: Backend {
                     index,
                     pool_tag: tag,
-                    seed: config.seed,
+                    seed: SEED,
                 },
                 cache: Mutex::new(BackendCache::default()),
             })
             .collect();
-        let rng = DetRng::seed(config.seed).derive("pool");
+        let rng = DetRng::seed(SEED).derive("pool");
         Pool {
             shared: Arc::new(Shared {
                 config,
@@ -225,15 +219,14 @@ impl Pool {
 
     /// Total number of WebSocket-style endpoints.
     pub fn endpoint_count(&self) -> usize {
-        let config = &self.shared.config;
-        (config.backends * config.endpoints_per_backend) as usize
+        ENDPOINTS
     }
 
     /// Endpoint host names, enumerable the way the paper enumerated
     /// Coinhive's (from the JavaScript or DNS).
     pub fn endpoint_names(&self) -> Vec<String> {
         (0..self.endpoint_count())
-            .map(|i| format!("ws{:03}.{}.com", i + 1, self.shared.config.name))
+            .map(|i| format!("ws{:03}.{NAME}.com", i + 1))
             .collect()
     }
 
@@ -269,10 +262,10 @@ impl Pool {
         self.shared.mining.lock().jobs.clear();
     }
 
-    fn version_at(config: &PoolConfig, tip: &TipState, now: u64) -> u32 {
+    fn version_at(tip: &TipState, now: u64) -> u32 {
         let elapsed = now.saturating_sub(tip.seen_at);
-        let v = elapsed / config.template_refresh_secs.max(1);
-        (v as u32).min(config.max_templates_per_height - 1)
+        let v = elapsed / TEMPLATE_REFRESH_SECS;
+        (v as u32).min(MAX_TEMPLATES_PER_HEIGHT - 1)
     }
 
     /// Runs `f` on backend `backend_idx`'s template `version` for `tip`,
@@ -293,7 +286,7 @@ impl Pool {
         }
         let template = cache.templates.entry(version).or_insert_with(|| {
             let info = tip.tip.as_ref().expect("template without tip");
-            let timestamp = tip.seen_at + version as u64 * shared.config.template_refresh_secs;
+            let timestamp = tip.seen_at + version as u64 * TEMPLATE_REFRESH_SECS;
             let coinbase = slot.backend.coinbase(info, version).hash();
             let blob = HashingBlob {
                 major_version: 7,
@@ -310,12 +303,11 @@ impl Pool {
         f(template)
     }
 
-    fn backend_of_endpoint(config: &PoolConfig, endpoint: usize) -> Result<u16, JobError> {
-        let total = (config.backends * config.endpoints_per_backend) as usize;
-        if endpoint >= total {
+    fn backend_of_endpoint(endpoint: usize) -> Result<u16, JobError> {
+        if endpoint >= ENDPOINTS {
             return Err(JobError::BadEndpoint(endpoint));
         }
-        Ok((endpoint / config.endpoints_per_backend as usize) as u16)
+        Ok((endpoint / ENDPOINTS_PER_BACKEND as usize) as u16)
     }
 
     /// Observer-style job fetch: returns the blob currently served by the
@@ -330,20 +322,15 @@ impl Pool {
         let Some(info) = tip.tip.as_ref() else {
             return Err(JobError::NoTip);
         };
-        let backend = Self::backend_of_endpoint(&shared.config, endpoint)?;
-        let version = Self::version_at(&shared.config, &tip, now);
+        let backend = Self::backend_of_endpoint(endpoint)?;
+        let version = Self::version_at(&tip, now);
         let height = info.height;
         Ok(Self::with_template(shared, &tip, backend, version, |t| {
             t.peek
                 .get_or_insert_with(|| {
-                    let wire = if shared.config.obfuscate {
-                        obfuscation::obfuscated(&t.blob)
-                    } else {
-                        t.blob.clone()
-                    };
                     Job::from_blob(
                         format!("peek-{height}-{backend}-{version}"),
-                        &wire,
+                        &obfuscation::obfuscated(&t.blob),
                         shared.config.share_difficulty,
                         height,
                     )
@@ -363,8 +350,8 @@ impl Pool {
         let Some(info) = tip.tip.as_ref() else {
             return Err(JobError::NoTip);
         };
-        let backend = Self::backend_of_endpoint(&shared.config, endpoint)?;
-        let version = Self::version_at(&shared.config, &tip, now);
+        let backend = Self::backend_of_endpoint(endpoint)?;
+        let version = Self::version_at(&tip, now);
         let true_blob = Self::with_template(shared, &tip, backend, version, |t| t.blob.clone());
         let height = info.height;
         let share_difficulty = shared.config.share_difficulty;
@@ -381,9 +368,7 @@ impl Pool {
         );
         drop(mining);
         let mut wire_blob = true_blob;
-        if shared.config.obfuscate {
-            obfuscation::xor_blob(&mut wire_blob);
-        }
+        obfuscation::xor_blob(&mut wire_blob);
         Ok(Job::from_blob(job_id, &wire_blob, share_difficulty, height))
     }
 
@@ -415,8 +400,7 @@ impl Pool {
         // Reconstruct the blob with the claimed nonce and verify.
         let parsed = HashingBlob::parse(&blob).expect("issued blob parses");
         let mined = parsed.with_nonce(nonce).to_bytes();
-        let variant = self.shared.config.pow_variant;
-        let hash = slow_hash(&mined, variant);
+        let hash = slow_hash(&mined, POW_VARIANT);
         if hash != *result {
             mining.ledger.record_rejected();
             return Err("result hash mismatch".to_string());
@@ -444,16 +428,14 @@ impl Pool {
         let shared = &*self.shared;
         let tip = self.tip_state();
         let info = tip.tip.clone().expect("win_block without tip");
-        let version = Self::version_at(&shared.config, &tip, found_at);
-        let timestamp = tip.seen_at + version as u64 * shared.config.template_refresh_secs;
+        let version = Self::version_at(&tip, found_at);
+        let timestamp = tip.seen_at + version as u64 * TEMPLATE_REFRESH_SECS;
         let mut mining = shared.mining.lock();
-        let n_backends = shared.config.backends as u64;
-        let backend_idx = mining.rng.gen_range(n_backends) as usize;
+        let backend_idx = mining.rng.gen_range(u64::from(BACKENDS)) as usize;
         let backend = shared.backends[backend_idx].backend.clone();
         let mut block = backend.template(&info, version, timestamp);
         block.header.nonce = mining.rng.next_u32();
-        let fee = shared.config.fee_fraction;
-        mining.ledger.distribute(info.reward, fee);
+        mining.ledger.distribute(info.reward, FEE_FRACTION);
         mining.blocks_won += 1;
         block
     }
@@ -668,7 +650,6 @@ mod tests {
     fn share_flow_accept_and_reject() {
         let p = Pool::new(PoolConfig {
             share_difficulty: 2, // ~every other hash passes
-            ..PoolConfig::default()
         });
         p.announce_tip(&tip(5, 100));
         let token = Token::from_index(1);
@@ -699,7 +680,6 @@ mod tests {
         // (like a generic miner would) yields only rejected shares.
         let p = Pool::new(PoolConfig {
             share_difficulty: 1, // every correctly-computed hash passes
-            ..PoolConfig::default()
         });
         p.announce_tip(&tip(5, 100));
         let token = Token::from_index(2);
@@ -718,7 +698,6 @@ mod tests {
     fn stale_jobs_rejected_after_new_tip() {
         let p = Pool::new(PoolConfig {
             share_difficulty: 1,
-            ..PoolConfig::default()
         });
         p.announce_tip(&tip(5, 100));
         let job = p.issue_job(0, 100).unwrap();
@@ -755,7 +734,7 @@ mod tests {
         // equal the full `Backend::template` for every endpoint and
         // version, and a cached peek job must equal one built fresh.
         let config = PoolConfig::default();
-        let refresh = config.template_refresh_secs;
+        let refresh = TEMPLATE_REFRESH_SECS;
         for txs in [0usize, 1, 2, 3, 7, 8, 12, 15, 16, 17, 64] {
             let p = pool();
             let info = TipInfo {
@@ -766,13 +745,13 @@ mod tests {
             };
             p.announce_tip(&info);
             for endpoint in 0..p.endpoint_count() {
-                let index = (endpoint / config.endpoints_per_backend as usize) as u16;
+                let index = (endpoint / ENDPOINTS_PER_BACKEND as usize) as u16;
                 let backend = Backend {
                     index,
                     pool_tag: p.tag(),
-                    seed: config.seed,
+                    seed: SEED,
                 };
-                for version in 0..config.max_templates_per_height {
+                for version in 0..MAX_TEMPLATES_PER_HEIGHT {
                     let timestamp = 1_000 + version as u64 * refresh;
                     let block = backend.template(&info, version, timestamp);
                     let fresh = Job::from_blob(
@@ -885,7 +864,6 @@ mod tests {
     fn serve_session_over_channel_transport() {
         let p = Pool::new(PoolConfig {
             share_difficulty: 1,
-            ..PoolConfig::default()
         });
         p.announce_tip(&tip(2, 50));
         let (mut client, mut server) = channel_pair();

@@ -6,7 +6,7 @@
 //! submits share results; the server acknowledges accepted hashes (which
 //! is how the short-link progress bar advances).
 
-use minedig_net::json::{Number, Value};
+use minedig_net::json::Value;
 use minedig_primitives::{from_hex, to_hex, Hash32};
 
 /// A Coinhive-style customer token ("site key"): identifies who is
@@ -35,8 +35,8 @@ impl std::fmt::Display for Token {
 pub struct Job {
     /// Opaque job id, echoed back in submissions.
     pub job_id: String,
-    /// Hex-encoded (and, when the countermeasure is on, obfuscated)
-    /// hashing blob with the nonce field zeroed.
+    /// Hex-encoded hashing blob with the nonce field zeroed,
+    /// XOR-obfuscated as the pool serves it.
     pub blob_hex: String,
     /// Share difficulty the result hash must satisfy.
     pub share_difficulty: u64,
@@ -95,15 +95,6 @@ pub enum ServerMsg {
     Error {
         /// Human-readable reason.
         reason: String,
-    },
-    /// The server refused the request under load (admission control).
-    /// Unlike [`ServerMsg::Error`] this is not a semantic refusal: the
-    /// request was valid, the server just shed it, so clients classify
-    /// it as retryable and back off at least `retry_after_ms`.
-    Shed {
-        /// Server's hint: clock units until the request would fit the
-        /// admission rate again.
-        retry_after_ms: u64,
     },
 }
 
@@ -215,10 +206,6 @@ impl ServerMsg {
                 ("type", Value::str("error")),
                 ("reason", Value::str(reason)),
             ]),
-            ServerMsg::Shed { retry_after_ms } => Value::object(vec![
-                ("type", Value::str("shed")),
-                ("retry_after_ms", Value::u64(*retry_after_ms)),
-            ]),
         };
         v.encode().into_bytes()
     }
@@ -244,9 +231,6 @@ impl ServerMsg {
             "error" => Ok(ServerMsg::Error {
                 reason: need_str(&v, "reason")?,
             }),
-            "shed" => Ok(ServerMsg::Shed {
-                retry_after_ms: need_u64(&v, "retry_after_ms")?,
-            }),
             other => Err(ProtocolError(format!("unknown server message '{other}'"))),
         }
     }
@@ -267,12 +251,6 @@ impl Job {
             height,
         }
     }
-}
-
-/// Sanity check used by tests and the fuzzing harness: a `Number` decoded
-/// from the wire must stay integral for difficulty fields.
-pub fn number_is_integral(n: &Number) -> bool {
-    !matches!(n, Number::F64(v) if v.fract() != 0.0)
 }
 
 #[cfg(test)]
@@ -329,7 +307,6 @@ mod tests {
             ServerMsg::Error {
                 reason: "invalid share".into(),
             },
-            ServerMsg::Shed { retry_after_ms: 3 },
         ];
         for m in msgs {
             assert_eq!(ServerMsg::decode(&m.encode()).unwrap(), m, "{m:?}");
@@ -360,7 +337,12 @@ mod tests {
         ] {
             assert!(ClientMsg::decode(bad).is_err(), "accepted {bad:?}");
         }
-        assert!(ServerMsg::decode(br#"{"type":"job","job_id":"x"}"#).is_err());
+        for bad in [
+            &br#"{"type":"job","job_id":"x"}"#[..],
+            br#"{"type":"shed","retry_after_ms":3}"#,
+        ] {
+            assert!(ServerMsg::decode(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

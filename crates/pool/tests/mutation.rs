@@ -71,7 +71,6 @@ fn server_msgs() -> Vec<ServerMsg> {
         ServerMsg::Error {
             reason: "endpoint 999 does not exist".to_string(),
         },
-        ServerMsg::Shed { retry_after_ms: 3 },
     ]);
     msgs
 }

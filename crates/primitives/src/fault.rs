@@ -53,9 +53,10 @@ pub struct FaultConfig {
     pub max_transient_attempts: u32,
     /// Relative weights of `[Drop, Delay, Disconnect, Garble, Stall]`.
     pub kind_weights: [f64; 5],
-    /// Mean injected latency for `Delay` faults, in milliseconds.
-    pub mean_delay_ms: u64,
 }
+
+/// Mean injected latency for `Delay` faults, in milliseconds.
+const MEAN_DELAY_MS: u64 = 40;
 
 impl Default for FaultConfig {
     fn default() -> FaultConfig {
@@ -64,7 +65,6 @@ impl Default for FaultConfig {
             permanent_prob: 0.0,
             max_transient_attempts: 2,
             kind_weights: [1.0; 5],
-            mean_delay_ms: 40,
         }
     }
 }
@@ -162,7 +162,7 @@ impl FaultPlan {
         Some(match kind {
             0 => Fault::Drop,
             1 => Fault::Delay {
-                ms: 1 + rng.gen_range(self.config.mean_delay_ms.max(1) * 2),
+                ms: 1 + rng.gen_range(MEAN_DELAY_MS * 2),
             },
             2 => Fault::Disconnect,
             3 => Fault::Garble,
@@ -214,7 +214,7 @@ mod tests {
         Some(match rng.weighted_index(&config.kind_weights) {
             0 => Fault::Drop,
             1 => Fault::Delay {
-                ms: 1 + rng.gen_range(config.mean_delay_ms.max(1) * 2),
+                ms: 1 + rng.gen_range(MEAN_DELAY_MS * 2),
             },
             2 => Fault::Disconnect,
             3 => Fault::Garble,
@@ -229,7 +229,6 @@ mod tests {
             permanent_prob: 0.3,
             max_transient_attempts: 3,
             kind_weights: [1.0, 2.0, 0.5, 1.0, 3.0],
-            ..FaultConfig::default()
         };
         for plan in [
             FaultPlan::new(0),

@@ -200,11 +200,6 @@ impl DetRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Log-normal variate with the given log-space mean and deviation.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.normal()).exp()
-    }
-
     /// Poisson variate (Knuth's method; adequate for the small means used
     /// by the calendar/holiday models).
     pub fn poisson(&mut self, lambda: f64) -> u64 {

@@ -118,11 +118,6 @@ pub fn run_to_end<C: Campaign>(mut campaign: C) -> C::Output {
 /// checkpointed.
 pub const CKPT_DIR_ENV: &str = "MINEDIG_CKPT_DIR";
 
-/// Environment variable overriding
-/// [`CrashPolicy::ckpt_every_items`] (the "checkpoint every K items"
-/// cadence).
-pub const CKPT_EVERY_ENV: &str = "MINEDIG_CKPT_EVERY";
-
 /// When to checkpoint and how many kills to survive.
 #[derive(Clone, Debug)]
 pub struct CrashPolicy {
@@ -138,21 +133,6 @@ impl Default for CrashPolicy {
             ckpt_every_items: 64,
             max_restarts: 16,
         }
-    }
-}
-
-impl CrashPolicy {
-    /// The default policy with the checkpoint cadence [`CKPT_EVERY_ENV`]
-    /// names through `lookup`: a positive count, the default when unset,
-    /// and an error naming the variable for anything else.
-    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<CrashPolicy, String> {
-        let mut policy = CrashPolicy::default();
-        if let Some(every) = parse_var(lookup, CKPT_EVERY_ENV, "a positive integer", |&n: &u64| {
-            n > 0
-        })? {
-            policy.ckpt_every_items = every;
-        }
-        Ok(policy)
     }
 }
 
@@ -402,13 +382,11 @@ pub struct Ckpt {
 impl Ckpt {
     /// The checkpointing that `lookup` names: `None` unless
     /// [`CKPT_DIR_ENV`] is set, else a store in that directory written
-    /// at the [`CrashPolicy::parse`] cadence. A malformed cadence is an
-    /// error even when no directory is set.
+    /// at the [`CrashPolicy::default`] cadence of 64 items.
     pub fn parse(
         lookup: impl Fn(&str) -> Option<String>,
         resume: bool,
     ) -> Result<Option<Ckpt>, String> {
-        let policy = CrashPolicy::parse(&lookup)?;
         let Some(dir) = lookup(CKPT_DIR_ENV) else {
             return Ok(None);
         };
@@ -416,7 +394,7 @@ impl Ckpt {
             .map_err(|e| format!("cannot open checkpoint dir '{dir}': {e}"))?;
         Ok(Some(Ckpt {
             store,
-            supervisor: Supervisor::new(policy),
+            supervisor: Supervisor::default(),
             resume,
         }))
     }
@@ -640,21 +618,15 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_parse_checks_the_cadence_and_opens_the_named_directory() {
+    fn ckpt_parse_opens_the_named_directory() {
         assert!(matches!(Ckpt::parse(|_| None, false), Ok(None)));
-        let bad = Ckpt::parse(|n| (n == CKPT_EVERY_ENV).then(|| "0".into()), false);
-        assert!(matches!(bad, Err(e) if e.contains(CKPT_EVERY_ENV)));
         let dir = std::env::temp_dir().join(format!("minedig-ckpt-parse-{}", std::process::id()));
-        let lookup = |name: &str| match name {
-            CKPT_DIR_ENV => Some(dir.display().to_string()),
-            CKPT_EVERY_ENV => Some("16".to_string()),
-            _ => None,
-        };
+        let lookup = |name: &str| (name == CKPT_DIR_ENV).then(|| dir.display().to_string());
         let ck = Ckpt::parse(lookup, true)
             .unwrap()
             .expect("a directory is set");
         assert_eq!(ck.store.dir(), dir.as_path());
-        assert_eq!(ck.supervisor.policy().ckpt_every_items, 16);
+        assert_eq!(ck.supervisor.policy().ckpt_every_items, 64);
         assert!(ck.resume);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -678,23 +650,6 @@ mod tests {
     fn backend_parse_rejects_nonsense() {
         for bad in ["abc", "0", "-2", ""] {
             assert!(parse(&[("MINEDIG_SHARDS", bad)]).is_err(), "shards {bad:?}");
-        }
-    }
-
-    #[test]
-    fn crash_policy_parses_positive_cadences_and_rejects_the_rest() {
-        let every = |v: &str| {
-            CrashPolicy::parse(|name| (name == CKPT_EVERY_ENV).then(|| v.to_string()))
-                .map(|p| p.ckpt_every_items)
-        };
-        assert_eq!(
-            CrashPolicy::parse(|_| None).map(|p| p.ckpt_every_items),
-            Ok(64)
-        );
-        assert_eq!(every(" 16 "), Ok(16));
-        for bad in ["abc", "0", "-1", ""] {
-            let err = every(bad).expect_err(bad);
-            assert!(err.contains(CKPT_EVERY_ENV), "{err}");
         }
     }
 

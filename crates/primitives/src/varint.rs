@@ -156,12 +156,6 @@ impl<'a> ByteReader<'a> {
         self.pos += n;
         Ok(v)
     }
-
-    /// Reads a little-endian u32 (Wasm headers use fixed-width fields).
-    pub fn read_u32_le(&mut self) -> Result<u32, VarintError> {
-        let b = self.read_bytes(4)?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
-    }
 }
 
 #[cfg(test)]

@@ -266,7 +266,6 @@ mod tests {
         });
         let pool = Pool::new(PoolConfig {
             share_difficulty: 4,
-            ..PoolConfig::default()
         });
         pool.announce_tip(&TipInfo {
             height: 1,

@@ -301,29 +301,15 @@ fn write_html(domain: &Domain, rng: &mut DetRng, mut scripts: Scripts<'_>) -> St
             }
             ArtifactKind::ConsentMiner => {
                 // Authedmine: listed script, but mining starts only after
-                // an opt-in dialog a crawler never clicks. The behaviour
-                // is present-but-gated, so a consenting load (see
-                // `LoadPolicy::grant_consent`) does mine — Authedmine uses
-                // the same Coinhive infrastructure.
+                // an opt-in dialog a crawler never clicks, so the page
+                // shows the dialog and never loads the miner.
                 let url = "https://authedmine.com/lib/authedmine.min.js";
                 artifact_markup.push_str(&format!("<script src=\"{url}\"></script>\n"));
                 let delay_ms = 30 + rng.gen_range(120);
                 scripts.add(|| {
-                    let (_hosted, ws_url) = family_assets(MinerFamily::Coinhive, domain.token_id);
-                    let miner = ScriptEffect::StartMiner {
-                        wasm: wasm_bytes(
-                            WasmClass::Miner(MinerFamily::Coinhive),
-                            domain.wasm_version,
-                        ),
-                        ws_url,
-                        token: site_key(domain.token_id),
-                        submit_interval_ms: 900,
-                    };
                     let behavior = ScriptBehavior {
                         delay_ms,
-                        effects: vec![ScriptEffect::ConsentGated {
-                            inner: Box::new(miner),
-                        }],
+                        effects: vec![ScriptEffect::ConsentGated],
                     };
                     (ScriptRef::Src(url.to_string()), behavior)
                 });
@@ -523,19 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn consent_miner_mines_when_user_opts_in() {
-        // Authedmine's whole pitch: same miner, explicit consent.
-        let d = domain_with(ArtifactKind::ConsentMiner, true, false);
-        let policy = LoadPolicy {
-            grant_consent: true,
-            ..LoadPolicy::default()
-        };
-        let cap = load_page(&synthesize_page(&d, 1), &policy);
-        assert!(cap.has_wasm(), "consenting visitor mines");
-        assert!(cap.websocket_urls()[0].contains("coinhive.com"));
-    }
-
-    #[test]
     fn non_tls_site_invisible_to_zgrab() {
         let d = domain_with(
             ArtifactKind::ActiveMiner {
@@ -656,7 +629,7 @@ mod tests {
         assert!(beyond_cut > 0, "no page passes the cut");
         assert_eq!(
             digest(rows.as_bytes()),
-            "543553566b29fc55cdd2964644c9b2bd6bed9b649e3da52b6241cc841bbde2c2"
+            "9aeb36af0eeb726a368f7e905bf85d45eb9bd824a660bf7b155cc37db0d77d32"
         );
     }
 }

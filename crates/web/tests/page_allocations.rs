@@ -80,10 +80,6 @@ fn beyond_cut_domain() -> Domain {
 #[test]
 fn a_beyond_cut_page_is_one_large_allocation() {
     let d = beyond_cut_domain();
-    // Fill the Wasm cache first: the miner's module is generated once
-    // per process, not per page.
-    drop(synthesize_page(&d, 2018));
-
     let (n, page) = large_allocs(|| synthesize_page(&d, 2018));
     assert!(page.html.len() > ZGRAB_CUT);
     assert_eq!(n, 1, "synthesize_page: large allocations");
@@ -92,8 +88,6 @@ fn a_beyond_cut_page_is_one_large_allocation() {
 #[test]
 fn a_beyond_cut_zgrab_view_is_one_large_allocation() {
     let d = beyond_cut_domain();
-    drop(synthesize_page(&d, 2018));
-
     let (n, html) = large_allocs(|| zgrab_fetch(&d, 2018));
     assert_eq!(html.map(|h| h.len()), Some(ZGRAB_CUT));
     assert_eq!(n, 1, "zgrab_fetch: large allocations");

@@ -20,12 +20,10 @@ use minedig::shortlink::resolve::resolve_with_pool;
 use minedig::shortlink::service::ShortlinkService;
 
 fn main() {
-    // The pool, with the blob-XOR countermeasure enabled (the resolver
-    // must know to revert it — the paper had to reverse-engineer this).
+    // The pool XORs every blob it serves (the resolver must know to
+    // revert it — the paper had to reverse-engineer this).
     let pool = Pool::new(PoolConfig {
         share_difficulty: 8,
-        obfuscate: true,
-        ..PoolConfig::default()
     });
     pool.announce_tip(&TipInfo {
         height: 1_600_000,

@@ -19,11 +19,10 @@
 //! number, a zero day or link count or an extra argument.
 //!
 //! `MINEDIG_CKPT_DIR=<dir>` runs `scan`, `attribute` and `shortlink`
-//! supervised: progress checkpoints land in `<dir>` every
-//! `MINEDIG_CKPT_EVERY` items (default 64, the journals of the last two
-//! full saves retained), and `--resume` continues a killed campaign
-//! from its latest snapshot — with results bit-identical to an
-//! uninterrupted run.
+//! supervised: progress checkpoints land in `<dir>` every 64 items (the
+//! journals of the last two full saves retained), and `--resume`
+//! continues a killed campaign from its latest snapshot — with results
+//! bit-identical to an uninterrupted run.
 //!
 //! `MINEDIG_HEALTH=1 minedig attribute …` puts the §4.2 poller behind
 //! the endpoint-health layer: per-endpoint circuit breakers quarantine
@@ -45,8 +44,7 @@ use minedig::pow::Variant;
 use minedig::primitives::fault::{FaultPlan, FAULT_SEED_ENV};
 use minedig::primitives::health::{parse_health, HealthConfig, HEALTH_ENV};
 use minedig::primitives::supervise::{
-    run_campaign, Backend, Ckpt, SuperviseError, SuperviseReport, CKPT_DIR_ENV, CKPT_EVERY_ENV,
-    SHARDS_ENV,
+    run_campaign, Backend, Ckpt, SuperviseError, SuperviseReport, CKPT_DIR_ENV, SHARDS_ENV,
 };
 use minedig::primitives::{configured, read_env};
 use minedig::shortlink::model::ModelConfig;
@@ -65,8 +63,7 @@ const USAGE: &str =
      MINEDIG_SHARDS=<n> runs campaigns on n worker threads (default: one per\n\
      core; 1 runs sequentially). Results are identical on every backend.\n\
      MINEDIG_CKPT_DIR=<dir> checkpoints scan/attribute/shortlink campaigns\n\
-     every MINEDIG_CKPT_EVERY items (default 64); --resume continues from\n\
-     the latest snapshot.\n\
+     every 64 items; --resume continues from the latest snapshot.\n\
      MINEDIG_HEALTH=1 runs attribute behind the endpoint-health layer\n\
      (circuit breakers, adaptive deadlines, hedged probes).\n\
      MINEDIG_FAULT_SEED=<n> injects a reproducible fault schedule.\n\
@@ -102,13 +99,7 @@ fn main() {
 }
 
 /// The `MINEDIG_*` variables the CLI reads.
-const VARS: [&str; 5] = [
-    SHARDS_ENV,
-    CKPT_DIR_ENV,
-    CKPT_EVERY_ENV,
-    FAULT_SEED_ENV,
-    HEALTH_ENV,
-];
+const VARS: [&str; 4] = [SHARDS_ENV, CKPT_DIR_ENV, FAULT_SEED_ENV, HEALTH_ENV];
 
 /// A checked command line.
 #[derive(Debug, PartialEq)]
@@ -320,13 +311,10 @@ fn print_chrome_findings(ch: &minedig::core::scan::ChromeScanOutcome) {
         Comparison::new("  blocked by NoCoin", 0.0, ch.blocked_by_nocoin as f64),
         Comparison::new("  missed by NoCoin", 0.0, ch.missed_by_nocoin as f64),
     ];
-    // Reuse the table renderer; the 'paper' column is not meaningful
-    // for an ad-hoc zone/seed, so only print the measured side.
-    let table = comparison_table("Chrome scan", &rows);
-    for line in table.lines() {
-        // Strip the paper/delta columns for the CLI view.
-        println!("{}", line);
-    }
+    // The paper and delta columns print too: an ad-hoc zone and seed
+    // has no paper figure, so paper reads 0 and delta inf% (0.0% where
+    // nothing was measured).
+    print!("{}", comparison_table("Chrome scan", &rows));
     println!(
         "top classes: {:?}",
         ch.class_counts.iter().take(5).collect::<Vec<_>>()
@@ -364,7 +352,7 @@ fn cmd_attribute(
         });
     }
     // MINEDIG_CKPT_DIR runs the §4.2 poll loop supervised: one item =
-    // one block event, checkpoints every MINEDIG_CKPT_EVERY events,
+    // one block event, checkpoints every 64 events,
     // --resume continues from the latest snapshot — bit-identical to
     // the unsupervised scenario. Its sweeps run in-line whatever the
     // backend, so its campaign line says sequential.
@@ -559,6 +547,7 @@ mod tests {
             "MINEDIG_CONCURRENCY",
             "MINEDIG_SHARD",
             "MINEDIG_CKPT_KEEP",
+            "MINEDIG_CKPT_EVERY",
         ] {
             let err = check(&["PATH", name, "MINEDIG_SHARDS"]).expect_err(name);
             assert!(err.contains(name), "{err}");

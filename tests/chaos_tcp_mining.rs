@@ -39,7 +39,6 @@ fn one_link_service() -> ShortlinkService {
 fn pool_with_tip() -> Pool {
     let pool = Pool::new(PoolConfig {
         share_difficulty: 4,
-        ..PoolConfig::default()
     });
     pool.announce_tip(&TipInfo {
         height: 1,

@@ -26,8 +26,9 @@ fn assert_refused(args: &[&str], vars: &[(&str, &str)], named: &str) {
 
 #[test]
 fn the_removed_retention_variable_is_refused() {
-    let keep = [("MINEDIG_CKPT_KEEP", "3")];
-    assert_refused(&["scan", "net", "2018"], &keep, "MINEDIG_CKPT_KEEP");
+    for (name, value) in [("MINEDIG_CKPT_KEEP", "3"), ("MINEDIG_CKPT_EVERY", "16")] {
+        assert_refused(&["scan", "net", "2018"], &[(name, value)], name);
+    }
 }
 
 #[test]

@@ -13,10 +13,7 @@ use minedig::pow::Variant;
 use minedig::primitives::Hash32;
 
 fn pool_with_tip(share_difficulty: u64) -> Pool {
-    let pool = Pool::new(PoolConfig {
-        share_difficulty,
-        ..PoolConfig::default()
-    });
+    let pool = Pool::new(PoolConfig { share_difficulty });
     pool.announce_tip(&TipInfo {
         height: 1,
         prev_id: Hash32::keccak(b"tcp-tip"),

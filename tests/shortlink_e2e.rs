@@ -43,7 +43,6 @@ fn enumerate_then_resolve_cheap_links() {
 fn real_pow_resolution_over_tcp_credits_the_creator() {
     let pool = Pool::new(PoolConfig {
         share_difficulty: 8,
-        ..PoolConfig::default()
     });
     pool.announce_tip(&TipInfo {
         height: 9,
