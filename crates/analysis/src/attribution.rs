@@ -74,11 +74,6 @@ impl Attributor {
         matched
     }
 
-    /// Total XMR-equivalent atomic units earned by attributed blocks.
-    pub fn total_reward(&self) -> u64 {
-        self.attributed.iter().map(|b| b.reward).sum()
-    }
-
     /// Share of *decidable* judged blocks attributed to the pool.
     /// Observation gaps carry no evidence either way and are excluded
     /// from the denominator.
@@ -137,7 +132,6 @@ mod tests {
         assert_eq!(a.attributed[0].height, 42);
         assert_eq!(a.attributed[0].reward, 999);
         assert_eq!(a.attributed[0].found_at, 1_060);
-        assert_eq!(a.total_reward(), 999);
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl<S: JobSource> JobSource for FaultyJobSource<S> {
         match self.plan.decide(&format!("poll.{endpoint}.{now}"), attempt) {
             None => self.inner.fetch_job(endpoint, now, attempt),
             // Latency alone does not change the observed job.
-            Some(Fault::Delay { .. }) => self.inner.fetch_job(endpoint, now, attempt),
+            Some(Fault::Delay) => self.inner.fetch_job(endpoint, now, attempt),
             Some(Fault::Drop) | Some(Fault::Stall) => Err(FetchError::Timeout),
             Some(Fault::Disconnect) => {
                 self.down[endpoint].store(true, Ordering::Release);
@@ -470,7 +470,7 @@ impl<S: JobSource> Observer<S> {
             waited_ms: outcome.waited_ms,
         };
         match outcome.result {
-            Err(e) => match e.error {
+            Err(e) => match e {
                 FetchError::Offline => self.stats.offline += 1,
                 FetchError::Refused | FetchError::Shed => self.stats.other_errors += 1,
                 // The transport never recovered within the policy: the

@@ -1,6 +1,5 @@
 #![warn(missing_docs)]
-//! A deterministic headless-browser simulator with DevTools-style
-//! instrumentation.
+//! A deterministic headless-browser simulator with the §3.2 capture.
 //!
 //! §3.2 of the paper instruments a stock Chrome via the DevTools protocol
 //! "to capture all Websocket communication and to dump all detected Wasm
@@ -12,16 +11,14 @@
 //!
 //! This crate reproduces that sensor: pages are HTML plus *declared
 //! script behaviours* (what each script does when executed — inject
-//! another script, compile a Wasm module and start mining against a
-//! WebSocket backend, mutate the DOM, …). A virtual-time event loop
-//! executes the behaviours and records DevTools-style events; the capture
-//! (final HTML, Wasm dumps, WebSocket log) is exactly what the paper's
-//! measurement pipeline consumes.
+//! another script, compile a Wasm module, open a WebSocket to a pool
+//! backend, mutate the DOM, …). A virtual-time event loop executes the
+//! behaviours under the completion policy and keeps what the scan
+//! classifies a page by: the final HTML, the Wasm dumps and the
+//! WebSocket endpoints the page opened.
 
-pub mod devtools;
 pub mod loader;
 pub mod page;
 
-pub use devtools::{Capture, DevtoolsEvent};
-pub use loader::{load_page, LoadPolicy};
+pub use loader::{load_page, Capture, LoadOutcome, LoadPolicy};
 pub use page::{Page, ScriptBehavior, ScriptEffect, ScriptRef};

@@ -1,13 +1,12 @@
 //! The page-load event loop with the paper's completion policy.
 //!
-//! A Wasm module a page compiles is dumped and logged, not run: the §3
-//! classifier fingerprints the modules DevTools captured and never reads
-//! what their code computes.
+//! A Wasm module a page compiles is dumped, not run: the §3 classifier
+//! fingerprints the modules DevTools captured and never reads what their
+//! code computes.
 
-use crate::devtools::{Capture, DevtoolsEvent, FrameDirection, LoadOutcome};
-use crate::page::{Page, ScriptBehavior, ScriptEffect, ScriptRef};
+use crate::page::{Page, ScriptEffect, ScriptRef};
 use minedig_nocoin::extract::extract_script_tags;
-use minedig_primitives::{DetRng, Hash32};
+use minedig_primitives::DetRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -21,6 +20,43 @@ const TIMEOUT_MS: u64 = 15_000;
 const FINAL_HTML_BYTES: usize = 65_536;
 /// Cap on dynamically injected scripts (loop guard).
 const MAX_INJECTED_SCRIPTS: u32 = 32;
+
+/// How a page load ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LoadOutcome {
+    /// Load event plus DOM-quiet (or the +5 s cap) — "loaded completely".
+    Loaded,
+    /// No load event within the 15 s budget — "timed out".
+    TimedOut,
+}
+
+/// What §3.2 keeps of one page load: the scan classifies the page by its
+/// final HTML, its Wasm dumps and the WebSocket endpoints it opened.
+#[derive(Clone, Debug)]
+pub struct Capture {
+    /// How the load ended.
+    pub outcome: LoadOutcome,
+    /// Virtual time at which the page was declared done, ms.
+    pub finished_at_ms: u64,
+    /// Dumped Wasm modules, in compile order.
+    pub wasm_dumps: Vec<Vec<u8>>,
+    /// First 65 kB of the final (post-execution) HTML.
+    pub final_html: String,
+    /// WebSocket endpoint URLs, in open order.
+    websockets: Vec<String>,
+}
+
+impl Capture {
+    /// The WebSocket endpoint URLs the page opened, in open order.
+    pub fn websocket_urls(&self) -> &[String] {
+        &self.websockets
+    }
+
+    /// Whether any Wasm was compiled.
+    pub fn has_wasm(&self) -> bool {
+        !self.wasm_dumps.is_empty()
+    }
+}
 
 /// Page-load policy. The completion rule and the HTML budget are the
 /// paper's §3.2 constants; only the latency seed varies.
@@ -41,7 +77,6 @@ enum Action {
     ExecScript(ScriptRef),
     ExecInjected(String),
     Mutation { remaining: u32, interval_ms: u64 },
-    MinerSubmit { url: String, interval_ms: u64 },
     FireLoad,
 }
 
@@ -50,8 +85,8 @@ struct Sim {
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
     actions: Vec<Action>,
     seq: u64,
-    events: Vec<DevtoolsEvent>,
     wasm_dumps: Vec<Vec<u8>>,
+    websockets: Vec<String>,
     injected_html: String,
     injected_count: u32,
     load_at: Option<u64>,
@@ -64,11 +99,6 @@ impl Sim {
         self.actions.push(action);
         self.queue.push(Reverse((at_ms, self.seq, idx)));
         self.seq += 1;
-    }
-
-    fn dom_mutation(&mut self, at_ms: u64) {
-        self.last_dom_ms = Some(at_ms);
-        self.events.push(DevtoolsEvent::DomMutation { at_ms });
     }
 
     /// The time at which the page would be considered done given current
@@ -90,20 +120,8 @@ impl Sim {
         }
     }
 
-    fn compile_wasm(&mut self, bytes: &[u8], at_ms: u64) {
-        let id = Hash32::keccak(bytes);
-        let dump_index = self.wasm_dumps.len();
-        self.wasm_dumps.push(bytes.to_vec());
-        self.events.push(DevtoolsEvent::WasmCompiled {
-            dump_index,
-            size: bytes.len(),
-            id,
-            at_ms,
-        });
-    }
-
-    fn run_effects(&mut self, behavior: &ScriptBehavior, now: u64) {
-        for effect in &behavior.effects {
+    fn run_effects(&mut self, effects: &[ScriptEffect], now: u64) {
+        for effect in effects {
             match effect {
                 ScriptEffect::InjectScript { src } => {
                     if self.injected_count >= MAX_INJECTED_SCRIPTS {
@@ -112,66 +130,12 @@ impl Sim {
                     self.injected_count += 1;
                     self.injected_html
                         .push_str(&format!("<script src=\"{src}\"></script>"));
-                    self.dom_mutation(now);
+                    self.last_dom_ms = Some(now);
                     let latency = self.fetch_latency();
                     self.schedule(now + latency, Action::ExecInjected(src.clone()));
                 }
-                ScriptEffect::StartMiner {
-                    wasm,
-                    ws_url,
-                    token,
-                    submit_interval_ms,
-                } => {
-                    self.compile_wasm(wasm, now);
-                    self.events.push(DevtoolsEvent::WebSocketCreated {
-                        url: ws_url.clone(),
-                        at_ms: now,
-                    });
-                    self.events.push(DevtoolsEvent::WebSocketFrame {
-                        url: ws_url.clone(),
-                        direction: FrameDirection::Sent,
-                        payload: format!("{{\"type\":\"auth\",\"token\":\"{token}\"}}"),
-                        at_ms: now,
-                    });
-                    self.events.push(DevtoolsEvent::WebSocketFrame {
-                        url: ws_url.clone(),
-                        direction: FrameDirection::Received,
-                        payload: "{\"type\":\"authed\",\"hashes\":0}".to_string(),
-                        at_ms: now + 1,
-                    });
-                    self.events.push(DevtoolsEvent::WebSocketFrame {
-                        url: ws_url.clone(),
-                        direction: FrameDirection::Received,
-                        payload:
-                            "{\"type\":\"job\",\"job_id\":\"j1\",\"blob\":\"…\",\"difficulty\":16}"
-                                .to_string(),
-                        at_ms: now + 2,
-                    });
-                    self.schedule(
-                        now + submit_interval_ms,
-                        Action::MinerSubmit {
-                            url: ws_url.clone(),
-                            interval_ms: *submit_interval_ms,
-                        },
-                    );
-                }
-                ScriptEffect::InstantiateWasm { wasm } => {
-                    self.compile_wasm(wasm, now);
-                }
-                ScriptEffect::OpenWebSocket { url, frames } => {
-                    self.events.push(DevtoolsEvent::WebSocketCreated {
-                        url: url.clone(),
-                        at_ms: now,
-                    });
-                    for (i, f) in frames.iter().enumerate() {
-                        self.events.push(DevtoolsEvent::WebSocketFrame {
-                            url: url.clone(),
-                            direction: FrameDirection::Sent,
-                            payload: f.clone(),
-                            at_ms: now + i as u64,
-                        });
-                    }
-                }
+                ScriptEffect::InstantiateWasm { wasm } => self.wasm_dumps.push(wasm.clone()),
+                ScriptEffect::OpenWebSocket { url } => self.websockets.push(url.clone()),
                 ScriptEffect::MutateDom { times, interval_ms } => {
                     if *times > 0 {
                         self.schedule(
@@ -183,7 +147,7 @@ impl Sim {
                         );
                     }
                 }
-                ScriptEffect::ConsentGated => self.dom_mutation(now),
+                ScriptEffect::ConsentGated => self.last_dom_ms = Some(now),
             }
         }
     }
@@ -194,14 +158,18 @@ impl Sim {
 }
 
 /// Loads a page under the given policy, returning the capture.
+///
+/// Every action the loop runs is due no later than the finish line (the
+/// loop stops at the first one past it), so the capture holds exactly
+/// what the page did before it was marked done.
 pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
     let mut sim = Sim {
         rng: DetRng::seed(policy.seed).derive(&format!("browser.load.{}", page.domain)),
         queue: BinaryHeap::new(),
         actions: Vec::new(),
         seq: 0,
-        events: Vec::new(),
         wasm_dumps: Vec::new(),
+        websockets: Vec::new(),
         injected_html: String::new(),
         injected_count: 0,
         load_at: None,
@@ -214,14 +182,7 @@ pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
     let mut last_initial_exec = 0u64;
     for tag in &tags {
         let (script_ref, base_time) = match &tag.src {
-            Some(src) => {
-                let latency = sim.fetch_latency();
-                sim.events.push(DevtoolsEvent::ScriptLoaded {
-                    url: src.clone(),
-                    at_ms: latency,
-                });
-                (ScriptRef::Src(src.clone()), latency)
-            }
+            Some(src) => (ScriptRef::Src(src.clone()), sim.fetch_latency()),
             None => {
                 let r = ScriptRef::Inline(inline_idx);
                 inline_idx += 1;
@@ -255,21 +216,20 @@ pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
         let action = std::mem::replace(&mut sim.actions[idx], Action::FireLoad);
         match action {
             Action::ExecScript(script_ref) => {
-                if let Some(behavior) = page.behaviors.get(&script_ref).cloned() {
-                    sim.run_effects(&behavior, t);
+                if let Some(behavior) = page.behaviors.get(&script_ref) {
+                    sim.run_effects(&behavior.effects, t);
                 }
             }
             Action::ExecInjected(src) => {
-                let script_ref = ScriptRef::Src(src);
-                if let Some(behavior) = page.behaviors.get(&script_ref).cloned() {
-                    sim.run_effects(&behavior, t);
+                if let Some(behavior) = page.behaviors.get(&ScriptRef::Src(src)) {
+                    sim.run_effects(&behavior.effects, t);
                 }
             }
             Action::Mutation {
                 remaining,
                 interval_ms,
             } => {
-                sim.dom_mutation(t);
+                sim.last_dom_ms = Some(t);
                 if remaining > 1 {
                     sim.schedule(
                         t + interval_ms,
@@ -280,28 +240,7 @@ pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
                     );
                 }
             }
-            Action::MinerSubmit { url, interval_ms } => {
-                sim.events.push(DevtoolsEvent::WebSocketFrame {
-                    url: url.clone(),
-                    direction: FrameDirection::Sent,
-                    payload: "{\"type\":\"submit\",\"job_id\":\"j1\",\"nonce\":0,\"result\":\"…\"}"
-                        .to_string(),
-                    at_ms: t,
-                });
-                sim.events.push(DevtoolsEvent::WebSocketFrame {
-                    url: url.clone(),
-                    direction: FrameDirection::Received,
-                    payload: "{\"type\":\"hash_accepted\",\"hashes\":16}".to_string(),
-                    at_ms: t + 1,
-                });
-                if t + interval_ms <= hard_limit {
-                    sim.schedule(t + interval_ms, Action::MinerSubmit { url, interval_ms });
-                }
-            }
-            Action::FireLoad => {
-                sim.load_at = Some(t);
-                sim.events.push(DevtoolsEvent::LoadEvent { at_ms: t });
-            }
+            Action::FireLoad => sim.load_at = Some(t),
         }
     }
     let finished_at = finished_at.unwrap_or_else(|| sim.candidate_finish().min(hard_limit));
@@ -317,30 +256,12 @@ pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
     final_html.push_str(&sim.injected_html);
     let final_html = truncate_on_char_boundary(final_html, FINAL_HTML_BYTES);
 
-    // Drop events recorded past the finish line (the real capture stops
-    // when the page is marked done).
-    let mut events = sim.events;
-    events.retain(|e| event_time(e) <= finished_at);
-    events.sort_by_key(event_time);
-
     Capture {
-        domain: page.domain.clone(),
         outcome,
         finished_at_ms: finished_at,
-        events,
         wasm_dumps: sim.wasm_dumps,
         final_html,
-    }
-}
-
-fn event_time(e: &DevtoolsEvent) -> u64 {
-    match e {
-        DevtoolsEvent::ScriptLoaded { at_ms, .. }
-        | DevtoolsEvent::WasmCompiled { at_ms, .. }
-        | DevtoolsEvent::WebSocketCreated { at_ms, .. }
-        | DevtoolsEvent::WebSocketFrame { at_ms, .. }
-        | DevtoolsEvent::DomMutation { at_ms }
-        | DevtoolsEvent::LoadEvent { at_ms } => *at_ms,
+        websockets: sim.websockets,
     }
 }
 
@@ -359,12 +280,21 @@ fn truncate_on_char_boundary(mut s: String, max_bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::ScriptBehavior;
     use minedig_wasm::corpus::{default_profiles, generate_module};
     use minedig_wasm::module::Module;
 
     fn miner_wasm() -> Vec<u8> {
         let profiles = default_profiles();
         generate_module(&profiles[0], 0, 42).encode()
+    }
+
+    /// A miner's effects: compile its module, then open the pool socket.
+    fn start_miner(ws_url: &str) -> Vec<ScriptEffect> {
+        vec![
+            ScriptEffect::InstantiateWasm { wasm: miner_wasm() },
+            ScriptEffect::OpenWebSocket { url: ws_url.into() },
+        ]
     }
 
     fn miner_page() -> Page {
@@ -375,12 +305,7 @@ mod tests {
             ScriptRef::Src("https://coinhive.com/lib/coinhive.min.js".into()),
             ScriptBehavior {
                 delay_ms: 50,
-                effects: vec![ScriptEffect::StartMiner {
-                    wasm: miner_wasm(),
-                    ws_url: "wss://ws001.coinhive.com/proxy".into(),
-                    token: "SITEKEY123".into(),
-                    submit_interval_ms: 800,
-                }],
+                effects: start_miner("wss://ws001.coinhive.com/proxy"),
             },
         )
     }
@@ -399,9 +324,7 @@ mod tests {
         let cap = load_page(&miner_page(), &LoadPolicy::default());
         assert_eq!(cap.outcome, LoadOutcome::Loaded);
         assert!(cap.has_wasm());
-        assert_eq!(cap.websocket_urls(), vec!["wss://ws001.coinhive.com/proxy"]);
-        assert!(cap.frame_count(FrameDirection::Sent) >= 2); // auth + ≥1 submit
-        assert!(cap.frame_count(FrameDirection::Received) >= 2);
+        assert_eq!(cap.websocket_urls(), ["wss://ws001.coinhive.com/proxy"]);
         // The dump is a parseable Wasm module.
         assert!(Module::parse(&cap.wasm_dumps[0]).is_ok());
     }
@@ -425,18 +348,45 @@ mod tests {
                 ScriptRef::Src("https://coinhive.com/lib/coinhive.min.js".into()),
                 ScriptBehavior {
                     delay_ms: 0,
-                    effects: vec![ScriptEffect::StartMiner {
-                        wasm: miner_wasm(),
-                        ws_url: "wss://ws002.coinhive.com/proxy".into(),
-                        token: "KEY".into(),
-                        submit_interval_ms: 700,
-                    }],
+                    effects: start_miner("wss://ws002.coinhive.com/proxy"),
                 },
             );
         assert!(!page.html.contains("coinhive.com"));
         let cap = load_page(&page, &LoadPolicy::default());
         assert!(cap.final_html.contains("coinhive.com/lib/coinhive.min.js"));
         assert!(cap.has_wasm());
+    }
+
+    #[test]
+    fn sockets_are_reported_in_open_order_until_the_finish_line() {
+        // The inline script opens a socket and injects b.js, which opens
+        // the second one later. c.js would open a third at 16 s, but its
+        // delay also holds the load event past 15 s, so the page times
+        // out first.
+        let html = r#"<script>boot()</script><script src="c.js"></script>"#;
+        let open = |url: &str| ScriptEffect::OpenWebSocket { url: url.into() };
+        let script = |delay_ms, effects| ScriptBehavior { delay_ms, effects };
+        let inject = ScriptEffect::InjectScript { src: "b.js".into() };
+        let page = Page::new("sockets.example", html)
+            .with_behavior(
+                ScriptRef::Inline(0),
+                script(0, vec![open("wss://z.example/first"), inject]),
+            )
+            .with_behavior(
+                ScriptRef::Src("b.js".into()),
+                script(0, vec![open("wss://a.example/second")]),
+            )
+            .with_behavior(
+                ScriptRef::Src("c.js".into()),
+                script(16_000, vec![open("wss://late.example/")]),
+            );
+        let cap = load_page(&page, &LoadPolicy::default());
+        assert_eq!(cap.outcome, LoadOutcome::TimedOut);
+        assert_eq!(cap.finished_at_ms, 15_000);
+        assert_eq!(
+            cap.websocket_urls(),
+            ["wss://z.example/first", "wss://a.example/second"]
+        );
     }
 
     #[test]
@@ -463,16 +413,10 @@ mod tests {
         );
         let cap = load_page(&page, &LoadPolicy::default());
         assert_eq!(cap.outcome, LoadOutcome::Loaded);
-        let load_at = cap
-            .events
-            .iter()
-            .find_map(|e| match e {
-                DevtoolsEvent::LoadEvent { at_ms } => Some(*at_ms),
-                _ => None,
-            })
-            .unwrap();
-        // Mutations every 1 s keep resetting the 2 s timer, so the +5 s
-        // cap decides.
+        // The inline script, the page's only one, runs at 5 ms, and the
+        // load event fires 20 ms after it. Mutations every 1 s keep
+        // resetting the 2 s timer, so the +5 s cap decides.
+        let load_at = 5 + 20;
         assert_eq!(cap.finished_at_ms, load_at + 5_000);
     }
 
@@ -512,28 +456,45 @@ mod tests {
 
     #[test]
     fn consent_gated_effect_renders_only_its_dialog() {
-        let page = Page::new("authed.example", r#"<script src="a.js"></script>"#).with_behavior(
-            ScriptRef::Src("a.js".into()),
-            ScriptBehavior {
-                delay_ms: 0,
-                effects: vec![ScriptEffect::ConsentGated],
-            },
-        );
-        let cap = load_page(&page, &LoadPolicy::default());
+        // A bootstrap injects the opt-in script, so the dialog renders
+        // when a.js arrives, after the load event at 25 ms.
+        let page = |effects| {
+            Page::new("authed.example", "<script>boot()</script>")
+                .with_behavior(
+                    ScriptRef::Inline(0),
+                    ScriptBehavior {
+                        delay_ms: 0,
+                        effects: vec![ScriptEffect::InjectScript { src: "a.js".into() }],
+                    },
+                )
+                .with_behavior(
+                    ScriptRef::Src("a.js".into()),
+                    ScriptBehavior {
+                        delay_ms: 0,
+                        effects,
+                    },
+                )
+        };
+        let dialog = page(vec![ScriptEffect::ConsentGated]);
+        let cap = load_page(&dialog, &LoadPolicy::default());
         assert!(!cap.has_wasm(), "no consent, no mining");
         assert!(cap.websocket_urls().is_empty());
-        // But the dialog rendered (a DOM mutation happened).
-        assert!(cap
-            .events
-            .iter()
-            .any(|e| matches!(e, DevtoolsEvent::DomMutation { .. })));
+        // Without the dialog the page is quiet 2 s after its load event.
+        // The dialog's DOM change restarts the 2 s timer later.
+        let quiet = load_page(&page(vec![]), &LoadPolicy::default());
+        assert_eq!(quiet.finished_at_ms, 25 + 2_000);
+        assert!(
+            cap.finished_at_ms > quiet.finished_at_ms,
+            "finished {}",
+            cap.finished_at_ms
+        );
     }
 
     #[test]
     fn deterministic_capture() {
         let a = load_page(&miner_page(), &LoadPolicy::default());
         let b = load_page(&miner_page(), &LoadPolicy::default());
-        assert_eq!(a.events.len(), b.events.len());
+        assert_eq!(a.websocket_urls(), b.websocket_urls());
         assert_eq!(a.finished_at_ms, b.finished_at_ms);
         assert_eq!(a.wasm_dumps, b.wasm_dumps);
     }

@@ -27,30 +27,16 @@ pub enum ScriptEffect {
         /// The injected script's src.
         src: String,
     },
-    /// Compiles a Wasm module and starts mining against a pool endpoint:
-    /// emits a WasmCompiled dump plus WebSocket traffic.
-    StartMiner {
-        /// The miner's Wasm binary.
-        wasm: Vec<u8>,
-        /// Pool WebSocket URL.
-        ws_url: String,
-        /// Site key / token sent in the auth message.
-        token: String,
-        /// Interval between submit frames, ms.
-        submit_interval_ms: u64,
-    },
-    /// Compiles (and optionally runs) a Wasm module without any network
-    /// activity — benign Wasm like codecs and games.
+    /// Compiles a Wasm module: a miner's, or benign Wasm like codecs and
+    /// games. The loader dumps it.
     InstantiateWasm {
         /// The module binary.
         wasm: Vec<u8>,
     },
-    /// Opens a WebSocket and exchanges canned frames (non-mining apps).
+    /// Opens a WebSocket, a miner's connection to its pool backend.
     OpenWebSocket {
         /// Endpoint URL.
         url: String,
-        /// Text frames sent by the page.
-        frames: Vec<String>,
     },
     /// Mutates the DOM repeatedly (spinners, ads, hydration) — this is
     /// what keeps the paper's 2 s DOM-quiet timer resetting.

@@ -12,7 +12,6 @@ use crate::emission::base_reward;
 use crate::tx::TxKind;
 use minedig_pow::Difficulty;
 use minedig_primitives::Hash32;
-use std::collections::HashMap;
 
 /// Chain validation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +63,6 @@ impl std::error::Error for ChainError {}
 /// An append-only, validated block chain.
 pub struct Chain {
     blocks: Vec<Block>,
-    ids: HashMap<Hash32, u64>,
     tracker: DifficultyTracker,
     supply: u64,
 }
@@ -76,7 +74,6 @@ impl Chain {
     pub fn new(initial_supply: u64) -> Chain {
         Chain {
             blocks: Vec::new(),
-            ids: HashMap::new(),
             tracker: DifficultyTracker::new(),
             supply: initial_supply,
         }
@@ -113,11 +110,6 @@ impl Chain {
     /// Block at the given height.
     pub fn block_at(&self, height: u64) -> Option<&Block> {
         self.blocks.get(height as usize)
-    }
-
-    /// Height of the block with the given id.
-    pub fn height_of(&self, id: &Hash32) -> Option<u64> {
-        self.ids.get(id).copied()
     }
 
     /// Already-generated supply in atomic units.
@@ -172,7 +164,6 @@ impl Chain {
         let difficulty = self.next_difficulty();
         self.tracker.push(block.header.timestamp, difficulty);
         self.supply += got_reward;
-        self.ids.insert(block.id(), height);
         self.blocks.push(block);
         Ok(())
     }
@@ -211,7 +202,7 @@ mod tests {
             chain.append(b).unwrap();
         }
         assert_eq!(chain.height(), 10);
-        assert_eq!(chain.height_of(&chain.tip_id()), Some(9));
+        assert_eq!(chain.block_at(9).map(Block::id), Some(chain.tip_id()));
     }
 
     #[test]

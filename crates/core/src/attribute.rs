@@ -1,6 +1,6 @@
 //! §4.2 presets: paper-calibrated attribution scenarios.
 
-use minedig_analysis::scenario::{RateSegment, ScenarioConfig, FIG5_START};
+use minedig_analysis::scenario::{RateSegment, ScenarioConfig};
 
 /// Months of Table 6 (2018).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,12 +84,10 @@ pub fn month_config(month: Month, seed: u64) -> ScenarioConfig {
     }
 }
 
-/// The Figure 5 start constant, re-exported for binaries.
-pub const FIG5_WINDOW_START: u64 = FIG5_START;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minedig_analysis::scenario::FIG5_START;
 
     #[test]
     fn month_windows_are_contiguous() {
@@ -103,7 +101,7 @@ mod tests {
     #[test]
     fn fig5_defaults() {
         let c = fig5_config(1);
-        assert_eq!(c.start_time, FIG5_WINDOW_START);
+        assert_eq!(c.start_time, FIG5_START);
         assert_eq!(c.duration_days, 28);
         assert_eq!(c.outages.len(), 1);
         assert_eq!(c.holidays.len(), 3);

@@ -67,7 +67,7 @@ impl FetchModel {
         let outcome = retry(&self.retry, jitter, |attempt| {
             match plan.decide(&format!("fetch.{name}"), attempt) {
                 // Latency alone does not lose the page.
-                None | Some(Fault::Delay { .. }) => Ok(()),
+                None | Some(Fault::Delay) => Ok(()),
                 Some(_) => Err(FetchFailure),
             }
         });
@@ -445,7 +445,7 @@ impl<'a> ChromeProbeCtx<'a> {
 }
 
 /// Loads and classifies one domain through the instrumented-browser
-/// path: transport reach, page synthesis, full load with devtools
+/// path: transport reach, page synthesis, full load with the §3.2
 /// capture, NoCoin labeling of the final HTML and Wasm fingerprinting
 /// of the capture's dumps. This is the per-item kernel every Chrome scan
 /// shares. `scratch` is a reusable encode buffer (allocated once per

@@ -1,8 +1,8 @@
 //! Fault-injecting transport wrapper for chaos testing.
 //!
 //! [`FaultyTransport`] wraps any [`Transport`] and injects message
-//! drops, delivery delays, disconnects, garbled payloads, and stalls on
-//! the reproducible schedule of a seeded
+//! drops, disconnects, garbled payloads and stalls (a delay delivers
+//! intact) on the reproducible schedule of a seeded
 //! [`FaultPlan`](minedig_primitives::fault::FaultPlan). Operations are
 //! keyed `"{label}.send.{n}"` / `"{label}.recv.{n}"` by sequence
 //! number, so two transports with the same plan and label experience
@@ -13,32 +13,6 @@ use crate::transport::{Transport, TransportError};
 use minedig_primitives::fault::{Fault, FaultPlan};
 use minedig_primitives::rng::DetRng;
 use std::time::Duration;
-
-/// Per-kind counters of the faults a [`FaultyTransport`] injected.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages silently lost (send) or discarded in flight (recv).
-    pub drops: u64,
-    /// Messages delivered late.
-    pub delays: u64,
-    /// Total injected latency in milliseconds.
-    pub delayed_ms: u64,
-    /// Connection teardowns injected.
-    pub disconnects: u64,
-    /// Payloads delivered corrupted.
-    pub garbles: u64,
-    /// Operations that hung until the caller's timeout.
-    pub stalls: u64,
-    /// Times the caller re-established the connection.
-    pub reconnects: u64,
-}
-
-impl FaultStats {
-    /// Total faults injected (reconnects are recoveries, not faults).
-    pub fn injected(&self) -> u64 {
-        self.drops + self.delays + self.disconnects + self.garbles + self.stalls
-    }
-}
 
 /// A [`Transport`] decorator that injects deterministic faults.
 pub struct FaultyTransport<T: Transport> {
@@ -51,7 +25,6 @@ pub struct FaultyTransport<T: Transport> {
     send_seq: u64,
     recv_seq: u64,
     disconnected: bool,
-    stats: FaultStats,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -66,27 +39,13 @@ impl<T: Transport> FaultyTransport<T> {
             send_seq: 0,
             recv_seq: 0,
             disconnected: false,
-            stats: FaultStats::default(),
         }
-    }
-
-    /// Counters of the faults injected so far.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
-
-    /// True while an injected disconnect is in force.
-    pub fn is_disconnected(&self) -> bool {
-        self.disconnected
     }
 
     /// Clears an injected disconnect, modelling the caller
     /// re-establishing the connection.
     pub fn reconnect(&mut self) {
-        if self.disconnected {
-            self.disconnected = false;
-            self.stats.reconnects += 1;
-        }
+        self.disconnected = false;
     }
 
     /// Unwraps the inner transport.
@@ -120,30 +79,17 @@ impl<T: Transport> FaultyTransport<T> {
             None => me.inner.send(payload),
         };
         match fault {
-            None => deliver(self, message),
-            Some(Fault::Drop) => {
-                self.stats.drops += 1;
-                Ok(())
-            }
-            Some(Fault::Delay { ms }) => {
-                self.stats.delays += 1;
-                self.stats.delayed_ms += ms;
-                deliver(self, message)
-            }
+            None | Some(Fault::Delay) => deliver(self, message),
+            Some(Fault::Drop) => Ok(()),
             Some(Fault::Disconnect) => {
                 self.disconnected = true;
-                self.stats.disconnects += 1;
                 Err(TransportError::Closed)
             }
             Some(Fault::Garble) => {
-                self.stats.garbles += 1;
                 let garbled = self.garble(&key, message);
                 deliver(self, &garbled)
             }
-            Some(Fault::Stall) => {
-                self.stats.stalls += 1;
-                Err(TransportError::Timeout)
-            }
+            Some(Fault::Stall) => Err(TransportError::Timeout),
         }
     }
 
@@ -159,33 +105,22 @@ impl<T: Transport> FaultyTransport<T> {
             None => me.inner.recv(),
         };
         match fault {
-            None => deliver(self),
+            None | Some(Fault::Delay) => deliver(self),
             Some(Fault::Drop) => {
                 // The response is consumed in flight and lost; the
                 // caller observes a timeout.
-                self.stats.drops += 1;
                 let _ = deliver(self)?;
                 Err(TransportError::Timeout)
             }
-            Some(Fault::Delay { ms }) => {
-                self.stats.delays += 1;
-                self.stats.delayed_ms += ms;
-                deliver(self)
-            }
             Some(Fault::Disconnect) => {
                 self.disconnected = true;
-                self.stats.disconnects += 1;
                 Err(TransportError::Closed)
             }
             Some(Fault::Garble) => {
-                self.stats.garbles += 1;
                 let payload = deliver(self)?;
                 Ok(self.garble(&key, &payload))
             }
-            Some(Fault::Stall) => {
-                self.stats.stalls += 1;
-                Err(TransportError::Timeout)
-            }
+            Some(Fault::Stall) => Err(TransportError::Timeout),
         }
     }
 }
@@ -236,7 +171,6 @@ mod tests {
         assert_eq!(b.recv().unwrap(), b"hello");
         b.send(b"world").unwrap();
         assert_eq!(a.recv().unwrap(), b"world");
-        assert_eq!(a.stats().injected(), 0);
     }
 
     #[test]
@@ -244,7 +178,6 @@ mod tests {
         let (a, mut b) = channel_pair();
         let mut a = FaultyTransport::new(a, only(0, 2), "t");
         a.send(b"gone").unwrap();
-        assert_eq!(a.stats().drops, 1);
         assert_eq!(
             b.recv_timeout(Duration::from_millis(5)),
             Err(TransportError::Timeout)
@@ -260,7 +193,11 @@ mod tests {
             a.recv_timeout(Duration::from_millis(20)),
             Err(TransportError::Timeout)
         );
-        assert_eq!(a.stats().drops, 1);
+        // The message was taken off the wire: nothing is left to read.
+        assert_eq!(
+            a.into_inner().recv_timeout(Duration::from_millis(5)),
+            Err(TransportError::Timeout)
+        );
     }
 
     #[test]
@@ -269,29 +206,41 @@ mod tests {
         let mut a = FaultyTransport::new(a, only(1, 4), "t");
         a.send(b"late").unwrap();
         assert_eq!(b.recv().unwrap(), b"late");
-        assert_eq!(a.stats().delays, 1);
-        assert!(a.stats().delayed_ms > 0);
     }
 
     #[test]
     fn disconnect_closes_until_reconnect() {
         let (a, mut b) = channel_pair();
-        let mut a = FaultyTransport::new(a, only(2, 5), "t");
-        assert_eq!(a.send(b"x"), Err(TransportError::Closed));
-        assert!(a.is_disconnected());
-        // Every operation fails while down, with no new faults drawn.
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(1)),
-            Err(TransportError::Closed)
-        );
-        assert_eq!(a.stats().disconnects, 1);
-        a.reconnect();
-        assert!(!a.is_disconnected());
-        assert_eq!(a.stats().reconnects, 1);
-        // The next send draws a fresh (here: also Disconnect) decision,
-        // proving the wrapper is live again rather than wedged.
-        let _ = a.send(b"y");
-        drop(b.recv_timeout(Duration::from_millis(1)));
+        let config = FaultConfig {
+            fault_prob: 0.5,
+            kind_weights: [0.0, 0.0, 1.0, 0.0, 0.0],
+            ..FaultConfig::default()
+        };
+        let plan = FaultPlan::with_config(5, config);
+        let mut a = FaultyTransport::new(a, plan.clone(), "t");
+        let mut sent = Vec::new();
+        for i in 0..32u8 {
+            // While down, every operation fails and draws no fault, so
+            // the i-th message is the i-th send the plan decides.
+            let clean = plan.decide(&format!("t.send.{i}"), 0).is_none();
+            if clean {
+                a.send(&[i]).unwrap();
+                sent.push(vec![i]);
+            } else {
+                assert_eq!(a.send(&[i]), Err(TransportError::Closed));
+                assert_eq!(a.send(b"lost"), Err(TransportError::Closed));
+                assert_eq!(
+                    a.recv_timeout(Duration::from_millis(1)),
+                    Err(TransportError::Closed)
+                );
+                a.reconnect();
+            }
+        }
+        assert!(sent.len() < 32, "p=0.5 over 32 sends must disconnect");
+        // The peer receives exactly the messages sent while connected.
+        let received: Vec<Vec<u8>> =
+            std::iter::from_fn(|| b.recv_timeout(Duration::from_millis(1)).ok()).collect();
+        assert_eq!(received, sent);
     }
 
     #[test]
@@ -324,7 +273,6 @@ mod tests {
             a.recv_timeout(Duration::from_millis(5)),
             Err(TransportError::Timeout)
         );
-        assert_eq!(a.stats().stalls, 1);
         // A clean plan sees the message still queued.
         let inner = a.into_inner();
         let mut clean = FaultyTransport::new(inner, FaultPlan::transient_only(7, 0.0), "t2");
@@ -334,7 +282,7 @@ mod tests {
     #[test]
     fn schedule_is_deterministic_by_seed_and_label() {
         let schedule = |seed: u64, label: &str| {
-            let (a, _b) = channel_pair();
+            let (a, mut b) = channel_pair();
             let mut a = FaultyTransport::new(a, FaultPlan::transient_only(seed, 0.5), label);
             let mut outcomes = Vec::new();
             for i in 0..100u32 {
@@ -342,16 +290,19 @@ mod tests {
                 outcomes.push(r.is_ok());
                 a.reconnect();
             }
-            (outcomes, a.stats().clone())
+            let received: Vec<Vec<u8>> =
+                std::iter::from_fn(|| b.recv_timeout(Duration::from_millis(1)).ok()).collect();
+            (outcomes, received)
         };
-        let (o1, s1) = schedule(42, "endpoint-0");
-        let (o2, s2) = schedule(42, "endpoint-0");
+        let (o1, r1) = schedule(42, "endpoint-0");
+        let (o2, r2) = schedule(42, "endpoint-0");
         assert_eq!(o1, o2);
-        assert_eq!(s1, s2);
+        assert_eq!(r1, r2, "the peer must receive the same bytes");
         let (o3, _) = schedule(43, "endpoint-0");
         let (o4, _) = schedule(42, "endpoint-1");
         assert_ne!(o1, o3, "different seed must reshuffle the schedule");
         assert_ne!(o1, o4, "different label must reshuffle the schedule");
-        assert!(s1.injected() > 0, "p=0.5 over 100 ops must inject faults");
+        let intact: Vec<Vec<u8>> = (0..100u32).map(|i| i.to_le_bytes().to_vec()).collect();
+        assert_ne!(r1, intact, "p=0.5 over 100 ops must inject faults");
     }
 }

@@ -27,6 +27,6 @@ pub mod tcp;
 pub mod transport;
 pub mod wsframe;
 
-pub use fault::{FaultStats, FaultyTransport};
+pub use fault::FaultyTransport;
 pub use json::Value;
 pub use transport::{channel_pair, ChannelTransport, DeadlineTransport, Transport, TransportError};

@@ -35,7 +35,6 @@
 
 use crate::transport::{Transport, TransportError};
 use crate::wsframe::{decode_ws, encode_ws, Opcode, WsFrame};
-use bytes::BytesMut;
 use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -103,7 +102,7 @@ impl OutBuf {
 /// A [`Transport`] over a TCP stream speaking WebSocket-style frames.
 pub struct TcpTransport {
     stream: TcpStream,
-    inbuf: BytesMut,
+    inbuf: Vec<u8>,
     outbuf: OutBuf,
     /// Clients mask their frames; servers do not.
     is_client: bool,
@@ -117,7 +116,7 @@ impl TcpTransport {
         stream.set_nodelay(true)?;
         Ok(TcpTransport {
             stream,
-            inbuf: BytesMut::with_capacity(8 * 1024),
+            inbuf: Vec::with_capacity(8 * 1024),
             outbuf: OutBuf::default(),
             is_client: false,
             mask_counter: 0,
@@ -131,7 +130,7 @@ impl TcpTransport {
         stream.set_nodelay(true)?;
         Ok(TcpTransport {
             stream,
-            inbuf: BytesMut::with_capacity(8 * 1024),
+            inbuf: Vec::with_capacity(8 * 1024),
             outbuf: OutBuf::default(),
             is_client: true,
             mask_counter: 0x9e3779b97f4a7c15,
@@ -257,9 +256,7 @@ impl TcpTransport {
         } else {
             None
         };
-        let mut encoded = BytesMut::new();
-        encode_ws(&mut encoded, opcode, payload, mask);
-        self.outbuf.buf.extend_from_slice(&encoded);
+        encode_ws(&mut self.outbuf.buf, opcode, payload, mask);
     }
 
     /// Writes as much pending output as the socket will take right now.

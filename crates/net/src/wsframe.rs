@@ -9,8 +9,6 @@
 //! format itself is the real one, so captured byte streams look like
 //! WebSocket traffic to the instrumentation layer.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 /// Frame opcodes (the subset we use).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Opcode {
@@ -86,28 +84,26 @@ pub const MAX_PAYLOAD: u64 = 16 * 1024 * 1024;
 
 /// Encodes a frame. `mask` is `Some(key)` for client→server frames (the
 /// RFC requires clients to mask) and `None` for server→client frames.
-pub fn encode_ws(out: &mut BytesMut, opcode: Opcode, payload: &[u8], mask: Option<[u8; 4]>) {
+pub fn encode_ws(out: &mut Vec<u8>, opcode: Opcode, payload: &[u8], mask: Option<[u8; 4]>) {
     out.reserve(payload.len() + 14);
-    out.put_u8(0x80 | opcode.to_bits()); // FIN + opcode
+    out.push(0x80 | opcode.to_bits()); // FIN + opcode
     let mask_bit = if mask.is_some() { 0x80u8 } else { 0 };
     let len = payload.len();
     if len < 126 {
-        out.put_u8(mask_bit | len as u8);
+        out.push(mask_bit | len as u8);
     } else if len <= u16::MAX as usize {
-        out.put_u8(mask_bit | 126);
-        out.put_u16(len as u16);
+        out.push(mask_bit | 126);
+        out.extend_from_slice(&(len as u16).to_be_bytes());
     } else {
-        out.put_u8(mask_bit | 127);
-        out.put_u64(len as u64);
+        out.push(mask_bit | 127);
+        out.extend_from_slice(&(len as u64).to_be_bytes());
     }
     match mask {
         Some(key) => {
-            out.put_slice(&key);
-            for (i, &b) in payload.iter().enumerate() {
-                out.put_u8(b ^ key[i % 4]);
-            }
+            out.extend_from_slice(&key);
+            out.extend(payload.iter().enumerate().map(|(i, &b)| b ^ key[i % 4]));
         }
-        None => out.put_slice(payload),
+        None => out.extend_from_slice(payload),
     }
 }
 
@@ -115,7 +111,7 @@ pub fn encode_ws(out: &mut BytesMut, opcode: Opcode, payload: &[u8], mask: Optio
 ///
 /// Returns `Ok(None)` when more bytes are needed; consumes the frame on
 /// success.
-pub fn decode_ws(buf: &mut BytesMut) -> Result<Option<WsFrame>, WsError> {
+pub fn decode_ws(buf: &mut Vec<u8>) -> Result<Option<WsFrame>, WsError> {
     if buf.len() < 2 {
         return Ok(None);
     }
@@ -156,19 +152,14 @@ pub fn decode_ws(buf: &mut BytesMut) -> Result<Option<WsFrame>, WsError> {
     if buf.len() < total {
         return Ok(None);
     }
-    buf.advance(header);
-    let key: Option<[u8; 4]> = if masked {
-        let k = buf.split_to(4);
-        Some([k[0], k[1], k[2], k[3]])
-    } else {
-        None
-    };
-    let mut payload = buf.split_to(payload_len as usize).to_vec();
-    if let Some(key) = key {
+    let mut payload = buf[header + mask_len..total].to_vec();
+    if masked {
+        let key = &buf[header..header + 4];
         for (i, b) in payload.iter_mut().enumerate() {
             *b ^= key[i % 4];
         }
     }
+    buf.drain(..total);
     Ok(Some(WsFrame { opcode, payload }))
 }
 
@@ -179,7 +170,7 @@ mod tests {
 
     #[test]
     fn unmasked_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_ws(&mut buf, Opcode::Text, b"{\"t\":1}", None);
         let f = decode_ws(&mut buf).unwrap().unwrap();
         assert_eq!(f.opcode, Opcode::Text);
@@ -189,7 +180,7 @@ mod tests {
 
     #[test]
     fn masked_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_ws(&mut buf, Opcode::Binary, b"secret", Some([1, 2, 3, 4]));
         // Masked payload must differ from plaintext on the wire.
         assert!(!buf.windows(6).any(|w| w == b"secret"));
@@ -200,7 +191,7 @@ mod tests {
     #[test]
     fn medium_length_uses_16bit_form() {
         let payload = vec![7u8; 300];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_ws(&mut buf, Opcode::Binary, &payload, None);
         assert_eq!(buf[1] & 0x7f, 126);
         let f = decode_ws(&mut buf).unwrap().unwrap();
@@ -210,7 +201,7 @@ mod tests {
     #[test]
     fn large_length_uses_64bit_form() {
         let payload = vec![7u8; 70_000];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_ws(&mut buf, Opcode::Binary, &payload, None);
         assert_eq!(buf[1] & 0x7f, 127);
         let f = decode_ws(&mut buf).unwrap().unwrap();
@@ -219,10 +210,10 @@ mod tests {
 
     #[test]
     fn incomplete_frames_wait() {
-        let mut full = BytesMut::new();
+        let mut full = Vec::new();
         encode_ws(&mut full, Opcode::Text, b"hello world", Some([9, 9, 9, 9]));
         for cut in 0..full.len() {
-            let mut partial = BytesMut::from(&full[..cut]);
+            let mut partial = full[..cut].to_vec();
             assert_eq!(decode_ws(&mut partial).unwrap(), None, "cut {cut}");
         }
     }
@@ -230,7 +221,7 @@ mod tests {
     #[test]
     fn control_frames() {
         for op in [Opcode::Close, Opcode::Ping, Opcode::Pong] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_ws(&mut buf, op, b"", None);
             assert_eq!(decode_ws(&mut buf).unwrap().unwrap().opcode, op);
         }
@@ -238,20 +229,19 @@ mod tests {
 
     #[test]
     fn rejects_reserved_bits_and_bad_opcodes() {
-        let mut buf = BytesMut::from(&[0xf1u8, 0x00][..]); // rsv bits set
+        let mut buf = vec![0xf1u8, 0x00]; // rsv bits set
         assert!(matches!(decode_ws(&mut buf), Err(WsError::Unsupported(_))));
-        let mut buf = BytesMut::from(&[0x83u8, 0x00][..]); // opcode 0x3
+        let mut buf = vec![0x83u8, 0x00]; // opcode 0x3
         assert!(matches!(decode_ws(&mut buf), Err(WsError::BadOpcode(3))));
-        let mut buf = BytesMut::from(&[0x01u8, 0x00][..]); // FIN unset
+        let mut buf = vec![0x01u8, 0x00]; // FIN unset
         assert!(matches!(decode_ws(&mut buf), Err(WsError::Unsupported(_))));
     }
 
     #[test]
     fn rejects_oversized_declared_payload() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0x82);
-        buf.put_u8(127);
-        buf.put_u64(u64::MAX);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&[0x82, 127]);
+        buf.extend_from_slice(&u64::MAX.to_be_bytes());
         assert!(matches!(decode_ws(&mut buf), Err(WsError::TooLarge(_))));
     }
 
@@ -260,16 +250,14 @@ mod tests {
         // A header declaring exactly MAX_PAYLOAD is legal (the decoder
         // waits for the bytes); one more byte is refused before any
         // payload is buffered.
-        let mut buf = BytesMut::new();
-        buf.put_u8(0x82);
-        buf.put_u8(127);
-        buf.put_u64(MAX_PAYLOAD);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&[0x82, 127]);
+        buf.extend_from_slice(&MAX_PAYLOAD.to_be_bytes());
         assert_eq!(decode_ws(&mut buf), Ok(None));
 
-        let mut buf = BytesMut::new();
-        buf.put_u8(0x82);
-        buf.put_u8(127);
-        buf.put_u64(MAX_PAYLOAD + 1);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&[0x82, 127]);
+        buf.extend_from_slice(&(MAX_PAYLOAD + 1).to_be_bytes());
         assert_eq!(decode_ws(&mut buf), Err(WsError::TooLarge(MAX_PAYLOAD + 1)));
     }
 
@@ -281,7 +269,7 @@ mod tests {
             text in any::<bool>(),
         ) {
             let op = if text { Opcode::Text } else { Opcode::Binary };
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_ws(&mut buf, op, &payload, key);
             let f = decode_ws(&mut buf).unwrap().unwrap();
             prop_assert_eq!(f.opcode, op);
@@ -293,7 +281,7 @@ mod tests {
         fn streamed_frames_all_decode(
             payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 1..8),
         ) {
-            let mut wire = BytesMut::new();
+            let mut wire = Vec::new();
             for p in &payloads {
                 encode_ws(&mut wire, Opcode::Binary, p, Some([1,2,3,4]));
             }
@@ -326,7 +314,7 @@ mod tests {
                 Opcode::Pong,
             ][op_ix];
             let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_ws(&mut buf, op, &payload, key);
             let expected_form = match len {
                 0..=125 => len as u8,
@@ -352,12 +340,12 @@ mod tests {
             // pieces; the decoder must keep answering `Ok(None)` until
             // the very last byte arrives and never consume a partial
             // frame from the buffer.
-            let mut wire = BytesMut::new();
+            let mut wire = Vec::new();
             encode_ws(&mut wire, Opcode::Binary, &payload, key);
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             let mut decoded = None;
             for (i, &b) in wire.iter().enumerate() {
-                buf.put_u8(b);
+                buf.push(b);
                 match decode_ws(&mut buf).unwrap() {
                     Some(f) => {
                         prop_assert_eq!(i, wire.len() - 1, "decoded before the last byte");

@@ -8,7 +8,6 @@
 //! `wsframe::MAX_PAYLOAD`); the frame decoder may not allocate more than
 //! the bytes it was given.
 
-use bytes::BytesMut;
 use minedig_net::json::{Value, MAX_INPUT};
 use minedig_net::wsframe::{decode_ws, encode_ws, Opcode, WsError, MAX_PAYLOAD};
 use minedig_primitives::DetRng;
@@ -171,7 +170,7 @@ fn ws_frames() -> Vec<(Opcode, Vec<u8>, Option<[u8; 4]>)> {
 /// buffer as it was, and no call allocates more than the bytes given.
 /// Returns the number of frames decoded.
 fn drain_ws(bytes: &[u8]) -> usize {
-    let mut buf = BytesMut::from(bytes);
+    let mut buf = bytes.to_vec();
     let mut frames = 0;
     loop {
         let before = buf.clone();
@@ -187,7 +186,7 @@ fn drain_ws(bytes: &[u8]) -> usize {
                 frames += 1;
                 assert!(buf.len() < before.len(), "a frame consumes its bytes");
                 for mask in [None, Some([9, 8, 7, 6])] {
-                    let mut again = BytesMut::new();
+                    let mut again = Vec::new();
                     encode_ws(&mut again, frame.opcode, &frame.payload, mask);
                     assert_eq!(decode_ws(&mut again), Ok(Some(frame.clone())));
                     assert!(again.is_empty());
@@ -209,7 +208,7 @@ fn mutated_ws_frames_decode_to_an_error_none_or_a_stable_frame() {
     let mut rng = DetRng::seed(0x3f5a);
     let mut decoded = 0;
     for (opcode, payload, mask) in ws_frames() {
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         encode_ws(&mut wire, opcode, &payload, mask);
         // A second frame behind the first: a mutant may split or merge them.
         encode_ws(&mut wire, Opcode::Text, b"{\"type\":\"get_job\"}", mask);
@@ -221,7 +220,7 @@ fn mutated_ws_frames_decode_to_an_error_none_or_a_stable_frame() {
         // Every proper prefix of the first frame is incomplete.
         let first = wire.len() - 2 - 4 * usize::from(mask.is_some()) - 18;
         for cut in (0..first).step_by(1 + first / 512) {
-            let mut buf = BytesMut::from(&wire[..cut]);
+            let mut buf = wire[..cut].to_vec();
             assert_eq!(decode_ws(&mut buf), Ok(None), "cut at {cut}");
         }
     }
@@ -234,7 +233,7 @@ fn ws_lengths_past_the_cap_are_refused_and_short_buffers_wait() {
         for (declared, waits) in [(MAX_PAYLOAD + 1, false), (MAX_PAYLOAD, true)] {
             let mut header = vec![0x82, masked | 127];
             header.extend_from_slice(&declared.to_be_bytes());
-            let mut buf = BytesMut::from(&header[..]);
+            let mut buf = header.clone();
             let (largest, result) = largest_alloc(|| decode_ws(&mut buf));
             assert!(largest <= header.len(), "{largest} bytes");
             let refused = Err(WsError::TooLarge(declared));

@@ -3,9 +3,9 @@
 //! Supports the subset the NoCoin list actually uses: host anchors
 //! (`||example.com^`), start/end anchors (`|`), wildcards (`*`),
 //! separator placeholders (`^`), comments (`!`), and `$` option suffixes
-//! (options are parsed and recorded; the `script` / `third-party` options
-//! don't change matching for our script-URL workload, where every matched
-//! URL *is* a third-party script request).
+//! (recognised and stripped: the `script` / `third-party` options don't
+//! change matching for our script-URL workload, where every matched URL
+//! *is* a third-party script request).
 //!
 //! Matching allocates nothing on a lowercased URL and runs in
 //! O(URL length × pattern length): the `*`s cut a pattern into
@@ -34,8 +34,6 @@ pub struct Rule {
     host_anchor: bool,
     /// Anchored at URL end (`...|`)?
     end_anchor: bool,
-    /// Raw `$` options, lowercased.
-    pub options: Vec<String>,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,21 +66,13 @@ impl Rule {
         {
             return None;
         }
-        let (pattern, options) = match line.rfind('$') {
-            // A `$` in the middle of a regex-ish pattern is unlikely in
-            // NoCoin; treat the suffix after the last `$` as options when
-            // it looks like an option list.
-            Some(idx) if looks_like_options(&line[idx + 1..]) => (
-                &line[..idx],
-                line[idx + 1..]
-                    .split(',')
-                    .map(|s| s.trim().to_ascii_lowercase())
-                    .collect(),
-            ),
-            _ => (line, Vec::new()),
+        // A `$` in the middle of a regex-ish pattern is unlikely in
+        // NoCoin; strip the suffix after the last `$` as options when it
+        // looks like an option list.
+        let mut pattern = match line.rfind('$') {
+            Some(idx) if looks_like_options(&line[idx + 1..]) => &line[..idx],
+            _ => line,
         };
-
-        let mut pattern = pattern;
         let mut host_anchor = false;
         let mut start_anchor = false;
         let mut end_anchor = false;
@@ -133,7 +123,6 @@ impl Rule {
             start_anchor,
             host_anchor,
             end_anchor,
-            options,
         })
     }
 
@@ -398,9 +387,16 @@ mod tests {
     }
 
     #[test]
-    fn options_are_parsed_not_matched_on() {
+    fn options_are_stripped_not_matched_on() {
         let r = rule("||cpmstar.com^$script,third-party");
-        assert_eq!(r.options, vec!["script", "third-party"]);
+        let bare = rule("||cpmstar.com^");
+        for url in [
+            "https://server.cpmstar.com/cached/view.js",
+            "https://cpmstar.com$script,third-party",
+            "https://example.org/view.js",
+        ] {
+            assert_eq!(r.matches(url), bare.matches(url), "{url}");
+        }
         assert!(r.matches("https://server.cpmstar.com/cached/view.js"));
     }
 

@@ -25,11 +25,9 @@ use crate::rng::DetRng;
 pub enum Fault {
     /// The message (or response) is silently lost.
     Drop,
-    /// Delivery succeeds but is late by `ms` milliseconds.
-    Delay {
-        /// Added latency in milliseconds.
-        ms: u64,
-    },
+    /// Delivery succeeds, late. Nothing in the workspace waits on the
+    /// lateness, so a delayed operation completes like a clean one.
+    Delay,
     /// The connection is torn down; subsequent operations fail with
     /// `Closed` until the caller reconnects.
     Disconnect,
@@ -54,9 +52,6 @@ pub struct FaultConfig {
     /// Relative weights of `[Drop, Delay, Disconnect, Garble, Stall]`.
     pub kind_weights: [f64; 5],
 }
-
-/// Mean injected latency for `Delay` faults, in milliseconds.
-const MEAN_DELAY_MS: u64 = 40;
 
 impl Default for FaultConfig {
     fn default() -> FaultConfig {
@@ -161,9 +156,7 @@ impl FaultPlan {
         let kind = rng.weighted_index(&self.config.kind_weights);
         Some(match kind {
             0 => Fault::Drop,
-            1 => Fault::Delay {
-                ms: 1 + rng.gen_range(MEAN_DELAY_MS * 2),
-            },
+            1 => Fault::Delay,
             2 => Fault::Disconnect,
             3 => Fault::Garble,
             _ => Fault::Stall,
@@ -213,9 +206,7 @@ mod tests {
         }
         Some(match rng.weighted_index(&config.kind_weights) {
             0 => Fault::Drop,
-            1 => Fault::Delay {
-                ms: 1 + rng.gen_range(MEAN_DELAY_MS * 2),
-            },
+            1 => Fault::Delay,
             2 => Fault::Disconnect,
             3 => Fault::Garble,
             _ => Fault::Stall,
@@ -330,7 +321,7 @@ mod tests {
             )
         };
         assert_eq!(only(0).decide("k", 0), Some(Fault::Drop));
-        assert!(matches!(only(1).decide("k", 0), Some(Fault::Delay { ms }) if ms > 0));
+        assert_eq!(only(1).decide("k", 0), Some(Fault::Delay));
         assert_eq!(only(2).decide("k", 0), Some(Fault::Disconnect));
         assert_eq!(only(3).decide("k", 0), Some(Fault::Garble));
         assert_eq!(only(4).decide("k", 0), Some(Fault::Stall));

@@ -114,32 +114,11 @@ impl RetryPolicy {
     }
 }
 
-/// Why a retry loop gave up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GiveUp {
-    /// The last error was permanent; retrying could not help.
-    Permanent,
-    /// The attempt budget was exhausted on transient errors.
-    Exhausted,
-    /// The next backoff would overshoot the overall deadline.
-    DeadlineExceeded,
-}
-
-/// Terminal failure of a retry loop: the last error plus why the loop
-/// stopped retrying.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryError<E> {
-    /// The error returned by the final attempt.
-    pub error: E,
-    /// Why no further attempt was made.
-    pub give_up: GiveUp,
-}
-
 /// Outcome of [`retry`]: the result plus effort accounting.
 #[derive(Debug, Clone)]
 pub struct RetryOutcome<T, E> {
-    /// Final result: success, or the last error with a give-up reason.
-    pub result: Result<T, RetryError<E>>,
+    /// Final result: success, or the error of the last attempt.
+    pub result: Result<T, E>,
     /// Attempts actually issued (≥ 1).
     pub attempts: u32,
     /// Total backoff waited through, in virtual milliseconds.
@@ -174,7 +153,7 @@ pub fn retry<T, E: Retryable>(
     let mut waited_ms = 0u64;
     let mut jitter = Some(jitter);
     let mut rng: Option<DetRng> = None;
-    loop {
+    let error = loop {
         let result = op(attempts);
         attempts += 1;
         let error = match result {
@@ -187,36 +166,24 @@ pub fn retry<T, E: Retryable>(
             }
             Err(e) => e,
         };
-        let give_up = if error.error_class() == ErrorClass::Permanent {
-            Some(GiveUp::Permanent)
-        } else if attempts >= max_attempts {
-            Some(GiveUp::Exhausted)
-        } else {
-            None
-        };
-        if let Some(give_up) = give_up {
-            return RetryOutcome {
-                result: Err(RetryError { error, give_up }),
-                attempts,
-                waited_ms,
-            };
+        if error.error_class() == ErrorClass::Permanent || attempts >= max_attempts {
+            break error;
         }
         let rng =
             rng.get_or_insert_with(|| jitter.take().expect("taken only while rng is unset")());
         let backoff = policy.backoff_ms(attempts, rng);
-        if let Some(deadline) = policy.deadline_ms {
-            if waited_ms.saturating_add(backoff) > deadline {
-                return RetryOutcome {
-                    result: Err(RetryError {
-                        error,
-                        give_up: GiveUp::DeadlineExceeded,
-                    }),
-                    attempts,
-                    waited_ms,
-                };
-            }
+        if policy
+            .deadline_ms
+            .is_some_and(|deadline| waited_ms.saturating_add(backoff) > deadline)
+        {
+            break error;
         }
         waited_ms = waited_ms.saturating_add(backoff);
+    };
+    RetryOutcome {
+        result: Err(error),
+        attempts,
+        waited_ms,
     }
 }
 
@@ -277,9 +244,7 @@ mod tests {
             || DetRng::seed(3),
             flaky_until(1),
         );
-        let err = out.result.unwrap_err();
-        assert_eq!(err.give_up, GiveUp::Exhausted);
-        assert_eq!(err.error, TestError::Flaky);
+        assert_eq!(out.result, Err(TestError::Flaky));
         assert_eq!(out.attempts, 1);
         assert_eq!(out.waited_ms, 0);
     }
@@ -291,8 +256,7 @@ mod tests {
             || DetRng::seed(4),
             |_: u32| -> Result<(), TestError> { Err(TestError::Fatal) },
         );
-        let err = out.result.unwrap_err();
-        assert_eq!(err.give_up, GiveUp::Permanent);
+        assert_eq!(out.result, Err(TestError::Fatal));
         assert_eq!(out.attempts, 1);
         assert_eq!(out.waited_ms, 0);
     }
@@ -304,7 +268,7 @@ mod tests {
             || DetRng::seed(5),
             flaky_until(u32::MAX),
         );
-        assert_eq!(out.result.unwrap_err().give_up, GiveUp::Exhausted);
+        assert_eq!(out.result, Err(TestError::Flaky));
         assert_eq!(out.attempts, 3);
     }
 
@@ -320,7 +284,7 @@ mod tests {
         assert_eq!(out.attempts, 1);
         assert_eq!(derived.get(), 0, "first-try success");
         let out = retry(&policy, jitter, |_: u32| Err::<(), _>(TestError::Fatal));
-        assert_eq!(out.result.unwrap_err().give_up, GiveUp::Permanent);
+        assert_eq!(out.result, Err(TestError::Fatal));
         assert_eq!(derived.get(), 0, "permanent failure");
         let out = retry(&policy, jitter, flaky_until(3));
         assert_eq!(out.retries(), 3);
@@ -344,7 +308,7 @@ mod tests {
             deadline_ms: Some(250),
         };
         let out = retry(&policy, || DetRng::seed(6), flaky_until(u32::MAX));
-        assert_eq!(out.result.unwrap_err().give_up, GiveUp::DeadlineExceeded);
+        assert_eq!(out.result, Err(TestError::Flaky));
         assert_eq!(out.attempts, 2);
         assert_eq!(out.waited_ms, 100);
     }

@@ -71,7 +71,7 @@ impl<P: LinkProber> LinkProber for FaultyProber<'_, P> {
         match self.plan.decide(&format!("probe.{code}"), attempt) {
             None => self.inner.probe(code, attempt),
             // Latency alone does not change the observed document.
-            Some(Fault::Delay { .. }) => self.inner.probe(code, attempt),
+            Some(Fault::Delay) => self.inner.probe(code, attempt),
             Some(Fault::Drop) | Some(Fault::Stall) => Err(ProbeError::Timeout),
             Some(Fault::Disconnect) => Err(ProbeError::Closed),
             Some(Fault::Garble) => Err(ProbeError::Garbled),
@@ -109,7 +109,7 @@ pub fn probe_with_retry<P: LinkProber>(
     let jitter = || DetRng::seed(policy.jitter_seed).derive(&format!("probe.jitter.{code}"));
     let outcome = retry(&policy.retry, jitter, |attempt| prober.probe(code, attempt));
     let retries = outcome.retries();
-    (outcome.result.map_err(|e| e.error), retries)
+    (outcome.result, retries)
 }
 
 #[cfg(test)]

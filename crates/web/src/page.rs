@@ -219,22 +219,22 @@ fn write_html(domain: &Domain, rng: &mut DetRng, mut scripts: Scripts<'_>) -> St
                 let (hosted_url, ws_url) = family_assets(family, domain.token_id);
                 // jsMiner predates Wasm: it mines in plain JS, so it opens
                 // the pool socket but never compiles a module.
-                let submit_interval_ms =
-                    (family != MinerFamily::JsMinerLegacy).then(|| 700 + rng.gen_range(600));
-                let start = move || match submit_interval_ms {
-                    None => ScriptEffect::OpenWebSocket {
-                        url: ws_url,
-                        frames: vec![format!(
-                            "{{\"type\":\"auth\",\"token\":\"{}\"}}",
-                            site_key(domain.token_id)
-                        )],
-                    },
-                    Some(submit_interval_ms) => ScriptEffect::StartMiner {
-                        wasm: wasm_bytes(WasmClass::Miner(family), domain.wasm_version),
-                        ws_url,
-                        token: site_key(domain.token_id),
-                        submit_interval_ms,
-                    },
+                let compiles = family != MinerFamily::JsMinerLegacy;
+                if compiles {
+                    // This draw set the interval of the miner's submit
+                    // frames, which no result reads. It stays so that every
+                    // later draw, and so every page, is unchanged.
+                    rng.gen_range(600);
+                }
+                let start = move || {
+                    let mut effects = Vec::with_capacity(2);
+                    if compiles {
+                        effects.push(ScriptEffect::InstantiateWasm {
+                            wasm: wasm_bytes(WasmClass::Miner(family), domain.wasm_version),
+                        });
+                    }
+                    effects.push(ScriptEffect::OpenWebSocket { url: ws_url });
+                    effects
                 };
                 match hosting {
                     Hosting::Hosted => {
@@ -248,7 +248,7 @@ fn write_html(domain: &Domain, rng: &mut DetRng, mut scripts: Scripts<'_>) -> St
                         scripts.add(|| {
                             let behavior = ScriptBehavior {
                                 delay_ms,
-                                effects: vec![start()],
+                                effects: start(),
                             };
                             (ScriptRef::Src(url), behavior)
                         });
@@ -264,7 +264,7 @@ fn write_html(domain: &Domain, rng: &mut DetRng, mut scripts: Scripts<'_>) -> St
                         scripts.add(|| {
                             let behavior = ScriptBehavior {
                                 delay_ms,
-                                effects: vec![start()],
+                                effects: start(),
                             };
                             (ScriptRef::Src(url), behavior)
                         });
@@ -292,7 +292,7 @@ fn write_html(domain: &Domain, rng: &mut DetRng, mut scripts: Scripts<'_>) -> St
                         scripts.add(|| {
                             let behavior = ScriptBehavior {
                                 delay_ms: 10,
-                                effects: vec![start()],
+                                effects: start(),
                             };
                             (ScriptRef::Src(url()), behavior)
                         });
@@ -629,7 +629,7 @@ mod tests {
         assert!(beyond_cut > 0, "no page passes the cut");
         assert_eq!(
             digest(rows.as_bytes()),
-            "9aeb36af0eeb726a368f7e905bf85d45eb9bd824a660bf7b155cc37db0d77d32"
+            "9e03883a8651eeee1f36bf6c2ff06ec2020bcbaf8c32427209865383472d2051"
         );
     }
 }

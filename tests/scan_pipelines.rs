@@ -5,6 +5,7 @@
 //! not just per-crate behaviour.
 
 use minedig::core::scan::{build_reference_db, chrome_scan, zgrab_scan};
+use minedig::primitives::Hash32;
 use minedig::web::churn::{second_scan, DEFAULT_REMOVAL_RATE};
 use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
@@ -23,6 +24,23 @@ fn static_scan_sees_fewer_sites_than_executing_scan() {
         "chrome NoCoin {} must exceed zgrab {}",
         ch.nocoin_domains,
         zg.hit_domains
+    );
+}
+
+/// The Chrome scan's outcomes for the seed-2018 Alexa and .org
+/// populations, hashed: a change to what a page load captures, or to how
+/// the scan classifies a capture, fails here.
+#[test]
+fn chrome_outcomes_match_the_golden_digest() {
+    let db = build_reference_db(0.7);
+    let mut outcomes = String::new();
+    for zone in [Zone::Alexa, Zone::Org] {
+        let pop = Population::generate(zone, 2018, 500);
+        outcomes.push_str(&format!("{:?}\n", chrome_scan(&pop, &db, 2018)));
+    }
+    assert_eq!(
+        Hash32::keccak(outcomes.as_bytes()).to_hex(),
+        "9702ed952e41ac5c5c307ac79014d3f0f721115c1ebf8482fc5ce84a8b229974"
     );
 }
 
