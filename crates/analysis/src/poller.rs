@@ -4,10 +4,12 @@
 //! 500 ms. Our pool's blobs change only when a backend refreshes its
 //! template (every 15 s), so the default poll interval
 //! matches that granularity — polling faster only re-reads identical
-//! blobs, and a re-read costs one string compare: the observer decodes
-//! an endpoint's answer only when it differs from the last one recorded.
-//! The observer reverts the XOR obfuscation (which the paper had to
-//! discover first) before parsing.
+//! blobs. The pool answers every poll of one template version, on either
+//! endpoint of its backend, with one shared [`Arc<Job>`], and the
+//! observer keeps the jobs it recorded into the current cluster: a
+//! re-read of one of them costs pointer compares, not a decode. The
+//! observer reverts the XOR obfuscation (which the paper had to discover
+//! first) before parsing.
 //!
 //! The observer is written against [`JobSource`] so the transport can
 //! fail: each endpoint gets a per-sweep retry budget (deterministic
@@ -31,6 +33,7 @@ use minedig_primitives::Hash32;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Why a single job fetch failed.
@@ -82,8 +85,10 @@ pub trait JobSource: Sync {
     fn endpoint_count(&self) -> usize;
     /// Requests the current job from `endpoint` at virtual time `now`.
     /// `attempt` is the zero-based retry index within the sweep, which
-    /// fault schedules key on.
-    fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Job, FetchError>;
+    /// fault schedules key on. A source that answers with one shared job
+    /// wherever the answer is the same spares the observer decoding it
+    /// again.
+    fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Arc<Job>, FetchError>;
     /// Re-establishes a torn-down connection to `endpoint`. Returns
     /// whether a reconnect actually happened (the default source has no
     /// connection state and returns `false`).
@@ -98,7 +103,7 @@ impl JobSource for Pool {
         Pool::endpoint_count(self)
     }
 
-    fn fetch_job(&self, endpoint: usize, now: u64, _attempt: u32) -> Result<Job, FetchError> {
+    fn fetch_job(&self, endpoint: usize, now: u64, _attempt: u32) -> Result<Arc<Job>, FetchError> {
         self.peek_job(endpoint, now).map_err(|e| match e {
             JobError::Offline => FetchError::Offline,
             _ => FetchError::Refused,
@@ -137,7 +142,7 @@ impl<S: JobSource> JobSource for FaultyJobSource<S> {
         self.inner.endpoint_count()
     }
 
-    fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Job, FetchError> {
+    fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Arc<Job>, FetchError> {
         if self.down[endpoint].load(Ordering::Acquire) {
             return Err(FetchError::Closed);
         }
@@ -200,9 +205,9 @@ impl<T: Transport> WireJobSource<T> {
     }
 
     /// Parses one reply frame; tears down on anything undecodable.
-    fn classify_reply(slot: &mut Option<T>, raw: &[u8]) -> Result<Job, FetchError> {
+    fn classify_reply(slot: &mut Option<T>, raw: &[u8]) -> Result<Arc<Job>, FetchError> {
         match ServerMsg::decode(raw) {
-            Ok(ServerMsg::Job(job)) => Ok(job),
+            Ok(ServerMsg::Job(job)) => Ok(Arc::new(job)),
             Ok(ServerMsg::Error { reason }) => {
                 if reason.contains("offline") {
                     Err(FetchError::Offline)
@@ -223,7 +228,7 @@ impl<T: Transport> JobSource for WireJobSource<T> {
         self.endpoints.len()
     }
 
-    fn fetch_job(&self, endpoint: usize, now: u64, _attempt: u32) -> Result<Job, FetchError> {
+    fn fetch_job(&self, endpoint: usize, now: u64, _attempt: u32) -> Result<Arc<Job>, FetchError> {
         let mut slot = self.endpoints[endpoint].lock();
         let Some(t) = slot.as_mut() else {
             return Err(FetchError::Closed);
@@ -343,11 +348,15 @@ pub struct Observer<S: JobSource = Pool> {
     /// Distinct serialized blobs for the current prev (diagnostics — the
     /// paper's "at most 128 different PoW inputs per block").
     current_blobs: BTreeSet<Vec<u8>>,
-    /// Per endpoint, the last wire blob it answered that was recorded
-    /// into the current cluster. The same answer again would record
-    /// nothing new, so it skips the decode, the XOR and the parse.
-    /// Cleared whenever `current_prev` changes and never snapshotted.
-    last_recorded: Vec<Option<String>>,
+    /// The jobs whose blobs were recorded into the current cluster, one
+    /// per distinct blob, matched by [`Arc::ptr_eq`]. A job any endpoint
+    /// already recorded would record nothing new, so it skips the
+    /// decode, the XOR, the parse and the set inserts. Holding the
+    /// `Arc`s keeps each address from being reused while it is
+    /// remembered. Cleared whenever `current_prev` changes and never
+    /// snapshotted: the blobs of a restored cluster are decoded again
+    /// whenever polled, until the cluster moves on.
+    recorded: Vec<Arc<Job>>,
     stats: PollStats,
     /// Optional endpoint-health layer: circuit breakers, adaptive
     /// deadlines, and hedge planning. `None` reproduces the pre-health
@@ -367,7 +376,6 @@ impl<S: JobSource> Observer<S> {
     /// Creates an observer over any [`JobSource`] with an explicit retry
     /// policy — the entry point for fault-injected runs.
     pub fn with_source(source: S, deobfuscate: bool, policy: PollPolicy) -> Observer<S> {
-        let last_recorded = vec![None; source.endpoint_count()];
         Observer {
             source,
             deobfuscate,
@@ -375,7 +383,7 @@ impl<S: JobSource> Observer<S> {
             current_prev: None,
             current_roots: BTreeSet::new(),
             current_blobs: BTreeSet::new(),
-            last_recorded,
+            recorded: Vec::new(),
             stats: PollStats::default(),
             health: None,
         }
@@ -401,39 +409,29 @@ impl<S: JobSource> Observer<S> {
         self.health.as_ref().map(EndpointHealth::stats)
     }
 
-    /// The per-endpoint plans for a sweep at `now`: breaker decisions
-    /// when the health layer is on, pass-through plans otherwise. Made
-    /// before the sweep's first fetch: breaker state advances only in
-    /// [`record_health`](Observer::record_health), after its last.
-    fn sweep_plans(&mut self, now: u64) -> Vec<ProbePlan> {
-        match self.health.as_mut() {
-            Some(h) => h.plan_sweep(now),
-            None => vec![ProbePlan::pass(); self.source.endpoint_count()],
-        }
-    }
-
-    /// Folds a sweep's probe outcomes back into the health layer.
-    fn record_health(&mut self, now: u64, plans: &[ProbePlan], outcomes: &[ProbeOutcome]) {
-        if let Some(h) = self.health.as_mut() {
-            h.record_sweep(now, plans, outcomes);
-        }
-    }
-
     /// The underlying job source.
     pub fn source(&self) -> &S {
         &self.source
     }
 
     /// Polls every endpoint once at virtual time `now`, in endpoint
-    /// order.
+    /// order. With the health layer on, its plans are made before the
+    /// sweep's first fetch and its state advances after the last.
     pub fn poll_all(&mut self, now: u64) {
-        let plans = self.sweep_plans(now);
+        let Some(plans) = self.health.as_mut().map(|h| h.plan_sweep(now)) else {
+            for endpoint in 0..self.source.endpoint_count() {
+                self.poll_endpoint(endpoint, now, ProbePlan::pass());
+            }
+            return;
+        };
         let outcomes: Vec<ProbeOutcome> = plans
             .iter()
             .enumerate()
             .map(|(endpoint, plan)| self.poll_endpoint(endpoint, now, *plan))
             .collect();
-        self.record_health(now, &plans, &outcomes);
+        if let Some(h) = self.health.as_mut() {
+            h.record_sweep(now, &plans, &outcomes);
+        }
     }
 
     /// Polls one endpoint at virtual time `now` under its health `plan`,
@@ -481,7 +479,7 @@ impl<S: JobSource> Observer<S> {
             },
             Ok(job) => {
                 self.stats.answered += 1;
-                if self.last_recorded[endpoint].as_ref() == Some(&job.blob_hex) {
+                if self.recorded.iter().rev().any(|r| Arc::ptr_eq(r, &job)) {
                     return probe;
                 }
                 let Ok(mut bytes) = job.blob_bytes() else {
@@ -494,8 +492,9 @@ impl<S: JobSource> Observer<S> {
                 match HashingBlob::parse(&bytes) {
                     Err(_) => self.stats.parse_failures += 1,
                     Ok(blob) => {
-                        self.record(bytes, blob);
-                        self.last_recorded[endpoint] = Some(job.blob_hex);
+                        if self.record(bytes, blob) {
+                            self.recorded.push(job);
+                        }
                     }
                 }
             }
@@ -503,7 +502,10 @@ impl<S: JobSource> Observer<S> {
         probe
     }
 
-    fn record(&mut self, bytes: Vec<u8>, blob: HashingBlob) {
+    /// Records a parsed blob into its prev pointer's cluster, moving the
+    /// observer there first if needed. Returns whether the blob was new
+    /// to the cluster.
+    fn record(&mut self, bytes: Vec<u8>, blob: HashingBlob) -> bool {
         if self.current_prev != Some(blob.prev_id) {
             // New height: the driver is expected to have consumed the old
             // cluster via `take_cluster` when the block appeared; if not
@@ -513,15 +515,16 @@ impl<S: JobSource> Observer<S> {
             self.current_blobs.clear();
         }
         self.current_roots.insert(blob.merkle_root);
-        self.current_blobs.insert(bytes);
+        let new = self.current_blobs.insert(bytes);
         self.stats.max_blobs_per_prev = self.stats.max_blobs_per_prev.max(self.current_blobs.len());
+        new
     }
 
-    /// Moves the observer to another cluster; the endpoints' last
-    /// recorded answers belong to the old one.
+    /// Moves the observer to another cluster; the jobs recorded so far
+    /// belong to the old one.
     fn set_current_prev(&mut self, prev: Option<Hash32>) {
         self.current_prev = prev;
-        self.last_recorded.fill(None);
+        self.recorded.clear();
     }
 
     /// The prev pointer currently being observed.
@@ -862,20 +865,45 @@ mod tests {
         assert!(obs.take_cluster(&prev).is_none());
     }
 
+    /// Whether `obs` remembers exactly the pool's jobs for backends
+    /// 0..16 at `now`, each once.
+    fn remembers_each_backends_job<S: JobSource>(obs: &Observer<S>, pool: &Pool, now: u64) -> bool {
+        obs.recorded.len() == 16
+            && (0..16).all(|backend| {
+                let job = pool.peek_job(2 * backend, now).unwrap();
+                Arc::ptr_eq(&obs.recorded[backend], &job)
+            })
+    }
+
     #[test]
     fn a_repeated_blob_is_recorded_again_after_take_cluster() {
         let pool = pool_with_tip();
-        let mut obs = Observer::new(pool, true);
+        let mut obs = Observer::new(pool.clone(), true);
         let prev = Hash32::keccak(b"prev-10");
         obs.poll_all(1_000);
+        // The two endpoints of a backend answer with one shared job,
+        // which is decoded and remembered once.
+        assert!(remembers_each_backends_job(&obs, &pool, 1_000));
         let first = obs.take_cluster(&prev).unwrap();
+        assert!(obs.recorded.is_empty());
         // Every endpoint answers exactly as before; the cluster taken
         // above must not make those answers look already recorded.
         obs.poll_all(1_005);
         assert_eq!(obs.current_prev(), Some(prev));
-        assert_eq!(obs.current_blob_count(), 16);
-        assert_eq!(obs.take_cluster(&prev), Some(first));
-        assert_eq!(obs.stats().answered, 64);
+        assert_eq!(obs.current_roots, first);
+        assert!(remembers_each_backends_job(&obs, &pool, 1_005));
+        // A restored snapshot holds no memo; the next version's jobs are
+        // remembered as they are recorded.
+        let saved = state_bytes(&obs);
+        obs.read_state(&mut SnapReader::new(&saved)).unwrap();
+        assert!(obs.recorded.is_empty());
+        obs.poll_all(1_015);
+        assert!(remembers_each_backends_job(&obs, &pool, 1_015));
+        assert_eq!(obs.current_blob_count(), 32);
+        let second = obs.take_cluster(&prev).unwrap();
+        assert_eq!(second.len(), 32);
+        assert!(second.is_superset(&first));
+        assert_eq!(obs.stats().answered, 96);
     }
 
     fn state_bytes<S: JobSource>(obs: &Observer<S>) -> Vec<u8> {
@@ -928,7 +956,12 @@ mod tests {
             self.old.endpoint_count()
         }
 
-        fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Job, FetchError> {
+        fn fetch_job(
+            &self,
+            endpoint: usize,
+            now: u64,
+            attempt: u32,
+        ) -> Result<Arc<Job>, FetchError> {
             let pool = if endpoint == 0 && now >= self.switch {
                 &self.new
             } else {
@@ -956,22 +989,31 @@ mod tests {
         };
         let mut obs = Observer::with_source(source, true, PollPolicy::default());
         obs.poll_all(1_000);
+        assert!(remembers_each_backends_job(&obs, &obs.source().old, 1_000));
         // Endpoint 0's new tip resets the cluster; endpoint 1 then repeats
         // its old-tip answer, which must move the cluster back.
         obs.poll_all(1_005);
         assert_eq!(obs.current_prev(), Some(Hash32::keccak(b"prev-10")));
         assert_eq!(obs.current_blob_count(), 16);
+        // Endpoint 1's job was decoded again after the switch, and with
+        // it every other old-tip job.
+        assert!(remembers_each_backends_job(&obs, &obs.source().old, 1_005));
     }
 
     /// A source answering every poll with the same job, whatever its blob.
-    struct Fixed(Job);
+    struct Fixed(Arc<Job>);
 
     impl JobSource for Fixed {
         fn endpoint_count(&self) -> usize {
             32
         }
 
-        fn fetch_job(&self, _endpoint: usize, _now: u64, _attempt: u32) -> Result<Job, FetchError> {
+        fn fetch_job(
+            &self,
+            _endpoint: usize,
+            _now: u64,
+            _attempt: u32,
+        ) -> Result<Arc<Job>, FetchError> {
             Ok(self.0.clone())
         }
     }
@@ -979,12 +1021,12 @@ mod tests {
     #[test]
     fn a_repeated_unparseable_answer_fails_on_every_poll() {
         for blob_hex in ["zz", "00"] {
-            let job = Job {
+            let job = Arc::new(Job {
                 job_id: "j".into(),
                 blob_hex: blob_hex.into(),
                 share_difficulty: 1,
                 height: 10,
-            };
+            });
             let mut obs = Observer::with_source(Fixed(job), true, PollPolicy::default());
             for t in [1_000, 1_005, 1_010] {
                 obs.poll_all(t);
@@ -1071,7 +1113,12 @@ mod tests {
             self.inner.endpoint_count()
         }
 
-        fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Job, FetchError> {
+        fn fetch_job(
+            &self,
+            endpoint: usize,
+            now: u64,
+            attempt: u32,
+        ) -> Result<Arc<Job>, FetchError> {
             if endpoint == self.dead {
                 Err(FetchError::Timeout)
             } else {

@@ -79,7 +79,7 @@ fn ablation_endpoint_fanout(c: &mut Criterion) {
         for e in 0..endpoints {
             for t in (1_000..1_130).step_by(5) {
                 if let Ok(job) = pool.peek_job(e, t) {
-                    blobs.insert(job.blob_hex);
+                    blobs.insert(job.blob_hex.clone());
                 }
             }
         }

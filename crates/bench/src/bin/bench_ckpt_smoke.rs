@@ -19,7 +19,7 @@
 //! rewrites its full state at every checkpoint; the enumeration walk
 //! appends deltas, so its bytes grow with the walk, not its square.
 
-use minedig_bench::{seed, BENCH_OUT_ENV, SEED_ENV};
+use minedig_bench::{bench_out, seed, BENCH_OUT_ENV, SEED_ENV};
 use minedig_core::campaign::ZgrabCampaign;
 use minedig_core::scan::{zgrab_scan_with, FetchModel};
 use minedig_core::shortlink_study::{run_study, StudyConfig};
@@ -61,6 +61,7 @@ fn store_for(tag: &str) -> (std::path::PathBuf, SnapshotStore) {
 fn main() {
     let env = configured(read_env(&[SEED_ENV, BENCH_OUT_ENV]));
     let seed = configured(seed(&env));
+    let out = configured(bench_out(&env, "BENCH_checkpoint.json"));
     let mut workloads = Vec::new();
 
     // §3.1 scan: per-domain fetch → NoCoin verdicts under supervision.
@@ -228,7 +229,6 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let out = env(BENCH_OUT_ENV).unwrap_or_else(|| "BENCH_checkpoint.json".into());
     std::fs::write(&out, json).expect("write bench output");
     println!("wrote {out}");
 }

@@ -18,7 +18,7 @@
 //! stay balanced.
 
 use minedig_analysis::poller::{FetchError, JobSource, Observer, PollPolicy};
-use minedig_bench::{seed, BENCH_OUT_ENV, SEED_ENV};
+use minedig_bench::{bench_out, seed, BENCH_OUT_ENV, SEED_ENV};
 use minedig_chain::netsim::TipInfo;
 use minedig_chain::tx::Transaction;
 use minedig_pool::pool::{Pool, PoolConfig};
@@ -27,6 +27,7 @@ use minedig_primitives::health::HealthConfig;
 use minedig_primitives::Hash32;
 use minedig_primitives::{configured, read_env};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Fractions of the endpoint inventory that never answer.
@@ -47,7 +48,7 @@ impl JobSource for DeadTail {
         self.inner.endpoint_count()
     }
 
-    fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Job, FetchError> {
+    fn fetch_job(&self, endpoint: usize, now: u64, attempt: u32) -> Result<Arc<Job>, FetchError> {
         if endpoint >= self.dead_from {
             return Err(FetchError::Timeout);
         }
@@ -121,6 +122,7 @@ fn run_config(seed: u64, dead_fraction: f64, health: bool) -> Run {
 fn main() {
     let env = configured(read_env(&[SEED_ENV, BENCH_OUT_ENV]));
     let seed = configured(seed(&env));
+    let out = configured(bench_out(&env, "BENCH_health.json"));
     let mut runs = Vec::new();
     // (fraction, retries saved by the breaker) per dead fraction.
     let mut savings = Vec::new();
@@ -195,7 +197,6 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let out = env(BENCH_OUT_ENV).unwrap_or_else(|| "BENCH_health.json".into());
     std::fs::write(&out, json).expect("write bench output");
     println!("wrote {out}");
 }

@@ -10,7 +10,7 @@
 //! so only the timings vary.
 
 use minedig_analysis::poller::Observer;
-use minedig_bench::{seed, BENCH_OUT_ENV, SEED_ENV};
+use minedig_bench::{bench_out, seed, BENCH_OUT_ENV, SEED_ENV};
 use minedig_chain::netsim::TipInfo;
 use minedig_chain::tx::Transaction;
 use minedig_core::campaign::ZgrabCampaign;
@@ -52,6 +52,7 @@ fn sweep<T>(mut run: impl FnMut(Backend) -> T) -> Vec<(usize, f64)> {
 fn main() {
     let env = configured(read_env(&[SEED_ENV, BENCH_OUT_ENV]));
     let seed = configured(seed(&env));
+    let out = configured(bench_out(&env, "BENCH_parallel.json"));
     let mut workloads = Vec::new();
 
     // §3: zgrab + NoCoin over a .org-shaped population.
@@ -142,7 +143,6 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let out = env(BENCH_OUT_ENV).unwrap_or_else(|| "BENCH_parallel.json".into());
     std::fs::write(&out, json).expect("write bench output");
     println!("wrote {out}");
 }

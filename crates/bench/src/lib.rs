@@ -64,6 +64,20 @@ pub fn days(env: impl Fn(&str) -> Option<String>) -> Result<u64, String> {
     Ok(parse_var(env, DAYS_ENV, &expected, valid)?.unwrap_or(28))
 }
 
+/// The file a smoke binary writes its JSON to: the path `env` names in
+/// [`BENCH_OUT_ENV`], else `default` in the working directory. A path
+/// naming an existing directory is an error naming the variable, so a
+/// smoke refuses it before its run rather than failing to write after.
+pub fn bench_out(env: impl Fn(&str) -> Option<String>, default: &str) -> Result<String, String> {
+    match env(BENCH_OUT_ENV) {
+        None => Ok(default.to_string()),
+        Some(path) if std::path::Path::new(&path).is_dir() => Err(format!(
+            "{BENCH_OUT_ENV}={path:?}: expected a file path, not a directory"
+        )),
+        Some(path) => Ok(path),
+    }
+}
+
 /// Gini coefficient from which Fig 3 calls the concentration extreme.
 const EXTREME_GINI: f64 = 0.9;
 

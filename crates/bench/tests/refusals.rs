@@ -82,3 +82,16 @@ fn counts_that_leave_nothing_to_measure_are_refused() {
         assert_refused(fig5, &[("MINEDIG_DAYS", days)], "MINEDIG_DAYS");
     }
 }
+
+#[test]
+fn a_directory_as_bench_output_is_refused() {
+    let dir = std::env::temp_dir();
+    let dir = dir.to_str().expect("a UTF-8 temp dir");
+    for bin in [
+        env!("CARGO_BIN_EXE_bench_ckpt_smoke"),
+        env!("CARGO_BIN_EXE_bench_health_smoke"),
+        env!("CARGO_BIN_EXE_bench_parallel_smoke"),
+    ] {
+        assert_refused(bin, &[("MINEDIG_BENCH_OUT", dir)], "MINEDIG_BENCH_OUT");
+    }
+}

@@ -63,6 +63,8 @@ impl std::error::Error for ChainError {}
 /// An append-only, validated block chain.
 pub struct Chain {
     blocks: Vec<Block>,
+    /// The last block's id, computed once when it was appended.
+    tip_id: Hash32,
     tracker: DifficultyTracker,
     supply: u64,
 }
@@ -74,6 +76,7 @@ impl Chain {
     pub fn new(initial_supply: u64) -> Chain {
         Chain {
             blocks: Vec::new(),
+            tip_id: Hash32::ZERO,
             tracker: DifficultyTracker::new(),
             supply: initial_supply,
         }
@@ -99,7 +102,7 @@ impl Chain {
 
     /// Id of the tip block, or `Hash32::ZERO` for an empty chain.
     pub fn tip_id(&self) -> Hash32 {
-        self.blocks.last().map(|b| b.id()).unwrap_or(Hash32::ZERO)
+        self.tip_id
     }
 
     /// The tip block, if any.
@@ -134,11 +137,10 @@ impl Chain {
 
     /// Validates and appends a block.
     pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
-        let expected_prev = self.tip_id();
-        if block.header.prev_id != expected_prev {
+        if block.header.prev_id != self.tip_id {
             return Err(ChainError::BadPrevId {
                 got: block.header.prev_id,
-                expected: expected_prev,
+                expected: self.tip_id,
             });
         }
         if !block.miner_tx.is_coinbase() || block.txs.iter().any(|t| t.is_coinbase()) {
@@ -164,6 +166,7 @@ impl Chain {
         let difficulty = self.next_difficulty();
         self.tracker.push(block.header.timestamp, difficulty);
         self.supply += got_reward;
+        self.tip_id = block.id();
         self.blocks.push(block);
         Ok(())
     }
@@ -203,6 +206,34 @@ mod tests {
         }
         assert_eq!(chain.height(), 10);
         assert_eq!(chain.block_at(9).map(Block::id), Some(chain.tip_id()));
+    }
+
+    #[test]
+    fn tip_id_is_the_last_appended_blocks_id() {
+        let mut chain = Chain::new(0);
+        assert_eq!(chain.tip_id(), Hash32::ZERO);
+        for i in 0..10 {
+            let block = make_block(&chain, 1000 + i * 120, "solo");
+            chain.append(block).unwrap();
+            assert_eq!(
+                Some(chain.tip_id()),
+                chain.tip().map(Block::id),
+                "block {i}"
+            );
+            let tip = chain.tip_id();
+            let mut fork = make_block(&chain, 2000 + i, "solo");
+            fork.header.prev_id = Hash32::keccak(b"fork");
+            assert!(chain.append(fork).is_err());
+            let mut bad_reward = make_block(&chain, 2000 + i, "solo");
+            bad_reward.miner_tx = Transaction::coinbase(
+                chain.height(),
+                chain.next_reward() + 1,
+                MinerTag::from_label("x"),
+                vec![],
+            );
+            assert!(chain.append(bad_reward).is_err());
+            assert_eq!(chain.tip_id(), tip, "a rejected append moved the tip");
+        }
     }
 
     #[test]

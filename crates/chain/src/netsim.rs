@@ -268,7 +268,6 @@ impl NetSim {
         let block = self.actors[winner].source.make_block(self.now);
         let height = self.chain.height();
         let reward = self.chain.next_reward();
-        let id = block.id();
         self.chain
             .append(block)
             .expect("template source produced invalid block");
@@ -277,7 +276,7 @@ impl NetSim {
             found_at: self.now,
             actor: winner,
             actor_name: self.actors[winner].name.clone(),
-            block_id: id,
+            block_id: self.chain.tip_id(),
             reward,
             difficulty,
         };

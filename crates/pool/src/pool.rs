@@ -111,12 +111,14 @@ struct BackendCache {
 }
 
 /// One template version as served: a pure function of (tip, backend,
-/// version), so it is built once and then handed out as copies.
+/// version), so it is built once and then shared.
 struct CachedTemplate {
     /// True (de-obfuscated) hashing blob with the nonce zeroed.
     blob: Vec<u8>,
-    /// The observer's peek job for this version, built on its first peek.
-    peek: Option<Job>,
+    /// The observer's peek job for this version, built on its first peek
+    /// and handed to every later peek of it, on either endpoint of the
+    /// backend.
+    peek: Option<Arc<Job>>,
 }
 
 /// Mutable state of the mining protocol proper: issued jobs, revenue
@@ -312,8 +314,9 @@ impl Pool {
 
     /// Observer-style job fetch: returns the blob currently served by the
     /// given endpoint *without* registering a job for share submission —
-    /// this is what the paper's 500 ms poller does.
-    pub fn peek_job(&self, endpoint: usize, now: u64) -> Result<Job, JobError> {
+    /// this is what the paper's 500 ms poller does. Every peek of one
+    /// template version returns the same shared job.
+    pub fn peek_job(&self, endpoint: usize, now: u64) -> Result<Arc<Job>, JobError> {
         let shared = &*self.shared;
         if !self.is_online() {
             return Err(JobError::Offline);
@@ -328,12 +331,12 @@ impl Pool {
         Ok(Self::with_template(shared, &tip, backend, version, |t| {
             t.peek
                 .get_or_insert_with(|| {
-                    Job::from_blob(
+                    Arc::new(Job::from_blob(
                         format!("peek-{height}-{backend}-{version}"),
                         &obfuscation::obfuscated(&t.blob),
                         shared.config.share_difficulty,
                         height,
-                    )
+                    ))
                 })
                 .clone()
         }))
@@ -481,7 +484,7 @@ impl Pool {
                 // serving session's clock.
                 Ok(ClientMsg::Peek { endpoint, now }) => {
                     match self.peek_job(endpoint as usize, now) {
-                        Ok(job) => ServerMsg::Job(job),
+                        Ok(job) => ServerMsg::Job(Job::clone(&job)),
                         Err(e) => ServerMsg::Error {
                             reason: e.to_string(),
                         },
@@ -599,7 +602,7 @@ mod tests {
         let a = p.peek_job(0, 100).unwrap();
         let b = p.peek_job(1, 100).unwrap();
         let c = p.peek_job(2, 100).unwrap();
-        assert_eq!(a.blob_hex, b.blob_hex, "endpoints 0,1 share backend 0");
+        assert!(Arc::ptr_eq(&a, &b), "endpoints 0,1 share backend 0's job");
         assert_ne!(a.blob_hex, c.blob_hex, "endpoint 2 is backend 1");
     }
 
@@ -611,7 +614,7 @@ mod tests {
         // Poll one endpoint across far more refresh windows than versions.
         for s in 0..100 {
             let job = p.peek_job(0, 1_000 + s * 10).unwrap();
-            blobs.insert(job.blob_hex);
+            blobs.insert(job.blob_hex.clone());
         }
         assert_eq!(blobs.len(), 8);
     }
@@ -624,7 +627,7 @@ mod tests {
         for endpoint in 0..32 {
             for s in 0..120 {
                 if let Ok(job) = p.peek_job(endpoint, 1_000 + s) {
-                    blobs.insert(job.blob_hex);
+                    blobs.insert(job.blob_hex.clone());
                 }
             }
         }
@@ -766,9 +769,12 @@ mod tests {
                     let served = HashingBlob::parse(&blob).unwrap();
                     assert_eq!(served.merkle_root, block.merkle_root(), "{txs} txs");
                     assert_eq!(served.tx_count, block.tx_count(), "{txs} txs");
-                    assert_eq!(first, fresh, "{txs} txs, endpoint {endpoint}");
+                    assert_eq!(*first, fresh, "{txs} txs, endpoint {endpoint}");
                     let cached = p.peek_job(endpoint, timestamp + refresh - 1).unwrap();
-                    assert_eq!(cached, fresh, "{txs} txs, endpoint {endpoint}");
+                    assert!(
+                        Arc::ptr_eq(&cached, &first),
+                        "{txs} txs, endpoint {endpoint}"
+                    );
                 }
             }
         }
@@ -840,7 +846,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(r, ServerMsg::Job(p.peek_job(5, 90).unwrap()));
+        assert_eq!(r, ServerMsg::Job(Job::clone(&p.peek_job(5, 90).unwrap())));
         // Errors carry the JobError rendering the observer classifies on.
         let r = drive_session(
             &mut client,

@@ -37,8 +37,11 @@ fn served_jobs() -> Vec<Job> {
     let mut jobs: Vec<Job> = (0..pool.endpoint_count())
         .step_by(2)
         .map(|endpoint| {
-            pool.peek_job(endpoint, 1_000 + endpoint as u64 * 7)
-                .unwrap()
+            Job::clone(
+                &pool
+                    .peek_job(endpoint, 1_000 + endpoint as u64 * 7)
+                    .unwrap(),
+            )
         })
         .collect();
     jobs.push(pool.issue_job(3, 1_050).unwrap());

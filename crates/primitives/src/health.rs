@@ -500,6 +500,16 @@ pub struct EndpointHealth {
     config: HealthConfig,
     breakers: Vec<CircuitBreaker>,
     trackers: Vec<LatencyTracker>,
+    /// Per endpoint, the seeded constant its synthetic latencies start
+    /// from: slow endpoints stay slow, which is what gives the
+    /// slowest-decile hedge set its stability.
+    base_latency: Vec<u64>,
+    /// `DetRng::seed(seed).derive("lat")`: each successful probe's
+    /// service-latency noise derives from it.
+    lat: DetRng,
+    /// `DetRng::seed(seed).derive("hedge")`: each hedge's backup-latency
+    /// noise derives from it.
+    hedge: DetRng,
     hedges: u64,
     hedge_wins: u64,
 }
@@ -513,10 +523,19 @@ impl EndpointHealth {
         let trackers = (0..endpoints)
             .map(|_| LatencyTracker::new(config.adaptive.clone()))
             .collect();
+        let root = DetRng::seed(config.seed);
+        let span = config.adaptive.synthetic_span_ms.max(1);
+        let base = root.derive("lat.base");
+        let base_latency = (0..endpoints)
+            .map(|i| 1 + base.derive(&format!("ep{i}")).gen_range(span))
+            .collect();
         EndpointHealth {
+            lat: root.derive("lat"),
+            hedge: root.derive("hedge"),
             config,
             breakers,
             trackers,
+            base_latency,
             hedges: 0,
             hedge_wins: 0,
         }
@@ -614,32 +633,21 @@ impl EndpointHealth {
         }
     }
 
-    /// Seeded per-endpoint constant: slow endpoints stay slow, which is
-    /// what gives the slowest-decile hedge set its stability.
-    fn base_latency(&self, i: usize) -> u64 {
-        let span = self.config.adaptive.synthetic_span_ms.max(1);
-        1 + DetRng::seed(self.config.seed)
-            .derive("lat.base")
-            .derive(&format!("ep{i}"))
-            .gen_range(span)
-    }
-
+    /// Endpoint `i`'s synthetic service latency at `now`: its base plus
+    /// noise from the `lat` stream keyed on `(i, now)`.
     fn service_latency(&self, i: usize, now: u64) -> u64 {
-        let noise = self.config.adaptive.synthetic_span_ms / 4 + 1;
-        self.base_latency(i)
-            + DetRng::seed(self.config.seed)
-                .derive("lat")
-                .derive(&format!("ep{i}.{now}"))
-                .gen_range(noise)
+        self.latency(&self.lat, i, now)
     }
 
+    /// The latency of a hedge's backup probe to endpoint `i` at `now`:
+    /// the same base, with noise from the `hedge` stream.
     fn hedge_latency(&self, i: usize, now: u64) -> u64 {
+        self.latency(&self.hedge, i, now)
+    }
+
+    fn latency(&self, root: &DetRng, i: usize, now: u64) -> u64 {
         let noise = self.config.adaptive.synthetic_span_ms / 4 + 1;
-        self.base_latency(i)
-            + DetRng::seed(self.config.seed)
-                .derive("hedge")
-                .derive(&format!("ep{i}.{now}"))
-                .gen_range(noise)
+        self.base_latency[i] + root.derive(&format!("ep{i}.{now}")).gen_range(noise)
     }
 
     /// Aggregated counters and state gauges.
@@ -970,6 +978,53 @@ mod tests {
             off.record_sweep(sweep, &plans, &outcomes);
         }
         assert_eq!(off.stats().hedges, 0);
+    }
+
+    /// Reference latency: derives the base and the noise stream from the
+    /// seed on every call, as the layer once did per probe.
+    fn latency_rederiving(config: &HealthConfig, stream: &str, i: usize, now: u64) -> u64 {
+        let span = config.adaptive.synthetic_span_ms.max(1);
+        let noise = config.adaptive.synthetic_span_ms / 4 + 1;
+        let base = 1 + DetRng::seed(config.seed)
+            .derive("lat.base")
+            .derive(&format!("ep{i}"))
+            .gen_range(span);
+        base + DetRng::seed(config.seed)
+            .derive(stream)
+            .derive(&format!("ep{i}.{now}"))
+            .gen_range(noise)
+    }
+
+    #[test]
+    fn cached_latencies_match_the_rederiving_construction() {
+        for seed in [0, 5, 2018, u64::MAX] {
+            for span in [0, 1, 48, 1_000] {
+                let config = HealthConfig {
+                    seed,
+                    adaptive: AdaptiveConfig {
+                        synthetic_span_ms: span,
+                        ..AdaptiveConfig::default()
+                    },
+                    ..HealthConfig::default()
+                };
+                let h = EndpointHealth::new(config.clone(), 32);
+                for i in 0..32 {
+                    for now in (0..2_000).step_by(37).chain([1_524_700_815, u64::MAX]) {
+                        let ctx = format!("seed {seed} span {span} ep {i} now {now}");
+                        assert_eq!(
+                            h.service_latency(i, now),
+                            latency_rederiving(&config, "lat", i, now),
+                            "{ctx}"
+                        );
+                        assert_eq!(
+                            h.hedge_latency(i, now),
+                            latency_rederiving(&config, "hedge", i, now),
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -85,35 +85,67 @@ pub fn keccak_f1600(state: &mut [u64; 25]) {
     }
 }
 
-/// Sponge absorb + squeeze with configurable rate and domain padding byte.
-fn sponge(data: &[u8], rate: usize, pad: u8, out_len: usize) -> Vec<u8> {
-    debug_assert!(rate.is_multiple_of(8) && rate <= 200);
-    let mut state = [0u64; 25];
-    let mut chunks = data.chunks_exact(rate);
-    for block in &mut chunks {
-        absorb_block(&mut state, block);
-        keccak_f1600(&mut state);
-    }
-    // Final (padded) block.
-    let mut last = [0u8; 200];
-    let rem = chunks.remainder();
-    last[..rem.len()].copy_from_slice(rem);
-    last[rem.len()] = pad;
-    last[rate - 1] |= 0x80;
-    absorb_block(&mut state, &last[..rate]);
-    keccak_f1600(&mut state);
+/// Rate in bytes of the 256-bit constructions (and of [`keccak1600`]).
+const RATE: usize = 136;
 
-    let mut out = Vec::with_capacity(out_len);
-    loop {
-        for lane in state.iter().take(rate / 8) {
-            out.extend_from_slice(&lane.to_le_bytes());
-            if out.len() >= out_len {
-                out.truncate(out_len);
-                return out;
+/// An absorbing Keccak sponge of rate [`RATE`]: input arrives in any
+/// number of pieces and is buffered in one rate block on the stack, so
+/// hashing a concatenation allocates nothing.
+pub(crate) struct Sponge {
+    state: [u64; 25],
+    block: [u8; RATE],
+    filled: usize,
+}
+
+impl Sponge {
+    /// An empty sponge.
+    pub(crate) fn new() -> Sponge {
+        Sponge {
+            state: [0u64; 25],
+            block: [0u8; RATE],
+            filled: 0,
+        }
+    }
+
+    /// Absorbs `data`, permuting after each full rate block.
+    pub(crate) fn absorb(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            let take = (RATE - self.filled).min(data.len());
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled == RATE {
+                absorb_block(&mut self.state, &self.block);
+                keccak_f1600(&mut self.state);
+                self.filled = 0;
             }
         }
-        keccak_f1600(&mut state);
     }
+
+    /// Pads the last block with the domain byte `pad` and permutes: the
+    /// returned state's first lanes are the digest.
+    fn finish(mut self, pad: u8) -> [u64; 25] {
+        self.block[self.filled..].fill(0);
+        self.block[self.filled] = pad;
+        self.block[RATE - 1] |= 0x80;
+        absorb_block(&mut self.state, &self.block);
+        keccak_f1600(&mut self.state);
+        self.state
+    }
+
+    /// Keccak-256 with original padding of everything absorbed.
+    pub(crate) fn keccak256(self) -> [u8; 32] {
+        digest(&self.finish(0x01))
+    }
+}
+
+/// The first 32 bytes of a squeezed state (rate 136 holds all of them).
+fn digest(state: &[u64; 25]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, lane) in out.chunks_exact_mut(8).zip(state) {
+        chunk.copy_from_slice(&lane.to_le_bytes());
+    }
+    out
 }
 
 fn absorb_block(state: &mut [u64; 25], block: &[u8]) {
@@ -124,38 +156,28 @@ fn absorb_block(state: &mut [u64; 25], block: &[u8]) {
 
 /// Keccak-256 with original padding (Monero's `cn_fast_hash`).
 pub fn keccak256(data: &[u8]) -> [u8; 32] {
-    let v = sponge(data, 136, 0x01, 32);
-    v.try_into().unwrap()
+    let mut sponge = Sponge::new();
+    sponge.absorb(data);
+    sponge.keccak256()
 }
 
 /// NIST SHA3-256.
 pub fn sha3_256(data: &[u8]) -> [u8; 32] {
-    let v = sponge(data, 136, 0x06, 32);
-    v.try_into().unwrap()
+    let mut sponge = Sponge::new();
+    sponge.absorb(data);
+    digest(&sponge.finish(0x06))
 }
 
 /// Absorbs `data` with rate 136/original padding and returns the full
 /// 200-byte state. This is the `keccak1600` used by CryptoNight to derive
 /// its scratchpad seed and AES round keys.
 pub fn keccak1600(data: &[u8]) -> [u8; 200] {
-    let mut state = [0u64; 25];
-    let rate = 136;
-    let mut chunks = data.chunks_exact(rate);
-    for block in &mut chunks {
-        absorb_block(&mut state, block);
-        keccak_f1600(&mut state);
-    }
-    let mut last = [0u8; 200];
-    let rem = chunks.remainder();
-    last[..rem.len()].copy_from_slice(rem);
-    last[rem.len()] = 0x01;
-    last[rate - 1] |= 0x80;
-    absorb_block(&mut state, &last[..rate]);
-    keccak_f1600(&mut state);
-
+    let mut sponge = Sponge::new();
+    sponge.absorb(data);
+    let state = sponge.finish(0x01);
     let mut out = [0u8; 200];
-    for (lane, chunk) in out.chunks_exact_mut(8).enumerate() {
-        chunk.copy_from_slice(&state[lane].to_le_bytes());
+    for (chunk, lane) in out.chunks_exact_mut(8).zip(&state) {
+        chunk.copy_from_slice(&lane.to_le_bytes());
     }
     out
 }
@@ -211,6 +233,23 @@ mod tests {
         assert_ne!(h1, h2);
         assert_ne!(h1, h3);
         assert_ne!(h2, h3);
+    }
+
+    #[test]
+    fn absorbing_in_pieces_hashes_the_concatenation() {
+        let data: Vec<u8> = (0..400u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in [0usize, 1, 31, 135, 136, 137, 271, 272, 273, 400] {
+            for cut in [0, 1.min(len), len / 2, len.saturating_sub(1), len] {
+                let mut sponge = Sponge::new();
+                sponge.absorb(&data[..cut]);
+                sponge.absorb(&data[cut..len]);
+                assert_eq!(
+                    sponge.keccak256(),
+                    keccak256(&data[..len]),
+                    "{len} cut {cut}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -56,12 +56,12 @@ impl DetRng {
     /// labels yield statistically independent streams and derivation does
     /// not advance `self`.
     pub fn derive(&self, label: &str) -> DetRng {
-        let mut input = Vec::with_capacity(32 + label.len());
+        let mut sponge = crate::keccak::Sponge::new();
         for lane in &self.s {
-            input.extend_from_slice(&lane.to_le_bytes());
+            sponge.absorb(&lane.to_le_bytes());
         }
-        input.extend_from_slice(label.as_bytes());
-        let h = crate::keccak::keccak256(&input);
+        sponge.absorb(label.as_bytes());
+        let h = sponge.keccak256();
         let mut s = [0u64; 4];
         for (i, lane) in s.iter_mut().enumerate() {
             *lane = u64::from_le_bytes(h[i * 8..i * 8 + 8].try_into().unwrap());
@@ -313,6 +313,26 @@ mod tests {
         let mut b = root.derive("chain");
         assert_eq!(a1.next_u64(), a2.next_u64());
         assert_ne!(a1.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn derive_hashes_the_state_then_the_label() {
+        let root = DetRng::seed(42).derive("web");
+        for label in [String::new(), "ep7.1524700815".into(), "x".repeat(300)] {
+            let mut input: Vec<u8> = root.s.iter().flat_map(|l| l.to_le_bytes()).collect();
+            input.extend_from_slice(label.as_bytes());
+            let h = crate::keccak::keccak256(&input);
+            let lanes: Vec<u64> = h
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            assert_eq!(
+                root.derive(&label).s.to_vec(),
+                lanes,
+                "{} bytes",
+                label.len()
+            );
+        }
     }
 
     #[test]

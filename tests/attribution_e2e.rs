@@ -8,6 +8,11 @@ use minedig::chain::tx::Transaction;
 use minedig::pool::obfuscation;
 use minedig::pool::pool::{Pool, PoolConfig};
 use minedig::pow::Variant;
+use minedig::primitives::ckpt::SnapshotStore;
+use minedig::primitives::fault::FaultPlan;
+use minedig::primitives::health::HealthConfig;
+use minedig::primitives::retry::RetryPolicy;
+use minedig::primitives::supervise::{Ckpt, Supervisor};
 use minedig::primitives::Hash32;
 
 const SEED: u64 = 1337;
@@ -28,6 +33,58 @@ fn scenario_attribution_recall_and_precision() {
     assert!(result.recall() >= 0.95, "recall {}", result.recall());
     // The observer's structural bound holds.
     assert!(result.poll_stats.max_blobs_per_prev <= 128);
+}
+
+/// One day of `minedig attribute` at seed 2018, three ways, digested:
+/// the result fault-free; the result under fault seed 5 with the health
+/// layer on, configured as the CLI's `MINEDIG_FAULT_SEED=5
+/// MINEDIG_HEALTH=1` run is; and the journals a checkpointed run of that
+/// faulted case writes. A change to what the poll loop observes,
+/// attributes or checkpoints fails here.
+#[test]
+fn scenario_matches_the_golden_digest() {
+    let clean = ScenarioConfig {
+        duration_days: 1,
+        seed: 2018,
+        ..ScenarioConfig::default()
+    };
+    let plan = FaultPlan::new(5);
+    let faulted = ScenarioConfig {
+        poll_retry: RetryPolicy::attempts(plan.attempts_to_clear()),
+        poll_faults: Some(plan),
+        poll_health: Some(HealthConfig {
+            seed: 2018,
+            ..HealthConfig::default()
+        }),
+        ..clean.clone()
+    };
+    let mut digested = Vec::new();
+    for config in [&clean, &faulted] {
+        let (result, _) = run_scenario(config.clone(), None).expect("a straight run");
+        digested.extend_from_slice(format!("{result:?}\n").as_bytes());
+    }
+    let dir = std::env::temp_dir().join(format!("minedig-golden-scenario-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ckpt = Ckpt {
+        store: SnapshotStore::open(&dir).expect("open snapshot store"),
+        supervisor: Supervisor::default(),
+        resume: false,
+    };
+    run_scenario(faulted, Some(&ckpt)).expect("a checkpointed run");
+    let mut journals: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list the journals")
+        .map(|e| e.expect("a directory entry").path())
+        .collect();
+    journals.sort();
+    assert!(!journals.is_empty(), "the run wrote no journal");
+    for path in &journals {
+        digested.extend_from_slice(&std::fs::read(path).expect("read a journal"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        Hash32::keccak(&digested).to_hex(),
+        "eea2d97b1b15284803e8ccc0d8e768d0676464a618c60df23a7c376671566d55"
+    );
 }
 
 #[test]
