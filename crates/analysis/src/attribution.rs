@@ -30,9 +30,7 @@ pub struct Attributor {
     pub unmatched: u64,
     /// Blocks judged with no cluster available (observation gaps:
     /// outages, startup, missed heights). These say nothing about who
-    /// mined the block, so they are excluded from
-    /// [`attribution_share`](Attributor::attribution_share); previously
-    /// they were folded into `unmatched` and deflated the share.
+    /// mined the block, so they are not counted in `unmatched`.
     pub gaps: u64,
 }
 
@@ -72,17 +70,6 @@ impl Attributor {
             self.unmatched += 1;
         }
         matched
-    }
-
-    /// Share of *decidable* judged blocks attributed to the pool.
-    /// Observation gaps carry no evidence either way and are excluded
-    /// from the denominator.
-    pub fn attribution_share(&self) -> f64 {
-        let total = self.attributed.len() as u64 + self.unmatched;
-        if total == 0 {
-            return 0.0;
-        }
-        self.attributed.len() as f64 / total as f64
     }
 }
 
@@ -156,25 +143,5 @@ mod tests {
         assert!(!a.judge(&block(vec![1]), 1_060, None));
         assert_eq!(a.gaps, 1);
         assert_eq!(a.unmatched, 0);
-        assert_eq!(a.attribution_share(), 0.0);
-    }
-
-    #[test]
-    fn attribution_share_excludes_gaps() {
-        let b = block(vec![1]);
-        let mut cluster = BTreeSet::new();
-        cluster.insert(b.merkle_root());
-        let mut a = Attributor::new();
-        a.judge(&b, 0, Some(&cluster)); // attributed
-        a.judge(&block(vec![9]), 0, Some(&cluster)); // unmatched
-        a.judge(&block(vec![8]), 0, None); // gap: not in the denominator
-        assert_eq!(a.gaps, 1);
-        assert_eq!(a.unmatched, 1);
-        assert!((a.attribution_share() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_share_is_zero() {
-        assert_eq!(Attributor::new().attribution_share(), 0.0);
     }
 }

@@ -48,17 +48,6 @@ impl BlockCalendar {
         self.grid.iter().map(|row| row.iter().sum()).collect()
     }
 
-    /// Blocks per hour-of-day across all days (the top marginal).
-    pub fn per_hour(&self) -> [u32; 24] {
-        let mut out = [0u32; 24];
-        for row in &self.grid {
-            for (h, &c) in row.iter().enumerate() {
-                out[h] += c;
-            }
-        }
-        out
-    }
-
     /// Median blocks/day.
     pub fn median_per_day(&self) -> f64 {
         let mut v: Vec<u64> = self.per_day().iter().map(|&c| c as u64).collect();
@@ -108,7 +97,6 @@ mod tests {
         assert_eq!(cal.grid[0][1], 1);
         assert_eq!(cal.grid[1][2], 1);
         assert_eq!(cal.per_day(), vec![2, 1]);
-        assert_eq!(cal.per_hour()[2], 1);
     }
 
     #[test]

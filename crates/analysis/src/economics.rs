@@ -18,11 +18,6 @@ impl ExchangeRate {
     pub fn paper_writing_time() -> ExchangeRate {
         ExchangeRate { usd_per_xmr: 120.0 }
     }
-
-    /// The early-2018 peak the paper mentions.
-    pub fn early_2018_peak() -> ExchangeRate {
-        ExchangeRate { usd_per_xmr: 400.0 }
-    }
 }
 
 /// Revenue report for a pool over a window.
@@ -126,7 +121,7 @@ mod tests {
     fn peak_rate_multiplies_revenue() {
         let b = blocks(100, 4.7);
         let low = pool_revenue(&b, ExchangeRate::paper_writing_time(), 0.3);
-        let high = pool_revenue(&b, ExchangeRate::early_2018_peak(), 0.3);
+        let high = pool_revenue(&b, ExchangeRate { usd_per_xmr: 400.0 }, 0.3);
         assert!((high.usd_gross / low.usd_gross - 400.0 / 120.0).abs() < 1e-9);
     }
 

@@ -3,13 +3,15 @@
 //! regressed past a threshold or any deterministic count changed.
 //!
 //! ```text
-//! bench_check <baseline.json> <current.json> [threshold]
+//! bench_check <baseline.json> <current.json>
 //! ```
 //!
 //! Every numeric field whose key ends in `secs` is compared at the same
-//! JSON path; the run fails when `current > baseline * threshold`
-//! (default 2.0 — generous on purpose: CI runners are noisy, and the
-//! gate exists to catch order-of-magnitude rot, not jitter). The counts
+//! JSON path; the run fails when `current > baseline * 2` (generous on
+//! purpose: CI runners are noisy, and the gate exists to catch
+//! order-of-magnitude rot, not jitter). Any other number of arguments,
+//! or a file that cannot be read or parsed, exits with status 2 before
+//! any comparison. The counts
 //! a seeded run reproduces exactly ([`COUNT_KEYS`]: items, checkpoints,
 //! bytes written, crashes, items redone) must equal the baseline's, and
 //! a count the baseline has but the run lacks fails too. Other fields
@@ -19,8 +21,8 @@
 use minedig_net::json::Value;
 use minedig_primitives::{configured, read_env};
 
-/// Default regression threshold: current may take up to 2× baseline.
-const DEFAULT_THRESHOLD: f64 = 2.0;
+/// Regression threshold: current may take up to 2× baseline.
+const THRESHOLD: f64 = 2.0;
 
 /// Keys of the counts a seeded run reproduces exactly.
 const COUNT_KEYS: [&str; 5] = [
@@ -31,8 +33,8 @@ const COUNT_KEYS: [&str; 5] = [
     "items_redone",
 ];
 
+#[derive(Default)]
 struct Gate {
-    threshold: f64,
     compared: u32,
     counts: u32,
     regressions: Vec<String>,
@@ -44,15 +46,6 @@ fn key_of(path: &str) -> &str {
 }
 
 impl Gate {
-    fn new(threshold: f64) -> Gate {
-        Gate {
-            threshold,
-            compared: 0,
-            counts: 0,
-            regressions: Vec::new(),
-        }
-    }
-
     /// Walks `baseline` and `current` in lockstep, comparing every
     /// numeric `*secs` leaf and every count leaf reachable through
     /// matching object keys and array indices.
@@ -107,7 +100,7 @@ impl Gate {
                 self.compared += 1;
                 // Sub-millisecond baselines are pure noise at CI
                 // resolution; hold them to an absolute floor instead.
-                let allowed = (b * self.threshold).max(0.005);
+                let allowed = (b * THRESHOLD).max(0.005);
                 if c > allowed {
                     self.regressions.push(format!(
                         "{path}: {c:.4}s vs baseline {b:.4}s (allowed {allowed:.4}s)"
@@ -141,31 +134,37 @@ impl Gate {
     }
 }
 
-fn load(path: &str) -> Value {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    Value::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
+const USAGE: &str = "usage: bench_check <baseline.json> <current.json>";
+
+/// Exits with status 2 after printing `message`.
+fn refuse(message: &str) -> ! {
+    eprintln!("bench_check: {message}");
+    std::process::exit(2);
+}
+
+/// The JSON in the file at `path`; a file that cannot be read or parsed
+/// is refused, naming the argument (`role`) and the path.
+fn load(role: &str, path: &str) -> Value {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| refuse(&format!("{role} {path:?}: {e}")));
+    Value::parse(&text).unwrap_or_else(|e| refuse(&format!("{role} {path:?}: not JSON: {e}")))
 }
 
 fn main() {
     // No knobs: every MINEDIG_* variable is refused.
     let _ = configured(read_env(&[]));
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (Some(baseline_path), Some(current_path)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: bench_check <baseline.json> <current.json> [threshold]");
-        std::process::exit(2);
+    let [baseline_path, current_path] = args.as_slice() else {
+        refuse(USAGE)
     };
-    let threshold = args
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_THRESHOLD);
+    let baseline = load("baseline", baseline_path);
+    let current = load("current", current_path);
 
-    let baseline = load(baseline_path);
-    let current = load(current_path);
-    let mut gate = Gate::new(threshold);
+    let mut gate = Gate::default();
     gate.walk("", &baseline, &current);
 
     println!(
-        "{}: {} wall-clock fields compared against {} at {threshold}x, {} counts exactly",
+        "{}: {} wall-clock fields compared against {} at {THRESHOLD}x, {} counts exactly",
         current_path, gate.compared, baseline_path, gate.counts
     );
     if gate.compared == 0 {
@@ -189,7 +188,7 @@ mod tests {
     /// The gate's verdict on `current` against `baseline`: the fields it
     /// compared (wall-clock, counts) and its regressions.
     fn gate(baseline: &str, current: &str) -> (u32, u32, Vec<String>) {
-        let mut gate = Gate::new(DEFAULT_THRESHOLD);
+        let mut gate = Gate::default();
         gate.walk(
             "",
             &Value::parse(baseline).unwrap(),

@@ -4,10 +4,11 @@
 //! (override with `MINEDIG_BENCH_OUT`). Poll sweeps run in-line on
 //! every backend, so they get one row, labelled 1 shard.
 //!
-//! This is the CI-friendly complement to the criterion benches: one
-//! timed pass per shard count, small populations, machine-readable
+//! One timed pass per shard count, small populations, machine-readable
 //! output. Outcomes are identical across shard counts by construction,
-//! so only the timings vary.
+//! so only the timings vary. The Chrome scan's scaling is read off
+//! `MINEDIG_SHARDS=1|2|4|8 minedig scan org`, whose `chrome:` line
+//! gives its wall time.
 
 use minedig_analysis::poller::Observer;
 use minedig_bench::{bench_out, seed, BENCH_OUT_ENV, SEED_ENV};

@@ -1,9 +1,11 @@
 //! Shared plumbing for the reproduction binaries.
 //!
-//! Every binary under `src/bin/` regenerates one of the paper's tables or
-//! figures (see DESIGN.md's experiment index) and prints measured values
-//! next to the paper's. Each reads its knobs from the environment once,
-//! at start, through `minedig_primitives::read_env`:
+//! Most binaries under `src/bin/` regenerate one of the paper's tables
+//! or figures (see DESIGN.md's experiment index) and print measured
+//! values next to the paper's; `ablations` measures four of its design
+//! choices, and the `bench_*` binaries are the smoke benches and their
+//! gate. Each reads its knobs from the environment once, at start,
+//! through `minedig_primitives::read_env`:
 //!
 //! * `MINEDIG_SEED` — experiment seed (default 2018),
 //! * `MINEDIG_SHARDS` — worker threads of the execution backend

@@ -10,11 +10,6 @@
 use minedig_primitives::varint::{write_varint, ByteReader, VarintError};
 use minedig_primitives::Hash32;
 
-/// Offset of the 4-byte nonce within a hashing blob with single-byte
-/// varints for version fields — only valid for the common case; prefer
-/// [`HashingBlob::parse`] + [`HashingBlob::to_bytes`] for manipulation.
-pub const NONCE_OFFSET_HINT: usize = 39;
-
 /// The parsed contents of a hashing blob.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HashingBlob {
@@ -79,16 +74,6 @@ impl HashingBlob {
             ..self.clone()
         }
     }
-
-    /// Byte offset of the nonce in this blob's serialized form (depends on
-    /// the varint widths of the version/timestamp fields).
-    pub fn nonce_offset(&self) -> usize {
-        let mut probe = Vec::new();
-        write_varint(&mut probe, self.major_version);
-        write_varint(&mut probe, self.minor_version);
-        write_varint(&mut probe, self.timestamp);
-        probe.len() + 32
-    }
 }
 
 #[cfg(test)]
@@ -135,25 +120,11 @@ mod tests {
         let b = a.with_nonce(1);
         let (ab, bb) = (a.to_bytes(), b.to_bytes());
         assert_eq!(ab.len(), bb.len());
-        let offset = a.nonce_offset();
+        // One-byte versions, a five-byte timestamp varint, the prev id.
+        let offset = 1 + 1 + 5 + 32;
         assert_eq!(&ab[..offset], &bb[..offset]);
         assert_eq!(&ab[offset + 4..], &bb[offset + 4..]);
         assert_eq!(&bb[offset..offset + 4], &1u32.to_le_bytes());
-    }
-
-    #[test]
-    fn nonce_offset_hint_matches_small_fields() {
-        // With single-byte varints (versions < 128, but timestamp is large)
-        // the hint does not apply; compute for genuinely small fields.
-        let b = HashingBlob {
-            major_version: 7,
-            minor_version: 7,
-            timestamp: 100,
-            ..sample()
-        };
-        assert_eq!(b.nonce_offset(), 3 + 32);
-        // The 2018-era blob (5-byte timestamp varint) lands at the hint.
-        assert_eq!(sample().nonce_offset(), NONCE_OFFSET_HINT);
     }
 
     proptest! {

@@ -155,14 +155,6 @@ impl Value {
         }
     }
 
-    /// The value as an array slice.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Serializes to a compact JSON string.
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -531,7 +523,7 @@ mod tests {
         let v = Value::parse(r#"{"type":"job","blob":"abc","target":255,"ids":[1,2,3]}"#).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("job"));
         assert_eq!(v.get("target").unwrap().as_u64(), Some(255));
-        assert_eq!(v.get("ids").unwrap().as_array().unwrap().len(), 3);
+        assert!(matches!(v.get("ids"), Some(Value::Arr(ids)) if ids.len() == 3));
     }
 
     #[test]
@@ -580,7 +572,7 @@ mod tests {
     #[test]
     fn whitespace_tolerance() {
         let v = Value::parse(" \n\t{ \"a\" : [ 1 , 2 ] } \r\n").unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 2);
+        assert!(matches!(v.get("a"), Some(Value::Arr(a)) if a.len() == 2));
     }
 
     #[test]

@@ -129,7 +129,6 @@ struct MiningState {
     job_counter: u64,
     ledger: Ledger,
     rng: DetRng,
-    blocks_won: u64,
 }
 
 struct Shared {
@@ -207,7 +206,6 @@ impl Pool {
                     job_counter: 0,
                     ledger: Ledger::new(),
                     rng,
-                    blocks_won: 0,
                 }),
             }),
         }
@@ -222,14 +220,6 @@ impl Pool {
     /// Total number of WebSocket-style endpoints.
     pub fn endpoint_count(&self) -> usize {
         ENDPOINTS
-    }
-
-    /// Endpoint host names, enumerable the way the paper enumerated
-    /// Coinhive's (from the JavaScript or DNS).
-    pub fn endpoint_names(&self) -> Vec<String> {
-        (0..self.endpoint_count())
-            .map(|i| format!("ws{:03}.{NAME}.com", i + 1))
-            .collect()
     }
 
     /// The pool's Coinbase tag.
@@ -420,11 +410,6 @@ impl Pool {
         self.shared.mining.lock().ledger.clone()
     }
 
-    /// Number of blocks this pool has won.
-    pub fn blocks_won(&self) -> u64 {
-        self.shared.mining.lock().blocks_won
-    }
-
     /// Builds the winning block at `found_at` and settles the ledger.
     /// Used by the `TemplateSource` adapter.
     pub fn win_block(&self, found_at: u64) -> Block {
@@ -439,7 +424,6 @@ impl Pool {
         let mut block = backend.template(&info, version, timestamp);
         block.header.nonce = mining.rng.next_u32();
         mining.ledger.distribute(info.reward, FEE_FRACTION);
-        mining.blocks_won += 1;
         block
     }
 
@@ -566,10 +550,6 @@ mod tests {
     fn endpoint_inventory_matches_coinhive() {
         let p = pool();
         assert_eq!(p.endpoint_count(), 32);
-        let names = p.endpoint_names();
-        assert_eq!(names.len(), 32);
-        assert_eq!(names[0], "ws001.coinhive.com");
-        assert_eq!(names[31], "ws032.coinhive.com");
     }
 
     #[test]
@@ -728,7 +708,6 @@ mod tests {
         }
         let block = p.win_block(1_050);
         assert!(seen_roots.contains(&block.merkle_root()));
-        assert_eq!(p.blocks_won(), 1);
     }
 
     #[test]

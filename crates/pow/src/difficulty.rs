@@ -35,18 +35,6 @@ pub fn expected_hashes(difficulty: Difficulty) -> u64 {
     difficulty
 }
 
-/// Difficulty that makes a network of `hashrate` H/s find one block every
-/// `target_seconds` on average (Monero targets 120 s).
-pub fn difficulty_for_rate(hashrate: f64, target_seconds: f64) -> Difficulty {
-    (hashrate * target_seconds).round().max(1.0) as u64
-}
-
-/// Network hashrate implied by a difficulty and a block interval — the
-/// estimator the paper uses in §4.2 (55.4 G / 120 s ⇒ 462 MH/s).
-pub fn implied_hashrate(difficulty: Difficulty, target_seconds: f64) -> f64 {
-    difficulty as f64 / target_seconds
-}
-
 /// Builds a hash that *just* satisfies the given difficulty, and one that
 /// just misses it. Useful for protocol tests without grinding real PoW.
 pub fn boundary_hashes(difficulty: Difficulty) -> (Hash32, Hash32) {
@@ -118,15 +106,6 @@ mod tests {
             assert!(check_hash(&pass, d), "pass boundary failed for {d}");
             assert!(!check_hash(&fail, d), "fail boundary passed for {d}");
         }
-    }
-
-    #[test]
-    fn rate_conversions_match_paper_numbers() {
-        // Paper: median difficulty 55.4 G, 120 s target ⇒ 462 MH/s.
-        let hr = implied_hashrate(55_400_000_000, 120.0);
-        assert!((461e6..463e6).contains(&hr), "hashrate {hr}");
-        let d = difficulty_for_rate(462e6, 120.0);
-        assert!((55_300_000_000..55_500_000_000).contains(&d));
     }
 
     #[test]

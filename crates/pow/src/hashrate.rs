@@ -4,8 +4,7 @@
 //! 20 and 100 H/s" (their 2013 MacBook Pro measured 20 H/s with 4 threads
 //! in Chrome). [`ClientClass`] encodes those anchors, and
 //! [`measure_hashrate`] measures this machine's real throughput for a
-//! given [`Variant`] — used by the Criterion benches and by the
-//! short-link duration axis of Figure 4.
+//! given [`Variant`] (`minedig hashrate` prints it for each variant).
 
 use crate::cryptonight::{slow_hash, Variant};
 use std::time::Instant;

@@ -19,7 +19,7 @@ pub mod health;
 pub mod hex;
 pub mod idhash;
 pub mod keccak;
-pub mod par;
+mod par;
 pub mod retry;
 pub mod rng;
 pub mod sha256;
@@ -36,7 +36,6 @@ pub use health::{
 pub use hex::{from_hex, to_hex};
 pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use keccak::{keccak1600, keccak256, sha3_256};
-pub use par::ParallelExecutor;
 pub use retry::{retry, ErrorClass, RetryPolicy, Retryable};
 pub use rng::DetRng;
 pub use sha256::sha256;

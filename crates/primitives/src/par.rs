@@ -3,11 +3,11 @@
 //! The paper's three measurement loops — zone scans, the §4.1 walk over
 //! short-link IDs and the §4.2 endpoint sweeps — are each a pure
 //! per-item kernel keyed by item identity, folded in item order.
-//! [`ParallelExecutor::map_fold`] runs such a kernel on scoped worker
-//! threads and folds the outputs back in index order, so the result is
-//! bit-identical to the sequential loop for any worker count. The fold
-//! may stop the run early by returning `ControlFlow::Break`, as the
-//! walk does at its dead-run stop.
+//! [`map_fold`] runs such a kernel on scoped worker threads for
+//! [`Backend::map_fold`](crate::Backend::map_fold) and folds the outputs
+//! back in index order, so the result is bit-identical to the sequential
+//! loop for any worker count. The fold may stop the run early by
+//! returning `ControlFlow::Break`, as the walk does at its dead-run stop.
 //!
 //! ## Round-robin, in blocks
 //!
@@ -28,88 +28,70 @@ use std::ops::{ControlFlow, Range};
 /// the fold.
 const BLOCK_PER_WORKER: u64 = 4_096;
 
-/// Maps index ranges across a fixed number of worker threads.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelExecutor {
+/// Maps every index of `range` through `kernel` on `workers` threads
+/// (0 runs as 1) and folds the outputs into `acc` in index order, until
+/// `fold` breaks. One worker runs on the calling thread; more take the
+/// items of each block round-robin on scoped threads, and a break
+/// discards the rest of its block.
+pub(crate) fn map_fold<T: Send, A>(
     workers: usize,
-}
-
-impl ParallelExecutor {
-    /// Executor with `workers` threads (clamped to at least 1).
-    pub fn new(workers: usize) -> ParallelExecutor {
-        ParallelExecutor {
-            workers: workers.max(1),
-        }
-    }
-
-    /// Configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Maps every index of `range` through `kernel` and folds the outputs
-    /// into `acc` in index order, until `fold` breaks. One worker runs on
-    /// the calling thread; more take the items of each block round-robin
-    /// on scoped threads, and a break discards the rest of its block.
-    pub fn map_fold<T: Send, A>(
-        &self,
-        range: Range<u64>,
-        kernel: impl Fn(u64) -> T + Sync,
-        mut acc: A,
-        mut fold: impl FnMut(&mut A, T) -> ControlFlow<()>,
-    ) -> A {
-        if self.workers == 1 {
-            for i in range {
-                if fold(&mut acc, kernel(i)).is_break() {
-                    break;
-                }
+    range: Range<u64>,
+    kernel: impl Fn(u64) -> T + Sync,
+    mut acc: A,
+    mut fold: impl FnMut(&mut A, T) -> ControlFlow<()>,
+) -> A {
+    if workers <= 1 {
+        for i in range {
+            if fold(&mut acc, kernel(i)).is_break() {
+                break;
             }
-            return acc;
         }
-        let workers = self.workers as u64;
-        let mut start = range.start;
-        while start < range.end {
-            let end = start
-                .saturating_add(BLOCK_PER_WORKER * workers)
-                .min(range.end);
-            let parts: Vec<Vec<T>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let kernel = &kernel;
-                        s.spawn(move || {
-                            (start + w..end)
-                                .step_by(workers as usize)
-                                .map(kernel)
-                                .collect()
-                        })
+        return acc;
+    }
+    let workers = workers as u64;
+    let mut start = range.start;
+    while start < range.end {
+        let end = start
+            .saturating_add(BLOCK_PER_WORKER * workers)
+            .min(range.end);
+        let parts: Vec<Vec<T>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let kernel = &kernel;
+                    s.spawn(move || {
+                        (start + w..end)
+                            .step_by(workers as usize)
+                            .map(kernel)
+                            .collect()
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            });
-            let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
-            for i in 0..end - start {
-                let out = parts[(i % workers) as usize]
-                    .next()
-                    .expect("every worker maps its round-robin share");
-                if fold(&mut acc, out).is_break() {
-                    return acc;
-                }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
+        let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+        for i in 0..end - start {
+            let out = parts[(i % workers) as usize]
+                .next()
+                .expect("every worker maps its round-robin share");
+            if fold(&mut acc, out).is_break() {
+                return acc;
             }
-            start = end;
         }
-        acc
+        start = end;
     }
+    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Backend;
 
-    fn squares(workers: usize, range: Range<u64>) -> (u64, Vec<u64>) {
-        ParallelExecutor::new(workers).map_fold(
+    fn squares(backend: Backend, range: Range<u64>) -> (u64, Vec<u64>) {
+        backend.map_fold(
             range,
             |i| (i, i * i),
             (0u64, Vec::new()),
@@ -123,27 +105,31 @@ mod tests {
 
     #[test]
     fn folds_in_index_order_for_any_width() {
-        let sequential = squares(1, 3..104);
+        let sequential = squares(Backend::Sequential, 3..104);
+        assert_eq!(sequential.1, (3..104).collect::<Vec<_>>());
         for workers in [1, 2, 3, 7, 16, 32] {
-            let run = squares(workers, 3..104);
+            let run = squares(Backend::Sharded(workers), 3..104);
             assert_eq!(run, sequential, "workers={workers}");
-            assert_eq!(run.1, (3..104).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn ranges_longer_than_a_block_fold_in_order() {
         let len = BLOCK_PER_WORKER * 3 + 17;
-        let run = squares(2, 0..len);
+        let run = squares(Backend::Sharded(2), 0..len);
         assert_eq!(run.1, (0..len).collect::<Vec<_>>());
-        assert_eq!(run, squares(1, 0..len));
+        assert_eq!(run, squares(Backend::Sequential, 0..len));
     }
 
     #[test]
     fn break_stops_the_fold_at_the_same_item_for_any_width() {
         let stop = BLOCK_PER_WORKER * 2 + 5;
-        for workers in [1, 2, 3] {
-            let folded = ParallelExecutor::new(workers).map_fold(
+        for backend in [
+            Backend::Sequential,
+            Backend::Sharded(2),
+            Backend::Sharded(3),
+        ] {
+            let folded = backend.map_fold(
                 0..u64::MAX,
                 |i| i,
                 Vec::new(),
@@ -156,17 +142,32 @@ mod tests {
                     }
                 },
             );
-            assert_eq!(folded, (0..=stop).collect::<Vec<_>>(), "workers={workers}");
+            assert_eq!(folded, (0..=stop).collect::<Vec<_>>(), "{backend}");
         }
     }
 
     #[test]
     fn empty_ranges_fold_nothing() {
-        assert_eq!(squares(4, 5..5), (0, Vec::new()));
+        assert_eq!(squares(Backend::Sharded(4), 5..5), (0, Vec::new()));
     }
 
     #[test]
-    fn executor_clamps_zero_workers() {
-        assert_eq!(ParallelExecutor::new(0).workers(), 1);
+    fn zero_workers_run_as_one() {
+        // One worker maps every item on the calling thread.
+        let caller = std::thread::current().id();
+        let threads = Backend::Sharded(0).map_fold(
+            0..BLOCK_PER_WORKER + 3,
+            |_| std::thread::current().id(),
+            Vec::new(),
+            |acc, id| {
+                acc.push(id);
+                ControlFlow::Continue(())
+            },
+        );
+        assert!(threads.iter().all(|&id| id == caller));
+        assert_eq!(
+            squares(Backend::Sharded(0), 3..104),
+            squares(Backend::Sequential, 3..104)
+        );
     }
 }

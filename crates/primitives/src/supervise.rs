@@ -17,7 +17,7 @@
 //! executor backends.
 
 use crate::ckpt::{Checkpointable, CkptError, SnapshotStore};
-use crate::par::ParallelExecutor;
+use crate::par;
 use crate::parse_var;
 use std::fmt;
 use std::ops::{ControlFlow, Range};
@@ -36,8 +36,8 @@ pub const SHARDS_ENV: &str = "MINEDIG_SHARDS";
 pub enum Backend {
     /// Single-threaded, in item order.
     Sequential,
-    /// [`ParallelExecutor`] with this many worker threads, taking items
-    /// round-robin.
+    /// This many worker threads, taking items round-robin in blocks
+    /// (`Sharded(0)` runs as one).
     Sharded(usize),
 }
 
@@ -84,7 +84,7 @@ impl Backend {
     /// outputs mapped ahead of it are discarded.
     ///
     /// Sequentially the items run in-line; sharded, worker threads take
-    /// them round-robin ([`ParallelExecutor::map_fold`]). Because
+    /// them round-robin in bounded blocks. Because
     /// `kernel` may depend only on the index, the folded result is the
     /// same on both backends.
     pub fn map_fold<T: Send, A>(
@@ -98,7 +98,7 @@ impl Backend {
             Backend::Sequential => 1,
             Backend::Sharded(n) => n,
         };
-        ParallelExecutor::new(workers).map_fold(range, kernel, acc, fold)
+        par::map_fold(workers, range, kernel, acc, fold)
     }
 }
 

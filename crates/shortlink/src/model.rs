@@ -292,11 +292,6 @@ impl LinkPopulation {
         v
     }
 
-    /// All hash requirements (the biased dataset of Fig 4).
-    pub fn hash_requirements_biased(&self) -> Vec<u64> {
-        self.links.iter().map(|l| l.required_hashes).collect()
-    }
-
     /// Hash requirements counted once per `(user, count)` pair (the
     /// user-bias-removed dataset of Fig 4).
     pub fn hash_requirements_unbiased(&self) -> Vec<u64> {
@@ -359,9 +354,8 @@ mod tests {
     #[test]
     fn biased_spike_at_512() {
         let pop = small_population();
-        let biased = pop.hash_requirements_biased();
-        let at512 = biased.iter().filter(|&&h| h == 512).count() as f64;
-        let frac = at512 / biased.len() as f64;
+        let at512 = pop.links.iter().filter(|l| l.required_hashes == 512);
+        let frac = at512.count() as f64 / pop.links.len() as f64;
         // The ⅓-user sets 512 on ~75 % of links: expect a dominant spike.
         assert!(frac > 0.20, "512 spike {frac}");
     }

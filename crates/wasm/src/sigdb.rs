@@ -129,7 +129,8 @@ impl SignatureDb {
         }
     }
 
-    /// Overrides the similarity threshold (ablation benches use this).
+    /// Overrides the similarity threshold (the `ablations` binary uses
+    /// this to disable the similarity fallback).
     pub fn with_threshold(mut self, threshold: f64) -> SignatureDb {
         self.threshold = threshold;
         self

@@ -586,7 +586,7 @@ mod tests {
     fn pages_fill_their_buffer_exactly() {
         let pop = Population::generate(Zone::Org, 2018, 50);
         let mut beyond_cut = 0;
-        for d in pop.scanned_domains() {
+        for d in pop.artifacts.iter().chain(&pop.clean_sample) {
             let html = synthesize_page(d, 2018).html;
             beyond_cut += usize::from(html.len() > ZGRAB_CUT);
             assert_eq!(html.capacity(), html.len(), "{}", d.name);
@@ -610,7 +610,7 @@ mod tests {
             (Zone::Com, 3_000),
         ] {
             let pop = Population::generate(zone, 2018, 500);
-            for d in pop.scanned_domains().take(take) {
+            for d in pop.artifacts.iter().chain(&pop.clean_sample).take(take) {
                 let page = synthesize_page(d, 2018);
                 let mut behaviors: Vec<String> =
                     page.behaviors.iter().map(|b| format!("{b:?}")).collect();

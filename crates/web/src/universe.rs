@@ -118,11 +118,6 @@ impl Population {
         }
     }
 
-    /// Iterates over every materialized domain (artifacts + clean sample).
-    pub fn scanned_domains(&self) -> impl Iterator<Item = &Domain> {
-        self.artifacts.iter().chain(self.clean_sample.iter())
-    }
-
     /// Number of ground-truth active miners.
     pub fn true_active_miners(&self) -> usize {
         self.artifacts
@@ -159,7 +154,8 @@ mod tests {
     #[test]
     fn domain_names_are_unique() {
         let p = Population::generate(Zone::Org, 42, 50);
-        let mut names: Vec<&String> = p.scanned_domains().map(|d| &d.name).collect();
+        let domains = p.artifacts.iter().chain(&p.clean_sample);
+        let mut names: Vec<&String> = domains.map(|d| &d.name).collect();
         let before = names.len();
         names.sort();
         names.dedup();
@@ -195,7 +191,7 @@ mod tests {
     #[test]
     fn every_domain_has_categories() {
         let p = Population::generate(Zone::Alexa, 42, 20);
-        for d in p.scanned_domains() {
+        for d in p.artifacts.iter().chain(&p.clean_sample) {
             assert!(!d.latent_categories.is_empty());
         }
     }
