@@ -146,7 +146,10 @@ impl<S: JobSource> JobSource for FaultyJobSource<S> {
         if self.down[endpoint].load(Ordering::Acquire) {
             return Err(FetchError::Closed);
         }
-        match self.plan.decide(&format!("poll.{endpoint}.{now}"), attempt) {
+        match self
+            .plan
+            .decide(format_args!("poll.{endpoint}.{now}"), attempt)
+        {
             None => self.inner.fetch_job(endpoint, now, attempt),
             // Latency alone does not change the observed job.
             Some(Fault::Delay) => self.inner.fetch_job(endpoint, now, attempt),
@@ -451,7 +454,7 @@ impl<S: JobSource> Observer<S> {
             None => self.policy.retry.clone(),
         };
         let (source, stats, seed) = (&self.source, &mut self.stats, self.policy.jitter_seed);
-        let jitter = || DetRng::seed(seed).derive(&format!("poll.jitter.{endpoint}.{now}"));
+        let jitter = || DetRng::seed(seed).derive(format_args!("poll.jitter.{endpoint}.{now}"));
         let outcome = retry(&retry_policy, jitter, |attempt| {
             let r = source.fetch_job(endpoint, now, attempt);
             // Reconnect eagerly on every teardown, even a final one, so

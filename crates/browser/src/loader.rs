@@ -164,7 +164,7 @@ impl Sim {
 /// what the page did before it was marked done.
 pub fn load_page(page: &Page, policy: &LoadPolicy) -> Capture {
     let mut sim = Sim {
-        rng: DetRng::seed(policy.seed).derive(&format!("browser.load.{}", page.domain)),
+        rng: DetRng::seed(policy.seed).derive(format_args!("browser.load.{}", page.domain)),
         queue: BinaryHeap::new(),
         actions: Vec::new(),
         seq: 0,

@@ -63,9 +63,9 @@ impl FetchModel {
         let Some(plan) = &self.faults else {
             return (true, 0);
         };
-        let jitter = || DetRng::seed(plan.seed()).derive(&format!("fetch.jitter.{name}"));
+        let jitter = || DetRng::seed(plan.seed()).derive(format_args!("fetch.jitter.{name}"));
         let outcome = retry(&self.retry, jitter, |attempt| {
-            match plan.decide(&format!("fetch.{name}"), attempt) {
+            match plan.decide(format_args!("fetch.{name}"), attempt) {
                 // Latency alone does not lose the page.
                 None | Some(Fault::Delay) => Ok(()),
                 Some(_) => Err(FetchFailure),

@@ -222,7 +222,7 @@ mod tests {
         for i in 0..32u8 {
             // While down, every operation fails and draws no fault, so
             // the i-th message is the i-th send the plan decides.
-            let clean = plan.decide(&format!("t.send.{i}"), 0).is_none();
+            let clean = plan.decide(format_args!("t.send.{i}"), 0).is_none();
             if clean {
                 a.send(&[i]).unwrap();
                 sent.push(vec![i]);

@@ -106,8 +106,9 @@ struct BackendSlot {
 struct BackendCache {
     /// Tip epoch these templates were built for; a mismatch clears lazily.
     epoch: u64,
-    /// Cached template per version at the current epoch.
-    templates: HashMap<u32, CachedTemplate>,
+    /// Cached template per version at the current epoch, indexed by
+    /// version.
+    templates: [Option<CachedTemplate>; MAX_TEMPLATES_PER_HEIGHT as usize],
 }
 
 /// One template version as served: a pure function of (tip, backend,
@@ -273,10 +274,10 @@ impl Pool {
         let slot = &shared.backends[backend_idx as usize];
         let mut cache = slot.cache.lock();
         if cache.epoch != tip.epoch {
-            cache.templates.clear();
+            cache.templates = Default::default();
             cache.epoch = tip.epoch;
         }
-        let template = cache.templates.entry(version).or_insert_with(|| {
+        let template = cache.templates[version as usize].get_or_insert_with(|| {
             let info = tip.tip.as_ref().expect("template without tip");
             let timestamp = tip.seen_at + version as u64 * TEMPLATE_REFRESH_SECS;
             let coinbase = slot.backend.coinbase(info, version).hash();

@@ -19,6 +19,7 @@
 //! invariant.
 
 use crate::rng::DetRng;
+use std::fmt;
 
 /// The kinds of fault a [`FaultPlan`] can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,8 +143,9 @@ impl FaultPlan {
     }
 
     /// The fault injected into the `attempt`-th try (zero-based) of the
-    /// operation named `key`, or `None` for a clean attempt.
-    pub fn decide(&self, key: &str, attempt: u32) -> Option<Fault> {
+    /// operation named `key`, or `None` for a clean attempt. The key is
+    /// hashed as it is formatted, so it can be passed as `format_args!`.
+    pub fn decide(&self, key: impl fmt::Display, attempt: u32) -> Option<Fault> {
         let mut rng = self.root.derive(key);
         if !rng.chance(self.config.fault_prob) {
             return None;
@@ -165,7 +167,7 @@ impl FaultPlan {
 
     /// True if `key` faults on every attempt forever (a permanent
     /// fault): retries cannot recover this operation.
-    pub fn is_permanent(&self, key: &str) -> bool {
+    pub fn is_permanent(&self, key: impl fmt::Display) -> bool {
         self.decide(key, u32::MAX).is_some()
     }
 }
@@ -227,13 +229,21 @@ mod tests {
             FaultPlan::with_config(2018, mixed),
         ] {
             for i in 0..2_000 {
-                let key = format!("probe.k{i}");
+                // A poll's key: its pieces start off the lane boundaries.
+                let (endpoint, now) = (i % 32, 1_524_700_800 + i);
+                let key = format!("poll.{endpoint}.{now}");
                 for attempt in [0, 1, 2, 3, 7, u32::MAX] {
+                    let want = decide_rederiving(&plan, &key, attempt);
+                    let seed = plan.seed();
                     assert_eq!(
                         plan.decide(&key, attempt),
-                        decide_rederiving(&plan, &key, attempt),
-                        "seed {} key {key} attempt {attempt}",
-                        plan.seed()
+                        want,
+                        "seed {seed} key {key} attempt {attempt}"
+                    );
+                    assert_eq!(
+                        plan.decide(format_args!("poll.{endpoint}.{now}"), attempt),
+                        want,
+                        "seed {seed} formatted key {key} attempt {attempt}"
                     );
                 }
             }
@@ -251,7 +261,7 @@ mod tests {
     fn fault_rate_tracks_probability() {
         let plan = FaultPlan::transient_only(5, 0.3);
         let faulty = (0..10_000)
-            .filter(|i| plan.decide(&format!("k{i}"), 0).is_some())
+            .filter(|i| plan.decide(format_args!("k{i}"), 0).is_some())
             .count();
         assert!((2_600..3_400).contains(&faulty), "faulty {faulty}");
     }

@@ -230,7 +230,7 @@ impl CircuitBreaker {
             0
         } else {
             self.rng
-                .derive(&format!("trip{seq}"))
+                .derive(format_args!("trip{seq}"))
                 .gen_range(self.config.probe_jitter + 1)
         };
         self.state = BreakerState::Open;
@@ -527,7 +527,7 @@ impl EndpointHealth {
         let span = config.adaptive.synthetic_span_ms.max(1);
         let base = root.derive("lat.base");
         let base_latency = (0..endpoints)
-            .map(|i| 1 + base.derive(&format!("ep{i}")).gen_range(span))
+            .map(|i| 1 + base.derive(format_args!("ep{i}")).gen_range(span))
             .collect();
         EndpointHealth {
             lat: root.derive("lat"),
@@ -647,7 +647,7 @@ impl EndpointHealth {
 
     fn latency(&self, root: &DetRng, i: usize, now: u64) -> u64 {
         let noise = self.config.adaptive.synthetic_span_ms / 4 + 1;
-        self.base_latency[i] + root.derive(&format!("ep{i}.{now}")).gen_range(noise)
+        self.base_latency[i] + root.derive(format_args!("ep{i}.{now}")).gen_range(noise)
     }
 
     /// Aggregated counters and state gauges.
@@ -987,11 +987,11 @@ mod tests {
         let noise = config.adaptive.synthetic_span_ms / 4 + 1;
         let base = 1 + DetRng::seed(config.seed)
             .derive("lat.base")
-            .derive(&format!("ep{i}"))
+            .derive(format_args!("ep{i}"))
             .gen_range(span);
         base + DetRng::seed(config.seed)
             .derive(stream)
-            .derive(&format!("ep{i}.{now}"))
+            .derive(format_args!("ep{i}.{now}"))
             .gen_range(noise)
     }
 

@@ -89,12 +89,14 @@ pub fn keccak_f1600(state: &mut [u64; 25]) {
 const RATE: usize = 136;
 
 /// An absorbing Keccak sponge of rate [`RATE`]: input arrives in any
-/// number of pieces and is buffered in one rate block on the stack, so
-/// hashing a concatenation allocates nothing.
+/// number of pieces and is XORed straight into the state lanes, a whole
+/// lane at a time where the position is lane-aligned and a byte at a
+/// time elsewhere, so hashing a concatenation neither allocates nor
+/// copies.
 pub(crate) struct Sponge {
     state: [u64; 25],
-    block: [u8; RATE],
-    filled: usize,
+    /// Bytes absorbed into the current rate block, below [`RATE`].
+    pos: usize,
 }
 
 impl Sponge {
@@ -102,33 +104,51 @@ impl Sponge {
     pub(crate) fn new() -> Sponge {
         Sponge {
             state: [0u64; 25],
-            block: [0u8; RATE],
-            filled: 0,
+            pos: 0,
+        }
+    }
+
+    /// XORs `byte` in at the current position, permuting once a rate
+    /// block is full.
+    fn absorb_byte(&mut self, byte: u8) {
+        self.state[self.pos / 8] ^= u64::from(byte) << (8 * (self.pos % 8));
+        self.pos += 1;
+        if self.pos == RATE {
+            keccak_f1600(&mut self.state);
+            self.pos = 0;
         }
     }
 
     /// Absorbs `data`, permuting after each full rate block.
     pub(crate) fn absorb(&mut self, mut data: &[u8]) {
-        while !data.is_empty() {
-            let take = (RATE - self.filled).min(data.len());
-            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
-            self.filled += take;
-            data = &data[take..];
-            if self.filled == RATE {
-                absorb_block(&mut self.state, &self.block);
+        while !self.pos.is_multiple_of(8) {
+            let Some((&byte, rest)) = data.split_first() else {
+                return;
+            };
+            self.absorb_byte(byte);
+            data = rest;
+        }
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            self.state[self.pos / 8] ^=
+                u64::from_le_bytes(word.try_into().expect("words are 8 bytes"));
+            self.pos += 8;
+            if self.pos == RATE {
                 keccak_f1600(&mut self.state);
-                self.filled = 0;
+                self.pos = 0;
             }
+        }
+        for &byte in words.remainder() {
+            self.absorb_byte(byte);
         }
     }
 
-    /// Pads the last block with the domain byte `pad` and permutes: the
-    /// returned state's first lanes are the digest.
+    /// Pads the last block (the domain byte `pad` at the current
+    /// position, the end bit atop the block's last byte) and permutes:
+    /// the returned state's first lanes are the digest.
     fn finish(mut self, pad: u8) -> [u64; 25] {
-        self.block[self.filled..].fill(0);
-        self.block[self.filled] = pad;
-        self.block[RATE - 1] |= 0x80;
-        absorb_block(&mut self.state, &self.block);
+        self.state[self.pos / 8] ^= u64::from(pad) << (8 * (self.pos % 8));
+        self.state[RATE / 8 - 1] ^= 0x80u64 << 56;
         keccak_f1600(&mut self.state);
         self.state
     }
@@ -139,6 +159,15 @@ impl Sponge {
     }
 }
 
+/// Absorbs formatted text, so a key is hashed as it is formatted
+/// instead of being built into a `String` first.
+impl std::fmt::Write for Sponge {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.absorb(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// The first 32 bytes of a squeezed state (rate 136 holds all of them).
 fn digest(state: &[u64; 25]) -> [u8; 32] {
     let mut out = [0u8; 32];
@@ -146,12 +175,6 @@ fn digest(state: &[u64; 25]) -> [u8; 32] {
         chunk.copy_from_slice(&lane.to_le_bytes());
     }
     out
-}
-
-fn absorb_block(state: &mut [u64; 25], block: &[u8]) {
-    for (lane, chunk) in block.chunks_exact(8).enumerate() {
-        state[lane] ^= u64::from_le_bytes(chunk.try_into().unwrap());
-    }
 }
 
 /// Keccak-256 with original padding (Monero's `cn_fast_hash`).
@@ -235,20 +258,77 @@ mod tests {
         assert_ne!(h2, h3);
     }
 
-    #[test]
-    fn absorbing_in_pieces_hashes_the_concatenation() {
-        let data: Vec<u8> = (0..400u32).map(|i| (i * 7 + 3) as u8).collect();
-        for len in [0usize, 1, 31, 135, 136, 137, 271, 272, 273, 400] {
-            for cut in [0, 1.min(len), len / 2, len.saturating_sub(1), len] {
-                let mut sponge = Sponge::new();
-                sponge.absorb(&data[..cut]);
-                sponge.absorb(&data[cut..len]);
-                assert_eq!(
-                    sponge.keccak256(),
-                    keccak256(&data[..len]),
-                    "{len} cut {cut}"
-                );
+    /// The block-buffer sponge this module absorbed through before
+    /// XORing into the lanes: the reference [`Sponge`] must match.
+    struct BlockSponge {
+        state: [u64; 25],
+        block: [u8; RATE],
+        filled: usize,
+    }
+
+    impl BlockSponge {
+        fn absorb(&mut self, mut data: &[u8]) {
+            while !data.is_empty() {
+                let take = (RATE - self.filled).min(data.len());
+                self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+                self.filled += take;
+                data = &data[take..];
+                if self.filled == RATE {
+                    self.permute_block();
+                    self.filled = 0;
+                }
             }
+        }
+
+        fn finish(mut self, pad: u8) -> [u64; 25] {
+            self.block[self.filled..].fill(0);
+            self.block[self.filled] = pad;
+            self.block[RATE - 1] |= 0x80;
+            self.permute_block();
+            self.state
+        }
+
+        fn permute_block(&mut self) {
+            for (lane, chunk) in self.block.chunks_exact(8).enumerate() {
+                self.state[lane] ^= u64::from_le_bytes(chunk.try_into().unwrap());
+            }
+            keccak_f1600(&mut self.state);
+        }
+    }
+
+    fn block_sponge(data: &[u8], pad: u8) -> [u64; 25] {
+        let mut sponge = BlockSponge {
+            state: [0u64; 25],
+            block: [0u8; RATE],
+            filled: 0,
+        };
+        sponge.absorb(data);
+        sponge.finish(pad)
+    }
+
+    #[test]
+    fn lane_sponge_matches_the_block_buffer_sponge() {
+        let data: Vec<u8> = (0..409u32).map(|i| (i * 151 + 7) as u8).collect();
+        for len in 0..=data.len() {
+            let input = &data[..len];
+            let (want_keccak, want_sha3) = (block_sponge(input, 0x01), block_sponge(input, 0x06));
+            assert_eq!(keccak256(input), digest(&want_keccak), "keccak256 of {len}");
+            assert_eq!(sha3_256(input), digest(&want_sha3), "sha3_256 of {len}");
+            let state: Vec<u8> = want_keccak.iter().flat_map(|l| l.to_le_bytes()).collect();
+            assert_eq!(keccak1600(input).to_vec(), state, "keccak1600 of {len}");
+            // Cut on every lane boundary (rate boundaries among them) and
+            // one byte to either side of it.
+            for cut in (0..=len).filter(|c| matches!(c % 8, 0 | 1 | 7)) {
+                for (pad, want) in [(0x01, want_keccak), (0x06, want_sha3)] {
+                    let mut sponge = Sponge::new();
+                    sponge.absorb(&input[..cut]);
+                    sponge.absorb(&input[cut..]);
+                    assert_eq!(sponge.finish(pad), want, "{len} cut at {cut}, pad {pad}");
+                }
+            }
+            let mut sponge = Sponge::new();
+            input.chunks(1).for_each(|byte| sponge.absorb(byte));
+            assert_eq!(sponge.finish(0x01), want_keccak, "{len} byte by byte");
         }
     }
 

@@ -10,6 +10,8 @@
 //! The generator is xoshiro256** seeded through SplitMix64, the standard
 //! construction recommended by the xoshiro authors.
 
+use std::fmt::{self, Write};
+
 /// Deterministic xoshiro256** generator.
 ///
 /// ```
@@ -54,13 +56,22 @@ impl DetRng {
     ///
     /// Derivation hashes (current state, label) with Keccak-256 so distinct
     /// labels yield statistically independent streams and derivation does
-    /// not advance `self`.
-    pub fn derive(&self, label: &str) -> DetRng {
+    /// not advance `self`. The label is hashed as it is formatted, so a
+    /// per-operation key can be passed as `format_args!` without building
+    /// a `String`.
+    pub fn derive(&self, label: impl fmt::Display) -> DetRng {
+        self.derive_formatted(format_args!("{label}"))
+    }
+
+    /// `derive`'s body, kept out of the generic function so that each
+    /// label type compiles only its formatting, not another copy of the
+    /// sponge.
+    fn derive_formatted(&self, label: fmt::Arguments<'_>) -> DetRng {
         let mut sponge = crate::keccak::Sponge::new();
         for lane in &self.s {
             sponge.absorb(&lane.to_le_bytes());
         }
-        sponge.absorb(label.as_bytes());
+        sponge.write_fmt(label).expect("absorbing never fails");
         let h = sponge.keccak256();
         let mut s = [0u64; 4];
         for (i, lane) in s.iter_mut().enumerate() {
@@ -330,6 +341,15 @@ mod tests {
                 root.derive(&label).s.to_vec(),
                 lanes,
                 "{} bytes",
+                label.len()
+            );
+            // The same label formatted piece by piece, as a per-operation
+            // key is.
+            let (head, tail) = label.split_at(label.len() / 2);
+            assert_eq!(
+                root.derive(format_args!("{head}{tail}")).s.to_vec(),
+                lanes,
+                "{} bytes, formatted",
                 label.len()
             );
         }

@@ -68,7 +68,7 @@ impl<'a, P: LinkProber> FaultyProber<'a, P> {
 
 impl<P: LinkProber> LinkProber for FaultyProber<'_, P> {
     fn probe(&self, code: &str, attempt: u32) -> Result<Option<VisitDoc>, ProbeError> {
-        match self.plan.decide(&format!("probe.{code}"), attempt) {
+        match self.plan.decide(format_args!("probe.{code}"), attempt) {
             None => self.inner.probe(code, attempt),
             // Latency alone does not change the observed document.
             Some(Fault::Delay) => self.inner.probe(code, attempt),
@@ -106,7 +106,7 @@ pub fn probe_with_retry<P: LinkProber>(
     code: &str,
     policy: &ProbePolicy,
 ) -> (Result<Option<VisitDoc>, ProbeError>, u32) {
-    let jitter = || DetRng::seed(policy.jitter_seed).derive(&format!("probe.jitter.{code}"));
+    let jitter = || DetRng::seed(policy.jitter_seed).derive(format_args!("probe.jitter.{code}"));
     let outcome = retry(&policy.retry, jitter, |attempt| prober.probe(code, attempt));
     let retries = outcome.retries();
     (outcome.result, retries)

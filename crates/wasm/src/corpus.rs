@@ -240,7 +240,7 @@ pub fn default_profiles() -> Vec<FamilyProfile> {
 pub fn generate_module(profile: &FamilyProfile, version: u32, seed: u64) -> Module {
     let mut rng = DetRng::seed(seed)
         .derive("wasm.corpus")
-        .derive(&format!("{}-{version}", profile.class.label()));
+        .derive(format_args!("{}-{version}", profile.class.label()));
     let mut b = ModuleBuilder::new();
 
     // Kernel: (param i32 nonce) (result i32), locals: i (counter), acc,

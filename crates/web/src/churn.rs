@@ -17,7 +17,7 @@ pub const DEFAULT_ARRIVAL_RATE: f64 = 0.015;
 
 /// Produces the population as seen at the second scan date.
 pub fn second_scan(first: &Population, seed: u64, removal_rate: f64) -> Population {
-    let mut rng = DetRng::seed(seed).derive(&format!("web.churn.{}", first.zone.label()));
+    let mut rng = DetRng::seed(seed).derive(format_args!("web.churn.{}", first.zone.label()));
     let mut artifacts: Vec<Domain> = first
         .artifacts
         .iter()

@@ -167,7 +167,7 @@ impl Scripts<'_> {
 
 /// The stream every draw of `domain`'s page comes from.
 fn page_rng(domain: &Domain, seed: u64) -> DetRng {
-    DetRng::seed(seed).derive(&format!("web.page.{}", domain.name))
+    DetRng::seed(seed).derive(format_args!("web.page.{}", domain.name))
 }
 
 /// Synthesizes the executable page for a domain.

@@ -57,7 +57,7 @@ impl Population {
     /// Generates a zone's population. `clean_sample_size` controls how
     /// many clean domains are materialized for FP measurement.
     pub fn generate(zone: Zone, seed: u64, clean_sample_size: usize) -> Population {
-        let mut rng = DetRng::seed(seed).derive(&format!("web.universe.{}", zone.label()));
+        let mut rng = DetRng::seed(seed).derive(format_args!("web.universe.{}", zone.label()));
         let profiles = default_profiles();
         let versions_of = |class: &WasmClass| -> u32 {
             profiles

@@ -110,7 +110,7 @@ proptest! {
             .artifacts
             .iter()
             .chain(&pop.clean_sample)
-            .filter(|d| plan.is_permanent(&format!("fetch.{}", d.name)))
+            .filter(|d| plan.is_permanent(format_args!("fetch.{}", d.name)))
             .count() as u64;
         prop_assert_eq!(out.fetch.unreachable, expected_lost);
         prop_assert!(out.fetch.balanced());
